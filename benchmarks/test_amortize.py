@@ -34,7 +34,6 @@ from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import forest_to_dict
 from repro.scenes import get_scene
 
-from .conftest import write_bench_json
 
 SCENE = "cornell-box"
 PHOTONS_WARM = 2_000
@@ -64,7 +63,7 @@ def run_cold_cli(out: Path) -> float:
     return time.perf_counter() - t0
 
 
-def test_amortized_serving_shapes(tmp_path):
+def test_amortized_serving_shapes(tmp_path, write_bench_json):
     # -- cold CLI: the no-warm-process baseline ------------------------
     cold_out = tmp_path / "cold.answer.json"
     cold_seconds = run_cold_cli(cold_out)

@@ -35,7 +35,6 @@ from repro.parallel.procpool import PhotonPool
 from repro.parallel.shmplane import leaked_segments
 from repro.perf import format_table
 
-from .conftest import write_bench_json
 
 SEED = 0x1234ABCD330E
 PHOTONS = 2_000
@@ -157,8 +156,8 @@ def test_warm_request_reuses_result_blocks(warm_session_blocks):
     assert r["bytes_equal"]
 
 
-def test_record_bench_json(transport_runs, warm_session_blocks):
-    """Write the machine-readable perf snapshot (committed)."""
+def test_record_bench_json(transport_runs, warm_session_blocks, write_bench_json):
+    """Write the machine-readable perf snapshot (see ``write_bench_json``)."""
     path = write_bench_json("resultplane", {
         "scene": "computer-lab",
         "workers": WORKERS,

@@ -44,7 +44,6 @@ from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.perf import format_table
 from repro.scenes.generator import generate_scene
 
-from .conftest import write_bench_json
 
 SEED = 0x1234ABCD330E
 PHOTONS = 400
@@ -232,8 +231,8 @@ def test_fifty_x_scene_end_to_end_session(scaling_runs):
     assert leaked_segments() == []
 
 
-def test_record_bench_json(scaling_runs):
-    """Write the machine-readable scaling snapshot (committed)."""
+def test_record_bench_json(scaling_runs, write_bench_json):
+    """Write the machine-readable scaling snapshot (see ``write_bench_json``)."""
     path = write_bench_json("scenescale", {
         "photons": PHOTONS,
         "seed": hex(SEED),

@@ -33,7 +33,6 @@ from repro.service import (
     simulate_path,
 )
 
-from .conftest import write_bench_json
 
 SCENES = ("cornell-box", "gen:office-8@0xBEEF")
 PHOTONS = 1_500
@@ -129,7 +128,7 @@ class TestServiceUnderLoad:
         for clients, point in load_points.items():
             assert point["requests"] == clients * REQUESTS_PER_CLIENT
 
-    def test_record_bench_json(self, load_points, service):
+    def test_record_bench_json(self, load_points, service, write_bench_json):
         rows = []
         for clients in CONCURRENCY_LEVELS:
             point = load_points[clients]

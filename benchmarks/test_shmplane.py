@@ -36,7 +36,6 @@ from repro.parallel.procpool import PhotonPool
 from repro.parallel.shmplane import leaked_segments
 from repro.perf import format_table
 
-from .conftest import write_bench_json
 
 SEED = 0x1234ABCD330E
 PHOTONS = 2_000
@@ -231,8 +230,10 @@ def test_warm_request_beats_cold_pickle_startup(session_requests):
     assert session_requests["second_s"] < session_requests["cold_pickle_s"]
 
 
-def test_record_bench_json(transport_runs, session_requests, handle_sizes):
-    """Write the machine-readable perf snapshot (committed)."""
+def test_record_bench_json(
+    transport_runs, session_requests, handle_sizes, write_bench_json
+):
+    """Write the machine-readable perf snapshot (see ``write_bench_json``)."""
     path = write_bench_json("shmplane", {
         "scene": "computer-lab",
         "workers": WORKERS,

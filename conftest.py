@@ -19,6 +19,16 @@ from repro.scenes.generator import generate_scene
 from tests.scenehelpers import build_mini_scene
 
 
+def pytest_addoption(parser) -> None:
+    # Declared here, not in benchmarks/conftest.py: pytest only honours
+    # the hook in conftests it loads before parsing the command line.
+    parser.addoption(
+        "--record-bench", action="store_true", default=False,
+        help="rewrite the committed benchmarks/BENCH_*.json "
+             "(default: write to the ignored benchmarks/out/)",
+    )
+
+
 @pytest.fixture(scope="session")
 def mini_scene() -> Scene:
     return build_mini_scene()

@@ -36,6 +36,7 @@ from .api import (
 )
 from .cluster import platform_by_name, trace_family
 from .core import Camera, SplitPolicy, load_answer, save_answer
+from .core.vectorized import PRUNE_PATCH_THRESHOLD
 from .geometry import Vec3
 from .image import save_radiance_ppm
 from .perf import ascii_traces, format_table, speedup_table
@@ -112,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "vector-engine intersection accelerator: flat = array-encoded "
-            "octree batch walk (fastest on large scenes), octree = per-leaf "
-            "pruned loop, linear = dense scan; answers are identical in "
-            "every mode"
+            "octree batch walk, octree = per-leaf pruned loop, linear = "
+            f"dense scan, auto = flat from {PRUNE_PATCH_THRESHOLD} patches "
+            "up and linear below; answers are identical in every mode"
         ),
     )
     p_sim.add_argument(

@@ -17,11 +17,13 @@ Intersection acceleration is selectable (``accel=``, surfaced as
   leaf, slab-testing the whole batch per leaf.  Kept as the benchmark
   baseline for the flat walk.
 * ``"flat"`` — the :class:`repro.geometry.flatoctree.FlatOctree`
-  batched stack traversal: the pointer octree compiled once into
-  contiguous arrays, then whole-batch slab tests per eight-child block
-  with per-lane closest-hit pruning.  Lanes leave the walk as subtrees
-  miss, so per-node cost shrinks with depth instead of paying per-leaf
-  interpreter overhead on the full batch.
+  level-synchronous pair walk: the pointer octree compiled once into
+  contiguous arrays, then one slab-test call per tree level over every
+  live ``(lane, node)`` pair and one :meth:`VectorEngine._test_pairs`
+  call over that level's ``(lane, patch)`` pairs, with per-lane
+  closest-hit pruning between levels.  NumPy dispatches per bounce are
+  O(tree depth), independent of how many nodes and leaves the rays
+  visit.
 * ``"auto"`` — ``"flat"`` at or above :data:`PRUNE_PATCH_THRESHOLD`
   patches, ``"linear"`` below.
 
@@ -112,9 +114,11 @@ SUBSTREAM_SPACING_BITS = 20
 ACCEL_MODES = ("auto", "flat", "octree", "linear")
 
 #: Dense all-patches intersection wins below this patch count; above it
-#: hierarchical candidate selection pays for its per-node overhead
+#: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
-PRUNE_PATCH_THRESHOLD = 192
+#: Measured crossover of the pair walk: flat/linear photons/sec is 0.8
+#: at 26-30 patches (cornell-box), 1.0 at 44, 1.1-1.2 at 50, 2x at ~100.
+PRUNE_PATCH_THRESHOLD = 48
 
 _MASK = MODULUS - 1
 _INV_MODULUS = 1.0 / MODULUS
@@ -523,10 +527,6 @@ class VectorEngine:
             (module docstring); ``None``/``"auto"`` picks ``"flat"`` at
             or above :data:`PRUNE_PATCH_THRESHOLD` patches, ``"linear"``
             below.
-        prune: Deprecated PR 1 alias (emits ``DeprecationWarning``):
-            ``True`` forces the pruned leaf loop (``accel="octree"``),
-            ``False`` the dense scan (``accel="linear"``).  Mutually
-            exclusive with *accel*; pass ``accel=`` instead.
 
     Attributes:
         accel: The resolved acceleration mode (never ``"auto"``).
@@ -544,22 +544,9 @@ class VectorEngine:
         fluorescence: Optional["FluorescenceSpec"] = None,
         batch_size: int = 4096,
         accel: Optional[str] = None,
-        prune: Optional[bool] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if accel is not None and prune is not None:
-            raise ValueError("pass either accel= or the legacy prune=, not both")
-        if prune is not None:
-            import warnings
-
-            warnings.warn(
-                "VectorEngine(prune=) is deprecated; pass accel='octree' "
-                "(prune=True) or accel='linear' (prune=False) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            accel = "octree" if prune else "linear"
         if accel is None:
             accel = "auto"
         if accel not in ACCEL_MODES:
@@ -577,7 +564,6 @@ class VectorEngine:
                 else "linear"
             )
         self.accel = accel
-        self.prune = accel != "linear"
         self.patch_tests = 0
         self.box_tests = 0
 
@@ -691,25 +677,18 @@ class VectorEngine:
 
     # -- intersection ---------------------------------------------------------
 
-    def _test_patches(
-        self, px, py, pz, dx, dy, dz, cols: np.ndarray,
-        best_t: np.ndarray, best_i: np.ndarray, rows: Optional[np.ndarray] = None,
-    ) -> None:
-        """Test lanes (*rows* or all) against patch columns *cols*.
+    def _plane_hits(self, cols, lpx, lpy, lpz, ldx, ldy, ldz):
+        """Ray/plane + barycentric test of rays against patches *cols*.
 
-        Updates the running closest hit under the canonical tie rule
-        (smallest t; equal t resolved to the largest patch index).
+        The single home of the bit-exact intersection arithmetic
+        (:meth:`repro.geometry.polygon.Patch.intersect` expression for
+        expression).  Broadcast-shape agnostic: the dense scan passes
+        ``[n, 1]`` ray operands against ``[P]`` columns, the pair kernel
+        gathered 1-D operands of one length.  Returns ``(t, ok)`` in the
+        broadcast shape; ``t`` is meaningful only where ``ok``.
         """
         A = self.arrays
-        if rows is None:
-            lpx, lpy, lpz = px[:, None], py[:, None], pz[:, None]
-            ldx, ldy, ldz = dx[:, None], dy[:, None], dz[:, None]
-        else:
-            lpx, lpy, lpz = px[rows, None], py[rows, None], pz[rows, None]
-            ldx, ldy, ldz = dx[rows, None], dy[rows, None], dz[rows, None]
         nx, ny, nz = A.nx[cols], A.ny[cols], A.nz[cols]
-        self.patch_tests += lpx.size * cols.size
-
         denom = (nx * ldx + ny * ldy) + nz * ldz
         ndoto = (nx * lpx + ny * lpy) + nz * lpz
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -730,7 +709,23 @@ class VectorEngine:
             tc = (wv * A.inv_uu[cols] - wu * A.inv_uv[cols]) * A.det_inv[cols]
         tol = 1e-9
         ok &= (sc >= -tol) & (sc <= 1.0 + tol) & (tc >= -tol) & (tc <= 1.0 + tol)
+        self.patch_tests += t.size
+        return t, ok
 
+    def _test_patches(
+        self, px, py, pz, dx, dy, dz, cols: np.ndarray,
+        best_t: np.ndarray, best_i: np.ndarray, rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Dense test of lanes (*rows* or all) against patch columns *cols*.
+
+        Updates the running closest hit under the canonical tie rule
+        (smallest t; equal t resolved to the largest patch index).
+        """
+        tgt = rows if rows is not None else slice(None)
+        t, ok = self._plane_hits(
+            cols, px[tgt, None], py[tgt, None], pz[tgt, None],
+            dx[tgt, None], dy[tgt, None], dz[tgt, None],
+        )
         tm = np.where(ok, t, np.inf)
         cmin = tm.min(axis=1)
         has = cmin < np.inf
@@ -739,7 +734,6 @@ class VectorEngine:
         # Last (largest-index) column among equal minima.
         rel = (tm.shape[1] - 1) - np.argmin(tm[:, ::-1], axis=1)
         cand_i = cols[rel]
-        tgt = rows if rows is not None else slice(None)
         bt = best_t[tgt]
         bi = best_i[tgt]
         update = has & ((cmin < bt) | ((cmin == bt) & (cand_i > bi)))
@@ -747,6 +741,37 @@ class VectorEngine:
         bi[update] = cand_i[update]
         best_t[tgt] = bt
         best_i[tgt] = bi
+
+    def _test_pairs(
+        self, px, py, pz, dx, dy, dz, lanes: np.ndarray, cols: np.ndarray,
+        best_t: np.ndarray, best_i: np.ndarray,
+    ) -> None:
+        """Test ray ``lanes[k]`` against patch ``cols[k]`` for every pair.
+
+        The flat walk's kernel: the same arithmetic as the dense scan on
+        gathered operands, then a per-lane reduction under the same tie
+        rule.  A lane may appear any number of times, and with the same
+        patch more than once.
+        """
+        t, ok = self._plane_hits(
+            cols, px[lanes], py[lanes], pz[lanes],
+            dx[lanes], dy[lanes], dz[lanes],
+        )
+        lanes, cols, t = lanes[ok], cols[ok], t[ok]
+        if not lanes.size:
+            return
+        # Sorted by (lane, t, -patch), each lane's first row is its
+        # candidate: smallest t, largest patch id among equal t.
+        order = np.lexsort((-cols, t, lanes))
+        by_lane = lanes[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = by_lane[1:] != by_lane[:-1]
+        winners = order[first]
+        lanes, cols, t = lanes[winners], cols[winners], t[winners]
+        bt = best_t[lanes]
+        update = (t < bt) | ((t == bt) & (cols > best_i[lanes]))
+        best_t[lanes[update]] = t[update]
+        best_i[lanes[update]] = cols[update]
 
     def _intersect(
         self, px, py, pz, dx, dy, dz
@@ -768,21 +793,22 @@ class VectorEngine:
                 self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
             return best_i, best_t
 
-        if self.accel == "flat":
-            # Flattened array-encoded walk: whole-batch slab tests per
-            # eight-child block, lanes dropping out as subtrees miss or
-            # fall strictly behind their current best hit.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_x = 1.0 / dx
-                inv_y = 1.0 / dy
-                inv_z = 1.0 / dz
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_x = 1.0 / dx
+            inv_y = 1.0 / dy
+            inv_z = 1.0 / dz
 
-            def visit_leaf(cols: np.ndarray, rows: np.ndarray) -> None:
-                self._test_patches(px, py, pz, dx, dy, dz, cols,
-                                   best_t, best_i, rows)
+        if self.accel == "flat":
+            # Level-synchronous pair walk of the array-encoded tree:
+            # (lane, node) pairs drop out as subtrees miss or fall
+            # strictly behind the lane's current best hit, and each
+            # level's (lane, patch) pairs are tested in one kernel call.
+            def test_pairs(lanes: np.ndarray, cols: np.ndarray) -> None:
+                self._test_pairs(px, py, pz, dx, dy, dz, lanes, cols,
+                                 best_t, best_i)
 
             self.box_tests += A.flat.traverse(
-                px, py, pz, inv_x, inv_y, inv_z, best_t, visit_leaf
+                px, py, pz, inv_x, inv_y, inv_z, best_t, test_pairs
             )
             return best_i, best_t
 
@@ -790,10 +816,6 @@ class VectorEngine:
         # the lanes whose rays touch its cell; only those lanes test the
         # leaf's member patches.  The tie rule makes the per-leaf visit
         # order (and duplicate membership) irrelevant.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_x = 1.0 / dx
-            inv_y = 1.0 / dy
-            inv_z = 1.0 / dz
         for li, cols in enumerate(A.leaf_patches):
             tmin, tmax = slab_spans(
                 A.leaf_lox[li], A.leaf_loy[li], A.leaf_loz[li],

@@ -88,7 +88,6 @@ from ..core.photon import NUM_BANDS
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
 from ..core.vectorized import (
     EVENT_FIELDS,
-    PRUNE_PATCH_THRESHOLD,
     EventBatch,
     SceneArrays,
     VectorEngine,
@@ -120,9 +119,9 @@ __all__ = [
 #: Under ``share_plane="auto"``, scenes below this patch count stay on
 #: the pickle transport: publishing a plane costs one segment round-trip
 #: that a small scene (tiny arrays, cheap octree compile) cannot repay.
-#: Same scale as the accelerator auto-threshold, and for the same
-#: reason — fixed setup cost vs. scene size.
-PLANE_MIN_PATCHES = PRUNE_PATCH_THRESHOLD
+#: Its own literal, not the accelerator auto-threshold: that one moves
+#: with the traversal kernel's speed, this one with segment setup cost.
+PLANE_MIN_PATCHES = 192
 
 
 def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:

@@ -187,14 +187,6 @@ class TestIntersectionPruning:
         assert results["octree"] == results["linear"]
         assert results["flat"] == results["linear"]
 
-    def test_legacy_prune_flag_still_selects(self, cornell):
-        """PR 1 callers passing prune= keep their exact behaviour,
-        but are told (once per call site) to move to accel=."""
-        with pytest.warns(DeprecationWarning, match="accel='octree'"):
-            assert VectorEngine(cornell, prune=True).accel == "octree"
-        with pytest.warns(DeprecationWarning, match="accel='linear'"):
-            assert VectorEngine(cornell, prune=False).accel == "linear"
-
 
 class TestConfigValidation:
     def test_vector_rejects_serial_stream(self):

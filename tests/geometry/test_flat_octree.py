@@ -6,16 +6,29 @@ answers — so these tests compare it (a) node-for-node against the
 pointer tree it was compiled from and (b) hit-for-hit against a brute
 force all-patches scan under the canonical max-patch-id tie rule, on
 randomized ray batches over every test scene.
+
+The walk is a level-synchronous pair frontier feeding a 1-D (lane, patch)
+kernel, so the second half pins what that shape makes new: exact ties
+(within one kernel call, across leaves, against the running best),
+duplicate leaf membership, wave chunking, the root-is-leaf tree, the
+empty batch, and one kernel call per tree level.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.vectorized import VectorEngine
-from repro.geometry import FlatOctree
+from repro.geometry import FlatOctree, Scene, axis_rect, flatoctree, matte
+from repro.geometry.material import emitter
 from repro.geometry.octree import OctreeNode
+from repro.scenes.generator import generate_scene
 
 SCENE_FIXTURES = ("cornell", "harpsichord", "lab_small")
 
@@ -79,10 +92,14 @@ class TestRoundTrip:
                 assert child.bounds == node.bounds.octant(k)
 
 
-def _linear_best(scene_arrays_engine, px, py, pz, dx, dy, dz):
-    """Oracle: dense scan over every patch with the canonical tie rule."""
-    oracle = VectorEngine(scene_arrays_engine.scene, accel="linear")
-    return oracle._intersect(px, py, pz, dx, dy, dz)
+def _assert_flat_equals_linear(scene, rays):
+    """Flat walk vs the oracle: a dense scan over every patch under the
+    canonical tie rule.  Returns the (agreed) ``(best_i, best_t)``."""
+    got_i, got_t = VectorEngine(scene, accel="flat")._intersect(*rays)
+    want_i, want_t = VectorEngine(scene, accel="linear")._intersect(*rays)
+    assert got_i.tolist() == want_i.tolist()
+    assert got_t.tolist() == want_t.tolist()
+    return got_i, got_t
 
 
 def _random_rays(scene, rng, n):
@@ -107,12 +124,7 @@ class TestClosestHitParity:
     def test_randomized_rays(self, request, scene_fixture, seed):
         scene = request.getfixturevalue(scene_fixture)
         rng = np.random.default_rng(seed)
-        flat_engine = VectorEngine(scene, accel="flat")
-        px, py, pz, dx, dy, dz = _random_rays(scene, rng, 512)
-        got_i, got_t = flat_engine._intersect(px, py, pz, dx, dy, dz)
-        want_i, want_t = _linear_best(flat_engine, px, py, pz, dx, dy, dz)
-        assert got_i.tolist() == want_i.tolist()
-        assert got_t.tolist() == want_t.tolist()
+        _assert_flat_equals_linear(scene, _random_rays(scene, rng, 512))
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
     def test_axis_parallel_rays(self, request, scene_fixture):
@@ -128,11 +140,7 @@ class TestClosestHitParity:
         py = np.full(n, c.y)
         pz = np.full(n, c.z)
         dx, dy, dz = axes[:, 0].copy(), axes[:, 1].copy(), axes[:, 2].copy()
-        flat_engine = VectorEngine(scene, accel="flat")
-        got_i, got_t = flat_engine._intersect(px, py, pz, dx, dy, dz)
-        want_i, want_t = _linear_best(flat_engine, px, py, pz, dx, dy, dz)
-        assert got_i.tolist() == want_i.tolist()
-        assert got_t.tolist() == want_t.tolist()
+        _assert_flat_equals_linear(scene, (px, py, pz, dx, dy, dz))
 
     def test_rays_outside_root_miss(self, cornell):
         """Origins far outside the scene pointing away hit nothing."""
@@ -152,18 +160,12 @@ class TestClosestHitParity:
 class TestEngineIntegration:
     """accel plumbing resolves and counts as documented."""
 
-    def test_auto_resolution_by_scene_size(self, cornell, lab_small):
+    def test_auto_resolution_by_scene_size(self, cornell, harpsichord, lab_small):
+        """cornell-box (30 patches) is the measured losing side of the
+        crossover; harpsichord-room (97) and up the winning one."""
         assert VectorEngine(cornell).accel == "linear"
+        assert VectorEngine(harpsichord).accel == "flat"
         assert VectorEngine(lab_small).accel == "flat"
-
-    def test_legacy_prune_alias(self, cornell):
-        """prune= keeps its PR 1 behaviour but is formally deprecated."""
-        with pytest.warns(DeprecationWarning, match="prune"):
-            assert VectorEngine(cornell, prune=True).accel == "octree"
-        with pytest.warns(DeprecationWarning, match="prune"):
-            assert VectorEngine(cornell, prune=False).accel == "linear"
-        with pytest.raises(ValueError):
-            VectorEngine(cornell, accel="flat", prune=True)
 
     def test_unknown_accel_rejected(self, cornell):
         with pytest.raises(ValueError):
@@ -177,3 +179,319 @@ class TestEngineIntegration:
         flat.trace_range(0xAB, 0, 512)
         leafy.trace_range(0xAB, 0, 512)
         assert flat.box_tests < leafy.box_tests / 4
+
+
+# -- the pair kernel: ties, duplicates, waves ---------------------------------
+
+SHELF_BIG, SHELF_MID, SHELF_SMALL = 7, 8, 9
+
+
+@pytest.fixture(scope="module")
+def tie_scene() -> Scene:
+    """A unit box with three nested *coplanar* shelves at y = 0.4.
+
+    Any ray landing on the small shelf is at bit-identical distance from
+    all three (same plane constants), on the middle one from two.  A
+    one-patch leaf capacity drives the tree to its depth cap around the
+    shelves, so each is a member of many leaves.
+    """
+    white = matte("white", 0.6, 0.6, 0.6)
+    lamp = emitter("lamp", 5.0, 5.0, 5.0)
+    patches = [
+        axis_rect("y", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="floor", flip=True),
+        axis_rect("y", 1.0, (0.0, 1.0), (0.0, 1.0), white, name="ceiling"),
+        axis_rect("x", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="w0"),
+        axis_rect("x", 1.0, (0.0, 1.0), (0.0, 1.0), white, name="w1", flip=True),
+        axis_rect("z", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="w2"),
+        axis_rect("z", 1.0, (0.0, 1.0), (0.0, 1.0), white, name="w3", flip=True),
+        axis_rect("y", 0.98, (0.4, 0.6), (0.4, 0.6), lamp, name="lamp"),
+        axis_rect("y", 0.4, (0.1, 0.9), (0.1, 0.9), white, name="big", flip=True),
+        axis_rect("y", 0.4, (0.25, 0.75), (0.25, 0.75), white, name="mid", flip=True),
+        axis_rect("y", 0.4, (0.45, 0.7), (0.45, 0.7), white, name="small", flip=True),
+    ]
+    scene = Scene(patches, name="tie-box", leaf_capacity=1, max_depth=3)
+    shelves = [scene.patches[i] for i in (SHELF_BIG, SHELF_MID, SHELF_SMALL)]
+    assert [p.name for p in shelves] == ["big", "mid", "small"]
+    # The ties are exact only if the plane constants are bit-identical.
+    assert len({(p.normal.x, p.normal.y, p.normal.z, p._d) for p in shelves}) == 1
+    return scene
+
+
+def _leaves_holding(flat: FlatOctree, patch_id: int) -> list[int]:
+    return [
+        j for j in np.nonzero(flat.first_child < 0)[0].tolist()
+        if patch_id in flat.leaf_patch_ids(j).tolist()
+    ]
+
+
+def _rays_down(xs, zs, y=0.9):
+    """Axis-parallel rays (0, -1, 0) from height *y* over an x/z grid."""
+    gx, gz = np.meshgrid(np.asarray(xs, float), np.asarray(zs, float))
+    px, pz = gx.ravel(), gz.ravel()
+    n = px.size
+    return px, np.full(n, y), pz, np.zeros(n), np.full(n, -1.0), np.zeros(n)
+
+
+class TestExactTies:
+    """Equal-distance candidates resolve to the max patch id, however
+    the walk happens to meet them."""
+
+    def test_shelves_live_in_many_leaves(self, tie_scene):
+        flat = FlatOctree.from_octree(tie_scene.octree)
+        for pid in (SHELF_BIG, SHELF_MID, SHELF_SMALL):
+            assert len(_leaves_holding(flat, pid)) > 1
+
+    def test_coplanar_ties_resolve_to_max_id(self, tie_scene):
+        """Rays through one leaf and rays on a cell boundary (x or z =
+        0.5: two to four leaves hold the tied patches, and the slab test
+        yields NaN lanes) give the dense scan's answer."""
+        xs = [0.15, 0.25, 0.5, 0.55, 0.69, 0.75, 0.85]
+        rays = _rays_down(xs, xs)
+        best_i, best_t = _assert_flat_equals_linear(tie_scene, rays)
+        px, pz = rays[0], rays[2]
+        on_small = (px >= 0.45) & (px <= 0.7) & (pz >= 0.45) & (pz <= 0.7)
+        on_mid = (px >= 0.25) & (px <= 0.75) & (pz >= 0.25) & (pz <= 0.75) & ~on_small
+        assert on_small.sum() >= 9 and on_mid.sum() >= 6
+        assert (best_i[on_small] == SHELF_SMALL).all()
+        assert (best_i[on_mid] == SHELF_MID).all()
+        assert (best_i[~on_small & ~on_mid] == SHELF_BIG).all()
+        assert (best_t == 0.5).all()
+
+    def test_slanted_rays_cross_many_shelf_leaves(self, tie_scene):
+        """A grazing ray passes through several leaves that all list the
+        shelves: the duplicates change nothing."""
+        rng = np.random.default_rng(7)
+        n = 256
+        px = rng.uniform(0.02, 0.98, n)
+        pz = rng.uniform(0.02, 0.98, n)
+        py = np.full(n, 0.45)
+        dx = rng.uniform(-1.0, 1.0, n)
+        dz = rng.uniform(-1.0, 1.0, n)
+        dy = np.full(n, -0.05)
+        best_i, _ = _assert_flat_equals_linear(tie_scene, (px, py, pz, dx, dy, dz))
+        assert {SHELF_BIG, SHELF_MID, SHELF_SMALL} <= set(best_i.tolist())
+
+    def test_pair_order_and_duplicates_cannot_matter(self, tie_scene):
+        """The kernel is a pure function of the set of (lane, patch)
+        pairs: shuffled, repeated and split lists give one answer."""
+        engine = VectorEngine(tie_scene, accel="flat")
+        rays = _rays_down([0.5, 0.6], [0.5, 0.6])
+        n = rays[0].size
+        lanes = np.repeat(np.arange(n), 10)
+        cols = np.tile(np.arange(10), n)
+
+        def run(*pair_lists):
+            best_t = np.full(n, np.inf)
+            best_i = np.full(n, -1, dtype=np.int64)
+            for ln, cl in pair_lists:
+                engine._test_pairs(*rays, ln, cl, best_t, best_i)
+            return best_i.tolist(), best_t.tolist()
+
+        want = run((lanes, cols))
+        assert want[0] == [SHELF_SMALL] * n
+        perm = np.random.default_rng(3).permutation(lanes.size)
+        assert run((lanes[perm], cols[perm])) == want
+        assert run((np.tile(lanes, 3), np.tile(cols, 3))) == want
+        half = lanes.size // 2
+        assert run((lanes[perm][:half], cols[perm][:half]),
+                   (lanes[perm][half:], cols[perm][half:])) == want
+        assert run((lanes[::-1], cols[::-1]), (lanes, cols)) == want
+
+    def test_running_best_competes_only_on_exact_tie(self, tie_scene):
+        """A new candidate at the running best's distance wins iff its
+        id is larger; a nearer one always wins, a farther one never."""
+        engine = VectorEngine(tie_scene, accel="flat")
+        rays = _rays_down([0.5], [0.5])
+        lane = np.zeros(1, dtype=np.int64)
+
+        def fold(start_i, start_t, patch):
+            best_t = np.array([start_t])
+            best_i = np.array([start_i], dtype=np.int64)
+            engine._test_pairs(*rays, lane, np.array([patch]), best_t, best_i)
+            return int(best_i[0]), float(best_t[0])
+
+        assert fold(SHELF_SMALL, 0.5, SHELF_BIG) == (SHELF_SMALL, 0.5)
+        assert fold(SHELF_BIG, 0.5, SHELF_SMALL) == (SHELF_SMALL, 0.5)
+        assert fold(SHELF_MID, 0.5, SHELF_MID) == (SHELF_MID, 0.5)
+        assert fold(3, 0.75, SHELF_BIG) == (SHELF_BIG, 0.5)
+        assert fold(3, 0.25, SHELF_SMALL) == (3, 0.25)
+        assert fold(-1, np.inf, SHELF_MID) == (SHELF_MID, 0.5)
+
+
+    def test_pruning_is_strict(self, tie_scene):
+        """A subtree *entered* at exactly the running best distance is
+        still walked: it may hold the equal-distance, larger-id winner.
+
+        Real trees list a boundary patch on both sides, so this needs a
+        hand-built one: the big shelf only in a leaf above the shelf
+        plane, the small one only two levels down below it.
+        """
+        cube = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        above = (0.0, 0.4, 0.0, 1.0, 1.0, 1.0)
+        below = (0.0, 0.0, 0.0, 1.0, 0.4, 1.0)
+        far = (5.0, 5.0, 5.0, 6.0, 6.0, 6.0)
+        boxes = np.array([cube, above, below] + [far] * 6 + [below] + [far] * 7)
+        leaf_start = np.zeros(17, dtype=np.int64)
+        leaf_end = np.zeros(17, dtype=np.int64)
+        leaf_end[1] = 1
+        leaf_start[9], leaf_end[9] = 1, 2
+        tree = FlatOctree(
+            *(boxes[:, k].copy() for k in range(6)),
+            first_child=np.array([1, -1, 9] + [-1] * 14, dtype=np.int32),
+            leaf_start=leaf_start, leaf_end=leaf_end,
+            leaf_items=np.array([SHELF_BIG, SHELF_SMALL], dtype=np.int64),
+            depth=np.array([0] + [1] * 8 + [2] * 8, dtype=np.int32),
+        )
+        engine = VectorEngine(tie_scene, accel="flat")
+        engine.arrays.flat = tree
+        rays = _rays_down([0.5, 0.6], [0.5])
+        entry, _ = flatoctree.slab_spans(*below, *(r[0] for r in rays[:3]),
+                                         np.inf, -1.0, np.inf)
+        assert entry == 0.5
+        best_i, best_t = engine._intersect(*rays)
+        assert best_t.tolist() == [0.5, 0.5]
+        assert best_i.tolist() == [SHELF_SMALL, SHELF_SMALL]
+
+
+class TestWaves:
+    """Chunking the batch into waves is invisible in the answer."""
+
+    def test_batch_larger_than_a_wave(self, lab_small):
+        n = 2 * flatoctree.WAVE_LANES + 37
+        rays = _random_rays(lab_small, np.random.default_rng(11), n)
+        engine = VectorEngine(lab_small, accel="flat")
+        whole_i, whole_t = engine._intersect(*rays)
+        want_i, want_t = VectorEngine(lab_small, accel="linear")._intersect(*rays)
+        assert whole_i.tolist() == want_i.tolist()
+        assert whole_t.tolist() == want_t.tolist()
+
+        def by_slices(step, lanes):
+            out_i, out_t = [], []
+            for a in lanes:
+                bi, bt = engine._intersect(*(r[a:a + step] for r in rays))
+                out_i += bi.tolist()
+                out_t += bt.tolist()
+            return out_i, out_t
+
+        w = flatoctree.WAVE_LANES
+        assert by_slices(w, range(0, n, w)) == (whole_i.tolist(), whole_t.tolist())
+        # One lane at a time, on a sample of lanes from every wave.
+        sample = range(0, n, 29)
+        assert by_slices(1, sample) == (
+            whole_i[::29].tolist(), whole_t[::29].tolist())
+
+    def test_wave_size_cannot_matter(self, lab_small, monkeypatch):
+        rays = _random_rays(lab_small, np.random.default_rng(12), 300)
+        engine = VectorEngine(lab_small, accel="flat")
+        want = [a.tolist() for a in engine._intersect(*rays)]
+        for wave in (1, 7, 64, 299, 300, 301):
+            monkeypatch.setattr(flatoctree, "WAVE_LANES", wave)
+            assert [a.tolist() for a in engine._intersect(*rays)] == want
+
+    def test_one_kernel_call_per_level_per_wave(self, lab_small):
+        """The regression guard for per-node dispatch: callbacks are
+        bounded by tree depth, not by leaves visited."""
+        flat = FlatOctree.from_octree(lab_small.octree)
+        px, py, pz, dx, dy, dz = _random_rays(
+            lab_small, np.random.default_rng(13), 512)
+        calls = []
+        slabs = flat.traverse(
+            px, py, pz, 1.0 / dx, 1.0 / dy, 1.0 / dz, np.full(512, np.inf),
+            lambda lanes, cols: calls.append((lanes, cols)),
+        )
+        assert 0 < len(calls) <= int(flat.depth.max())
+        assert slabs >= 512
+        for lanes, cols in calls:
+            assert lanes.shape == cols.shape and lanes.ndim == 1
+            assert lanes.min() >= 0 and lanes.max() < 512
+        # With best_t never tightened nothing is pruned by distance, so
+        # every ray/leaf incidence of the tree shows up as pairs.
+        assert sum(c[0].size for c in calls) > 512
+
+
+class TestDegenerateShapes:
+    def test_root_is_leaf(self, mini_scene):
+        """Eight patches under the leaf capacity: the tree is one node."""
+        engine = VectorEngine(mini_scene, accel="flat")
+        assert engine.arrays.flat.node_count == 1
+        assert engine.arrays.flat.first_child[0] == -1
+        rays = _random_rays(mini_scene, np.random.default_rng(5), 200)
+        best_i, _ = _assert_flat_equals_linear(mini_scene, rays)
+        assert (best_i >= 0).all()
+        assert engine._intersect(*rays)[0].tolist() == best_i.tolist()
+        assert engine.box_tests == 200
+        assert engine.patch_tests == 200 * 8
+        flat_events, flat_stats = engine.trace_range(0xAB, 0, 300)
+        lin_events, lin_stats = VectorEngine(
+            mini_scene, accel="linear").trace_range(0xAB, 0, 300)
+        assert flat_stats == lin_stats
+        assert flat_events.patch.tolist() == lin_events.patch.tolist()
+        assert flat_events.s.tolist() == lin_events.s.tolist()
+
+    @pytest.mark.parametrize("scene_fixture", ("mini_scene", "lab_small"))
+    def test_empty_batch(self, request, scene_fixture):
+        scene = request.getfixturevalue(scene_fixture)
+        engine = VectorEngine(scene, accel="flat")
+        empty = np.empty(0)
+        best_i, best_t = engine._intersect(*(empty,) * 6)
+        assert best_i.shape == best_t.shape == (0,)
+        assert best_i.dtype == np.int64
+        assert engine.box_tests == 0 and engine.patch_tests == 0
+
+        def never(lanes, cols):
+            raise AssertionError("no lanes, no pairs")
+
+        assert engine.arrays.flat.traverse(*(empty,) * 7, never) == 0
+
+    def test_all_lanes_miss_the_root(self, lab_small):
+        """A wave whose every lane is rejected at the root walks no level."""
+        engine = VectorEngine(lab_small, accel="flat")
+        n = 5
+        far = np.full(n, 1e6)
+        best_i, _ = engine._intersect(far, far, far, np.ones(n), np.zeros(n), np.zeros(n))
+        assert (best_i == -1).all()
+        assert engine.box_tests == n and engine.patch_tests == 0
+
+
+# -- property: flat == linear on generated scenes -----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _gen_engines(units: int, seed: int):
+    scene = generate_scene(f"office-{units}@{seed}")
+    return (scene.octree.root.bounds,
+            VectorEngine(scene, accel="flat"), VectorEngine(scene, accel="linear"))
+
+
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    # Tiny non-zero components only overflow 1/d into RuntimeWarnings.
+    st.builds(math.copysign, st.floats(1e-9, 1.0), st.sampled_from([1.0, -1.0])),
+)
+_ray = st.tuples(
+    st.floats(-0.1, 1.1), st.floats(-0.1, 1.1), st.floats(-0.1, 1.1),
+    _component, _component, _component,
+).filter(lambda r: any(c != 0.0 for c in r[3:]))
+
+
+class TestFlatEqualsLinearProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        units=st.integers(1, 6), seed=st.integers(0, 2),
+        rays=st.lists(_ray, min_size=1, max_size=24),
+    )
+    def test_random_rays_on_generated_offices(self, units, seed, rays):
+        """Hit-for-hit equality on ``gen:office-<k>@<seed>``, origins in
+        and just outside the root cell, directions with zero (and
+        negative-zero) components, unnormalised."""
+        bounds, flat, linear = _gen_engines(units, seed)
+        r = np.array(rays, dtype=np.float64)
+        lo, hi = bounds.lo, bounds.hi
+        px = lo.x + r[:, 0] * (hi.x - lo.x)
+        py = lo.y + r[:, 1] * (hi.y - lo.y)
+        pz = lo.z + r[:, 2] * (hi.z - lo.z)
+        args = (px, py, pz, r[:, 3].copy(), r[:, 4].copy(), r[:, 5].copy())
+        got_i, got_t = flat._intersect(*args)
+        want_i, want_t = linear._intersect(*args)
+        assert got_i.tolist() == want_i.tolist()
+        assert got_t.tolist() == want_t.tolist()
