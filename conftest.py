@@ -19,6 +19,17 @@ from repro.scenes.generator import generate_scene
 from tests.scenehelpers import build_mini_scene
 
 
+# CI runs `pytest --hypothesis-profile=ci`: the byte-identity properties
+# (grouped tally == row-by-row, flat == linear) draw the same examples on
+# every run, so a red build is a code change and never a lucky draw.
+try:
+    from hypothesis import settings
+except ImportError:  # the docs CI job installs pytest without hypothesis
+    pass
+else:
+    settings.register_profile("ci", derandomize=True, deadline=None)
+
+
 def pytest_addoption(parser) -> None:
     # Declared here, not in benchmarks/conftest.py: pytest only honours
     # the hook in conftests it loads before parsing the command line.

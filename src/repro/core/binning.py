@@ -139,6 +139,9 @@ class BinNode:
 
     def tally(self, coords: BinCoords, band: int) -> None:
         """Record one photon departure in this leaf (speculative binning)."""
+        if not 0 <= band < NUM_BANDS:
+            # A negative band would index from the end of ``counts``.
+            raise ValueError(f"band out of range: {band}")
         self.total += 1
         self.counts[band] += 1
         low = self.low_counts

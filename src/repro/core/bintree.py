@@ -6,24 +6,38 @@ the global illumination answer: a discrete representation of the radiance
 ``L`` for every surface point and direction.
 
 Splitting policy lives here (threshold/min-count/max-depth), tallying and
-axis selection in :mod:`repro.core.binning`.
+axis selection in :mod:`repro.core.binning`.  A tree takes events one at
+a time (:meth:`BinTree.tally`, the scalar engine and the oracle) or a
+block at a time (:meth:`BinTree.tally_rows`, every batched replay); the
+two build the same tree.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+import numpy as np
 
 from ..montecarlo.stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD
 from .binning import NUM_AXES, TWO_PI, BinCoords, BinNode
 from .photon import NUM_BANDS
 
-__all__ = ["SplitPolicy", "BinTree", "BinForest", "NODE_BYTES"]
+__all__ = ["SplitPolicy", "BinTree", "BinForest", "NODE_BYTES", "GROUPED_MIN_ROWS"]
 
 #: Approximate C-struct footprint of one bin node, used for the Figure 5.4
 #: memory-growth reproduction: 8 region floats + 3 band counts + total +
 #: 4 speculative counts + axis/child pointers ~= 8*8 + 8*4 + 3*8 = 120.
 NODE_BYTES = 120
+
+#: Row groups smaller than this replay one event at a time inside
+#: :meth:`BinTree.tally_rows`, from the node they have reached: the ~30
+#: NumPy calls of a leaf's prefix scan cost more than the Python loop
+#: they replace.  A measured crossover (flat from 8 to 32 on cornell,
+#: computer-lab and generated-office events), not a knob: both sides of
+#: it build the same tree.
+GROUPED_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -104,27 +118,150 @@ class BinTree:
         callers — the shared-memory variant locks exactly this node — can
         reason about what was touched.
         """
-        node = self.root
+        return self._tally_from(self.root, coords, band)
+
+    def _tally_from(self, node: BinNode, coords: BinCoords, band: int) -> BinNode:
+        """:meth:`tally` for an event already known to lie under *node*."""
+        if not 0 <= band < NUM_BANDS:
+            # Checked before the descent so a bad band cannot leave the
+            # interior aggregates ahead of the leaves.
+            raise ValueError(f"band out of range: {band}")
         while not node.is_leaf:
             node.total += 1
             node.counts[band] += 1
             node = node.child_for(coords)
         node.tally(coords, band)
-        self._maybe_split(node)
+        if node.total >= self.policy.min_count and self._may_split(node):
+            axis, stat = node.best_split_axis()
+            if stat > self.policy.threshold:
+                self._split(node, axis)
         return node
 
-    def _maybe_split(self, leaf: BinNode) -> None:
+    def _may_split(self, leaf: BinNode) -> bool:
+        """Whether the policy's caps still allow *leaf* to split."""
         policy = self.policy
-        if leaf.total < policy.min_count or leaf.depth >= policy.max_depth:
+        return leaf.depth < policy.max_depth and (
+            policy.max_leaves is None or self.leaf_count < policy.max_leaves
+        )
+
+    def _split(self, leaf: BinNode, axis: int) -> None:
+        leaf.split(axis)
+        self.leaf_count += 1
+        self.node_count += 2
+        self.splits += 1
+
+    # -- grouped tallying ------------------------------------------------------
+
+    def tally_rows(self, coords: np.ndarray, band: np.ndarray) -> None:
+        """Record many departures at once; same tree as row-by-row :meth:`tally`.
+
+        Args:
+            coords: ``[NUM_AXES, m]`` float64 — ``s, t, theta, r^2`` of
+                this tree's events in replay order, already range-checked
+                (:func:`repro.core.vectorized.apply_events` checks whole
+                blocks up front).
+            band: ``[m]`` integer bands in ``[0, NUM_BANDS)``.
+
+        Rows are routed down the tree as index groups: an interior node
+        takes its whole group in one add and partitions it on the split
+        plane; a leaf finds the first row after which it must split with
+        one prefix scan (:meth:`_fill_leaf`).  Why that equals the
+        one-at-a-time replay:
+
+        * A leaf's tallies and its split decision read nothing but that
+          leaf's own counts, so the rows of different leaves commute —
+          except through ``SplitPolicy.max_leaves``, which reads the
+          tree-wide leaf count.
+        * So splits, and only splits, are carried out in replay order: a
+          leaf that triggers parks ``(trigger row, leaf, axis, rows after
+          it)`` on a heap, and the earliest trigger in the whole tree is
+          popped and split first.  Daughters only ever trigger on later
+          rows, so the pop order is the replay order and the
+          ``max_leaves`` check sees the leaf count the scalar replay
+          would have seen.
+        """
+        if band.size < GROUPED_MIN_ROWS:
+            self._replay(self.root, coords, band)
             return
-        if policy.max_leaves is not None and self.leaf_count >= policy.max_leaves:
-            return
-        axis, stat = leaf.best_split_axis()
-        if stat > policy.threshold:
-            leaf.split(axis)
-            self.leaf_count += 1
-            self.node_count += 2
-            self.splits += 1
+        pending: list = []
+        self._route(self.root, np.arange(band.size), coords, band, pending)
+        while pending:
+            _, leaf, axis, rest = heapq.heappop(pending)
+            if self._may_split(leaf):
+                self._split(leaf, axis)
+            if rest.size:
+                self._route(leaf, rest, coords, band, pending)
+
+    def _replay(self, node: BinNode, coords: np.ndarray, band: np.ndarray) -> None:
+        """Tally every column of *coords* from *node*, one at a time."""
+        for point, b in zip(coords.T.tolist(), band.tolist()):
+            self._tally_from(node, BinCoords(*point), b)
+
+    def _route(self, node: BinNode, rows: np.ndarray, coords: np.ndarray,
+               band: np.ndarray, pending: list) -> None:
+        """Send the ascending row group *rows* from *node* to its leaves.
+
+        Without ``max_leaves`` no other group's split can matter to this
+        one, so a group under :data:`GROUPED_MIN_ROWS` replays on the
+        spot, splits included.
+        """
+        unordered = self.policy.max_leaves is None
+        stack = [(node, rows)]
+        while stack:
+            node, rows = stack.pop()
+            if unordered and rows.size < GROUPED_MIN_ROWS:
+                self._replay(node, coords[:, rows], band[rows])
+            elif node.is_leaf:
+                self._fill_leaf(node, rows, coords, band, pending)
+            else:
+                node.total += rows.size
+                add_band_counts(node.counts, band[rows])
+                axis = node.split_axis
+                low = coords[axis, rows] < node.mid(axis)
+                for child, sub in (
+                    (node.low_child, rows[low]), (node.high_child, rows[~low])
+                ):
+                    if sub.size:
+                        stack.append((child, sub))
+
+    def _fill_leaf(self, leaf: BinNode, rows: np.ndarray, coords: np.ndarray,
+                   band: np.ndarray, pending: list) -> None:
+        """Tally *rows* into *leaf* up to and including its first split trigger.
+
+        The split itself is not carried out here: the trigger is pushed
+        on *pending* with the rows that follow it, for :meth:`tally_rows`
+        to accept in replay order.
+        """
+        policy = self.policy
+        m = rows.size
+        mids = np.array([leaf.mid(axis) for axis in range(NUM_AXES)])
+        # low[a, k]: the speculative low count of axis a after row k.
+        low = np.cumsum(coords[:, rows] < mids[:, None], axis=1)
+        low += np.array(leaf.low_counts)[:, None]
+        stop = m
+        if leaf.total + m >= policy.min_count and self._may_split(leaf):
+            # montecarlo.stats.split_statistic for every prefix at once,
+            # in its expression order.  All rows on one side gives q == 0
+            # and a positive numerator, so IEEE division yields the inf
+            # the scalar returns; totals below 2 are below min_count.
+            total = leaf.total + np.arange(1, m + 1)
+            big = np.maximum(low, total - low)
+            p = big / total
+            q = 1.0 - p
+            with np.errstate(divide="ignore"):
+                stat = (big - total / 2.0) / np.sqrt(total * p * q)
+            hit = (total >= policy.min_count) & (stat.max(axis=0) > policy.threshold)
+            first = int(hit.argmax())
+            if hit[first]:
+                stop = first + 1
+                # argmax takes the first maximum, as best_split_axis does.
+                axis = int(stat[:, first].argmax())
+                heapq.heappush(
+                    pending, (int(rows[first]), leaf, axis, rows[stop:])
+                )
+        leaf.total += stop
+        leaf.low_counts = low[:, stop - 1].tolist()
+        add_band_counts(leaf.counts, band[rows[:stop]])
 
     # -- queries ---------------------------------------------------------------
 
@@ -174,6 +311,15 @@ class BinTree:
             f"BinTree(patch={self.patch_id}, leaves={self.leaf_count}, "
             f"tallies={self.root.total})"
         )
+
+
+def add_band_counts(counts: list, bands: np.ndarray) -> None:
+    """``counts[b] += (bands == b).sum()`` for every band, in one pass.
+
+    *bands* must already lie in ``[0, NUM_BANDS)``.
+    """
+    for b, n in enumerate(np.bincount(bands, minlength=NUM_BANDS).tolist()):
+        counts[b] += n
 
 
 class BinForest:

@@ -81,8 +81,8 @@ from ..geometry.scene import Scene
 from ..geometry.vec import Vec3, orthonormal_basis
 from ..rng import Lcg48
 from ..rng.lcg import INCREMENT, MODULUS, MULTIPLIER, _affine_power
-from .binning import TWO_PI, BinCoords
-from .bintree import BinForest, SplitPolicy
+from .binning import TWO_PI
+from .bintree import BinForest, SplitPolicy, add_band_counts
 from .photon import NUM_BANDS
 
 if TYPE_CHECKING:  # pragma: no cover — import-cycle guard
@@ -446,7 +446,7 @@ class EventBatch:
     def emission_band_counts(self) -> list[int]:
         """Per-band emitted-photon counts (rows with seq == 0)."""
         bands = self.band[self.seq == 0]
-        return [int((bands == b).sum()) for b in range(NUM_BANDS)]
+        return np.bincount(bands, minlength=NUM_BANDS).tolist()
 
 
 @dataclass
@@ -474,30 +474,93 @@ class EmissionBatch:
     r2: np.ndarray
 
 
+#: The bounds :class:`~repro.core.binning.BinCoords` enforces, per
+#: coordinate column: (message name, upper bound, upper bound inclusive).
+_COORD_BOUNDS = (
+    ("s", 1.0, True),
+    ("t", 1.0, True),
+    ("theta", TWO_PI + 1e-12, False),
+    ("r_squared", 1.0, True),
+)
+
+
+def _check_events(coords: np.ndarray, band: np.ndarray) -> None:
+    """Range-check a whole block; raise for its first offending row.
+
+    The same bounds, field order and messages as
+    :class:`~repro.core.binning.BinCoords` and
+    :meth:`~repro.core.binning.BinNode.tally`, which the row-by-row
+    replay would have hit on that row.  NaN fails every comparison and
+    is rejected with the rest.
+    """
+    ok = np.empty(coords.shape, dtype=bool)
+    for col, (_, hi, closed) in enumerate(_COORD_BOUNDS):
+        v = coords[col]
+        ok[col] = (v >= 0.0) & ((v <= hi) if closed else (v < hi))
+    band_ok = (band >= 0) & (band < NUM_BANDS)
+    good = ok.all(axis=0) & band_ok
+    if good.all():
+        return
+    row = int(good.argmin())
+    for col, (name, _, _) in enumerate(_COORD_BOUNDS):
+        if not ok[col, row]:
+            raise ValueError(f"{name} out of range: {float(coords[col, row])}")
+    raise ValueError(f"band out of range: {int(band[row])}")
+
+
 def apply_events(forest: BinForest, events: EventBatch) -> None:
     """Replay *events* (already canonically ordered) into *forest*.
 
-    Uses :meth:`BinForest.tally`, so forest-wide counters advance exactly
-    as in the scalar drivers.
+    Produces exactly the forest a row-by-row :meth:`BinForest.tally`
+    replay would — node for node, tree-dict order and forest-wide
+    counters included — without visiting events one at a time: the block
+    is range-checked as a whole, stable-sorted by patch, and each tree
+    takes its rows in one :meth:`BinTree.tally_rows` call.  Trees are
+    independent, so only the order *within* a tree matters and the
+    stable sort keeps it; trees are still created in first-tally order.
+
+    Raises:
+        ValueError: for the first row with a coordinate or band out of
+            range, before any node is touched — a bad block leaves
+            *forest* exactly as it was.
     """
-    tally = forest.tally
-    for patch, s, t, theta, r2, band in zip(
-        events.patch.tolist(),
-        events.s.tolist(),
-        events.t.tolist(),
-        events.theta.tolist(),
-        events.r2.tolist(),
-        events.band.tolist(),
-    ):
-        tally(patch, BinCoords(s, t, theta, r2), band)
+    n = len(events)
+    if n == 0:
+        return
+    coords = np.array(
+        [events.s, events.t, events.theta, events.r2], dtype=np.float64
+    )
+    band = np.asarray(events.band)
+    _check_events(coords, band)
+
+    patch = np.asarray(events.patch)
+    order = np.argsort(patch, kind="stable")
+    patch = patch[order]
+    coords = coords[:, order]
+    band = band[order]
+    starts = np.flatnonzero(np.concatenate(([True], patch[1:] != patch[:-1])))
+    keys = patch[starts].tolist()
+    bounds = starts.tolist() + [n]
+    # A stable sort puts each tree's earliest block row first in its
+    # group, so ordering groups by that row is first-tally order.
+    for g in np.argsort(order[starts]).tolist():
+        a, b = bounds[g], bounds[g + 1]
+        forest.tree(keys[g]).tally_rows(coords[:, a:b], band[a:b])
+
+    forest.total_tallies += n
+    add_band_counts(forest.band_tallies, band)
 
 
 def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:
     """Sort one traced block canonically, replay it, book the emissions.
 
     The single place the per-batch forest bookkeeping lives — shared by
-    :meth:`VectorEngine.run`, the simulator's batched driver, and tests —
-    so emission accounting cannot drift between them.
+    :meth:`VectorEngine.run`, the simulator's batched driver, the
+    session's streaming and top-up paths, and tests — so emission
+    accounting cannot drift between them.  The replay is
+    :func:`apply_events`: chunking a photon range into blocks of any
+    size gives the same forest, because each block is replayed exactly
+    as its rows one at a time would be.
     """
     block = block.sorted_canonical()
     apply_events(forest, block)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import EVENT_FIELDS
+from repro.core.photon import NUM_BANDS
 from repro.core.vectorized import EventBatch, VectorEngine
 
 
@@ -66,6 +67,25 @@ class TestSortedCanonical:
         assert out.gidx.tolist() == [0, 0, 2, 2]
         assert out.seq.tolist() == [0, 1, 0, 1]
         assert out.patch.tolist() == [11, 13, 12, 10]
+
+
+class TestEmissionBandCounts:
+    def test_counts_emission_rows_per_band(self, cornell):
+        events = _sample_batch(cornell, 200)
+        counts = events.emission_band_counts()
+        assert counts == [
+            int(((events.seq == 0) & (events.band == b)).sum())
+            for b in range(NUM_BANDS)
+        ]
+        assert sum(counts) == 200
+        assert all(type(c) is int for c in counts)
+
+    def test_absent_bands_and_empty_batches_still_report_every_band(self):
+        assert EventBatch.empty().emission_band_counts() == [0] * NUM_BANDS
+        batch = EventBatch.empty()
+        batch.seq = np.array([0, 1, 0], dtype=np.int64)
+        batch.band = np.array([0, 2, 0], dtype=np.int64)
+        assert batch.emission_band_counts() == [2, 0, 0]
 
 
 class TestBufferCodecs:

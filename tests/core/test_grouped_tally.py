@@ -1,0 +1,278 @@
+"""Grouped bin-forest tally == the row-by-row oracle, node for node.
+
+:func:`repro.core.vectorized.apply_events` replays a block per tree with
+prefix scans (:meth:`repro.core.bintree.BinTree.tally_rows`); the scalar
+:meth:`BinForest.tally` loop it replaced stays as the reference.  The two
+must build the *same* forest — every node's path, region, totals, band
+and speculative counts, every tree counter, the tree-dict order and the
+forest-wide counters — for any split policy, any chunking of the event
+stream (the streaming / top-up contract) and coordinates sitting exactly
+on split planes and domain edges.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.binning import TWO_PI, BinCoords, BinNode
+from repro.core.bintree import GROUPED_MIN_ROWS, BinForest, BinTree, SplitPolicy
+from repro.core.photon import NUM_BANDS
+from repro.core.vectorized import EventBatch, VectorEngine, apply_events, tally_block
+
+
+def scalar_replay(forest: BinForest, events: EventBatch) -> None:
+    """The oracle: one :meth:`BinForest.tally` per row, in row order."""
+    for patch, s, t, theta, r2, band in zip(
+        events.patch.tolist(), events.s.tolist(), events.t.tolist(),
+        events.theta.tolist(), events.r2.tolist(), events.band.tolist(),
+    ):
+        forest.tally(patch, BinCoords(s, t, theta, r2), band)
+
+
+def snapshot(forest: BinForest):
+    """Everything the two replays must agree on, in comparable form."""
+    trees = []
+    for key, tree in forest.trees.items():  # dict order is part of it
+        nodes = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            nodes.append((
+                node.path, node.total, list(node.counts),
+                list(node.low_counts), node.split_axis, node.lo, node.hi,
+            ))
+            if not node.is_leaf:
+                stack.append(node.high_child)
+                stack.append(node.low_child)
+        trees.append((
+            key, tree.patch_id, tree.leaf_count, tree.node_count,
+            tree.splits, nodes,
+        ))
+    return (
+        trees, forest.total_tallies, list(forest.band_tallies),
+        forest.photons_emitted, list(forest.band_emitted),
+    )
+
+
+def make_events(patch, s, t, theta, r2, band) -> EventBatch:
+    n = len(patch)
+    return EventBatch(
+        gidx=np.arange(n, dtype=np.int64),
+        seq=np.zeros(n, dtype=np.int64),
+        patch=np.array(patch, dtype=np.int64),
+        s=np.array(s, dtype=np.float64),
+        t=np.array(t, dtype=np.float64),
+        theta=np.array(theta, dtype=np.float64),
+        r2=np.array(r2, dtype=np.float64),
+        band=np.array(band, dtype=np.int64),
+    )
+
+
+def assert_grouped_equals_scalar(policy, events, cuts=()) -> None:
+    """Replay *events* both ways, the grouped side chunked at *cuts*."""
+    oracle = BinForest(policy)
+    scalar_replay(oracle, events)
+    grouped = BinForest(policy)
+    bounds = [0, *sorted(cuts), len(events)]
+    for a, b in zip(bounds, bounds[1:]):
+        apply_events(grouped, events.take(np.arange(a, b)))
+    assert snapshot(grouped) == snapshot(oracle)
+    grouped.check_invariants()
+
+
+# Values that sit exactly on split planes (dyadic points of the unit
+# interval; the tree halves regions, so these are its ``mid`` values) and
+# on the closed ends of the domain.
+_DYADIC = [k / 16 for k in range(17)]
+unit_coord = st.one_of(
+    st.sampled_from(_DYADIC),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    # A concentrated population: what makes leaves split.
+    st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
+)
+theta_coord = st.one_of(
+    st.sampled_from([TWO_PI * d for d in _DYADIC]),  # includes 2 pi itself
+    st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+event_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # few trees: real groups
+        unit_coord, unit_coord, theta_coord, unit_coord,
+        st.integers(min_value=0, max_value=NUM_BANDS - 1),
+    ),
+    min_size=0, max_size=400,
+)
+policies = st.builds(
+    SplitPolicy,
+    threshold=st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
+    min_count=st.integers(min_value=2, max_value=32),
+    max_depth=st.integers(min_value=0, max_value=6),
+    max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+)
+
+
+class TestOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=event_rows, policy=policies, data=st.data())
+    def test_grouped_equals_row_by_row(self, rows, policy, data):
+        events = make_events(*zip(*rows)) if rows else EventBatch.empty()
+        cuts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(rows)), max_size=4,
+        ))
+        assert_grouped_equals_scalar(policy, events, cuts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(unit_coord, unit_coord, theta_coord, unit_coord),
+            min_size=GROUPED_MIN_ROWS, max_size=300,
+        ),
+        max_leaves=st.integers(min_value=2, max_value=12),
+    )
+    def test_leaf_budget_is_spent_in_row_order(self, rows, max_leaves):
+        """One busy tree under ``max_leaves`` with an eager policy: many
+        leaves trigger in the same block and the budget runs out inside
+        it, so which of them may split is decided by row order alone."""
+        policy = SplitPolicy(threshold=0.5, min_count=2, max_leaves=max_leaves)
+        s, t, theta, r2 = zip(*rows)
+        events = make_events([7] * len(rows), s, t, theta, r2, [0] * len(rows))
+        assert_grouped_equals_scalar(policy, events)
+
+
+SCENE_FIXTURES = ("cornell", "lab_small", "office64")
+
+
+class TestTracedEvents:
+    """Real events off the vector engine, one case per scene fixture."""
+
+    @staticmethod
+    def traced(scene, photons: int) -> EventBatch:
+        events, _ = VectorEngine(scene).trace_range(0xC0FFEE, 0, photons)
+        return events.sorted_canonical()
+
+    @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
+    @pytest.mark.parametrize("policy", [
+        SplitPolicy(),
+        SplitPolicy(threshold=0.5, min_count=2),
+        SplitPolicy(threshold=1.0, min_count=4, max_depth=5, max_leaves=6),
+    ], ids=["default", "split-heavy", "capped"])
+    def test_one_block_and_chunked(self, request, scene_fixture, policy):
+        events = self.traced(request.getfixturevalue(scene_fixture), 1500)
+        n = len(events)
+        assert_grouped_equals_scalar(policy, events)
+        assert_grouped_equals_scalar(policy, events, cuts=(n // 7, n // 2, n - 3))
+
+    @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
+    @pytest.mark.parametrize(
+        "size", [GROUPED_MIN_ROWS - 1, GROUPED_MIN_ROWS, GROUPED_MIN_ROWS + 1],
+    )
+    def test_small_group_fallback_boundary(self, request, scene_fixture, size):
+        """Groups one under, at and one over the scalar-fallback constant,
+        first into an empty tree and then on top of what that left."""
+        events = self.traced(request.getfixturevalue(scene_fixture), 1500)
+        patches, counts = np.unique(events.patch, return_counts=True)
+        busiest = np.flatnonzero(events.patch == patches[counts.argmax()])
+        assert busiest.size >= 2 * size
+        for policy in (SplitPolicy(), SplitPolicy(threshold=0.5, min_count=2)):
+            assert_grouped_equals_scalar(
+                policy, events.take(busiest[: 2 * size]), cuts=(size,)
+            )
+
+    def test_tally_block_books_emissions_once(self, cornell):
+        events, _ = VectorEngine(cornell).trace_range(3, 0, 300)
+        forest = BinForest(SplitPolicy())
+        tally_block(forest, events, 300)
+        counts = forest.band_emitted
+        assert forest.photons_emitted == 300 == sum(counts)
+        assert all(isinstance(c, int) for c in counts)
+        assert forest.total_tallies == len(events)
+        forest.check_invariants()
+
+
+def _filled_forest(cornell) -> tuple[BinForest, EventBatch]:
+    events, _ = VectorEngine(cornell).trace_range(11, 0, 400)
+    events = events.sorted_canonical()
+    forest = BinForest(SplitPolicy(min_count=4, threshold=1.0))
+    apply_events(forest, events)
+    return forest, events
+
+
+def _with(events: EventBatch, row: int, **values) -> EventBatch:
+    """A copy of *events* with one row's columns overwritten."""
+    out = events.take(np.arange(len(events)))
+    for name, value in values.items():
+        getattr(out, name)[row] = value
+    return out
+
+
+class TestValidation:
+    """A bad block is refused whole, with the scalar replay's error."""
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("s", 1.5, "s out of range: 1.5"),
+        ("s", -0.25, "s out of range: -0.25"),
+        ("t", math.nan, "t out of range: nan"),
+        ("theta", 7.0, "theta out of range: 7.0"),
+        ("theta", TWO_PI + 1e-12, "theta out of range"),
+        ("r2", 1.0000001, "r_squared out of range: 1.0000001"),
+        ("band", -1, "band out of range: -1"),
+        ("band", NUM_BANDS, f"band out of range: {NUM_BANDS}"),
+    ])
+    def test_bad_row_raises_and_leaves_the_forest_untouched(
+        self, cornell, column, value, message
+    ):
+        forest, events = _filled_forest(cornell)
+        before = snapshot(forest)
+        bad = _with(events, len(events) // 2, **{column: value})
+        with pytest.raises(ValueError, match=message):
+            apply_events(forest, bad)
+        assert snapshot(forest) == before
+        with pytest.raises(ValueError, match=message):
+            tally_block(forest, bad, 400)
+        assert snapshot(forest) == before
+        with pytest.raises(ValueError, match=message):  # the oracle's error
+            scalar_replay(BinForest(), bad)
+
+    def test_error_names_the_first_offending_row_and_field(self, cornell):
+        _, events = _filled_forest(cornell)
+        bad = _with(events, 30, band=-1)
+        bad = _with(bad, 20, r2=2.0, t=3.0)
+        bad = _with(bad, 25, s=9.0)
+        with pytest.raises(ValueError, match="t out of range: 3.0"):
+            apply_events(BinForest(), bad)
+
+    def test_edges_of_the_domain_are_accepted(self):
+        events = make_events(
+            [0] * 3, [0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+            [0.0, TWO_PI, TWO_PI], [1.0, 0.0, 1.0], [0, 1, 2],
+        )
+        assert_grouped_equals_scalar(SplitPolicy(), events)
+
+
+class TestBandRange:
+    """``counts[-1]`` is the last band to Python; it is an error here."""
+
+    @pytest.mark.parametrize("band", [-1, NUM_BANDS])
+    def test_node_tally_rejects(self, band):
+        node = BinNode((0.0,) * 4, (1.0, 1.0, TWO_PI, 1.0))
+        with pytest.raises(ValueError, match=f"band out of range: {band}"):
+            node.tally(BinCoords(0.5, 0.5, 1.0, 0.5), band)
+        assert node.total == 0 and node.counts == [0] * NUM_BANDS
+
+    @pytest.mark.parametrize("band", [-1, NUM_BANDS])
+    def test_tree_tally_rejects_before_touching_interior_nodes(self, band):
+        tree = BinTree(0, SplitPolicy(threshold=0.5, min_count=2))
+        for k in range(40):
+            tree.tally(BinCoords(0.1 * (k % 3), 0.2, 0.3, 0.05 * (k % 5)), 0)
+        assert not tree.root.is_leaf
+        total, counts = tree.root.total, list(tree.root.counts)
+        with pytest.raises(ValueError, match=f"band out of range: {band}"):
+            tree.tally(BinCoords(0.1, 0.2, 0.3, 0.1), band)
+        assert (tree.root.total, tree.root.counts) == (total, counts)
+        assert tree.leaf_total_sum() == tree.root.total
