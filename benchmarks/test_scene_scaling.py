@@ -170,7 +170,7 @@ class TestPooledScaling:
         the single-process answer byte-for-byte."""
         config = SimulationConfig(
             n_photons=PHOTONS, seed=SEED, engine="vector",
-            workers=WORKERS, result_plane="on",
+            workers=WORKERS,
         )
         with PhotonPool(gen_scene, config) as pool:
             result = pool.run()
@@ -195,7 +195,7 @@ class TestPooledScaling:
         monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
         config = SimulationConfig(
             n_photons=PHOTONS, seed=SEED, engine="vector",
-            workers=WORKERS, result_plane="on",
+            workers=WORKERS,
         )
         with PhotonPool(gen_scene, config) as pool:
             with pytest.warns(ResultPlaneWarning, match="overflow"):
@@ -210,14 +210,13 @@ class TestPooledScaling:
 @needs_plane
 def test_fifty_x_scene_end_to_end_session(scaling_runs):
     """The acceptance run: the >=10k-patch generated scene through a
-    multi-process RenderSession with scene plane and result plane on,
+    multi-process RenderSession (scene plane in, result blocks out),
     adaptive block sizing, and zero leaked segments afterwards."""
     from repro.api import RenderSession, SessionOptions, SimulateRequest
 
     scene = generate_scene(SCALES["50x"])
     assert scene.defining_polygon_count >= 10_000
-    options = SessionOptions(workers=WORKERS, share_plane="on",
-                             result_plane="on")
+    options = SessionOptions(workers=WORKERS)
     with RenderSession(scene, options) as session:
         result = session.simulate(SimulateRequest(n_photons=PHOTONS, seed=SEED))
         blocks = session._pool.result_blocks

@@ -9,6 +9,8 @@ over the scalar and vector tracing engines without copy-paste.
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 
 from repro.cluster import profile_scene
@@ -96,6 +98,33 @@ def scenes(cornell, harpsichord):
         "harpsichord-room": harpsichord,
         "computer-lab": computer_lab(),
     }
+
+
+@pytest.fixture()
+def enospc_once(monkeypatch):
+    """``enospc_once(module)``: the next ``module.allocate_segment`` call
+    raises ``OSError(ENOSPC)``, later ones allocate for real.
+
+    Patch the binding the code under test calls (``shmplane`` for a
+    scene publish, the name imported into ``resultplane`` for result
+    blocks).  Returns the list of refused sizes, so a test can assert
+    the fault fired exactly once.
+    """
+
+    def install(module) -> list[int]:
+        real_allocate = module.allocate_segment
+        refused: list[int] = []
+
+        def allocate(nbytes, tag=""):
+            if not refused:
+                refused.append(nbytes)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_allocate(nbytes, tag)
+
+        monkeypatch.setattr(module, "allocate_segment", allocate)
+        return refused
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ The legacy :class:`~repro.core.simulator.SimulationConfig` mixed two
 very different kinds of knob: *what to simulate* (photons, seed, split
 policy, fluorescence, RNG discipline — different on every request) and
 *how the serving process is provisioned* (engine, accelerator, worker
-count, batch size, scene transport — fixed for the lifetime of a warm
-session).  The paper's architecture is a long-lived simulation program
-answering many requests, so the public API separates them:
+count, batch size — fixed for the lifetime of a warm session).  The
+paper's architecture is a long-lived simulation program answering many
+requests, so the public API separates them:
 
 * :class:`SimulateRequest` — frozen, hashable, per-call.  Two equal
   requests on the same session produce byte-identical answers; being
@@ -32,9 +32,7 @@ from ..core.bintree import SplitPolicy
 from ..core.simulator import (
     ACCELS,
     ENGINES,
-    RESULT_PLANE_MODES,
     RNG_MODES,
-    SHARE_PLANE_MODES,
     SimulationConfig,
 )
 
@@ -129,15 +127,6 @@ class SessionOptions:
         batch_size: Photons per structure-of-arrays batch, and the
             default chunk size of
             :meth:`~repro.api.RenderSession.simulate_stream`.
-        share_plane: Scene transport for multi-process sessions
-            (:data:`repro.core.simulator.SHARE_PLANE_MODES`); plane
-            segments are shared across sessions through
-            :func:`repro.parallel.shmplane.plane_registry`.
-        result_plane: Event *return* transport for multi-process
-            sessions (:data:`repro.core.simulator.RESULT_PLANE_MODES`):
-            shared-memory result blocks (``"on"``/``"auto"``) or the
-            legacy event pickle (``"off"``).  The session's pool owns
-            the blocks and recycles them across warm requests.
         cache_results: Memoize :meth:`~repro.api.RenderSession.simulate`
             results keyed by the (frozen, hashable)
             :class:`SimulateRequest`: a repeated request returns the
@@ -170,8 +159,6 @@ class SessionOptions:
     accel: str = "auto"
     workers: int = 1
     batch_size: int = 4096
-    share_plane: str = "auto"
-    result_plane: str = "auto"
     cache_results: Union[bool, int] = False
     amortize: bool = False
 
@@ -180,16 +167,6 @@ class SessionOptions:
             raise ValueError(f"unknown engine {self.engine!r}; pick from {ENGINES}")
         if self.accel not in ACCELS:
             raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
-        if self.share_plane not in SHARE_PLANE_MODES:
-            raise ValueError(
-                f"unknown share_plane {self.share_plane!r}; "
-                f"pick from {SHARE_PLANE_MODES}"
-            )
-        if self.result_plane not in RESULT_PLANE_MODES:
-            raise ValueError(
-                f"unknown result_plane {self.result_plane!r}; "
-                f"pick from {RESULT_PLANE_MODES}"
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.workers < 1:
@@ -246,8 +223,6 @@ def merge_config(
         accel=options.accel,
         workers=options.workers,
         batch_size=options.batch_size,
-        share_plane=options.share_plane,
-        result_plane=options.result_plane,
     )
 
 
@@ -273,7 +248,5 @@ def split_config(
         accel=config.accel,
         workers=config.workers,
         batch_size=config.batch_size,
-        share_plane=config.share_plane,
-        result_plane=config.result_plane,
     )
     return request, options

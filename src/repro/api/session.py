@@ -18,25 +18,26 @@ lifetime and serves any number of requests against them:
   :func:`repro.cluster.workload.profile_scene`, measured on the
   session's engine without recompiling the scene.
 
-Warm-path contract (pinned by ``benchmarks/test_shmplane.py`` and
-``benchmarks/test_resultplane.py``): request #2 on a session performs
-**zero** scene recompiles, **zero** plane publishes, **zero** worker
-spawns, and **zero** result-block allocations — only tracing.  The
-session's persistent pool owns the shared-memory result blocks
-(:mod:`repro.parallel.resultplane`), so warm requests reuse the same
-block objects and :meth:`simulate_stream` serves every cumulative batch
-from the plane without per-batch event pickling.  Multi-process
-sessions share one published scene plane per program across all the
-serving process's concurrent sessions
+Warm-path contract (pinned by
+``tests/api/test_session.py::test_pool_survives_across_requests`` and
+``tests/parallel/test_resultplane.py::test_warm_session_reuses_block_objects``):
+request #2 on a session performs **zero** scene recompiles, **zero**
+plane publishes, **zero** worker spawns, and **zero** result-block
+allocations — only tracing.  The session's persistent pool owns the
+shared-memory result blocks (:mod:`repro.parallel.resultplane`), so
+warm requests reuse the same block objects and :meth:`simulate_stream`
+serves every cumulative batch from the plane without per-batch event
+pickling.  Multi-process sessions share one published scene plane per
+program across all the serving process's concurrent sessions
 (:func:`repro.parallel.shmplane.plane_registry`); result blocks are
 budget-sized and per-pool, so they stay session-owned rather than
 registry-shared.
 
 Determinism contract: for equal requests, every session configuration —
-engine, accelerator, worker count, batch size, transport, streamed or
-one-shot — produces byte-identical answers, and all of them equal the
-legacy ``PhotonSimulator`` output (the golden suite holds both surfaces
-to the same committed bytes).
+engine, accelerator, worker count, batch size, streamed or one-shot —
+produces byte-identical answers, and all of them equal the legacy
+``PhotonSimulator`` output (the golden suite holds both surfaces to the
+same committed bytes).
 
 Sessions are context managers; always ``with`` them (or call
 :meth:`close` in a ``finally``) so pools shut down and plane refcounts
@@ -185,8 +186,7 @@ class RenderSession:
         self._engines: dict = {}  # fluorescence spec -> warm VectorEngine
         self._pool = None
         self._pool_fluorescence = _NO_POOL
-        self._holds_plane = False
-        self._plane_handle = None
+        self._plane_handle = None  # set while holding a registry reference
         self._closed = False
         # Reentrancy guard: a session serves one request at a time; the
         # check-and-set is atomic so concurrent misuse from another
@@ -236,8 +236,7 @@ class RenderSession:
                 self._pool = None
                 self._pool_fluorescence = _NO_POOL
         finally:
-            if self._holds_plane:
-                self._holds_plane = False
+            if self._plane_handle is not None:
                 self._plane_handle = None
                 self.program.release_plane()
 
@@ -306,25 +305,14 @@ class RenderSession:
             self._pool.close()
             self._pool = None
             self._pool_fluorescence = _NO_POOL
-        from ..parallel.procpool import PhotonPool, resolve_share_plane
+        from ..parallel.procpool import PhotonPool
 
-        if not self._holds_plane and resolve_share_plane(
-            self.options.share_plane, self.scene
-        ):
-            try:
-                # One registry reference per session, released at close();
-                # the plane survives pool rebuilds within the session.
-                self._plane_handle = self.program.acquire_plane()
-                self._holds_plane = True
-            except OSError:
-                if self.options.share_plane == "on":
-                    raise  # "on" demands the plane; "auto" falls back
-        if self._holds_plane:
-            pool = PhotonPool(
-                self.scene, config, plane_handle=self._plane_handle
-            )
-        else:
-            pool = PhotonPool(self.scene, config, share_plane="off")
+        if self._plane_handle is None:
+            # One registry reference per session, released at close();
+            # the plane survives pool rebuilds within the session.  A
+            # publish failure propagates with no reference taken.
+            self._plane_handle = self.program.acquire_plane()
+        pool = PhotonPool(self.scene, config, plane_handle=self._plane_handle)
         pool.start()
         self._pool = pool
         self._pool_fluorescence = fluorescence

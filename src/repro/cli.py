@@ -125,30 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process count for the vector engine (>1 uses a multiprocessing pool)",
     )
     p_sim.add_argument(
-        "--share-plane",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "scene transport for --workers > 1: 'on' publishes the compiled "
-            "scene into a zero-copy shared-memory plane that workers attach, "
-            "'off' pickles it to every worker, 'auto' picks the plane on "
-            "large scenes when the platform supports it; answers are "
-            "byte-identical either way"
-        ),
-    )
-    p_sim.add_argument(
-        "--result-plane",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "event return transport for --workers > 1: 'on' has workers "
-            "write tally events into preallocated shared-memory result "
-            "blocks and return tiny descriptors, 'off' pickles the events "
-            "back, 'auto' uses blocks whenever the platform has shared "
-            "memory; answers are byte-identical either way"
-        ),
-    )
-    p_sim.add_argument(
         "--batch-size",
         type=int,
         default=4096,
@@ -325,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--batch-size", type=int, default=4096)
     p_serve.add_argument(
-        "--share-plane", choices=("auto", "on", "off"), default="auto"
-    )
-    p_serve.add_argument(
-        "--result-plane", choices=("auto", "on", "off"), default="auto"
-    )
-    p_serve.add_argument(
         "--amortize",
         choices=("on", "off"),
         default="on",
@@ -434,8 +404,6 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
             accel=args.accel,
             workers=args.workers,
             batch_size=args.batch_size,
-            share_plane=args.share_plane,
-            result_plane=args.result_plane,
             amortize=args.amortize,
         )
         # Cross-field validation (vector forbids stream RNG, ...) lives
@@ -640,8 +608,6 @@ def _cmd_serve(args, out, parser: argparse.ArgumentParser) -> int:
             accel=args.accel,
             workers=args.workers,
             batch_size=args.batch_size,
-            share_plane=args.share_plane,
-            result_plane=args.result_plane,
             amortize=args.amortize == "on",
             cache_results=args.cache_results == "on",
         )

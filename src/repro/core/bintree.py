@@ -24,7 +24,14 @@ from ..montecarlo.stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD
 from .binning import NUM_AXES, TWO_PI, BinCoords, BinNode
 from .photon import NUM_BANDS
 
-__all__ = ["SplitPolicy", "BinTree", "BinForest", "NODE_BYTES", "GROUPED_MIN_ROWS"]
+__all__ = [
+    "SplitPolicy",
+    "BinTree",
+    "BinForest",
+    "NODE_BYTES",
+    "GROUPED_MIN_ROWS",
+    "merge_rank_forests",
+]
 
 #: Approximate C-struct footprint of one bin node, used for the Figure 5.4
 #: memory-growth reproduction: 8 region floats + 3 band counts + total +
@@ -417,3 +424,25 @@ class BinForest:
             f"BinForest({self.tree_count} trees, {self.leaf_count} leaves, "
             f"{self.total_tallies} tallies)"
         )
+
+
+def merge_rank_forests(forests, policy: Optional[SplitPolicy]) -> BinForest:
+    """Union disjoint forest sections into one answer forest.
+
+    Every sharded driver — distributed ranks, shared-memory threads, the
+    process pool's ownership build — partitions tree keys between its
+    workers, so the union is disjoint; counters are summed.  Raises on
+    overlapping ownership (protocol violation).
+    """
+    merged = BinForest(policy)
+    for forest in forests:
+        for key, tree in forest.trees.items():
+            if key in merged.trees:
+                raise ValueError(f"unit {key} owned by more than one rank")
+            merged.trees[key] = tree
+        merged.total_tallies += forest.total_tallies
+        for b in range(NUM_BANDS):
+            merged.band_tallies[b] += forest.band_tallies[b]
+            merged.band_emitted[b] += forest.band_emitted[b]
+        merged.photons_emitted += forest.photons_emitted
+    return merged

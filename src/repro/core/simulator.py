@@ -61,24 +61,6 @@ RNG_MODES = ("auto", "stream", "substream")
 #: NumPy-heavy module at config time.
 ACCELS = ("auto", "flat", "octree", "linear")
 
-#: Scene-transport modes for the multi-process pool, selectable through
-#: :attr:`SimulationConfig.share_plane`: publish the compiled scene into
-#: a shared-memory plane (``"on"``), pickle it per worker (``"off"``),
-#: or let the pool decide (``"auto"`` — plane when the platform supports
-#: it and the scene is large enough to repay publishing).
-SHARE_PLANE_MODES = ("auto", "on", "off")
-
-#: Result-transport modes for the multi-process pool, selectable through
-#: :attr:`SimulationConfig.result_plane`: workers write tally events
-#: into preallocated shared-memory result blocks and return tiny
-#: descriptors (``"on"``), pickle the events back (``"off"``), or let
-#: the pool decide (``"auto"`` — blocks whenever the platform supports
-#: shared memory; unlike the scene plane there is no size threshold,
-#: because result bytes scale with the photon budget).  Defined here —
-#: not in the NumPy-heavy plane modules — so config validation stays
-#: import-cheap; :mod:`repro.parallel.resultplane` re-exports it.
-RESULT_PLANE_MODES = ("auto", "on", "off")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -111,23 +93,6 @@ class SimulationConfig:
             ``"auto"`` picks flat for large scenes, linear for small.
             Every mode yields bit-identical answers — this knob trades
             speed only.  Ignored by the scalar engine.
-        share_plane: Scene transport for multi-process runs
-            (``workers > 1``): ``"on"`` publishes the compiled scene
-            into a zero-copy shared-memory plane that workers attach
-            (:mod:`repro.parallel.shmplane`), ``"off"`` pickles the
-            scene to every worker (the legacy transport), ``"auto"``
-            picks the plane when the platform supports it and the scene
-            is large enough to repay publishing.  Answers are
-            byte-identical either way — this knob trades startup cost
-            and memory only.  Ignored when ``workers == 1``.
-        result_plane: Event *return* transport for multi-process runs:
-            ``"on"`` has every worker write its tally events into a
-            preallocated shared-memory result block and return a tiny
-            descriptor (:mod:`repro.parallel.resultplane`), ``"off"``
-            pickles the events back (the legacy transport), ``"auto"``
-            uses blocks whenever the platform has shared memory.
-            Answers are byte-identical either way — this knob trades
-            bytes-over-boundary only.  Ignored when ``workers == 1``.
     """
 
     n_photons: int
@@ -139,8 +104,6 @@ class SimulationConfig:
     batch_size: int = 4096
     workers: int = 1
     accel: str = "auto"
-    share_plane: str = "auto"
-    result_plane: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_photons < 0:
@@ -158,16 +121,6 @@ class SimulationConfig:
             )
         if self.accel not in ACCELS:
             raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
-        if self.share_plane not in SHARE_PLANE_MODES:
-            raise ValueError(
-                f"unknown share_plane {self.share_plane!r}; "
-                f"pick from {SHARE_PLANE_MODES}"
-            )
-        if self.result_plane not in RESULT_PLANE_MODES:
-            raise ValueError(
-                f"unknown result_plane {self.result_plane!r}; "
-                f"pick from {RESULT_PLANE_MODES}"
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.workers < 1:

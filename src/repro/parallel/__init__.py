@@ -1,13 +1,12 @@
 """Parallel Photon: MPI-like substrate, shared- and distributed-memory drivers."""
 
+from ..core.bintree import merge_rank_forests
 from .distributed import (
     DistributedConfig,
     DistributedResult,
     RankResult,
     build_balance,
     distributed_worker,
-    merge_rank_forests,
-    rank_share,
     run_distributed,
     serial_replay,
 )
@@ -34,7 +33,7 @@ from .procpool import (
     PhotonPool,
     build_forest_parallel,
     partition_patches,
-    resolve_share_plane,
+    rank_share,
     run_procpool,
     trace_events_parallel,
 )
@@ -43,7 +42,6 @@ from .resultplane import (
     ResultPlane,
     ResultPlaneWarning,
     ShardResult,
-    resolve_result_plane,
 )
 from .shared import RWLock, SharedConfig, SharedForest, SharedResult, run_shared
 from .shmplane import (
@@ -95,8 +93,6 @@ __all__ = [
     "plane_available",
     "plane_registry",
     "rank_share",
-    "resolve_result_plane",
-    "resolve_share_plane",
     "run_distributed",
     "run_parallel",
     "run_procpool",

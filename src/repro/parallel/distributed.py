@@ -15,10 +15,10 @@ pseudo-code shows, so bin *structure* never crosses the wire, only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Sequence
+from typing import Literal
 
 from ..core.binning import BinCoords
-from ..core.bintree import BinForest, SplitPolicy
+from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
 from ..core.simulator import TraceStats, trace_photon
 from ..geometry.scene import Scene
 from ..rng import Lcg48
@@ -30,6 +30,7 @@ from .loadbalance import (
     pilot_forest,
 )
 from .mpi import SimComm, run_parallel
+from .procpool import rank_share
 
 __all__ = [
     "DistributedConfig",
@@ -37,8 +38,6 @@ __all__ = [
     "DistributedResult",
     "distributed_worker",
     "run_distributed",
-    "merge_rank_forests",
-    "rank_share",
     "serial_replay",
     "build_balance",
 ]
@@ -77,12 +76,6 @@ class DistributedConfig:
             raise ValueError("batch_size must be positive")
         if self.balance not in ("best-fit", "naive"):
             raise ValueError(f"unknown balance scheme {self.balance!r}")
-
-
-def rank_share(n_photons: int, rank: int, size: int) -> int:
-    """Photons rank *rank* emits out of *n_photons* (first ranks get extras)."""
-    base, extra = divmod(n_photons, size)
-    return base + (1 if rank < extra else 0)
 
 
 def build_balance(
@@ -238,34 +231,12 @@ class DistributedResult:
         return merged
 
 
-def merge_rank_forests(
-    results: Sequence[RankResult], policy: SplitPolicy
-) -> BinForest:
-    """Union the rank-owned forest sections into one answer forest.
-
-    Ownership partitions unit ids, so the union is disjoint; counters
-    are summed.  Raises on overlapping ownership (protocol violation).
-    """
-    merged = BinForest(policy)
-    for result in results:
-        for key, tree in result.forest.trees.items():
-            if key in merged.trees:
-                raise ValueError(f"unit {key} owned by more than one rank")
-            merged.trees[key] = tree
-        merged.total_tallies += result.forest.total_tallies
-        for b in range(3):
-            merged.band_tallies[b] += result.forest.band_tallies[b]
-            merged.band_emitted[b] += result.forest.band_emitted[b]
-        merged.photons_emitted += result.forest.photons_emitted
-    return merged
-
-
 def run_distributed(
     scene: Scene, config: DistributedConfig, n_ranks: int
 ) -> DistributedResult:
     """Run the full distributed simulation on *n_ranks* in-process ranks."""
     results = run_parallel(n_ranks, distributed_worker, scene, config)
-    forest = merge_rank_forests(results, config.policy)
+    forest = merge_rank_forests([r.forest for r in results], config.policy)
     mapping, _ = build_balance(scene, config, n_ranks)
     return DistributedResult(forest=forest, ranks=list(results), mapping=mapping)
 

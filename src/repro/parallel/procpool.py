@@ -11,54 +11,54 @@ workers and reassembles the answer in two phases:
    indices (per-photon counter-based substreams make shards independent)
    and writes its tally events into a preallocated shared-memory result
    block, returning only a tiny descriptor
-   (:class:`repro.parallel.resultplane.ShardResult`); with the result
-   plane off, the events ride the pickle as packed NumPy arrays.
+   (:class:`repro.parallel.resultplane.ShardResult`).
 
 2. **Build phase** — patch ids are partitioned round-robin into
-   ownership sections; each worker replays *its* patches' events (in
+   ownership sections; each worker re-reads *its* patches' events
+   straight from the shard blocks
+   (:func:`repro.parallel.resultplane.take_owned`) and replays them (in
    canonical photon order, so every tree sees exactly the serial tally
-   sequence) into a private :class:`BinForest`.  With the result plane
-   on, workers re-read their owned rows straight from the shard blocks
-   (:func:`repro.parallel.resultplane.take_owned`) instead of receiving
-   them by pickle.  The parent unions the disjoint sections with the
-   existing distributed-merge machinery
-   (:func:`repro.parallel.distributed.merge_rank_forests`).
+   sequence) into a private :class:`BinForest`.  The parent unions the
+   disjoint sections (:func:`repro.core.bintree.merge_rank_forests`).
 
-Scene transport: the shared-memory plane
-----------------------------------------
+One transport each way
+----------------------
 :class:`PhotonPool` owns a persistent pool whose initializer builds each
-worker's engine **once**.  On large scenes the parent publishes the
-compiled :class:`~repro.core.vectorized.SceneArrays` (flat octree
-included) into a shared-memory plane (:mod:`repro.parallel.shmplane`)
-and workers attach zero-copy — no per-worker scene pickle, no per-worker
-octree re-compilation, one copy of the acceleration structure in RAM no
-matter the worker count.  ``SimulationConfig.share_plane`` selects the
-transport: ``"on"``, ``"off"`` (pickle the scene, the original
-behaviour), or ``"auto"`` (plane when ``shared_memory`` exists and the
-scene is large enough to repay publishing).  Both transports carry the
-exact same bytes, so answers are identical either way.
+worker's engine **once**, attached zero-copy to the shared-memory scene
+plane (:mod:`repro.parallel.shmplane`) the parent published — no
+per-worker scene pickle, no per-worker octree re-compilation, one copy
+of the acceleration structure in RAM no matter the worker count or the
+scene size.  Events come back through per-shard result blocks
+(:mod:`repro.parallel.resultplane`), which the pool allocates lazily at
+the first trace, recycles verbatim across warm requests, regrows (old
+segment unlinked first) when a bigger budget arrives, and unlinks at
+close — the same no-leak contract the scene plane honours.  A request's
+events therefore cross the process boundary as O(workers) descriptors in
+both phases.
 
-Result transport: the shared-memory result plane
-------------------------------------------------
-``SimulationConfig.result_plane`` selects the *outbound* transport the
-same way: ``"on"``/``"off"``/``"auto"`` (plane whenever the platform has
-shared memory — result bytes scale with the photon budget, so there is
-no scene-size threshold).  :class:`PhotonPool` allocates the per-shard
-blocks lazily at the first trace, recycles them verbatim across warm
-requests, regrows them (old segment unlinked first) when a bigger
-budget arrives, and unlinks them at close — the same no-leak contract
-the scene plane honours.  With the plane live, a request's events cross
-the process boundary as O(workers) descriptors in both phases; see
-:mod:`repro.parallel.resultplane` for the block layout and the
-overflow/fallback rules.
+There is no second transport.  A segment that cannot be created
+(``OSError`` from a full ``/dev/shm``, ``RuntimeError`` where
+``multiprocessing.shared_memory`` does not exist) propagates to the
+caller with no segment of the failed step left behind — a failed
+publish forks nothing, a failed regrow has already unlinked the old
+blocks — and the pool stays serviceable: the next trace allocates
+afresh.  The one per-shard exception is block **overflow** — capacity
+is an estimate, so a shard that outruns it ships its columns inline,
+loudly (:class:`repro.parallel.resultplane.ResultPlaneWarning`), and
+the build phase drops to :func:`build_forest_parallel` for that request.
+
+The in-process seam — :func:`run_procpool` with an injected ``pool=``,
+:func:`trace_events_parallel`, :func:`_trace_shard` — forks nothing and
+touches no shared memory; it is the golden suite's no-fork oracle for
+the same two phases.
 
 Determinism contract
 --------------------
 Because tallies replay in canonical order and ownership partitions the
 tree keys, the merged forest is **identical node-for-node** to a
 single-process vector run (and to the scalar substream oracle) for any
-worker count, batch size, merge order, or scene transport — the property
-the determinism suite locks down.  Three invariants carry the proof:
+worker count, batch size or merge order — the property the determinism
+suite locks down.  Three invariants carry the proof:
 
 * **Substream independence** — photon *i* draws only from its private
   counter-based substream, so shard boundaries cannot change any draw.
@@ -78,12 +78,11 @@ choice affects throughput only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.bintree import BinForest, SplitPolicy
+from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
 from ..core.photon import NUM_BANDS
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
 from ..core.vectorized import (
@@ -94,15 +93,13 @@ from ..core.vectorized import (
     apply_events,
 )
 from ..geometry.scene import Scene
-from . import resultplane
-from .distributed import merge_rank_forests, rank_share
+from . import resultplane, shmplane
 from .resultplane import (
     ResultPlane,
     ShardResult,
     block_capacity,
     gather_shards,
     pack_shard,
-    resolve_result_plane,
 )
 
 __all__ = [
@@ -111,17 +108,14 @@ __all__ = [
     "trace_events_parallel",
     "build_forest_parallel",
     "partition_patches",
-    "resolve_share_plane",
-    "resolve_result_plane",
-    "PLANE_MIN_PATCHES",
+    "rank_share",
 ]
 
-#: Under ``share_plane="auto"``, scenes below this patch count stay on
-#: the pickle transport: publishing a plane costs one segment round-trip
-#: that a small scene (tiny arrays, cheap octree compile) cannot repay.
-#: Its own literal, not the accelerator auto-threshold: that one moves
-#: with the traversal kernel's speed, this one with segment setup cost.
-PLANE_MIN_PATCHES = 192
+
+def rank_share(n_photons: int, rank: int, size: int) -> int:
+    """Photons rank *rank* emits out of *n_photons* (first ranks get extras)."""
+    base, extra = divmod(n_photons, size)
+    return base + (1 if rank < extra else 0)
 
 
 def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:
@@ -140,11 +134,10 @@ def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _event_columns(events: EventBatch) -> tuple:
-    """EventBatch -> plain array tuple (the pickle wire format).
+    """EventBatch -> plain array tuple (what a build job's pickle carries).
 
     Column order is :data:`repro.core.vectorized.EVENT_FIELDS` — the
-    same layout the result blocks use, so the two transports carry
-    identical bytes.
+    same layout the result blocks use.
     """
     fields = events.export_fields()
     return tuple(fields[name] for name, _ in EVENT_FIELDS)
@@ -161,11 +154,11 @@ def _trace_shard(
 ) -> ShardResult:
     """Self-contained pool target: trace photons ``start .. start+count``.
 
-    Builds a throwaway engine from the pickled *scene* — the legacy
-    transport, kept for injected in-process pools (tests) and as the
-    semantics reference for the persistent-pool path below.  Always
-    returns an inline-payload :class:`ShardResult` (nothing forked, so
-    there is no plane to write into).
+    Builds a throwaway engine from *scene* — the in-process seam for
+    injected pools (tests) and the semantics reference for the
+    persistent-pool path below.  Always returns an inline-payload
+    :class:`ShardResult` (nothing forked, so there is no plane to write
+    into).
     """
     engine = VectorEngine(
         scene, fluorescence=fluorescence, batch_size=batch_size, accel=accel
@@ -175,46 +168,23 @@ def _trace_shard(
 
 
 #: Per-process engine of a :class:`PhotonPool` worker, built once by the
-#: pool initializer (attached to the plane, or from the pickled scene).
+#: pool initializer over the attached scene plane.
 _POOL_ENGINE: Optional[VectorEngine] = None
 
 
-def _init_pool_worker(
-    handle,
-    scene: Optional[Scene],
-    fluorescence,
-    batch_size: int,
-    accel: str,
-    report_queue=None,
-) -> None:
+def _init_pool_worker(handle, fluorescence, batch_size: int, accel: str) -> None:
     """Pool initializer: construct this worker's engine exactly once.
 
-    With a plane *handle* the engine's arrays are zero-copy views into
-    the shared segment (*scene* is ``None`` — nothing big was pickled);
-    otherwise the worker compiles its own arrays from the pickled scene.
-    When *report_queue* is given, the worker reports ``(pid, transport)``
-    exactly once after its engine is ready — the parent's startup
-    barrier and per-worker transport census.
+    The engine's arrays are zero-copy views into the shared segment
+    behind *handle* — nothing big was pickled, nothing is compiled here.
     """
     global _POOL_ENGINE
-    if handle is not None:
-        from .shmplane import attach
-
-        _POOL_ENGINE = VectorEngine(
-            arrays=attach(handle),
-            fluorescence=fluorescence,
-            batch_size=batch_size,
-            accel=accel,
-        )
-    else:
-        _POOL_ENGINE = VectorEngine(
-            scene, fluorescence=fluorescence, batch_size=batch_size, accel=accel
-        )
-    if report_queue is not None:
-        import os
-
-        transport = "plane" if _POOL_ENGINE.arrays.scene is None else "pickle"
-        report_queue.put((os.getpid(), transport))
+    _POOL_ENGINE = VectorEngine(
+        arrays=shmplane.attach(handle),
+        fluorescence=fluorescence,
+        batch_size=batch_size,
+        accel=accel,
+    )
 
 
 def _trace_shard_pooled(
@@ -222,26 +192,18 @@ def _trace_shard_pooled(
 ) -> ShardResult:
     """Pool target for persistent workers: trace on the initializer's engine.
 
-    With a *result_handle* the canonical events land in result block
-    *slot* and only the descriptor returns; without one they ride the
-    pickle (the legacy return transport).
+    The canonical events land in result block *slot* and only the
+    descriptor returns (or, on overflow, the inline payload).
     """
     events, stats = _POOL_ENGINE.trace_range(seed, start, count)
     return pack_shard(events.sorted_canonical(), stats, result_handle, slot)
 
 
-@dataclass
-class _Section:
-    """One worker's owned slice of the forest, shaped for the merger."""
-
-    forest: BinForest
-
-
-def _build_section(policy: SplitPolicy, arrays: tuple) -> _Section:
+def _build_section(policy: SplitPolicy, arrays: tuple) -> BinForest:
     """Pool target: replay one ownership section's events into a forest."""
     forest = BinForest(policy)
     apply_events(forest, EventBatch(*arrays))
-    return _Section(forest)
+    return forest
 
 
 def _build_section_pooled(
@@ -250,7 +212,7 @@ def _build_section_pooled(
     counts: tuple,
     worker_id: int,
     workers: int,
-) -> _Section:
+) -> BinForest:
     """Pool target: build one ownership section from the result blocks.
 
     The zero-pickle build phase: the job carries only the block handle
@@ -262,7 +224,7 @@ def _build_section_pooled(
     apply_events(
         forest, resultplane.take_owned(result_handle, counts, worker_id, workers)
     )
-    return _Section(forest)
+    return forest
 
 
 def partition_patches(patch_ids: np.ndarray, workers: int) -> np.ndarray:
@@ -273,12 +235,12 @@ def partition_patches(patch_ids: np.ndarray, workers: int) -> np.ndarray:
 def trace_events_parallel(
     pool, scene: Scene, config: SimulationConfig
 ) -> tuple[EventBatch, TraceStats]:
-    """Phase 1 on an injected pool: ship the scene with every job.
+    """Phase 1 on an injected pool: hand the scene to every job.
 
-    The legacy entry point kept for pool-shaped in-process executors;
-    :class:`PhotonPool` runs the same phase against persistent workers
-    without re-shipping the scene (and, with the result plane, without
-    shipping the events back either).
+    The entry point for pool-shaped in-process executors (the no-fork
+    oracle); :class:`PhotonPool` runs the same phase against persistent
+    workers attached to the scene plane, with events returning through
+    result blocks.
     """
     jobs = [
         (scene, config.fluorescence, config.batch_size, config.accel,
@@ -301,13 +263,13 @@ def _reorder_first_tally(merged: BinForest, events: EventBatch) -> BinForest:
 def build_forest_parallel(
     pool, events: EventBatch, policy: SplitPolicy, workers: int
 ) -> BinForest:
-    """Phase 2: ownership-sharded forest build + distributed-style merge.
+    """Phase 2: ownership-sharded forest build + disjoint-section merge.
 
-    The pickle-transport build, used by injected pools and as the
-    fallback when any trace shard returned an inline payload;
-    :meth:`PhotonPool.run` prefers the block-reading build
-    (:func:`_build_section_pooled`) when the whole trace phase went
-    through the result plane.
+    The build that ships each section's events with its job: used by
+    injected pools, by the shared-memory vector path, and by
+    :meth:`PhotonPool.run` when a trace shard overflowed its block;
+    otherwise the pool runs the block-reading build
+    (:func:`_build_section_pooled`).
     """
     owner = partition_patches(events.patch, workers)
     jobs = []
@@ -316,43 +278,20 @@ def build_forest_parallel(
         if rows.size == 0:
             continue
         jobs.append((policy, _event_columns(events.take(rows))))
-    sections: Sequence[_Section] = pool.starmap(_build_section, jobs) if jobs else []
+    sections = pool.starmap(_build_section, jobs) if jobs else []
     merged = merge_rank_forests(sections, policy)
     return _reorder_first_tally(merged, events)
 
 
-def resolve_share_plane(mode: str, scene: Scene) -> bool:
-    """Decide whether a run publishes the shared-memory plane.
-
-    ``"on"`` demands it (raising when the platform cannot), ``"off"``
-    never uses it, and ``"auto"`` picks it exactly when the platform
-    supports it and the scene clears :data:`PLANE_MIN_PATCHES`.
-    """
-    from .shmplane import plane_available
-
-    if mode == "off":
-        return False
-    if mode == "on":
-        if not plane_available():
-            raise RuntimeError(
-                "share_plane='on' but multiprocessing.shared_memory is "
-                "unavailable on this platform; use 'off' or 'auto'"
-            )
-        return True
-    if mode != "auto":
-        raise ValueError(f"unknown share_plane mode {mode!r}")
-    return plane_available() and len(scene.patches) >= PLANE_MIN_PATCHES
-
-
 class PhotonPool:
-    """A persistent worker pool with an optional shared-memory scene plane.
+    """A persistent worker pool over one shared-memory scene plane.
 
     Publishing, worker startup, and segment cleanup happen once per pool
     rather than once per run, so repeated :meth:`run` calls (parameter
     sweeps, benchmarks, services) pay only tracing time.  Always use the
     context manager (or call :meth:`close` in a ``finally``): it closes
-    **and unlinks** the plane segment even when a worker raises, which is
-    the no-leak contract the lifecycle tests enforce.
+    **and unlinks** the pool's segments even when a worker raises, which
+    is the no-leak contract the lifecycle tests enforce.
 
     Example::
 
@@ -363,11 +302,7 @@ class PhotonPool:
         scene: Scene the pool serves; one plane is published for it.
         config: Pool sizing (``workers``) and engine parameters
             (``fluorescence``, ``batch_size``, ``accel``) come from
-            here, as does the default ``share_plane`` mode.
-        share_plane: Optional override of ``config.share_plane``.
-        result_plane: Optional override of ``config.result_plane`` (the
-            outbound event transport; see
-            :mod:`repro.parallel.resultplane`).
+            here.
         arrays: Optional pre-compiled :class:`SceneArrays` for *scene*.
             When this pool itself publishes a plane it publishes these
             instead of recompiling the scene — for direct pool users
@@ -386,39 +321,27 @@ class PhotonPool:
         self,
         scene: Scene,
         config: SimulationConfig,
-        share_plane: Optional[str] = None,
         *,
-        result_plane: Optional[str] = None,
         arrays: Optional[SceneArrays] = None,
         plane_handle=None,
     ) -> None:
         self.scene = scene
         self.config = config
-        self.share_plane = (
-            share_plane if share_plane is not None else config.share_plane
-        )
-        self.result_plane_mode = (
-            result_plane if result_plane is not None else config.result_plane
-        )
         self.arrays = arrays
         self.plane_handle = plane_handle
+        #: The scene plane this pool published and owns (None before
+        #: :meth:`start`, and always None under *plane_handle*).
         self.plane = None
         self._pool = None
-        self._init_reports = None
-        self._transports: Optional[list[str]] = None
-        #: Transport actually chosen at :meth:`start` ("plane"/"pickle").
-        self.transport = "pickle"
         #: The per-shard result blocks, allocated lazily by the first
-        #: trace and recycled across warm requests (None until then, or
-        #: when the result transport resolved to pickle).
+        #: trace and recycled across warm requests (None until then).
         self.result_blocks: Optional[ResultPlane] = None
-        self._use_result_plane = False
         #: The previous trace call's :class:`ShardResult` descriptors in
-        #: job order, with inline payloads stripped after the gather
+        #: job order, with overflow payloads stripped after the gather
         #: (:meth:`run` reuses the slot/count fields for the build
         #: phase).  ``last_result_wire_bytes`` records what the full
         #: results — payloads included — cost to cross the process
-        #: boundary; the transport benchmarks read it.
+        #: boundary; the benchmark reads it.
         self.last_shard_results: list[ShardResult] = []
         self.last_result_wire_bytes = 0
         #: Warm traces that recycled the existing result blocks instead
@@ -428,55 +351,35 @@ class PhotonPool:
         self.result_block_reuses = 0
 
     def start(self) -> "PhotonPool":
-        """Publish the plane (if selected) and fork the workers."""
+        """Publish the plane (unless externally owned) and fork the workers.
+
+        A plane that cannot be published raises (``OSError`` /
+        ``RuntimeError``, see :func:`repro.parallel.shmplane.publish`)
+        with nothing allocated and no worker forked.
+        """
         if self._pool is not None:
             return self
-        # Resolve the outbound transport up front so result_plane="on"
-        # fails loudly at start, not at the first trace.
-        self._use_result_plane = resolve_result_plane(self.result_plane_mode)
-        handle = None
-        scene_arg: Optional[Scene] = self.scene
-        if self.plane_handle is not None:
-            # Externally owned plane (session / registry): attach only.
-            handle = self.plane_handle
-            scene_arg = None
-            self.transport = "plane"
-        elif resolve_share_plane(self.share_plane, self.scene):
-            from . import shmplane
-
-            try:
-                payload = (
-                    self.arrays if self.arrays is not None
-                    else SceneArrays(self.scene)
-                )
-                self.plane = shmplane.publish(payload)
-            except OSError:
-                if self.share_plane == "on":
-                    raise
-                self.plane = None  # auto: fall back to pickling
-            if self.plane is not None:
-                handle = self.plane.handle
-                scene_arg = None
-                self.transport = "plane"
+        handle = self.plane_handle
+        if handle is None:
+            self.plane = shmplane.publish(
+                self.arrays if self.arrays is not None
+                else SceneArrays(self.scene)
+            )
+            handle = self.plane.handle
         import multiprocessing as mp
 
         config = self.config
-        ctx = mp.get_context()
         try:
-            self._init_reports = ctx.Queue()
-            self._pool = ctx.Pool(
+            self._pool = mp.get_context().Pool(
                 processes=config.workers,
                 initializer=_init_pool_worker,
-                initargs=(handle, scene_arg, config.fluorescence,
-                          config.batch_size, config.accel, self._init_reports),
+                initargs=(handle, config.fluorescence,
+                          config.batch_size, config.accel),
             )
         except BaseException:
             # The no-leak contract covers a failed fork too: a published
             # segment must not outlive the pool that never started.
-            if self.plane is not None:
-                self.plane.close()
-                self.plane.unlink()
-                self.plane = None
+            self.close()
             raise
         return self
 
@@ -510,19 +413,16 @@ class PhotonPool:
             )
         events, stats = self.trace_range(config.seed, 0, config.n_photons)
         results = self.last_shard_results
-        if (
-            self.result_blocks is not None
-            and results
-            and all(r.slot >= 0 for r in results)
-        ):
-            # Zero-pickle build: workers re-read their owned rows from
-            # the shard blocks still holding this trace's events.
-            forest = self._build_forest_from_blocks(
-                events, results, config.policy, workers
-            )
-        else:
+        if any(r.overflow for r in results):
+            # An overflowed shard's events are not in its block, so the
+            # block-reading build would miss them: ship the gathered
+            # events with the build jobs instead.
             forest = build_forest_parallel(
                 self._pool, events, config.policy, workers
+            )
+        else:
+            forest = self._build_forest_from_blocks(
+                events, results, config.policy, workers
             )
         return _finish_result(forest, events, stats, config, self.scene.name)
 
@@ -537,9 +437,10 @@ class PhotonPool:
 
         Each non-empty ownership section gets one job carrying only the
         block handle, the per-slot live counts, and its owner id; the
-        worker re-reads and filters the blocks itself
-        (:func:`_build_section_pooled`).  Empty sections are skipped
-        parent-side, exactly like the pickle build.
+        worker re-reads and filters the blocks still holding this
+        trace's events itself (:func:`_build_section_pooled`).  Empty
+        sections are skipped parent-side, exactly like
+        :func:`build_forest_parallel`.
         """
         counts = [0] * self.result_blocks.blocks
         for r in results:
@@ -549,23 +450,19 @@ class PhotonPool:
             (policy, self.result_blocks.handle, tuple(counts), int(w), workers)
             for w in present
         ]
-        sections: Sequence[_Section] = (
-            self._pool.starmap(_build_section_pooled, jobs) if jobs else []
-        )
+        sections = self._pool.starmap(_build_section_pooled, jobs) if jobs else []
         merged = merge_rank_forests(sections, policy)
         return _reorder_first_tally(merged, events)
 
-    def _ensure_result_blocks(self, max_share: int) -> Optional[ResultPlane]:
+    def _ensure_result_blocks(self, max_share: int) -> ResultPlane:
         """The result blocks for a trace whose largest shard is *max_share*.
 
         Allocates on first use, recycles when the existing blocks fit,
         regrows (unlinking the old segment first) when the budget grew.
-        An allocation failure under ``"auto"`` warns loudly and drops to
-        the pickle transport for the pool's remaining life; ``"on"``
-        propagates the error.
+        An allocation failure propagates with ``result_blocks`` left
+        ``None`` and no segment behind, so the next trace simply
+        allocates afresh.
         """
-        if not self._use_result_plane:
-            return None
         # Scenes that know their events-per-photon (loader metadata or
         # generator estimate) get blocks sized for *this* scene; scenes
         # without a hint keep the blanket worst-case factor.  getattr:
@@ -581,20 +478,7 @@ class PhotonPool:
             old, self.result_blocks = self.result_blocks, None
             old.close()
             old.unlink()
-        try:
-            self.result_blocks = ResultPlane(blocks, capacity)
-        except OSError as exc:
-            if self.result_plane_mode == "on":
-                raise
-            import warnings
-
-            warnings.warn(
-                f"could not allocate shared-memory result blocks ({exc}); "
-                "falling back to the pickle return transport for this pool",
-                resultplane.ResultPlaneWarning,
-                stacklevel=3,
-            )
-            self._use_result_plane = False
+        self.result_blocks = ResultPlane(blocks, capacity)
         return self.result_blocks
 
     def trace_range(
@@ -611,10 +495,10 @@ class PhotonPool:
         per-photon substreams make the concatenation canonical exactly
         as in the one-shot path.
 
-        With the result plane live, each yield's events come back as
-        block descriptors (streamed serving stays free of per-batch
-        event pickling); the blocks are recycled by the next call, after
-        the canonical merge has copied the events out.
+        Each call's events come back as block descriptors (streamed
+        serving stays free of per-batch event pickling); the blocks are
+        recycled by the next call, after the canonical merge has copied
+        the events out.
         """
         if self._pool is None:
             self.start()
@@ -628,40 +512,20 @@ class PhotonPool:
             if shards
             else None
         )
-        handle = blocks.handle if blocks is not None else None
         jobs = [
-            (seed, start + offset, share, handle, slot)
+            (seed, start + offset, share, blocks.handle, slot)
             for slot, (offset, share) in enumerate(shards)
         ]
         results = self._pool.starmap(_trace_shard_pooled, jobs)
         gathered = gather_shards(results, blocks)
         self.last_result_wire_bytes = resultplane.wire_bytes(results)
-        # The gather copied every event out; drop inline payloads so a
-        # pickle-path request cannot pin O(events) arrays in the parent
-        # until the next trace (descriptors alone drive the build phase).
+        # The gather copied every event out; drop overflow payloads so
+        # they cannot pin O(events) arrays in the parent until the next
+        # trace (descriptors alone drive the build phase).
         for r in results:
             r.payload = None
         self.last_shard_results = results
         return gathered
-
-    def worker_transports(self) -> list[str]:
-        """Every worker's transport, reported once from its initializer.
-
-        Blocks until all ``workers`` initializers have finished (each
-        reports exactly once), so this doubles as the startup barrier
-        the benchmarks time against.  The census is cached — the report
-        queue only ever holds one entry per worker.
-        """
-        if self._pool is None:
-            return []
-        if self._transports is None:
-            reports = [
-                self._init_reports.get(timeout=60.0)
-                for _ in range(self.config.workers)
-            ]
-            assert len({pid for pid, _ in reports}) == len(reports)
-            self._transports = [transport for _, transport in sorted(reports)]
-        return self._transports
 
     def close(self, terminate: bool = False) -> None:
         """Tear down workers, then close and unlink both planes (idempotent).
@@ -678,10 +542,6 @@ class PhotonPool:
                 self._pool.close()
             self._pool.join()
             self._pool = None
-        if self._init_reports is not None:
-            self._init_reports.close()
-            self._init_reports = None
-            self._transports = None
         if self.plane is not None:
             self.plane.close()
             self.plane.unlink()
@@ -691,10 +551,6 @@ class PhotonPool:
             self.result_blocks.close()
             self.result_blocks.unlink()
             self.result_blocks = None
-        # A restart after close() re-decides the transports from scratch
-        # (an "auto" re-publish may fall back where the first one won).
-        self.transport = "pickle"
-        self._use_result_plane = False
 
     def __enter__(self) -> "PhotonPool":
         return self.start()
@@ -736,12 +592,11 @@ def run_procpool(
     """Run *config* on a process pool; result matches the serial engines.
 
     Args:
-        scene: Scene to trace (shared-memory plane or pickle, per
-            ``config.share_plane``).
+        scene: Scene to trace.
         config: Simulation parameters; ``config.workers`` sizes the pool.
         pool: Optional pre-built pool-like object exposing ``starmap``
-            (used by tests to inject an in-process executor; always the
-            pickle transport, since nothing forked).
+            (used by tests to inject an in-process executor; nothing
+            forks, so no shared memory is touched).
     """
     if config.n_photons == 0:
         return SimulationResult(

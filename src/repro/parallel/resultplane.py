@@ -1,12 +1,12 @@
 """Zero-copy shared-memory result plane: the outbound event transport.
 
-The scene plane (:mod:`repro.parallel.shmplane`) made the *inbound*
+The scene plane (:mod:`repro.parallel.shmplane`) makes the *inbound*
 transport of the process pool zero-copy — a kilobyte handle crosses the
-boundary instead of a megabyte scene pickle.  The *outbound* path stayed
-the slow way: every worker pickled its full :class:`EventBatch` (eight
-8-byte columns per tally event) back to the parent, so return bytes
-scaled with the **photon budget**, not the worker count.  This module
-closes that asymmetry:
+boundary, never a scene pickle.  This module is the *outbound* half and
+the pool's only result transport: pickling every worker's full
+:class:`EventBatch` (eight 8-byte columns per tally event) back to the
+parent would scale return bytes with the **photon budget**; result
+blocks scale them with the worker count instead:
 
 * The parent preallocates one segment holding **per-shard result
   blocks** (:class:`ResultPlane`), sized from the photon budget times a
@@ -30,16 +30,19 @@ harmless.  Parent and workers never write the same bytes — each job owns
 its slot exclusively, and the parent reads only after ``starmap``
 returns.
 
-Fallback and overflow contract
-------------------------------
-Correctness never depends on the plane.  When a shard's events exceed
-its block (a pathological mirror scene outrunning the headroom factor)
-the worker ships the legacy pickle payload instead and flags
-``overflow``; the parent raises a loud :class:`ResultPlaneWarning` while
-returning the exact same bytes.  When ``/dev/shm`` cannot hold the
-blocks under ``result_plane="auto"`` the pool warns once and falls back
-to pickling; ``"on"`` raises instead.  Answers are byte-identical on
-every path — the transport knob trades bytes-over-boundary only.
+Overflow and failure contract
+-----------------------------
+Block capacity is an estimate, and correctness never depends on it.
+When a shard's events exceed its block (a pathological mirror scene
+outrunning the headroom factor) the worker ships that shard's columns
+inline in its :class:`ShardResult` instead and flags ``overflow``; the
+parent raises a loud :class:`ResultPlaneWarning` while returning the
+exact same bytes.  A block segment that cannot be *created* is
+different: :class:`ResultPlane` lets the ``OSError`` (full ``/dev/shm``)
+or ``RuntimeError`` (no ``shared_memory``) propagate — there is no
+second transport to degrade to.  The pool's regrow unlinks the old
+segment first, so the failure leaves nothing behind and the next
+request allocates afresh.
 
 Lifecycle contract
 ------------------
@@ -63,20 +66,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.simulator import RESULT_PLANE_MODES, TraceStats
+from ..core.simulator import TraceStats
 from ..core.vectorized import EVENT_FIELDS, EventBatch
-from .shmplane import (
-    SegmentOwner,
-    allocate_segment,
-    attach_segment,
-    plane_available,
-)
+from .shmplane import SegmentOwner, allocate_segment, attach_segment
 
 __all__ = [
     "ADAPTIVE_EVENTS_HEADROOM",
     "EVENTS_PER_PHOTON_HEADROOM",
     "MIN_BLOCK_EVENTS",
-    "RESULT_PLANE_MODES",
     "ResultBlockHandle",
     "ResultPlane",
     "ResultPlaneWarning",
@@ -85,7 +82,6 @@ __all__ = [
     "detach_worker_blocks",
     "gather_shards",
     "pack_shard",
-    "resolve_result_plane",
     "take_owned",
     "wire_bytes",
 ]
@@ -94,8 +90,8 @@ __all__ = [
 #: (50k-photon runs): 1.9 events/photon on the Cornell box, 1.6 on the
 #: harpsichord room, 2.3 on the computer lab, with no single photon
 #: above 16.  8x covers ~3.5x over the worst measured mean; a scene that
-#: still overflows (deep mirror boxes) takes the loud pickle fallback
-#: and remains byte-correct.
+#: still overflows (deep mirror boxes) takes the loud inline-payload
+#: path and remains byte-correct.
 EVENTS_PER_PHOTON_HEADROOM = 8.0
 
 #: Floor on block capacity so tiny streaming chunks don't allocate
@@ -104,7 +100,7 @@ MIN_BLOCK_EVENTS = 1024
 
 
 class ResultPlaneWarning(UserWarning):
-    """A result-plane degradation the run survived (overflow/fallback).
+    """A result-plane degradation the run survived (block overflow).
 
     Loud by contract: answers stay byte-identical, but the request paid
     O(events) pickle bytes the plane existed to avoid — worth surfacing
@@ -145,29 +141,6 @@ def block_capacity(
     else:
         need = math.ceil(photons_per_shard * EVENTS_PER_PHOTON_HEADROOM)
     return max(need, MIN_BLOCK_EVENTS)
-
-
-def resolve_result_plane(mode: str) -> bool:
-    """Decide whether a pool returns events through result blocks.
-
-    ``"on"`` demands it (raising when the platform cannot), ``"off"``
-    never uses it, ``"auto"`` uses it exactly when the platform has
-    shared memory.  Unlike the scene plane there is no scene-size
-    threshold: result bytes scale with the photon budget, which any
-    multi-process run has by definition.
-    """
-    if mode == "off":
-        return False
-    if mode == "on":
-        if not plane_available():
-            raise RuntimeError(
-                "result_plane='on' but multiprocessing.shared_memory is "
-                "unavailable on this platform; use 'off' or 'auto'"
-            )
-        return True
-    if mode != "auto":
-        raise ValueError(f"unknown result_plane mode {mode!r}")
-    return plane_available()
 
 
 @dataclass(frozen=True)
@@ -233,8 +206,8 @@ class ResultPlane(SegmentOwner):
     return path.  The parent keeps full-capacity views per block and
     serves length-limited zero-copy :class:`EventBatch` windows through
     :meth:`view`; blocks are recycled verbatim across warm requests
-    (the warm-session contract extends to them — see
-    ``benchmarks/test_resultplane.py``).
+    (the warm-session contract extends to them — pinned by
+    ``tests/parallel/test_resultplane.py``).
     """
 
     def __init__(self, blocks: int, capacity: int) -> None:
@@ -291,10 +264,12 @@ class ShardResult:
 
     ``slot >= 0`` means the events sit in result block *slot* (this
     object is then a few hundred pickled bytes).  ``slot == -1`` is the
-    pickle path: *payload* carries the raw column arrays of
-    :data:`~repro.core.vectorized.EVENT_FIELDS`, either because the
-    plane is off (normal) or because the shard overflowed its block
-    (*overflow* set — the parent warns loudly).
+    inline path: *payload* carries the raw column arrays of
+    :data:`~repro.core.vectorized.EVENT_FIELDS`, either because nothing
+    forked (the in-process seam of
+    :func:`repro.parallel.procpool.trace_events_parallel`) or because
+    the shard overflowed its block (*overflow* set — the parent warns
+    loudly).
     """
 
     slot: int
@@ -340,13 +315,13 @@ def pack_shard(
     handle: Optional[ResultBlockHandle],
     slot: int,
 ) -> ShardResult:
-    """Ship one shard's events: into its result block, or by pickle.
+    """Ship one shard's events: into its result block, or inline.
 
     The single worker-side exit point of the trace phase.  With a
     *handle* and room in the block, the columns are copied into shared
-    memory and only the descriptor returns; without a handle (plane
-    off / injected in-process pools) or on overflow, the payload rides
-    the pickle as before.
+    memory and only the descriptor returns; without a handle (injected
+    in-process pools) or on overflow, the columns ride the result
+    object itself.
     """
     n = len(events)
     overflow = False
@@ -377,9 +352,8 @@ def gather_shards(
     the concat, which also frees the blocks for recycling by the next
     request.  Shards cover contiguous ascending photon ranges and each
     arrives canonically sorted, so the concatenation is globally
-    canonical — exactly the invariant the retired pickle gather relied
-    on.  Overflowed shards raise a :class:`ResultPlaneWarning` here (the
-    parent process, where warnings actually reach the caller).
+    canonical.  Overflowed shards raise a :class:`ResultPlaneWarning`
+    here (the parent process, where warnings actually reach the caller).
     """
     stats = TraceStats()
     blocks = []
@@ -440,8 +414,8 @@ def take_owned(
 def wire_bytes(results: Sequence[ShardResult]) -> int:
     """Bytes these results crossed the process boundary with.
 
-    Diagnostics for the transport benchmarks: descriptors are measured
-    exactly (their pickle is tiny); payload shards are counted as the
+    Diagnostics for the benchmark's wire-bytes row: descriptors are
+    measured exactly (their pickle is tiny); payload shards count as the
     descriptor plus the raw column bytes — the dominant term — rather
     than re-pickling megabytes of arrays just to size them.  Cheap
     enough that :meth:`PhotonPool.trace_range` records it per call.

@@ -24,7 +24,7 @@ Two engines, two disciplines:
   of the patches it *owns* (round-robin
   :func:`repro.parallel.procpool.partition_patches` ownership) from the
   canonical global event sequence, and the disjoint sections merge
-  lock-free via :func:`repro.parallel.distributed.merge_rank_forests` —
+  lock-free via :func:`repro.core.bintree.merge_rank_forests` —
   the same discipline the process pool proved.  The result is
   node-for-node **identical to a serial vector run for any worker
   count** (the old locked replay only guaranteed per-patch totals), and
@@ -41,7 +41,7 @@ from ..core.bintree import BinForest, SplitPolicy
 from ..core.simulator import ACCELS, ENGINES, TraceStats, trace_photon
 from ..geometry.scene import Scene
 from ..rng import Lcg48
-from .distributed import rank_share
+from .procpool import rank_share
 
 __all__ = [
     "RWLock",
@@ -277,7 +277,7 @@ def _run_shared_vector(
     ``lock_contention`` is zero by construction, not by luck.
 
     Shard offsets come from one prefix pass over
-    :func:`~repro.parallel.distributed.rank_share` (the old per-worker
+    :func:`~repro.parallel.procpool.rank_share` (the old per-worker
     recomputation was O(workers^2)).
 
     Memory trade-off, stated honestly: the ownership reduction needs the

@@ -1,14 +1,14 @@
 """Zero-copy shared-memory scene plane for process-pool workers.
 
 The paper's shared-memory variant (Figure 5.2) assumes every worker
-reads *one* scene and *one* bin forest in place.  The process pool
-(:mod:`repro.parallel.procpool`) gets true multi-core execution, but its
-original transport shipped the scene by pickle and re-compiled the flat
-octree inside every worker — exactly the per-worker duplication the
-shared-memory design exists to avoid, and the dominant startup cost on
-large scenes (the computer-lab flat compile walks ~28k pointer nodes).
+reads *one* scene and *one* bin forest in place.  This module is how the
+process pool (:mod:`repro.parallel.procpool`) honours that: it is the
+pool's only scene transport, on every scene size, so no worker ever
+receives a scene pickle or compiles its own flat octree (the dominant
+startup cost on large scenes — the computer-lab flat compile walks ~28k
+pointer nodes).
 
-This module publishes the compiled scene — every array of
+It publishes the compiled scene — every array of
 :class:`~repro.core.vectorized.SceneArrays`, including the eleven
 :class:`~repro.geometry.flatoctree.FlatOctree` arrays and the packed
 per-leaf candidate lists — into **one named**
@@ -37,9 +37,11 @@ down by the OS at process exit — a worker must **not** unlink.  After
 and the handle is dead.  :func:`leaked_segments` scans for segments the
 publisher failed to release (tests assert it stays empty).
 
-When ``multiprocessing.shared_memory`` is unavailable (exotic platforms,
-sandboxed /dev/shm) the pool falls back to pickling the scene — see
-:func:`repro.parallel.procpool.resolve_share_plane`.
+There is no second transport to fall back to: where
+``multiprocessing.shared_memory`` is unavailable :func:`publish` raises
+``RuntimeError``, and where ``/dev/shm`` cannot hold the segment it
+raises ``OSError`` — both propagate to the caller with nothing left
+allocated.  Single-process runs (``workers=1``) never touch this module.
 
 Generalized segment machinery
 -----------------------------
@@ -194,7 +196,7 @@ def allocate_segment(nbytes: int, tag: str = ""):
     blocks (the scene plane allocates through :func:`publish`, which
     also writes the payload).  Raises ``RuntimeError`` on platforms
     without ``shared_memory`` and ``OSError`` when ``/dev/shm`` cannot
-    hold the segment — callers wanting the pickle fallback catch those.
+    hold the segment; nothing is left allocated either way.
     """
     if _shm is None:
         raise RuntimeError(
@@ -295,8 +297,7 @@ def publish(arrays: SceneArrays) -> ScenePlane:
     One segment holds the whole plane: a single name to pass around and
     a single unlink to clean up.  Raises ``RuntimeError`` when the
     platform has no ``shared_memory`` and ``OSError`` when the segment
-    cannot be created (full or unwritable ``/dev/shm``) — callers that
-    want the pickle fallback catch those.
+    cannot be created (full or unwritable ``/dev/shm``).
     """
     fields = arrays.export_fields()
     layout, nbytes = layout_fields(fields)

@@ -87,11 +87,13 @@ class TestRequestOptionsSplit:
         with pytest.raises(ValueError):
             SessionOptions(accel="bvh")
         with pytest.raises(ValueError):
-            SessionOptions(share_plane="maybe")
-        with pytest.raises(ValueError):
-            SessionOptions(result_plane="maybe")
-        with pytest.raises(ValueError):
             SessionOptions(batch_size=0)
+        # The transport knobs are gone, not ignored: the planes are the
+        # pool's only transports, so naming one is a loud TypeError.
+        with pytest.raises(TypeError):
+            SessionOptions(share_plane="on")
+        with pytest.raises(TypeError):
+            SimulationConfig(n_photons=1, result_plane="on")
 
     def test_merge_enforces_cross_field_rules(self):
         with pytest.raises(ValueError):
@@ -110,8 +112,6 @@ class TestRequestOptionsSplit:
             batch_size=512,
             workers=3,
             accel="flat",
-            share_plane="off",
-            result_plane="off",
         )
         request, options = split_config(config)
         assert merge_config(request, options) == config

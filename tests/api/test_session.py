@@ -133,7 +133,7 @@ class TestPlaneSharing:
     def test_concurrent_sessions_share_one_segment(self, mini_scene):
         """Two live multi-process sessions publish exactly one plane."""
         request = SimulateRequest(n_photons=120)
-        options = SessionOptions(workers=2, share_plane="on")
+        options = SessionOptions(workers=2)
         with RenderSession(mini_scene, options) as one:
             with RenderSession(mini_scene, options) as two:
                 a = one.simulate(request)
@@ -144,19 +144,27 @@ class TestPlaneSharing:
         assert leaked_segments() == []
 
     def test_pool_survives_across_requests(self, mini_scene):
-        options = SessionOptions(workers=2, share_plane="on")
+        """Request #2 spawns nothing, recompiles nothing, republishes
+        nothing: same pool, same compiled arrays, same scene segment."""
+        options = SessionOptions(workers=2)
         with RenderSession(mini_scene, options) as session:
             session.simulate(SimulateRequest(n_photons=60))
             pool_once = session._pool
+            arrays_once = session.program.arrays
+            key = session.program.plane_key
+            segment_once = plane_registry().segment_name(key)
+            assert segment_once is not None
             session.simulate(SimulateRequest(n_photons=60, seed=3))
             assert session._pool is pool_once
+            assert session.program.arrays is arrays_once
+            assert plane_registry().segment_name(key) == segment_once
 
 
 @needs_plane
 class TestCrashHygiene:
     def test_crashed_session_leaves_shm_clean(self, mini_scene):
         """A request that raises mid-session must not leak its segment."""
-        options = SessionOptions(workers=2, share_plane="on")
+        options = SessionOptions(workers=2)
         with pytest.raises(RuntimeError, match="frontend blew up"):
             with RenderSession(mini_scene, options) as session:
                 session.simulate(SimulateRequest(n_photons=60))
@@ -166,7 +174,7 @@ class TestCrashHygiene:
 
     def test_failing_request_then_cleanup(self, mini_scene):
         """A bad request raises inside serve; teardown still releases."""
-        options = SessionOptions(workers=2, share_plane="on")
+        options = SessionOptions(workers=2)
         with pytest.raises(ValueError):
             with RenderSession(mini_scene, options) as session:
                 session.simulate(SimulateRequest(n_photons=60))

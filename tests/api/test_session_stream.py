@@ -58,7 +58,7 @@ class TestStreamParity:
     )
     def test_stream_on_warm_pool(self, mini_scene):
         """Multi-process streaming matches the pool's one-shot answer."""
-        options = SessionOptions(workers=2, share_plane="auto")
+        options = SessionOptions(workers=2)
         with RenderSession(mini_scene, options) as session:
             one_shot = session.simulate(REQUEST)
             *_, last = session.simulate_stream(REQUEST, batch_size=64)

@@ -106,7 +106,7 @@ class TestBufferCodecs:
 
     def test_export_normalises_dtypes(self):
         """Off-spec column dtypes are normalised to the wire layout, so
-        both transports always carry identical bytes."""
+        result blocks and inline payloads always carry identical bytes."""
         batch = EventBatch(
             gidx=np.array([1], dtype=np.int32),  # narrower than the wire
             seq=np.array([0], dtype=np.int64),

@@ -128,7 +128,7 @@ class TestCliGolden:
             ["--engine", "vector", "--accel", "flat"],
             ["--engine", "vector", "--workers", "2", "--batch-size", "128"],
             ["--engine", "vector", "--workers", "2", "--accel", "flat"],
-            ["--engine", "vector", "--workers", "2", "--share-plane", "on"],
+            ["--engine", "vector", "--workers", "2"],
         ],
         ids=[
             "scalar-substream", "vector", "vector-flat",

@@ -142,4 +142,4 @@ class TestMerge:
     def test_merge_rejects_overlap(self, mini_scene):
         dist = run_distributed(mini_scene, small_config(), 2)
         with pytest.raises(ValueError):
-            merge_rank_forests([dist.ranks[0], dist.ranks[0]], SplitPolicy())
+            merge_rank_forests([dist.ranks[0].forest] * 2, SplitPolicy())

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core import PhotonSimulator, SimulationConfig, SplitPolicy, forest_to_dict
+from repro.core.bintree import merge_rank_forests
 from repro.core.vectorized import EventBatch
 from repro.parallel.procpool import (
     _build_section,
@@ -22,7 +23,6 @@ from repro.parallel.procpool import (
     run_procpool,
     trace_events_parallel,
 )
-from repro.parallel.distributed import merge_rank_forests
 
 
 class _InlinePool:

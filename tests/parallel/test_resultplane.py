@@ -1,24 +1,27 @@
-"""Shared-memory result plane: descriptors, recycling, fallback, leaks.
+"""Shared-memory result plane: descriptors, recycling, overflow, leaks.
 
 The return transport's contract mirrors the scene plane's, with two
 extra moving parts the tests pin separately:
 
 * **Fidelity** — a block round-trips an :class:`EventBatch`
   bit-for-bit, the parent's views are zero-copy, and a real 2-process
-  pool produces byte-identical forests with the plane on and off (the
-  golden suites extend this through every engine x accel x worker
-  combination, since ``"auto"`` turns the plane on wherever they run).
-* **Descriptors** — with the plane on, what crosses the boundary is
-  O(workers) small :class:`ShardResult` objects, never O(events)
-  pickles; the build phase's job arguments are O(1) per section.
+  pool reproduces the single-process forest byte for byte (the golden
+  suites extend this through every engine x accel x worker
+  combination — the blocks are the pool's only result transport).
+* **Descriptors** — what crosses the boundary is O(workers) small
+  :class:`ShardResult` objects, never O(events) pickles; the build
+  phase's job arguments are O(1) per section.
 * **Lifecycle** — blocks recycle verbatim across warm requests, regrow
   when the budget grows (old segment unlinked first), survive overflow
-  by falling back loudly with identical bytes, and never outlive the
-  pool — including after a worker exception mid-result.
+  by shipping the shard inline, loudly, with identical bytes, and never
+  outlive the pool — including after a worker exception mid-result.
+  A block segment that cannot be created propagates with nothing
+  leaked, and the next request allocates afresh.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import pickle
 
@@ -42,7 +45,6 @@ from repro.parallel.resultplane import (
     block_capacity,
     gather_shards,
     pack_shard,
-    resolve_result_plane,
     take_owned,
     wire_bytes,
 )
@@ -152,68 +154,43 @@ class TestDescriptors:
             gather_shards([orphan], None)
 
 
-class TestResolution:
-    def test_off_never_uses_blocks(self):
-        assert resolve_result_plane("off") is False
-
-    def test_auto_follows_platform(self):
-        from repro.parallel.shmplane import plane_available
-
-        assert resolve_result_plane("auto") is plane_available()
-
-    def test_on_demands_platform(self, monkeypatch):
-        from repro.parallel import shmplane
-
-        assert resolve_result_plane("on") is True
-        monkeypatch.setattr(shmplane, "_shm", None)
-        assert resolve_result_plane("auto") is False
-        with pytest.raises(RuntimeError, match="unavailable"):
-            resolve_result_plane("on")
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_result_plane("sometimes")
-        with pytest.raises(ValueError):
-            SimulationConfig(n_photons=1, result_plane="sometimes")
-
+class TestCapacity:
     def test_capacity_has_floor(self):
         assert block_capacity(1) == MIN_BLOCK_EVENTS
         assert block_capacity(100_000) > MIN_BLOCK_EVENTS
 
 
 class TestPooledRuns:
-    """Real 2-process pools: both result transports, same bytes, no leaks."""
+    """Real 2-process pools: events through blocks, same bytes, no leaks."""
 
     @pytest.fixture(scope="class")
     def reference(self, cornell):
         config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
         return PhotonSimulator(cornell, config).run()
 
-    @pytest.mark.parametrize("result_plane", ["on", "off"])
-    def test_transports_agree_byte_for_byte(self, cornell, reference, result_plane):
+    @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
+    def test_pool_returns_events_through_blocks(self, request, scene_name):
+        scene = request.getfixturevalue(scene_name)
+        single = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        expected = VectorEngine(scene).run(single)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, result_plane=result_plane,
+            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
         )
-        with PhotonPool(cornell, config) as pool:
+        with PhotonPool(scene, config) as pool:
             result = pool.run()
             results = pool.last_shard_results
-            if result_plane == "on":
-                assert pool.result_blocks is not None
-                assert all(r.slot >= 0 for r in results)
-                assert wire_bytes(results) < config.workers * 1024
-            else:
-                assert pool.result_blocks is None
-                assert all(r.slot == -1 for r in results)
-        assert result.stats == reference.stats
-        assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
+            assert pool.result_blocks is not None
+            assert all(r.slot >= 0 for r in results)
+            assert wire_bytes(results) < config.workers * 1024
+        assert result.stats == expected.stats
+        assert _forest_bytes(result.forest) == _forest_bytes(expected.forest)
         assert leaked_segments() == []
 
     def test_blocks_recycle_across_warm_requests(self, cornell):
         """Request #2 reuses the same ResultPlane object and segment."""
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, result_plane="on",
+            workers=2,
         )
         with PhotonPool(cornell, config) as pool:
             first = pool.run()
@@ -228,7 +205,7 @@ class TestPooledRuns:
         """A budget the blocks cannot hold unlinks and reallocates them."""
         config = SimulationConfig(
             n_photons=200, seed=0xC0FFEE, engine="vector",
-            workers=2, result_plane="on",
+            workers=2,
         )
         with PhotonPool(cornell, config) as pool:
             pool.run()
@@ -243,9 +220,44 @@ class TestPooledRuns:
             assert pool.result_blocks.capacity > small.capacity
         assert leaked_segments() == []
 
+    def test_regrow_enospc_propagates_and_pool_recovers(
+        self, cornell, enospc_once
+    ):
+        """ENOSPC on a result-block regrow: the request raises with old
+        and new segments both gone, and the following request
+        re-allocates and answers byte-identically."""
+        small = SimulationConfig(
+            n_photons=200, seed=0xC0FFEE, engine="vector", workers=2
+        )
+        bigger = SimulationConfig(
+            n_photons=MIN_BLOCK_EVENTS * 4, seed=1, engine="vector", workers=2
+        )
+        expected = VectorEngine(cornell).run(
+            SimulationConfig(
+                n_photons=bigger.n_photons, seed=1, engine="vector"
+            )
+        )
+        with PhotonPool(cornell, small) as pool:
+            pool.run()
+            old_name = pool.result_blocks.name
+            scene_segment = pool.plane.name
+            refused = enospc_once(resultplane)
+            with pytest.raises(OSError) as raised:
+                pool.run(bigger)
+            assert raised.value.errno == errno.ENOSPC
+            assert pool.result_blocks is None
+            assert leaked_segments() == [scene_segment]  # old and new gone
+            result = pool.run(bigger)
+            assert pool.result_blocks is not None
+            assert pool.result_blocks.name != old_name
+        assert len(refused) == 1
+        assert result.stats == expected.stats
+        assert _forest_bytes(result.forest) == _forest_bytes(expected.forest)
+        assert leaked_segments() == []
+
     def test_worker_exception_releases_blocks(self, cornell):
         config = SimulationConfig(
-            n_photons=100, seed=1, engine="vector", workers=2, result_plane="on"
+            n_photons=100, seed=1, engine="vector", workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
             with PhotonPool(cornell, config) as pool:
@@ -268,7 +280,7 @@ class TestPooledRuns:
         monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, result_plane="on",
+            workers=2,
         )
         with PhotonPool(cornell, config) as pool:
             with pytest.warns(ResultPlaneWarning, match="overflow"):
@@ -299,7 +311,7 @@ class TestFreshProcessLifecycle:
             "from repro.parallel.shmplane import leaked_segments\n"
             "from repro.scenes import cornell_box\n"
             "config = SimulationConfig(n_photons=300, engine='vector',\n"
-            "                          workers=2, result_plane='on')\n"
+            "                          workers=2)\n"
             "with PhotonPool(cornell_box(), config) as pool:\n"
             "    pool.run()\n"
             "    pool.run()\n"
@@ -323,7 +335,7 @@ class TestSessionIntegration:
     def test_stream_serves_batches_from_the_plane(self, cornell):
         from repro.api import RenderSession, SessionOptions, SimulateRequest
 
-        options = SessionOptions(workers=2, result_plane="on")
+        options = SessionOptions(workers=2)
         request = SimulateRequest(n_photons=400, seed=0xC0FFEE)
         with RenderSession(cornell, options) as session:
             final = None
@@ -337,7 +349,7 @@ class TestSessionIntegration:
     def test_warm_session_reuses_block_objects(self, cornell):
         from repro.api import RenderSession, SessionOptions, SimulateRequest
 
-        options = SessionOptions(workers=2, result_plane="on")
+        options = SessionOptions(workers=2)
         request = SimulateRequest(n_photons=300, seed=0xC0FFEE)
         with RenderSession(cornell, options) as session:
             session.simulate(request)

@@ -104,7 +104,7 @@ class TestSharedRun:
         shared.forest.check_invariants()
         # Replay the same schedule serially.
         from repro.core.simulator import trace_photon
-        from repro.parallel.distributed import rank_share
+        from repro.parallel import rank_share
         from repro.rng import Lcg48
 
         expected = 0

@@ -1,4 +1,4 @@
-"""Shared-memory scene plane: zero-copy attach, lifecycle, fallback.
+"""Shared-memory scene plane: zero-copy attach, lifecycle, failure.
 
 The plane's contract has three parts the tests pin down separately:
 
@@ -10,18 +10,22 @@ The plane's contract has three parts the tests pin down separately:
   pool releases its segment after normal exit *and* after a worker
   exception — :func:`repro.parallel.shmplane.leaked_segments` must stay
   empty, always.
-* **Fallback** — ``share_plane="off"`` and unavailable-platform paths
-  pickle the scene instead, producing the same bytes.
+* **One path** — the plane is the pool's only scene transport on every
+  scene size, and a segment that cannot be created propagates to the
+  caller (no second transport to degrade to) with nothing leaked and
+  the session still serviceable.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import (
     PhotonSimulator,
     SceneArrays,
@@ -30,17 +34,13 @@ from repro.core import (
     forest_to_dict,
 )
 from repro.parallel import shmplane
-from repro.parallel.procpool import (
-    PLANE_MIN_PATCHES,
-    PhotonPool,
-    resolve_share_plane,
-    run_procpool,
-)
+from repro.parallel.procpool import PhotonPool, run_procpool
 from repro.parallel.shmplane import (
     PLANE_SEGMENT_PREFIX,
     attach,
     detach_all,
     leaked_segments,
+    plane_registry,
     publish,
 )
 
@@ -156,66 +156,79 @@ class TestLifecycle:
             assert plane.name in leaked_segments()
 
 
-class TestShareResolution:
-    def test_off_never_shares(self, cornell):
-        assert resolve_share_plane("off", cornell) is False
-
-    def test_auto_skips_small_scenes(self, cornell, mini_scene):
-        # Cornell (30 patches) and the mini scene sit far below the
-        # publish-payoff threshold; pickling them is cheaper.
-        assert len(cornell.patches) < PLANE_MIN_PATCHES
-        assert resolve_share_plane("auto", cornell) is False
-        assert resolve_share_plane("auto", mini_scene) is False
-
-    def test_auto_shares_large_scenes(self, scenes):
-        lab = scenes["computer-lab"]
-        assert len(lab.patches) >= PLANE_MIN_PATCHES
-        assert resolve_share_plane("auto", lab) is True
-
-    def test_on_forces_sharing_even_when_small(self, cornell):
-        assert resolve_share_plane("on", cornell) is True
+class TestAllocationFailure:
+    """A segment that cannot be created propagates; nothing degrades."""
 
     def test_unavailable_platform(self, cornell, monkeypatch):
         monkeypatch.setattr(shmplane, "_shm", None)
-        assert resolve_share_plane("auto", cornell) is False
+        config = SimulationConfig(n_photons=10, engine="vector", workers=2)
         with pytest.raises(RuntimeError, match="unavailable"):
-            resolve_share_plane("on", cornell)
+            PhotonPool(cornell, config).start()
+        # workers=1 never touches shared memory and still serves.
+        with RenderSession(cornell, SessionOptions(workers=1)) as session:
+            result = session.simulate(SimulateRequest(n_photons=50))
+        assert result.stats.photons == 50
 
-    def test_bad_mode_rejected(self, cornell):
-        with pytest.raises(ValueError):
-            resolve_share_plane("sometimes", cornell)
-        with pytest.raises(ValueError):
-            SimulationConfig(n_photons=1, share_plane="sometimes")
+    def test_scene_publish_enospc_propagates_and_session_recovers(
+        self, cornell, enospc_once
+    ):
+        """ENOSPC on the scene publish: the request raises, nothing
+        leaks, no registry reference is taken, and the *next* request on
+        the same session publishes and answers byte-identically."""
+        request = SimulateRequest(n_photons=600, seed=0xC0FFEE)
+        with RenderSession(cornell, SessionOptions(workers=1)) as single:
+            reference = single.simulate(request)
+
+        refused = enospc_once(shmplane)
+        with RenderSession(cornell, SessionOptions(workers=2)) as session:
+            with pytest.raises(OSError) as raised:
+                session.simulate(request)
+            assert raised.value.errno == errno.ENOSPC
+            assert leaked_segments() == []
+            assert plane_registry().refcount(session.program.plane_key) == 0
+            result = session.simulate(request)
+            assert plane_registry().refcount(session.program.plane_key) == 1
+        assert len(refused) == 1
+        assert result.stats == reference.stats
+        assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
+        assert leaked_segments() == []
 
 
 class TestPooledRuns:
-    """Real 2-process pools: both transports, same bytes, no leaks."""
+    """Real 2-process pools: one scene segment, same bytes, no leaks."""
 
     @pytest.fixture(scope="class")
     def reference(self, cornell):
         config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
         return PhotonSimulator(cornell, config).run()
 
-    @pytest.mark.parametrize("share_plane", ["on", "off"])
-    def test_transports_agree_byte_for_byte(self, cornell, reference, share_plane):
+    @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
+    def test_pool_matches_single_process_on_any_scene_size(
+        self, request, scene_name
+    ):
+        """30 patches or 370: the pool publishes exactly one scene
+        segment (plus its result blocks) and reproduces the
+        single-process bytes."""
+        scene = request.getfixturevalue(scene_name)
+        single = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        expected = VectorEngine(scene).run(single)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, share_plane=share_plane,
+            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
         )
-        with PhotonPool(cornell, config) as pool:
-            expected = "plane" if share_plane == "on" else "pickle"
-            assert pool.transport == expected
-            assert set(pool.worker_transports()) == {expected}
+        with PhotonPool(scene, config) as pool:
+            assert leaked_segments() == [pool.plane.name]
             result = pool.run()
-        assert result.stats == reference.stats
-        assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
+            assert leaked_segments() == sorted(
+                [pool.plane.name, pool.result_blocks.name]
+            )
+        assert result.stats == expected.stats
+        assert _forest_bytes(result.forest) == _forest_bytes(expected.forest)
         assert leaked_segments() == []
 
     def test_pool_reuse_across_runs(self, cornell, reference):
         """A persistent pool serves several budgets without re-publishing."""
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, share_plane="on",
+            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
         )
         with PhotonPool(cornell, config) as pool:
             first = pool.run()
@@ -230,45 +243,45 @@ class TestPooledRuns:
         assert _forest_bytes(first.forest) == _forest_bytes(reference.forest)
         assert leaked_segments() == []
 
-    def test_pool_publishes_caller_arrays(self, cornell, reference):
+    def test_pool_publishes_caller_arrays(self, cornell, reference, monkeypatch):
         """arrays= lets a pool publish pre-compiled arrays instead of
         recompiling the scene; answers and cleanup are unchanged."""
-        from repro.core import SceneArrays
-
         precompiled = SceneArrays(cornell)
+        published = []
+        real_publish = shmplane.publish
+
+        def recording_publish(arrays):
+            published.append(arrays)
+            return real_publish(arrays)
+
+        monkeypatch.setattr(shmplane, "publish", recording_publish)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, share_plane="on",
+            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
         )
         with PhotonPool(cornell, config, arrays=precompiled) as pool:
-            assert pool.transport == "plane"
-            assert set(pool.worker_transports()) == {"plane"}
             result = pool.run()
+        assert len(published) == 1 and published[0] is precompiled
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
         assert leaked_segments() == []
 
     def test_pool_attaches_external_plane_without_owning_it(self, cornell, reference):
         """plane_handle= pools attach a registry/session-owned segment
         and must NOT unlink it on close — the owner does."""
-        from repro.core import SceneArrays
-        from repro.parallel.shmplane import publish
-
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, engine="vector", workers=2,
         )
         with publish(SceneArrays(cornell)) as plane:
             with PhotonPool(cornell, config, plane_handle=plane.handle) as pool:
-                assert pool.transport == "plane"
-                assert set(pool.worker_transports()) == {"plane"}
+                assert pool.plane is None  # attached, never published
                 result = pool.run()
             # The pool is closed; the externally owned segment survives.
-            assert leaked_segments() != []
+            assert leaked_segments() == [plane.name]
         assert leaked_segments() == []
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
     def test_worker_exception_releases_segment(self, cornell):
         config = SimulationConfig(
-            n_photons=100, seed=1, engine="vector", workers=2, share_plane="on"
+            n_photons=100, seed=1, engine="vector", workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
             with PhotonPool(cornell, config) as pool:
@@ -276,10 +289,9 @@ class TestPooledRuns:
                 pool._pool.apply(_boom)
         assert leaked_segments() == []
 
-    def test_run_procpool_share_plane_off_matches(self, cornell, reference):
+    def test_run_procpool_without_injected_pool_matches(self, cornell, reference):
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
-            workers=2, share_plane="off",
+            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
         )
         result = run_procpool(cornell, config)
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)

@@ -42,7 +42,7 @@ class TestSessionLevel:
 
     @needs_plane
     def test_multiprocess_stream_cancel_keeps_shm_clean(self, mini_scene):
-        options = SessionOptions(engine="vector", workers=2, share_plane="on")
+        options = SessionOptions(engine="vector", workers=2)
         baseline = len(leaked_segments())
         with RenderSession(mini_scene, options) as session:
             stream = session.simulate_stream(REQUEST, 64)

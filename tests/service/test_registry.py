@@ -148,7 +148,7 @@ class TestResidency:
 class TestEvictionSegmentContract:
     """The satellite contract: evict with a live session, then re-admit."""
 
-    OPTIONS = SessionOptions(engine="vector", workers=2, share_plane="on")
+    OPTIONS = SessionOptions(engine="vector", workers=2)
 
     def test_segment_survives_until_last_release(self):
         async def main():

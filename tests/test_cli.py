@@ -26,15 +26,6 @@ class TestParser:
         )
         assert args.seed == 0xBEEF
 
-    def test_share_plane_flag(self):
-        args = build_parser().parse_args(
-            ["simulate", "s", "--share-plane", "on", "--out", "x.json"]
-        )
-        assert args.share_plane == "on"
-        # Default keeps the pool free to pick the transport.
-        args = build_parser().parse_args(["simulate", "s", "--out", "x.json"])
-        assert args.share_plane == "auto"
-
     def test_trace_accel_flag(self):
         args = build_parser().parse_args(
             ["trace", "s", "--engine", "vector", "--accel", "linear"]
@@ -48,15 +39,6 @@ class TestParser:
         assert args.repeat == 3
         args = build_parser().parse_args(["simulate", "s", "--out", "x.json"])
         assert args.repeat == 1
-
-    def test_result_plane_flag(self):
-        args = build_parser().parse_args(
-            ["simulate", "s", "--result-plane", "off", "--out", "x.json"]
-        )
-        assert args.result_plane == "off"
-        # Default keeps the pool free to pick the return transport.
-        args = build_parser().parse_args(["simulate", "s", "--out", "x.json"])
-        assert args.result_plane == "auto"
 
     def test_serve_args(self):
         args = build_parser().parse_args(
@@ -406,18 +388,20 @@ class TestSimulateViewWorkflow:
         )
         assert "aggregate:" not in out.getvalue()
 
-    def test_result_plane_modes_write_identical_answers(self, tmp_path):
-        """The return-transport knob cannot move a single answer byte."""
-        on, off = tmp_path / "on.json", tmp_path / "off.json"
-        for path, mode in ((on, "on"), (off, "off")):
-            rc = main(
-                ["simulate", "cornell-box", "--photons", "200", "--engine",
-                 "vector", "--workers", "2", "--result-plane", mode,
-                 "--out", str(path)],
-                out=io.StringIO(),
-            )
-            assert rc == 0
-        assert on.read_bytes() == off.read_bytes()
+    def test_two_process_pool_writes_the_single_process_answer(self, tmp_path):
+        """Crossing the process boundary (scene plane in, result blocks
+        out) cannot move a single answer byte — on a 30-patch scene or
+        a 1,902-patch one."""
+        for scene in ("cornell-box", "computer-lab"):
+            pool, single = tmp_path / "w2.json", tmp_path / "w1.json"
+            for path, workers in ((pool, "2"), (single, "1")):
+                rc = main(
+                    ["simulate", scene, "--photons", "200", "--engine",
+                     "vector", "--workers", workers, "--out", str(path)],
+                    out=io.StringIO(),
+                )
+                assert rc == 0
+            assert pool.read_bytes() == single.read_bytes()
 
     def test_view_default_camera_comes_from_scene(self, tmp_path):
         """`repro view` with no --eye frames the scene's registered
