@@ -5,7 +5,8 @@ This walks the full Photon pipeline of the paper (Figure 4.9) through
 the public session API (``repro.api``): a Monte Carlo light-transport
 *simulation* stage that builds the 4-D histogram answer, then a cheap
 single-bounce *viewing* stage that can be repeated from any viewpoint
-without re-simulating (Figure 4.10).
+without re-simulating (Figure 4.10) — batched through the session's
+compiled closest-hit kernel, a 160x120 frame is tens of milliseconds.
 
 The session is the paper's architecture made explicit: a long-lived
 simulation program serving many requests.  The scene is compiled once
@@ -124,7 +125,7 @@ def main() -> None:
             out = args.out_dir / name
             save_radiance_ppm(image, out)
             print(
-                f"rendered {out} in {time.perf_counter() - t0:.1f}s "
+                f"rendered {out} in {(time.perf_counter() - t0) * 1e3:.0f} ms "
                 "(no re-simulation)"
             )
 

@@ -596,6 +596,14 @@ class RenderSession:
     ) -> np.ndarray:
         """The viewing stage: render *answer* from *camera*.
 
+        Eye rays go through the session's warm vector engine — the
+        compiled closest-hit kernel and accelerator the photons use —
+        a band of ``options.batch_size`` rays at a time
+        (:func:`repro.core.viewing.render_rows`), so nothing is
+        compiled per render.  A scalar-engine session has compiled
+        nothing until then: its first render builds ``program.arrays``
+        (the kernel arrays and the flat octree), once.
+
         Args:
             answer: A :class:`~repro.core.simulator.SimulationResult`
                 from this session, or any
@@ -619,7 +627,7 @@ class RenderSession:
                 width=width, height=height, **self.program.default_camera
             )
         field = RadianceField(self.scene, forest)
-        return render(self.scene, field, camera)
+        return render(self.scene, field, camera, engine=self._engine_for(None))
 
     def profile(self, photons: int = 400, seed: int = 2024):
         """Calibration profile measured on this session's engine/accel.

@@ -515,7 +515,7 @@ def _cmd_view(args, out, parser: argparse.ArgumentParser) -> int:
     save_radiance_ppm(image, args.out)
     print(
         f"rendered {args.width}x{args.height} in "
-        f"{time.perf_counter() - t0:.1f}s -> {args.out}",
+        f"{time.perf_counter() - t0:.2f}s -> {args.out}",
         file=out,
     )
     return 0

@@ -272,6 +272,31 @@ class BinTree:
 
     # -- queries ---------------------------------------------------------------
 
+    def leaf_groups(
+        self, coords: np.ndarray
+    ) -> Iterator[tuple[BinNode, np.ndarray]]:
+        """Route the columns of *coords* to their leaves; touch nothing.
+
+        The read-only shape of :meth:`_route`: *coords* is ``[NUM_AXES,
+        m]`` (``s, t, theta, r^2`` per column) and each yield is ``(leaf,
+        rows)`` — *leaf* is what :meth:`find_leaf` returns for every
+        column in the ascending index group *rows*, by the same
+        ``value < mid`` test.  Every column lands in exactly one group.
+        """
+        stack = [(self.root, np.arange(coords.shape[1]))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                yield node, rows
+                continue
+            axis = node.split_axis
+            low = coords[axis, rows] < node.mid(axis)
+            for child, sub in (
+                (node.low_child, rows[low]), (node.high_child, rows[~low])
+            ):
+                if sub.size:
+                    stack.append((child, sub))
+
     def leaves(self) -> Iterator[BinNode]:
         """Iterate over all leaf bins."""
         stack = [self.root]

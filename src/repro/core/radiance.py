@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..geometry.scene import Scene
 from ..geometry.vec import Vec3
 from .binning import BinCoords, TWO_PI
@@ -104,7 +106,10 @@ class RadianceField:
         tree = self.forest.trees.get(key)
         if tree is None:
             return RadianceSample((0.0, 0.0, 0.0), (0, 0, 0), 0, 0)
-        leaf = tree.find_leaf(coords)
+        return self._leaf_sample(patch, tree.find_leaf(coords))
+
+    def _leaf_sample(self, patch, leaf) -> RadianceSample:
+        """The radiance estimate of one resolved *leaf* of *patch*."""
         area_measure = patch.area * leaf.parameter_area()
         proj_omega = leaf.projected_solid_angle()
         denom = area_measure * proj_omega
@@ -115,6 +120,56 @@ class RadianceField:
             for b in range(NUM_BANDS)
         )
         return RadianceSample(rgb, tuple(leaf.counts), leaf.total, leaf.depth)
+
+    def sample_rows(self, patch_ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Radiance for many queries at once, as an ``[m, NUM_BANDS]`` array.
+
+        Args:
+            patch_ids: ``[m]`` patch ids.
+            coords: ``[NUM_AXES, m]`` float64 — ``s, t, theta, r^2`` of
+                each query, inside the :class:`BinCoords` ranges.
+
+        Row *k* is ``sample_coords(patch_ids[k], BinCoords(*coords[:,
+        k])).rgb`` to the bit: queries are stable-sorted by tree key,
+        each tree routes its group to leaves in one
+        :meth:`~repro.core.bintree.BinTree.leaf_groups` pass, and every
+        reached leaf's estimate is computed once, by the scalar
+        expression, then scattered to its rows.  A unit-keyed
+        (``ownership=``) forest resolves each row's key through
+        ``OwnershipMap.unit_of`` one row at a time first — that map is
+        a pointer tree of the reproduction tier, not worth a second
+        router.
+        """
+        m = patch_ids.size
+        sorted_rgb = np.zeros((m, NUM_BANDS))
+        if m == 0:
+            return sorted_rgb
+        if self.ownership is not None:
+            keys = np.array([
+                self.ownership.unit_of(pid, BinCoords(*point))
+                for pid, point in zip(patch_ids.tolist(), coords.T.tolist())
+            ])
+        else:
+            keys = patch_ids
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        patch_ids = patch_ids[order]
+        coords = coords[:, order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        bounds = starts.tolist() + [m]
+        for g, key in enumerate(keys[starts].tolist()):
+            tree = self.forest.trees.get(key)
+            if tree is None:
+                continue
+            a, b = bounds[g], bounds[g + 1]
+            # A unit lies on one patch, so a key group shares its patch.
+            patch = self.scene.patch_by_id(int(patch_ids[a]))
+            group_rgb = sorted_rgb[a:b]
+            for leaf, rows in tree.leaf_groups(coords[:, a:b]):
+                group_rgb[rows] = self._leaf_sample(patch, leaf).rgb
+        rgb = np.empty_like(sorted_rgb)
+        rgb[order] = sorted_rgb
+        return rgb
 
     # -- integral diagnostics ---------------------------------------------------
 

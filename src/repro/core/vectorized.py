@@ -740,10 +740,30 @@ class VectorEngine:
 
     # -- intersection ---------------------------------------------------------
 
+    def _surface_params(self, cols, lpx, lpy, lpz, ldx, ldy, ldz, t):
+        """Where rays reach distance *t*, and that point's ``(s, t)`` on *cols*.
+
+        ``Ray.at`` then :meth:`repro.geometry.polygon.Patch.parameters_of`,
+        expression for expression; the parameters are raw (unclamped).
+        Returns ``(hx, hy, hz, sc, tc)`` in the operands' broadcast shape.
+        """
+        A = self.arrays
+        hx = lpx + t * ldx
+        hy = lpy + t * ldy
+        hz = lpz + t * ldz
+        wx = hx - A.p0x[cols]
+        wy = hy - A.p0y[cols]
+        wz = hz - A.p0z[cols]
+        wu = (wx * A.eux[cols] + wy * A.euy[cols]) + wz * A.euz[cols]
+        wv = (wx * A.evx[cols] + wy * A.evy[cols]) + wz * A.evz[cols]
+        sc = (wu * A.inv_vv[cols] - wv * A.inv_uv[cols]) * A.det_inv[cols]
+        tc = (wv * A.inv_uu[cols] - wu * A.inv_uv[cols]) * A.det_inv[cols]
+        return hx, hy, hz, sc, tc
+
     def _plane_hits(self, cols, lpx, lpy, lpz, ldx, ldy, ldz):
         """Ray/plane + barycentric test of rays against patches *cols*.
 
-        The single home of the bit-exact intersection arithmetic
+        The single home of the bit-exact intersection test
         (:meth:`repro.geometry.polygon.Patch.intersect` expression for
         expression).  Broadcast-shape agnostic: the dense scan passes
         ``[n, 1]`` ray operands against ``[P]`` columns, the pair kernel
@@ -757,23 +777,40 @@ class VectorEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (A.d_plane[cols] - ndoto) / denom
             ok = ((denom <= -1e-14) | (denom >= 1e-14)) & (t > EPSILON)
-
-            # Rejected lanes may carry inf/NaN t here; their products are
-            # masked out below, so only the warnings need suppressing.
-            hx = lpx + t * ldx
-            hy = lpy + t * ldy
-            hz = lpz + t * ldz
-            wx = hx - A.p0x[cols]
-            wy = hy - A.p0y[cols]
-            wz = hz - A.p0z[cols]
-            wu = (wx * A.eux[cols] + wy * A.euy[cols]) + wz * A.euz[cols]
-            wv = (wx * A.evx[cols] + wy * A.evy[cols]) + wz * A.evz[cols]
-            sc = (wu * A.inv_vv[cols] - wv * A.inv_uv[cols]) * A.det_inv[cols]
-            tc = (wv * A.inv_uu[cols] - wu * A.inv_uv[cols]) * A.det_inv[cols]
+            # Rejected lanes may carry inf/NaN t here; their parameters
+            # are masked out below, so only the warnings need suppressing.
+            _, _, _, sc, tc = self._surface_params(
+                cols, lpx, lpy, lpz, ldx, ldy, ldz, t
+            )
         tol = 1e-9
         ok &= (sc >= -tol) & (sc <= 1.0 + tol) & (tc >= -tol) & (tc <= 1.0 + tol)
         self.patch_tests += t.size
         return t, ok
+
+    def hit_attributes(self, px, py, pz, dx, dy, dz, pi, t_hit):
+        """What :class:`repro.geometry.polygon.Hit` records, for many hits.
+
+        Args:
+            px .. dz: Ray origins and unit directions, one lane per hit.
+            pi / t_hit: Each lane's hit patch and distance, as
+                :meth:`closest_hit` returned them (hit lanes only).
+
+        Returns:
+            ``(hx, hy, hz, s, t, backface)``: the hit point, its
+            bilinear patch parameters clamped to [0, 1], and whether the
+            ray arrived against the stored geometric normal — the
+            ``Patch.intersect`` arithmetic, so the bounce loop and the
+            viewing stage tally and look up exactly where the scalar
+            tracer would.
+        """
+        A = self.arrays
+        hx, hy, hz, hs, ht = self._surface_params(
+            pi, px, py, pz, dx, dy, dz, t_hit
+        )
+        hs = np.minimum(np.maximum(hs, 0.0), 1.0)
+        ht = np.minimum(np.maximum(ht, 0.0), 1.0)
+        denom = (A.nx[pi] * dx + A.ny[pi] * dy) + A.nz[pi] * dz
+        return hx, hy, hz, hs, ht, denom > 0.0
 
     def _test_patches(
         self, px, py, pz, dx, dy, dz, cols: np.ndarray,
@@ -836,13 +873,17 @@ class VectorEngine:
         best_t[lanes[update]] = t[update]
         best_i[lanes[update]] = cols[update]
 
-    def _intersect(
+    def closest_hit(
         self, px, py, pz, dx, dy, dz
     ) -> tuple[np.ndarray, np.ndarray]:
         """Closest hit per lane: (patch index or -1, distance).
 
-        Dispatches on ``self.accel``; every mode computes the identical
-        reduction (closest ``t``, exact ties to the largest patch id).
+        The batched :meth:`repro.geometry.scene.Scene.intersect`: one
+        lane per ray, origins and unit directions as six equal-length
+        float64 arrays.  Photon bounces and the viewing stage's eye rays
+        both resolve here.  Dispatches on ``self.accel``; every mode
+        computes the identical reduction (closest ``t``, exact ties to
+        the largest patch id).
         """
         n = px.size
         best_t = np.full(n, np.inf)
@@ -915,8 +956,12 @@ class VectorEngine:
         t2z = ax * t1y - ay * t1x
         return t1x, t1y, t1z, t2x, t2y, t2z
 
-    def _local_frame(self, dx, dy, dz, pidx):
-        """Vectorized :func:`repro.core.reflection.local_frame_coords`."""
+    def local_frame(self, dx, dy, dz, pidx):
+        """Vectorized :func:`repro.core.reflection.local_frame_coords`.
+
+        ``(theta, r^2)`` of world directions leaving patches *pidx*, in
+        each patch's canonical tangent frame.
+        """
         A = self.arrays
         lx = (dx * A.ft1x[pidx] + dy * A.ft1y[pidx]) + dz * A.ft1z[pidx]
         ly = (dx * A.ft2x[pidx] + dy * A.ft2y[pidx]) + dz * A.ft2z[pidx]
@@ -974,7 +1019,7 @@ class VectorEngine:
                 if not gidx.size:
                     break
 
-            pi, t_hit = self._intersect(px, py, pz, dx, dy, dz)
+            pi, t_hit = self.closest_hit(px, py, pz, dx, dy, dz)
             hit = pi >= 0
             stats.escapes += int((~hit).sum())
             if not hit.any():
@@ -984,21 +1029,9 @@ class VectorEngine:
             )
             n = gidx.size
 
-            # Hit attributes, recomputed exactly as Patch.intersect does.
-            hx = px + t_hit * dx
-            hy = py + t_hit * dy
-            hz = pz + t_hit * dz
-            wx = hx - A.p0x[pi]
-            wy = hy - A.p0y[pi]
-            wz = hz - A.p0z[pi]
-            wu = (wx * A.eux[pi] + wy * A.euy[pi]) + wz * A.euz[pi]
-            wv = (wx * A.evx[pi] + wy * A.evy[pi]) + wz * A.evz[pi]
-            hs = (wu * A.inv_vv[pi] - wv * A.inv_uv[pi]) * A.det_inv[pi]
-            ht = (wv * A.inv_uu[pi] - wu * A.inv_uv[pi]) * A.det_inv[pi]
-            hs = np.minimum(np.maximum(hs, 0.0), 1.0)
-            ht = np.minimum(np.maximum(ht, 0.0), 1.0)
-            denom = (A.nx[pi] * dx + A.ny[pi] * dy) + A.nz[pi] * dz
-            backface = denom > 0.0
+            hx, hy, hz, hs, ht, backface = self.hit_attributes(
+                px, py, pz, dx, dy, dz, pi, t_hit
+            )
             snx = np.where(backface, -A.nx[pi], A.nx[pi])
             sny = np.where(backface, -A.ny[pi], A.ny[pi])
             snz = np.where(backface, -A.nz[pi], A.nz[pi])
@@ -1057,8 +1090,8 @@ class VectorEngine:
                 break
 
             ridx = np.nonzero(reflected)[0]
-            theta, r2 = self._local_frame(out_dx[ridx], out_dy[ridx],
-                                          out_dz[ridx], pi[ridx])
+            theta, r2 = self.local_frame(out_dx[ridx], out_dy[ridx],
+                                         out_dz[ridx], pi[ridx])
             ev.append(EventBatch(
                 gidx[ridx], bounces[ridx] + 1, pi[ridx],
                 hs[ridx], ht[ridx], theta, r2, new_band[ridx],

@@ -589,6 +589,10 @@ class RenderService:
         params, camera_spec = self._parse_render(body)
         t0 = self._loop.time()
         entry = await self._resident(spec)
+        # The camera needs the scene's defaults, hence the resident
+        # program; a view no ray can be built for is the client's error
+        # and costs it no session and no trace.
+        camera = _build_camera(entry.program.default_camera, camera_spec)
         remaining = params.deadline - (self._loop.time() - t0)
         if remaining <= 0:
             raise DeadlineExceeded(
@@ -604,25 +608,9 @@ class RenderService:
             )
 
         def run() -> bytes:
-            from ..core.viewing import Camera
-            from ..geometry import Vec3
             from ..image.ppm import ppm_bytes
             from ..image.tonemap import to_uint8
 
-            defaults = session.program.default_camera
-            eye = camera_spec.get("eye")
-            look = camera_spec.get("look_at")
-            fov = camera_spec.get("fov")
-            camera = Camera(
-                position=Vec3(*eye) if eye else defaults["position"],
-                look_at=Vec3(*look) if look else defaults["look_at"],
-                vertical_fov_degrees=(
-                    fov if fov is not None
-                    else defaults.get("vertical_fov_degrees", 55.0)
-                ),
-                width=camera_spec["width"],
-                height=camera_spec["height"],
-            )
             image = session.render_view(params.request, camera)
             return ppm_bytes(to_uint8(image, key=0.4))
 
@@ -846,6 +834,36 @@ def _close_stream(
     # cleared; anything left is unreachable state on a dead stream).
     except Exception:  # pragma: no cover — close must never mask cleanup
         pass
+
+
+def _build_camera(defaults: dict, spec: dict):
+    """The request's :class:`~repro.core.Camera` over the scene *defaults*.
+
+    Raises:
+        BadRequest: when the overrides make a camera
+            :class:`~repro.core.Camera` rejects — non-finite
+            coordinates, ``eye == look_at``, a view direction parallel
+            to ``up``.
+    """
+    from ..core.viewing import Camera
+    from ..geometry import Vec3
+
+    eye = spec.get("eye")
+    look = spec.get("look_at")
+    fov = spec.get("fov")
+    try:
+        return Camera(
+            position=Vec3(*eye) if eye else defaults["position"],
+            look_at=Vec3(*look) if look else defaults["look_at"],
+            vertical_fov_degrees=(
+                fov if fov is not None
+                else defaults.get("vertical_fov_degrees", 55.0)
+            ),
+            width=spec["width"],
+            height=spec["height"],
+        )
+    except ValueError as exc:
+        raise BadRequest(f"bad camera: {exc}") from None
 
 
 def _stream_error_line(code: str, message: str) -> bytes:

@@ -38,6 +38,41 @@ class TestCamera:
         with pytest.raises(ValueError):
             Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), vertical_fov_degrees=180.0)
 
+    @pytest.mark.parametrize(
+        "position,look_at,up",
+        [
+            ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (0, 1, 0)),  # no view direction
+            ((0.5, 0.0, 0.5), (0.5, 1.0, 0.5), (0, 1, 0)),  # looking along up
+            ((0, 0, 0), (0, 0, 1), (0, 0, 0)),  # no up
+            ((float("nan"), 0, 0), (0, 0, 1), (0, 1, 0)),
+            ((0, 0, 0), (float("inf"), 0, 1), (0, 1, 0)),
+            ((0, 0, 0), (0, 0, 1), (0, float("nan"), 0)),
+            ((1e308, 0, 0), (-1e308, 0, 0), (0, 1, 0)),  # difference overflows
+            ((1e200, 0, 0), (0, 0, 0), (0, 1, 0)),  # its length does
+        ],
+    )
+    def test_degenerate_or_non_finite_view_is_rejected(self, position, look_at, up):
+        with pytest.raises(ValueError):
+            Camera(Vec3(*position), Vec3(*look_at), Vec3(*up))
+
+    def test_straight_down_with_a_usable_up_is_fine(self):
+        camera = Camera(Vec3(0.5, 0.9, 0.5), Vec3(0.5, 0.0, 0.5), up=Vec3(0, 0, 1))
+        assert camera.primary_ray(80, 60).direction.y < -0.99
+
+    def test_frame_is_computed_once_and_shared(self, camera):
+        assert camera.frame is camera.frame
+        assert camera.basis() == camera.frame[:3]
+        half_h = camera.frame.half_h
+        assert camera.frame.half_w == half_h * camera.width / camera.height
+        # primary_ray is the frame's arithmetic: the corner pixel's ray
+        # leans a full half extent less half a pixel both ways.
+        right, up, forward, half_w, _ = camera.frame
+        ray = camera.primary_ray(0, 0)
+        x = -(1.0 - 1.0 / camera.width) * half_w
+        y = (1.0 - 1.0 / camera.height) * half_h
+        want = (forward + right * x + up * y).normalized()
+        assert ray.direction.dot(want) == pytest.approx(1.0)
+
     def test_center_ray_is_forward(self, camera):
         ray = camera.primary_ray(camera.width / 2 - 0.5, camera.height / 2 - 0.5)
         forward = (camera.look_at - camera.position).normalized()

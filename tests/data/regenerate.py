@@ -13,13 +13,25 @@ single-stream physics.  The regression tests in
 ``tests/core/test_golden_answers.py`` diff fresh runs against these
 bytes, so *any* silent drift — RNG order, intersection tie rules, split
 statistics, serialisation — fails loudly.
+
+``images.sha256`` pins the viewing stage the same way: each substream
+golden rendered at 64x48 from its scene's default camera, tone-mapped
+and PPM-encoded, one ``sha256sum``-format line per image (so CI can
+check a ``repro view`` output with ``sha256sum -c``).  The committed
+hashes were first produced by the per-pixel scalar viewer that the
+batched one replaced; ``tests/core/test_golden_images.py`` holds every
+later viewer to them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
-from repro.core import PhotonSimulator, SimulationConfig, save_answer
+from repro.api import RenderSession
+from repro.core import PhotonSimulator, SimulationConfig, load_answer, save_answer
+from repro.image.ppm import ppm_bytes
+from repro.image.tonemap import to_uint8
 from repro.scenes import build_scene
 
 DATA_DIR = Path(__file__).parent
@@ -31,11 +43,25 @@ SCENES = ("cornell-box", "computer-lab", "harpsichord-room")
 #: golden diff, exactly like a physics change).  Filenames replace the
 #: spec's ':' with '-': gen:office-64 -> gen-office-64.substream.answer.json.
 GEN_SCENES = ("gen:office-64",)
+IMAGE_HASHES = DATA_DIR / "images.sha256"
+IMAGE_WIDTH, IMAGE_HEIGHT = 64, 48
 
 
 def golden_name(spec: str) -> str:
     """Committed answerfile name for a scene name or ``gen:`` spec."""
     return f"{spec.replace(':', '-')}.substream.answer.json"
+
+
+def golden_image_name(spec: str) -> str:
+    """Name of the PPM that :data:`IMAGE_HASHES` lists for *spec*."""
+    return f"{spec.replace(':', '-')}.{IMAGE_WIDTH}x{IMAGE_HEIGHT}.ppm"
+
+
+def golden_image_bytes(scene, forest) -> bytes:
+    """*forest* viewed from *scene*'s default camera, as `repro view` writes it."""
+    with RenderSession(scene) as session:
+        image = session.render(forest, width=IMAGE_WIDTH, height=IMAGE_HEIGHT)
+    return ppm_bytes(to_uint8(image))
 
 
 def golden_config(engine: str, rng_mode: str) -> SimulationConfig:
@@ -49,12 +75,20 @@ def golden_config(engine: str, rng_mode: str) -> SimulationConfig:
 
 
 def main() -> None:
+    image_lines = []
     for name in SCENES + GEN_SCENES:
         scene = build_scene(name)
         result = PhotonSimulator(scene, golden_config("scalar", "substream")).run()
         out = DATA_DIR / golden_name(name)
         save_answer(result.forest, out)
         print(f"wrote {out} ({out.stat().st_size} bytes)")
+        # Rendered from the file just written, exactly as `repro view` would.
+        ppm = golden_image_bytes(scene, load_answer(out))
+        image_lines.append(
+            f"{hashlib.sha256(ppm).hexdigest()}  {golden_image_name(name)}\n"
+        )
+    IMAGE_HASHES.write_text("".join(image_lines))
+    print(f"wrote {IMAGE_HASHES} ({len(image_lines)} images)")
     scene = build_scene("cornell-box")
     result = PhotonSimulator(scene, golden_config("scalar", "stream")).run()
     out = DATA_DIR / "cornell-box.stream.answer.json"

@@ -95,8 +95,8 @@ class TestRoundTrip:
 def _assert_flat_equals_linear(scene, rays):
     """Flat walk vs the oracle: a dense scan over every patch under the
     canonical tie rule.  Returns the (agreed) ``(best_i, best_t)``."""
-    got_i, got_t = VectorEngine(scene, accel="flat")._intersect(*rays)
-    want_i, want_t = VectorEngine(scene, accel="linear")._intersect(*rays)
+    got_i, got_t = VectorEngine(scene, accel="flat").closest_hit(*rays)
+    want_i, want_t = VectorEngine(scene, accel="linear").closest_hit(*rays)
     assert got_i.tolist() == want_i.tolist()
     assert got_t.tolist() == want_t.tolist()
     return got_i, got_t
@@ -152,7 +152,7 @@ class TestClosestHitParity:
         dx = np.full(n, 1.0)
         dy = np.zeros(n)
         dz = np.zeros(n)
-        best_i, best_t = engine._intersect(px, py, pz, dx, dy, dz)
+        best_i, best_t = engine.closest_hit(px, py, pz, dx, dy, dz)
         assert (best_i == -1).all()
         assert np.isinf(best_t).all()
 
@@ -348,7 +348,7 @@ class TestExactTies:
         entry, _ = flatoctree.slab_spans(*below, *(r[0] for r in rays[:3]),
                                          np.inf, -1.0, np.inf)
         assert entry == 0.5
-        best_i, best_t = engine._intersect(*rays)
+        best_i, best_t = engine.closest_hit(*rays)
         assert best_t.tolist() == [0.5, 0.5]
         assert best_i.tolist() == [SHELF_SMALL, SHELF_SMALL]
 
@@ -360,15 +360,15 @@ class TestWaves:
         n = 2 * flatoctree.WAVE_LANES + 37
         rays = _random_rays(lab_small, np.random.default_rng(11), n)
         engine = VectorEngine(lab_small, accel="flat")
-        whole_i, whole_t = engine._intersect(*rays)
-        want_i, want_t = VectorEngine(lab_small, accel="linear")._intersect(*rays)
+        whole_i, whole_t = engine.closest_hit(*rays)
+        want_i, want_t = VectorEngine(lab_small, accel="linear").closest_hit(*rays)
         assert whole_i.tolist() == want_i.tolist()
         assert whole_t.tolist() == want_t.tolist()
 
         def by_slices(step, lanes):
             out_i, out_t = [], []
             for a in lanes:
-                bi, bt = engine._intersect(*(r[a:a + step] for r in rays))
+                bi, bt = engine.closest_hit(*(r[a:a + step] for r in rays))
                 out_i += bi.tolist()
                 out_t += bt.tolist()
             return out_i, out_t
@@ -383,10 +383,10 @@ class TestWaves:
     def test_wave_size_cannot_matter(self, lab_small, monkeypatch):
         rays = _random_rays(lab_small, np.random.default_rng(12), 300)
         engine = VectorEngine(lab_small, accel="flat")
-        want = [a.tolist() for a in engine._intersect(*rays)]
+        want = [a.tolist() for a in engine.closest_hit(*rays)]
         for wave in (1, 7, 64, 299, 300, 301):
             monkeypatch.setattr(flatoctree, "WAVE_LANES", wave)
-            assert [a.tolist() for a in engine._intersect(*rays)] == want
+            assert [a.tolist() for a in engine.closest_hit(*rays)] == want
 
     def test_one_kernel_call_per_level_per_wave(self, lab_small):
         """The regression guard for per-node dispatch: callbacks are
@@ -418,7 +418,7 @@ class TestDegenerateShapes:
         rays = _random_rays(mini_scene, np.random.default_rng(5), 200)
         best_i, _ = _assert_flat_equals_linear(mini_scene, rays)
         assert (best_i >= 0).all()
-        assert engine._intersect(*rays)[0].tolist() == best_i.tolist()
+        assert engine.closest_hit(*rays)[0].tolist() == best_i.tolist()
         assert engine.box_tests == 200
         assert engine.patch_tests == 200 * 8
         flat_events, flat_stats = engine.trace_range(0xAB, 0, 300)
@@ -433,7 +433,7 @@ class TestDegenerateShapes:
         scene = request.getfixturevalue(scene_fixture)
         engine = VectorEngine(scene, accel="flat")
         empty = np.empty(0)
-        best_i, best_t = engine._intersect(*(empty,) * 6)
+        best_i, best_t = engine.closest_hit(*(empty,) * 6)
         assert best_i.shape == best_t.shape == (0,)
         assert best_i.dtype == np.int64
         assert engine.box_tests == 0 and engine.patch_tests == 0
@@ -448,7 +448,7 @@ class TestDegenerateShapes:
         engine = VectorEngine(lab_small, accel="flat")
         n = 5
         far = np.full(n, 1e6)
-        best_i, _ = engine._intersect(far, far, far, np.ones(n), np.zeros(n), np.zeros(n))
+        best_i, _ = engine.closest_hit(far, far, far, np.ones(n), np.zeros(n), np.zeros(n))
         assert (best_i == -1).all()
         assert engine.box_tests == n and engine.patch_tests == 0
 
@@ -491,7 +491,7 @@ class TestFlatEqualsLinearProperty:
         py = lo.y + r[:, 1] * (hi.y - lo.y)
         pz = lo.z + r[:, 2] * (hi.z - lo.z)
         args = (px, py, pz, r[:, 3].copy(), r[:, 4].copy(), r[:, 5].copy())
-        got_i, got_t = flat._intersect(*args)
-        want_i, want_t = linear._intersect(*args)
+        got_i, got_t = flat.closest_hit(*args)
+        want_i, want_t = linear.closest_hit(*args)
         assert got_i.tolist() == want_i.tolist()
         assert got_t.tolist() == want_t.tolist()

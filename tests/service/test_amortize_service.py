@@ -174,6 +174,37 @@ class TestRenderEndpoint:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "view",
+        [
+            {"eye": [0.5, 0.5, 0.5], "look_at": [0.5, 0.5, 0.5]},
+            {"eye": [0.5, 0.0, 0.5], "look_at": [0.5, 1.0, 0.5]},  # along up
+            {"eye": [float("nan"), 0.5, 0.5]},
+            {"eye": [1e308, 0.0, 0.0], "look_at": [-1e308, 0.0, 0.0]},
+        ],
+        ids=["eye-is-look-at", "up-parallel", "nan", "overflow"],
+    )
+    def test_degenerate_camera_is_400_before_any_session(self, amortized, view):
+        """A view no ray can be built for costs no session, trace or cache."""
+        before = service_stats(amortized)
+        status, _, body = amortized.request(
+            "POST",
+            "/scenes/cornell-box/render",
+            {"photons": 55, "seed": 77_001, "width": 8, "height": 6, **view},
+        )
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad-request"
+        after = service_stats(amortized)
+        assert (
+            after["requests"]["bad_requests"]
+            == before["requests"]["bad_requests"] + 1
+        )
+        for stanza in ("pool", "amortize"):
+            assert (
+                after["scenes"]["cornell-box"][stanza]
+                == before["scenes"]["cornell-box"][stanza]
+            )
+
     def test_get_render_is_405(self, amortized):
         status, _, _ = amortized.request(
             "GET", "/scenes/cornell-box/render"
