@@ -22,6 +22,7 @@ from repro.cluster import (
     INDY_CLUSTER,
     POWER_ONYX,
     SP2,
+    profile_scene,
     trace_family,
 )
 from repro.parallel import DistributedConfig, load_imbalance, run_distributed
@@ -59,13 +60,10 @@ def main() -> None:
     dist.forest.check_invariants()
 
     # ---- Era platform traces ---------------------------------------------
-    # Calibration through the session API, on the scalar reference
-    # engine (what `repro trace` defaults to, and what this example has
-    # always measured the era models against).
-    from repro.api import RenderSession, SessionOptions
-
-    with RenderSession(scene, SessionOptions(engine="scalar")) as session:
-        profile = session.profile(photons=250)
+    # Calibration on the scalar reference engine (what `repro trace`
+    # defaults to, and what this example has always measured the era
+    # models against).
+    profile = profile_scene(scene, photons=250, engine="scalar")
     print("\nscene profile:", profile)
 
     grid = {}

@@ -1,4 +1,4 @@
-"""Cross-request amortization caches: exact reuse of traced photons.
+"""Cross-request amortization: exact reuse of traced photons.
 
 The per-photon counter-based LCG substreams
 (:func:`repro.core.vectorized.photon_substream`) make photon *i*'s
@@ -6,28 +6,30 @@ trajectory independent of every other photon, so the events of photons
 ``[0, n)`` are a strict prefix of the events of ``[0, m)`` for any
 ``m > n``.  Canonical tally replay is order-insensitive to chunking
 (the stream-parity contract), which turns that prefix property into an
-*exact* serving optimisation: a request for ``m`` photons can deep-copy
-a cached ``n``-photon forest and trace only ``[n, m)`` — byte-identical
-to a cold full-budget run, never an approximation.
+*exact* serving optimisation: a request for ``m`` photons can start
+from a cached ``n``-photon forest and trace only ``[n, m)`` —
+byte-identical to a cold full-budget run, never an approximation.
 
-Two caches implement the idea, both owned by the
+One cache implements the idea: :class:`ForestCache`, owned by the
 :class:`~repro.api.SceneProgram` (the compile-once object every session
 on a scene shares) so all sessions in a service
-:class:`~repro.service.pool.SessionPool` share hits:
+:class:`~repro.service.pool.SessionPool` share hits.  It holds built
+forests keyed by the **camera- and budget-free trace key** (engine,
+resolved RNG discipline, split policy, fluorescence, seed).  The key
+deliberately excludes the accelerator and worker count: answers are
+accel/worker-invariant (the golden matrix pins this), so a forest
+traced by one session shape tops up a request served by another.
 
-* :class:`ForestCache` — built forests keyed by the **camera- and
-  budget-free trace key** (engine, resolved RNG discipline, split
-  policy, fluorescence, seed).  The key deliberately excludes the
-  accelerator and worker count: answers are accel/worker-invariant
-  (the golden matrix pins this), so a forest traced by one session
-  shape tops up a request served by another.
-* :class:`ResultCache` — the promotion of the old per-session
-  ``cache_results`` memo: whole :class:`SimulationResult` objects keyed
-  by the frozen :class:`~repro.api.SimulateRequest`, one shared cache
-  per (program, options) pair.  Per-session opt-out is unchanged —
-  ``SessionOptions(cache_results=False)`` simply never consults it.
+The sharing rule: **hits share, the first extension copies, nothing
+reachable from the cache is ever mutated.**  A serve that traces
+nothing (an exact repeat, an already-converged early stop, a
+camera-only render) returns the cached forest object itself; a top-up
+deep-copies it once, immediately before the first chunk that extends
+it, and stores the grown copy.  Every reader of a served forest
+(serialisation, the radiance field, the convergence summary) is
+read-only, which is what makes handing out the shared object sound.
 
-Both caches are thread-safe bounded LRUs: sessions in a pool serve on
+The cache is a thread-safe bounded LRU: sessions in a pool serve on
 concurrent executor threads, and a long-lived serving process must not
 accumulate every forest it ever traced.  Amortization counters (exact
 hits, top-ups, camera-only hits, photons saved, early stops) live here
@@ -42,14 +44,12 @@ from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.bintree import BinForest
-    from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
-    from .requests import SimulateRequest
+    from ..core.simulator import SimulationConfig, TraceStats
 
 __all__ = [
     "DEFAULT_FOREST_CACHE_ENTRIES",
     "CachedTrace",
     "ForestCache",
-    "ResultCache",
     "trace_key",
 ]
 
@@ -80,9 +80,11 @@ def trace_key(config: "SimulationConfig") -> tuple:
 class CachedTrace:
     """An immutable-by-convention cached trace: the ``n``-photon forest.
 
-    The forest object is shared with the :class:`SimulationResult` it
-    was served in; consumers must deep-copy before extending it (the
-    top-up path does), never mutate it in place.
+    The forest and stats objects are shared with every
+    :class:`SimulationResult` served from this entry — the cold serve
+    that stored it and each later hit that traced nothing; consumers
+    must deep-copy before extending them (the top-up path does), never
+    mutate them in place.
     """
 
     __slots__ = ("n", "forest", "stats")
@@ -185,58 +187,4 @@ class ForestCache:
                 "camera_only_hits": self.camera_only_hits,
                 "photons_saved": self.photons_saved,
                 "early_stops": self.early_stops,
-            }
-
-
-class ResultCache:
-    """Thread-safe bounded LRU of whole results, keyed by request.
-
-    The program-level promotion of the per-session ``cache_results``
-    memo: every session opened with the same options on one program
-    shares this cache, so a repeated request hits no matter which
-    pooled session serves it.  Determinism makes the memo sound —
-    re-tracing an equal request could only reproduce equal bytes.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[SimulateRequest, SimulationResult]"
-        self._entries = OrderedDict()
-        self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        """Cached requests, least- to most-recently used (tests peek)."""
-        with self._lock:
-            return iter(list(self._entries))
-
-    def get(self, request: "SimulateRequest") -> Optional["SimulationResult"]:
-        """The cached result for ``request`` (refreshed), else None."""
-        with self._lock:
-            result = self._entries.get(request)
-            if result is not None:
-                self._entries.move_to_end(request)
-                self.hits += 1
-            return result
-
-    def put(self, request: "SimulateRequest", result: "SimulationResult") -> None:
-        """Cache ``result`` for ``request``, evicting the LRU past bound."""
-        with self._lock:
-            self._entries[request] = result
-            self._entries.move_to_end(request)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def snapshot(self) -> dict:
-        """Occupancy and hit counters, read under the lock."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
             }

@@ -33,6 +33,7 @@ import threading
 from typing import Optional, TYPE_CHECKING
 
 from ..geometry.scene import Scene
+from .amortize import ForestCache
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.vectorized import SceneArrays
@@ -77,11 +78,9 @@ class SceneProgram:
         self._arrays_lock = threading.Lock()
         self._plane_lock = threading.Lock()
         self._plane_acquires = 0
-        # Program-shared amortization caches (repro.api.amortize):
-        # created lazily so sessions that opt out pay nothing.
-        self._caches_lock = threading.Lock()
-        self._forest_cache = None
-        self._result_caches: dict = {}
+        # The program-shared amortization cache (repro.api.amortize);
+        # sessions opt in with SessionOptions(amortize=True).
+        self._forest_cache = ForestCache()
         if eager:
             _ = self.arrays
 
@@ -132,77 +131,31 @@ class SceneProgram:
         """The scene's viewing defaults (see ``Scene.default_camera``)."""
         return self.scene.default_camera
 
-    # -- shared amortization caches ----------------------------------------
+    # -- shared amortization cache -----------------------------------------
 
-    def forest_cache(self):
+    def forest_cache(self) -> ForestCache:
         """The program's shared :class:`~repro.api.amortize.ForestCache`.
 
         One cache per program, shared by every session that opts in
         with ``SessionOptions(amortize=True)`` — the trace key is
         accel/worker-free, so differently provisioned sessions top each
-        other up.  Created on first use.
+        other up.
         """
-        from .amortize import ForestCache
-
-        with self._caches_lock:
-            if self._forest_cache is None:
-                self._forest_cache = ForestCache()
-            return self._forest_cache
-
-    def result_cache_for(self, options):
-        """The shared :class:`~repro.api.amortize.ResultCache` for *options*.
-
-        Keyed by the (frozen, hashable) :class:`SessionOptions` value,
-        so a pool's identically provisioned sessions share one cache
-        while sessions with a different bound or engine get their own
-        (results carry their provisioning in ``result.config``).
-        """
-        from .amortize import ResultCache
-
-        bound = options.result_cache_entries
-        if bound <= 0:
-            raise ValueError(
-                "result_cache_for needs options with cache_results enabled"
-            )
-        with self._caches_lock:
-            cache = self._result_caches.get(options)
-            if cache is None:
-                cache = ResultCache(bound)
-                self._result_caches[options] = cache
-            return cache
+        return self._forest_cache
 
     def amortize_stats(self) -> dict:
-        """Aggregated amortization counters (the /stats stanza).
-
-        Result-cache hits are the request-level exact hits; the forest
-        cache contributes trace-level exact hits, top-ups, camera-only
-        serves, photons saved, and early stops.
+        """The forest cache's counters and occupancy (the /stats stanza):
+        exact hits, top-ups, camera-only serves, photons saved, early
+        stops, and the number of cached forests.
         """
-        with self._caches_lock:
-            forest = self._forest_cache
-            result_hits = sum(
-                cache.hits for cache in self._result_caches.values()
-            )
-            result_entries = sum(
-                len(cache) for cache in self._result_caches.values()
-            )
-        snap = forest.snapshot() if forest is not None else {
-            "entries": 0,
-            "max_entries": 0,
-            "exact_hits": 0,
-            "topups": 0,
-            "camera_only_hits": 0,
-            "photons_saved": 0,
-            "early_stops": 0,
-        }
+        snap = self._forest_cache.snapshot()
         return {
-            "exact_hits": snap["exact_hits"] + result_hits,
+            "exact_hits": snap["exact_hits"],
             "topups": snap["topups"],
             "camera_only_hits": snap["camera_only_hits"],
             "photons_saved": snap["photons_saved"],
             "early_stops": snap["early_stops"],
             "forest_entries": snap["entries"],
-            "result_entries": result_entries,
         }
 
     # -- shared plane ------------------------------------------------------

@@ -10,8 +10,7 @@ requests, so the public API separates them:
 
 * :class:`SimulateRequest` — frozen, hashable, per-call.  Two equal
   requests on the same session produce byte-identical answers; being
-  hashable makes requests usable as cache keys by result-caching
-  frontends.
+  hashable makes requests safe to log and deduplicate.
 * :class:`SessionOptions` — frozen, hashable, per-session.  Changing
   any of these means provisioning different resources (another engine,
   another pool), which is exactly what a new
@@ -26,7 +25,7 @@ same rules as ever, so the split cannot drift from the one-shot path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING, Union
+from typing import Optional, TYPE_CHECKING
 
 from ..core.bintree import SplitPolicy
 from ..core.simulator import (
@@ -40,19 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.fluorescence import FluorescenceSpec
 
 __all__ = [
-    "DEFAULT_RESULT_CACHE_ENTRIES",
     "SimulateRequest",
     "SessionOptions",
     "merge_config",
     "split_config",
 ]
-
-#: Memo bound applied by ``SessionOptions(cache_results=True)``: enough
-#: for a frontend's hot request set, small enough that a long-lived
-#: session cannot accumulate every answer forest it ever produced (the
-#: unbounded-growth trap the plain-dict cache had).
-DEFAULT_RESULT_CACHE_ENTRIES = 64
-
 
 @dataclass(frozen=True)
 class SimulateRequest:
@@ -127,30 +118,18 @@ class SessionOptions:
         batch_size: Photons per structure-of-arrays batch, and the
             default chunk size of
             :meth:`~repro.api.RenderSession.simulate_stream`.
-        cache_results: Memoize :meth:`~repro.api.RenderSession.simulate`
-            results keyed by the (frozen, hashable)
-            :class:`SimulateRequest`: a repeated request returns the
-            identical answer object without re-tracing.  ``False`` (the
-            default) disables the memo; ``True`` bounds it at
-            :data:`DEFAULT_RESULT_CACHE_ENTRIES` distinct requests; an
-            ``int >= 1`` sets the bound explicitly.  Eviction is LRU —
-            a cache hit refreshes the entry — and an evicted request
-            simply re-traces, which determinism guarantees reproduces
-            identical bytes, so the bound can never change an answer.
-            The memo lives on the session's
-            :class:`~repro.api.SceneProgram` (one shared cache per
-            program + options pair), so every session a service pool
-            opens on one scene shares hits; this flag is the
-            per-session opt-in/opt-out.
         amortize: Enable the program-level
             :class:`~repro.api.amortize.ForestCache`: a request whose
             camera-free trace key (engine, RNG discipline, policy,
-            fluorescence, seed) matches a cached smaller run deep-copies
-            the cached forest and traces only the missing photon range —
-            byte-identical to a cold full-budget run, because per-photon
-            substreams make photons independent of history.  Only
-            requests whose RNG resolves to ``"substream"`` amortize;
-            the serial ``"stream"`` discipline traces cold as ever.
+            fluorescence, seed) matches a cached run of at most its
+            budget starts from the cached forest and traces only the
+            missing photon range — byte-identical to a cold full-budget
+            run, because per-photon substreams make photons independent
+            of history.  A repeat that needs no new photons returns the
+            cached forest itself (shared, read-only); a top-up copies
+            it once before extending.  Only requests whose RNG resolves
+            to ``"substream"`` amortize; the serial ``"stream"``
+            discipline traces cold as ever, repeats included.
             Off by default (a plain session's repeat timings stay
             honest); the serving tier turns it on.
     """
@@ -159,7 +138,6 @@ class SessionOptions:
     accel: str = "auto"
     workers: int = 1
     batch_size: int = 4096
-    cache_results: Union[bool, int] = False
     amortize: bool = False
 
     def __post_init__(self) -> None:
@@ -180,26 +158,6 @@ class SessionOptions:
             raise ValueError(
                 f"amortize must be a bool, got {self.amortize!r}"
             )
-        if not isinstance(self.cache_results, bool):
-            if not isinstance(self.cache_results, int):
-                raise ValueError(
-                    f"cache_results must be a bool or an int entry bound, "
-                    f"got {self.cache_results!r}"
-                )
-            if self.cache_results < 1:
-                raise ValueError(
-                    f"cache_results entry bound must be >= 1, got "
-                    f"{self.cache_results} (pass False to disable caching)"
-                )
-
-    @property
-    def result_cache_entries(self) -> int:
-        """Resolved memo bound: 0 = caching off, else max distinct entries."""
-        if self.cache_results is False:
-            return 0
-        if self.cache_results is True:
-            return DEFAULT_RESULT_CACHE_ENTRIES
-        return self.cache_results
 
 
 def merge_config(

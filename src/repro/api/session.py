@@ -14,9 +14,6 @@ lifetime and serves any number of requests against them:
 * :meth:`render` — the viewing stage: any answer (result, forest, or
   loaded answer file) rendered from any camera, defaulting to the
   scene's registered view.
-* :meth:`profile` — the calibration profile of
-  :func:`repro.cluster.workload.profile_scene`, measured on the
-  session's engine without recompiling the scene.
 
 Warm-path contract (pinned by
 ``tests/api/test_session.py::test_pool_survives_across_requests`` and
@@ -32,6 +29,13 @@ program across all the serving process's concurrent sessions
 (:func:`repro.parallel.shmplane.plane_registry`); result blocks are
 budget-sized and per-pool, so they stay session-owned rather than
 registry-shared.
+
+Amortization (``SessionOptions(amortize=True)``): requests go through
+the program's :class:`~repro.api.amortize.ForestCache`, the only
+cross-request cache.  A serve that needs no new photons returns the
+cached forest itself; a top-up copies it once before extending it.
+Treat every served ``result.forest`` as read-only — it may be shared
+with the cache and with other results.
 
 Determinism contract: for equal requests, every session configuration —
 engine, accelerator, worker count, batch size, streamed or one-shot —
@@ -193,15 +197,10 @@ class RenderSession:
         # thread raises instead of corrupting warm engine state.
         self._guard = threading.Lock()
         self._active_request: Optional[str] = None
-        # Program-shared amortization caches (repro.api.amortize).
-        # Both are owned by the SceneProgram — they outlive this
-        # session, so every session a pool opens on the program shares
-        # hits — and both are per-session opt-in via the options.
-        self._result_cache = (
-            self.program.result_cache_for(self.options)
-            if self.options.result_cache_entries
-            else None
-        )
+        # The program-shared forest cache (repro.api.amortize): owned
+        # by the SceneProgram — it outlives this session, so every
+        # session a pool opens on the program shares hits — and
+        # per-session opt-in via the options.
         self._forest_cache = (
             self.program.forest_cache() if self.options.amortize else None
         )
@@ -328,20 +327,15 @@ class RenderSession:
         the session only changes *when* compilation and worker startup
         happen, never a single tally.
 
-        Under ``SessionOptions(cache_results=...)`` a repeated request
-        (equal by value — requests are frozen and hashable for exactly
-        this) returns the **identical** answer object without
-        re-tracing; determinism makes the memoization sound, since
-        re-tracing an equal request could only reproduce equal bytes.
-        The memo is a bounded LRU (``options.result_cache_entries``)
-        shared program-wide: every session opened with the same options
-        on this session's :class:`SceneProgram` hits the same cache.
-
         Under ``SessionOptions(amortize=True)`` a request whose trace
-        key matches a cached smaller run (any budget, any accel/worker
-        shape) deep-copies the cached forest and traces only the
-        missing photon range — byte-identical to a cold run, per the
-        substream prefix property (see :mod:`repro.api.amortize`).
+        key matches a cached run of at most its budget (any
+        accel/worker shape) starts from the cached forest and traces
+        only the missing photon range — byte-identical to a cold run,
+        per the substream prefix property (see
+        :mod:`repro.api.amortize`).  A hit that traces nothing (an
+        exact repeat, an already-converged early stop, a camera-only
+        render) returns the cached forest itself, shared and
+        read-only; only a top-up pays a deep copy.
 
         Under ``request.target_rel_error`` the trace proceeds in
         ``options.batch_size`` chunks and stops early once the forest's
@@ -351,44 +345,31 @@ class RenderSession:
         self._check_open()
         self._begin_request("simulate()")
         try:
-            if self._result_cache is not None:
-                cached = self._result_cache.get(request)
-                if cached is not None:
-                    self.last_photons_traced = 0
-                    self.requests_served += 1
-                    return cached
             config = merge_config(request, self.options)
-            result = self._compute(request, config)
-            if self._result_cache is not None:
-                self._result_cache.put(request, result)
+            amortize = (
+                self._forest_cache is not None
+                and config.resolved_rng_mode == "substream"
+            )
+            if (
+                amortize
+                or request.target_rel_error is not None
+                or config.engine == "scalar"
+            ):
+                result = self._simulate_incremental(request, config, amortize)
+            else:
+                # The classic full-budget vector paths, untouched — the
+                # warm one-shot benchmarks time exactly what they
+                # always timed.
+                if config.workers > 1:
+                    runner = self._pool_for(request.fluorescence, config)
+                else:
+                    runner = self._engine_for(request.fluorescence)
+                result = runner.run(config)
+                self.last_photons_traced = config.n_photons
             self.requests_served += 1
             return result
         finally:
             self._end_request()
-
-    def _compute(
-        self, request: SimulateRequest, config: SimulationConfig
-    ) -> SimulationResult:
-        """Serve a result-cache miss: cold, amortized, or early-stopped.
-
-        The classic full-budget paths are untouched when neither
-        amortization nor a convergence target is in play — the warm
-        one-shot benchmarks time exactly what they always timed.
-        """
-        amortize = (
-            self._forest_cache is not None
-            and config.resolved_rng_mode == "substream"
-        )
-        if not amortize and request.target_rel_error is None:
-            if config.engine == "scalar":
-                result = self._simulate_scalar(config)
-            elif config.workers > 1:
-                result = self._pool_for(request.fluorescence, config).run(config)
-            else:
-                result = self._engine_for(request.fluorescence).run(config)
-            self.last_photons_traced = config.n_photons
-            return result
-        return self._simulate_incremental(request, config, amortize)
 
     def _simulate_incremental(
         self,
@@ -406,6 +387,12 @@ class RenderSession:
         the identical global tally sequence a cold ``[0, m)`` run
         replays, byte for byte, whatever engine/accel/worker shape
         traced either half.
+
+        Sharing rule: a cached forest is never mutated.  The serve
+        starts from ``entry.forest``/``entry.stats`` themselves and
+        copies them immediately before the first chunk that would
+        extend them, so a hit that traces nothing returns the cached
+        objects as they are.
         """
         target = request.target_rel_error
         key = trace_key(config)
@@ -415,15 +402,11 @@ class RenderSession:
             else None
         )
         if entry is not None:
-            forest = copy.deepcopy(entry.forest)
-            stats = dataclasses.replace(entry.stats)
-            done = entry.n
+            forest, stats, done = entry.forest, entry.stats, entry.n
         else:
-            forest = BinForest(config.policy)
-            stats = TraceStats()
-            done = 0
+            forest, stats, done = BinForest(config.policy), TraceStats(), 0
         reused = done
-        trace = self._chunk_tracer(request, config)
+        trace = None
         chunk = self.options.batch_size
         stopped_early = False
         while done < config.n_photons:
@@ -432,6 +415,14 @@ class RenderSession:
                 if summary.median_relative_error <= target:
                     stopped_early = True
                     break
+            if trace is None:
+                # First chunk: only now provision the tracer (a hit
+                # that traces nothing spawns no pool) and un-share the
+                # cached prefix this chunk is about to extend.
+                trace = self._chunk_tracer(request, config)
+                if entry is not None:
+                    forest = copy.deepcopy(forest)
+                    stats = dataclasses.replace(stats)
             todo = min(chunk, config.n_photons - done)
             trace(forest, stats, done, todo)
             done += todo
@@ -540,27 +531,45 @@ class RenderSession:
             raise ValueError("batch_size must be positive")
         config = merge_config(request, self.options)
         self._begin_request("simulate_stream()")
-        try:
-            self.requests_served += 1
-            if config.n_photons == 0:
-                # Keep the final-yield-equals-simulate contract on an
-                # empty budget: one empty cumulative result.
-                inner: Iterator[SimulationResult] = iter([SimulationResult(
-                    BinForest(config.policy), TraceStats(), config,
-                    self.scene.name,
-                )])
-            elif config.engine == "scalar":
-                inner = self._stream_scalar(config, chunk)
-            else:
-                inner = self._stream_vector(request, config, chunk)
-            if request.target_rel_error is not None and config.n_photons:
-                inner = _early_stop_stream(
-                    inner, request.target_rel_error, self._forest_cache
-                )
-        except BaseException:
-            self._end_request()
-            raise
-        return _GuardedStream(self, inner)
+        self.requests_served += 1
+        return _GuardedStream(self, self._stream(request, config, chunk))
+
+    def _stream(
+        self, request: SimulateRequest, config: SimulationConfig, chunk: int
+    ) -> Iterator[SimulationResult]:
+        """The one stream body: cumulative results, one per *chunk*.
+
+        Each chunk goes through the same :meth:`_chunk_tracer` closure
+        the incremental serve uses — scalar loop, warm engine or warm
+        pool — into one growing forest; contiguous ascending chunks
+        keep the global tally sequence canonical, which is why the
+        final cumulative forest matches the one-shot answer
+        byte-for-byte.  Under a convergence target the check runs after
+        each yield, so the consumer always receives the chunk that
+        crossed the threshold.
+        """
+        forest = BinForest(config.policy)
+        stats = TraceStats()
+        if config.n_photons == 0:
+            # Keep the final-yield-equals-simulate contract on an empty
+            # budget: one empty cumulative result.
+            yield SimulationResult(forest, stats, config, self.scene.name)
+            return
+        target = request.target_rel_error
+        trace = self._chunk_tracer(request, config)
+        done = 0
+        while done < config.n_photons:
+            todo = min(chunk, config.n_photons - done)
+            trace(forest, stats, done, todo)
+            done += todo
+            yield SimulationResult(forest, stats, config, self.scene.name)
+            if (
+                target is not None
+                and forest_error_summary(forest).median_relative_error <= target
+            ):
+                if self._forest_cache is not None:
+                    self._forest_cache.record_serve(0, 0, True)
+                return
 
     def render_view(
         self,
@@ -628,104 +637,6 @@ class RenderSession:
             )
         field = RadianceField(self.scene, forest)
         return render(self.scene, field, camera, engine=self._engine_for(None))
-
-    def profile(self, photons: int = 400, seed: int = 2024):
-        """Calibration profile measured on this session's engine/accel.
-
-        See :func:`repro.cluster.workload.profile_scene`; the vector
-        profile reuses the program's compiled arrays instead of
-        recompiling the scene.
-        """
-        self._check_open()
-        from ..cluster.workload import profile_scene
-
-        arrays = self.program.arrays if self.options.engine == "vector" else None
-        return profile_scene(
-            self.scene,
-            photons=photons,
-            seed=seed,
-            engine=self.options.engine,
-            accel=self.options.accel,
-            arrays=arrays,
-        )
-
-    # -- engine bodies -----------------------------------------------------
-    #
-    # The scalar bodies call the reference helpers in
-    # ``core.simulator`` (``_scalar_photon_streams`` /
-    # ``_scalar_trace_one``) — one implementation of the physics loop,
-    # two surfaces, zero drift.
-
-    def _simulate_scalar(self, config: SimulationConfig) -> SimulationResult:
-        forest = BinForest(config.policy)
-        stats = TraceStats()
-        for rng in _scalar_photon_streams(config):
-            _scalar_trace_one(self.scene, config, forest, stats, rng)
-        return SimulationResult(forest, stats, config, self.scene.name)
-
-    def _stream_scalar(
-        self, config: SimulationConfig, chunk: int
-    ) -> Iterator[SimulationResult]:
-        forest = BinForest(config.policy)
-        stats = TraceStats()
-        streams = _scalar_photon_streams(config)
-        remaining = config.n_photons
-        while remaining > 0:
-            todo = min(chunk, remaining)
-            for _ in range(todo):
-                _scalar_trace_one(self.scene, config, forest, stats, next(streams))
-            remaining -= todo
-            yield SimulationResult(forest, stats, config, self.scene.name)
-
-    def _stream_vector(
-        self, request: SimulateRequest, config: SimulationConfig, chunk: int
-    ) -> Iterator[SimulationResult]:
-        """Cumulative vector streaming, single- or multi-process.
-
-        Each chunk is traced (locally or on the warm pool) and replayed
-        into one growing forest via
-        :func:`repro.core.vectorized.tally_block`; contiguous ascending
-        chunks on per-photon substreams keep the global tally sequence
-        canonical, which is why the final cumulative forest matches the
-        one-shot answer byte-for-byte.
-        """
-        from ..core.vectorized import tally_block
-
-        if config.workers > 1:
-            pool = self._pool_for(request.fluorescence, config)
-            trace = pool.trace_range
-        else:
-            engine = self._engine_for(request.fluorescence)
-            trace = engine.trace_range
-        forest = BinForest(config.policy)
-        stats = TraceStats()
-        done = 0
-        while done < config.n_photons:
-            todo = min(chunk, config.n_photons - done)
-            block, chunk_stats = trace(config.seed, done, todo)
-            stats.merge(chunk_stats)
-            tally_block(forest, block, todo)
-            done += todo
-            yield SimulationResult(forest, stats, config, self.scene.name)
-
-
-def _early_stop_stream(
-    inner: Iterator[SimulationResult], target: float, forest_cache
-) -> Iterator[SimulationResult]:
-    """End a cumulative stream once the forest meets *target*.
-
-    The check runs after each yield, so the consumer always receives
-    the chunk that crossed the threshold; because every cumulative
-    yield is the exact answer for the photons traced so far, the
-    truncated stream's final yield is an exact prefix answer.
-    """
-    for result in inner:
-        yield result
-        summary = forest_error_summary(result.forest)
-        if summary.median_relative_error <= target:
-            if forest_cache is not None:
-                forest_cache.record_serve(0, 0, True)
-            return
 
 
 def open_session(

@@ -34,7 +34,7 @@ from .api import (
     SimulateRequest,
     merge_config,
 )
-from .cluster import platform_by_name, trace_family
+from .cluster import platform_by_name, profile_scene, trace_family
 from .core import Camera, SplitPolicy, load_answer, save_answer
 from .core.vectorized import PRUNE_PATCH_THRESHOLD
 from .geometry import Vec3
@@ -306,18 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="on",
         help=(
             "cross-request amortization: cache traced forests per scene "
-            "so a larger-budget request tops up a cached smaller run "
-            "(byte-identical to a cold trace) and camera-only renders "
-            "skip tracing entirely (default: on)"
-        ),
-    )
-    p_serve.add_argument(
-        "--cache-results",
-        choices=("on", "off"),
-        default="on",
-        help=(
-            "memoize whole answers keyed by request, shared across the "
-            "scene's session pool (default: on)"
+            "so a repeated request traces nothing, a larger-budget "
+            "request tops up a cached smaller run (byte-identical to a "
+            "cold trace) and camera-only renders skip tracing entirely "
+            "(default: on)"
         ),
     )
 
@@ -535,10 +527,9 @@ def _cmd_save_scene(args, out, parser: argparse.ArgumentParser) -> int:
 def _cmd_trace(args, out, parser: argparse.ArgumentParser) -> int:
     machine = platform_by_name(args.platform)
     scene = _resolve_scene(args.scene, parser)
-    with RenderSession(
-        scene, SessionOptions(engine=args.engine, accel=args.accel)
-    ) as session:
-        profile = session.profile(photons=250)
+    profile = profile_scene(
+        scene, photons=250, engine=args.engine, accel=args.accel
+    )
     family = trace_family(
         machine, profile, sorted(set(args.ranks)), duration_s=args.duration
     )
@@ -609,7 +600,6 @@ def _cmd_serve(args, out, parser: argparse.ArgumentParser) -> int:
             workers=args.workers,
             batch_size=args.batch_size,
             amortize=args.amortize == "on",
-            cache_results=args.cache_results == "on",
         )
         config = ServiceConfig(
             scenes=tuple(args.scene),

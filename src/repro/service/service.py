@@ -470,7 +470,8 @@ class RenderService:
             if query is not None and "target_error" in query:
                 target = query["target_error"]
             target = float(target) if target is not None else None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: JSON parses 1e400 to inf, and int(inf) overflows.
             raise BadRequest(f"bad request field: {exc}") from None
         if deadline <= 0:
             raise BadRequest(f"deadline must be positive, got {deadline}")
@@ -559,6 +560,12 @@ class RenderService:
         # not implicitly trace the full 20k-photon simulate default.
         sim_body.setdefault("photons", 2_000)
         params = self._parse_simulate(sim_body)
+        if params.request.n_photons < 1:
+            # An empty forest has no radiance to view; refuse it here,
+            # before any session is acquired.
+            raise BadRequest(
+                f"render needs at least 1 photon, got {params.request.n_photons}"
+            )
         camera: dict = {}
         try:
             for point in ("eye", "look_at"):
@@ -570,7 +577,7 @@ class RenderService:
                 camera["fov"] = float(body["fov"])
             camera["width"] = int(body.get("width", 160))
             camera["height"] = int(body.get("height", 120))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequest(f"bad camera field: {exc}") from None
         if not (1 <= camera["width"] <= 4096 and 1 <= camera["height"] <= 4096):
             raise BadRequest(

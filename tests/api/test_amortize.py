@@ -6,13 +6,19 @@ every engine/accel/worker shape, a camera-only render must reuse the
 trace without touching it, and an early-stopped answer must be the
 exact canonical answer for the photons actually traced.  These tests
 pin each of those contracts plus the cache mechanics (bounds,
-monotonic growth, counter bookkeeping) behind them.
+monotonic growth, counter bookkeeping) behind them, and the sharing
+rule that makes a hit free: hits share the cached forest, the first
+extension copies it, nothing reachable from the cache is mutated —
+also with several sessions hammering one trace key from threads.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -21,7 +27,12 @@ from repro.api import (
     SessionOptions,
     SimulateRequest,
 )
-from repro.api.amortize import CachedTrace, ForestCache, trace_key
+from repro.api.amortize import (
+    DEFAULT_FOREST_CACHE_ENTRIES,
+    CachedTrace,
+    ForestCache,
+    trace_key,
+)
 from repro.api.requests import merge_config
 from repro.core import forest_to_dict
 from repro.core.bintree import SplitPolicy
@@ -200,11 +211,16 @@ class TestTopUpExactness:
 
     def test_stored_forest_survives_later_topups(self):
         """Top-ups deepcopy before extending: the forest a smaller
-        result still holds must not grow behind its back."""
+        result still holds must not grow behind its back, and the
+        topped-up answer must not alias it."""
         with RenderSession(build_mini_scene(), AMORTIZE) as session:
             small = session.simulate(SimulateRequest(n_photons=96))
-            session.simulate(SimulateRequest(n_photons=240))
+            small_bytes = forest_bytes(small)
+            topped = session.simulate(SimulateRequest(n_photons=240))
+            assert topped.forest is not small.forest
+            assert topped.stats is not small.stats
             assert small.forest.photons_emitted == 96
+            assert forest_bytes(small) == small_bytes
 
     def test_serial_stream_rng_never_amortizes(self):
         """The stream discipline is history-dependent: photon i's path
@@ -217,6 +233,228 @@ class TestTopUpExactness:
             session.simulate(SimulateRequest(n_photons=96, rng_mode="stream"))
             session.simulate(SimulateRequest(n_photons=240, rng_mode="stream"))
             assert session.last_photons_traced == 240  # cold, not 144
+
+
+def cached_entry(session, request):
+    """The forest-cache entry *request* would be served from."""
+    config = merge_config(request, session.options)
+    return session.program.forest_cache().lookup(
+        trace_key(config), config.n_photons
+    )
+
+
+@pytest.fixture
+def deepcopies(monkeypatch):
+    """Count the session module's ``copy.deepcopy`` calls."""
+    import copy
+    import types
+
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return copy.deepcopy(obj)
+
+    monkeypatch.setattr(
+        "repro.api.session.copy", types.SimpleNamespace(deepcopy=counting)
+    )
+    return calls
+
+
+class TestSharedHits:
+    """Hits share the cached forest; only a top-up pays the deep copy."""
+
+    def test_exact_hit_shares_the_forest_and_pays_no_patch_tests(
+        self, deepcopies
+    ):
+        request = SimulateRequest(n_photons=200)
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
+            first = session.simulate(request)
+            engine = session._engine_for(None)
+            tested = engine.patch_tests
+            # An equal-by-value request: the same forest object, and
+            # not one more patch test paid for it.
+            again = session.simulate(SimulateRequest(n_photons=200))
+            assert again.forest is first.forest
+            assert again.forest is cached_entry(session, request).forest
+            assert again.stats is first.stats
+            assert engine.patch_tests == tested
+            assert session.requests_served == 2
+        assert deepcopies == []
+
+    def test_converged_early_stop_hit_shares_the_forest(self, deepcopies):
+        options = SessionOptions(batch_size=64, amortize=True)
+        with RenderSession(build_mini_scene(), options) as session:
+            warm = session.simulate(SimulateRequest(n_photons=4096))
+            stopped = session.simulate(
+                SimulateRequest(n_photons=100_000, target_rel_error=0.5)
+            )
+            assert session.last_photons_traced == 0
+            assert stopped.forest is warm.forest
+            assert stopped.forest is cached_entry(
+                session, SimulateRequest(n_photons=4096)
+            ).forest
+        assert deepcopies == []
+
+    def test_camera_only_render_shares_the_forest(self, deepcopies):
+        request = SimulateRequest(n_photons=300)
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
+            session.render_view(request, width=8, height=6)
+            rendered = []
+            render = session.render
+
+            def spy(answer, *args, **kwargs):
+                rendered.append(answer)
+                return render(answer, *args, **kwargs)
+
+            session.render = spy
+            session.render_view(request, width=12, height=9)
+            assert session.last_photons_traced == 0
+            assert rendered[0].forest is cached_entry(session, request).forest
+        assert deepcopies == []
+
+    def test_topup_copies_exactly_once(self, deepcopies):
+        options = SessionOptions(batch_size=32, amortize=True)
+        with RenderSession(build_mini_scene(), options) as session:
+            small = session.simulate(SimulateRequest(n_photons=96))
+            assert deepcopies == []  # a cold serve has nothing to copy
+            topped = session.simulate(SimulateRequest(n_photons=240))
+            # Five chunks extend the prefix; one copy, before the first.
+            assert deepcopies == [small.forest]
+            assert topped.forest is not small.forest
+            assert topped.forest is cached_entry(
+                session, SimulateRequest(n_photons=240)
+            ).forest
+
+    def test_amortize_is_opt_in(self):
+        scene = build_mini_scene()
+        request = SimulateRequest(n_photons=200)
+        with RenderSession(scene) as session:
+            first = session.simulate(request)
+            again = session.simulate(request)
+            assert session.last_photons_traced == 200
+            assert again.forest is not first.forest  # same bytes, re-traced
+            assert forest_bytes(again) == forest_bytes(first)
+        assert len(SceneProgram.compile(scene).forest_cache()) == 0
+
+    def test_distinct_trace_keys_share_nothing(self):
+        scene = build_mini_scene()
+        with RenderSession(scene, AMORTIZE) as session:
+            a = session.simulate(SimulateRequest(n_photons=200))
+            b = session.simulate(SimulateRequest(n_photons=200, seed=7))
+            assert session.last_photons_traced == 200
+            assert b.forest is not a.forest
+        assert len(SceneProgram.compile(scene).forest_cache()) == 2
+
+    def test_entry_outlives_the_session_that_stored_it(self):
+        """The cache is program-owned: a session opened after the first
+        closed — differently provisioned, even — hits the first's entry."""
+        scene = build_mini_scene()
+        request = SimulateRequest(n_photons=100)
+        with RenderSession(scene, AMORTIZE) as session:
+            first = session.simulate(request)
+        with RenderSession(
+            scene, SessionOptions(accel="linear", batch_size=7, amortize=True)
+        ) as second:
+            assert second.simulate(request).forest is first.forest
+            assert second.last_photons_traced == 0
+
+    def test_evicted_key_retraces_to_identical_bytes(self):
+        evicted = SimulateRequest(n_photons=150)
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
+            first = session.simulate(evicted)
+            for seed in range(1, DEFAULT_FOREST_CACHE_ENTRIES + 1):
+                session.simulate(SimulateRequest(n_photons=20, seed=seed))
+            # The bound's worth of younger keys pushed `evicted` out.
+            assert cached_entry(session, evicted) is None
+            again = session.simulate(evicted)
+            assert session.last_photons_traced == 150
+            # A fresh trace (new forest), but determinism means the
+            # bound can never change an answer: identical bytes.
+            assert again.forest is not first.forest
+            assert forest_bytes(again) == forest_bytes(first)
+
+
+class TestSharingUnderConcurrency:
+    """Sessions on several threads, one trace key, one shared cache."""
+
+    BUDGETS = (64, 128, 192, 256, 320)
+    STOP = SimulateRequest(n_photons=100_000, target_rel_error=0.2)
+
+    def test_interleaved_serves_never_mutate_a_served_forest(self):
+        scene = build_mini_scene()
+        program = SceneProgram.compile(scene)
+        options = SessionOptions(batch_size=64, amortize=True)
+        held = []  # (result, bytes when served), across all threads
+        images = []  # (budget, image)
+        errors = []
+
+        def client(turn: int) -> None:
+            try:
+                with RenderSession(program, options) as session:
+                    # Each thread walks the budgets from its own offset,
+                    # so exact hits, top-ups and oversized-entry misses
+                    # all land on the one key in a racing order.
+                    for step in range(2 * len(self.BUDGETS)):
+                        n = self.BUDGETS[(turn + step) % len(self.BUDGETS)]
+                        request = SimulateRequest(n_photons=n)
+                        if step % 3 == 2:
+                            image = session.render_view(
+                                request, width=8, height=6
+                            )
+                            images.append((n, image))
+                        result = session.simulate(
+                            self.STOP if step % 4 == 3 else request
+                        )
+                        held.append((result, forest_bytes(result)))
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force the threads to interleave
+        try:
+            threads = [
+                threading.Thread(target=client, args=(turn,))
+                for turn in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(held) == 4 * 2 * len(self.BUDGETS)
+
+        cold = {}  # traced count -> (cold bytes, cold 8x6 image)
+        with RenderSession(scene, SessionOptions(batch_size=64)) as reference:
+
+            def cold_answer(n: int):
+                if n not in cold:
+                    result = reference.simulate(SimulateRequest(n_photons=n))
+                    image = reference.render(result, width=8, height=6)
+                    cold[n] = forest_bytes(result), image
+                return cold[n]
+
+            for result, served_bytes in held:
+                n = result.config.n_photons  # the traced prefix on a stop
+                # Every answer was its cold bytes when served, and still
+                # is now that every other serve has come and gone.
+                assert result.forest.photons_emitted == n
+                assert served_bytes == cold_answer(n)[0]
+                assert forest_bytes(result) == served_bytes
+            for n, image in images:
+                assert np.array_equal(image, cold_answer(n)[1])
+            entry = program.forest_cache().lookup(
+                trace_key(merge_config(self.STOP, options)), 100_000
+            )
+            assert json.dumps(
+                forest_to_dict(entry.forest), sort_keys=True
+            ) == cold_answer(entry.n)[0]
+        stats = program.amortize_stats()
+        assert stats["exact_hits"] > 0 and stats["topups"] > 0
+        assert stats["forest_entries"] == 1
 
 
 class TestEarlyStop:
@@ -303,8 +541,6 @@ class TestEarlyStop:
 
 class TestCameraOnlyFastPath:
     def test_repeat_render_traces_nothing_and_matches(self):
-        import numpy as np
-
         scene = build_mini_scene()
         request = SimulateRequest(n_photons=300)
         with RenderSession(scene, AMORTIZE) as session:

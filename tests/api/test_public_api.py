@@ -9,9 +9,11 @@ and the request/config conversion is lossless.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,58 @@ class TestSurface:
         exec("from repro.api import *", namespace)
         exported = {k for k in namespace if not k.startswith("_")}
         assert exported == set(api.__all__)
+
+
+#: The paper-reproduction tiers (ROADMAP "Collapse the execution
+#: matrix"): the serving path must never import them.
+REPRODUCTION_MODULES = (
+    "repro.cluster",
+    "repro.perf",
+    "repro.parallel.distributed",
+    "repro.parallel.geomdist",
+    "repro.parallel.mpi",
+    "repro.parallel.shared",
+    "repro.parallel.loadbalance",
+)
+
+
+SRC = Path(api.__file__).resolve().parents[2]
+
+
+def imported_modules(path: Path) -> set:
+    """Every absolute module name *path* imports, at any nesting depth.
+
+    ``from X import a`` contributes both ``X`` and ``X.a`` (``a`` may be
+    a submodule); relative imports resolve against the file's package.
+    """
+    package = path.relative_to(SRC).parent.parts
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = list(package[: len(package) - node.level + 1]) if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+class TestImportFence:
+    @pytest.mark.parametrize("tier", ["api", "service"])
+    def test_serving_path_never_imports_reproduction_tiers(self, tier):
+        """`api/` and `service/` stay on the serving side of the fence,
+        function-level imports included."""
+        crossings = [
+            f"{path.relative_to(SRC)}: {name}"
+            for path in sorted((SRC / "repro" / tier).glob("**/*.py"))
+            for name in sorted(imported_modules(path))
+            if any(
+                name == banned or name.startswith(banned + ".")
+                for banned in REPRODUCTION_MODULES
+            )
+        ]
+        assert crossings == []
 
 
 class TestRequestOptionsSplit:
@@ -94,6 +148,13 @@ class TestRequestOptionsSplit:
             SessionOptions(share_plane="on")
         with pytest.raises(TypeError):
             SimulationConfig(n_photons=1, result_plane="on")
+        # So is the whole-result memo: ForestCache (amortize=True) is
+        # the only cross-request cache.
+        with pytest.raises(TypeError):
+            SessionOptions(cache_results=True)
+        assert [f.name for f in dataclasses.fields(SessionOptions)] == [
+            "engine", "accel", "workers", "batch_size", "amortize",
+        ]
 
     def test_merge_enforces_cross_field_rules(self):
         with pytest.raises(ValueError):

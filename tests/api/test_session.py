@@ -84,12 +84,6 @@ class TestWarmReuse:
             via_forest = session.render(result.forest, width=8, height=6)
         assert (via_result == via_forest).all()
 
-    def test_profile_on_session_engine(self, cornell):
-        with RenderSession(cornell, SessionOptions(accel="linear")) as session:
-            profile = session.profile(photons=60)
-        assert profile.name == "cornell-box"
-        assert profile.tests_per_photon > 0
-
     def test_closed_session_refuses_requests(self, mini_scene):
         session = RenderSession(mini_scene)
         session.close()
@@ -182,124 +176,3 @@ class TestCrashHygiene:
                     SimulateRequest(n_photons=60), batch_size=0
                 ).__next__()
         assert leaked_segments() == []
-
-
-class TestResultMemoization:
-    """SessionOptions(cache_results=True): repeats skip tracing entirely."""
-
-    def test_repeated_request_returns_identical_object(self, mini_scene):
-        options = SessionOptions(cache_results=True)
-        request = SimulateRequest(n_photons=200)
-        with RenderSession(mini_scene, options) as session:
-            first = session.simulate(request)
-            engine = session._engine_for(None)
-            traced_before = engine.patch_tests
-            # An equal-by-value request (requests are frozen/hashable
-            # precisely so they can key caches) must hit the memo: the
-            # *same* answer object, and not one more patch test paid.
-            again = session.simulate(SimulateRequest(n_photons=200))
-            assert again is first
-            assert engine.patch_tests == traced_before
-            assert session.requests_served == 2
-
-    def test_distinct_requests_miss_the_cache(self, mini_scene):
-        options = SessionOptions(cache_results=True)
-        with RenderSession(mini_scene, options) as session:
-            a = session.simulate(SimulateRequest(n_photons=200))
-            b = session.simulate(SimulateRequest(n_photons=200, seed=7))
-            assert b is not a
-
-    def test_caching_is_opt_in(self, mini_scene):
-        request = SimulateRequest(n_photons=200)
-        with RenderSession(mini_scene) as session:
-            first = session.simulate(request)
-            again = session.simulate(request)
-            assert again is not first  # same bytes, new answer object
-            assert forest_bytes(again) == forest_bytes(first)
-
-    def test_cache_lives_on_the_program(self):
-        """The memo is program-owned: it survives the session that
-        filled it, and a second session with equal options shares it."""
-        from tests.scenehelpers import build_mini_scene
-
-        scene = build_mini_scene()
-        options = SessionOptions(cache_results=True)
-        request = SimulateRequest(n_photons=100)
-        with RenderSession(scene, options) as session:
-            first = session.simulate(request)
-            shared = session._result_cache
-        with RenderSession(scene, options) as second:
-            assert second._result_cache is shared
-            assert second.simulate(request) is first
-
-    def test_distinct_options_get_distinct_caches(self):
-        from tests.scenehelpers import build_mini_scene
-
-        scene = build_mini_scene()
-        with RenderSession(scene, SessionOptions(cache_results=2)) as a, (
-            RenderSession(scene, SessionOptions(cache_results=3))
-        ) as b:
-            assert a._result_cache is not b._result_cache
-
-
-class TestResultCacheBound:
-    """The memo is a bounded LRU, not the unbounded dict it used to be."""
-
-    def test_true_resolves_to_default_bound(self):
-        from repro.api.requests import DEFAULT_RESULT_CACHE_ENTRIES
-
-        assert SessionOptions(cache_results=True).result_cache_entries == (
-            DEFAULT_RESULT_CACHE_ENTRIES
-        )
-        assert DEFAULT_RESULT_CACHE_ENTRIES == 64
-        assert SessionOptions().result_cache_entries == 0
-        assert SessionOptions(cache_results=5).result_cache_entries == 5
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "many"])
-    def test_invalid_bounds_rejected(self, bad):
-        with pytest.raises(ValueError, match="cache_results"):
-            SessionOptions(cache_results=bad)
-
-    def test_insertion_past_bound_evicts_oldest(self):
-        from tests.scenehelpers import build_mini_scene
-
-        options = SessionOptions(cache_results=2)
-        a = SimulateRequest(n_photons=100)
-        b = SimulateRequest(n_photons=100, seed=2)
-        c = SimulateRequest(n_photons=100, seed=3)
-        with RenderSession(build_mini_scene(), options) as session:
-            session.simulate(a)
-            session.simulate(b)
-            session.simulate(c)  # bound is 2: a falls out
-            assert list(session._result_cache) == [b, c]
-
-    def test_hit_refreshes_recency(self):
-        """LRU, not FIFO: a hit moves the entry to the young end."""
-        from tests.scenehelpers import build_mini_scene
-
-        options = SessionOptions(cache_results=2)
-        a = SimulateRequest(n_photons=100)
-        b = SimulateRequest(n_photons=100, seed=2)
-        c = SimulateRequest(n_photons=100, seed=3)
-        with RenderSession(build_mini_scene(), options) as session:
-            first_a = session.simulate(a)
-            session.simulate(b)
-            assert session.simulate(a) is first_a  # refresh a
-            session.simulate(c)  # now b is the LRU entry, not a
-            assert list(session._result_cache) == [a, c]
-            assert session.simulate(a) is first_a  # still cached
-
-    def test_evicted_request_retraces_to_identical_bytes(self):
-        from tests.scenehelpers import build_mini_scene
-
-        options = SessionOptions(cache_results=1)
-        evicted = SimulateRequest(n_photons=150)
-        other = SimulateRequest(n_photons=150, seed=9)
-        with RenderSession(build_mini_scene(), options) as session:
-            first = session.simulate(evicted)
-            session.simulate(other)  # bound 1: `evicted` falls out
-            again = session.simulate(evicted)
-            # A fresh trace (new object), but determinism means the
-            # bound can never change an answer: identical bytes.
-            assert again is not first
-            assert forest_bytes(again) == forest_bytes(first)

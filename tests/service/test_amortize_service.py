@@ -26,7 +26,7 @@ def amortized():
     config = ServiceConfig(
         scenes=("cornell-box",),
         port=0,
-        options=SessionOptions(amortize=True, cache_results=True),
+        options=SessionOptions(amortize=True),
     )
     with ServiceThread(config) as thread:
         yield thread
@@ -67,16 +67,50 @@ class TestServedTopUps:
         assert status == 200
         after = service_stats(amortized)["amortize"]
         assert after["exact_hits"] == before["exact_hits"] + 1
+        # The forest cache answered it: the whole budget was saved.
+        assert after["photons_saved"] == before["photons_saved"] + 130
 
     def test_stats_shape(self, amortized):
         stats = service_stats(amortized)
-        assert set(stats["amortize"]) == {
+        counters = {
             "exact_hits", "topups", "camera_only_hits", "photons_saved",
             "early_stops",
         }
+        assert set(stats["amortize"]) == counters
         scene = stats["scenes"]["cornell-box"]["amortize"]
+        assert set(scene) == counters | {"forest_entries"}
         assert scene["forest_entries"] >= 1
         assert "served_render" in stats["requests"]
+
+
+class TestHostileNumbers:
+    """Numbers JSON can spell but the request cannot hold are the
+    client's error — a typed 400, never a 500 with a traceback."""
+
+    @pytest.mark.parametrize("field", ["photons", "seed", "batch"])
+    def test_overflowing_integer_is_400(self, amortized, field):
+        status, _, body = amortized.request(
+            "POST",
+            simulate_path("cornell-box"),
+            # json.loads reads 1e400 as inf, and int(inf) overflows.
+            b'{"%s": 1e400}' % field.encode(),
+        )
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad-request"
+
+    def test_photonless_render_is_400_before_any_session(self, amortized):
+        """An empty forest has nothing to view; no session is spent on it."""
+        before = service_stats(amortized)["scenes"]["cornell-box"]
+        status, _, body = amortized.request(
+            "POST",
+            "/scenes/cornell-box/render",
+            {"photons": 0, "seed": 77_002, "width": 8, "height": 6},
+        )
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad-request"
+        after = service_stats(amortized)["scenes"]["cornell-box"]
+        assert after["pool"] == before["pool"]
+        assert after["amortize"] == before["amortize"]
 
 
 class TestTargetError:
@@ -166,6 +200,7 @@ class TestRenderEndpoint:
             {"fov": 200},
             {"eye": [1, 2]},
             {"look_at": "home"},
+            {"width": float("inf")},  # int(inf) overflows
         ],
     )
     def test_bad_camera_is_400(self, amortized, bad):

@@ -115,6 +115,13 @@ class TestServeCommand:
         assert excinfo.value.code == 2
         assert "sessions_per_scene" in capsys.readouterr().err
 
+    def test_removed_memo_flag_exits_2(self, capsys):
+        """The memo is gone, not ignored: `--amortize` is the one cache."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--scene", "cornell-box", "--cache-results", "on"])
+        assert excinfo.value.code == 2
+        assert "--cache-results" in capsys.readouterr().err
+
     def test_boot_serve_sigterm(self):
         """`repro serve` boots, answers /healthz, exits 0 on SIGTERM."""
         import re
