@@ -10,9 +10,9 @@ intersection, batched roulette/lobe sampling — while remaining
 Intersection acceleration is selectable (``accel=``, surfaced as
 ``SimulationConfig.accel`` / ``repro simulate --accel``):
 
-* ``"linear"`` — dense all-patches testing, chunked over patch columns;
-  fastest for small scenes where candidate selection cannot pay for
-  itself.
+* ``"linear"`` — dense all-patches testing, walked in cache-sized
+  lane x patch tiles (:data:`DENSE_TILE`); fastest for small scenes
+  where candidate selection cannot pay for itself.
 * ``"octree"`` — PR 1's pruned walk: a Python loop over every octree
   leaf, slab-testing the whole batch per leaf.  Kept as the benchmark
   baseline for the flat walk.
@@ -102,6 +102,7 @@ __all__ = [
     "tally_block",
     "ACCEL_MODES",
     "PRUNE_PATCH_THRESHOLD",
+    "DENSE_TILE",
 ]
 
 #: Each photon's private substream starts ``(index + 1) << 20`` draws into
@@ -116,9 +117,30 @@ ACCEL_MODES = ("auto", "flat", "octree", "linear")
 #: Dense all-patches intersection wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
-#: Measured crossover of the pair walk: flat/linear photons/sec is 0.8
-#: at 26-30 patches (cornell-box), 1.0 at 44, 1.1-1.2 at 50, 2x at ~100.
-PRUNE_PATCH_THRESHOLD = 48
+#: Measured crossover of the pair walk against the tiled dense scan,
+#: flat/linear photons/sec (host-normalised medians of 7 x 10k photons,
+#: three runs): 0.64-0.70 at 26-30 patches (cornell-box), 0.84-0.85 at
+#: 44, 0.80-0.91 at 50, 1.0-1.1 at 68-74, 1.1-1.2 at 86, 0.93-1.07 at
+#: 92-97 (harpsichord-room), 1.2-1.3 at 104, 1.2-1.4 at 134-176,
+#: 1.5-1.6 at 218.
+PRUNE_PATCH_THRESHOLD = 64
+
+#: ``(lanes, patch columns)`` of one tile of the dense scan
+#: (:meth:`VectorEngine._test_patches`): ~16k elements, 128 KB per float64
+#: temporary, so the ~55 array passes of the plane/barycentric test run on
+#: cache-resident operands and peak memory is independent of the
+#: caller's batch size.  A constant, not a knob.  Measured on the
+#: ``cornell_serial`` bench workload (10k-photon requests, 4,096-lane
+#: batches, 30 patches), photons/sec by lane count: 125k at 128, a
+#: plateau of 130-137k from 192 to 512, against 105k for the whole batch
+#: as one ``[4096, 30]`` operand (983 KB temporaries, 11k minor page
+#: faults a request); 16 columns instead of 32 make a scan 1.5x slower.
+#: 512 is the top of the plateau because every pass is also a GIL
+#: hand-off when a second thread traces: two threads on 1,000-photon
+#: requests make 630 voluntary context switches a request pair at 256
+#: lanes against 400-490 at 512 or untiled, and ``service_mixed`` loses
+#: 4-5 % requests/sec at 256 or 384 lanes and nothing at 512.
+DENSE_TILE = (512, 32)
 
 _MASK = MODULUS - 1
 _INV_MODULUS = 1.0 / MODULUS
@@ -144,19 +166,25 @@ def photon_substream(seed: int, index: int) -> Lcg48:
 def substream_states(seed: int, start: int, count: int) -> np.ndarray:
     """Starting LCG states of photons ``start .. start+count`` as uint64.
 
-    ``out[i]`` equals ``photon_substream(seed, start + i).state``.
+    ``out[i]`` equals ``photon_substream(seed, start + i).state``.  The
+    first state is one scalar jump; the rest follow by doubling — the
+    first ``k`` states jumped ``k`` photons ahead are the next ``k`` — on
+    ``uint64``, exact for the reason given in the module docstring.
     """
+    # NumPy integers would run the recurrence in wrapping fixed width.
+    seed, start, count = int(seed), int(start), int(count)
     if count < 0:
         raise ValueError("count must be non-negative")
     out = np.empty(count, dtype=np.uint64)
     if count == 0:
         return out
     a_s, c_s = _affine_power(MULTIPLIER, INCREMENT, (start + 1) << SUBSTREAM_SPACING_BITS)
-    a_m, c_m = _affine_power(MULTIPLIER, INCREMENT, 1 << SUBSTREAM_SPACING_BITS)
-    state = (a_s * (seed & _MASK) + c_s) & _MASK
-    for i in range(count):
-        out[i] = state
-        state = (a_m * state + c_m) & _MASK
+    out[0] = (a_s * (seed & _MASK) + c_s) & _MASK
+    k = 1
+    while k < count:
+        a_k, c_k = _affine_power(MULTIPLIER, INCREMENT, k << SUBSTREAM_SPACING_BITS)
+        out[k:2 * k] = (_U64(a_k) * out[:min(k, count - k)] + _U64(c_k)) & _MASK64
+        k *= 2
     return out
 
 
@@ -765,16 +793,17 @@ class VectorEngine:
 
         The single home of the bit-exact intersection test
         (:meth:`repro.geometry.polygon.Patch.intersect` expression for
-        expression).  Broadcast-shape agnostic: the dense scan passes
-        ``[n, 1]`` ray operands against ``[P]`` columns, the pair kernel
-        gathered 1-D operands of one length.  Returns ``(t, ok)`` in the
-        broadcast shape; ``t`` is meaningful only where ``ok``.
+        expression).  Broadcast-shape agnostic: the dense scan passes a
+        ``[C, 1]`` column of patch ids against 1-D lane operands, the
+        pair kernel gathered 1-D operands of one length.  Returns
+        ``(t, ok)`` in the broadcast shape; ``t`` is meaningful only
+        where ``ok``.
         """
         A = self.arrays
         nx, ny, nz = A.nx[cols], A.ny[cols], A.nz[cols]
         denom = (nx * ldx + ny * ldy) + nz * ldz
         ndoto = (nx * lpx + ny * lpy) + nz * lpz
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = (A.d_plane[cols] - ndoto) / denom
             ok = ((denom <= -1e-14) | (denom >= 1e-14)) & (t > EPSILON)
             # Rejected lanes may carry inf/NaN t here; their parameters
@@ -818,29 +847,39 @@ class VectorEngine:
     ) -> None:
         """Dense test of lanes (*rows* or all) against patch columns *cols*.
 
-        Updates the running closest hit under the canonical tie rule
-        (smallest t; equal t resolved to the largest patch index).
+        Walks the lanes x *cols* rectangle in tiles of :data:`DENSE_TILE`,
+        each laid out ``[patches, lanes]``, and folds every tile into the
+        running closest hit under the canonical tie rule (smallest t;
+        equal t resolved to the largest patch index).  The arithmetic is
+        elementwise and the rule a pure function of the candidate set,
+        so where the tile edges fall cannot change a bit of the result.
+        All tile state is local to the call.
         """
-        tgt = rows if rows is not None else slice(None)
-        t, ok = self._plane_hits(
-            cols, px[tgt, None], py[tgt, None], pz[tgt, None],
-            dx[tgt, None], dy[tgt, None], dz[tgt, None],
-        )
-        tm = np.where(ok, t, np.inf)
-        cmin = tm.min(axis=1)
-        has = cmin < np.inf
-        if not has.any():
-            return
-        # Last (largest-index) column among equal minima.
-        rel = (tm.shape[1] - 1) - np.argmin(tm[:, ::-1], axis=1)
-        cand_i = cols[rel]
-        bt = best_t[tgt]
-        bi = best_i[tgt]
-        update = has & ((cmin < bt) | ((cmin == bt) & (cand_i > bi)))
-        bt[update] = cmin[update]
-        bi[update] = cand_i[update]
-        best_t[tgt] = bt
-        best_i[tgt] = bi
+        tile_lanes, tile_cols = DENSE_TILE
+        chunks = [
+            cols[c0:c0 + tile_cols, None] for c0 in range(0, cols.size, tile_cols)
+        ]
+        n = px.size if rows is None else rows.size
+        for l0 in range(0, n, tile_lanes):
+            tgt = slice(l0, l0 + tile_lanes)
+            if rows is not None:
+                tgt = rows[tgt]
+            ray = px[tgt], py[tgt], pz[tgt], dx[tgt], dy[tgt], dz[tgt]
+            bt = best_t[tgt]
+            bi = best_i[tgt]
+            for chunk in chunks:
+                t, ok = self._plane_hits(chunk, *ray)
+                tm = np.where(ok, t, np.inf)
+                cmin = tm.min(axis=0)
+                # Largest patch id among equal minima.
+                cand_i = np.where(tm == cmin, chunk, -1).max(axis=0)
+                update = (cmin < np.inf) & (
+                    (cmin < bt) | ((cmin == bt) & (cand_i > bi))
+                )
+                bt[update] = cmin[update]
+                bi[update] = cand_i[update]
+            best_t[tgt] = bt
+            best_i[tgt] = bi
 
     def _test_pairs(
         self, px, py, pz, dx, dy, dz, lanes: np.ndarray, cols: np.ndarray,
@@ -883,18 +922,18 @@ class VectorEngine:
         float64 arrays.  Photon bounces and the viewing stage's eye rays
         both resolve here.  Dispatches on ``self.accel``; every mode
         computes the identical reduction (closest ``t``, exact ties to
-        the largest patch id).
+        the largest patch id).  ``"linear"`` is one tiled
+        :meth:`_test_patches` pass over every patch, whose working set
+        besides the two arrays returned does not grow with the lane
+        count.
         """
         n = px.size
         best_t = np.full(n, np.inf)
         best_i = np.full(n, -1, dtype=np.int64)
         A = self.arrays
         if self.accel == "linear":
-            P = A.patch_count
-            chunk = 256
-            for c0 in range(0, P, chunk):
-                cols = np.arange(c0, min(c0 + chunk, P), dtype=np.int64)
-                self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
+            cols = np.arange(A.patch_count, dtype=np.int64)
+            self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
             return best_i, best_t
 
         with np.errstate(divide="ignore", invalid="ignore"):

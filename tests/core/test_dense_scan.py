@@ -1,0 +1,277 @@
+"""The tiled dense scan == the scalar brute-force scan, bit for bit.
+
+``VectorEngine._test_patches`` walks lanes x patches in tiles of
+``vectorized.DENSE_TILE``.  The arithmetic is elementwise and the
+closest-hit rule (smallest t, exact ties to the largest patch id) is a
+pure function of the candidate set, so where tile edges fall must be
+invisible: these tests move the edges (1-lane tiles, 7 x 5 tiles, one
+tile for everything), straddle them with lane and patch counts, and
+compare with the scalar oracle — ``Patch.intersect`` patch by patch,
+later equal distances winning, which is ``Scene.intersect_linear`` and
+the canonical rule.  (``Scene.intersect`` walks the pointer octree and
+may break a cross-cell exact tie the other way; it is a second oracle
+only where no tie straddles two of its cells.)
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import tracemalloc
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import vectorized
+from repro.core.vectorized import VectorEngine
+from repro.geometry import Vec3
+from repro.geometry.ray import Ray
+from repro.scenes import computer_lab, cornell_box
+
+TILE_LANES, TILE_COLS = vectorized.DENSE_TILE
+#: 1-lane tiles, tiles ragged on both axes, one tile for everything.
+TILES = [(1, TILE_COLS), (7, 5), (10**9, 10**9)]
+
+
+@pytest.fixture(scope="module")
+def lab():
+    """The full computer-lab: 1,902 patches, 59 column chunks and a part."""
+    return computer_lab()
+
+
+def random_rays(scene, seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    lo, hi = scene.bounds().lo, scene.bounds().hi
+    d = rng.normal(size=(3, n))
+    d /= np.sqrt((d * d).sum(axis=0))
+    return (rng.uniform(lo.x, hi.x, n), rng.uniform(lo.y, hi.y, n),
+            rng.uniform(lo.z, hi.z, n), d[0], d[1], d[2])
+
+
+def tie_rays(scene, step: int = 1):
+    """One ray per *step*-th patch, dropped onto its centre along the normal.
+
+    Coplanar overlapping patches (the lab's desk tops and floor tiles,
+    cornell's floor under its blocks' bases) are then at bit-equal
+    distance, so the max-patch-id rule decides.
+    """
+    cols = []
+    for p in scene.patches[::step]:
+        c = p.p0 + p.eu * 0.5 + p.ev * 0.5
+        n = p.normal
+        cols.append((c.x + 0.05 * n.x, c.y + 0.05 * n.y, c.z + 0.05 * n.z,
+                     -n.x, -n.y, -n.z))
+    return tuple(np.array(col) for col in zip(*cols))
+
+
+def concat(*batches):
+    return tuple(np.concatenate(cols) for cols in zip(*batches))
+
+
+def scalar_scan(scene, rays, patch_ids=None):
+    """``(ids, distances, tied lanes)`` of the scalar scan over *patch_ids*."""
+    patches = scene.patches if patch_ids is None else [
+        scene.patches[i] for i in patch_ids
+    ]
+    ids, dists, tied = [], [], 0
+    for ox, oy, oz, dx, dy, dz in zip(*(r.tolist() for r in rays)):
+        ray = Ray(Vec3(ox, oy, oz), Vec3(dx, dy, dz), normalized=True)
+        best_i, best_t, ties = -1, math.inf, 0
+        for patch in patches:
+            hit = patch.intersect(ray, best_t)
+            if hit is not None:
+                ties = ties + 1 if hit.distance == best_t else 0
+                best_i, best_t = patch.patch_id, hit.distance
+        ids.append(best_i)
+        dists.append(best_t)
+        tied += ties > 0
+    return ids, dists, tied
+
+
+def assert_matches_scalar(engine, scene, rays):
+    best_i, best_t = engine.closest_hit(*rays)
+    want_i, want_t, tied = scalar_scan(scene, rays)
+    assert best_i.tolist() == want_i
+    assert best_t.tolist() == want_t
+    return tied
+
+
+class TestTileIndependence:
+    @pytest.mark.parametrize("scene_fixture", ["cornell", "lab_small"])
+    def test_tile_shape_cannot_matter(self, request, monkeypatch, scene_fixture):
+        scene = request.getfixturevalue(scene_fixture)
+        rays = concat(random_rays(scene, 21, 300), tie_rays(scene))
+        engine = VectorEngine(scene, accel="linear")
+        want_i, want_t = engine.closest_hit(*rays)
+        want_tests = engine.patch_tests
+        assert want_tests == rays[0].size * len(scene.patches)
+        for tile in TILES:
+            monkeypatch.setattr(vectorized, "DENSE_TILE", tile)
+            engine.patch_tests = 0
+            best_i, best_t = engine.closest_hit(*rays)
+            assert best_i.tolist() == want_i.tolist(), tile
+            assert best_t.tolist() == want_t.tolist(), tile
+            assert engine.patch_tests == want_tests, tile
+
+
+class TestTileEdges:
+    @pytest.mark.parametrize("lanes", [
+        0, 1, TILE_LANES - 1, TILE_LANES, TILE_LANES + 1, 3 * TILE_LANES + 7,
+    ])
+    def test_lane_counts_straddling_a_tile(self, cornell, lanes):
+        engine = VectorEngine(cornell, accel="linear")
+        rays = random_rays(cornell, lanes, lanes)
+        best_i, best_t = engine.closest_hit(*rays)
+        want_i, want_t, _ = scalar_scan(cornell, rays)
+        assert (best_i.tolist(), best_t.tolist()) == (want_i, want_t)
+        # The pointer octree agrees too: the few exact ties here (floor
+        # against a block's base) do not straddle two of its cells.
+        for k in range(0, lanes, 17):
+            hit = cornell.intersect(Ray(
+                Vec3(*(float(r[k]) for r in rays[:3])),
+                Vec3(*(float(r[k]) for r in rays[3:])), normalized=True,
+            ))
+            assert (best_i[k], best_t[k]) == (
+                (-1, math.inf) if hit is None
+                else (hit.patch.patch_id, hit.distance)
+            )
+
+    @pytest.mark.parametrize("patches", [
+        1, TILE_COLS - 1, TILE_COLS, TILE_COLS + 1, 2 * TILE_COLS + 3,
+    ])
+    def test_patch_counts_straddling_a_chunk(self, lab, patches):
+        engine = VectorEngine(lab, accel="linear")
+        rays = concat(random_rays(lab, patches, 40), tie_rays(lab, step=48))
+        n = rays[0].size
+        best_t = np.full(n, np.inf)
+        best_i = np.full(n, -1, dtype=np.int64)
+        cols = np.arange(patches, dtype=np.int64)
+        engine._test_patches(*rays, cols, best_t, best_i)
+        want_i, want_t, _ = scalar_scan(lab, rays, range(patches))
+        assert best_i.tolist() == want_i
+        assert best_t.tolist() == want_t
+        assert engine.patch_tests == n * patches
+
+    def test_whole_lab_with_ties_across_chunks(self, lab):
+        """Tied patches sit in one chunk, in two, and on both sides of
+        the running best; the largest id wins each time."""
+        engine = VectorEngine(lab, accel="linear")
+        rays = concat(tie_rays(lab, step=7), random_rays(lab, 5, 64))
+        tied = assert_matches_scalar(engine, lab, rays)
+        assert tied > 20
+        assert engine.patch_tests == rays[0].size * 1902
+
+
+class TestRowsSubset:
+    """The ``rows=`` path ``accel="octree"`` drives: a lane subset against
+    one leaf's patches, folded into a running best."""
+
+    @pytest.mark.parametrize("tile", [vectorized.DENSE_TILE, (7, 5)])
+    def test_subset_folds_into_the_running_best(self, lab, monkeypatch, tile):
+        monkeypatch.setattr(vectorized, "DENSE_TILE", tile)
+        engine = VectorEngine(lab, accel="linear")
+        rays = concat(tie_rays(lab, step=2), random_rays(lab, 8, 90))
+        n = rays[0].size
+        rows = np.flatnonzero(np.arange(n) % 3 != 1)
+        assert rows.size > TILE_LANES  # more than one tile of rows
+        first = np.arange(40, 110, dtype=np.int64)
+        second = np.array([3, 21, 56, 57, 300, 1901], dtype=np.int64)
+        best_t = np.full(n, np.inf)
+        best_i = np.full(n, -1, dtype=np.int64)
+        engine._test_patches(*rays, first, best_t, best_i, rows)
+        engine._test_patches(*rays, second, best_t, best_i, rows)
+        assert engine.patch_tests == rows.size * (first.size + second.size)
+
+        untouched = np.setdiff1d(np.arange(n), rows)
+        assert (best_i[untouched] == -1).all()
+        assert np.isinf(best_t[untouched]).all()
+        want_i, want_t, _ = scalar_scan(
+            lab, tuple(r[rows] for r in rays), first.tolist() + second.tolist()
+        )
+        assert best_i[rows].tolist() == want_i
+        assert best_t[rows].tolist() == want_t
+
+    def test_octree_mode_equals_linear(self, lab_small):
+        rays = concat(tie_rays(lab_small), random_rays(lab_small, 13, 300))
+        want = [a.tolist() for a in
+                VectorEngine(lab_small, accel="linear").closest_hit(*rays)]
+        got = VectorEngine(lab_small, accel="octree").closest_hit(*rays)
+        assert [a.tolist() for a in got] == want
+
+
+# -- property: any rays, any tile shape ----------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _cornell_case():
+    scene = cornell_box()
+    return scene, VectorEngine(scene, accel="linear")
+
+
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0),
+)
+_free_ray = st.tuples(
+    st.floats(-0.4, 2.4), st.floats(-0.4, 2.4), st.floats(-0.4, 2.4),
+    _component, _component, _component,
+).filter(lambda r: any(c != 0.0 for c in r[3:]))
+
+
+@st.composite
+def _in_plane_ray(draw):
+    """A ray lying in a patch's plane: its ``denom`` is zero or rounding
+    noise, inside the +-1e-14 band that rejects the patch."""
+    patches = _cornell_case()[0].patches
+    p = patches[draw(st.integers(0, len(patches) - 1))]
+    s, t = draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    o = p.p0 + p.eu * s + p.ev * t
+    d = p.eu.normalized() * math.cos(angle) + p.ev.normalized() * math.sin(angle)
+    return (o.x, o.y, o.z, d.x, d.y, d.z)
+
+
+class TestDenseScanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rays=st.lists(st.one_of(_free_ray, _in_plane_ray()),
+                      min_size=1, max_size=20),
+        tile=st.tuples(st.integers(1, 24), st.integers(1, 40)),
+    )
+    def test_any_rays_any_tile(self, rays, tile):
+        """Origins in and around the box, axis-parallel, signed-zero and
+        unnormalised directions, rays grazing along a patch plane."""
+        r = np.array(rays, dtype=np.float64)
+        batch = tuple(r[:, k].copy() for k in range(6))
+        with mock.patch.object(vectorized, "DENSE_TILE", tile), \
+                warnings.catch_warnings():
+            # A denormal denom overflows t on a lane the test rejects.
+            warnings.simplefilter("error")
+            scene, engine = _cornell_case()
+            assert_matches_scalar(engine, scene, batch)
+
+
+# -- memory ---------------------------------------------------------------------
+
+
+def test_transient_memory_does_not_grow_with_lanes(cornell):
+    """Tiles bound what a scan holds besides the two arrays it returns."""
+    engine = VectorEngine(cornell, accel="linear")
+
+    def transient_bytes(lanes: int) -> int:
+        rays = random_rays(cornell, 3, lanes)
+        tracemalloc.start()
+        try:
+            best_i, best_t = engine.closest_hit(*rays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - best_i.nbytes - best_t.nbytes
+
+    # Two tiles, so that one tile's results are still alive at the next
+    # tile's peak in both measurements; then 128 tiles.
+    transient_bytes(2 * TILE_LANES)  # first-call allocations out of the way
+    small, large = transient_bytes(2 * TILE_LANES), transient_bytes(65_536)
+    assert large <= 1.05 * small, (small, large)

@@ -10,6 +10,9 @@ rules) fails these tests deterministically, not statistically.
 
 from __future__ import annotations
 
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,29 @@ class TestSubstreams:
 
     def test_empty_range(self):
         assert substream_states(1, 0, 0).size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.integers(2**48, 2**49)),
+        start=st.integers(0, 2**40),
+        count=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 300)),
+    )
+    def test_doubling_matches_scalar_forks(self, seed, start, count):
+        """Every state of the log-step construction is the scalar fork's,
+        for seeds wider than the 48-bit modulus and ragged counts."""
+        states = substream_states(seed, start, count)
+        assert states.dtype == np.uint64 and states.shape == (count,)
+        assert states.tolist() == [
+            photon_substream(seed, start + i).state for i in range(count)
+        ]
+
+    def test_numpy_integer_arguments(self):
+        """A NumPy seed must not drag the recurrence into wrapping int64."""
+        seed = 2**40 + 12345
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = substream_states(np.int64(seed), np.int64(7), np.int32(100))
+        assert got.tolist() == substream_states(seed, 7, 100).tolist()
 
 
 class TestEmissionParity:
