@@ -10,7 +10,8 @@ just gets slow.  These rules flag blocking calls lexically inside
 service does already: wrap the call in a sync closure and run it via
 ``loop.run_in_executor`` / ``asyncio.to_thread`` (the closure is a
 nested sync ``def``, which these rules deliberately do not descend
-into).
+into).  Taking the kernel gate (``repro.api.gate``) counts as blocking:
+its holder may be seconds into a trace.
 """
 
 from __future__ import annotations
@@ -30,13 +31,18 @@ _SESSION_BLOCKERS = {"close", "render", "profile"}
 _SOCKET_OPS = {"recv", "recv_into", "accept", "connect", "sendall", "listen", "bind"}
 
 
-def _receiver_name(node: ast.Attribute) -> str:
-    """The final identifier of the call receiver (``a.b.session`` -> ``session``)."""
-    if isinstance(node.value, ast.Attribute):
-        return node.value.attr
-    if isinstance(node.value, ast.Name):
-        return node.value.id
+def _final_name(node: ast.AST) -> str:
+    """The last identifier of a dotted name (``a.b.session`` -> ``session``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
     return ""
+
+
+def _is_gate(name: str) -> bool:
+    """Whether *name* names a kernel gate (``KERNEL_GATE``, ``self._gate``)."""
+    return name.lower().endswith("gate")
 
 
 class AsyncBlockingChecker(Checker):
@@ -81,8 +87,21 @@ class AsyncBlockingChecker(Checker):
             return
         if isinstance(node, ast.Call):
             self._check_call(node)
+        if isinstance(node, ast.With):
+            for item in node.items:
+                if _is_gate(_final_name(item.context_expr)):
+                    self._emit_gate(item.context_expr)
         for child in ast.iter_child_nodes(node):
             self._walk_async(child)
+
+    def _emit_gate(self, node: ast.AST) -> None:
+        self.emit(
+            node,
+            "async-blocking",
+            "taking the kernel gate on the loop thread waits out another "
+            "request's trace and stalls every client; take it on an "
+            "executor thread (RenderSession does, inside simulate/render)",
+        )
 
     def _check_call(self, node: ast.Call) -> None:
         qual = self.qualname(node.func)
@@ -105,7 +124,7 @@ class AsyncBlockingChecker(Checker):
         if not isinstance(node.func, ast.Attribute):
             return
         attr = node.func.attr
-        receiver = _receiver_name(node.func)
+        receiver = _final_name(node.func.value)
         if receiver == "session" and (
             attr.startswith(_SESSION_BLOCKERS_PREFIX) or attr in _SESSION_BLOCKERS
         ):
@@ -116,6 +135,9 @@ class AsyncBlockingChecker(Checker):
                 "loop; wrap it in a sync closure and run it via "
                 "loop.run_in_executor (see service/service.py)",
             )
+            return
+        if attr == "acquire" and _is_gate(receiver):
+            self._emit_gate(node)
             return
         if attr == "result" and not node.args and not node.keywords:
             self.emit(

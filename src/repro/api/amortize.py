@@ -42,6 +42,8 @@ import threading
 from collections import OrderedDict
 from typing import Optional, TYPE_CHECKING
 
+from ..core.convergence import forest_error_summary
+
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.bintree import BinForest
     from ..core.simulator import SimulationConfig, TraceStats
@@ -87,12 +89,26 @@ class CachedTrace:
     mutate them in place.
     """
 
-    __slots__ = ("n", "forest", "stats")
+    __slots__ = ("n", "forest", "stats", "_median_error")
 
     def __init__(self, n: int, forest: "BinForest", stats: "TraceStats") -> None:
         self.n = n
         self.forest = forest
         self.stats = stats
+        self._median_error: Optional[float] = None
+
+    def median_relative_error(self) -> float:
+        """The forest's median per-bin relative error, computed once.
+
+        The forest never changes, so neither does its convergence
+        summary; remembering it is what lets a repeated early-stop
+        request be answered from a probe, without a walk of every leaf.
+        """
+        if self._median_error is None:
+            self._median_error = forest_error_summary(
+                self.forest
+            ).median_relative_error
+        return self._median_error
 
 
 class ForestCache:
@@ -121,6 +137,16 @@ class ForestCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def peek(self, key: tuple, n: int) -> Optional[CachedTrace]:
+        """What :meth:`lookup` would return, leaving recency as it is.
+
+        The read-only probe a session makes before it decides whether
+        the request needs the kernel gate at all; the serve's one
+        :meth:`lookup` follows it.
+        """
+        with self._lock:
+            return self._reusable(key, n)
+
     def lookup(self, key: tuple, n: int) -> Optional[CachedTrace]:
         """The reusable entry for *key*, or ``None``.
 
@@ -129,11 +155,14 @@ class ForestCache:
         ``n`` — zero tracing left).  A hit refreshes LRU recency.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.n > n:
-                return None
-            self._entries.move_to_end(key)
+            entry = self._reusable(key, n)
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
+
+    def _reusable(self, key: tuple, n: int) -> Optional[CachedTrace]:
+        entry = self._entries.get(key)
+        return entry if entry is not None and entry.n <= n else None
 
     def store(
         self, key: tuple, n: int, forest: "BinForest", stats: "TraceStats"

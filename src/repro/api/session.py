@@ -37,6 +37,13 @@ cached forest itself; a top-up copies it once before extending it.
 Treat every served ``result.forest`` as read-only — it may be shared
 with the cache and with other results.
 
+Kernel gate: every in-process, CPU-bound section of a serve — a serial
+engine's trace and tally, the top-up copy, the convergence summary, a
+render — runs holding the process-wide :data:`repro.api.gate.KERNEL_GATE`,
+one section at a time across all sessions.  A request the cache already
+answers never takes it, and it is never held across a wait on pool
+workers or between stream chunks.
+
 Determinism contract: for equal requests, every session configuration —
 engine, accelerator, worker count, batch size, streamed or one-shot —
 produces byte-identical answers, and all of them equal the legacy
@@ -74,7 +81,8 @@ from ..core.simulator import (
     _scalar_trace_one,
 )
 from ..geometry.scene import Scene
-from .amortize import trace_key
+from .amortize import CachedTrace, trace_key
+from .gate import KERNEL_GATE
 from .program import SceneProgram
 from .requests import SessionOptions, SimulateRequest, merge_config
 
@@ -82,6 +90,18 @@ __all__ = ["RenderSession", "open_session"]
 
 #: Sentinel distinguishing "no pool yet" from "pool for fluorescence=None".
 _NO_POOL = object()
+
+
+def _answers(
+    entry: Optional[CachedTrace], n: int, target: Optional[float]
+) -> bool:
+    """Whether *entry* is the request's answer with nothing left to trace:
+    the whole budget, or a prefix already within the convergence target."""
+    if entry is None:
+        return False
+    return entry.n == n or (
+        target is not None and entry.median_relative_error() <= target
+    )
 
 
 class _GuardedStream:
@@ -361,10 +381,15 @@ class RenderSession:
                 # warm one-shot benchmarks time exactly what they
                 # always timed.
                 if config.workers > 1:
-                    runner = self._pool_for(request.fluorescence, config)
+                    # A wait on the workers: never under the gate.
+                    result = self._pool_for(request.fluorescence, config).run(
+                        config
+                    )
                 else:
-                    runner = self._engine_for(request.fluorescence)
-                result = runner.run(config)
+                    with KERNEL_GATE:
+                        result = self._engine_for(request.fluorescence).run(
+                            config
+                        )
                 self.last_photons_traced = config.n_photons
             self.requests_served += 1
             return result
@@ -388,42 +413,88 @@ class RenderSession:
         replays, byte for byte, whatever engine/accel/worker shape
         traced either half.
 
-        Sharing rule: a cached forest is never mutated.  The serve
-        starts from ``entry.forest``/``entry.stats`` themselves and
-        copies them immediately before the first chunk that would
-        extend them, so a hit that traces nothing returns the cached
-        objects as they are.
+        Sharing rule: a cached forest is never mutated.  A serve with
+        nothing to trace returns ``entry.forest``/``entry.stats`` as
+        they are; :meth:`_extend` copies them before its first chunk.
+
+        Gate rule: a request the cache already answers — an exact
+        repeat, a prefix that meets the convergence target — is told so
+        by a read-only probe and never waits at the kernel gate.  Every
+        other request takes the gate *first* and looks the cache up
+        under it, so of two threads released on one never-seen key the
+        second finds the forest the first just stored: an exact hit,
+        with no coalescing machinery.
+        """
+        n, target = config.n_photons, request.target_rel_error
+        cache = self._forest_cache if amortize else None
+        key = trace_key(config)
+        entry = None
+        if cache is not None and _answers(cache.peek(key, n), n, target):
+            # The serve's lookup proper: it refreshes recency, the probe
+            # does not.  An entry evicted or outgrown since the probe no
+            # longer answers, and the request goes to the gate after all.
+            entry = cache.lookup(key, n)
+        if _answers(entry, n, target):
+            forest, stats, done = entry.forest, entry.stats, entry.n
+            achieved = (
+                entry.median_relative_error() if target is not None else None
+            )
+        else:
+            with KERNEL_GATE:
+                if cache is not None:
+                    entry = cache.lookup(key, n)
+                forest, stats, done, achieved = self._extend(
+                    request, config, entry
+                )
+                if cache is not None:
+                    cache.store(key, done, forest, stats)
+        reused = entry.n if entry is not None else 0
+        if cache is not None:
+            cache.record_serve(reused, done - reused, done < n)
+        self.last_photons_traced = done - reused
+        result_config = (
+            config if done == n else dataclasses.replace(config, n_photons=done)
+        )
+        return SimulationResult(
+            forest,
+            stats,
+            result_config,
+            self.scene.name,
+            photons_requested=n if target is not None else None,
+            achieved_rel_error=achieved,
+        )
+
+    def _extend(
+        self,
+        request: SimulateRequest,
+        config: SimulationConfig,
+        entry: Optional[CachedTrace],
+    ) -> tuple:
+        """Trace from *entry*'s prefix (or from nothing) towards the budget.
+
+        Runs under the kernel gate.  Returns ``(forest, stats, done,
+        achieved)``: the photons in the forest, and its median relative
+        error when the request set a target (else ``None``).
         """
         target = request.target_rel_error
-        key = trace_key(config)
-        entry = (
-            self._forest_cache.lookup(key, config.n_photons)
-            if amortize
-            else None
-        )
         if entry is not None:
             forest, stats, done = entry.forest, entry.stats, entry.n
         else:
             forest, stats, done = BinForest(config.policy), TraceStats(), 0
-        reused = done
         trace = None
-        chunk = self.options.batch_size
-        stopped_early = False
         while done < config.n_photons:
             if target is not None and done > 0:
                 summary = forest_error_summary(forest)
                 if summary.median_relative_error <= target:
-                    stopped_early = True
                     break
             if trace is None:
-                # First chunk: only now provision the tracer (a hit
-                # that traces nothing spawns no pool) and un-share the
+                # First chunk: provision the tracer and un-share the
                 # cached prefix this chunk is about to extend.
                 trace = self._chunk_tracer(request, config)
                 if entry is not None:
                     forest = copy.deepcopy(forest)
                     stats = dataclasses.replace(stats)
-            todo = min(chunk, config.n_photons - done)
+            todo = min(self.options.batch_size, config.n_photons - done)
             trace(forest, stats, done, todo)
             done += todo
         achieved = (
@@ -431,27 +502,7 @@ class RenderSession:
             if target is not None
             else None
         )
-        if amortize:
-            self._forest_cache.store(key, done, forest, stats)
-            self._forest_cache.record_serve(
-                reused, done - reused, stopped_early
-            )
-        self.last_photons_traced = done - reused
-        result_config = (
-            config
-            if done == config.n_photons
-            else dataclasses.replace(config, n_photons=done)
-        )
-        return SimulationResult(
-            forest,
-            stats,
-            result_config,
-            self.scene.name,
-            photons_requested=(
-                config.n_photons if target is not None else None
-            ),
-            achieved_rel_error=achieved,
-        )
+        return forest, stats, done, achieved
 
     def _chunk_tracer(self, request: SimulateRequest, config: SimulationConfig):
         """A ``trace(forest, stats, start, count)`` closure for *config*.
@@ -492,7 +543,15 @@ class RenderSession:
         from ..core.vectorized import tally_block
 
         if config.workers > 1:
-            source = self._pool_for(request.fluorescence, config).trace_range
+
+            def source(seed, start, count):
+                # The caller holds the gate; spawning the workers and
+                # waiting on them uses none of this process's CPU, so
+                # neither happens under it.
+                with KERNEL_GATE.released():
+                    pool = self._pool_for(request.fluorescence, config)
+                    return pool.trace_range(seed, start, count)
+
         else:
             source = self._engine_for(request.fluorescence).trace_range
 
@@ -544,9 +603,9 @@ class RenderSession:
         pool — into one growing forest; contiguous ascending chunks
         keep the global tally sequence canonical, which is why the
         final cumulative forest matches the one-shot answer
-        byte-for-byte.  Under a convergence target the check runs after
-        each yield, so the consumer always receives the chunk that
-        crossed the threshold.
+        byte-for-byte.  Under a convergence target the check shares the
+        chunk's gated section and acts after the yield, so the consumer
+        always receives the chunk that crossed the threshold.
         """
         forest = BinForest(config.policy)
         stats = TraceStats()
@@ -560,13 +619,18 @@ class RenderSession:
         done = 0
         while done < config.n_photons:
             todo = min(chunk, config.n_photons - done)
-            trace(forest, stats, done, todo)
+            # The gate is taken per chunk and never held across a yield:
+            # a slow consumer must not park every other session.
+            with KERNEL_GATE:
+                trace(forest, stats, done, todo)
+                converged = (
+                    target is not None
+                    and forest_error_summary(forest).median_relative_error
+                    <= target
+                )
             done += todo
             yield SimulationResult(forest, stats, config, self.scene.name)
-            if (
-                target is not None
-                and forest_error_summary(forest).median_relative_error <= target
-            ):
+            if converged:
                 if self._forest_cache is not None:
                     self._forest_cache.record_serve(0, 0, True)
                 return
@@ -635,8 +699,11 @@ class RenderSession:
             camera = Camera(
                 width=width, height=height, **self.program.default_camera
             )
-        field = RadianceField(self.scene, forest)
-        return render(self.scene, field, camera, engine=self._engine_for(None))
+        with KERNEL_GATE:
+            field = RadianceField(self.scene, forest)
+            return render(
+                self.scene, field, camera, engine=self._engine_for(None)
+            )
 
 
 def open_session(

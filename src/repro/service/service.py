@@ -26,7 +26,7 @@ Endpoints:
   without tracing a photon (the camera-only fast path).
 * ``GET /healthz`` — liveness.
 * ``GET /stats`` — resident programs, pool occupancy and queue depths,
-  hit/miss/eviction, admission, and amortization counters.
+  hit/miss/eviction, admission, amortization and kernel-gate counters.
 
 Blocking session work (tracing, canonical serialisation) runs on a
 dedicated thread-pool executor; the event loop only ever does parsing,
@@ -58,6 +58,7 @@ from typing import Iterator, Optional
 from urllib.parse import quote
 
 from ..api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
+from ..api.gate import KERNEL_GATE
 from ..core.answerfile import forest_to_dict
 from ..core.bintree import SplitPolicy
 from . import http
@@ -124,7 +125,10 @@ class ServiceConfig:
         max_body_bytes: Request-body cap (HTTP 413 above it).
         executor_threads: Blocking-work thread count; defaults to
             ``max_programs * sessions_per_scene + 2`` so every pooled
-            session can trace concurrently with cleanup headroom.
+            session can be admitted — answering a cache hit, waiting on
+            its workers or at the kernel gate — with cleanup headroom.
+            It sizes admission, not compute: in-process kernel sections
+            run one at a time (:mod:`repro.api.gate`).
     """
 
     scenes: tuple[str, ...]
@@ -756,6 +760,7 @@ class RenderService:
                 key: sum(s["amortize"][key] for s in scenes.values())
                 for key in amortize_keys
             },
+            "kernel_gate": KERNEL_GATE.snapshot(),
             "requests": {
                 "served_oneshot": self.served_oneshot,
                 "served_stream": self.served_stream,

@@ -4,3 +4,12 @@ import time
 async def handler(session, request):
     time.sleep(0.1)
     return session.simulate(request)
+
+
+async def traced(gate, engine, config):
+    with gate:
+        return engine.run(config)
+
+
+async def counted(service):
+    service.kernel_gate.acquire()

@@ -10,3 +10,21 @@ async def handler(loop, session, request):
         return session.simulate(request)
 
     return await loop.run_in_executor(None, run)
+
+
+async def traced(loop, gate, engine, config):
+    def run():
+        # The gate may be held for a whole trace: wait for it on an
+        # executor thread, never on the loop.
+        with gate:
+            return engine.run(config)
+
+    return await loop.run_in_executor(None, run)
+
+
+async def admitted(pool, lock):
+    # An asyncio pool's awaited acquire and an unrelated lock are not
+    # the gate.
+    session = await pool.acquire(timeout=1.0)
+    with lock:
+        return session

@@ -24,7 +24,12 @@ EXPECTED = {
     "det_id_order": [("det-id-order", 3)],
     "shm_lifecycle": [("shm-lifecycle", 5)],
     "shm_raw_attach": [("shm-raw-attach", 5)],
-    "async_blocking": [("async-blocking", 5), ("async-blocking", 6)],
+    "async_blocking": [
+        ("async-blocking", 5),
+        ("async-blocking", 6),
+        ("async-blocking", 10),  # `with gate:` on the loop thread
+        ("async-blocking", 15),  # `....kernel_gate.acquire()`
+    ],
     "async_future_result": [("async-future-result", 2)],
     "api_all_undefined": [("api-all-undefined", 1)],
     "api_shim_nowarn": [("api-shim-nowarn", 1)],

@@ -33,6 +33,7 @@ from repro.api.amortize import (
     ForestCache,
     trace_key,
 )
+from repro.api.gate import KERNEL_GATE
 from repro.api.requests import merge_config
 from repro.core import forest_to_dict
 from repro.core.bintree import SplitPolicy
@@ -387,7 +388,9 @@ class TestSharingUnderConcurrency:
         options = SessionOptions(batch_size=64, amortize=True)
         held = []  # (result, bytes when served), across all threads
         images = []  # (budget, image)
+        traced = []  # photons each simulate traced (render_view's included)
         errors = []
+        gate_before = KERNEL_GATE.snapshot()["acquired"]
 
         def client(turn: int) -> None:
             try:
@@ -403,10 +406,12 @@ class TestSharingUnderConcurrency:
                                 request, width=8, height=6
                             )
                             images.append((n, image))
+                            traced.append(session.last_photons_traced)
                         result = session.simulate(
                             self.STOP if step % 4 == 3 else request
                         )
                         held.append((result, forest_bytes(result)))
+                        traced.append(session.last_photons_traced)
             except Exception as exc:
                 errors.append(exc)
 
@@ -426,6 +431,15 @@ class TestSharingUnderConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(held) == 4 * 2 * len(self.BUDGETS)
+        # The kernel gate was taken once by every serve that traced and
+        # once by every render, and otherwise only by a serve that found
+        # its answer stored by whoever held the gate before it.  A serve
+        # the cache answered up front never took it.
+        gated = KERNEL_GATE.snapshot()["acquired"] - gate_before
+        worked = sum(1 for photons in traced if photons) + len(images)
+        coalesced = gated - worked
+        assert 0 <= coalesced <= traced.count(0)
+        assert not KERNEL_GATE.locked()
 
         cold = {}  # traced count -> (cold bytes, cold 8x6 image)
         with RenderSession(scene, SessionOptions(batch_size=64)) as reference:

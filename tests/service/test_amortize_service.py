@@ -81,6 +81,12 @@ class TestServedTopUps:
         assert set(scene) == counters | {"forest_entries"}
         assert scene["forest_entries"] >= 1
         assert "served_render" in stats["requests"]
+        # Clock-free and monotone: the service has traced by now.
+        assert set(stats["kernel_gate"]) == {"acquired", "contended"}
+        assert stats["kernel_gate"]["acquired"] >= 1
+        assert 0 <= stats["kernel_gate"]["contended"] <= (
+            stats["kernel_gate"]["acquired"]
+        )
 
 
 class TestHostileNumbers:

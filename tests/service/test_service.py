@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api.gate import KERNEL_GATE
 from repro.core import save_answer
 from repro.parallel.shmplane import leaked_segments
 from repro.scenes import get_scene
@@ -151,6 +152,45 @@ class TestAdmission:
         assert status == 504
         assert json.loads(body)["error"]["code"] == "deadline-exceeded"
 
+    def test_deadline_spent_waiting_at_the_kernel_gate(self, service, tmp_path):
+        """A one-shot still queued at the gate when its deadline passes
+        gets the typed 504; when the gate frees, its trace runs out, the
+        session goes back, and the key answers with its cold bytes."""
+
+        def pool_stats() -> dict:
+            _, _, raw = service.request("GET", "/stats")
+            return json.loads(raw)["scenes"]["cornell-box"]["pool"]
+
+        request = {"photons": 260}
+        service.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        segments = leaked_segments()
+        before = pool_stats()
+        assert before["in_use"] == 0
+        with KERNEL_GATE:
+            status, _, body = service.request(
+                "POST",
+                simulate_path("cornell-box"),
+                dict(request, deadline=0.2),
+                timeout=120,
+            )
+            assert status == 504
+            assert json.loads(body)["error"]["code"] == "deadline-exceeded"
+            # Its executor thread is parked at the gate, session in hand.
+            assert pool_stats()["in_use"] == 1
+        deadline = time.monotonic() + 60
+        while pool_stats()["in_use"] and time.monotonic() < deadline:
+            time.sleep(0.02)
+        after = pool_stats()
+        assert after["in_use"] == 0
+        assert after["acquired"] == before["acquired"] + 1
+        assert after["idle"] == after["sessions"]
+        assert leaked_segments() == segments
+        status, _, body = service.request(
+            "POST", simulate_path("cornell-box"), request
+        )
+        assert status == 200
+        assert body == reference_bytes("cornell-box", 260, tmp_path)
+
     def test_stream_deadline_truncates_in_band(self, service):
         # Warm first so the stream reaches its chunk loop, then ask for
         # far more tracing than the deadline allows: the stream must end
@@ -220,7 +260,8 @@ class TestRouting:
         stats = json.loads(body)
         assert status == 200
         assert set(stats) == {
-            "status", "programs", "scenes", "amortize", "requests"
+            "status", "programs", "scenes", "amortize", "kernel_gate",
+            "requests",
         }
         assert stats["programs"]["max_programs"] == 4
 
