@@ -2,6 +2,6 @@
 
 A real package (not just a directory) so pytest imports these modules
 as ``benchmarks.test_*`` — letting a benchmark and a unit test share a
-basename (e.g. ``test_flat_octree.py`` lives both here and under
-``tests/geometry/``) without an import-file mismatch.
+basename (e.g. ``test_amortize.py`` lives both here and under
+``tests/api/``) without an import-file mismatch.
 """

@@ -7,12 +7,11 @@ one later layers (result-buffer planes, multi-scene serving, async
 frontends) build on:
 
 * :class:`SceneProgram` — a scene compiled once (patch SoA, flat
-  octree, packed leaf lists) and shared process-wide, with a refcounted
-  shared-memory plane the process's concurrent sessions publish exactly
-  once.
+  octree) and shared process-wide, with a refcounted shared-memory
+  plane the process's concurrent sessions publish exactly once.
 * :class:`RenderSession` — a context manager owning the warm resources
-  (engine, accelerator, worker pool, plane reference) that serves
-  repeated :meth:`~RenderSession.simulate`,
+  (engine, worker pool, plane reference) that serves repeated
+  :meth:`~RenderSession.simulate`,
   :meth:`~RenderSession.simulate_stream`, and
   :meth:`~RenderSession.render` calls.
 * :class:`SimulateRequest` / :class:`SessionOptions` — the frozen,

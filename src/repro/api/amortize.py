@@ -16,9 +16,9 @@ on a scene shares) so all sessions in a service
 :class:`~repro.service.pool.SessionPool` share hits.  It holds built
 forests keyed by the **camera- and budget-free trace key** (engine,
 resolved RNG discipline, split policy, fluorescence, seed).  The key
-deliberately excludes the accelerator and worker count: answers are
-accel/worker-invariant (the golden matrix pins this), so a forest
-traced by one session shape tops up a request served by another.
+deliberately excludes the worker count: answers are worker-invariant
+(the golden matrix pins this), so a forest traced by one session shape
+tops up a request served by another.
 
 The sharing rule: **hits share, the first extension copies, nothing
 reachable from the cache is ever mutated.**  A serve that traces
@@ -67,8 +67,8 @@ def trace_key(config: "SimulationConfig") -> tuple:
 
     Everything that changes *which events exist* is in the key; the
     photon budget (a prefix length, not an identity) and every
-    provisioning knob that is byte-invariant by contract (accelerator,
-    worker count, batch size, transport) is excluded.
+    provisioning knob that is byte-invariant by contract (worker count,
+    batch size) is excluded.
     """
     return (
         config.engine,

@@ -138,7 +138,7 @@ class SceneProgram:
 
         One cache per program, shared by every session that opts in
         with ``SessionOptions(amortize=True)`` — the trace key is
-        accel/worker-free, so differently provisioned sessions top each
+        worker-count-free, so differently provisioned sessions top each
         other up.
         """
         return self._forest_cache

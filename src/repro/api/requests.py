@@ -3,8 +3,8 @@
 The legacy :class:`~repro.core.simulator.SimulationConfig` mixed two
 very different kinds of knob: *what to simulate* (photons, seed, split
 policy, fluorescence, RNG discipline — different on every request) and
-*how the serving process is provisioned* (engine, accelerator, worker
-count, batch size — fixed for the lifetime of a warm session).  The
+*how the serving process is provisioned* (engine, worker count, batch
+size — fixed for the lifetime of a warm session).  The
 paper's architecture is a long-lived simulation program answering many
 requests, so the public API separates them:
 
@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from ..core.bintree import SplitPolicy
-from ..core.simulator import (
-    ACCELS,
-    ENGINES,
-    RNG_MODES,
-    SimulationConfig,
-)
+from ..core.simulator import ENGINES, RNG_MODES, SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.fluorescence import FluorescenceSpec
@@ -110,8 +105,6 @@ class SessionOptions:
     Attributes:
         engine: ``"vector"`` (the NumPy batch engine, the production
             default) or ``"scalar"`` (the per-photon reference loop).
-        accel: Vector-engine intersection accelerator
-            (:data:`repro.core.simulator.ACCELS`).
         workers: Process count; > 1 keeps a persistent
             :class:`~repro.parallel.procpool.PhotonPool` warm across
             requests.
@@ -135,7 +128,6 @@ class SessionOptions:
     """
 
     engine: str = "vector"
-    accel: str = "auto"
     workers: int = 1
     batch_size: int = 4096
     amortize: bool = False
@@ -143,8 +135,6 @@ class SessionOptions:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; pick from {ENGINES}")
-        if self.accel not in ACCELS:
-            raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.workers < 1:
@@ -178,7 +168,6 @@ def merge_config(
         fluorescence=request.fluorescence,
         rng_mode=request.rng_mode,
         engine=options.engine,
-        accel=options.accel,
         workers=options.workers,
         batch_size=options.batch_size,
     )
@@ -203,7 +192,6 @@ def split_config(
     )
     options = SessionOptions(
         engine=config.engine,
-        accel=config.accel,
         workers=config.workers,
         batch_size=config.batch_size,
     )

@@ -45,8 +45,8 @@ answers never takes it, and it is never held across a wait on pool
 workers or between stream chunks.
 
 Determinism contract: for equal requests, every session configuration —
-engine, accelerator, worker count, batch size, streamed or one-shot —
-produces byte-identical answers, and all of them equal the legacy
+engine, worker count, batch size, streamed or one-shot — produces
+byte-identical answers, and all of them equal the legacy
 ``PhotonSimulator`` output (the golden suite holds both surfaces to the
 same committed bytes).
 
@@ -303,7 +303,6 @@ class RenderSession:
                 arrays=self.program.arrays,
                 fluorescence=fluorescence,
                 batch_size=self.options.batch_size,
-                accel=self.options.accel,
             )
             self._engines[fluorescence] = engine
         return engine
@@ -348,9 +347,9 @@ class RenderSession:
         happen, never a single tally.
 
         Under ``SessionOptions(amortize=True)`` a request whose trace
-        key matches a cached run of at most its budget (any
-        accel/worker shape) starts from the cached forest and traces
-        only the missing photon range — byte-identical to a cold run,
+        key matches a cached run of at most its budget (any batch size
+        or worker count) starts from the cached forest and traces only
+        the missing photon range — byte-identical to a cold run,
         per the substream prefix property (see
         :mod:`repro.api.amortize`).  A hit that traces nothing (an
         exact repeat, an already-converged early stop, a camera-only
@@ -410,7 +409,7 @@ class RenderSession:
         (the stream-parity contract) — so extending a deep copy of the
         cached ``[0, n)`` forest with the events of ``[n, m)`` replays
         the identical global tally sequence a cold ``[0, m)`` run
-        replays, byte for byte, whatever engine/accel/worker shape
+        replays, byte for byte, whatever batch size or worker count
         traced either half.
 
         Sharing rule: a cached forest is never mutated.  A serve with
@@ -573,7 +572,7 @@ class RenderSession:
         the legacy ``run_batches``.  Because tally replay is canonical
         in (photon, bounce) order regardless of chunk boundaries, the
         **final** yield is byte-identical to :meth:`simulate` of the
-        same request, on every engine/accelerator/worker combination
+        same request, on every engine/worker/batch-size combination
         (pinned by the stream-parity suite).
 
         Validation happens at the call, not at first iteration, and the

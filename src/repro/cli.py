@@ -36,7 +36,6 @@ from .api import (
 )
 from .cluster import platform_by_name, profile_scene, trace_family
 from .core import Camera, SplitPolicy, load_answer, save_answer
-from .core.vectorized import PRUNE_PATCH_THRESHOLD
 from .geometry import Vec3
 from .image import save_radiance_ppm
 from .perf import ascii_traces, format_table, speedup_table
@@ -105,17 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
             "RNG discipline: one serial stream (historical scalar "
             "behaviour) or per-photon substreams (engine-independent "
             "answers); auto picks stream for scalar, substream for vector"
-        ),
-    )
-    p_sim.add_argument(
-        "--accel",
-        choices=("auto", "flat", "octree", "linear"),
-        default="auto",
-        help=(
-            "vector-engine intersection accelerator: flat = array-encoded "
-            "octree batch walk, octree = per-leaf pruned loop, linear = "
-            f"dense scan, auto = flat from {PRUNE_PATCH_THRESHOLD} patches "
-            "up and linear below; answers are identical in every mode"
         ),
     )
     p_sim.add_argument(
@@ -190,16 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("scalar", "vector"),
         default="scalar",
         help="engine used for the calibration profile",
-    )
-    p_trace.add_argument(
-        "--accel",
-        choices=("auto", "flat", "octree", "linear"),
-        default="auto",
-        help=(
-            "intersection accelerator for the vector calibration profile "
-            "(ignored by --engine scalar, which always walks the pointer "
-            "octree)"
-        ),
     )
 
     p_save = sub.add_parser(
@@ -289,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine pooled sessions trace with (default: vector)",
     )
     p_serve.add_argument(
-        "--accel",
-        choices=("auto", "flat", "octree", "linear"),
-        default="auto",
-    )
-    p_serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -334,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     # list — keep a handle on the subparser for the error path.
     parser.simulate_parser = p_sim
     parser.serve_parser = p_serve
+    parser.trace_parser = p_trace
     parser.lint_parser = p_lint
     return parser
 
@@ -393,7 +367,6 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
         )
         options = SessionOptions(
             engine=args.engine,
-            accel=args.accel,
             workers=args.workers,
             batch_size=args.batch_size,
             amortize=args.amortize,
@@ -527,12 +500,15 @@ def _cmd_save_scene(args, out, parser: argparse.ArgumentParser) -> int:
 def _cmd_trace(args, out, parser: argparse.ArgumentParser) -> int:
     machine = platform_by_name(args.platform)
     scene = _resolve_scene(args.scene, parser)
-    profile = profile_scene(
-        scene, photons=250, engine=args.engine, accel=args.accel
-    )
-    family = trace_family(
-        machine, profile, sorted(set(args.ranks)), duration_s=args.duration
-    )
+    try:
+        profile = profile_scene(scene, photons=250, engine=args.engine)
+        family = trace_family(
+            machine, profile, sorted(set(args.ranks)), duration_s=args.duration
+        )
+    except ValueError as exc:
+        # Same rule as simulate: a bad --ranks/--duration is a usage
+        # error (usage line + message, exit 2), not a traceback.
+        parser.trace_parser.error(str(exc))
     print(ascii_traces(family, title=f"{machine.name} / {scene.name}"), file=out)
     if 1 in family:
         table = speedup_table(family, at_time=args.read_at)
@@ -596,7 +572,6 @@ def _cmd_serve(args, out, parser: argparse.ArgumentParser) -> int:
     try:
         options = SessionOptions(
             engine=args.engine,
-            accel=args.accel,
             workers=args.workers,
             batch_size=args.batch_size,
             amortize=args.amortize == "on",

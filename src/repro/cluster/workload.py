@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.bintree import NODE_BYTES, BinForest, SplitPolicy
-from ..core.simulator import ACCELS, ENGINES, TraceStats, trace_photon
+from ..core.simulator import ENGINES, TraceStats, trace_photon
 from ..geometry.scene import Scene
 from ..rng import Lcg48
 
@@ -98,7 +98,6 @@ def profile_scene(
     photons: int = 400,
     seed: int = 2024,
     engine: str = "scalar",
-    accel: str = "auto",
     arrays=None,
 ) -> SceneProfile:
     """Measure a :class:`SceneProfile` by tracing *photons* real photons.
@@ -110,12 +109,6 @@ def profile_scene(
             counters (lane-x-node slab tests as ``nodes_per_photon``,
             lane-x-patch plane tests as ``tests_per_photon``) — the
             honest cost profile of the batched intersector.
-        accel: Intersection accelerator the vector calibration runs
-            under (:data:`repro.core.simulator.ACCELS`).  The profile
-            must measure the accelerator users actually run — flat,
-            octree, and linear do very different amounts of slab/patch
-            work per photon.  Ignored by the scalar engine, which always
-            walks the pointer octree.
         arrays: Optional pre-compiled
             :class:`~repro.core.vectorized.SceneArrays` for *scene*
             (e.g. from a :class:`repro.api.SceneProgram`); the vector
@@ -126,10 +119,8 @@ def profile_scene(
         raise ValueError("need at least 10 calibration photons")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
-    if accel not in ACCELS:
-        raise ValueError(f"unknown accel {accel!r}; pick from {ACCELS}")
     if engine == "vector":
-        return _profile_scene_vector(scene, photons, seed, accel, arrays)
+        return _profile_scene_vector(scene, photons, seed, arrays)
     rng = Lcg48(seed)
     forest = BinForest(SplitPolicy())
     stats = TraceStats()
@@ -160,12 +151,12 @@ def profile_scene(
 
 
 def _profile_scene_vector(
-    scene: Scene, photons: int, seed: int, accel: str, arrays=None
+    scene: Scene, photons: int, seed: int, arrays=None
 ) -> SceneProfile:
     """Vector-engine calibration body of :func:`profile_scene`."""
     from ..core.vectorized import VectorEngine, apply_events
 
-    engine = VectorEngine(scene, arrays=arrays, accel=accel)
+    engine = VectorEngine(scene, arrays=arrays)
     forest = BinForest(SplitPolicy())
     events, _stats = engine.trace_range(seed, 0, photons)
     events = events.sorted_canonical()

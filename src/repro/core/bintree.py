@@ -15,6 +15,7 @@ two build the same tree.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -65,8 +66,12 @@ class SplitPolicy:
     max_leaves: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        # not (x > 0) also rejects NaN; an infinite threshold never splits
+        # and serialises as a non-JSON token.
+        if not (self.threshold > 0 and math.isfinite(self.threshold)):
+            raise ValueError(
+                f"threshold must be positive and finite, got {self.threshold}"
+            )
         if self.min_count < 2:
             raise ValueError("min_count must be at least 2")
         if self.max_depth < 0:

@@ -54,13 +54,6 @@ ENGINES = ("scalar", "vector")
 #: RNG disciplines selectable through :attr:`SimulationConfig.rng_mode`.
 RNG_MODES = ("auto", "stream", "substream")
 
-#: Intersection accelerators selectable through
-#: :attr:`SimulationConfig.accel` (vector engine only; the scalar loop
-#: always traverses the pointer octree).  Mirrors
-#: :data:`repro.core.vectorized.ACCEL_MODES` without importing the
-#: NumPy-heavy module at config time.
-ACCELS = ("auto", "flat", "octree", "linear")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -86,13 +79,6 @@ class SimulationConfig:
         workers: Process count for the vector engine; > 1 shards batches
             across a multiprocessing pool
             (:mod:`repro.parallel.procpool`).
-        accel: Vector-engine intersection accelerator: ``"flat"`` is the
-            array-encoded octree walk
-            (:class:`repro.geometry.flatoctree.FlatOctree`), ``"octree"``
-            the per-leaf pruned loop, ``"linear"`` the dense scan;
-            ``"auto"`` picks flat for large scenes, linear for small.
-            Every mode yields bit-identical answers — this knob trades
-            speed only.  Ignored by the scalar engine.
     """
 
     n_photons: int
@@ -103,7 +89,6 @@ class SimulationConfig:
     rng_mode: str = "auto"
     batch_size: int = 4096
     workers: int = 1
-    accel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_photons < 0:
@@ -119,8 +104,6 @@ class SimulationConfig:
                 "the vector engine requires per-photon substreams; "
                 "use rng_mode='substream' (or 'auto')"
             )
-        if self.accel not in ACCELS:
-            raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.workers < 1:
@@ -399,7 +382,6 @@ class PhotonSimulator:
                 self.scene,
                 fluorescence=config.fluorescence,
                 batch_size=batch_size,
-                accel=config.accel,
             )
             done = 0
             while done < config.n_photons:

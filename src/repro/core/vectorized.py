@@ -7,15 +7,12 @@ structure-of-arrays form — batched emission, batched ray/patch
 intersection, batched roulette/lobe sampling — while remaining
 **bit-exact** with the scalar path photon-for-photon.
 
-Intersection acceleration is selectable (``accel=``, surfaced as
-``SimulationConfig.accel`` / ``repro simulate --accel``):
+The engine picks its intersection accelerator from the patch count;
+nothing above :class:`VectorEngine` names one.  The two serving paths:
 
 * ``"linear"`` — dense all-patches testing, walked in cache-sized
   lane x patch tiles (:data:`DENSE_TILE`); fastest for small scenes
   where candidate selection cannot pay for itself.
-* ``"octree"`` — PR 1's pruned walk: a Python loop over every octree
-  leaf, slab-testing the whole batch per leaf.  Kept as the benchmark
-  baseline for the flat walk.
 * ``"flat"`` — the :class:`repro.geometry.flatoctree.FlatOctree`
   level-synchronous pair walk: the pointer octree compiled once into
   contiguous arrays, then one slab-test call per tree level over every
@@ -24,11 +21,11 @@ Intersection acceleration is selectable (``accel=``, surfaced as
   closest-hit pruning between levels.  NumPy dispatches per bounce are
   O(tree depth), independent of how many nodes and leaves the rays
   visit.
-* ``"auto"`` — ``"flat"`` at or above :data:`PRUNE_PATCH_THRESHOLD`
-  patches, ``"linear"`` below.
+* ``"auto"`` (the default) — ``"flat"`` at or above
+  :data:`PRUNE_PATCH_THRESHOLD` patches, ``"linear"`` below.
 
-All four produce identical answers (the determinism contract below);
-they differ only in speed.
+Both produce identical answers (the determinism contract below); they
+differ only in speed.
 
 Bit-exactness is what lets the parity suite compare bin forests
 tally-for-tally instead of statistically.  Three disciplines make it
@@ -75,7 +72,7 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..geometry.flatoctree import FlatOctree, slab_spans
+from ..geometry.flatoctree import FlatOctree
 from ..geometry.ray import EPSILON
 from ..geometry.scene import Scene
 from ..geometry.vec import Vec3, orthonormal_basis
@@ -112,7 +109,7 @@ SUBSTREAM_SPACING_BITS = 20
 
 #: Intersection acceleration modes accepted by :class:`VectorEngine`
 #: (``"auto"`` resolves at construction, see the module docstring).
-ACCEL_MODES = ("auto", "flat", "octree", "linear")
+ACCEL_MODES = ("auto", "flat", "linear")
 
 #: Dense all-patches intersection wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
@@ -288,24 +285,8 @@ class SceneArrays:
         )
 
         # The array-encoded octree for the flat batched walk (compiled
-        # once; pickled to pool workers with the rest of the arrays).
+        # once; pool workers attach it through the shared-memory plane).
         self.flat = FlatOctree.from_octree(scene.octree)
-
-        # Octree leaves for candidate pruning: bounds plus member patches.
-        leaves = [
-            node for node in scene.octree.iter_nodes()
-            if node.is_leaf and node.patches
-        ]
-        self.leaf_lox = np.array([lf.bounds.lo.x for lf in leaves])
-        self.leaf_loy = np.array([lf.bounds.lo.y for lf in leaves])
-        self.leaf_loz = np.array([lf.bounds.lo.z for lf in leaves])
-        self.leaf_hix = np.array([lf.bounds.hi.x for lf in leaves])
-        self.leaf_hiy = np.array([lf.bounds.hi.y for lf in leaves])
-        self.leaf_hiz = np.array([lf.bounds.hi.z for lf in leaves])
-        self.leaf_patches = [
-            np.array(sorted(p.patch_id for p in lf.patches), dtype=np.int64)
-            for lf in leaves
-        ]
 
     @property
     def patch_count(self) -> int:
@@ -314,10 +295,9 @@ class SceneArrays:
     # -- shared-memory plane export / attach ----------------------------------
     #
     # Everything batched kernels read is a NumPy array, so the whole
-    # structure serialises to a flat name -> array mapping.  Dotted names
-    # namespace the two composite members: ``flat.*`` is the compiled
-    # octree, ``leafpk.*`` packs the per-leaf candidate lists (a Python
-    # list of arrays) as one concatenated pool plus offsets.
+    # structure serialises to a flat name -> array mapping.  The dotted
+    # ``flat.*`` names namespace the one composite member, the compiled
+    # octree.
 
     def export_fields(self) -> dict:
         """Flat name -> array mapping of every buffer the kernels read.
@@ -335,15 +315,6 @@ class SceneArrays:
         }
         for name, arr in self.flat.arrays().items():
             fields[f"flat.{name}"] = arr
-        offsets = np.zeros(len(self.leaf_patches) + 1, dtype=np.int64)
-        for i, ids in enumerate(self.leaf_patches):
-            offsets[i + 1] = offsets[i] + ids.size
-        fields["leafpk.offsets"] = offsets
-        fields["leafpk.items"] = (
-            np.concatenate(self.leaf_patches)
-            if self.leaf_patches
-            else np.empty(0, dtype=np.int64)
-        )
         return fields
 
     @classmethod
@@ -362,15 +333,9 @@ class SceneArrays:
         for name, value in fields.items():
             if name.startswith("flat."):
                 flat_arrays[name[len("flat."):]] = value
-            elif "." not in name:
+            else:
                 setattr(self, name, value)
         self.flat = FlatOctree.from_arrays(flat_arrays)
-        offsets = fields["leafpk.offsets"]
-        items = fields["leafpk.items"]
-        self.leaf_patches = [
-            items[offsets[i]:offsets[i + 1]]
-            for i in range(offsets.size - 1)
-        ]
         return self
 
 
@@ -614,17 +579,20 @@ class VectorEngine:
         fluorescence: Optional Stokes-shift spec (same semantics as the
             scalar :func:`repro.core.fluorescence.fluorescent_reflect`).
         batch_size: Photons per structure-of-arrays batch.
-        accel: Intersection acceleration, one of :data:`ACCEL_MODES`
-            (module docstring); ``None``/``"auto"`` picks ``"flat"`` at
-            or above :data:`PRUNE_PATCH_THRESHOLD` patches, ``"linear"``
-            below.
+        accel: One of :data:`ACCEL_MODES`.  Leave it at the default:
+            ``"auto"`` picks ``"flat"`` at or above
+            :data:`PRUNE_PATCH_THRESHOLD` patches and ``"linear"`` below,
+            and no config, option or flag above the engine can say
+            otherwise.  Naming a mode here is the seam the parity
+            oracles use to hold the flat walk against the dense-scan
+            reference on the same scene.
 
     Attributes:
         accel: The resolved acceleration mode (never ``"auto"``).
         patch_tests: Cumulative lane-x-patch plane tests performed (the
             vector analogue of ``OctreeStats.intersection_tests``).
-        box_tests: Cumulative lane-x-node slab tests (flat and octree
-            modes; the flat walk counts eight per visited child block).
+        box_tests: Cumulative lane-x-node slab tests (the flat walk
+            counts eight per visited child block).
     """
 
     def __init__(
@@ -634,12 +602,10 @@ class VectorEngine:
         arrays: Optional[SceneArrays] = None,
         fluorescence: Optional["FluorescenceSpec"] = None,
         batch_size: int = 4096,
-        accel: Optional[str] = None,
+        accel: str = "auto",
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if accel is None:
-            accel = "auto"
         if accel not in ACCEL_MODES:
             raise ValueError(f"unknown accel {accel!r}; pick from {ACCEL_MODES}")
         if scene is None and arrays is None:
@@ -843,9 +809,9 @@ class VectorEngine:
 
     def _test_patches(
         self, px, py, pz, dx, dy, dz, cols: np.ndarray,
-        best_t: np.ndarray, best_i: np.ndarray, rows: Optional[np.ndarray] = None,
+        best_t: np.ndarray, best_i: np.ndarray,
     ) -> None:
-        """Dense test of lanes (*rows* or all) against patch columns *cols*.
+        """Dense test of every lane against patch columns *cols*.
 
         Walks the lanes x *cols* rectangle in tiles of :data:`DENSE_TILE`,
         each laid out ``[patches, lanes]``, and folds every tile into the
@@ -859,11 +825,8 @@ class VectorEngine:
         chunks = [
             cols[c0:c0 + tile_cols, None] for c0 in range(0, cols.size, tile_cols)
         ]
-        n = px.size if rows is None else rows.size
-        for l0 in range(0, n, tile_lanes):
+        for l0 in range(0, px.size, tile_lanes):
             tgt = slice(l0, l0 + tile_lanes)
-            if rows is not None:
-                tgt = rows[tgt]
             ray = px[tgt], py[tgt], pz[tgt], dx[tgt], dy[tgt], dz[tgt]
             bt = best_t[tgt]
             bi = best_i[tgt]
@@ -936,43 +899,22 @@ class VectorEngine:
             self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
             return best_i, best_t
 
+        # Level-synchronous pair walk of the array-encoded tree:
+        # (lane, node) pairs drop out as subtrees miss or fall strictly
+        # behind the lane's current best hit, and each level's
+        # (lane, patch) pairs are tested in one kernel call.
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_x = 1.0 / dx
             inv_y = 1.0 / dy
             inv_z = 1.0 / dz
 
-        if self.accel == "flat":
-            # Level-synchronous pair walk of the array-encoded tree:
-            # (lane, node) pairs drop out as subtrees miss or fall
-            # strictly behind the lane's current best hit, and each
-            # level's (lane, patch) pairs are tested in one kernel call.
-            def test_pairs(lanes: np.ndarray, cols: np.ndarray) -> None:
-                self._test_pairs(px, py, pz, dx, dy, dz, lanes, cols,
-                                 best_t, best_i)
+        def test_pairs(lanes: np.ndarray, cols: np.ndarray) -> None:
+            self._test_pairs(px, py, pz, dx, dy, dz, lanes, cols,
+                             best_t, best_i)
 
-            self.box_tests += A.flat.traverse(
-                px, py, pz, inv_x, inv_y, inv_z, best_t, test_pairs
-            )
-            return best_i, best_t
-
-        # Octree-leaf candidate pruning: a slab test selects, per leaf,
-        # the lanes whose rays touch its cell; only those lanes test the
-        # leaf's member patches.  The tie rule makes the per-leaf visit
-        # order (and duplicate membership) irrelevant.
-        for li, cols in enumerate(A.leaf_patches):
-            tmin, tmax = slab_spans(
-                A.leaf_lox[li], A.leaf_loy[li], A.leaf_loz[li],
-                A.leaf_hix[li], A.leaf_hiy[li], A.leaf_hiz[li],
-                px, py, pz, inv_x, inv_y, inv_z,
-            )
-            # NaN (0/0 on a boundary-grazing axis-parallel ray) compares
-            # False, leaving the lane *included* — conservative.
-            miss = (tmax < tmin) | (tmax < 0.0)
-            rows = np.nonzero(~miss)[0]
-            self.box_tests += n
-            if rows.size == 0:
-                continue
-            self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i, rows)
+        self.box_tests += A.flat.traverse(
+            px, py, pz, inv_x, inv_y, inv_z, best_t, test_pairs
+        )
         return best_i, best_t
 
     # -- reflection -----------------------------------------------------------

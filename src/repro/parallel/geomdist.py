@@ -36,7 +36,7 @@ from ..core.bintree import BinForest, SplitPolicy
 from ..core.generation import emit_photon
 from ..core.photon import Photon
 from ..core.reflection import reflect
-from ..core.simulator import ACCELS, MAX_BOUNCES
+from ..core.simulator import MAX_BOUNCES
 from ..geometry.aabb import AABB
 from ..geometry.octree import Octree
 from ..geometry.ray import Ray
@@ -154,13 +154,6 @@ class GeomDistConfig:
         divisions: Region grid resolution per axis.
         policy: Bin split policy.
         max_rounds: Safety valve on migration rounds.
-        accel: Intersection accelerator for the batched emission
-            enumeration's :class:`~repro.core.vectorized.VectorEngine`
-            (:data:`repro.core.simulator.ACCELS`).  Emission itself
-            never intersects, but engine construction compiles the
-            selected accelerator's structures — honouring the user's
-            choice keeps per-rank setup cost consistent with the rest of
-            the run.  Answers are identical in every mode.
     """
 
     n_photons: int
@@ -168,15 +161,12 @@ class GeomDistConfig:
     divisions: int = 2
     policy: SplitPolicy = field(default_factory=SplitPolicy)
     max_rounds: int = 10_000
-    accel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_photons < 0:
             raise ValueError("n_photons must be non-negative")
         if self.divisions < 1:
             raise ValueError("divisions must be >= 1")
-        if self.accel not in ACCELS:
-            raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
 
 
 #: Wire form of an in-flight photon:
@@ -338,7 +328,7 @@ def _geomdist_worker(
     # wire format carries.
     from ..core.vectorized import VectorEngine
 
-    emitter = VectorEngine(scene, accel=config.accel)
+    emitter = VectorEngine(scene)
     inbox: list[WirePhoton] = []
     pending_events: list = []
     emit_batch_size = 8192

@@ -70,10 +70,6 @@ suite locks down.  Three invariants carry the proof:
   construction (``patch_id % workers``), so the union is a permutation-
   free merge; trees are then re-keyed into first-tally order to make
   the serialised answer byte-stable.
-
-Workers inherit the parent's ``config.accel`` intersection mode; since
-every accelerator is bit-exact (see :mod:`repro.core.vectorized`), the
-choice affects throughput only.
 """
 
 from __future__ import annotations
@@ -147,7 +143,6 @@ def _trace_shard(
     scene: Scene,
     fluorescence,
     batch_size: int,
-    accel: str,
     seed: int,
     start: int,
     count: int,
@@ -160,9 +155,7 @@ def _trace_shard(
     :class:`ShardResult` (nothing forked, so there is no plane to write
     into).
     """
-    engine = VectorEngine(
-        scene, fluorescence=fluorescence, batch_size=batch_size, accel=accel
-    )
+    engine = VectorEngine(scene, fluorescence=fluorescence, batch_size=batch_size)
     events, stats = engine.trace_range(seed, start, count)
     return pack_shard(events.sorted_canonical(), stats, None, -1)
 
@@ -172,7 +165,7 @@ def _trace_shard(
 _POOL_ENGINE: Optional[VectorEngine] = None
 
 
-def _init_pool_worker(handle, fluorescence, batch_size: int, accel: str) -> None:
+def _init_pool_worker(handle, fluorescence, batch_size: int) -> None:
     """Pool initializer: construct this worker's engine exactly once.
 
     The engine's arrays are zero-copy views into the shared segment
@@ -183,7 +176,6 @@ def _init_pool_worker(handle, fluorescence, batch_size: int, accel: str) -> None
         arrays=shmplane.attach(handle),
         fluorescence=fluorescence,
         batch_size=batch_size,
-        accel=accel,
     )
 
 
@@ -243,8 +235,7 @@ def trace_events_parallel(
     result blocks.
     """
     jobs = [
-        (scene, config.fluorescence, config.batch_size, config.accel,
-         config.seed, start, count)
+        (scene, config.fluorescence, config.batch_size, config.seed, start, count)
         for start, count in _shard_starts(config.n_photons, config.workers)
         if count > 0
     ]
@@ -301,8 +292,7 @@ class PhotonPool:
     Args:
         scene: Scene the pool serves; one plane is published for it.
         config: Pool sizing (``workers``) and engine parameters
-            (``fluorescence``, ``batch_size``, ``accel``) come from
-            here.
+            (``fluorescence``, ``batch_size``) come from here.
         arrays: Optional pre-compiled :class:`SceneArrays` for *scene*.
             When this pool itself publishes a plane it publishes these
             instead of recompiling the scene — for direct pool users
@@ -373,8 +363,7 @@ class PhotonPool:
             self._pool = mp.get_context().Pool(
                 processes=config.workers,
                 initializer=_init_pool_worker,
-                initargs=(handle, config.fluorescence,
-                          config.batch_size, config.accel),
+                initargs=(handle, config.fluorescence, config.batch_size),
             )
         except BaseException:
             # The no-leak contract covers a failed fork too: a published

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.bintree import BinForest, SplitPolicy
-from ..core.simulator import ACCELS, ENGINES, TraceStats, trace_photon
+from ..core.simulator import ENGINES, TraceStats, trace_photon
 from ..geometry.scene import Scene
 from ..rng import Lcg48
 from .procpool import rank_share
@@ -171,9 +171,6 @@ class SharedConfig:
             is then node-for-node identical to a serial vector run for
             *every* worker count.
         batch_size: Photons per vector batch (vector engine only).
-        accel: Vector-engine intersection accelerator (see
-            :data:`repro.core.simulator.ACCELS`); answers are identical
-            in every mode.
     """
 
     n_photons: int
@@ -181,7 +178,6 @@ class SharedConfig:
     policy: SplitPolicy = field(default_factory=SplitPolicy)
     engine: str = "scalar"
     batch_size: int = 4096
-    accel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_photons < 0:
@@ -190,8 +186,6 @@ class SharedConfig:
             raise ValueError(f"unknown engine {self.engine!r}; pick from {ENGINES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.accel not in ACCELS:
-            raise ValueError(f"unknown accel {self.accel!r}; pick from {ACCELS}")
 
 
 @dataclass
@@ -296,9 +290,7 @@ def _run_shared_vector(
     # The only cross-thread writes are the patch_tests/box_tests
     # diagnostic counters, whose unsynchronised += may undercount; the
     # answer (events, stats) never reads them.
-    engine = VectorEngine(
-        scene, arrays=arrays, batch_size=config.batch_size, accel=config.accel
-    )
+    engine = VectorEngine(scene, arrays=arrays, batch_size=config.batch_size)
     shards = _shard_starts(config.n_photons, n_workers)
     stats_out: list[TraceStats] = [TraceStats() for _ in range(n_workers)]
     blocks: list[EventBatch] = [EventBatch.empty() for _ in range(n_workers)]

@@ -10,8 +10,7 @@ pointer nodes).
 
 It publishes the compiled scene — every array of
 :class:`~repro.core.vectorized.SceneArrays`, including the eleven
-:class:`~repro.geometry.flatoctree.FlatOctree` arrays and the packed
-per-leaf candidate lists — into **one named**
+:class:`~repro.geometry.flatoctree.FlatOctree` arrays — into **one named**
 ``multiprocessing.shared_memory`` **segment**:
 
 * :func:`publish` lays the arrays into the segment back to back

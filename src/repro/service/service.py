@@ -121,7 +121,7 @@ class ServiceConfig:
         default_deadline: Per-request deadline (seconds) when the
             request body does not set one.
         options: The :class:`~repro.api.SessionOptions` every pooled
-            session is provisioned with (engine, accel, workers, ...).
+            session is provisioned with (engine, workers, ...).
         max_body_bytes: Request-body cap (HTTP 413 above it).
         executor_threads: Blocking-work thread count; defaults to
             ``max_programs * sessions_per_scene + 2`` so every pooled
@@ -477,8 +477,10 @@ class RenderService:
         except (TypeError, ValueError, OverflowError) as exc:
             # OverflowError: JSON parses 1e400 to inf, and int(inf) overflows.
             raise BadRequest(f"bad request field: {exc}") from None
-        if deadline <= 0:
-            raise BadRequest(f"deadline must be positive, got {deadline}")
+        if not (deadline > 0 and math.isfinite(deadline)):
+            raise BadRequest(
+                f"deadline must be positive and finite, got {deadline}"
+            )
         if batch is not None and batch < 1:
             raise BadRequest(f"batch must be positive, got {batch}")
         try:

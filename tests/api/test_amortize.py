@@ -2,7 +2,7 @@
 
 The forest cache may only ever *save work*, never change an answer:
 a topped-up serve must be byte-identical to a cold full-budget run on
-every engine/accel/worker shape, a camera-only render must reuse the
+every engine/worker/batch shape, a camera-only render must reuse the
 trace without touching it, and an early-stopped answer must be the
 exact canonical answer for the photons actually traced.  These tests
 pin each of those contracts plus the cache mechanics (bounds,
@@ -37,7 +37,9 @@ from repro.api.gate import KERNEL_GATE
 from repro.api.requests import merge_config
 from repro.core import forest_to_dict
 from repro.core.bintree import SplitPolicy
+from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
+from repro.scenes import get_scene
 from tests.scenehelpers import build_mini_scene
 
 needs_plane = pytest.mark.skipif(
@@ -54,11 +56,10 @@ def forest_bytes(result) -> str:
 class TestTraceKey:
     """The key splits trace identity from provisioning and budget."""
 
-    def test_camera_budget_accel_worker_free(self):
+    def test_camera_budget_worker_free(self):
         base = merge_config(SimulateRequest(n_photons=100), SessionOptions())
         for request, options in (
             (SimulateRequest(n_photons=9999), SessionOptions()),
-            (SimulateRequest(n_photons=100), SessionOptions(accel="linear")),
             (SimulateRequest(n_photons=100), SessionOptions(workers=3)),
             (SimulateRequest(n_photons=100), SessionOptions(batch_size=7)),
         ):
@@ -131,36 +132,46 @@ class TestForestCacheMechanics:
         assert (trace.n, trace.forest, trace.stats) == (5, "forest", "stats")
 
 
-# The exactness matrix: every session shape the golden suite pins must
-# serve a topped-up answer byte-identical to its own cold run.
+#: A fresh scene (so a fresh program and cache) for each accelerator the
+#: engine can pick: the 8-patch mini box gets the dense scan, the
+#: harpsichord room is big enough for the flat walk.
+SCENE_PICKING = {
+    "linear": build_mini_scene,
+    "flat": lambda: get_scene("harpsichord-room"),
+}
+
+# The exactness matrix: every session shape the golden suite pins — on a
+# scene each side of the engine's accelerator choice — must serve a
+# topped-up answer byte-identical to its own cold run.
 MATRIX = [
-    pytest.param(SessionOptions(engine="scalar", amortize=True),
+    pytest.param("linear", SessionOptions(engine="scalar", amortize=True),
                  "substream", id="scalar-substream"),
-    pytest.param(SessionOptions(accel="flat", amortize=True),
+    pytest.param("flat", SessionOptions(amortize=True),
                  "auto", id="vector-flat"),
-    pytest.param(SessionOptions(accel="octree", amortize=True),
-                 "auto", id="vector-octree"),
-    pytest.param(SessionOptions(accel="linear", amortize=True),
+    pytest.param("linear", SessionOptions(amortize=True),
                  "auto", id="vector-linear"),
-    pytest.param(SessionOptions(workers=2, accel="flat", amortize=True),
+    pytest.param("linear", SessionOptions(batch_size=7, amortize=True),
+                 "auto", id="vector-linear-b7"),
+    pytest.param("flat", SessionOptions(workers=2, amortize=True),
                  "auto", id="vector-flat-x2", marks=needs_plane),
-    pytest.param(SessionOptions(workers=3, accel="octree", amortize=True,
-                                batch_size=64),
-                 "auto", id="vector-octree-x3", marks=needs_plane),
+    pytest.param("linear", SessionOptions(workers=3, amortize=True, batch_size=64),
+                 "auto", id="vector-linear-x3", marks=needs_plane),
 ]
 
 
 class TestTopUpExactness:
-    @pytest.mark.parametrize("options, rng", MATRIX)
-    def test_topped_up_bytes_equal_cold_bytes(self, options, rng):
+    @pytest.mark.parametrize("accel, options, rng", MATRIX)
+    def test_topped_up_bytes_equal_cold_bytes(self, accel, options, rng):
         import dataclasses
 
+        build_scene = SCENE_PICKING[accel]
         cold_options = dataclasses.replace(options, amortize=False)
-        with RenderSession(build_mini_scene(), cold_options) as session:
+        with RenderSession(build_scene(), cold_options) as session:
+            assert VectorEngine(arrays=session.program.arrays).accel == accel
             cold = session.simulate(
                 SimulateRequest(n_photons=240, rng_mode=rng)
             )
-        with RenderSession(build_mini_scene(), options) as session:
+        with RenderSession(build_scene(), options) as session:
             session.simulate(SimulateRequest(n_photons=96, rng_mode=rng))
             assert session.last_photons_traced == 96
             topped = session.simulate(
@@ -171,16 +182,16 @@ class TestTopUpExactness:
         # ...and the answer is still byte-for-byte the cold answer.
         assert forest_bytes(topped) == forest_bytes(cold)
 
-    def test_topup_crosses_accels_and_workers(self):
+    def test_topup_crosses_session_shapes(self):
         """The trace key is provisioning-free: a forest traced by one
         session shape tops up a request served by another."""
         scene = build_mini_scene()
         with RenderSession(
-            scene, SessionOptions(accel="linear", amortize=True)
+            scene, SessionOptions(batch_size=7, amortize=True)
         ) as session:
             session.simulate(SimulateRequest(n_photons=96))
         with RenderSession(
-            scene, SessionOptions(accel="octree", amortize=True)
+            scene, SessionOptions(batch_size=64, amortize=True)
         ) as session:
             topped = session.simulate(SimulateRequest(n_photons=240))
             assert session.last_photons_traced == 144
@@ -355,7 +366,7 @@ class TestSharedHits:
         with RenderSession(scene, AMORTIZE) as session:
             first = session.simulate(request)
         with RenderSession(
-            scene, SessionOptions(accel="linear", batch_size=7, amortize=True)
+            scene, SessionOptions(batch_size=7, amortize=True)
         ) as second:
             assert second.simulate(request).forest is first.forest
             assert second.last_photons_traced == 0

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.api as api
+import repro.core
 from repro.api import (
     RenderSession,
     SceneProgram,
@@ -27,12 +28,14 @@ from repro.api import (
     open_session,
     split_config,
 )
+from repro.cluster import profile_scene
 from repro.core import (
     PhotonSimulator,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
 )
+from repro.core.vectorized import VectorEngine
 
 
 def forest_bytes(result) -> str:
@@ -139,8 +142,6 @@ class TestRequestOptionsSplit:
         with pytest.raises(ValueError):
             SessionOptions(engine="scalar", workers=2)
         with pytest.raises(ValueError):
-            SessionOptions(accel="bvh")
-        with pytest.raises(ValueError):
             SessionOptions(batch_size=0)
         # The transport knobs are gone, not ignored: the planes are the
         # pool's only transports, so naming one is a loud TypeError.
@@ -153,8 +154,29 @@ class TestRequestOptionsSplit:
         with pytest.raises(TypeError):
             SessionOptions(cache_results=True)
         assert [f.name for f in dataclasses.fields(SessionOptions)] == [
-            "engine", "accel", "workers", "batch_size", "amortize",
+            "engine", "workers", "batch_size", "amortize",
         ]
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "n_photons", "seed", "policy", "fluorescence", "engine",
+            "rng_mode", "batch_size", "workers",
+        ]
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda scene: SimulationConfig(n_photons=1, accel="flat"),
+         TypeError, "accel"),
+        (lambda scene: SessionOptions(accel="flat"), TypeError, "accel"),
+        (lambda scene: profile_scene(scene, engine="vector", accel="flat"),
+         TypeError, "accel"),
+        (lambda scene: VectorEngine(scene, accel="octree"),
+         ValueError, r"\('auto', 'flat', 'linear'\)"),
+    ], ids=["SimulationConfig", "SessionOptions", "profile_scene", "VectorEngine"])
+    def test_no_accel_parameter(self, mini_scene, call, error, match):
+        """The engine picks the accelerator: above it a leftover keyword
+        is a loud TypeError, and the engine's own oracle seam names the
+        two serving paths only."""
+        with pytest.raises(error, match=match):
+            call(mini_scene)
+        assert not hasattr(repro.core, "ACCELS")
 
     def test_merge_enforces_cross_field_rules(self):
         with pytest.raises(ValueError):
@@ -172,7 +194,6 @@ class TestRequestOptionsSplit:
             rng_mode="substream",
             batch_size=512,
             workers=3,
-            accel="flat",
         )
         request, options = split_config(config)
         assert merge_config(request, options) == config

@@ -1,8 +1,9 @@
 """simulate_stream parity: cumulative streaming may not move a byte.
 
 The streaming surface re-chunks the photon budget, so the one property
-that matters is that chunking is invisible: for every engine and
-accelerator (and for a warm multi-process pool), the final cumulative
+that matters is that chunking is invisible: for every engine, on a
+scene each side of the engine's accelerator choice, at any batch size
+(and for a warm multi-process pool), the final cumulative
 result of ``simulate_stream`` serialises byte-for-byte identical to the
 one-shot ``simulate`` of the same request — the canonical
 (photon, bounce) tally order makes chunk boundaries unobservable.
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import forest_to_dict
+from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
 
 
@@ -25,20 +27,27 @@ def forest_bytes(result) -> str:
 
 REQUEST = SimulateRequest(n_photons=230, seed=0xC0FFEE, rng_mode="substream")
 
-#: Every (engine, accel) surface the stream serves single-process.
+#: Every surface the stream serves single-process: (session options,
+#: scene fixture, the accelerator the engine picks on that scene).
 SURFACES = [
-    ("scalar", "auto"),
-    ("vector", "linear"),
-    ("vector", "octree"),
-    ("vector", "flat"),
+    pytest.param(SessionOptions(engine="scalar"), "mini_scene", None,
+                 id="scalar-auto"),
+    pytest.param(SessionOptions(), "mini_scene", "linear", id="vector-linear"),
+    pytest.param(SessionOptions(batch_size=7), "mini_scene", "linear",
+                 id="vector-linear-b7"),
+    pytest.param(SessionOptions(), "harpsichord", "flat", id="vector-flat"),
 ]
 
 
 class TestStreamParity:
-    @pytest.mark.parametrize("engine,accel", SURFACES)
-    def test_final_stream_equals_one_shot(self, mini_scene, engine, accel):
-        options = SessionOptions(engine=engine, accel=accel)
-        with RenderSession(mini_scene, options) as session:
+    @pytest.mark.parametrize("options, scene_fixture, accel", SURFACES)
+    def test_final_stream_equals_one_shot(
+        self, request, options, scene_fixture, accel
+    ):
+        scene = request.getfixturevalue(scene_fixture)
+        with RenderSession(scene, options) as session:
+            if accel is not None:
+                assert VectorEngine(arrays=session.program.arrays).accel == accel
             one_shot = session.simulate(REQUEST)
             last = None
             for last in session.simulate_stream(REQUEST, batch_size=71):

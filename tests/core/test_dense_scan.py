@@ -166,43 +166,6 @@ class TestTileEdges:
         assert engine.patch_tests == rays[0].size * 1902
 
 
-class TestRowsSubset:
-    """The ``rows=`` path ``accel="octree"`` drives: a lane subset against
-    one leaf's patches, folded into a running best."""
-
-    @pytest.mark.parametrize("tile", [vectorized.DENSE_TILE, (7, 5)])
-    def test_subset_folds_into_the_running_best(self, lab, monkeypatch, tile):
-        monkeypatch.setattr(vectorized, "DENSE_TILE", tile)
-        engine = VectorEngine(lab, accel="linear")
-        rays = concat(tie_rays(lab, step=2), random_rays(lab, 8, 90))
-        n = rays[0].size
-        rows = np.flatnonzero(np.arange(n) % 3 != 1)
-        assert rows.size > TILE_LANES  # more than one tile of rows
-        first = np.arange(40, 110, dtype=np.int64)
-        second = np.array([3, 21, 56, 57, 300, 1901], dtype=np.int64)
-        best_t = np.full(n, np.inf)
-        best_i = np.full(n, -1, dtype=np.int64)
-        engine._test_patches(*rays, first, best_t, best_i, rows)
-        engine._test_patches(*rays, second, best_t, best_i, rows)
-        assert engine.patch_tests == rows.size * (first.size + second.size)
-
-        untouched = np.setdiff1d(np.arange(n), rows)
-        assert (best_i[untouched] == -1).all()
-        assert np.isinf(best_t[untouched]).all()
-        want_i, want_t, _ = scalar_scan(
-            lab, tuple(r[rows] for r in rays), first.tolist() + second.tolist()
-        )
-        assert best_i[rows].tolist() == want_i
-        assert best_t[rows].tolist() == want_t
-
-    def test_octree_mode_equals_linear(self, lab_small):
-        rays = concat(tie_rays(lab_small), random_rays(lab_small, 13, 300))
-        want = [a.tolist() for a in
-                VectorEngine(lab_small, accel="linear").closest_hit(*rays)]
-        got = VectorEngine(lab_small, accel="octree").closest_hit(*rays)
-        assert [a.tolist() for a in got] == want
-
-
 # -- property: any rays, any tile shape ----------------------------------------
 
 @functools.lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import PhotonSimulator, save_answer
+from repro.core.vectorized import VectorEngine
 from repro.parallel.procpool import run_procpool
 from tests.data.regenerate import DATA_DIR, GOLDEN_PHOTONS, GOLDEN_SEED, golden_config
 
@@ -45,11 +46,14 @@ def scene_for(request, scene_name: str):
     return request.getfixturevalue("scenes")[scene_name]
 
 
-def simulate_bytes(scene, config, tmp_path: Path) -> bytes:
-    result = PhotonSimulator(scene, config).run()
+def answer_bytes(result, tmp_path: Path) -> bytes:
     out = tmp_path / "answer.json"
     save_answer(result.forest, out)
     return out.read_bytes()
+
+
+def simulate_bytes(scene, config, tmp_path: Path) -> bytes:
+    return answer_bytes(PhotonSimulator(scene, config).run(), tmp_path)
 
 
 class TestSubstreamGoldens:
@@ -67,14 +71,19 @@ class TestSubstreamGoldens:
         got = simulate_bytes(scene, golden_config("vector", "substream"), tmp_path)
         assert got == golden_bytes(f"{scene_name}.substream.answer.json")
 
-    @pytest.mark.parametrize("accel", ["flat", "octree", "linear"])
+    @pytest.mark.parametrize("accel", ["flat", "linear"])
     @pytest.mark.parametrize("scene_name", sorted(SCENE_FIXTURES))
     def test_vector_engine_accels(self, request, tmp_path, scene_name, accel):
-        """Every intersection accelerator lands on the committed bytes."""
+        """Both serving paths land on the committed bytes on every scene,
+        whichever one the engine would pick there (the engine-level seam:
+        no config names an accelerator)."""
         scene = scene_for(request, scene_name)
-        config = replace(golden_config("vector", "substream"), accel=accel)
-        got = simulate_bytes(scene, config, tmp_path)
-        assert got == golden_bytes(f"{scene_name}.substream.answer.json")
+        result = VectorEngine(scene, accel=accel).run(
+            golden_config("vector", "substream")
+        )
+        assert answer_bytes(result, tmp_path) == golden_bytes(
+            f"{scene_name}.substream.answer.json"
+        )
 
     def test_procpool(self, request, tmp_path):
         """The multi-process backend hits the same bytes."""
@@ -125,15 +134,13 @@ class TestCliGolden:
         [
             ["--engine", "scalar", "--rng", "substream"],
             ["--engine", "vector"],
-            ["--engine", "vector", "--accel", "flat"],
+            ["--engine", "vector", "--batch-size", "100000"],
             ["--engine", "vector", "--workers", "2", "--batch-size", "128"],
-            ["--engine", "vector", "--workers", "2", "--accel", "flat"],
             ["--engine", "vector", "--workers", "2"],
         ],
         ids=[
-            "scalar-substream", "vector", "vector-flat",
-            "vector-procpool", "vector-procpool-flat",
-            "vector-procpool-plane",
+            "scalar-substream", "vector", "vector-one-batch",
+            "vector-procpool", "vector-procpool-plane",
         ],
     )
     def test_simulate_matches_golden(self, tmp_path, extra):

@@ -89,16 +89,19 @@ class TestSceneParity:
         assert small == large
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
-    @pytest.mark.parametrize("accel", ["flat", "octree", "linear"])
+    @pytest.mark.parametrize("accel", ["flat", "linear"])
     def test_accel_modes_match_scalar(self, request, scene_fixture, accel):
-        """Every intersection accelerator reproduces the scalar oracle."""
+        """Both serving paths reproduce the scalar oracle on every scene,
+        not only on the side of the threshold where the engine picks them."""
         scene = request.getfixturevalue(scene_fixture)
         scalar_forest, scalar_stats = run_engine(scene, "scalar", n_photons=350, seed=11)
-        vector_forest, vector_stats = run_engine(
-            scene, "vector", n_photons=350, seed=11, accel=accel
+        config = SimulationConfig(
+            n_photons=350, seed=11, engine="vector", rng_mode="substream"
         )
-        assert vector_stats == scalar_stats
-        assert vector_forest == scalar_forest
+        result = VectorEngine(scene, accel=accel).run(config)
+        result.forest.check_invariants()
+        assert result.stats == scalar_stats
+        assert forest_to_dict(result.forest) == scalar_forest
 
 
 class TestPropertyParity:
@@ -193,14 +196,14 @@ class TestEmissionParity:
 
 
 class TestIntersectionPruning:
-    """Candidate selection (octree leaves or flat walk) must not change
-    any answer relative to the dense scan."""
+    """Candidate selection (the flat walk) must not change any answer
+    relative to the dense scan."""
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
     def test_accels_equal_dense(self, request, scene_fixture):
         scene = request.getfixturevalue(scene_fixture)
         results = {}
-        for accel in ("linear", "octree", "flat"):
+        for accel in ("linear", "flat"):
             engine = VectorEngine(scene, batch_size=128, accel=accel)
             events, stats = engine.trace_range(0xAB, 0, 250)
             events = events.sorted_canonical()
@@ -210,7 +213,6 @@ class TestIntersectionPruning:
                                       events.r2, events.band)],
                 stats,
             )
-        assert results["octree"] == results["linear"]
         assert results["flat"] == results["linear"]
 
 
@@ -222,17 +224,6 @@ class TestConfigValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             SimulationConfig(n_photons=1, engine="gpu")
-
-    def test_unknown_accel(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(n_photons=1, engine="vector", accel="bvh")
-
-    def test_accel_constants_agree(self):
-        """The config-level tuple must mirror the engine-level one."""
-        from repro.core.simulator import ACCELS
-        from repro.core.vectorized import ACCEL_MODES
-
-        assert ACCELS == ACCEL_MODES
 
     def test_auto_resolution(self):
         assert SimulationConfig(n_photons=1).resolved_rng_mode == "stream"

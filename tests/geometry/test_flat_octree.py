@@ -24,10 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vectorized import VectorEngine
+from repro.core.vectorized import PRUNE_PATCH_THRESHOLD, VectorEngine
 from repro.geometry import FlatOctree, Scene, axis_rect, flatoctree, matte
 from repro.geometry.material import emitter
 from repro.geometry.octree import OctreeNode
+from repro.scenes import get_scene
 from repro.scenes.generator import generate_scene
 
 SCENE_FIXTURES = ("cornell", "harpsichord", "lab_small")
@@ -157,8 +158,19 @@ class TestClosestHitParity:
         assert np.isinf(best_t).all()
 
 
+def tiled_scene(patch_count: int) -> Scene:
+    """A lamp over a strip of floor tiles: *patch_count* patches exactly."""
+    white = matte("white", 0.6, 0.6, 0.6)
+    tiles = [
+        axis_rect("y", 0.0, (float(i), i + 1.0), (0.0, 1.0), white, flip=True)
+        for i in range(patch_count - 1)
+    ]
+    lamp = axis_rect("y", 1.0, (0.0, 1.0), (0.0, 1.0), emitter("lamp", 5.0, 5.0, 5.0))
+    return Scene([*tiles, lamp], name=f"tiles-{patch_count}")
+
+
 class TestEngineIntegration:
-    """accel plumbing resolves and counts as documented."""
+    """The engine resolves its accelerator, and counts, as documented."""
 
     def test_auto_resolution_by_scene_size(self, cornell, harpsichord, lab_small):
         """cornell-box (30 patches) is the measured losing side of the
@@ -167,18 +179,40 @@ class TestEngineIntegration:
         assert VectorEngine(harpsichord).accel == "flat"
         assert VectorEngine(lab_small).accel == "flat"
 
+    @pytest.mark.parametrize("spec, accel", [
+        ("cornell-box", "linear"),
+        ("computer-lab", "flat"),
+        ("gen:office-8@0xBEEF", "flat"),
+        ("gen:office-259@0xBEEF", "flat"),
+    ], ids=["cornell-box", "computer-lab", "office-8", "office-259"])
+    def test_benchmark_scene_picks(self, spec, accel):
+        """Every scene BENCHMARK.json's workloads trace: both serving
+        paths are measured, with nobody naming either."""
+        assert VectorEngine(get_scene(spec)).accel == accel
+
+    @pytest.mark.parametrize("patches, accel", [(63, "linear"), (64, "flat")])
+    def test_threshold_edges(self, patches, accel):
+        assert PRUNE_PATCH_THRESHOLD == 64
+        scene = tiled_scene(patches)
+        assert len(scene.patches) == patches
+        assert VectorEngine(scene).accel == accel
+
     def test_unknown_accel_rejected(self, cornell):
         with pytest.raises(ValueError):
             VectorEngine(cornell, accel="bvh")
 
     def test_flat_walk_prunes_box_tests(self, lab_small):
-        """The flat walk must test far fewer lane-x-node slabs than the
-        per-leaf loop tests lane-x-leaf slabs (the whole point)."""
-        flat = VectorEngine(lab_small, batch_size=512, accel="flat")
-        leafy = VectorEngine(lab_small, batch_size=512, accel="octree")
-        flat.trace_range(0xAB, 0, 512)
-        leafy.trace_range(0xAB, 0, 512)
-        assert flat.box_tests < leafy.box_tests / 4
+        """The flat walk must test far fewer lane-x-node slabs than
+        slab-testing every lane against every occupied leaf would (the
+        whole point of descending the hierarchy)."""
+        flat = VectorEngine(lab_small, accel="flat")
+        rays = flat.emit_range(0xAB, 0, 512)
+        flat.closest_hit(rays.px, rays.py, rays.pz, rays.dx, rays.dy, rays.dz)
+        occupied = sum(
+            1 for node in lab_small.octree.iter_nodes()
+            if node.is_leaf and node.patches
+        )
+        assert flat.box_tests < 512 * occupied / 4
 
 
 # -- the pair kernel: ties, duplicates, waves ---------------------------------

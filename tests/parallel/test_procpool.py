@@ -138,9 +138,9 @@ def forest_to_dict_tree(tree):
 class TestShardTracing:
     def test_shards_concatenate_to_full_range(self, cornell):
         """Sharded tracing covers each photon exactly once."""
-        whole = _trace_shard(cornell, None, 4096, "auto", 0xAB, 0, 300)
-        part_a = _trace_shard(cornell, None, 4096, "auto", 0xAB, 0, 120)
-        part_b = _trace_shard(cornell, None, 4096, "auto", 0xAB, 120, 180)
+        whole = _trace_shard(cornell, None, 4096, 0xAB, 0, 300)
+        part_a = _trace_shard(cornell, None, 4096, 0xAB, 0, 120)
+        part_b = _trace_shard(cornell, None, 4096, 0xAB, 120, 180)
         # The injected-pool target ships inline payloads (nothing forked,
         # so there is no result plane to write into).
         assert whole.slot == part_a.slot == part_b.slot == -1

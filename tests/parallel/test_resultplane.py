@@ -6,7 +6,7 @@ extra moving parts the tests pin separately:
 * **Fidelity** — a block round-trips an :class:`EventBatch`
   bit-for-bit, the parent's views are zero-copy, and a real 2-process
   pool reproduces the single-process forest byte for byte (the golden
-  suites extend this through every engine x accel x worker
+  suites extend this through every engine x worker x batch-size
   combination — the blocks are the pool's only result transport).
 * **Descriptors** — what crosses the boundary is O(workers) small
   :class:`ShardResult` objects, never O(events) pickles; the build

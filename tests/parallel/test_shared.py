@@ -4,9 +4,9 @@ Two regimes, two guarantees.  The scalar engine demonstrates the locked
 Figure 5.2 protocol (no lost tallies, totals equal the serial replay).
 The vector engine runs the sharded lock-free reduction and therefore
 promises something stronger: the whole forest is **byte-identical** to a
-serial vector run for every worker count and accelerator — pinned here
-tally-for-tally, against the committed goldens, and with zero lock
-contention by construction.
+serial vector run for every worker count, on either side of the
+engine's accelerator choice — pinned here tally-for-tally, against the
+committed goldens, and with zero lock contention by construction.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.core import (
     forest_to_dict,
     save_answer,
 )
+from repro.core.vectorized import VectorEngine
 from repro.parallel import RWLock, SharedConfig, run_shared
 
 
@@ -136,26 +137,38 @@ class TestSharedVector:
     """The sharded lock-free reduction behind ``engine="vector"``."""
 
     @pytest.fixture(scope="class")
-    def vector_reference(self, cornell):
+    def vector_references(self, cornell, harpsichord):
+        """(scene, serial vector run) keyed by the accelerator the engine
+        picks on that scene."""
         config = SimulationConfig(n_photons=800, seed=0xBEEF, engine="vector")
-        return PhotonSimulator(cornell, config).run()
+        picked = {VectorEngine(scene).accel: scene for scene in (cornell, harpsichord)}
+        assert sorted(picked) == ["flat", "linear"]
+        return {
+            accel: (scene, PhotonSimulator(scene, config).run())
+            for accel, scene in picked.items()
+        }
+
+    @pytest.fixture(scope="class")
+    def vector_reference(self, vector_references):
+        return vector_references["linear"][1]
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
     @pytest.mark.parametrize("accel", ["flat", "linear"])
     def test_byte_identical_to_serial_vector(
-        self, cornell, vector_reference, workers, accel
+        self, vector_references, workers, accel
     ):
-        """Any worker count, any accelerator: the *same bytes* as the
-        serial vector engine — not merely the same per-patch totals."""
+        """Any worker count, whichever accelerator the engine picks for
+        the scene: the *same bytes* as the serial vector engine — not
+        merely the same per-patch totals."""
+        scene, reference = vector_references[accel]
         config = SharedConfig(
-            n_photons=800, seed=0xBEEF, engine="vector", accel=accel,
-            batch_size=128,
+            n_photons=800, seed=0xBEEF, engine="vector", batch_size=128
         )
-        result = run_shared(cornell, config, workers)
+        result = run_shared(scene, config, workers)
         assert json.dumps(forest_to_dict(result.forest)) == json.dumps(
-            forest_to_dict(vector_reference.forest)
+            forest_to_dict(reference.forest)
         )
-        assert result.stats == vector_reference.stats
+        assert result.stats == reference.stats
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_matches_committed_golden(self, request, tmp_path, workers):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import (
+    EVENT_FIELDS,
     PhotonSimulator,
     SceneArrays,
     SimulationConfig,
@@ -79,13 +80,22 @@ class TestPublishAttach:
                     assert _arrays_equal(getattr(att, name), value), name
             for name, value in cornell_arrays.flat.arrays().items():
                 assert _arrays_equal(getattr(att.flat, name), value), name
-            assert len(att.leaf_patches) == len(cornell_arrays.leaf_patches)
-            for a, b in zip(att.leaf_patches, cornell_arrays.leaf_patches):
-                assert np.array_equal(a, b)
             assert att.total_power == cornell_arrays.total_power
             assert att.patch_count == cornell_arrays.patch_count
             assert att.scene is None
             detach_all()
+
+    def test_exported_field_names(self, cornell_arrays):
+        """Every array attribute plus the compiled octree — and nothing
+        for a third accelerator (no per-leaf bounds or candidate lists)."""
+        names = set(cornell_arrays.export_fields())
+        assert names == {
+            name for name, value in vars(cornell_arrays).items()
+            if isinstance(value, np.ndarray)
+        } | {f"flat.{name}" for name in cornell_arrays.flat.arrays()}
+        assert not [name for name in names if name.startswith("leaf")]
+        with publish(cornell_arrays) as plane:
+            assert {row[0] for row in plane.handle.fields} == names
 
     def test_attach_is_zero_copy_and_read_only(self, cornell_arrays):
         with publish(cornell_arrays) as plane:
@@ -114,16 +124,23 @@ class TestPublishAttach:
             assert np.array_equal(att.nx, cornell_arrays.nx)
             detach_all()
 
-    def test_engine_from_attached_plane_is_bit_exact(self, cornell, cornell_arrays):
-        with publish(cornell_arrays) as plane:
-            reference = VectorEngine(cornell, accel="flat")
-            attached = VectorEngine(arrays=attach(plane.handle), accel="flat")
-            ev_ref, st_ref = reference.trace_range(0xC0FFEE, 0, 400)
-            ev_att, st_att = attached.trace_range(0xC0FFEE, 0, 400)
-            assert st_ref == st_att
-            for name in ("gidx", "seq", "patch", "s", "t", "theta", "r2", "band"):
-                assert getattr(ev_ref, name).tolist() == getattr(ev_att, name).tolist()
-            detach_all()
+    def test_engine_from_attached_plane_is_bit_exact(self, cornell_arrays, scenes):
+        """An attached engine traces what the publisher's does, on a scene
+        each side of the accelerator choice (dense scan, flat walk)."""
+        for arrays, accel in (
+            (cornell_arrays, "linear"),
+            (SceneArrays(scenes["computer-lab"]), "flat"),
+        ):
+            with publish(arrays) as plane:
+                reference = VectorEngine(arrays=arrays)
+                attached = VectorEngine(arrays=attach(plane.handle))
+                assert reference.accel == attached.accel == accel
+                ev_ref, st_ref = reference.trace_range(0xC0FFEE, 0, 400)
+                ev_att, st_att = attached.trace_range(0xC0FFEE, 0, 400)
+                assert st_ref == st_att
+                for name, _ in EVENT_FIELDS:
+                    assert getattr(ev_ref, name).tolist() == getattr(ev_att, name).tolist()
+                detach_all()
 
 
 class TestLifecycle:

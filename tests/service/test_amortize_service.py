@@ -104,6 +104,34 @@ class TestHostileNumbers:
         assert status == 400
         assert json.loads(body)["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", b"NaN"), ("sigma", b'"nan"'), ("sigma", b"Infinity"),
+        ("deadline", b"NaN"), ("deadline", b'"inf"'), ("deadline", b"-Infinity"),
+    ], ids=[
+        "sigma-NaN", "sigma-str-nan", "sigma-Infinity",
+        "deadline-NaN", "deadline-str-inf", "deadline-minus-inf",
+    ])
+    def test_non_finite_is_400(self, amortized, field, value):
+        """Python's JSON reads NaN/Infinity; served, a NaN threshold would
+        be answer bytes that are not JSON and a cache key nothing equals."""
+        amortized.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = service_stats(amortized)["scenes"]["cornell-box"]
+        status, _, body = amortized.request(
+            "POST",
+            simulate_path("cornell-box"),
+            b'{"photons": 200, "%s": %s}' % (field.encode(), value),
+        )
+        assert status == 400
+
+        def not_json(token):
+            raise AssertionError(f"{token} in a response body")
+
+        error = json.loads(body, parse_constant=not_json)["error"]
+        assert error["code"] == "bad-request" and "finite" in error["message"]
+        after = service_stats(amortized)["scenes"]["cornell-box"]
+        assert after["pool"] == before["pool"]
+        assert after["amortize"] == before["amortize"]
+
     def test_photonless_render_is_400_before_any_session(self, amortized):
         """An empty forest has nothing to view; no session is spent on it."""
         before = service_stats(amortized)["scenes"]["cornell-box"]

@@ -26,11 +26,17 @@ class TestParser:
         )
         assert args.seed == 0xBEEF
 
-    def test_trace_accel_flag(self):
-        args = build_parser().parse_args(
-            ["trace", "s", "--engine", "vector", "--accel", "linear"]
-        )
-        assert args.accel == "linear"
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "cornell-box", "--accel", "flat", "--out", "x.json"],
+        ["trace", "cornell-box", "--engine", "vector", "--accel", "linear"],
+        ["serve", "--scene", "cornell-box", "--accel", "auto"],
+    ], ids=["simulate", "trace", "serve"])
+    def test_leftover_accel_flag_exits_2(self, capsys, argv):
+        """The engine picks the accelerator: the flag is gone, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--accel" in capsys.readouterr().err
 
     def test_repeat_flag(self):
         args = build_parser().parse_args(
@@ -93,6 +99,18 @@ class TestSimulateUsageErrors:
             )
         assert excinfo.value.code == 2
         assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["simulate", "cornell-box", "--photons", "10",
+                 "--sigma", sigma, "--out", str(out)]
+            )
+        assert excinfo.value.code == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestServeCommand:
@@ -458,6 +476,18 @@ class TestTraceCommand:
     def test_unknown_platform(self):
         with pytest.raises(KeyError):
             main(["trace", "cornell-box", "--platform", "cray"], out=io.StringIO())
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--ranks", "0"], "ranks"),
+        (["--duration", "-5"], "duration"),
+    ], ids=["ranks-0", "negative-duration"])
+    def test_bad_model_inputs_exit_2(self, capsys, extra, named):
+        """Like every `simulate` config error: usage + message, no traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "cornell-box", *extra], out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and named in err
 
 
 class TestLintCommand:
