@@ -15,7 +15,8 @@ nothing above :class:`VectorEngine` names one.  The two serving paths:
   where candidate selection cannot pay for itself.
 * ``"flat"`` — the :class:`repro.geometry.flatoctree.FlatOctree`
   level-synchronous pair walk: the pointer octree compiled once into
-  contiguous arrays, then one slab-test call per tree level over every
+  contiguous arrays, each node bounded by a padded box around what it
+  contains, then one slab-test call per tree level over every
   live ``(lane, node)`` pair and one :meth:`VectorEngine._test_pairs`
   call over that level's ``(lane, patch)`` pairs, with per-lane
   closest-hit pruning between levels.  NumPy dispatches per bounce are
@@ -114,12 +115,15 @@ ACCEL_MODES = ("auto", "flat", "linear")
 #: Dense all-patches intersection wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
-#: Measured crossover of the pair walk against the tiled dense scan,
-#: flat/linear photons/sec (host-normalised medians of 7 x 10k photons,
-#: three runs): 0.64-0.70 at 26-30 patches (cornell-box), 0.84-0.85 at
-#: 44, 0.80-0.91 at 50, 1.0-1.1 at 68-74, 1.1-1.2 at 86, 0.93-1.07 at
-#: 92-97 (harpsichord-room), 1.2-1.3 at 104, 1.2-1.4 at 134-176,
-#: 1.5-1.6 at 218.
+#: Measured crossover of the pair walk (fitted node boxes) against the
+#: tiled dense scan, flat/linear photons/sec (medians of 7 alternating
+#: 10k-photon traces, two runs, 2-vCPU Xeon): 0.74 at 26 patches
+#: (den-1), 0.69-0.71 at 30 (cornell-box), 1.01-1.02 at 44 (den-2),
+#: 0.96-1.02 at 50 (office-1), 1.35 at 68, 1.38-1.41 at 74 (den-3),
+#: 1.53 at 86, 1.51-1.53 at 92 (office-2), 1.40 at 97
+#: (harpsichord-room), 1.75 at 104, 1.83 at 134.  The walk breaks even
+#: at 44-50 patches, as the cell-bounded walk did on the same host
+#: (0.98-0.99 there), and wins by 35 % and more from 68 up.
 PRUNE_PATCH_THRESHOLD = 64
 
 #: ``(lanes, patch columns)`` of one tile of the dense scan

@@ -42,7 +42,10 @@ offending value (``patches[3].eu``), the source name, and the **line**
 in the input text (located lazily by a tiny position scanner, so the
 happy path never pays for it).  Unknown keys are rejected everywhere
 except ``metadata``, which is an open namespace; unknown *values* of
-known keys fail with the constraint spelled out.  ``version`` gates the
+known keys fail with the constraint spelled out.  Every number must be
+finite (JSON ``NaN``/``Infinity``/``1e400`` and OBJ/MTL ``nan``/``inf``
+are rejected), and so must every patch's corners and the area and plane
+constants derived from its edges.  ``version`` gates the
 schema: readers refuse documents newer than they understand instead of
 misreading them.
 
@@ -57,6 +60,7 @@ worst-case headroom factor (see
 from __future__ import annotations
 
 import json
+import math
 from json.decoder import scanstring
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -239,7 +243,15 @@ class _Validator:
     def number(self, value, path: str) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.fail(path, f"expected a number, got {_kind(value)}")
-        return float(value)
+        # json.loads reads NaN, Infinity and 1e400 as non-finite floats,
+        # and integer literals past the float range as ints.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf if value > 0 else -math.inf
+        if not math.isfinite(number):
+            raise self.fail(path, f"expected a finite number, got {_kind(number)}")
+        return number
 
     def integer(self, value, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -281,6 +293,16 @@ def _kind(value) -> str:
 
 
 # -- reading -----------------------------------------------------------------
+
+
+def _finite_patch(patch: Patch) -> bool:
+    """Finite inputs can still overflow: ``origin + eu`` past the float
+    range, or ``eu x ev`` and the Gram matrix of long edges.  A
+    non-finite corner would make the octree root, and every box the
+    flat walk prunes with, infinite or NaN."""
+    values = [c for corner in patch.corners() for c in corner]
+    values += [patch.area, patch._d, patch._inv_uu, patch._inv_vv, patch._det_inv]
+    return all(math.isfinite(x) for x in values)
 
 
 def _material_from_doc(v: _Validator, name: str, raw, path: str) -> Material:
@@ -417,6 +439,12 @@ def scene_from_doc(
             patch = Patch(origin, eu, ev, material, name=patch_name)
         except ValueError as exc:
             raise v.fail(path, str(exc)) from None
+        if not _finite_patch(patch):
+            raise v.fail(
+                path,
+                "corners or edges overflow: a corner, the area or the plane "
+                "constants of this patch are not finite",
+            )
         if "beam_half_angle" in spec:
             angle = v.number(spec["beam_half_angle"], f"{path}.beam_half_angle")
             if angle <= 0:
@@ -458,6 +486,8 @@ def parse_scene(text: str, *, source: str = "<string>") -> Scene:
         raise SceneFormatError(
             f"invalid JSON: {exc.msg}", source=source, line=exc.lineno
         ) from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise SceneFormatError(f"invalid JSON: {exc}", source=source) from None
     return scene_from_doc(doc, source=source, text=text)
 
 
@@ -594,6 +624,15 @@ def save_scene(scene: Scene, path: Union[str, Path]) -> Path:
 # -- OBJ subset --------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """``float(text)``, refusing ``nan``/``inf`` and literals past the float
+    range (``1e400``), which ``float`` accepts; raises ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def parse_obj(
     text: str,
     *,
@@ -636,9 +675,11 @@ def parse_obj(
             if len(fields) < 3:
                 raise fail(lineno, f"vertex needs 3 coordinates, got {len(fields)}")
             try:
-                vertices.append(tuple(float(f) for f in fields[:3]))
+                vertices.append(tuple(_finite_float(f) for f in fields[:3]))
             except ValueError:
-                raise fail(lineno, f"non-numeric vertex coordinate in {rest!r}") from None
+                raise fail(
+                    lineno, f"non-numeric or non-finite vertex coordinate in {rest!r}"
+                ) from None
         elif keyword == "f":
             if len(fields) == 3:
                 raise fail(
@@ -668,6 +709,8 @@ def parse_obj(
             eu = tuple(a - b for a, b in zip(c1, c0))
             ev = tuple(a - b for a, b in zip(c3, c0))
             implied = tuple(o + u + w for o, u, w in zip(c0, eu, ev))
+            if not all(math.isfinite(x) for x in (*eu, *ev, *implied)):
+                raise fail(lineno, "face edges overflow to a non-finite value")
             scale = max(1.0, *(abs(c) for corner in corners for c in corner))
             if any(abs(a - b) > 1e-9 * scale for a, b in zip(implied, c2)):
                 raise fail(
@@ -769,10 +812,10 @@ def _parse_mtl(text: str, *, source: str) -> dict[str, dict]:
                     f"{keyword} before any newmtl", source=source, line=lineno
                 )
             try:
-                values = [float(f) for f in fields]
+                values = [_finite_float(f) for f in fields]
             except ValueError:
                 raise SceneFormatError(
-                    f"non-numeric {keyword} value in {rest!r}",
+                    f"non-numeric or non-finite {keyword} value in {rest!r}",
                     source=source, line=lineno,
                 ) from None
             if keyword == "Ns":

@@ -243,6 +243,72 @@ class TestValidation:
         assert "version" in rendered
 
 
+class TestNonFiniteGeometry:
+    """NaN, infinities and overflow are schema errors: a non-finite corner
+    would make the octree root, and every fitted box, infinite or NaN."""
+
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400",
+        pytest.param("-1" + "0" * 400, id="integer-1e400"),
+    ])
+    def test_non_finite_corner_literal(self, literal):
+        doc = minimal_doc()
+        doc["patches"][1]["origin"] = ["@", 1, 0]
+        text = json.dumps(doc, indent=1).replace('"@"', literal)
+        err = expect_error(text, path="patches[1].origin[0]", message="finite")
+        assert err.line == text[: text.index(literal)].count("\n") + 1
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("diffuse", [0.5, float("nan"), 0.5], "materials.m.diffuse[1]"),
+        ("specular", float("inf"), "materials.m.specular"),
+    ])
+    def test_non_finite_material_value(self, key, value, path):
+        doc = minimal_doc()
+        doc["materials"]["m"][key] = value
+        expect_error(json.dumps(doc), path=path, message="finite")
+
+    def test_non_finite_metadata_hint(self):
+        doc = minimal_doc(metadata={"events_per_photon": float("nan")})
+        expect_error(json.dumps(doc), path="metadata.events_per_photon",
+                     message="finite")
+
+    @pytest.mark.parametrize("origin, eu, ev", [
+        ([1e308, 0, 0], [1e308, 0, 0], [0, 0, 1]),      # origin + eu overflows
+        ([0, 0, 0], [1e200, 0, 0], [0, 0, 1e200]),      # eu x ev overflows
+        ([0, 0, 0], [1e160, 0, 0], [0, 0, 1e-160]),     # eu . eu overflows
+    ], ids=["corner", "area", "gram"])
+    def test_overflowing_patch_is_located(self, origin, eu, ev):
+        doc = minimal_doc()
+        doc["patches"][0].update(origin=origin, eu=eu, ev=ev)
+        expect_error(json.dumps(doc), path="patches[0]", message="overflow")
+
+    def test_integer_past_the_digit_limit(self):
+        text = json.dumps(minimal_doc(), indent=1).replace(
+            '"version": 1', '"version": 1' + "0" * 5000)
+        expect_error(text, message="invalid JSON")
+
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf", "1e400"])
+    def test_obj_vertex(self, coordinate):
+        text = f"v 0 0 0\nv {coordinate} 0 0\n"
+        with pytest.raises(SceneFormatError, match="non-finite") as excinfo:
+            parse_obj(text)
+        assert excinfo.value.line == 2
+
+    def test_obj_face_edges_overflow(self):
+        text = "v -1e308 0 0\nv 1e308 0 0\nv 1e308 0 1\nv -1e308 0 1\nf 1 2 3 4\n"
+        with pytest.raises(SceneFormatError, match="overflow") as excinfo:
+            parse_obj(text)
+        assert excinfo.value.line == 5
+
+    @pytest.mark.parametrize("statement", ["Kd nan 0.5 0.5", "Ke 1 inf 1",
+                                           "Ks 0.1 0.1 1e999", "Ns nan"])
+    def test_mtl_values(self, statement):
+        mtl = f"newmtl m\n{statement}\n"
+        with pytest.raises(SceneFormatError, match="non-finite") as excinfo:
+            parse_obj("mtllib m.mtl\n", mtl_loader=lambda lib: mtl)
+        assert excinfo.value.line == 2 and excinfo.value.source == "m.mtl"
+
+
 class TestObjImporter:
     OBJ = """\
 mtllib room.mtl
