@@ -2,8 +2,8 @@
 
 The expensive part of serving a scene is not tracing — it is the
 compilation the vector engine needs before the first photon moves: the
-patch structure-of-arrays, the flattened octree, and the packed per-leaf
-candidate lists (:class:`~repro.core.vectorized.SceneArrays`).  The
+patch structure-of-arrays and the flat walk's tree
+(:class:`~repro.core.vectorized.SceneArrays`).  The
 legacy one-shot API recompiled all of it on **every**
 ``PhotonSimulator(scene, config).run()``; a :class:`SceneProgram`
 compiles once and is reused by any number of

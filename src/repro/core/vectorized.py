@@ -14,9 +14,9 @@ nothing above :class:`VectorEngine` names one.  The two serving paths:
   lane x patch tiles (:data:`DENSE_TILE`); fastest for small scenes
   where candidate selection cannot pay for itself.
 * ``"flat"`` — the :class:`repro.geometry.flatoctree.FlatOctree`
-  level-synchronous pair walk: the pointer octree compiled once into
-  contiguous arrays, each node bounded by a padded box around what it
-  contains, then one slab-test call per tree level over every
+  level-synchronous pair walk: an eight-wide BVH built once from the
+  patch columns into contiguous arrays, each patch in one padded leaf
+  box, then one slab-test call per tree level over every
   live ``(lane, node)`` pair and one :meth:`VectorEngine._test_pairs`
   call over that level's ``(lane, patch)`` pairs, with per-lane
   closest-hit pruning between levels.  NumPy dispatches per bounce are
@@ -115,16 +115,16 @@ ACCEL_MODES = ("auto", "flat", "linear")
 #: Dense all-patches intersection wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
-#: Measured crossover of the pair walk (fitted node boxes) against the
-#: tiled dense scan, flat/linear photons/sec (medians of 7 alternating
-#: 10k-photon traces, two runs, 2-vCPU Xeon): 0.74 at 26 patches
-#: (den-1), 0.69-0.71 at 30 (cornell-box), 1.01-1.02 at 44 (den-2),
-#: 0.96-1.02 at 50 (office-1), 1.35 at 68, 1.38-1.41 at 74 (den-3),
-#: 1.53 at 86, 1.51-1.53 at 92 (office-2), 1.40 at 97
-#: (harpsichord-room), 1.75 at 104, 1.83 at 134.  The walk breaks even
-#: at 44-50 patches, as the cell-bounded walk did on the same host
-#: (0.98-0.99 there), and wins by 35 % and more from 68 up.
-PRUNE_PATCH_THRESHOLD = 64
+#: Measured crossover of the pair walk over the binned-SAH BVH against
+#: the tiled dense scan, flat/linear photons/sec (medians of 7
+#: alternating 10k-photon traces, ranges over two runs, 2-vCPU Xeon):
+#: 0.73-0.81 at 14 patches (den-1@2), 0.74-0.92 at 20, 0.99-1.06 at 26,
+#: 1.00-1.03 at 30 (cornell-box), 1.10-1.14 at 32, 1.33-1.35 at 38,
+#: 1.36-1.42 at 44, 1.43 at 50 (office-1), 1.90 at 74, 1.62 at 97
+#: (harpsichord-room), 2.75 at 134, 3.97 at 218 (office-5).  The walk
+#: breaks even at 26-30 patches; at 32, cornell-box (at break-even)
+#: stays on the dense scan.
+PRUNE_PATCH_THRESHOLD = 32
 
 #: ``(lanes, patch columns)`` of one tile of the dense scan
 #: (:meth:`VectorEngine._test_patches`): ~16k elements, 128 KB per float64
@@ -288,9 +288,14 @@ class SceneArrays:
              for l in lums]
         )
 
-        # The array-encoded octree for the flat batched walk (compiled
-        # once; pool workers attach it through the shared-memory plane).
-        self.flat = FlatOctree.from_octree(scene.octree)
+        # The eight-wide BVH for the flat batched walk, built from the
+        # patch columns above (once; pool workers attach it through the
+        # shared-memory plane).
+        self.flat = FlatOctree.build(
+            (self.p0x, self.p0y, self.p0z),
+            (self.eux, self.euy, self.euz),
+            (self.evx, self.evy, self.evz),
+        )
 
     @property
     def patch_count(self) -> int:
@@ -300,8 +305,8 @@ class SceneArrays:
     #
     # Everything batched kernels read is a NumPy array, so the whole
     # structure serialises to a flat name -> array mapping.  The dotted
-    # ``flat.*`` names namespace the one composite member, the compiled
-    # octree.
+    # ``flat.*`` names namespace the one composite member, the flat
+    # walk's tree.
 
     def export_fields(self) -> dict:
         """Flat name -> array mapping of every buffer the kernels read.
@@ -309,8 +314,8 @@ class SceneArrays:
         The export surface of :mod:`repro.parallel.shmplane`: copying
         these arrays into a shared segment and calling
         :meth:`from_fields` on views of it reconstructs a bit-identical
-        structure without touching the :class:`Scene` (or re-compiling
-        the octree) on the attaching side.
+        structure without touching the :class:`Scene` (or rebuilding
+        the tree) on the attaching side.
         """
         fields = {
             name: value
@@ -327,7 +332,7 @@ class SceneArrays:
 
         Zero-copy by construction: every attribute aliases the buffers in
         *fields*, so attaching a shared-memory plane costs no array
-        copies and no octree compilation.  ``scene`` is ``None`` on the
+        copies and no tree build.  ``scene`` is ``None`` on the
         result — batched tracing never dereferences it.
         """
         self = object.__new__(cls)
@@ -577,7 +582,7 @@ class VectorEngine:
         arrays: Pre-built :class:`SceneArrays` — typically views into an
             attached shared-memory plane
             (:func:`repro.parallel.shmplane.attach`).  When given, the
-            engine skips its own (octree-compiling) :class:`SceneArrays`
+            engine skips its own (tree-building) :class:`SceneArrays`
             construction and traces against the provided buffers;
             results are bit-identical because the arrays are.
         fluorescence: Optional Stokes-shift spec (same semantics as the

@@ -1,32 +1,45 @@
-"""Flattened structure-of-arrays octree for batched traversal.
+"""Flat eight-wide bounding volume hierarchy for batched traversal.
 
 The pointer octree (:class:`repro.geometry.octree.Octree`) is ideal for
 the scalar tracer: one ray at a time, near-to-far recursion, early exit.
 The vector engine needs the opposite shape — *one node at a time, all
-rays at once* — and PR 1's interim answer (a Python loop over every
-octree leaf per batch) pays per-leaf interpreter overhead ~3.4k times
-per batch on the computer-lab scene whether or not a single lane's ray
-goes anywhere near the leaf.
+rays at once* — and a tree shaped for it: an octree halves all three
+axes at every level, so a flat building is cut as finely in height as in
+width and a wall sits in a dozen leaves.
 
-:class:`FlatOctree` is a one-time compile of the pointer tree into
-contiguous NumPy arrays, after which traversal never touches a Python
-object per node:
+:class:`FlatOctree` is an eight-wide BVH built straight from the patch
+columns (:meth:`FlatOctree.build`), held in contiguous NumPy arrays, so
+neither building nor traversal touches a Python object per node:
 
+* **Construction** is level-synchronous binned SAH (Wald, "On fast
+  Construction of SAH-based BVHs", 2007), three binary rounds to one
+  eight-wide level (Dammertz, Hanika & Keller, "Shallow BVHs for fast
+  SIMD ray tracing of incoherent rays", 2008).  A round splits *every*
+  node still larger than :data:`LEAF_SIZE` at once: centroid bounds by
+  ``reduceat``, :data:`SAH_BINS` bins per axis filled by ``bincount`` and
+  ``minimum.at``/``maximum.at``, left and right sweeps by ``accumulate``,
+  then one stable partition of the patch order.  **Each patch sits in
+  exactly one leaf.**
 * **Node bounds** live in six parallel ``float64`` arrays
-  (``lox..hiz``), indexed by flat node id.  They are *fitted boxes*:
-  what the node contains, not its cell — a leaf bounds the parts of its
-  member patches inside its cell, an interior node its children's
-  boxes, each padded by :data:`FIT_PAD` of the root diagonal — so a ray
-  through empty space in a cell, or past the edge of a wall piece,
-  prunes there.  Empty leaves get a zero-volume box outside the root.
+  (``lox..hiz``), indexed by flat node id.  A leaf's box is the union of
+  its members' AABBs (the four corners, formed as ``Patch.corners()``
+  forms them) padded by :data:`FIT_PAD` of the root diagonal; an
+  interior node's box is the union of its children's.  Child slots a
+  node does not fill get a zero-volume box outside the root.
 * **Topology** is a single ``first_child`` ``int32`` array.  Children of
-  an interior node occupy eight *consecutive* slots (octant order), so
-  one integer encodes all eight links and a child block's bounds are a
-  contiguous slice — the layout production renderers use for
-  array-encoded BVH/octree walks.
+  an interior node occupy eight *consecutive* slots, so one integer
+  encodes all eight links and a child block's bounds are a contiguous
+  slice — the layout production renderers use for array-encoded
+  BVH/octree walks.  Nodes are numbered breadth first.
 * **Leaf membership** is a shared ``leaf_items`` patch-id array with
   per-node ``[leaf_start, leaf_end)`` ranges (ids ascending within each
-  leaf; interior nodes hold an empty range).
+  leaf; interior nodes and empty slots hold an empty range).
+
+The module, the class and :meth:`FlatOctree.traverse` keep their octree
+names although the tree is no longer an octree: the benchmark harness
+wraps ``repro.geometry.flatoctree.FlatOctree.traverse`` by name, and the
+eight-slot layout is the octree's.  The pointer octree is now built only
+for the scalar tracer (:attr:`repro.geometry.scene.Scene.octree`).
 
 Traversal (:meth:`FlatOctree.traverse`) is a level-synchronous *pair
 frontier* — the wavefront shape: two parallel arrays ``(lane, node)``
@@ -49,59 +62,72 @@ The *answer* is visit-order independent: the caller's closest-hit
 reduction resolves exact-distance ties to the **maximum patch id** (the
 canonical rule shared by the linear scan, the pointer octree, and the
 vector engine — see :mod:`repro.geometry.octree`), a pure function of
-``(t, patch_id)``, so breadth-first order, duplicate leaf membership
-and wave boundaries cannot change a byte.  A subtree is pruned only
-when it provably cannot beat a lane's current best (slab miss, box
-behind the origin, or entry strictly beyond the best hit; NaN slab
-results from boundary-grazing axis-parallel rays compare ``False`` and
-are kept, which is the conservative side).  Breadth-first pruning is a
-little later than depth-first (a near leaf two levels down cannot yet
-cull a far sibling subtree), which costs a few percent more slab and
-patch tests and nothing else.
+``(t, patch_id)``, so breadth-first order, which leaf holds a patch and
+wave boundaries cannot change a byte.  A subtree is pruned only when it
+provably cannot beat a lane's current best (slab miss, box behind the
+origin, or entry strictly beyond the best hit; NaN slab results from
+boundary-grazing axis-parallel rays compare ``False`` and are kept,
+which is the conservative side).  Breadth-first pruning is a little
+later than depth-first (a near leaf two levels down cannot yet cull a
+far sibling subtree), which costs a few percent more slab and patch
+tests and nothing else.
 
-Pruning against fitted boxes is conservative for every hit the dense
-scan accepts.  Such a hit lies within the scan's barycentric tolerance
-(1e-9 times each edge, at most 2e-9 of the root diagonal) of a point
-``q`` of its patch's AABB; the leaf whose cell holds ``q`` lists the
-patch (membership is AABB-cell overlap), so that leaf's box holds ``q``
-and, padded by :data:`FIT_PAD` (1e-6 of the diagonal), holds the hit
-strictly inside, with ``t_enter`` about a pad before it — far beyond any
-slab or plane rounding; every ancestor's box contains the leaf's.  The
-winning candidate therefore always reaches the kernel, the answer stays
-a pure function of the candidate set, and no answer byte can move.
+Pruning is conservative for every hit the dense scan accepts.  Such a
+hit lies within the scan's barycentric tolerance (1e-9 times each edge,
+at most 2e-9 of the root diagonal) of its patch's AABB; the one leaf
+listing the patch holds that AABB and, padded by :data:`FIT_PAD` (1e-6
+of the diagonal), holds the hit strictly inside, with ``t_enter`` about
+a pad before it — far beyond any slab or plane rounding; every
+ancestor's box contains the leaf's.  The winning candidate therefore
+always reaches the kernel, the answer stays a pure function of the
+candidate set, and no answer byte can move.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .octree import Octree, OctreeNode
-from .polygon import Patch
-
-__all__ = ["FlatOctree", "slab_spans", "WAVE_LANES", "FIT_PAD"]
+__all__ = [
+    "FlatOctree", "slab_spans", "WAVE_LANES", "FIT_PAD", "LEAF_SIZE", "SAH_BINS",
+]
 
 #: Lanes walked together by :meth:`FlatOctree.traverse`.  The frontier
 #: and its ``m x 8`` slab temporaries scale with the lanes in flight, so
 #: a fixed wave keeps peak memory independent of the caller's batch size.
-#: Measured on ``gen:office-259`` at ``batch_size=4096``: peak RSS 118 MB
-#: with the whole batch in one frontier, 96 MB at 1,024 (90 MB at 256),
-#: and 1,024 was also the fastest of 256..4,096 (cache-sized operands).
+#: Measured on ``gen:office-259@0xBEEF`` at ``batch_size=4096`` (8,192
+#: photons per trace): photons/sec 67k at 256 lanes, 81k at 512, 84k at
+#: 1,024, 83k at 2,048 and 78k with the whole batch in one frontier.
+#: Peak RSS was 66 MB at every size.
 WAVE_LANES = 1024
 
-#: Outward pad of every fitted node box, as a fraction of the root
-#: cell's diagonal.  It must exceed what the dense scan accepts beyond a
-#: patch's AABB — its 1e-9 barycentric tolerance times the two edges,
-#: at most 2e-9 of the diagonal — plus slab and plane rounding, so that
-#: every hit the dense scan accepts lies strictly inside each box on its
-#: path (see the module docstring).  The pad costs almost nothing: on
-#: ``gen:office-259@0xBEEF`` (2,000 photons) patch tests per photon are
-#: 38.89 unpadded, 38.96 at 1e-6, 41.6 at 1e-4 and 62.0 at 1e-3.
+#: Outward pad of every leaf box, as a fraction of the root diagonal.  It
+#: must exceed what the dense scan accepts beyond a patch's AABB — its
+#: 1e-9 barycentric tolerance times the two edges, at most 2e-9 of the
+#: diagonal — plus slab and plane rounding, so that every hit the dense
+#: scan accepts lies strictly inside each box on its path (see the module
+#: docstring).  The pad costs almost nothing: on ``gen:office-259@0xBEEF``
+#: (2,000 photons) patch tests per photon are 14.63 unpadded, 14.69 at
+#: 1e-6, 14.85 at 1e-4 and 16.96 at 1e-3.
 FIT_PAD = 1e-6
+
+#: Most patches one leaf holds; :meth:`FlatOctree.build` splits every
+#: larger node.  A constant, not a knob.  What decides it is tree depth:
+#: each level is one round of NumPy calls per closest-hit call, so a
+#: leaf size that saves a level on a small scene wins even though it
+#: costs patch tests.  Bench medians (3 alternating runs, 2-vCPU Xeon),
+#: leaf size 4 / 5 / 6: ``office_scale_serial`` 34.2k / 35.4k / 35.2k
+#: photons/s, ``lab_pool2`` 92.4k / 96.6k / 92.6k, ``service_mixed``
+#: 126 / 137 / 136 requests/s; ``gen:office-259`` patch tests per photon
+#: 13.6 / 14.6 / 16.1.
+LEAF_SIZE = 5
+
+#: Bins per key in each binned-SAH split.  A constant, not a knob.  16
+#: bins build ``gen:office-259`` in ~85 ms against ~60 ms for 8, and
+#: made no tree measurably better (patch and slab tests within 2 %).
+SAH_BINS = 8
 
 _OCTANTS = np.arange(8)
 
@@ -146,23 +172,105 @@ def _misses(t_enter, t_exit, best_t):
     return (t_exit < t_enter) | (t_exit < 0.0) | (t_enter > best_t)
 
 
-class FlatOctree:
-    """Array-encoded octree compiled from a pointer :class:`Octree`.
+def _half_area(lo, hi):
+    """Half the surface area of boxes with x, y, z along the first axis."""
+    ex, ey, ez = hi - lo
+    return ex * ey + ey * ez + ez * ex
 
-    Build once per scene with :meth:`from_octree`; the instance is
-    immutable and shares no state with the source tree.  Pool workers
-    attach its arrays zero-copy through the shared-memory scene plane
-    (:meth:`arrays` / :meth:`from_arrays`).
+
+def _sweeps(box, union):
+    """Unions of bins ``0..j`` and of bins ``j+1..``, for each cut ``j``.
+
+    *box* is one corner of the per-bin boxes, shaped ``(3, bins, rows)``;
+    *union* is ``np.minimum`` or ``np.maximum``.  A loop over the bins
+    with ``out=`` runs each step over whole rows (``ufunc.accumulate``
+    along a middle axis is several times slower).
+    """
+    left = box[:, :-1].copy()
+    right = box[:, 1:].copy()
+    for j in range(1, left.shape[1]):
+        union(left[:, j - 1], left[:, j], out=left[:, j])
+        union(right[:, -j], right[:, -j - 1], out=right[:, -j - 1])
+    return left, right
+
+
+def _sah_split(order, starts, counts, lo, hi, keys):
+    """Split segments of *order* in two at their binned-SAH minimum, in place.
+
+    Segment ``k`` is ``order[starts[k]:starts[k] + counts[k]]``, every
+    count at least two.  Each column of *keys* is binned into
+    :data:`SAH_BINS` equal bins over the segment's range, and the segment
+    is partitioned stably at the cheapest cut between bins of any column
+    (surface area times patch count, summed over both sides); a segment
+    whose keys coincide in every column is halved in its current order
+    instead.  Returns the left parts' sizes, each in ``[1, counts[k])``.
+    """
+    nseg = starts.size
+    first = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(nseg), counts)
+    rank = np.arange(seg.size) - first[seg]
+    pos = starts[seg] + rank
+    ids = order[pos]
+    c = keys[ids]
+    k = c.shape[1]
+    cmin = np.minimum.reduceat(c, first, axis=0)
+    extent = np.maximum.reduceat(c, first, axis=0) - cmin
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = SAH_BINS / extent
+        scale[~np.isfinite(scale)] = 0.0  # no spread: every key in bin 0
+        bins = np.minimum((c - cmin[seg]) * scale[seg], SAH_BINS - 1).astype(np.int64)
+
+    # Per (bin, segment, split axis): the patch count, and per coordinate
+    # the box of the patches in the bin.  Coordinates, then bins, lead:
+    # the sweeps and the area run over long contiguous rows.
+    row = bins * (nseg * k) + seg[:, None] * k + np.arange(k)
+    size = SAH_BINS * nseg * k
+    in_bin = np.bincount(row.ravel(), minlength=size).reshape(SAH_BINS, nseg, k)
+    cell = (row[:, :, None] + size * np.arange(3)).ravel()
+    sweeps = []
+    for corner, union, identity in ((lo, np.minimum, np.inf), (hi, np.maximum, -np.inf)):
+        box = np.full(3 * size, identity)
+        union.at(box, cell, np.repeat(corner[ids], k, axis=0).ravel())
+        sweeps.append(_sweeps(box.reshape(3, SAH_BINS, nseg * k), union))
+    (lo_left, lo_right), (hi_left, hi_right) = sweeps
+    n_left = np.cumsum(in_bin, axis=0)[:-1]
+    n_right = counts[:, None] - n_left
+    n_left, n_right = (n.reshape(SAH_BINS - 1, -1) for n in (n_left, n_right))
+    with np.errstate(invalid="ignore"):
+        cost = (_half_area(lo_left, hi_left) * n_left
+                + _half_area(lo_right, hi_right) * n_right)
+    cost[(n_left == 0) | (n_right == 0)] = np.inf
+    cost = cost.reshape(SAH_BINS - 1, nseg, k).transpose(1, 2, 0).reshape(nseg, -1)
+    best = cost.argmin(axis=1)
+    found = np.isfinite(cost[np.arange(nseg), best])
+    axis, cut = np.divmod(best, SAH_BINS - 1)
+
+    left = bins[np.arange(seg.size), axis[seg]] <= cut[seg]
+    left = np.where(found[seg], left, rank < (counts // 2)[seg])
+    order[pos] = ids[np.argsort(2 * seg + ~left, kind="stable")]
+    return np.bincount(seg[left], minlength=nseg)
+
+
+class FlatOctree:
+    """Array-encoded eight-wide BVH over a scene's patches.
+
+    Build once per scene with :meth:`build`; the instance is immutable.
+    Pool workers attach its arrays zero-copy through the shared-memory
+    scene plane (:meth:`arrays` / :meth:`from_arrays`).  The name is
+    kept from when the tree was the compiled pointer octree (see the
+    module docstring).
 
     Attributes:
-        lox, loy, loz, hix, hiy, hiz: Per-node fitted boxes (``float64``):
-            the padded bounds of what the node contains, not its cell.
+        lox, loy, loz, hix, hiy, hiz: Per-node boxes (``float64``): a
+            leaf bounds its members padded by :data:`FIT_PAD` of the
+            root diagonal, an interior node its children; an empty slot
+            is a point outside the root.
         first_child: Per-node index of the first of eight consecutive
             children, or ``-1`` for a leaf (``int32``).
         leaf_start, leaf_end: Per-node ``[start, end)`` range into
-            ``leaf_items`` (empty for interior nodes).
-        leaf_items: Concatenated member patch ids of every leaf, sorted
-            ascending within each leaf (``int64``).
+            ``leaf_items`` (empty for interior nodes and empty slots).
+        leaf_items: Every patch id exactly once, grouped by leaf and
+            ascending within each (``int64``).
         depth: Per-node depth (root is 0); used by structural tests and
             diagnostics, not by traversal.
     """
@@ -188,124 +296,114 @@ class FlatOctree:
         self.leaf_items = leaf_items
         self.depth = depth
 
-    # -- compiler -------------------------------------------------------------
+    # -- builder --------------------------------------------------------------
 
     @classmethod
-    def from_octree(cls, octree: Octree) -> "FlatOctree":
-        """Compile *octree* into flat arrays (breadth-first node order).
+    def build(cls, p0, eu, ev) -> "FlatOctree":
+        """Build the tree over parallelogram patches given as columns.
 
-        Breadth-first emission is what makes each interior node's eight
-        children consecutive: when a node is dequeued its children are
-        appended as one block, and ``first_child`` records the block
-        base.  Every pointer node — including empty leaves — gets a
-        slot, so structural round-trip tests can compare node counts
-        and memberships one-for-one.  The bounds are the fitted boxes of
-        :meth:`_fit_bounds`, not the pointer nodes' cells.
+        Args:
+            p0, eu, ev: Three ``(x, y, z)`` triples of equal-length
+                ``float64`` arrays: each patch's origin corner and edge
+                vectors — the ``p0*`` / ``eu*`` / ``ev*`` columns of
+                :class:`repro.core.vectorized.SceneArrays`.  A patch's
+                id is its position in these arrays.
+
+        Level by level, every node larger than :data:`LEAF_SIZE` is cut
+        into at most eight children by three rounds of
+        :func:`_sah_split`: the first splits the node in two, the next
+        two split every part of more than one patch.  A part lands in slot
+        ``4a + 2b + c`` for the sides ``a, b, c`` it took (a part not
+        split in a round keeps its slot; slots left over are empty).
+        Children larger than :data:`LEAF_SIZE` are the next level's
+        nodes, the rest are leaves.  Boxes are then filled bottom up.
+        The result is a pure function of the columns: a rebuild is
+        byte-identical.
         """
-        order: list[OctreeNode] = [octree.root]
-        first_child: list[int] = []
-        i = 0
-        while i < len(order):
-            node = order[i]
-            if node.is_leaf:
-                first_child.append(-1)
-            else:
-                first_child.append(len(order))
-                order.extend(node.children)  # type: ignore[arg-type]
-            i += 1
+        p0, eu, ev = (np.stack(v, axis=1) for v in (p0, eu, ev))
+        c1 = p0 + eu
+        corners = (p0, c1, c1 + ev, p0 + ev)  # as Patch.corners() forms them
+        lo = functools.reduce(np.minimum, corners)
+        hi = functools.reduce(np.maximum, corners)
+        # Binning keys: the box centre on each axis and, as a fourth
+        # column, the box's largest extent.  Centres alone cannot cut a
+        # building's floor, ceiling and outer walls, centred mid-building,
+        # away from the small patches around them; the size column offers
+        # the SAH that cut, and it takes it when it pays.
+        keys = np.column_stack([0.5 * (lo + hi), (hi - lo).max(axis=1)])
+        n = lo.shape[0]
 
-        n = len(order)
-        lox = np.empty(n); loy = np.empty(n); loz = np.empty(n)
-        hix = np.empty(n); hiy = np.empty(n); hiz = np.empty(n)
-        depth = np.empty(n, dtype=np.int32)
-        leaf_start = np.zeros(n, dtype=np.int64)
-        leaf_end = np.zeros(n, dtype=np.int64)
-        items: list[int] = []
-        members: set[Patch] = set()
-        for j, node in enumerate(order):
-            b = node.bounds
-            lox[j], loy[j], loz[j] = b.lo.x, b.lo.y, b.lo.z
-            hix[j], hiy[j], hiz[j] = b.hi.x, b.hi.y, b.hi.z
-            depth[j] = node.depth
-            if node.children is None and node.patches:
-                members.update(node.patches)
-                leaf_start[j] = len(items)
-                items.extend(sorted(p.patch_id for p in node.patches))
-                leaf_end[j] = len(items)
-        tree = cls(
-            lox, loy, loz, hix, hiy, hiz,
-            np.array(first_child, dtype=np.int32),
-            leaf_start, leaf_end, np.array(items, dtype=np.int64), depth,
-        )
-        # The lists hold a Python object per node and per membership;
-        # dropping them first keeps the fit's temporaries off the peak.
-        patches = list(members)
-        del order, first_child, items, members
-        tree._fit_bounds(patches)
-        return tree
+        order = np.arange(n)
+        # Per level: each new node's segment of `order` and its depth.
+        seg_start = [np.zeros(1, dtype=np.int64)]
+        seg_count = [np.array([n], dtype=np.int64)]
+        seg_depth = [np.zeros(1, dtype=np.int32)]
+        levels = []  # (interior node ids, their child blocks' bases) per depth
+        parents = np.zeros(1 if n > LEAF_SIZE else 0, dtype=np.int64)
+        starts, counts = seg_start[0][:parents.size], seg_count[0][:parents.size]
+        next_id = 1
+        while parents.size:
+            owner = np.arange(parents.size)
+            slot = np.zeros(parents.size, dtype=np.int64)
+            for step in (4, 2, 1):
+                split = counts > (LEAF_SIZE if step == 4 else 1)
+                if not split.any():
+                    break
+                n_left = _sah_split(order, starts[split], counts[split], lo, hi, keys)
+                keep = ~split
+                starts = np.concatenate(
+                    [starts[keep], starts[split], starts[split] + n_left])
+                counts = np.concatenate(
+                    [counts[keep], n_left, counts[split] - n_left])
+                owner = np.concatenate([owner[keep], owner[split], owner[split]])
+                slot = np.concatenate([slot[keep], slot[split], slot[split] + step])
+            bases = next_id + 8 * np.arange(parents.size)
+            levels.append((parents, bases))
+            local = 8 * owner + slot
+            block_start = np.zeros(8 * parents.size, dtype=np.int64)
+            block_count = np.zeros(8 * parents.size, dtype=np.int64)
+            block_start[local] = starts
+            block_count[local] = counts
+            seg_start.append(block_start)
+            seg_count.append(block_count)
+            seg_depth.append(np.full(block_count.size, len(levels), dtype=np.int32))
+            inner = np.flatnonzero(block_count > LEAF_SIZE)
+            parents = next_id + inner
+            starts, counts = block_start[inner], block_count[inner]
+            next_id += block_count.size
 
-    def _fit_bounds(self, patches: list[Patch]) -> None:
-        """Shrink every node's bounds, in place, from its cell to its contents.
+        start = np.concatenate(seg_start)
+        count = np.concatenate(seg_count)
+        first_child = np.full(start.size, -1, dtype=np.int32)
+        for ids, bases in levels:
+            first_child[ids] = bases
+        leaves = np.flatnonzero((first_child < 0) & (count > 0))
+        leaves = leaves[np.argsort(start[leaves])]
+        leaf_start = np.zeros(start.size, dtype=np.int64)
+        leaf_end = np.zeros(start.size, dtype=np.int64)
+        leaf_start[leaves] = start[leaves]
+        leaf_end[leaves] = start[leaves] + count[leaves]
+        # The leaves tile `order`; sort ids within each.
+        group = np.repeat(np.arange(leaves.size), count[leaves])
+        items = order[np.lexsort((order, group))]
 
-        On entry the six bound arrays hold the pointer tree's cells; on
-        exit a leaf holds the union over its member patches of (patch
-        AABB ∩ cell), an interior node the union of its children's
-        boxes, both padded outward by :data:`FIT_PAD` times the root
-        cell's diagonal.  A node with no patch in its subtree gets a
-        zero-volume box outside the root, so it costs one slab test and
-        is never expanded.  *patches* holds every patch whose id is in
-        ``leaf_items``.
-
-        Vectorised, one axis at a time: patch extents come from the four
-        corner columns, each leaf reduces its members' extents with
-        ``reduceat`` over its ``leaf_items`` range, and interior nodes
-        take one pass per depth level over their eight-child blocks,
-        deepest first.
-        """
-        bounds = (self.lox, self.loy, self.loz, self.hix, self.hiy, self.hiz)
-        root = np.array([b[0] for b in bounds])
-        diag = float(np.sqrt(((root[3:] - root[:3]) ** 2).sum()))
+        root_lo, root_hi = lo.min(axis=0), hi.max(axis=0)
+        diag = float(np.sqrt(((root_hi - root_lo) ** 2).sum()))
         pad = FIT_PAD * diag
-        outside = root[3:] + diag
-
-        n = len(patches)
-        ids = np.fromiter(map(attrgetter("patch_id"), patches), np.int64, n)
-        geometry = attrgetter(*(f"{v}.{a}" for v in ("p0", "eu", "ev") for a in "xyz"))
-        geom = np.fromiter(
-            itertools.chain.from_iterable(map(geometry, patches)), np.float64, 9 * n
-        ).reshape(n, 9)
-        patch_side = np.zeros(int(ids.max()) + 1)
-        leaves = np.flatnonzero(self.leaf_end > self.leaf_start)
-        starts = self.leaf_start[leaves]
-        interior = np.flatnonzero(self.first_child >= 0)
-        levels = []
-        for d in range(int(self.depth.max()) - 1, -1, -1):
-            parents = interior[self.depth[interior] == d]
-            levels.append((parents, self.first_child[parents][:, None] + _OCTANTS))
-        for axis in range(3):
-            p0, eu, ev = geom[:, axis], geom[:, axis + 3], geom[:, axis + 6]
-            c1 = p0 + eu
-            corners = (p0, c1, c1 + ev, p0 + ev)  # as Patch.corners() forms them
-            for box, union, clip, grow, identity in (
-                (bounds[axis], np.minimum, np.maximum, -pad, np.inf),
-                (bounds[axis + 3], np.maximum, np.minimum, pad, -np.inf),
-            ):
-                patch_side[ids] = functools.reduce(union, corners)
-                # Clamping every member to the cell and then taking the
-                # union equals clamping the union: min and max commute
-                # with a clamp to one constant.
-                fitted = union.reduceat(patch_side[self.leaf_items], starts)
-                clip(fitted, box[leaves], out=fitted)
-                fitted += grow
-                # Empty nodes hold the union's identity until the end.
-                box[:] = identity
-                box[leaves] = fitted
-                for parents, kids in levels:
-                    box[parents] = union.reduce(box[kids], axis=1)
-        empty = self.lox > self.hix
-        for axis in range(3):
-            bounds[axis][empty] = outside[axis]
-            bounds[axis + 3][empty] = outside[axis]
+        box_lo = np.full((start.size, 3), np.inf)
+        box_hi = np.full((start.size, 3), -np.inf)
+        box_lo[leaves] = np.minimum.reduceat(lo[items], start[leaves], axis=0) - pad
+        box_hi[leaves] = np.maximum.reduceat(hi[items], start[leaves], axis=0) + pad
+        for ids, bases in reversed(levels):
+            kids = bases[:, None] + _OCTANTS
+            box_lo[ids] = box_lo[kids].min(axis=1)
+            box_hi[ids] = box_hi[kids].max(axis=1)
+        empty = count == 0
+        box_lo[empty] = box_hi[empty] = root_hi + diag
+        return cls(
+            *(np.ascontiguousarray(box[:, k]) for box in (box_lo, box_hi) for k in range(3)),
+            first_child, leaf_start, leaf_end, items, np.concatenate(seg_depth),
+        )
 
     # -- export / attach ------------------------------------------------------
 
@@ -369,8 +467,9 @@ class FlatOctree:
                 1-D arrays; test ray ``lanes[k]`` against patch
                 ``patch_ids[k]`` for every ``k`` and fold the hits into
                 ``best_t``.  Called at most once per tree level per wave
-                of :data:`WAVE_LANES` lanes.  A lane may meet the same
-                patch more than once (a patch straddling several leaves).
+                of :data:`WAVE_LANES` lanes.  A tree from :meth:`build`
+                lists each patch once, but the kernel must not assume
+                it: a hand-built tree may list a patch in several leaves.
 
         Returns:
             Number of lane x node slab tests performed (the flat

@@ -11,9 +11,9 @@ closer than the entry distance of every remaining cell is found.
 Determinism contract
 --------------------
 Every intersector in the repo — the linear reference scan, this pointer
-octree, and the vector engine's accelerators (including the flattened
-walk of :mod:`repro.geometry.flatoctree`, which is compiled *from* this
-tree) — resolves exact-distance ties to the **maximum patch id**.  The
+octree, and the vector engine's accelerators (the dense scan and the
+flat walk of :mod:`repro.geometry.flatoctree`) — resolves
+exact-distance ties to the **maximum patch id**.  The
 rule is a pure function of ``(distance, patch_id)``, so the closest hit
 is independent of traversal order, of duplicate patch membership across
 leaves, and of which accelerator ran; that is what lets the scalar
@@ -24,8 +24,9 @@ arithmetic of :meth:`repro.geometry.aabb.AABB.intersect_ray`, which the
 batched kernels replicate expression-for-expression.
 
 The pointer layout (this module) serves the one-ray-at-a-time scalar
-tracer; batch tracing compiles it into structure-of-arrays form with
-:meth:`repro.geometry.flatoctree.FlatOctree.from_octree`.
+tracer, and a :class:`repro.geometry.scene.Scene` builds it only when
+that tracer first asks; batch tracing builds its own tree straight from
+the patch columns (:meth:`repro.geometry.flatoctree.FlatOctree.build`).
 """
 
 from __future__ import annotations
@@ -37,10 +38,30 @@ from .aabb import AABB
 from .polygon import Hit, Patch
 from .ray import Ray
 
-__all__ = ["Octree", "OctreeNode", "OctreeStats"]
+__all__ = ["Octree", "OctreeNode", "OctreeStats", "root_bounds", "check_params"]
 
 _MAX_DEPTH_DEFAULT = 10
 _LEAF_CAPACITY_DEFAULT = 8
+
+
+def root_bounds(patches: Sequence[Patch]) -> AABB:
+    """The root cell of an octree over *patches*.
+
+    The union of the patch AABBs, grown by a hair so patches lying
+    exactly on the boundary are inside.  :meth:`repro.geometry.scene.Scene.bounds`
+    returns the same box without building the tree.
+    """
+    bounds = AABB.union_all([p.bounds() for p in patches])
+    diag = bounds.extent().length()
+    return bounds.expanded(max(diag, 1.0) * 1e-9 + 1e-12)
+
+
+def check_params(leaf_capacity: int, max_depth: int) -> None:
+    """Raise ``ValueError`` unless the build parameters are usable."""
+    if leaf_capacity < 1:
+        raise ValueError("leaf_capacity must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
 
 
 @dataclass
@@ -96,19 +117,11 @@ class Octree:
     ) -> None:
         if not patches:
             raise ValueError("octree needs at least one patch")
-        if leaf_capacity < 1:
-            raise ValueError("leaf_capacity must be >= 1")
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        check_params(leaf_capacity, max_depth)
         self.leaf_capacity = leaf_capacity
         self.max_depth = max_depth
         self.stats = OctreeStats()
-
-        bounds = AABB.union_all([p.bounds() for p in patches])
-        # Tiny expansion so patches lying exactly on the boundary are inside.
-        diag = bounds.extent().length()
-        bounds = bounds.expanded(max(diag, 1.0) * 1e-9 + 1e-12)
-        self.root = OctreeNode(bounds, depth=0)
+        self.root = OctreeNode(root_bounds(patches), depth=0)
 
         patch_boxes = [(p, p.bounds()) for p in patches]
         self._build(self.root, patch_boxes)

@@ -1,4 +1,4 @@
-"""Scene container: patches, luminaires, and the octree index.
+"""Scene container: patches, luminaires, and the scalar tracer's octree.
 
 A :class:`Scene` owns the *defining polygons* (Table 5.1's first column).
 The view-dependent mesh polygons of the second column are not geometry at
@@ -8,11 +8,12 @@ all — they are histogram bins that the Photon simulator grows at run time
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .aabb import AABB
-from .octree import Octree
+from .octree import Octree, check_params, root_bounds
 from .polygon import Hit, Patch
 from .ray import Ray
 from .vec import Vec3
@@ -61,7 +62,9 @@ class Scene:
         name: Scene label, used in reports.
         beam_half_angles: Optional mapping from patch index (in *patches*)
             to a collimation half-angle for that emitter.
-        leaf_capacity / max_depth: Octree build parameters.
+        leaf_capacity / max_depth: Build parameters of the pointer
+            octree (:attr:`octree`), which only the scalar tracer walks;
+            the vector engine builds its own tree from the patches.
         default_camera: Optional viewing defaults carried *with* the
             scene — ``Camera(**scene.default_camera)`` keyword arguments
             (``position``, ``look_at``, ``vertical_fov_degrees``).  When
@@ -91,7 +94,10 @@ class Scene:
     ) -> None:
         if not patches:
             raise ValueError("a scene needs at least one patch")
+        check_params(leaf_capacity, max_depth)
         self.name = name
+        self.leaf_capacity = leaf_capacity
+        self.max_depth = max_depth
         if events_per_photon_hint is not None and not events_per_photon_hint > 0:
             raise ValueError(
                 f"events_per_photon_hint must be positive, got "
@@ -142,23 +148,52 @@ class Scene:
             sum(l.patch.material.emission.b * l.patch.area for l in self.luminaires),
         )
 
-        self.octree = Octree(
-            self.patches, leaf_capacity=leaf_capacity, max_depth=max_depth
-        )
+        self._bounds: Optional[AABB] = None
+        self._octree: Optional[Octree] = None
+        self._octree_lock = threading.Lock()
+
+    @property
+    def octree(self) -> Octree:
+        """The pointer octree over the patches, built on first use.
+
+        Only the scalar tracer (:meth:`intersect`, :meth:`is_occluded`)
+        walks it, so vector-engine serving never pays for it: on
+        ``gen:office-259`` it is most of the scene build and ~20 MB.
+        Built once under a lock, so concurrent first callers share one
+        tree, from ``leaf_capacity`` / ``max_depth``.
+        """
+        tree = self._octree
+        if tree is None:
+            with self._octree_lock:
+                tree = self._octree
+                if tree is None:
+                    tree = self._octree = Octree(
+                        self.patches,
+                        leaf_capacity=self.leaf_capacity,
+                        max_depth=self.max_depth,
+                    )
+        return tree
 
     def __getstate__(self) -> dict:
-        """Pickle without the process-local compile cache.
+        """Pickle without process-local state.
 
         :meth:`repro.api.SceneProgram.compile` caches the compiled
         program on the scene object; the program holds locks and
         megabytes of arrays, neither of which may travel with the scene
         when the multi-process pickle transport ships it to a worker
-        (spawn-start platforms pickle pool init args).  The receiving
-        process compiles its own program on first need.
+        (spawn-start platforms pickle pool init args).  The octree and
+        its lock stay behind too.  The receiving process compiles its
+        own program, and builds its own octree, on first need.
         """
         state = self.__dict__.copy()
         state.pop("_compiled_program", None)
+        state.pop("_octree_lock")
+        state["_octree"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._octree_lock = threading.Lock()
 
     # -- queries -------------------------------------------------------------
 
@@ -202,8 +237,14 @@ class Scene:
         return self.luminaires[lo]
 
     def bounds(self) -> AABB:
-        """The octree root bounds (slightly expanded scene extent)."""
-        return self.octree.root.bounds
+        """The slightly expanded scene extent: the octree's root cell.
+
+        Computed by :func:`repro.geometry.octree.root_bounds`, the helper
+        the octree itself uses, so it never builds the tree.
+        """
+        if self._bounds is None:
+            self._bounds = root_bounds(self.patches)
+        return self._bounds
 
     @property
     def default_camera(self) -> dict:

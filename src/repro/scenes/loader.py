@@ -590,8 +590,8 @@ def scene_to_doc(scene: Scene) -> dict:
     if metadata:
         doc["metadata"] = metadata
     octree = {
-        "leaf_capacity": scene.octree.leaf_capacity,
-        "max_depth": scene.octree.max_depth,
+        "leaf_capacity": scene.leaf_capacity,
+        "max_depth": scene.max_depth,
     }
     if octree != _OCTREE_DEFAULTS:
         doc["octree"] = octree

@@ -92,6 +92,37 @@ _RENDER_FIELDS = (_REQUEST_FIELDS - {"batch"}) | frozenset(
 _STREAM_DONE = object()
 
 
+def _as_int(value: object, name: str) -> int:
+    """Field *name* of a request body: a JSON integer, nothing else.
+
+    ``True`` is an ``int`` to Python and ``2.9`` or ``"7"`` convert
+    silently; all three are the client's mistake, answered with a 400
+    that names the field rather than served as 1, 2 or 7.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequest(f"field {name!r} must be an integer, got {_shown(value)}")
+    return value
+
+
+def _as_number(value: object, name: str, kind: str = "a number") -> float:
+    """Field *name* of a request body: a JSON number (not a bool or string).
+
+    *kind* is what the error message says the field must be.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadRequest(f"field {name!r} must be {kind}, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadRequest(f"field {name!r} is out of range, got {_shown(value)}") from None
+
+
+def _shown(value: object) -> str:
+    """*value* as the client sent it, cut short for an error message."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def canonical_answer_bytes(result) -> bytes:
     """The canonical answer serialisation of a simulation result.
 
@@ -460,23 +491,25 @@ class RenderService:
                 f"unknown request fields {sorted(unknown)}; "
                 f"valid: {sorted(_REQUEST_FIELDS)}"
             )
-        try:
-            photons = int(body.get("photons", 20_000))
-            seed = int(body.get("seed", 0x1234ABCD330E))
-            sigma = float(body.get("sigma", 3.0))
-            rng = str(body.get("rng", "auto"))
-            deadline = float(body.get("deadline", self.config.default_deadline))
-            batch = body.get("batch")
-            batch = int(batch) if batch is not None else None
-            # The query parameter wins over the body field, so a caller
-            # can retarget a canned request body from the URL alone.
-            target: object = body.get("target_error")
-            if query is not None and "target_error" in query:
-                target = query["target_error"]
-            target = float(target) if target is not None else None
-        except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: JSON parses 1e400 to inf, and int(inf) overflows.
-            raise BadRequest(f"bad request field: {exc}") from None
+        photons = _as_int(body.get("photons", 20_000), "photons")
+        seed = _as_int(body.get("seed", 0x1234ABCD330E), "seed")
+        sigma = _as_number(body.get("sigma", 3.0), "sigma", "a finite number")
+        rng = str(body.get("rng", "auto"))
+        deadline = _as_number(
+            body.get("deadline", self.config.default_deadline), "deadline",
+            "a positive finite number",
+        )
+        batch = body.get("batch")
+        batch = _as_int(batch, "batch") if batch is not None else None
+        target = body.get("target_error")
+        target = _as_number(target, "target_error") if target is not None else None
+        # The query parameter wins over the body field, so a caller can
+        # retarget a canned request body from the URL alone.
+        if query is not None and "target_error" in query:
+            try:
+                target = float(query["target_error"])
+            except ValueError as exc:
+                raise BadRequest(f"bad query parameter target_error: {exc}") from None
         if not (deadline > 0 and math.isfinite(deadline)):
             raise BadRequest(
                 f"deadline must be positive and finite, got {deadline}"
@@ -573,18 +606,20 @@ class RenderService:
                 f"render needs at least 1 photon, got {params.request.n_photons}"
             )
         camera: dict = {}
-        try:
-            for point in ("eye", "look_at"):
-                value = body.get(point)
-                if value is not None:
-                    x, y, z = (float(c) for c in value)
-                    camera[point] = (x, y, z)
-            if body.get("fov") is not None:
-                camera["fov"] = float(body["fov"])
-            camera["width"] = int(body.get("width", 160))
-            camera["height"] = int(body.get("height", 120))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadRequest(f"bad camera field: {exc}") from None
+        for point in ("eye", "look_at"):
+            value = body.get(point)
+            if value is None:
+                continue
+            if not (isinstance(value, list) and len(value) == 3):
+                raise BadRequest(
+                    f"field {point!r} must be an array of three numbers, "
+                    f"got {_shown(value)}"
+                )
+            camera[point] = tuple(_as_number(c, point) for c in value)
+        if body.get("fov") is not None:
+            camera["fov"] = _as_number(body["fov"], "fov")
+        camera["width"] = _as_int(body.get("width", 160), "width")
+        camera["height"] = _as_int(body.get("height", 120), "height")
         if not (1 <= camera["width"] <= 4096 and 1 <= camera["height"] <= 4096):
             raise BadRequest(
                 f"width/height must be in [1, 4096], got "

@@ -1,19 +1,18 @@
-"""FlatOctree compiler correctness: structural round-trip with the
-pointer octree, and closest-hit parity against the linear scan.
+"""FlatOctree builder correctness: structural invariants of the BVH,
+and closest-hit parity against the linear scan.
 
-The flat tree re-encodes the pointer tree — same nodes, same
-memberships, same answers — with each node's cell replaced by a padded
-box around what it contains, so these tests compare it (a) node-for-node
-against the pointer tree it was compiled from, with the fitted boxes
-checked by containment, and (b) hit-for-hit against a brute force
-all-patches scan under the canonical max-patch-id tie rule, on
-randomized ray batches over every test scene.
+The flat tree is an eight-wide BVH built from the patch columns, so
+these tests check (a) what the builder promises — every patch in
+exactly one leaf, boxes that nest from member AABB to leaf to root,
+consecutive child blocks, a byte-identical rebuild — and (b) hit-for-hit
+agreement with a brute force all-patches scan under the canonical
+max-patch-id tie rule, on randomized ray batches over every test scene.
 
 The walk is a level-synchronous pair frontier feeding a 1-D (lane, patch)
 kernel, so the second half pins what that shape makes new: exact ties
 (within one kernel call, across leaves, against the running best),
-duplicate leaf membership, wave chunking, the root-is-leaf tree, the
-empty batch, and one kernel call per tree level.
+duplicate pairs, wave chunking, the root-is-leaf tree, the empty batch,
+and one kernel call per tree level.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vectorized import PRUNE_PATCH_THRESHOLD, VectorEngine
+from repro.core.vectorized import PRUNE_PATCH_THRESHOLD, SceneArrays, VectorEngine
 from repro.geometry import AABB, FlatOctree, Scene, Vec3, axis_rect, flatoctree, matte
 from repro.geometry.material import emitter
 from repro.geometry.octree import OctreeNode
@@ -37,7 +36,7 @@ SCENE_FIXTURES = ("cornell", "harpsichord", "lab_small")
 
 
 def pointer_nodes_bfs(octree) -> list[OctreeNode]:
-    """Pointer nodes in the breadth-first order the compiler emits."""
+    """Pointer octree nodes in breadth-first order (children consecutive)."""
     order = [octree.root]
     i = 0
     while i < len(order):
@@ -48,87 +47,93 @@ def pointer_nodes_bfs(octree) -> list[OctreeNode]:
     return order
 
 
-def _fitted_box(flat: FlatOctree, j: int) -> AABB:
+def _box(flat: FlatOctree, j: int) -> AABB:
     return AABB(Vec3(flat.lox[j], flat.loy[j], flat.loz[j]),
                 Vec3(flat.hix[j], flat.hiy[j], flat.hiz[j]))
-
-
-def _clip(box: AABB, cell: AABB) -> AABB:
-    """``box ∩ cell`` for boxes that touch (an octree member and its leaf)."""
-    return AABB(
-        Vec3(*(max(a, b) for a, b in zip(box.lo, cell.lo))),
-        Vec3(*(min(a, b) for a, b in zip(box.hi, cell.hi))),
-    )
 
 
 def _box_inside(inner: AABB, outer: AABB) -> bool:
     return outer.contains_point(inner.lo) and outer.contains_point(inner.hi)
 
 
-class TestRoundTrip:
-    """from_octree() preserves the tree structurally, node-for-node."""
+def _children(flat: FlatOctree, j: int) -> range:
+    return range(flat.first_child[j], flat.first_child[j] + 8)
+
+
+class TestBuildInvariants:
+    """What build() promises about the tree it makes."""
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
-    def test_node_and_leaf_counts(self, request, scene_fixture):
+    def test_each_patch_in_exactly_one_leaf(self, request, scene_fixture):
         scene = request.getfixturevalue(scene_fixture)
-        flat = FlatOctree.from_octree(scene.octree)
-        assert flat.node_count == scene.octree.stats.node_count
-        assert flat.leaf_count == scene.octree.stats.leaf_count
-        assert flat.leaf_items.size == scene.octree.stats.patch_references
+        flat = SceneArrays(scene).flat
+        n = len(scene.patches)
+        assert sorted(flat.leaf_items.tolist()) == list(range(n))
+        leaf = flat.first_child < 0
+        size = flat.leaf_end - flat.leaf_start
+        assert (size[~leaf] == 0).all()
+        assert size.max() <= flatoctree.LEAF_SIZE
+        # The non-empty leaves tile leaf_items, ids ascending in each.
+        held = np.flatnonzero(size > 0)
+        held = held[np.argsort(flat.leaf_start[held])]
+        assert flat.leaf_start[held].tolist() == [0, *flat.leaf_end[held][:-1].tolist()]
+        assert flat.leaf_end[held][-1] == n
+        for j in held:
+            ids = flat.leaf_patch_ids(j)
+            assert (np.diff(ids) > 0).all()
+        assert flat.node_count == 1 + 8 * int((~leaf).sum())
+        assert flat.leaf_count == int(leaf.sum())
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
-    def test_bounds_depth_and_memberships(self, request, scene_fixture):
-        """Fitted boxes: each member's AABB ∩ cell ⊆ its leaf's box ⊆ the
-        cell grown by the pad; a parent's box holds its children's; and
-        a node with nothing under it sits outside the root."""
+    def test_boxes_nest(self, request, scene_fixture):
+        """Member AABB ⊆ leaf box ⊆ member union grown by the pad;
+        child ⊆ parent; an empty slot is a point outside the root."""
         scene = request.getfixturevalue(scene_fixture)
-        flat = FlatOctree.from_octree(scene.octree)
-        nodes = pointer_nodes_bfs(scene.octree)
-        assert len(nodes) == flat.node_count
-        root = scene.octree.root.bounds
-        pad = flatoctree.FIT_PAD * root.extent().length()
-        holds = [False] * len(nodes)
-        for j in reversed(range(len(nodes))):  # children before parents
-            node = nodes[j]
-            fitted = _fitted_box(flat, j)
-            assert flat.depth[j] == node.depth
-            if node.is_leaf:
-                assert flat.first_child[j] == -1
-                assert flat.leaf_patch_ids(j).tolist() == sorted(
-                    p.patch_id for p in node.patches
-                )
-                holds[j] = bool(node.patches)
-                for p in node.patches:
-                    assert _box_inside(_clip(p.bounds(), node.bounds), fitted)
-                if holds[j]:
-                    assert _box_inside(fitted, node.bounds.expanded(pad))
-            else:
-                assert flat.first_child[j] > j
+        flat = SceneArrays(scene).flat
+        root = AABB.union_all([p.bounds() for p in scene.patches])
+        pad = flatoctree.FIT_PAD * root.extent().length() * (1 + 1e-9)
+        for j in range(flat.node_count):
+            box = _box(flat, j)
+            if flat.first_child[j] >= 0:
                 assert flat.leaf_patch_ids(j).size == 0
-                kids = range(flat.first_child[j], flat.first_child[j] + 8)
-                holds[j] = any(holds[k] for k in kids)
-                for k in kids:
-                    if holds[k]:
-                        assert _box_inside(_fitted_box(flat, k), fitted)
-            if not holds[j]:
-                assert fitted.lo == fitted.hi
-                assert not root.contains_point(fitted.lo)
-        assert holds[0]
+                for k in _children(flat, j):
+                    assert flat.depth[k] == flat.depth[j] + 1
+                    if flat.first_child[k] >= 0 or flat.leaf_patch_ids(k).size:
+                        assert _box_inside(_box(flat, k), box)
+            elif flat.leaf_patch_ids(j).size:
+                members = [scene.patches[i].bounds() for i in flat.leaf_patch_ids(j)]
+                for member in members:
+                    assert _box_inside(member, box)
+                assert _box_inside(box, AABB.union_all(members).expanded(pad))
+            else:
+                assert box.lo == box.hi
+                assert not root.expanded(pad).contains_point(box.lo)
+        assert _box_inside(root, _box(flat, 0))
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
-    def test_child_blocks_are_contiguous_octants(self, request, scene_fixture):
-        """first_child encodes all eight links; children sit in octant order."""
+    def test_child_blocks_partition_the_nodes(self, request, scene_fixture):
+        """Breadth-first numbering: every node but the root sits in
+        exactly one parent's block of eight consecutive slots."""
         scene = request.getfixturevalue(scene_fixture)
-        flat = FlatOctree.from_octree(scene.octree)
-        nodes = pointer_nodes_bfs(scene.octree)
-        for j, node in enumerate(nodes):
-            if node.is_leaf:
-                continue
-            fc = int(flat.first_child[j])
-            for k in range(8):
-                child = nodes[fc + k]
-                assert child is node.children[k]
-                assert child.bounds == node.bounds.octant(k)
+        flat = SceneArrays(scene).flat
+        parents = np.flatnonzero(flat.first_child >= 0)
+        firsts = flat.first_child[parents]
+        assert (firsts > parents).all()
+        assert firsts.tolist() == list(range(1, flat.node_count, 8))
+        assert (np.diff(flat.depth) >= 0).all() and flat.depth[0] == 0
+
+    @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
+    def test_rebuild_is_byte_identical(self, request, scene_fixture):
+        scene = request.getfixturevalue(scene_fixture)
+        arrays = SceneArrays(scene)
+        again = FlatOctree.build(
+            (arrays.p0x, arrays.p0y, arrays.p0z),
+            (arrays.eux, arrays.euy, arrays.euz),
+            (arrays.evx, arrays.evy, arrays.evz),
+        ).arrays()
+        for name, want in arrays.flat.arrays().items():
+            assert again[name].dtype == want.dtype
+            assert again[name].tobytes() == want.tobytes()
 
 
 def _assert_flat_equals_linear(scene, rays):
@@ -143,8 +148,8 @@ def _assert_flat_equals_linear(scene, rays):
 
 def _random_rays(scene, rng, n):
     """Ray batch mixing interior origins with points on patch surfaces."""
-    lo = scene.octree.root.bounds.lo
-    hi = scene.octree.root.bounds.hi
+    lo = scene.bounds().lo
+    hi = scene.bounds().hi
     px = rng.uniform(lo.x, hi.x, n)
     py = rng.uniform(lo.y, hi.y, n)
     pz = rng.uniform(lo.z, hi.z, n)
@@ -169,7 +174,7 @@ class TestClosestHitParity:
     def test_axis_parallel_rays(self, request, scene_fixture):
         """Zero direction components (inf/NaN slab lanes) stay conservative."""
         scene = request.getfixturevalue(scene_fixture)
-        c = scene.octree.root.bounds.center()
+        c = scene.bounds().center()
         axes = np.array(
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
             dtype=np.float64,
@@ -228,9 +233,9 @@ class TestEngineIntegration:
         paths are measured, with nobody naming either."""
         assert VectorEngine(get_scene(spec)).accel == accel
 
-    @pytest.mark.parametrize("patches, accel", [(63, "linear"), (64, "flat")])
+    @pytest.mark.parametrize("patches, accel", [(31, "linear"), (32, "flat")])
     def test_threshold_edges(self, patches, accel):
-        assert PRUNE_PATCH_THRESHOLD == 64
+        assert PRUNE_PATCH_THRESHOLD == 32
         scene = tiled_scene(patches)
         assert len(scene.patches) == patches
         assert VectorEngine(scene).accel == accel
@@ -246,16 +251,15 @@ class TestEngineIntegration:
         flat = VectorEngine(lab_small, accel="flat")
         rays = flat.emit_range(0xAB, 0, 512)
         flat.closest_hit(rays.px, rays.py, rays.pz, rays.dx, rays.dy, rays.dz)
-        occupied = sum(
-            1 for node in lab_small.octree.iter_nodes()
-            if node.is_leaf and node.patches
-        )
+        tree = flat.arrays.flat
+        occupied = int((tree.leaf_end > tree.leaf_start).sum())
         assert flat.box_tests < 512 * occupied / 4
 
 
 def _edge_box_scene() -> Scene:
     """A closed unit box with one free-standing quad at y = 0.4 spanning
-    x, z in [0.3, 0.7]; small leaves, so the quad's edges bound them."""
+    x, z in [0.3, 0.7]; the builder gives the quad a leaf of its own, so
+    its edges bound that leaf's box."""
     white = matte("white", 0.6, 0.6, 0.6)
     return Scene([
         axis_rect("y", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="floor", flip=True),
@@ -267,21 +271,38 @@ def _edge_box_scene() -> Scene:
         axis_rect("y", 0.98, (0.4, 0.6), (0.4, 0.6),
                   emitter("lamp", 5.0, 5.0, 5.0), name="lamp"),
         axis_rect("y", 0.4, (0.3, 0.7), (0.3, 0.7), white, name="quad", flip=True),
-    ], name="edge-box", leaf_capacity=2, max_depth=5)
+    ], name="edge-box")
 
 
 EDGE_QUAD = 7
 
 
-def cell_bounds_tree(scene: Scene) -> FlatOctree:
-    """The compiled tree with every box put back to its pointer cell."""
-    arrays = FlatOctree.from_octree(scene.octree).arrays()
+def octree_mirror(scene: Scene) -> FlatOctree:
+    """The scene's pointer octree in the flat layout, boxes = its cells.
+
+    What the walk traversed before it had a tree of its own: every
+    pointer node in breadth-first order, each leaf listing every patch
+    whose AABB meets its cell.
+    """
     nodes = pointer_nodes_bfs(scene.octree)
-    for name in ("lox", "loy", "loz", "hix", "hiy", "hiz"):
-        corner = "lo" if name.startswith("lo") else "hi"
-        arrays[name] = np.array(
-            [getattr(getattr(n.bounds, corner), name[2]) for n in nodes])
-    return FlatOctree.from_arrays(arrays)
+    first_child, leaf_start, leaf_end, items = [], [], [], []
+    below = 1
+    for node in nodes:
+        first_child.append(-1 if node.is_leaf else below)
+        below += 0 if node.is_leaf else 8
+        leaf_start.append(len(items))
+        items.extend(sorted(p.patch_id for p in node.patches))
+        leaf_end.append(len(items))
+    corner = {"lo": [n.bounds.lo for n in nodes], "hi": [n.bounds.hi for n in nodes]}
+    return FlatOctree(
+        *(np.array([getattr(v, axis) for v in corner[side]])
+          for side in ("lo", "hi") for axis in "xyz"),
+        first_child=np.array(first_child, dtype=np.int32),
+        leaf_start=np.array(leaf_start, dtype=np.int64),
+        leaf_end=np.array(leaf_end, dtype=np.int64),
+        leaf_items=np.array(items, dtype=np.int64),
+        depth=np.array([n.depth for n in nodes], dtype=np.int32),
+    )
 
 
 class TestFittedBoxes:
@@ -290,9 +311,13 @@ class TestFittedBoxes:
     def test_hits_inside_the_scan_tolerance_survive(self, monkeypatch):
         """Straight-down rays 2e-11..9e-11 beyond each edge of the quad
         are hits for the dense scan (its 1e-9 barycentric tolerance);
-        the pad is what keeps them inside the fitted boxes."""
+        the pad is what keeps them inside the quad's leaf box."""
+        flat = SceneArrays(_edge_box_scene()).flat
+        holders = [j for j in range(flat.node_count)
+                   if EDGE_QUAD in flat.leaf_patch_ids(j)]
+        assert [flat.leaf_patch_ids(j).tolist() for j in holders] == [[EDGE_QUAD]]
         offsets = np.linspace(2e-11, 9e-11, 8)
-        inside = np.full(8, 0.45)  # off every cell boundary
+        inside = np.full(8, 0.45)
         xs = np.concatenate([0.7 + offsets, 0.3 - offsets, inside, inside])
         zs = np.concatenate([inside, inside, 0.7 + offsets, 0.3 - offsets])
         n = xs.size
@@ -306,23 +331,24 @@ class TestFittedBoxes:
         assert EDGE_QUAD not in unpadded_i.tolist()
 
     @pytest.mark.parametrize("scene_fixture, at_least", [
-        ("lab_small", 1.3), ("office64", 2.0),
+        ("lab_small", 2.0), ("office64", 2.0),
     ])
     def test_cells_answer_the_same_with_more_patch_tests(
         self, request, scene_fixture, at_least
     ):
-        """The cell-bounded tree is the pre-fitting walk: same answers,
-        and at least *at_least* times the patch tests (measured 1.44x on
-        the 370-patch lab, 2.45x on office-64)."""
+        """The scene's own pointer octree, walked by the same code with
+        its cells as boxes, is the walk before the BVH: same answers,
+        and at least *at_least* times the patch tests (measured 2.46x on
+        the 370-patch lab, 4.85x on office-64)."""
         scene = request.getfixturevalue(scene_fixture)
-        fitted = VectorEngine(scene, accel="flat")
+        built = VectorEngine(scene, accel="flat")
         cells = VectorEngine(scene, accel="flat")
-        cells.arrays.flat = cell_bounds_tree(scene)
-        em = fitted.emit_range(0xAB, 0, 1000)
+        cells.arrays.flat = octree_mirror(scene)
+        em = built.emit_range(0xAB, 0, 1000)
         rays = (em.px, em.py, em.pz, em.dx, em.dy, em.dz)
-        want = [a.tolist() for a in fitted.closest_hit(*rays)]
+        want = [a.tolist() for a in built.closest_hit(*rays)]
         assert [a.tolist() for a in cells.closest_hit(*rays)] == want
-        assert cells.patch_tests >= at_least * fitted.patch_tests
+        assert cells.patch_tests >= at_least * built.patch_tests
 
 
 # -- the pair kernel: ties, duplicates, waves ---------------------------------
@@ -335,9 +361,9 @@ def tie_scene() -> Scene:
     """A unit box with three nested *coplanar* shelves at y = 0.4.
 
     Any ray landing on the small shelf is at bit-identical distance from
-    all three (same plane constants), on the middle one from two.  A
-    one-patch leaf capacity drives the tree to its depth cap around the
-    shelves, so each is a member of many leaves.
+    all three (same plane constants), on the middle one from two.  The
+    builder puts each shelf in a leaf of its own, so the ties are
+    resolved across leaves.
     """
     white = matte("white", 0.6, 0.6, 0.6)
     lamp = emitter("lamp", 5.0, 5.0, 5.0)
@@ -353,7 +379,7 @@ def tie_scene() -> Scene:
         axis_rect("y", 0.4, (0.25, 0.75), (0.25, 0.75), white, name="mid", flip=True),
         axis_rect("y", 0.4, (0.45, 0.7), (0.45, 0.7), white, name="small", flip=True),
     ]
-    scene = Scene(patches, name="tie-box", leaf_capacity=1, max_depth=3)
+    scene = Scene(patches, name="tie-box")
     shelves = [scene.patches[i] for i in (SHELF_BIG, SHELF_MID, SHELF_SMALL)]
     assert [p.name for p in shelves] == ["big", "mid", "small"]
     # The ties are exact only if the plane constants are bit-identical.
@@ -380,15 +406,17 @@ class TestExactTies:
     """Equal-distance candidates resolve to the max patch id, however
     the walk happens to meet them."""
 
-    def test_shelves_live_in_many_leaves(self, tie_scene):
-        flat = FlatOctree.from_octree(tie_scene.octree)
-        for pid in (SHELF_BIG, SHELF_MID, SHELF_SMALL):
-            assert len(_leaves_holding(flat, pid)) > 1
+    def test_shelves_tie_across_distinct_leaves(self, tie_scene):
+        flat = SceneArrays(tie_scene).flat
+        holders = [_leaves_holding(flat, pid)
+                   for pid in (SHELF_BIG, SHELF_MID, SHELF_SMALL)]
+        assert all(len(h) == 1 for h in holders)
+        assert len({h[0] for h in holders}) == 3
 
     def test_coplanar_ties_resolve_to_max_id(self, tie_scene):
-        """Rays through one leaf and rays on a cell boundary (x or z =
-        0.5: two to four leaves hold the tied patches, and the slab test
-        yields NaN lanes) give the dense scan's answer."""
+        """Rays over one, two or all three shelves, including rays
+        along the middle shelf's edges (x or z = 0.25 or 0.75), give the
+        dense scan's answer."""
         xs = [0.15, 0.25, 0.5, 0.55, 0.69, 0.75, 0.85]
         rays = _rays_down(xs, xs)
         best_i, best_t = _assert_flat_equals_linear(tie_scene, rays)
@@ -402,8 +430,8 @@ class TestExactTies:
         assert (best_t == 0.5).all()
 
     def test_slanted_rays_cross_many_shelf_leaves(self, tie_scene):
-        """A grazing ray passes through several leaves that all list the
-        shelves: the duplicates change nothing."""
+        """Grazing rays enter all three shelf leaves and meet the shelves
+        at different distances: the nearest wins, whichever leaf."""
         rng = np.random.default_rng(7)
         n = 256
         px = rng.uniform(0.02, 0.98, n)
@@ -466,9 +494,9 @@ class TestExactTies:
         """A subtree *entered* at exactly the running best distance is
         still walked: it may hold the equal-distance, larger-id winner.
 
-        Real trees list a boundary patch on both sides, so this needs a
-        hand-built one: the big shelf only in a leaf above the shelf
-        plane, the small one only two levels down below it.
+        A built tree pads every leaf box past its patches, so this needs
+        a hand-built one: the big shelf in a leaf above the shelf plane,
+        the small one two levels down in a box ending exactly on it.
         """
         cube = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
         above = (0.0, 0.4, 0.0, 1.0, 1.0, 1.0)
@@ -535,7 +563,7 @@ class TestWaves:
     def test_one_kernel_call_per_level_per_wave(self, lab_small):
         """The regression guard for per-node dispatch: callbacks are
         bounded by tree depth, not by leaves visited."""
-        flat = FlatOctree.from_octree(lab_small.octree)
+        flat = SceneArrays(lab_small).flat
         px, py, pz, dx, dy, dz = _random_rays(
             lab_small, np.random.default_rng(13), 512)
         calls = []
@@ -553,24 +581,55 @@ class TestWaves:
         assert sum(c[0].size for c in calls) > 512
 
 
+def open_box_scene() -> Scene:
+    """Floor, lamp ceiling and two walls of a unit box: four patches, no
+    more than a leaf holds, open at z = 0 and z = 1."""
+    white = matte("white", 0.6, 0.6, 0.6)
+    return Scene([
+        axis_rect("y", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="floor", flip=True),
+        axis_rect("y", 1.0, (0.0, 1.0), (0.0, 1.0),
+                  emitter("lamp", 5.0, 5.0, 5.0), name="ceiling"),
+        axis_rect("x", 0.0, (0.0, 1.0), (0.0, 1.0), white, name="w0"),
+        axis_rect("x", 1.0, (0.0, 1.0), (0.0, 1.0), white, name="w1", flip=True),
+    ], name="open-box")
+
+
 class TestDegenerateShapes:
-    def test_root_is_leaf(self, mini_scene):
-        """Eight patches under the leaf capacity: the tree is one node."""
-        engine = VectorEngine(mini_scene, accel="flat")
+    def test_root_is_leaf(self):
+        """No more patches than a leaf holds: the tree is one node."""
+        scene = open_box_scene()
+        assert len(scene.patches) <= flatoctree.LEAF_SIZE
+        engine = VectorEngine(scene, accel="flat")
         assert engine.arrays.flat.node_count == 1
         assert engine.arrays.flat.first_child[0] == -1
-        rays = _random_rays(mini_scene, np.random.default_rng(5), 200)
-        best_i, _ = _assert_flat_equals_linear(mini_scene, rays)
-        assert (best_i >= 0).all()
+        rays = _random_rays(scene, np.random.default_rng(5), 200)
+        best_i, _ = _assert_flat_equals_linear(scene, rays)
+        assert (best_i >= 0).sum() > 100 and (best_i == -1).any()
         assert engine.closest_hit(*rays)[0].tolist() == best_i.tolist()
         assert engine.box_tests == 200
-        assert engine.patch_tests == 200 * 8
+        assert engine.patch_tests == 200 * 4
         flat_events, flat_stats = engine.trace_range(0xAB, 0, 300)
         lin_events, lin_stats = VectorEngine(
-            mini_scene, accel="linear").trace_range(0xAB, 0, 300)
+            scene, accel="linear").trace_range(0xAB, 0, 300)
         assert flat_stats == lin_stats
         assert flat_events.patch.tolist() == lin_events.patch.tolist()
         assert flat_events.s.tolist() == lin_events.s.tolist()
+
+    def test_coincident_patches_are_split_by_count(self):
+        """Keys equal in every column leave the SAH no cut: such a node
+        is halved in order, so the build still ends in small leaves."""
+        white = matte("white", 0.6, 0.6, 0.6)
+        quads = [axis_rect("y", 0.5, (0.4, 0.401), (0.4, 0.401), white, flip=True)
+                 for _ in range(4 * flatoctree.LEAF_SIZE)]
+        lamp = axis_rect("y", 1.0, (0.0, 1.0), (0.0, 1.0), emitter("lamp", 5.0, 5.0, 5.0))
+        floor = axis_rect("y", 0.0, (0.0, 1.0), (0.0, 1.0), white, flip=True)
+        scene = Scene([floor, lamp, *quads], name="stack")
+        flat = SceneArrays(scene).flat
+        assert sorted(flat.leaf_items.tolist()) == list(range(len(scene.patches)))
+        assert (flat.leaf_end - flat.leaf_start).max() <= flatoctree.LEAF_SIZE
+        rays = _rays_down(np.linspace(0.39, 0.41, 9), np.linspace(0.39, 0.41, 9))
+        best_i, _ = _assert_flat_equals_linear(scene, rays)
+        assert best_i.max() == len(scene.patches) - 1  # the largest stacked id
 
     @pytest.mark.parametrize("scene_fixture", ("mini_scene", "lab_small"))
     def test_empty_batch(self, request, scene_fixture):
@@ -603,7 +662,7 @@ class TestDegenerateShapes:
 @functools.lru_cache(maxsize=None)
 def _gen_engines(units: int, seed: int):
     scene = generate_scene(f"office-{units}@{seed}")
-    return (scene.octree.root.bounds,
+    return (scene.bounds(),
             VectorEngine(scene, accel="flat"), VectorEngine(scene, accel="linear"))
 
 

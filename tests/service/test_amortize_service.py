@@ -147,6 +147,60 @@ class TestHostileNumbers:
         assert after["amortize"] == before["amortize"]
 
 
+class TestStrictFieldTypes:
+    """A field of the wrong JSON type is a 400 naming it — never served
+    as whatever ``int()`` or ``float()`` would have made of it."""
+
+    def _refused(self, service, path, body, field):
+        service.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = service_stats(service)["scenes"]["cornell-box"]["pool"]
+        status, _, raw = service.request("POST", path, body)
+        assert status == 400, body
+        error = json.loads(raw)["error"]
+        assert error["code"] == "bad-request"
+        assert repr(field) in error["message"]
+        after = service_stats(service)["scenes"]["cornell-box"]["pool"]
+        assert after["acquired"] == before["acquired"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("photons", 2.9), ("photons", True), ("photons", 2.0), ("photons", "7"),
+        ("seed", 7.8), ("seed", "7"), ("seed", False),
+        ("batch", 50.5), ("batch", True),
+        ("sigma", True), ("sigma", "3"),
+        ("deadline", True), ("deadline", "10"),
+        ("target_error", "0.1"), ("target_error", True),
+    ])
+    def test_simulate_field(self, amortized, field, value):
+        body = {"photons": 20, field: value}
+        if field == "photons":
+            body = {field: value}
+        self._refused(amortized, simulate_path("cornell-box"), body, field)
+
+    @pytest.mark.parametrize("field, value", [
+        ("height", True), ("width", 16.0), ("width", "16"),
+        ("fov", "40"), ("fov", True),
+        ("eye", [0.1, "0.5", 2.5]), ("eye", [True, 0.5, 0.5]),
+        ("look_at", "home"), ("eye", {"x": 1}),
+    ])
+    def test_render_field(self, amortized, field, value):
+        body = {"photons": 20, "width": 8, "height": 6, field: value}
+        self._refused(amortized, "/scenes/cornell-box/render", body, field)
+
+    def test_integers_and_numbers_still_serve(self, amortized):
+        """Integers are numbers: ``sigma: 3`` and ``deadline: 10`` serve."""
+        status, _, _ = amortized.request(
+            "POST", simulate_path("cornell-box"),
+            {"photons": 20, "seed": 5, "sigma": 3, "deadline": 10, "batch": 7},
+        )
+        assert status == 200
+        status, _, _ = amortized.request(
+            "POST", "/scenes/cornell-box/render",
+            {"photons": 20, "width": 8, "height": 6, "fov": 40,
+             "eye": [0, 0.5, 2]},
+        )
+        assert status == 200
+
+
 class TestTargetError:
     def test_body_field_early_stops_with_headers(self, amortized, tmp_path):
         status, headers, body = amortized.request(
