@@ -12,10 +12,10 @@ import numpy as np
 
 from repro.core import (
     Camera,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
+    run_scalar,
 )
 from repro.core.viewing import render
 from repro.geometry import Vec3
@@ -31,9 +31,7 @@ def run_sweep():
     scene = build_mini_scene()
     cam = Camera(Vec3(0.5, 0.5, 0.05), Vec3(0.5, 0.5, 1.0), width=14, height=10)
     # Reference: long run at the paper's sigma.
-    ref = PhotonSimulator(
-        scene, SimulationConfig(n_photons=PHOTONS * 5, seed=77)
-    ).run()
+    ref = run_scalar(scene, SimulationConfig(n_photons=PHOTONS * 5, seed=77))
     ref_img = render(scene, RadianceField(scene, ref.forest), cam)
 
     results = {}
@@ -43,7 +41,7 @@ def run_sweep():
             seed=13,
             policy=SplitPolicy(threshold=sigma, min_count=16),
         )
-        res = PhotonSimulator(scene, cfg).run()
+        res = run_scalar(scene, cfg)
         img = render(scene, RadianceField(scene, res.forest), cam)
         results[sigma] = (res.forest.leaf_count, rmse(ref_img, img))
     return results

@@ -16,9 +16,9 @@ import time
 
 from repro.core import (
     Camera,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
+    run_scalar,
 )
 from repro.core.viewing import render
 from repro.geometry import Vec3
@@ -43,7 +43,7 @@ def test_view_dependence_cost(scenes, benchmark):
     )
 
     result = benchmark.pedantic(
-        PhotonSimulator(scene, SimulationConfig(n_photons=N_PHOTONS)).run,
+        lambda: run_scalar(scene, SimulationConfig(n_photons=N_PHOTONS)),
         rounds=1,
         iterations=1,
     )
@@ -133,7 +133,7 @@ def test_density_estimation_contrast(scenes, benchmark):
         rounds=1,
         iterations=1,
     )
-    photon = PhotonSimulator(scene, SimulationConfig(n_photons=N_PHOTONS, seed=3)).run()
+    photon = run_scalar(scene, SimulationConfig(n_photons=N_PHOTONS, seed=3))
 
     tracing_speedup = 15.0  # embarrassingly parallel phase (published ~15/16)
     density_speedup = density_phase_speedup(de.hits_per_patch, 16)

@@ -12,12 +12,12 @@ Measured form of the claim, in its two halves:
 """
 
 from repro.core import (
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
     decay_exponent,
     forest_error_summary,
+    run_scalar,
 )
 from repro.geometry import Vec3
 from repro.perf import format_table
@@ -33,9 +33,7 @@ def run_study():
     probe_dir = Vec3(0.0, 1.0, 0.0)
 
     def probe(n: int) -> float:
-        res = PhotonSimulator(
-            scene, SimulationConfig(n_photons=n, seed=17, policy=frozen)
-        ).run()
+        res = run_scalar(scene, SimulationConfig(n_photons=n, seed=17, policy=frozen))
         return sum(
             RadianceField(scene, res.forest).sample(0, 0.5, 0.5, probe_dir).rgb
         )
@@ -47,10 +45,10 @@ def run_study():
     # Structural refinement with adaptive splitting enabled.
     structures = []
     for n in BUDGETS:
-        res = PhotonSimulator(
+        res = run_scalar(
             scene,
             SimulationConfig(n_photons=n, seed=17, policy=SplitPolicy(min_count=16)),
-        ).run()
+        )
         summary = forest_error_summary(res.forest)
         mean_measure = 1.0 / max(summary.leaves, 1)
         structures.append((n, summary.leaves, mean_measure, summary.median_relative_error))

@@ -20,9 +20,9 @@ import pytest
 from repro.cluster import INDY_CLUSTER, profile_scene, trace_family
 from repro.core import (
     Camera,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
+    run_scalar,
 )
 from repro.core.viewing import render
 from repro.geometry import Vec3
@@ -48,14 +48,14 @@ def run_visual_speedup():
     }
 
     cam = Camera(Vec3(0.5, 0.5, 0.05), Vec3(0.5, 0.5, 1.0), width=16, height=12)
-    reference = PhotonSimulator(
+    reference = run_scalar(
         scene, SimulationConfig(n_photons=max(budgets.values()) * 6, seed=99)
-    ).run()
+    )
     ref_img = render(scene, RadianceField(scene, reference.forest), cam)
 
     errors = {}
     for ranks, budget in budgets.items():
-        res = PhotonSimulator(scene, SimulationConfig(n_photons=budget, seed=31)).run()
+        res = run_scalar(scene, SimulationConfig(n_photons=budget, seed=31))
         img = render(scene, RadianceField(scene, res.forest), cam)
         errors[ranks] = rmse(ref_img, img)
     return budgets, errors

@@ -7,7 +7,7 @@ bench traces a real run, prints the growth curve, and checks both
 properties.
 """
 
-from repro.core import PhotonSimulator, SimulationConfig, SplitPolicy
+from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
 from repro.montecarlo import HIT_RECORD_BYTES
 from repro.perf import format_table
 
@@ -20,7 +20,7 @@ def run_growth(scene):
         n_photons=PHOTONS, policy=SplitPolicy(min_count=16), seed=17
     )
     curve = []
-    for partial in PhotonSimulator(scene, cfg).run_batches(BATCH):
+    for partial in run_scalar_batches(scene, cfg, BATCH):
         curve.append(
             (
                 partial.forest.photons_emitted,

@@ -161,8 +161,7 @@ class TestPooledScaling:
     def reference(self, gen_scene):
         from repro.api import RenderSession, SessionOptions, SimulateRequest
 
-        options = SessionOptions(engine="vector")
-        with RenderSession(gen_scene, options) as session:
+        with RenderSession(gen_scene, SessionOptions()) as session:
             return session.simulate(SimulateRequest(n_photons=PHOTONS, seed=SEED))
 
     def test_pool_sizes_blocks_from_the_hint(self, gen_scene, reference):

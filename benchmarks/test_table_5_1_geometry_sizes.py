@@ -17,7 +17,7 @@ its count "disproportionately high ... due to the large mirror").
 
 import pytest
 
-from repro.core import PhotonSimulator, SimulationConfig, SplitPolicy
+from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
 from repro.perf import format_table
 
 PAPER = {
@@ -36,10 +36,9 @@ def run_inventory(scenes) -> dict[str, tuple[int, int, int]]:
         cfg = SimulationConfig(
             n_photons=PHOTONS, policy=SplitPolicy(min_count=16), seed=5
         )
-        sim = PhotonSimulator(scene, cfg)
         half_leaves = 0
         final_leaves = 0
-        for partial in sim.run_batches(PHOTONS // 2):
+        for partial in run_scalar_batches(scene, cfg, PHOTONS // 2):
             if partial.forest.photons_emitted == PHOTONS // 2:
                 half_leaves = partial.forest.leaf_count
             final_leaves = partial.forest.leaf_count

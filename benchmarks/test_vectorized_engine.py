@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.core import PhotonSimulator, SimulationConfig
+from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.core import SimulationConfig, run_scalar
 from repro.perf import format_table
 
 PHOTONS = 50_000
@@ -24,12 +25,18 @@ SEED = 0x1234ABCD330E
 SPEEDUP_FLOOR = 5.0
 
 
-def _measure(scene, **config_kwargs):
-    config = SimulationConfig(n_photons=PHOTONS, seed=SEED, **config_kwargs)
+def _measure(scene, engine, workers=1, photons=PHOTONS):
+    """Photons/sec of one cold run: the scalar oracle, or a session."""
     t0 = time.perf_counter()
-    result = PhotonSimulator(scene, config).run()
+    if engine == "scalar":
+        result = run_scalar(scene, SimulationConfig(n_photons=photons, seed=SEED))
+    else:
+        with RenderSession(scene, SessionOptions(workers=workers)) as session:
+            result = session.simulate(
+                SimulateRequest(n_photons=photons, seed=SEED)
+            )
     elapsed = time.perf_counter() - t0
-    return PHOTONS / elapsed, result
+    return photons / elapsed, result
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +44,10 @@ def throughputs(request):
     cornell = request.getfixturevalue("cornell")
     rates = {}
     results = {}
-    rates["scalar"], results["scalar"] = _measure(cornell, engine="scalar")
-    rates["vector"], results["vector"] = _measure(cornell, engine="vector")
+    rates["scalar"], results["scalar"] = _measure(cornell, "scalar")
+    rates["vector"], results["vector"] = _measure(cornell, "vector")
     rates["procpool(2)"], results["procpool(2)"] = _measure(
-        cornell, engine="vector", workers=2
+        cornell, "vector", workers=2
     )
     return rates, results
 
@@ -79,10 +86,7 @@ def test_engines_agree_on_totals(throughputs):
 def test_engine_throughput_positive(cornell, engine):
     """Both engines trace a small budget through the shared fixture
     parametrization (the `engine` fixture from the root conftest)."""
-    config = SimulationConfig(n_photons=2_000, seed=SEED, engine=engine)
-    t0 = time.perf_counter()
-    result = PhotonSimulator(cornell, config).run()
-    elapsed = time.perf_counter() - t0
+    rate, result = _measure(cornell, engine, photons=2_000)
     assert result.stats.photons == 2_000
-    assert elapsed > 0.0
-    print(f"\n{engine}: {2_000 / elapsed:,.0f} photons/sec (2k budget)")
+    assert rate > 0.0
+    print(f"\n{engine}: {rate:,.0f} photons/sec (2k budget)")

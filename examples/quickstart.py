@@ -14,20 +14,18 @@ into a :class:`repro.api.SceneProgram` (patch arrays + flattened
 octree); every ``session.simulate(request)`` after the first reuses the
 warm engine, and every ``session.render`` reads the same answer.
 
-Engines (``SessionOptions``), all producing bit-identical answer files
-under per-photon substream RNG:
-
-* ``--engine scalar`` — the per-photon reference loop (the correctness
-  oracle; ~10k photons/s on the Cornell box).
-* ``--engine vector`` — the NumPy batch engine: photons traced in
-  structure-of-arrays batches (typically 5-8x faster) through the
-  flattened array-encoded octree on large scenes.
-* ``--engine vector --workers N`` — batches sharded across a persistent
-  multiprocessing pool that stays warm across requests.
+Sessions trace with the NumPy batch engine: photons in
+structure-of-arrays batches through the flat walk's tree on large
+scenes, and with ``--workers N`` sharded across a persistent
+multiprocessing pool that stays warm across requests.  The per-photon
+reference loop of Figure 4.1 is the correctness oracle
+(``repro.core.run_scalar``, ~10k photons/s on the Cornell box);
+``--compare-engines`` times it against a session and checks that both
+write bit-identical answers under per-photon substream RNG.
 
 Run:
     python examples/quickstart.py [--photons 20000] [--out-dir .]
-    python examples/quickstart.py --engine vector --workers 4
+    python examples/quickstart.py --workers 4
     python examples/quickstart.py --compare-engines
 """
 
@@ -43,7 +41,7 @@ from repro.api import (
     SessionOptions,
     SimulateRequest,
 )
-from repro.core import load_answer, save_answer
+from repro.core import SimulationConfig, load_answer, run_scalar, save_answer
 from repro.geometry import Vec3
 from repro.image import save_radiance_ppm
 from repro.scenes import cornell_box
@@ -55,12 +53,12 @@ def main() -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--width", type=int, default=160)
     parser.add_argument("--height", type=int, default=120)
-    parser.add_argument("--engine", choices=("scalar", "vector"), default="vector")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--compare-engines",
         action="store_true",
-        help="time scalar vs vector on the same budget and check parity",
+        help="time the scalar oracle vs a session on the same budget "
+        "and check parity",
     )
     args = parser.parse_args()
 
@@ -71,9 +69,9 @@ def main() -> None:
         compare_engines(scene, args.photons)
         return
 
-    options = SessionOptions(engine=args.engine, workers=args.workers)
+    options = SessionOptions(workers=args.workers)
     request = SimulateRequest(n_photons=args.photons)
-    label = args.engine + (f" x{args.workers} procs" if args.workers > 1 else "")
+    label = "vector" + (f" x{args.workers} procs" if args.workers > 1 else "")
 
     with RenderSession(scene, options) as session:
         # --- Simulation stage (request #1 pays compile + spawn) -----------
@@ -131,17 +129,23 @@ def main() -> None:
 
 
 def compare_engines(scene, photons: int) -> None:
-    """Time the scalar oracle against the vector engine, prove parity."""
+    """Time the scalar oracle against a vector session, prove parity."""
     from repro.core import forest_to_dict
+
+    def oracle():
+        config = SimulationConfig(n_photons=photons, rng_mode="substream")
+        return run_scalar(scene, config)
+
+    def served():
+        with RenderSession(scene) as session:
+            return session.simulate(SimulateRequest(n_photons=photons))
 
     rates = {}
     forests = {}
-    request = SimulateRequest(n_photons=photons, rng_mode="substream")
-    for engine in ("scalar", "vector"):
-        with RenderSession(scene, SessionOptions(engine=engine)) as session:
-            t0 = time.perf_counter()
-            result = session.simulate(request)
-            dt = time.perf_counter() - t0
+    for engine, run in (("scalar", oracle), ("vector", served)):
+        t0 = time.perf_counter()
+        result = run()
+        dt = time.perf_counter() - t0
         rates[engine] = photons / dt
         forests[engine] = forest_to_dict(result.forest)
         print(f"{engine:>7s}: {rates[engine]:>10,.0f} photons/s ({dt:.2f}s)")

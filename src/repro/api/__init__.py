@@ -15,8 +15,7 @@ frontends) build on:
   :meth:`~RenderSession.simulate_stream`, and
   :meth:`~RenderSession.render` calls.
 * :class:`SimulateRequest` / :class:`SessionOptions` — the frozen,
-  hashable split of the legacy ``SimulationConfig`` into per-call and
-  per-session parameters.
+  hashable per-call and per-session parameters.
 
 Quick start::
 
@@ -28,18 +27,17 @@ Quick start::
         result2 = session.simulate(SimulateRequest(n_photons=100_000,
                                                    seed=7))  # warm: no setup
 
-Deprecation policy: the one-shot ``PhotonSimulator(scene, config).run()``
-remains as a thin shim over a single-request session (byte-identical
-answers, ``DeprecationWarning`` on construction) and
-``SimulationConfig`` remains the internal wire format carried by
-``SimulationResult``; new code should speak request/options.  See
-``docs/ARCHITECTURE.md`` ("Public API & session lifecycle").
+Every session traces with the vector engine on per-photon substreams.
+The per-photon reference loop of Figure 4.1 is not a serving path: it
+is the oracle :func:`repro.core.run_scalar`, which the golden suite
+holds to the same bytes.  See ``docs/ARCHITECTURE.md`` ("Public API &
+session lifecycle").
 """
 
 from ..core.simulator import SimulationResult
 from ..core.viewing import Camera
 from .program import SceneProgram
-from .requests import SessionOptions, SimulateRequest, merge_config, split_config
+from .requests import SessionOptions, SimulateRequest, merge_config
 from .session import RenderSession, open_session
 
 __all__ = [
@@ -51,5 +49,4 @@ __all__ = [
     "SimulationResult",
     "merge_config",
     "open_session",
-    "split_config",
 ]

@@ -14,11 +14,11 @@ One cache implements the idea: :class:`ForestCache`, owned by the
 :class:`~repro.api.SceneProgram` (the compile-once object every session
 on a scene shares) so all sessions in a service
 :class:`~repro.service.pool.SessionPool` share hits.  It holds built
-forests keyed by the **camera- and budget-free trace key** (engine,
-resolved RNG discipline, split policy, fluorescence, seed).  The key
-deliberately excludes the worker count: answers are worker-invariant
-(the golden matrix pins this), so a forest traced by one session shape
-tops up a request served by another.
+forests keyed by the **camera- and budget-free trace key** (split
+policy, fluorescence, seed).  The key deliberately excludes the worker
+count: answers are worker-invariant (the golden matrix pins this), so a
+forest traced by one session shape tops up a request served by
+another.
 
 The sharing rule: **hits share, the first extension copies, nothing
 reachable from the cache is ever mutated.**  A serve that traces
@@ -57,8 +57,8 @@ __all__ = [
 
 #: Forest-cache entry bound.  Forests are the dominant per-answer
 #: memory cost, so the bound is deliberately small: one entry per
-#: distinct (engine, rng, policy, fluorescence, seed) trace family a
-#: warm process is actively serving.
+#: distinct (policy, fluorescence, seed) trace family a warm process
+#: is actively serving.
 DEFAULT_FOREST_CACHE_ENTRIES = 8
 
 
@@ -68,15 +68,10 @@ def trace_key(config: "SimulationConfig") -> tuple:
     Everything that changes *which events exist* is in the key; the
     photon budget (a prefix length, not an identity) and every
     provisioning knob that is byte-invariant by contract (worker count,
-    batch size) is excluded.
+    batch size) is excluded.  Sessions trace only with the vector engine
+    on substreams, so neither is part of the identity.
     """
-    return (
-        config.engine,
-        config.resolved_rng_mode,
-        config.policy,
-        config.fluorescence,
-        config.seed,
-    )
+    return (config.policy, config.fluorescence, config.seed)
 
 
 class CachedTrace:

@@ -3,10 +3,8 @@
 The expensive part of serving a scene is not tracing — it is the
 compilation the vector engine needs before the first photon moves: the
 patch structure-of-arrays and the flat walk's tree
-(:class:`~repro.core.vectorized.SceneArrays`).  The
-legacy one-shot API recompiled all of it on **every**
-``PhotonSimulator(scene, config).run()``; a :class:`SceneProgram`
-compiles once and is reused by any number of
+(:class:`~repro.core.vectorized.SceneArrays`).  A
+:class:`SceneProgram` compiles it once, and it is reused by any number of
 :class:`~repro.api.RenderSession` objects, engines, pools, and profile
 runs in the process.
 
@@ -61,9 +59,7 @@ class SceneProgram:
         scene: The scene to compile.
         name: Program label; defaults to ``scene.name``.
         eager: Compile the kernel arrays now (default).  Pass ``False``
-            to defer until :attr:`arrays` is first read — the scalar
-            engine never reads them, so scalar-only sessions skip the
-            flat-octree compile entirely.
+            to defer until :attr:`arrays` is first read.
     """
 
     def __init__(
@@ -89,7 +85,7 @@ class SceneProgram:
         """The program for *scene*, compiled at most once per process.
 
         Repeated calls with the same scene object return the same
-        program, so every session, shim, and profile run in the process
+        program, so every session and profile run in the process
         shares one set of compiled arrays.  The cache rides on the
         scene object itself (program and scene form one gc unit), so
         dropping the scene really drops the program — no process-global

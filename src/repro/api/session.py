@@ -1,9 +1,9 @@
 """``RenderSession``: a persistent serving loop over one compiled scene.
 
 The paper's architecture is a long-lived *simulation program* that
-answers many *viewing requests*; the legacy one-shot API inverted that
-by paying scene compilation, plane publication, and worker spawn on
-every call.  A :class:`RenderSession` owns those resources for its
+answers many *viewing requests*; a one-shot API inverts that by
+paying scene compilation, plane publication, and worker spawn on every
+call.  A :class:`RenderSession` owns those resources for its
 lifetime and serves any number of requests against them:
 
 * :meth:`simulate` — run one :class:`~repro.api.SimulateRequest` to a
@@ -37,18 +37,21 @@ cached forest itself; a top-up copies it once before extending it.
 Treat every served ``result.forest`` as read-only — it may be shared
 with the cache and with other results.
 
-Kernel gate: every in-process, CPU-bound section of a serve — a serial
-engine's trace and tally, the top-up copy, the convergence summary, a
-render — runs holding the process-wide :data:`repro.api.gate.KERNEL_GATE`,
-one section at a time across all sessions.  A request the cache already
+Kernel gate: every in-process, CPU-bound section of a serve — a
+single-process trace and tally, the top-up copy, the convergence
+summary, a render — runs holding the process-wide
+:data:`repro.api.gate.KERNEL_GATE`, one section at a time across all
+sessions.  A request the cache already
 answers never takes it, and it is never held across a wait on pool
 workers or between stream chunks.
 
-Determinism contract: for equal requests, every session configuration —
-engine, worker count, batch size, streamed or one-shot — produces
-byte-identical answers, and all of them equal the legacy
-``PhotonSimulator`` output (the golden suite holds both surfaces to the
-same committed bytes).
+Every session traces with the vector engine on per-photon substreams;
+the per-photon reference loop is the oracle
+:func:`repro.core.simulator.run_scalar`, not a session.  Determinism
+contract: for equal requests, every session configuration — worker
+count, batch size, streamed or one-shot — produces byte-identical
+answers, and all of them equal ``run_scalar`` under substream RNG (the
+golden suite holds both to the same committed bytes).
 
 Sessions are context managers; always ``with`` them (or call
 :meth:`close` in a ``finally``) so pools shut down and plane refcounts
@@ -73,13 +76,7 @@ import numpy as np
 
 from ..core.bintree import BinForest
 from ..core.convergence import forest_error_summary
-from ..core.simulator import (
-    SimulationConfig,
-    SimulationResult,
-    TraceStats,
-    _scalar_photon_streams,
-    _scalar_trace_one,
-)
+from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
 from ..geometry.scene import Scene
 from .amortize import CachedTrace, trace_key
 from .gate import KERNEL_GATE
@@ -202,7 +199,9 @@ class RenderSession:
 
             program = build_scene(program)
         if isinstance(program, Scene):
-            # Lazy compile: a scalar session never needs the arrays.
+            # Lazy compile: the arrays build on the first trace or
+            # render, so a session that only answers cache hits never
+            # pays for them.
             program = SceneProgram.compile(program, eager=False)
         self.program = program
         self.options = options if options is not None else SessionOptions()
@@ -341,10 +340,9 @@ class RenderSession:
     def simulate(self, request: SimulateRequest) -> SimulationResult:
         """Serve one request on the warm resources.
 
-        Byte-identical to the legacy one-shot
-        ``PhotonSimulator(scene, config).run()`` for the merged config —
-        the session only changes *when* compilation and worker startup
-        happen, never a single tally.
+        Byte-identical to :func:`~repro.core.simulator.run_scalar` of
+        the same request under substream RNG — the session only changes
+        *how* and *when* photons are traced, never a single tally.
 
         Under ``SessionOptions(amortize=True)`` a request whose trace
         key matches a cached run of at most its budget (any batch size
@@ -365,20 +363,13 @@ class RenderSession:
         self._begin_request("simulate()")
         try:
             config = merge_config(request, self.options)
-            amortize = (
-                self._forest_cache is not None
-                and config.resolved_rng_mode == "substream"
-            )
             if (
-                amortize
+                self._forest_cache is not None
                 or request.target_rel_error is not None
-                or config.engine == "scalar"
             ):
-                result = self._simulate_incremental(request, config, amortize)
+                result = self._simulate_incremental(request, config)
             else:
-                # The classic full-budget vector paths, untouched — the
-                # warm one-shot benchmarks time exactly what they
-                # always timed.
+                # The full budget in one call to the warm pool or engine.
                 if config.workers > 1:
                     # A wait on the workers: never under the gate.
                     result = self._pool_for(request.fluorescence, config).run(
@@ -396,10 +387,7 @@ class RenderSession:
             self._end_request()
 
     def _simulate_incremental(
-        self,
-        request: SimulateRequest,
-        config: SimulationConfig,
-        amortize: bool,
+        self, request: SimulateRequest, config: SimulationConfig
     ) -> SimulationResult:
         """Chunked tracing over an optional cached prefix.
 
@@ -425,7 +413,7 @@ class RenderSession:
         with no coalescing machinery.
         """
         n, target = config.n_photons, request.target_rel_error
-        cache = self._forest_cache if amortize else None
+        cache = self._forest_cache
         key = trace_key(config)
         entry = None
         if cache is not None and _answers(cache.peek(key, n), n, target):
@@ -506,39 +494,12 @@ class RenderSession:
     def _chunk_tracer(self, request: SimulateRequest, config: SimulationConfig):
         """A ``trace(forest, stats, start, count)`` closure for *config*.
 
-        Every variant traces the absolute photon range
-        ``[start, start + count)`` into the growing forest — the same
-        building blocks :meth:`simulate_stream` chains, so the chunked
-        answer is pinned byte-identical to the one-shot one by the
-        stream-parity suite.
+        Both variants — warm pool or warm in-process engine — trace the
+        absolute photon range ``[start, start + count)`` into the
+        growing forest: the same building blocks :meth:`simulate_stream`
+        chains, so the chunked answer is pinned byte-identical to the
+        one-shot one by the stream-parity suite.
         """
-        if config.engine == "scalar":
-            if config.resolved_rng_mode == "substream":
-                from ..core.vectorized import photon_substream
-
-                def trace(forest, stats, start, count):
-                    for i in range(start, start + count):
-                        _scalar_trace_one(
-                            self.scene,
-                            config,
-                            forest,
-                            stats,
-                            photon_substream(config.seed, i),
-                        )
-
-            else:
-                # Serial-stream scalar: never cached (history-dependent),
-                # but early stop still applies — chunks are contiguous
-                # from zero, so the prefix is the exact N-photon answer.
-                streams = _scalar_photon_streams(config)
-
-                def trace(forest, stats, start, count):
-                    for _ in range(count):
-                        _scalar_trace_one(
-                            self.scene, config, forest, stats, next(streams)
-                        )
-
-            return trace
         from ..core.vectorized import tally_block
 
         if config.workers > 1:
@@ -569,11 +530,11 @@ class RenderSession:
         Yields after every *batch_size* photons (default: the session's
         ``options.batch_size``); each yield is the cumulative result so
         far — the same forest object growing across yields, exactly like
-        the legacy ``run_batches``.  Because tally replay is canonical
-        in (photon, bounce) order regardless of chunk boundaries, the
-        **final** yield is byte-identical to :meth:`simulate` of the
-        same request, on every engine/worker/batch-size combination
-        (pinned by the stream-parity suite).
+        :func:`~repro.core.simulator.run_scalar_batches`.  Because tally
+        replay is canonical in (photon, bounce) order regardless of
+        chunk boundaries, the **final** yield is byte-identical to
+        :meth:`simulate` of the same request, on every worker/batch-size
+        combination (pinned by the stream-parity suite).
 
         Validation happens at the call, not at first iteration, and the
         request counts as served when the stream starts (a consumer may
@@ -598,8 +559,8 @@ class RenderSession:
         """The one stream body: cumulative results, one per *chunk*.
 
         Each chunk goes through the same :meth:`_chunk_tracer` closure
-        the incremental serve uses — scalar loop, warm engine or warm
-        pool — into one growing forest; contiguous ascending chunks
+        the incremental serve uses — warm engine or warm pool — into
+        one growing forest; contiguous ascending chunks
         keep the global tally sequence canonical, which is why the
         final cumulative forest matches the one-shot answer
         byte-for-byte.  Under a convergence target the check shares the
@@ -672,9 +633,7 @@ class RenderSession:
         compiled closest-hit kernel and accelerator the photons use —
         a band of ``options.batch_size`` rays at a time
         (:func:`repro.core.viewing.render_rows`), so nothing is
-        compiled per render.  A scalar-engine session has compiled
-        nothing until then: its first render builds ``program.arrays``
-        (the kernel arrays and the flat octree), once.
+        compiled per render.
 
         Args:
             answer: A :class:`~repro.core.simulator.SimulationResult`

@@ -28,14 +28,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.cliargs import add_lint_arguments
-from .api import (
-    RenderSession,
-    SessionOptions,
-    SimulateRequest,
-    merge_config,
-)
+from .api import RenderSession, SessionOptions, SimulateRequest
 from .cluster import platform_by_name, profile_scene, trace_family
-from .core import Camera, SplitPolicy, load_answer, save_answer
+from .core import Camera, SimulationConfig, SplitPolicy, load_answer, save_answer
+from .core.simulator import run_scalar
 from .geometry import Vec3
 from .image import save_radiance_ppm
 from .perf import ascii_traces, format_table, speedup_table
@@ -59,11 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run the Photon simulation stage",
         description=(
-            "Engines: 'scalar' is the per-photon reference loop; 'vector' "
-            "traces photons in NumPy batches (several times faster, "
-            "bit-identical answers under --rng substream) and with "
+            "Engines: 'scalar' runs the per-photon reference loop once; "
+            "'vector' serves the request on a RenderSession, tracing "
+            "photons in NumPy batches (several times faster, "
+            "bit-identical answers under --rng substream), and with "
             "--workers N shards batches across a process pool for "
-            "multi-core speedup."
+            "multi-core speedup.  --workers > 1, --repeat > 1, "
+            "--amortize and --target-error need --engine vector."
         ),
     )
     p_sim.add_argument(
@@ -261,16 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline in seconds (body may override)",
     )
     p_serve.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="vector",
-        help="engine pooled sessions trace with (default: vector)",
-    )
-    p_serve.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="process count per session's vector engine",
+        help="process count per pooled session",
     )
     p_serve.add_argument("--batch-size", type=int, default=4096)
     p_serve.add_argument(
@@ -358,37 +350,90 @@ def _cmd_scenes(out) -> int:
 def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
     scene = _resolve_scene(_simulate_scene_spec(args, parser), parser)
     try:
-        request = SimulateRequest(
+        # The record of the run, built first: its cross-field checks
+        # (vector forbids stream RNG, workers need the vector engine)
+        # cover both engines before anything is provisioned.
+        config = SimulationConfig(
             n_photons=args.photons,
             seed=args.seed,
             policy=SplitPolicy(threshold=args.sigma),
-            rng_mode=args.rng,
-            target_rel_error=args.target_error,
-        )
-        options = SessionOptions(
             engine=args.engine,
-            workers=args.workers,
+            rng_mode=args.rng,
             batch_size=args.batch_size,
-            amortize=args.amortize,
+            workers=args.workers,
         )
-        # Cross-field validation (vector forbids stream RNG, ...) lives
-        # in the merged config; run it before provisioning anything.
-        merge_config(request, options)
         if args.repeat < 1:
             raise ValueError("--repeat must be at least 1")
+        if args.engine == "scalar":
+            for flag, used in (
+                ("--repeat > 1", args.repeat > 1),
+                ("--amortize", args.amortize),
+                ("--target-error", args.target_error is not None),
+            ):
+                if used:
+                    raise ValueError(f"{flag} requires --engine vector")
+        else:
+            request = SimulateRequest(
+                n_photons=args.photons,
+                seed=args.seed,
+                policy=config.policy,
+                target_rel_error=args.target_error,
+            )
+            options = SessionOptions(
+                workers=args.workers,
+                batch_size=args.batch_size,
+                amortize=args.amortize,
+            )
     except ValueError as exc:
-        # Flag combinations the request/options split rejects (e.g.
-        # --workers without the vector engine) are usage errors, not
-        # tracebacks: report them the argparse way (usage line +
-        # message, exit code 2), against the simulate subparser so the
-        # synopsis actually shows the flags the message talks about.
+        # Flag combinations the config rejects (e.g. --workers without
+        # the vector engine) are usage errors, not tracebacks: report
+        # them the argparse way (usage line + message, exit code 2),
+        # against the simulate subparser so the synopsis actually shows
+        # the flags the message talks about.
         hint = ""
         if "requires the vector engine" in str(exc):
             hint = " (hint: pass --engine vector to use --workers)"
         parser.simulate_parser.error(f"{exc}{hint}")
-    engine_label = options.engine
-    if options.engine == "vector" and options.workers > 1:
-        engine_label = f"vector x{options.workers} procs"
+    engine_label = args.engine
+    if args.workers > 1:
+        engine_label += f" x{args.workers} procs"
+    if args.engine == "scalar":
+        t0 = time.perf_counter()
+        result = run_scalar(scene, config)
+        dt = time.perf_counter() - t0
+    else:
+        result, dt = _serve_repeated(scene, request, options, args, out)
+    if result.early_stopped:
+        achieved = result.achieved_rel_error
+        label = (
+            f"{achieved:.4g}"
+            if achieved is not None and math.isfinite(achieved)
+            else "inf"
+        )
+        print(
+            f"early stop: target {args.target_error:g} reached after "
+            f"{result.config.n_photons:,} of {args.photons:,} photons "
+            f"(achieved {label})",
+            file=out,
+        )
+    result.forest.check_invariants()
+    save_answer(result.forest, args.out)
+    photons_done = result.config.n_photons
+    print(
+        f"{photons_done:,} photons in {dt:.1f}s "
+        f"({photons_done / max(dt, 1e-9):,.0f}/s, {engine_label}); "
+        f"{result.forest.leaf_count:,} bins; "
+        f"answer -> {args.out}",
+        file=out,
+    )
+    return 0
+
+
+def _serve_repeated(scene, request, options, args, out):
+    """Serve *request* ``--repeat`` times on one warm session.
+
+    Returns the last result and the seconds its serve took.
+    """
     with RenderSession(scene, options) as session:
         warm_seconds = 0.0
         total_seconds = 0.0
@@ -429,30 +474,7 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
                     f"{amort['topups']} top-ups)",
                     file=out,
                 )
-    if result.early_stopped:
-        achieved = result.achieved_rel_error
-        label = (
-            f"{achieved:.4g}"
-            if achieved is not None and math.isfinite(achieved)
-            else "inf"
-        )
-        print(
-            f"early stop: target {args.target_error:g} reached after "
-            f"{result.config.n_photons:,} of {args.photons:,} photons "
-            f"(achieved {label})",
-            file=out,
-        )
-    result.forest.check_invariants()
-    save_answer(result.forest, args.out)
-    photons_done = result.config.n_photons
-    print(
-        f"{photons_done:,} photons in {dt:.1f}s "
-        f"({photons_done / max(dt, 1e-9):,.0f}/s, {engine_label}); "
-        f"{result.forest.leaf_count:,} bins; "
-        f"answer -> {args.out}",
-        file=out,
-    )
-    return 0
+    return result, dt
 
 
 def _cmd_view(args, out, parser: argparse.ArgumentParser) -> int:
@@ -571,7 +593,6 @@ def _cmd_serve(args, out, parser: argparse.ArgumentParser) -> int:
         )
     try:
         options = SessionOptions(
-            engine=args.engine,
             workers=args.workers,
             batch_size=args.batch_size,
             amortize=args.amortize == "on",

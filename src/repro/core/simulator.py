@@ -8,15 +8,17 @@
             if Reflect(&photon, bin): UpdateBinCount(&bin); maybe Split(&bin)
             else: absorbed = TRUE
 
-This module is the single-processor reference; both parallel variants
-reuse its per-photon tracing step so correctness tests can compare
-forests tally-for-tally.
+This module is the single-processor reference: :func:`run_scalar` is
+the oracle the vector engine's answers are checked against, and the
+parallel variants reuse its per-photon tracing step so correctness
+tests can compare forests tally-for-tally.  Serving goes through
+:class:`repro.api.RenderSession`, which traces with the vector engine.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from typing import TYPE_CHECKING
@@ -37,7 +39,8 @@ __all__ = [
     "TraceStats",
     "TallyEvent",
     "trace_photon",
-    "PhotonSimulator",
+    "run_scalar",
+    "run_scalar_batches",
     "SimulationResult",
 ]
 
@@ -256,12 +259,10 @@ class SimulationResult:
 def _scalar_photon_streams(config: SimulationConfig) -> Iterator[Lcg48]:
     """One RNG per photon under *config*'s discipline.
 
-    The single home of the scalar RNG policy, shared by the legacy
-    driver and :class:`repro.api.RenderSession` so the two surfaces
-    cannot drift: ``"stream"`` yields the same serial generator every
-    time (the historical behaviour); ``"substream"`` yields photon
-    *i*'s private counter-based stream, matching the vector engine
-    draw-for-draw.
+    The single home of the scalar RNG policy: ``"stream"`` yields the
+    same serial generator every time (the historical behaviour);
+    ``"substream"`` yields photon *i*'s private counter-based stream,
+    matching the vector engine draw-for-draw.
     """
     if config.resolved_rng_mode == "substream":
         from .vectorized import photon_substream
@@ -283,8 +284,9 @@ def _scalar_trace_one(
 ) -> None:
     """Trace one photon and tally its events — the reference tally body.
 
-    Shared by every scalar driver (one-shot, batched, session) so the
-    emission/band accounting cannot diverge between them.
+    The one loop body of :func:`run_scalar` and
+    :func:`run_scalar_batches`, so the emission/band accounting cannot
+    diverge between them.
     """
     events, photon_stats = trace_photon(
         scene, rng, fluorescence=config.fluorescence
@@ -296,107 +298,63 @@ def _scalar_trace_one(
     forest.band_emitted[events[0].band] += 1
 
 
-class PhotonSimulator:
-    """One-shot Photon driver — a deprecation shim over the session API.
+def run_scalar(scene: Scene, config: SimulationConfig) -> SimulationResult:
+    """Trace *config*'s whole budget with the per-photon reference loop.
 
-    .. deprecated::
-        ``PhotonSimulator(scene, config).run()`` re-provisions every
-        resource per call (scene compile, plane publish, worker spawn).
-        New code should open a persistent
-        :class:`repro.api.RenderSession` and serve
-        :class:`repro.api.SimulateRequest` objects on it; this shim
-        builds exactly that session for a single request, so answers
-        stay byte-identical while the warning nudges callers to the
-        amortized path.
-
-    Args:
-        scene: The scene to illuminate.
-        config: Photon count, seed and split policy.
+    This is the Figure 4.1 oracle: under ``rng_mode="substream"`` its
+    answer is byte-identical to the vector engine's, and under the
+    default serial ``"stream"`` it reproduces the historical scalar
+    answers (the golden suite pins both).
 
     Example:
         >>> from repro.scenes import cornell_box
-        >>> sim = PhotonSimulator(cornell_box(), SimulationConfig(n_photons=1000))
-        >>> result = sim.run()
+        >>> result = run_scalar(cornell_box(), SimulationConfig(n_photons=1000))
         >>> result.forest.total_tallies > 1000  # emissions + reflections
         True
+
+    Raises:
+        ValueError: for an ``engine="vector"`` config; vector runs are
+            served by :class:`repro.api.RenderSession`.
     """
+    result = SimulationResult(
+        BinForest(config.policy), TraceStats(), config, scene.name
+    )
+    for result in run_scalar_batches(scene, config, max(config.n_photons, 1)):
+        pass
+    return result
 
-    def __init__(self, scene: Scene, config: SimulationConfig) -> None:
-        warnings.warn(
-            "PhotonSimulator is a one-shot shim; for repeated requests use "
-            "repro.api.RenderSession (compile-once, warm workers)",
-            DeprecationWarning,
-            stacklevel=2,
+
+def run_scalar_batches(
+    scene: Scene, config: SimulationConfig, batch_size: int
+) -> Iterator[SimulationResult]:
+    """Yield cumulative :func:`run_scalar` results every *batch_size* photons.
+
+    Used by the memory-growth (Fig. 5.4) and speed-trace harnesses; the
+    same forest object accumulates across yields, and the last yield is
+    :func:`run_scalar`'s answer.  Arguments are checked at the call.
+
+    Raises:
+        ValueError: for ``batch_size < 1`` or an ``engine="vector"``
+            config (stream those with
+            :meth:`repro.api.RenderSession.simulate_stream`).
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if config.engine == "vector":
+        raise ValueError(
+            "the scalar reference loop does not trace engine='vector' "
+            "configs; serve them with repro.api.RenderSession"
         )
-        self.scene = scene
-        self.config = config
+    return _scalar_batches(scene, config, batch_size)
 
-    def run(self) -> SimulationResult:
-        """Run the full photon budget and return the answer forest.
 
-        Routes through a single-request :class:`repro.api.RenderSession`
-        (the scene program cache still amortizes compilation across
-        shim calls on the same scene object); the answer bytes are
-        identical to the pre-session implementation.
-        """
-        from ..api import RenderSession, split_config
-
-        request, options = split_config(self.config)
-        with RenderSession(self.scene, options) as session:
-            return session.simulate(request)
-
-    def _scalar_streams(self) -> Iterator[Lcg48]:
-        """One RNG per photon (see :func:`_scalar_photon_streams`)."""
-        return _scalar_photon_streams(self.config)
-
-    def _trace_one(self, forest: BinForest, stats: TraceStats, rng: Lcg48) -> None:
-        """Trace one photon and tally it (see :func:`_scalar_trace_one`)."""
-        _scalar_trace_one(self.scene, self.config, forest, stats, rng)
-
-    def run_batches(self, batch_size: int) -> Iterator[SimulationResult]:
-        """Yield cumulative results after each batch of *batch_size* photons.
-
-        Used by the memory-growth (Fig. 5.4) and speed-trace harnesses;
-        the same forest object accumulates across yields.  Works under
-        both single-process engines; multi-process streaming lives in
-        :meth:`repro.api.RenderSession.simulate_stream`, so a config
-        asking for workers here is an error rather than a silent
-        single-process run.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        config = self.config
-        if config.workers > 1:
-            raise ValueError(
-                "run_batches is single-process and would silently ignore "
-                f"workers={config.workers}; use "
-                "repro.api.RenderSession.simulate_stream for streamed "
-                "multi-process runs"
-            )
-        forest = BinForest(config.policy)
-        stats = TraceStats()
-        if config.engine == "vector":
-            from .vectorized import VectorEngine, tally_block
-
-            engine = VectorEngine(
-                self.scene,
-                fluorescence=config.fluorescence,
-                batch_size=batch_size,
-            )
-            done = 0
-            while done < config.n_photons:
-                todo = min(batch_size, config.n_photons - done)
-                block, batch_stats = engine.trace_range(config.seed, done, todo)
-                stats.merge(batch_stats)
-                tally_block(forest, block, todo)
-                done += todo
-                yield SimulationResult(forest, stats, config, self.scene.name)
-            return
-        streams = self._scalar_streams()
-        remaining = config.n_photons
-        while remaining > 0:
-            todo = min(batch_size, remaining)
-            for _ in range(todo):
-                self._trace_one(forest, stats, next(streams))
-            remaining -= todo
-            yield SimulationResult(forest, stats, config, self.scene.name)
+def _scalar_batches(
+    scene: Scene, config: SimulationConfig, batch_size: int
+) -> Iterator[SimulationResult]:
+    forest = BinForest(config.policy)
+    stats = TraceStats()
+    streams = _scalar_photon_streams(config)
+    for _ in range(0, config.n_photons, batch_size):
+        for rng in islice(streams, batch_size):
+            _scalar_trace_one(scene, config, forest, stats, rng)
+        yield SimulationResult(forest, stats, config, scene.name)

@@ -1171,7 +1171,7 @@ class VectorEngine:
 
     def run(self, config) -> "SimulationResult":
         """Run a full photon budget; returns the same result type as the
-        scalar :class:`~repro.core.simulator.PhotonSimulator`.
+        scalar oracle :func:`~repro.core.simulator.run_scalar`.
         """
         from .simulator import SimulationResult, TraceStats
 

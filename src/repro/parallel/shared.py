@@ -326,7 +326,7 @@ def run_shared(
     """Run the forall loop of Figure 5.2 on *n_workers* threads.
 
     With ``n_workers == 1`` and the same seed this produces a forest
-    identical to :class:`repro.core.simulator.PhotonSimulator` — the
+    identical to :func:`repro.core.simulator.run_scalar` — the
     equivalence the integration tests pin down.  Under
     ``config.engine == "vector"`` the locked replay is replaced by the
     sharded lock-free reduction of :func:`_run_shared_vector`, and the

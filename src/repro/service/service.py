@@ -32,8 +32,8 @@ Blocking session work (tracing, canonical serialisation) runs on a
 dedicated thread-pool executor; the event loop only ever does parsing,
 admission, and chunk shuttling.  Request bodies are JSON objects::
 
-    {"photons": 2000, "seed": 123, "sigma": 3.0, "rng": "auto",
-     "deadline": 10.0, "batch": 512}
+    {"photons": 2000, "seed": 123, "sigma": 3.0, "deadline": 10.0,
+     "batch": 512}
 
 all fields optional (defaults mirror the ``repro simulate`` CLI), with
 ``batch`` (stream chunk size) and ``deadline`` (seconds, admission +
@@ -79,7 +79,7 @@ DEFAULT_DEADLINE_SECONDS = 30.0
 
 #: Body fields a simulate request may carry (strict, like the scene schema).
 _REQUEST_FIELDS = frozenset(
-    {"photons", "seed", "sigma", "rng", "deadline", "batch", "target_error"}
+    {"photons", "seed", "sigma", "deadline", "batch", "target_error"}
 )
 
 #: Body fields a render request may carry: the simulate fields (minus
@@ -152,7 +152,8 @@ class ServiceConfig:
         default_deadline: Per-request deadline (seconds) when the
             request body does not set one.
         options: The :class:`~repro.api.SessionOptions` every pooled
-            session is provisioned with (engine, workers, ...).
+            session is provisioned with (workers, batch size,
+            amortization).
         max_body_bytes: Request-body cap (HTTP 413 above it).
         executor_threads: Blocking-work thread count; defaults to
             ``max_programs * sessions_per_scene + 2`` so every pooled
@@ -494,7 +495,6 @@ class RenderService:
         photons = _as_int(body.get("photons", 20_000), "photons")
         seed = _as_int(body.get("seed", 0x1234ABCD330E), "seed")
         sigma = _as_number(body.get("sigma", 3.0), "sigma", "a finite number")
-        rng = str(body.get("rng", "auto"))
         deadline = _as_number(
             body.get("deadline", self.config.default_deadline), "deadline",
             "a positive finite number",
@@ -521,7 +521,6 @@ class RenderService:
                 n_photons=photons,
                 seed=seed,
                 policy=SplitPolicy(threshold=sigma),
-                rng_mode=rng,
                 target_rel_error=target,
             )
         except ValueError as exc:

@@ -2,7 +2,7 @@
 
 The forest cache may only ever *save work*, never change an answer:
 a topped-up serve must be byte-identical to a cold full-budget run on
-every engine/worker/batch shape, a camera-only render must reuse the
+every worker/batch shape, a camera-only render must reuse the
 trace without touching it, and an early-stopped answer must be the
 exact canonical answer for the photons actually traced.  These tests
 pin each of those contracts plus the cache mechanics (bounds,
@@ -68,6 +68,7 @@ class TestTraceKey:
 
     def test_identity_fields_split_the_key(self):
         base = merge_config(SimulateRequest(n_photons=100), SessionOptions())
+        assert trace_key(base) == (base.policy, base.fluorescence, base.seed)
         for request, options in (
             (SimulateRequest(n_photons=100, seed=7), SessionOptions()),
             (
@@ -75,11 +76,6 @@ class TestTraceKey:
                     n_photons=100, policy=SplitPolicy(threshold=9.0)
                 ),
                 SessionOptions(),
-            ),
-            (SimulateRequest(n_photons=100), SessionOptions(engine="scalar")),
-            (
-                SimulateRequest(n_photons=100, rng_mode="stream"),
-                SessionOptions(engine="scalar"),
             ),
         ):
             other = merge_config(request, options)
@@ -144,39 +140,31 @@ SCENE_PICKING = {
 # scene each side of the engine's accelerator choice — must serve a
 # topped-up answer byte-identical to its own cold run.
 MATRIX = [
-    pytest.param("linear", SessionOptions(engine="scalar", amortize=True),
-                 "substream", id="scalar-substream"),
-    pytest.param("flat", SessionOptions(amortize=True),
-                 "auto", id="vector-flat"),
-    pytest.param("linear", SessionOptions(amortize=True),
-                 "auto", id="vector-linear"),
+    pytest.param("flat", SessionOptions(amortize=True), id="vector-flat"),
+    pytest.param("linear", SessionOptions(amortize=True), id="vector-linear"),
     pytest.param("linear", SessionOptions(batch_size=7, amortize=True),
-                 "auto", id="vector-linear-b7"),
+                 id="vector-linear-b7"),
     pytest.param("flat", SessionOptions(workers=2, amortize=True),
-                 "auto", id="vector-flat-x2", marks=needs_plane),
+                 id="vector-flat-x2", marks=needs_plane),
     pytest.param("linear", SessionOptions(workers=3, amortize=True, batch_size=64),
-                 "auto", id="vector-linear-x3", marks=needs_plane),
+                 id="vector-linear-x3", marks=needs_plane),
 ]
 
 
 class TestTopUpExactness:
-    @pytest.mark.parametrize("accel, options, rng", MATRIX)
-    def test_topped_up_bytes_equal_cold_bytes(self, accel, options, rng):
+    @pytest.mark.parametrize("accel, options", MATRIX)
+    def test_topped_up_bytes_equal_cold_bytes(self, accel, options):
         import dataclasses
 
         build_scene = SCENE_PICKING[accel]
         cold_options = dataclasses.replace(options, amortize=False)
         with RenderSession(build_scene(), cold_options) as session:
             assert VectorEngine(arrays=session.program.arrays).accel == accel
-            cold = session.simulate(
-                SimulateRequest(n_photons=240, rng_mode=rng)
-            )
+            cold = session.simulate(SimulateRequest(n_photons=240))
         with RenderSession(build_scene(), options) as session:
-            session.simulate(SimulateRequest(n_photons=96, rng_mode=rng))
+            session.simulate(SimulateRequest(n_photons=96))
             assert session.last_photons_traced == 96
-            topped = session.simulate(
-                SimulateRequest(n_photons=240, rng_mode=rng)
-            )
+            topped = session.simulate(SimulateRequest(n_photons=240))
             # The tentpole claim: only the missing range was traced...
             assert session.last_photons_traced == 144
         # ...and the answer is still byte-for-byte the cold answer.
@@ -233,18 +221,6 @@ class TestTopUpExactness:
             assert topped.stats is not small.stats
             assert small.forest.photons_emitted == 96
             assert forest_bytes(small) == small_bytes
-
-    def test_serial_stream_rng_never_amortizes(self):
-        """The stream discipline is history-dependent: photon i's path
-        depends on photons 0..i-1, so prefix reuse would change bytes.
-        The cache simply refuses to play."""
-        with RenderSession(
-            build_mini_scene(),
-            SessionOptions(engine="scalar", amortize=True),
-        ) as session:
-            session.simulate(SimulateRequest(n_photons=96, rng_mode="stream"))
-            session.simulate(SimulateRequest(n_photons=240, rng_mode="stream"))
-            assert session.last_photons_traced == 240  # cold, not 144
 
 
 def cached_entry(session, request):
@@ -543,25 +519,6 @@ class TestEarlyStop:
             # Each yield is cumulative; the stream ended at convergence,
             # not at the budget.
             assert len(chunks) < 100_000 // 64
-
-    def test_scalar_stream_rng_early_stop_still_exact(self):
-        """Early stop composes with the serial RNG too — a contiguous
-        prefix of one stream is exactly the shorter run."""
-        with RenderSession(
-            build_mini_scene(),
-            SessionOptions(engine="scalar", batch_size=64),
-        ) as session:
-            stopped = session.simulate(
-                SimulateRequest(
-                    n_photons=100_000, rng_mode="stream", target_rel_error=0.5
-                )
-            )
-            assert stopped.early_stopped
-            traced = stopped.config.n_photons
-            plain = session.simulate(
-                SimulateRequest(n_photons=traced, rng_mode="stream")
-            )
-            assert forest_bytes(plain) == forest_bytes(stopped)
 
 
 class TestCameraOnlyFastPath:

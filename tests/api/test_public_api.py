@@ -2,9 +2,9 @@
 
 The session API is the stable surface later layers build on, so its
 shape is pinned here: every ``__all__`` name imports round-trip, the
-request/options split stays frozen and hashable, the legacy one-shot
-shims emit deprecation warnings while producing byte-identical answers,
-and the request/config conversion is lossless.
+request/options split stays frozen, hashable and strictly typed, the
+removed engine/RNG knobs and the one-shot shim stay gone, and a session
+serves the scalar oracle's substream bytes.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from repro.api import (
     SimulateRequest,
     merge_config,
     open_session,
-    split_config,
 )
 from repro.cluster import profile_scene
 from repro.core import (
-    PhotonSimulator,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
+    run_scalar,
 )
 from repro.core.vectorized import VectorEngine
 
@@ -131,18 +130,35 @@ class TestRequestOptionsSplit:
     def test_request_validation(self):
         with pytest.raises(ValueError):
             SimulateRequest(n_photons=-1)
-        with pytest.raises(ValueError):
-            SimulateRequest(n_photons=1, rng_mode="quantum")
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: SimulateRequest(n_photons=300, seed=v), "seed"),
+        (lambda v: SimulateRequest(n_photons=v), "n_photons"),
+        (lambda v: SessionOptions(workers=v), "workers"),
+        (lambda v: SessionOptions(batch_size=v), "batch_size"),
+    ], ids=["seed", "n_photons", "workers", "batch_size"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"],
+                             ids=["float", "integral-float", "bool", "str"])
+    def test_integer_fields_refuse_non_ints(self, make, field, value):
+        """``seed=1.5`` would serve seed 1's bytes and ``True`` is an
+        int to Python: both are a TypeError naming the field."""
+        with pytest.raises(TypeError, match=field):
+            make(value)
+        make(1)  # the same field as a plain int is fine
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            SessionOptions(engine="fpga")
-        with pytest.raises(ValueError):
             SessionOptions(workers=0)
         with pytest.raises(ValueError):
-            SessionOptions(engine="scalar", workers=2)
-        with pytest.raises(ValueError):
             SessionOptions(batch_size=0)
+        # Sessions trace only with the vector engine on substreams: the
+        # engine and RNG knobs are gone, not ignored.
+        with pytest.raises(TypeError):
+            SessionOptions(engine="scalar")
+        with pytest.raises(TypeError):
+            SimulateRequest(n_photons=1, rng_mode="substream")
+        with pytest.raises(TypeError):
+            open_session("cornell-box", engine="vector")
         # The transport knobs are gone, not ignored: the planes are the
         # pool's only transports, so naming one is a loud TypeError.
         with pytest.raises(TypeError):
@@ -154,7 +170,10 @@ class TestRequestOptionsSplit:
         with pytest.raises(TypeError):
             SessionOptions(cache_results=True)
         assert [f.name for f in dataclasses.fields(SessionOptions)] == [
-            "engine", "workers", "batch_size", "amortize",
+            "workers", "batch_size", "amortize",
+        ]
+        assert [f.name for f in dataclasses.fields(SimulateRequest)] == [
+            "n_photons", "seed", "policy", "fluorescence", "target_rel_error",
         ]
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
             "n_photons", "seed", "policy", "fluorescence", "engine",
@@ -178,15 +197,13 @@ class TestRequestOptionsSplit:
             call(mini_scene)
         assert not hasattr(repro.core, "ACCELS")
 
-    def test_merge_enforces_cross_field_rules(self):
-        with pytest.raises(ValueError):
-            merge_config(
-                SimulateRequest(n_photons=1, rng_mode="stream"),
-                SessionOptions(engine="vector"),
-            )
-
-    def test_split_merge_roundtrip(self):
-        config = SimulationConfig(
+    def test_merge_builds_the_serving_config(self):
+        """Every merged config is the vector engine on substreams."""
+        request = SimulateRequest(
+            n_photons=123, seed=0xBEEF, policy=SplitPolicy(threshold=2.5)
+        )
+        options = SessionOptions(workers=3, batch_size=512)
+        assert merge_config(request, options) == SimulationConfig(
             n_photons=123,
             seed=0xBEEF,
             policy=SplitPolicy(threshold=2.5),
@@ -195,26 +212,30 @@ class TestRequestOptionsSplit:
             batch_size=512,
             workers=3,
         )
-        request, options = split_config(config)
-        assert merge_config(request, options) == config
 
 
-class TestDeprecationShims:
-    def test_photon_simulator_warns(self, mini_scene):
-        with pytest.warns(DeprecationWarning, match="RenderSession"):
-            PhotonSimulator(mini_scene, SimulationConfig(n_photons=1))
+class TestOneServingPath:
+    def test_no_shim_or_config_splitter_remains(self):
+        """The oracle is a function, not a one-shot simulator class, and
+        nothing splits a config back into a request/options pair."""
+        assert not [name for name in dir(repro.core) if name.endswith("Simulator")]
+        assert {"run_scalar", "run_scalar_batches"} <= set(repro.core.__all__)
+        assert not [name for name in dir(api) if name.startswith("split")]
 
-    def test_shim_matches_session_bytes(self, mini_scene, engine):
-        """The one-shot shim and an explicit session serve identical bytes."""
-        config = SimulationConfig(
-            n_photons=220, seed=0xC0FFEE, engine=engine, rng_mode="substream"
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = PhotonSimulator(mini_scene, config).run()
-        request, options = split_config(config)
-        with RenderSession(mini_scene, options) as session:
-            fresh = session.simulate(request)
-        assert forest_bytes(legacy) == forest_bytes(fresh)
+    @pytest.mark.parametrize("run", [
+        run_scalar,
+        lambda scene, config: VectorEngine(scene).run(config),
+    ], ids=["scalar", "vector"])
+    def test_oracle_matches_session_bytes(self, mini_scene, run):
+        """The scalar oracle under substreams, a bare vector engine and a
+        session serve identical bytes."""
+        request = SimulateRequest(n_photons=220, seed=0xC0FFEE)
+        oracle = run(mini_scene, SimulationConfig(
+            n_photons=220, seed=0xC0FFEE, rng_mode="substream"
+        ))
+        with RenderSession(mini_scene) as session:
+            served = session.simulate(request)
+        assert forest_bytes(oracle) == forest_bytes(served)
 
     def test_session_api_is_warning_free(self, mini_scene):
         """The supported path must not trip the deprecation it recommends."""
@@ -273,7 +294,7 @@ class TestSceneProgram:
 
 class TestOpenSession:
     def test_accepts_registered_name(self):
-        with open_session("cornell-box", engine="scalar") as session:
+        with open_session("cornell-box", batch_size=512) as session:
             assert session.scene.name == "cornell-box"
 
     def test_rejects_options_and_kwargs(self, mini_scene):

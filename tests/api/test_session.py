@@ -91,16 +91,15 @@ class TestWarmReuse:
             session.simulate(SimulateRequest(n_photons=1))
         session.close()  # idempotent
 
-    def test_scalar_session_never_compiles_arrays(self):
+    def test_session_compiles_arrays_at_first_trace(self):
         # A fresh scene: the process-wide program cache would otherwise
-        # hand back a program some earlier vector test already compiled.
+        # hand back a program some earlier test already compiled.
         from tests.scenehelpers import build_mini_scene
 
-        with RenderSession(
-            build_mini_scene(), SessionOptions(engine="scalar")
-        ) as session:
-            session.simulate(SimulateRequest(n_photons=30))
+        with RenderSession(build_mini_scene()) as session:
             assert not session.program.compiled
+            session.simulate(SimulateRequest(n_photons=30))
+            assert session.program.compiled
 
 
 @needs_plane

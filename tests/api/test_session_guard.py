@@ -18,8 +18,8 @@ import pytest
 
 from repro.api import RenderSession, SimulateRequest
 
-REQUEST = SimulateRequest(n_photons=400, seed=0xC0FFEE, rng_mode="substream")
-SMALL = SimulateRequest(n_photons=40, seed=7, rng_mode="substream")
+REQUEST = SimulateRequest(n_photons=400, seed=0xC0FFEE)
+SMALL = SimulateRequest(n_photons=40, seed=7)
 
 
 class TestThreadedGuard:

@@ -1,8 +1,8 @@
 """simulate_stream parity: cumulative streaming may not move a byte.
 
 The streaming surface re-chunks the photon budget, so the one property
-that matters is that chunking is invisible: for every engine, on a
-scene each side of the engine's accelerator choice, at any batch size
+that matters is that chunking is invisible: on a scene each side of
+the engine's accelerator choice, at any batch size
 (and for a warm multi-process pool), the final cumulative
 result of ``simulate_stream`` serialises byte-for-byte identical to the
 one-shot ``simulate`` of the same request — the canonical
@@ -25,13 +25,11 @@ def forest_bytes(result) -> str:
     return json.dumps(forest_to_dict(result.forest), sort_keys=True)
 
 
-REQUEST = SimulateRequest(n_photons=230, seed=0xC0FFEE, rng_mode="substream")
+REQUEST = SimulateRequest(n_photons=230, seed=0xC0FFEE)
 
 #: Every surface the stream serves single-process: (session options,
 #: scene fixture, the accelerator the engine picks on that scene).
 SURFACES = [
-    pytest.param(SessionOptions(engine="scalar"), "mini_scene", None,
-                 id="scalar-auto"),
     pytest.param(SessionOptions(), "mini_scene", "linear", id="vector-linear"),
     pytest.param(SessionOptions(batch_size=7), "mini_scene", "linear",
                  id="vector-linear-b7"),
@@ -46,8 +44,7 @@ class TestStreamParity:
     ):
         scene = request.getfixturevalue(scene_fixture)
         with RenderSession(scene, options) as session:
-            if accel is not None:
-                assert VectorEngine(arrays=session.program.arrays).accel == accel
+            assert VectorEngine(arrays=session.program.arrays).accel == accel
             one_shot = session.simulate(REQUEST)
             last = None
             for last in session.simulate_stream(REQUEST, batch_size=71):

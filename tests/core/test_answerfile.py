@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.core import (
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
     forest_from_dict,
     forest_to_dict,
     load_answer,
+    run_scalar,
     save_answer,
 )
 from repro.geometry import Vec3
@@ -21,7 +21,7 @@ from repro.geometry import Vec3
 def result(request):
     scene = request.getfixturevalue("mini_scene")
     cfg = SimulationConfig(n_photons=1500, policy=SplitPolicy(min_count=16))
-    return PhotonSimulator(scene, cfg).run()
+    return run_scalar(scene, cfg)
 
 
 class TestRoundTrip:

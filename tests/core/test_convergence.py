@@ -5,13 +5,13 @@ import math
 import pytest
 
 from repro.core import (
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
     bin_relative_error,
     decay_exponent,
     forest_error_summary,
+    run_scalar,
 )
 from repro.core.binning import BinNode, TWO_PI
 from repro.geometry import Vec3
@@ -47,9 +47,7 @@ class TestBinRelativeError:
 
 class TestForestSummary:
     def test_summary_on_real_forest(self, mini_scene):
-        res = PhotonSimulator(
-            mini_scene, SimulationConfig(n_photons=2000)
-        ).run()
+        res = run_scalar(mini_scene, SimulationConfig(n_photons=2000))
         summary = forest_error_summary(res.forest)
         assert summary.occupied_leaves > 0
         assert summary.mean_relative_error > 0
@@ -61,9 +59,9 @@ class TestForestSummary:
         policy = SplitPolicy(min_count=10**9)  # freeze: no splits
         errs = []
         for n in (500, 4000):
-            res = PhotonSimulator(
+            res = run_scalar(
                 mini_scene, SimulationConfig(n_photons=n, seed=3, policy=policy)
-            ).run()
+            )
             errs.append(forest_error_summary(res.forest).median_relative_error)
         assert errs[1] < errs[0]
 
@@ -86,9 +84,7 @@ class TestSummaryEdgeCases:
     def test_zero_photon_total_rejected(self, mini_scene):
         """An occupied forest with an explicit zero total is a caller
         bug, not a degenerate summary: it raises, never divides."""
-        res = PhotonSimulator(
-            mini_scene, SimulationConfig(n_photons=200)
-        ).run()
+        res = run_scalar(mini_scene, SimulationConfig(n_photons=200))
         with pytest.raises(ValueError, match="total_photons"):
             forest_error_summary(res.forest, total_photons=0)
         with pytest.raises(ValueError, match="total_photons"):
@@ -152,9 +148,9 @@ class TestDecayExponent:
         probe_dir = Vec3(0.0, 1.0, 0.0)
 
         def probe(n: int) -> float:
-            res = PhotonSimulator(
+            res = run_scalar(
                 mini_scene, SimulationConfig(n_photons=n, seed=17, policy=policy)
-            ).run()
+            )
             field = RadianceField(mini_scene, res.forest)
             return sum(field.sample(0, 0.5, 0.5, probe_dir).rgb)
 

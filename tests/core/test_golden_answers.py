@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RenderSession, SimulateRequest
 from repro.cli import main as cli_main
-from repro.core import PhotonSimulator, save_answer
+from repro.core import run_scalar, save_answer
 from repro.core.vectorized import VectorEngine
 from repro.parallel.procpool import run_procpool
 from tests.data.regenerate import DATA_DIR, GOLDEN_PHOTONS, GOLDEN_SEED, golden_config
@@ -53,7 +54,7 @@ def answer_bytes(result, tmp_path: Path) -> bytes:
 
 
 def simulate_bytes(scene, config, tmp_path: Path) -> bytes:
-    return answer_bytes(PhotonSimulator(scene, config).run(), tmp_path)
+    return answer_bytes(run_scalar(scene, config), tmp_path)
 
 
 class TestSubstreamGoldens:
@@ -68,7 +69,11 @@ class TestSubstreamGoldens:
     @pytest.mark.parametrize("scene_name", sorted(SCENE_FIXTURES))
     def test_vector_engine(self, request, tmp_path, scene_name):
         scene = scene_for(request, scene_name)
-        got = simulate_bytes(scene, golden_config("vector", "substream"), tmp_path)
+        with RenderSession(scene) as session:
+            result = session.simulate(
+                SimulateRequest(n_photons=GOLDEN_PHOTONS, seed=GOLDEN_SEED)
+            )
+        got = answer_bytes(result, tmp_path)
         assert got == golden_bytes(f"{scene_name}.substream.answer.json")
 
     @pytest.mark.parametrize("accel", ["flat", "linear"])

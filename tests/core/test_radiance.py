@@ -5,10 +5,10 @@ import math
 import pytest
 
 from repro.core import (
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
+    run_scalar,
 )
 from repro.core.binning import BinCoords
 from repro.core.bintree import BinForest
@@ -19,7 +19,7 @@ from repro.geometry import Vec3
 def sim_result(request):
     scene = request.getfixturevalue("mini_scene")
     cfg = SimulationConfig(n_photons=4000, policy=SplitPolicy(min_count=16))
-    return PhotonSimulator(scene, cfg).run()
+    return run_scalar(scene, cfg)
 
 
 class TestConstruction:
@@ -96,9 +96,7 @@ class TestEnergy:
         value (weak convergence check on the floor's mean exitance)."""
         values = []
         for n in (1000, 8000):
-            res = PhotonSimulator(
-                mini_scene, SimulationConfig(n_photons=n, seed=10)
-            ).run()
+            res = run_scalar(mini_scene, SimulationConfig(n_photons=n, seed=10))
             field = RadianceField(mini_scene, res.forest)
             values.append(sum(field.patch_exitance(0)))
         # Both estimates must agree within Monte Carlo tolerance.
@@ -109,13 +107,13 @@ class TestLambertianRadiance:
     def test_diffuse_radiance_isotropic(self, mini_scene):
         """A Lambertian surface's radiance is direction-independent; the
         histogram estimate should agree across directions within noise."""
-        res = PhotonSimulator(
+        res = run_scalar(
             mini_scene,
             SimulationConfig(
                 n_photons=12000,
                 policy=SplitPolicy(min_count=64, max_depth=4),
             ),
-        ).run()
+        )
         field = RadianceField(mini_scene, res.forest)
         d1 = Vec3(0.0, 1.0, 0.0)
         d2 = Vec3(0.6, 0.6, 0.0).normalized()

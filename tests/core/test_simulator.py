@@ -1,14 +1,16 @@
-"""Serial simulator: determinism, accounting identities, batching."""
+"""The scalar oracle: determinism, accounting identities, batching."""
 
 import json
 
 import pytest
 
+from repro.api import RenderSession, SimulateRequest
 from repro.core import (
-    PhotonSimulator,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
+    run_scalar,
+    run_scalar_batches,
     trace_photon,
 )
 from repro.rng import Lcg48
@@ -56,20 +58,20 @@ class TestTracePhoton:
 
 class TestSimulator:
     def test_deterministic(self, mini_scene, fast_config):
-        a = PhotonSimulator(mini_scene, fast_config).run()
-        b = PhotonSimulator(mini_scene, fast_config).run()
+        a = run_scalar(mini_scene, fast_config)
+        b = run_scalar(mini_scene, fast_config)
         assert json.dumps(forest_to_dict(a.forest), sort_keys=True) == json.dumps(
             forest_to_dict(b.forest), sort_keys=True
         )
 
     def test_seed_changes_answer(self, mini_scene):
-        a = PhotonSimulator(mini_scene, SimulationConfig(n_photons=200, seed=1)).run()
-        b = PhotonSimulator(mini_scene, SimulationConfig(n_photons=200, seed=2)).run()
+        a = run_scalar(mini_scene, SimulationConfig(n_photons=200, seed=1))
+        b = run_scalar(mini_scene, SimulationConfig(n_photons=200, seed=2))
         assert forest_to_dict(a.forest) != forest_to_dict(b.forest)
 
     def test_tally_identity(self, mini_scene, fast_config):
         """Total tallies = photons emitted + reflections."""
-        res = PhotonSimulator(mini_scene, fast_config).run()
+        res = run_scalar(mini_scene, fast_config)
         assert (
             res.forest.total_tallies
             == res.stats.photons + res.stats.reflections
@@ -77,15 +79,15 @@ class TestSimulator:
         assert res.stats.photons == fast_config.n_photons
 
     def test_invariants(self, mini_scene, fast_config):
-        res = PhotonSimulator(mini_scene, fast_config).run()
+        res = run_scalar(mini_scene, fast_config)
         res.forest.check_invariants()
 
     def test_band_emitted_sums(self, mini_scene, fast_config):
-        res = PhotonSimulator(mini_scene, fast_config).run()
+        res = run_scalar(mini_scene, fast_config)
         assert sum(res.forest.band_emitted) == fast_config.n_photons
 
     def test_zero_photons(self, mini_scene):
-        res = PhotonSimulator(mini_scene, SimulationConfig(n_photons=0)).run()
+        res = run_scalar(mini_scene, SimulationConfig(n_photons=0))
         assert res.forest.total_tallies == 0
 
     def test_negative_photons_rejected(self):
@@ -93,23 +95,23 @@ class TestSimulator:
             SimulationConfig(n_photons=-1)
 
     def test_view_dependent_polygons(self, mini_scene):
-        res = PhotonSimulator(
+        res = run_scalar(
             mini_scene,
             SimulationConfig(n_photons=2000, policy=SplitPolicy(min_count=8)),
-        ).run()
+        )
         assert res.view_dependent_polygons == res.forest.leaf_count
         assert res.view_dependent_polygons > mini_scene.defining_polygon_count
 
     def test_mean_bounces_positive(self, mini_scene, fast_config):
-        res = PhotonSimulator(mini_scene, fast_config).run()
+        res = run_scalar(mini_scene, fast_config)
         assert res.stats.mean_bounces > 0.1
 
 
 class TestBatches:
     def test_batches_accumulate_to_full_run(self, mini_scene, fast_config):
-        full = PhotonSimulator(mini_scene, fast_config).run()
+        full = run_scalar(mini_scene, fast_config)
         last = None
-        for partial in PhotonSimulator(mini_scene, fast_config).run_batches(100):
+        for partial in run_scalar_batches(mini_scene, fast_config, 100):
             last = partial
         assert last is not None
         assert json.dumps(forest_to_dict(last.forest), sort_keys=True) == json.dumps(
@@ -118,27 +120,30 @@ class TestBatches:
 
     def test_batch_count(self, mini_scene):
         cfg = SimulationConfig(n_photons=250)
-        batches = list(PhotonSimulator(mini_scene, cfg).run_batches(100))
+        batches = list(run_scalar_batches(mini_scene, cfg, 100))
         assert len(batches) == 3  # 100 + 100 + 50
 
     def test_monotone_growth(self, mini_scene):
         cfg = SimulationConfig(n_photons=400)
         totals = [
             r.forest.total_tallies
-            for r in PhotonSimulator(mini_scene, cfg).run_batches(100)
+            for r in run_scalar_batches(mini_scene, cfg, 100)
         ]
         assert totals == sorted(totals)
 
     def test_bad_batch_size(self, mini_scene, fast_config):
         with pytest.raises(ValueError):
-            list(PhotonSimulator(mini_scene, fast_config).run_batches(0))
+            run_scalar_batches(mini_scene, fast_config, 0)
 
     def test_vector_workers_rejected_not_ignored(self, mini_scene):
-        """run_batches is single-process; a pool config must error
-        loudly instead of silently tracing on one core."""
+        """The oracle traces scalar configs only; a vector (pool) config
+        is a loud error naming the serving path, not a silent scalar
+        run on one core."""
         cfg = SimulationConfig(n_photons=200, engine="vector", workers=3)
-        with pytest.raises(ValueError, match="simulate_stream"):
-            next(PhotonSimulator(mini_scene, cfg).run_batches(100))
+        with pytest.raises(ValueError, match="RenderSession"):
+            run_scalar(mini_scene, cfg)
+        with pytest.raises(ValueError, match="RenderSession"):
+            run_scalar_batches(mini_scene, cfg, 100)
 
     def test_scalar_workers_rejected_at_config(self):
         """The scalar engine cannot even configure a pool — the config
@@ -146,9 +151,11 @@ class TestBatches:
         with pytest.raises(ValueError, match="vector"):
             SimulationConfig(n_photons=200, engine="scalar", workers=3)
 
-    def test_vector_run_batches_single_worker_ok(self, mini_scene):
-        cfg = SimulationConfig(n_photons=120, engine="vector", workers=1)
-        results = list(PhotonSimulator(mini_scene, cfg).run_batches(60))
+    def test_vector_batches_stream_from_a_session(self, mini_scene):
+        with RenderSession(mini_scene) as session:
+            results = list(
+                session.simulate_stream(SimulateRequest(n_photons=120), 60)
+            )
         assert len(results) == 2
         assert results[-1].forest.photons_emitted == 120
 
@@ -162,7 +169,7 @@ class TestMemoryGrowth:
         )
         leaf_counts = [
             r.forest.leaf_count
-            for r in PhotonSimulator(mini_scene, cfg).run_batches(500)
+            for r in run_scalar_batches(mini_scene, cfg, 500)
         ]
         early_rate = leaf_counts[1] - leaf_counts[0]
         late_rate = leaf_counts[-1] - leaf_counts[-2]

@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import (
     FluorescenceSpec,
-    PhotonSimulator,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
     photon_substream,
+    run_scalar,
     substream_states,
     trace_photon,
 )
@@ -36,9 +37,18 @@ FLUOR = FluorescenceSpec.simple(
 
 
 def run_engine(scene, engine: str, **kwargs) -> tuple[dict, object]:
-    """Simulate with *engine* under substream RNG; (forest dict, stats)."""
-    config = SimulationConfig(engine=engine, rng_mode="substream", **kwargs)
-    result = PhotonSimulator(scene, config).run()
+    """Simulate with *engine* under substream RNG; (forest dict, stats).
+
+    The scalar side is the oracle loop; the vector side is served by a
+    session, the one serving path.
+    """
+    if engine == "scalar":
+        config = SimulationConfig(rng_mode="substream", **kwargs)
+        result = run_scalar(scene, config)
+    else:
+        options = SessionOptions(batch_size=kwargs.pop("batch_size", 4096))
+        with RenderSession(scene, options) as session:
+            result = session.simulate(SimulateRequest(**kwargs))
     result.forest.check_invariants()
     return forest_to_dict(result.forest), result.stats
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import (
     Camera,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
+    run_scalar,
 )
 from repro.core.viewing import render, render_rows
 from repro.geometry import Vec3
@@ -16,7 +16,7 @@ from repro.geometry import Vec3
 @pytest.fixture(scope="module")
 def field(request):
     scene = request.getfixturevalue("mini_scene")
-    res = PhotonSimulator(scene, SimulationConfig(n_photons=3000)).run()
+    res = run_scalar(scene, SimulationConfig(n_photons=3000))
     return RadianceField(scene, res.forest)
 
 

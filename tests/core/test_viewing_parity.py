@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import PhotonSimulator, RadianceField, SimulationConfig
+from repro.core import RadianceField, SimulationConfig, run_scalar
 from repro.core.vectorized import SceneArrays, VectorEngine
 from repro.core.viewing import Camera, render, render_rows
 from repro.geometry import Vec3
@@ -63,10 +63,7 @@ _BUILDERS = {
 def _case(name: str):
     """(scene, patch-keyed field, {accel: engine}) — built once per scene."""
     scene = _BUILDERS[name]()
-    with pytest.warns(DeprecationWarning):
-        result = PhotonSimulator(
-            scene, SimulationConfig(n_photons=2500, seed=41)
-        ).run()
+    result = run_scalar(scene, SimulationConfig(n_photons=2500, seed=41))
     arrays = SceneArrays(scene)
     engines = {
         accel: VectorEngine(arrays=arrays, accel=accel)

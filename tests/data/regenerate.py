@@ -29,7 +29,7 @@ import hashlib
 from pathlib import Path
 
 from repro.api import RenderSession
-from repro.core import PhotonSimulator, SimulationConfig, load_answer, save_answer
+from repro.core import SimulationConfig, load_answer, run_scalar, save_answer
 from repro.image.ppm import ppm_bytes
 from repro.image.tonemap import to_uint8
 from repro.scenes import build_scene
@@ -78,7 +78,7 @@ def main() -> None:
     image_lines = []
     for name in SCENES + GEN_SCENES:
         scene = build_scene(name)
-        result = PhotonSimulator(scene, golden_config("scalar", "substream")).run()
+        result = run_scalar(scene, golden_config("scalar", "substream"))
         out = DATA_DIR / golden_name(name)
         save_answer(result.forest, out)
         print(f"wrote {out} ({out.stat().st_size} bytes)")
@@ -90,7 +90,7 @@ def main() -> None:
     IMAGE_HASHES.write_text("".join(image_lines))
     print(f"wrote {IMAGE_HASHES} ({len(image_lines)} images)")
     scene = build_scene("cornell-box")
-    result = PhotonSimulator(scene, golden_config("scalar", "stream")).run()
+    result = run_scalar(scene, golden_config("scalar", "stream"))
     out = DATA_DIR / "cornell-box.stream.answer.json"
     save_answer(result.forest, out)
     print(f"wrote {out} ({out.stat().st_size} bytes)")

@@ -17,7 +17,8 @@ import time
 
 import pytest
 
-from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
+from repro.api import RenderSession, SceneProgram, SimulateRequest
+from repro.core import SimulationConfig, run_scalar
 from repro.geometry import Octree, Scene
 from repro.scenes import generate_scene, save_scene
 from repro.scenes.loader import parse_scene
@@ -42,7 +43,6 @@ def test_vector_serving_never_builds_the_octree(octree_builds, tmp_path):
     scene = generate_scene("office-64")
     program = SceneProgram.compile(scene)
     with RenderSession(program) as session:
-        assert session.options.engine == "vector"
         result = session.simulate(SimulateRequest(n_photons=300, seed=11))
         session.render(result, width=16, height=12)
     save_scene(scene, tmp_path / "office.json")
@@ -60,18 +60,16 @@ def test_bounds_are_the_octree_root_cell(octree_builds):
     assert scene.default_camera == generate_scene("office-8@3").default_camera
 
 
-def test_concurrent_scalar_sessions_build_it_once(octree_builds):
+def test_concurrent_scalar_runs_build_it_once(octree_builds):
     scene = generate_scene("office-8")
-    program = SceneProgram.compile(scene, eager=False)
     start = threading.Barrier(4)
     answers, errors = [], []
 
     def serve(seed):
         try:
-            with RenderSession(program, SessionOptions(engine="scalar")) as session:
-                start.wait(timeout=30)
-                answers.append(session.simulate(
-                    SimulateRequest(n_photons=40, seed=seed, rng_mode="substream")))
+            start.wait(timeout=30)
+            answers.append(run_scalar(scene, SimulationConfig(
+                n_photons=40, seed=seed, rng_mode="substream")))
         except Exception as exc:  # surfaced below, on the main thread
             errors.append(exc)
 

@@ -7,12 +7,12 @@ import pytest
 
 from repro.core import (
     Camera,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
     load_answer,
+    run_scalar,
     save_answer,
 )
 from repro.core.viewing import render
@@ -26,7 +26,7 @@ class TestSimulateSaveView:
 
     def test_full_pipeline(self, mini_scene, tmp_path):
         cfg = SimulationConfig(n_photons=2500, policy=SplitPolicy(min_count=16))
-        result = PhotonSimulator(mini_scene, cfg).run()
+        result = run_scalar(mini_scene, cfg)
         answer = tmp_path / "mini.answer.json"
         save_answer(result.forest, answer)
 
@@ -42,7 +42,7 @@ class TestSimulateSaveView:
 
     def test_two_viewpoints_one_answer(self, mini_scene):
         cfg = SimulationConfig(n_photons=2000)
-        result = PhotonSimulator(mini_scene, cfg).run()
+        result = run_scalar(mini_scene, cfg)
         field = RadianceField(mini_scene, result.forest)
         img1 = render(mini_scene, field, Camera(Vec3(0.1, 0.5, 0.1), Vec3(0.9, 0.5, 0.9), width=8, height=8))
         img2 = render(mini_scene, field, Camera(Vec3(0.9, 0.5, 0.9), Vec3(0.1, 0.5, 0.1), width=8, height=8))
@@ -53,9 +53,7 @@ class TestParallelConsistency:
     def test_shared_and_serial_same_image(self, mini_scene):
         """Shared-memory with one worker renders bit-identically to the
         serial simulator."""
-        serial = PhotonSimulator(
-            mini_scene, SimulationConfig(n_photons=1500, seed=3)
-        ).run()
+        serial = run_scalar(mini_scene, SimulationConfig(n_photons=1500, seed=3))
         shared = run_shared(mini_scene, SharedConfig(n_photons=1500, seed=3), 1)
         cam = Camera(Vec3(0.5, 0.5, 0.05), Vec3(0.5, 0.5, 1.0), width=12, height=8)
         img_a = render(mini_scene, RadianceField(mini_scene, serial.forest), cam)
@@ -77,9 +75,7 @@ class TestParallelConsistency:
         """Different photon schedules, same light: the images agree to
         Monte Carlo tolerance."""
         n = 4000
-        serial = PhotonSimulator(
-            mini_scene, SimulationConfig(n_photons=n, seed=5)
-        ).run()
+        serial = run_scalar(mini_scene, SimulationConfig(n_photons=n, seed=5))
         dist = run_distributed(
             mini_scene,
             DistributedConfig(n_photons=n, batch_size=500, pilot_photons=400, seed=5),
@@ -101,15 +97,11 @@ class TestQualityImprovesWithPhotons:
         """Fig. 5.16's substance: more photons (what more processors buy
         in fixed time) -> less image noise vs a long reference."""
         cam = Camera(Vec3(0.5, 0.5, 0.05), Vec3(0.5, 0.5, 1.0), width=10, height=8)
-        ref = PhotonSimulator(
-            mini_scene, SimulationConfig(n_photons=16000, seed=99)
-        ).run()
+        ref = run_scalar(mini_scene, SimulationConfig(n_photons=16000, seed=99))
         ref_img = render(mini_scene, RadianceField(mini_scene, ref.forest), cam)
         errors = []
         for n in (500, 4000):
-            res = PhotonSimulator(
-                mini_scene, SimulationConfig(n_photons=n, seed=7)
-            ).run()
+            res = run_scalar(mini_scene, SimulationConfig(n_photons=n, seed=7))
             img = render(mini_scene, RadianceField(mini_scene, res.forest), cam)
             errors.append(rmse(ref_img, img))
         assert errors[1] < errors[0]
@@ -123,7 +115,7 @@ class TestMirrorBehaviour:
         cfg = SimulationConfig(
             n_photons=6000, policy=SplitPolicy(min_count=16), seed=11
         )
-        res = PhotonSimulator(cornell, cfg).run()
+        res = run_scalar(cornell, cfg)
         mirror_ids = [
             p.patch_id for p in cornell.patches if p.material.is_mirror
         ]

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core import (
     FluorescenceSpec,
-    PhotonSimulator,
     RadianceField,
     SimulationConfig,
+    run_scalar,
+    run_scalar_batches,
 )
 from repro.geometry import Scene, Vec3, axis_rect, matte
 from repro.geometry.material import Material, RGB, emitter
@@ -33,12 +34,10 @@ def gallery() -> Scene:
 class TestFluorescentPipeline:
     def test_green_appears_only_with_fluorescence(self, gallery):
         spec = FluorescenceSpec.simple(blue_to_green=0.7)
-        plain = PhotonSimulator(
-            gallery, SimulationConfig(n_photons=1500, seed=5)
-        ).run()
-        glowing = PhotonSimulator(
+        plain = run_scalar(gallery, SimulationConfig(n_photons=1500, seed=5))
+        glowing = run_scalar(
             gallery, SimulationConfig(n_photons=1500, seed=5, fluorescence=spec)
-        ).run()
+        )
         # Without fluorescence a blue-only scene has zero green tallies.
         assert plain.forest.band_tallies[1] == 0
         assert glowing.forest.band_tallies[1] > 0
@@ -47,9 +46,9 @@ class TestFluorescentPipeline:
 
     def test_green_radiance_on_poster(self, gallery):
         spec = FluorescenceSpec.simple(blue_to_green=0.9)
-        res = PhotonSimulator(
+        res = run_scalar(
             gallery, SimulationConfig(n_photons=4000, seed=6, fluorescence=spec)
-        ).run()
+        )
         field = RadianceField(gallery, res.forest)
         sample = field.sample(0, 0.5, 0.5, Vec3(0, 1, 0))
         # Note: band power normalisation uses *emitted* band power; the
@@ -59,9 +58,9 @@ class TestFluorescentPipeline:
 
     def test_fluorescence_conserves_accounting(self, gallery):
         spec = FluorescenceSpec.simple(blue_to_green=0.5, blue_to_red=0.2)
-        res = PhotonSimulator(
+        res = run_scalar(
             gallery, SimulationConfig(n_photons=1000, seed=7, fluorescence=spec)
-        ).run()
+        )
         res.forest.check_invariants()
         assert (
             res.forest.total_tallies
@@ -70,10 +69,8 @@ class TestFluorescentPipeline:
 
     def test_batches_support_fluorescence(self, gallery):
         spec = FluorescenceSpec.simple(blue_to_green=0.7)
-        sim = PhotonSimulator(
-            gallery, SimulationConfig(n_photons=600, seed=8, fluorescence=spec)
-        )
+        config = SimulationConfig(n_photons=600, seed=8, fluorescence=spec)
         last = None
-        for partial in sim.run_batches(200):
+        for partial in run_scalar_batches(gallery, config, 200):
             last = partial
         assert last is not None and last.forest.band_tallies[1] > 0

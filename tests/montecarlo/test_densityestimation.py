@@ -55,11 +55,11 @@ class TestStorageContrast:
         the hit file stores verbatim.  At realistic photon counts the
         gap is 1-2 orders of magnitude; even at test scale the forest
         must win."""
-        from repro.core import PhotonSimulator, SimulationConfig
+        from repro.core import SimulationConfig, run_scalar
 
         n = 3000
         de = run_density_estimation(mini_scene, n, seed=4)
-        res = PhotonSimulator(mini_scene, SimulationConfig(n_photons=n, seed=4)).run()
+        res = run_scalar(mini_scene, SimulationConfig(n_photons=n, seed=4))
         assert res.forest.memory_bytes() < de.hit_bytes
 
 

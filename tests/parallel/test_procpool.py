@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.core import PhotonSimulator, SimulationConfig, SplitPolicy, forest_to_dict
+from repro.core import SimulationConfig, SplitPolicy, forest_to_dict
 from repro.core.bintree import merge_rank_forests
-from repro.core.vectorized import EventBatch
+from repro.core.vectorized import EventBatch, VectorEngine
 from repro.parallel.procpool import (
     _build_section,
     _trace_shard,
@@ -41,7 +41,7 @@ def reference(request):
     """Single-process vector run the pool must reproduce."""
     cornell = request.getfixturevalue("cornell")
     config = SimulationConfig(n_photons=1200, seed=0xC0FFEE, engine="vector")
-    return PhotonSimulator(cornell, config).run()
+    return VectorEngine(cornell).run(config)
 
 
 class TestWorkerInvariance:
@@ -69,7 +69,7 @@ class TestWorkerInvariance:
         config = SimulationConfig(
             n_photons=1200, seed=0xC0FFEE, engine="vector", workers=2
         )
-        result = PhotonSimulator(cornell, config).run()
+        result = run_procpool(cornell, config)
         assert result.stats == reference.stats
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 

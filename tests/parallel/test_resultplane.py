@@ -30,7 +30,6 @@ import pytest
 
 from repro.core import (
     EVENT_FIELDS,
-    PhotonSimulator,
     SimulationConfig,
     forest_to_dict,
 )
@@ -166,7 +165,7 @@ class TestPooledRuns:
     @pytest.fixture(scope="class")
     def reference(self, cornell):
         config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
-        return PhotonSimulator(cornell, config).run()
+        return VectorEngine(cornell).run(config)
 
     @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
     def test_pool_returns_events_through_blocks(self, request, scene_name):

@@ -15,10 +15,10 @@ import threading
 import pytest
 
 from repro.core import (
-    PhotonSimulator,
     SimulationConfig,
     SplitPolicy,
     forest_to_dict,
+    run_scalar,
     save_answer,
 )
 from repro.core.vectorized import VectorEngine
@@ -91,7 +91,7 @@ class TestSharedRun:
         cfg_shared = SharedConfig(n_photons=400, seed=42)
         cfg_serial = SimulationConfig(n_photons=400, seed=42)
         shared = run_shared(mini_scene, cfg_shared, 1)
-        serial = PhotonSimulator(mini_scene, cfg_serial).run()
+        serial = run_scalar(mini_scene, cfg_serial)
         assert json.dumps(forest_to_dict(shared.forest), sort_keys=True) == json.dumps(
             forest_to_dict(serial.forest), sort_keys=True
         )
@@ -144,7 +144,7 @@ class TestSharedVector:
         picked = {VectorEngine(scene).accel: scene for scene in (cornell, harpsichord)}
         assert sorted(picked) == ["flat", "linear"]
         return {
-            accel: (scene, PhotonSimulator(scene, config).run())
+            accel: (scene, VectorEngine(scene).run(config))
             for accel, scene in picked.items()
         }
 

@@ -28,7 +28,6 @@ import pytest
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import (
     EVENT_FIELDS,
-    PhotonSimulator,
     SceneArrays,
     SimulationConfig,
     VectorEngine,
@@ -217,7 +216,7 @@ class TestPooledRuns:
     @pytest.fixture(scope="class")
     def reference(self, cornell):
         config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
-        return PhotonSimulator(cornell, config).run()
+        return VectorEngine(cornell).run(config)
 
     @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
     def test_pool_matches_single_process_on_any_scene_size(

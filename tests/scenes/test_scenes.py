@@ -114,10 +114,10 @@ class TestSceneSanity:
 
     @pytest.mark.parametrize("fixture", ["cornell", "harpsichord", "lab_small"])
     def test_short_simulation_runs(self, request, fixture):
-        from repro.core import PhotonSimulator, SimulationConfig
+        from repro.core import SimulationConfig, run_scalar
 
         scene = request.getfixturevalue(fixture)
-        res = PhotonSimulator(scene, SimulationConfig(n_photons=50)).run()
+        res = run_scalar(scene, SimulationConfig(n_photons=50))
         res.forest.check_invariants()
         assert res.forest.total_tallies >= 50
 

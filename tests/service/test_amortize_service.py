@@ -201,6 +201,36 @@ class TestStrictFieldTypes:
         assert status == 200
 
 
+class TestRemovedRngField:
+    """Serving is substream-only: a leftover ``"rng"`` is an unknown
+    field on every route, refused before a session is acquired."""
+
+    @pytest.mark.parametrize("path", [
+        simulate_path("cornell-box"),
+        simulate_path("cornell-box", stream=True),
+        "/scenes/cornell-box/render",
+    ], ids=["oneshot", "stream", "render"])
+    @pytest.mark.parametrize("value", ["stream", 5], ids=["stream", "int"])
+    def test_rng_is_an_unknown_field(self, amortized, path, value):
+        amortized.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = service_stats(amortized)
+        status, _, body = amortized.request(
+            "POST", path, {"photons": 100, "rng": value}
+        )
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad-request"
+        assert "'rng'" in error["message"]
+        after = service_stats(amortized)
+        assert after["requests"]["bad_requests"] == (
+            before["requests"]["bad_requests"] + 1
+        )
+        scene_before = before["scenes"]["cornell-box"]
+        scene_after = after["scenes"]["cornell-box"]
+        assert scene_after["pool"]["acquired"] == scene_before["pool"]["acquired"]
+        assert scene_after["amortize"] == scene_before["amortize"]
+
+
 class TestTargetError:
     def test_body_field_early_stops_with_headers(self, amortized, tmp_path):
         status, headers, body = amortized.request(

@@ -25,7 +25,7 @@ needs_plane = pytest.mark.skipif(
     not plane_available(), reason="no multiprocessing.shared_memory here"
 )
 
-REQUEST = SimulateRequest(n_photons=600, seed=0xD15C, rng_mode="substream")
+REQUEST = SimulateRequest(n_photons=600, seed=0xD15C)
 
 
 class TestSessionLevel:
@@ -42,7 +42,7 @@ class TestSessionLevel:
 
     @needs_plane
     def test_multiprocess_stream_cancel_keeps_shm_clean(self, mini_scene):
-        options = SessionOptions(engine="vector", workers=2)
+        options = SessionOptions(workers=2)
         baseline = len(leaked_segments())
         with RenderSession(mini_scene, options) as session:
             stream = session.simulate_stream(REQUEST, 64)

@@ -38,7 +38,7 @@ needs_plane = pytest.mark.skipif(
     not plane_available(), reason="no multiprocessing.shared_memory here"
 )
 
-REQUEST = SimulateRequest(n_photons=200, seed=0xFEED, rng_mode="substream")
+REQUEST = SimulateRequest(n_photons=200, seed=0xFEED)
 
 
 def make_factory(options=None, calls=None, **pool_kwargs):
@@ -148,7 +148,7 @@ class TestResidency:
 class TestEvictionSegmentContract:
     """The satellite contract: evict with a live session, then re-admit."""
 
-    OPTIONS = SessionOptions(engine="vector", workers=2)
+    OPTIONS = SessionOptions(workers=2)
 
     def test_segment_survives_until_last_release(self):
         async def main():

@@ -64,7 +64,7 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--scene", "s"])
         assert args.port == 0 and args.host == "127.0.0.1"
-        assert args.engine == "vector"
+        assert not hasattr(args, "engine")
         assert args.max_bytes is None
 
 
@@ -99,6 +99,18 @@ class TestSimulateUsageErrors:
             )
         assert excinfo.value.code == 2
         assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--repeat", "2"], ["--amortize"], ["--target-error", "0.5"],
+    ], ids=["repeat", "amortize", "target-error"])
+    def test_session_flags_on_the_scalar_oracle_exit_2(self, capsys, flags):
+        """The scalar engine runs the reference loop once, not a
+        session: serving flags are refused, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "cornell-box", "--photons", "10",
+                  *flags, "--out", "x.json"])
+        assert excinfo.value.code == 2
+        assert "requires --engine vector" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
     def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
@@ -139,6 +151,13 @@ class TestServeCommand:
             main(["serve", "--scene", "cornell-box", "--cache-results", "on"])
         assert excinfo.value.code == 2
         assert "--cache-results" in capsys.readouterr().err
+
+    def test_removed_engine_flag_exits_2(self, capsys):
+        """Serving is the vector engine: the flag is gone, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--scene", "cornell-box", "--engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_boot_serve_sigterm(self):
         """`repro serve` boots, answers /healthz, exits 0 on SIGTERM."""

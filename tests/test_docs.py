@@ -229,16 +229,15 @@ class TestExamplesExecute:
             "script with a tiny-budget argv"
         )
 
-    @pytest.mark.parametrize("script", sorted(EXAMPLE_BUDGETS))
-    def test_example_runs(self, script, tmp_path):
+    @staticmethod
+    def run_example(script, argv, cwd):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "examples" / script),
-             *EXAMPLE_BUDGETS[script]],
-            cwd=tmp_path,  # artefacts (ppm/json) land in the tmp dir
+            [sys.executable, str(REPO_ROOT / "examples" / script), *argv],
+            cwd=cwd,  # artefacts (ppm/json) land in the tmp dir
             env=env,
             capture_output=True,
             text=True,
@@ -248,6 +247,17 @@ class TestExamplesExecute:
             f"{script} failed:\n--- stdout ---\n{proc.stdout[-2000:]}"
             f"\n--- stderr ---\n{proc.stderr[-2000:]}"
         )
+        return proc.stdout
+
+    @pytest.mark.parametrize("script", sorted(EXAMPLE_BUDGETS))
+    def test_example_runs(self, script, tmp_path):
+        self.run_example(script, EXAMPLE_BUDGETS[script], tmp_path)
+
+    def test_quickstart_compares_the_oracle_with_a_session(self, tmp_path):
+        stdout = self.run_example(
+            "quickstart.py", ["--compare-engines", "--photons", "200"], tmp_path
+        )
+        assert "answers bit-identical: True" in stdout
 
 
 class TestDocsPythonBlocksLint:
