@@ -349,6 +349,38 @@ class BinTree:
             f"tallies={self.root.total})"
         )
 
+    def clone(self) -> "BinTree":
+        """An independent copy of the tree (see :meth:`BinForest.__deepcopy__`)."""
+        tree = BinTree.__new__(BinTree)
+        tree.patch_id = self.patch_id
+        tree.policy = self.policy
+        tree.root = _clone_subtree(self.root)
+        tree.leaf_count = self.leaf_count
+        tree.node_count = self.node_count
+        tree.splits = self.splits
+        return tree
+
+
+def _clone_subtree(node: BinNode) -> BinNode:
+    """*node* and everything below it, with fresh count lists.
+
+    Every :class:`BinNode` slot is set; the immutable ones (bounds, path)
+    are shared with the original.
+    """
+    clone = BinNode.__new__(BinNode)
+    clone.lo = node.lo
+    clone.hi = node.hi
+    clone.counts = node.counts.copy()
+    clone.total = node.total
+    clone.low_counts = node.low_counts.copy()
+    clone.split_axis = node.split_axis
+    low, high = node.low_child, node.high_child
+    clone.low_child = None if low is None else _clone_subtree(low)
+    clone.high_child = None if high is None else _clone_subtree(high)
+    clone.depth = node.depth
+    clone.path = node.path
+    return clone
+
 
 def add_band_counts(counts: list, bands: np.ndarray) -> None:
     """``counts[b] += (bands == b).sum()`` for every band, in one pass.
@@ -454,6 +486,25 @@ class BinForest:
             f"BinForest({self.tree_count} trees, {self.leaf_count} leaves, "
             f"{self.total_tallies} tallies)"
         )
+
+    def __deepcopy__(self, memo: dict) -> "BinForest":
+        """``copy.deepcopy`` without the generic per-object walk.
+
+        A session top-up copies the cached forest while it holds the
+        kernel gate, and the generic walk pays a ``copyreg`` round trip
+        for every slotted node.  This rebuilds each node directly with
+        fresh count lists and shares what is immutable: bin bounds,
+        paths, tree keys and the frozen policy.  Tree order is kept.
+        """
+        clone = BinForest.__new__(BinForest)
+        memo[id(self)] = clone
+        clone.policy = self.policy
+        clone.trees = {key: tree.clone() for key, tree in self.trees.items()}
+        clone.total_tallies = self.total_tallies
+        clone.band_tallies = self.band_tallies.copy()
+        clone.photons_emitted = self.photons_emitted
+        clone.band_emitted = self.band_emitted.copy()
+        return clone
 
 
 def merge_rank_forests(forests, policy: Optional[SplitPolicy]) -> BinForest:

@@ -68,6 +68,7 @@ the contract :mod:`repro.parallel.procpool` relies on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -128,9 +129,13 @@ PRUNE_PATCH_THRESHOLD = 32
 
 #: ``(lanes, patch columns)`` of one tile of the dense scan
 #: (:meth:`VectorEngine._test_patches`): ~16k elements, 128 KB per float64
-#: temporary, so the ~55 array passes of the plane/barycentric test run on
+#: plane, so the ~55 array passes of the plane/barycentric test run on
 #: cache-resident operands and peak memory is independent of the
-#: caller's batch size.  A constant, not a knob.  Measured on the
+#: caller's batch size.  A constant, not a knob.  Re-measured once the
+#: passes wrote into one workspace instead of fresh temporaries
+#: (alternating 10k-photon cornell traces, 6 rounds, 2-vCPU Xeon):
+#: medians 83.0 / 80.5 / 80.3 / 83.2 ms at 256 / 512 / 1,024 / 2,048
+#: lanes, no shape ahead in every round, so 512 stays.  Measured on the
 #: ``cornell_serial`` bench workload (10k-photon requests, 4,096-lane
 #: batches, 30 patches), photons/sec by lane count: 125k at 128, a
 #: plateau of 130-137k from 192 to 512, against 105k for the whole batch
@@ -142,6 +147,18 @@ PRUNE_PATCH_THRESHOLD = 32
 #: lanes against 400-490 at 512 or untiled, and ``service_mixed`` loses
 #: 4-5 % requests/sec at 256 or 384 lanes and nothing at 512.
 DENSE_TILE = (512, 32)
+
+#: The per-patch constants the intersection test reads
+#: (:meth:`VectorEngine._hit_consts`), in gather order.
+_HIT_CONSTS = (
+    "nx", "ny", "nz", "d_plane",
+    "p0x", "p0y", "p0z", "eux", "euy", "euz", "evx", "evy", "evz",
+    "inv_uu", "inv_vv", "inv_uv", "det_inv",
+)
+
+#: Float planes the intersection test computes in: eight for
+#: :meth:`VectorEngine._surface_params`, then one holding ``t``.
+_HIT_PLANES = 9
 
 _MASK = MODULUS - 1
 _INV_MODULUS = 1.0 / MODULUS
@@ -191,16 +208,17 @@ def substream_states(seed: int, start: int, count: int) -> np.ndarray:
 
 def _atan2_theta(ly: np.ndarray, lx: np.ndarray) -> np.ndarray:
     """``atan2`` folded to [0, 2 pi), via libm for bit-parity with scalar."""
-    atan2 = math.atan2
-    vals = [atan2(b, a) for a, b in zip(lx.tolist(), ly.tolist())]
-    theta = np.array(vals, dtype=np.float64) if vals else np.empty(0)
+    theta = np.fromiter(
+        map(math.atan2, ly.tolist(), lx.tolist()), np.float64, ly.size
+    )
     return np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
 
 
 def _pow_scalar(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """Element-wise ``base ** exponent`` via libm (NumPy's differs by 1 ulp)."""
-    vals = [a ** b for a, b in zip(base.tolist(), exponent.tolist())]
-    return np.array(vals, dtype=np.float64) if vals else np.empty(0)
+    return np.fromiter(
+        map(operator.pow, base.tolist(), exponent.tolist()), np.float64, base.size
+    )
 
 
 def _sincos_scalar(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +228,11 @@ def _sincos_scalar(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that is not an IEEE guarantee; the bit-parity contract must not
     depend on it.  Only the (rare) glossy lanes pay the scalar cost.
     """
-    sin, cos = math.sin, math.cos
     vals = phi.tolist()
-    s = np.array([sin(v) for v in vals], dtype=np.float64) if vals else np.empty(0)
-    c = np.array([cos(v) for v in vals], dtype=np.float64) if vals else np.empty(0)
-    return s, c
+    return (
+        np.fromiter(map(math.sin, vals), np.float64, phi.size),
+        np.fromiter(map(math.cos, vals), np.float64, phi.size),
+    )
 
 
 class SceneArrays:
@@ -743,51 +761,116 @@ class VectorEngine:
 
     # -- intersection ---------------------------------------------------------
 
-    def _surface_params(self, cols, lpx, lpy, lpz, ldx, ldy, ldz, t):
-        """Where rays reach distance *t*, and that point's ``(s, t)`` on *cols*.
+    def _hit_consts(self, cols) -> tuple:
+        """The patch constants of the intersection test, gathered at *cols*.
 
-        ``Ray.at`` then :meth:`repro.geometry.polygon.Patch.parameters_of`,
-        expression for expression; the parameters are raw (unclamped).
-        Returns ``(hx, hy, hz, sc, tc)`` in the operands' broadcast shape.
+        In :data:`_HIT_CONSTS` order, shaped like *cols*: the dense scan
+        gathers a ``[C, 1]`` column once per call, the pair kernel and
+        :meth:`hit_attributes` one row per lane.
         """
         A = self.arrays
-        hx = lpx + t * ldx
-        hy = lpy + t * ldy
-        hz = lpz + t * ldz
-        wx = hx - A.p0x[cols]
-        wy = hy - A.p0y[cols]
-        wz = hz - A.p0z[cols]
-        wu = (wx * A.eux[cols] + wy * A.euy[cols]) + wz * A.euz[cols]
-        wv = (wx * A.evx[cols] + wy * A.evy[cols]) + wz * A.evz[cols]
-        sc = (wu * A.inv_vv[cols] - wv * A.inv_uv[cols]) * A.det_inv[cols]
-        tc = (wv * A.inv_uu[cols] - wu * A.inv_uv[cols]) * A.det_inv[cols]
+        return tuple(getattr(A, name)[cols] for name in _HIT_CONSTS)
+
+    @staticmethod
+    def _surface_params(k, lpx, lpy, lpz, ldx, ldy, ldz, t, out):
+        """Where rays reach distance *t*, and that point's ``(s, t)``.
+
+        ``Ray.at`` then :meth:`repro.geometry.polygon.Patch.parameters_of`,
+        expression for expression, against the patch constants *k*
+        (:meth:`_hit_consts`); the parameters are raw (unclamped).  Every
+        pass writes into *out*, eight planes of the operands' broadcast
+        shape; ``(hx, hy, hz, sc, tc)`` are returned as views of its
+        first five.
+        """
+        (_, _, _, _, p0x, p0y, p0z, eux, euy, euz, evx, evy, evz,
+         inv_uu, inv_vv, inv_uv, det_inv) = k
+        hx, hy, hz, wx, wy, wz, wu, wv = out
+        mul, add, sub = np.multiply, np.add, np.subtract
+        # h = p + t d
+        mul(t, ldx, out=hx)
+        add(lpx, hx, out=hx)
+        mul(t, ldy, out=hy)
+        add(lpy, hy, out=hy)
+        mul(t, ldz, out=hz)
+        add(lpz, hz, out=hz)
+        # w = h - p0
+        sub(hx, p0x, out=wx)
+        sub(hy, p0y, out=wy)
+        sub(hz, p0z, out=wz)
+        # wu = (wx eux + wy euy) + wz euz
+        mul(wx, eux, out=wu)
+        mul(wy, euy, out=wv)
+        add(wu, wv, out=wu)
+        mul(wz, euz, out=wv)
+        add(wu, wv, out=wu)
+        # wv = (wx evx + wy evy) + wz evz; w's planes are free afterwards
+        mul(wx, evx, out=wv)
+        mul(wy, evy, out=wx)
+        add(wv, wx, out=wv)
+        mul(wz, evz, out=wx)
+        add(wv, wx, out=wv)
+        sc, tc, tmp = wx, wy, wz
+        # sc = (wu inv_vv - wv inv_uv) det_inv
+        mul(wu, inv_vv, out=sc)
+        mul(wv, inv_uv, out=tmp)
+        sub(sc, tmp, out=sc)
+        mul(sc, det_inv, out=sc)
+        # tc = (wv inv_uu - wu inv_uv) det_inv
+        mul(wv, inv_uu, out=tc)
+        mul(wu, inv_uv, out=tmp)
+        sub(tc, tmp, out=tc)
+        mul(tc, det_inv, out=tc)
         return hx, hy, hz, sc, tc
 
-    def _plane_hits(self, cols, lpx, lpy, lpz, ldx, ldy, ldz):
-        """Ray/plane + barycentric test of rays against patches *cols*.
+    def _plane_hits(self, k, lpx, lpy, lpz, ldx, ldy, ldz, f, b):
+        """Ray/plane + barycentric test of rays against patch constants *k*.
 
         The single home of the bit-exact intersection test
         (:meth:`repro.geometry.polygon.Patch.intersect` expression for
-        expression).  Broadcast-shape agnostic: the dense scan passes a
-        ``[C, 1]`` column of patch ids against 1-D lane operands, the
-        pair kernel gathered 1-D operands of one length.  Returns
-        ``(t, ok)`` in the broadcast shape; ``t`` is meaningful only
-        where ``ok``.
+        expression).  Broadcast-shape agnostic: the dense scan passes
+        ``[C, 1]`` patch constants against 1-D lane operands, the pair
+        kernel gathered 1-D operands of one length.  Every pass writes
+        into the caller's workspace: *f* holds :data:`_HIT_PLANES` float
+        planes and *b* two bool planes of the broadcast shape.  Returns
+        ``(t, ok)`` as views of ``f[-1]`` and ``b[0]``; ``t`` is
+        meaningful only where ``ok``.
         """
-        A = self.arrays
-        nx, ny, nz = A.nx[cols], A.ny[cols], A.nz[cols]
-        denom = (nx * ldx + ny * ldy) + nz * ldz
-        ndoto = (nx * lpx + ny * lpy) + nz * lpz
+        nx, ny, nz, d_plane = k[:4]
+        denom, tmp, t = f[0], f[1], f[-1]
+        ok, okb = b
+        mul, add = np.multiply, np.add
+        # denom = (nx dx + ny dy) + nz dz
+        mul(nx, ldx, out=denom)
+        mul(ny, ldy, out=tmp)
+        add(denom, tmp, out=denom)
+        mul(nz, ldz, out=tmp)
+        add(denom, tmp, out=denom)
+        # ndoto = (nx px + ny py) + nz pz, then t = (d - ndoto) / denom
+        mul(nx, lpx, out=t)
+        mul(ny, lpy, out=tmp)
+        add(t, tmp, out=t)
+        mul(nz, lpz, out=tmp)
+        add(t, tmp, out=t)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = (A.d_plane[cols] - ndoto) / denom
-            ok = ((denom <= -1e-14) | (denom >= 1e-14)) & (t > EPSILON)
+            np.subtract(d_plane, t, out=t)
+            np.divide(t, denom, out=t)
+            # Not parallel: |denom| >= 1e-14 is exactly the complement
+            # of the scalar test's open band -1e-14 < denom < 1e-14.
+            np.absolute(denom, out=tmp)
+            np.greater_equal(tmp, 1e-14, out=ok)
+            np.greater(t, EPSILON, out=okb)
+            ok &= okb
             # Rejected lanes may carry inf/NaN t here; their parameters
             # are masked out below, so only the warnings need suppressing.
             _, _, _, sc, tc = self._surface_params(
-                cols, lpx, lpy, lpz, ldx, ldy, ldz, t
+                k, lpx, lpy, lpz, ldx, ldy, ldz, t, f[:-1]
             )
         tol = 1e-9
-        ok &= (sc >= -tol) & (sc <= 1.0 + tol) & (tc >= -tol) & (tc <= 1.0 + tol)
+        for v in (sc, tc):
+            np.greater_equal(v, -tol, out=okb)
+            ok &= okb
+            np.less_equal(v, 1.0 + tol, out=okb)
+            ok &= okb
         self.patch_tests += t.size
         return t, ok
 
@@ -807,14 +890,36 @@ class VectorEngine:
             viewing stage tally and look up exactly where the scalar
             tracer would.
         """
-        A = self.arrays
+        k = self._hit_consts(pi)
         hx, hy, hz, hs, ht = self._surface_params(
-            pi, px, py, pz, dx, dy, dz, t_hit
+            k, px, py, pz, dx, dy, dz, t_hit,
+            np.empty((_HIT_PLANES - 1, pi.size)),
         )
         hs = np.minimum(np.maximum(hs, 0.0), 1.0)
         ht = np.minimum(np.maximum(ht, 0.0), 1.0)
-        denom = (A.nx[pi] * dx + A.ny[pi] * dy) + A.nz[pi] * dz
+        nx, ny, nz = k[:3]
+        denom = (nx * dx + ny * dy) + nz * dz
         return hx, hy, hz, hs, ht, denom > 0.0
+
+    @staticmethod
+    def _dense_workspace(lanes: int, cols: int) -> tuple:
+        """Scratch for one :meth:`_test_patches` call over lanes x cols.
+
+        ``(f, b, tmin, tid, upd)``: :data:`_HIT_PLANES` float and two
+        bool planes of one tile, laid out ``[patches, lanes]``, then the
+        per-lane rows of the tile reduction (minimum, its largest patch
+        id, three masks).  Each is sized ``min(DENSE_TILE, actual)``;
+        tiles at the ragged edges compute in a corner of it.
+        """
+        tile_lanes, tile_cols = DENSE_TILE
+        c, m = min(tile_cols, cols), min(tile_lanes, lanes)
+        return (
+            np.empty((_HIT_PLANES, c, m)),
+            np.empty((2, c, m), dtype=bool),
+            np.empty(m),
+            np.empty(m, dtype=np.int64),
+            np.empty((3, m), dtype=bool),
+        )
 
     def _test_patches(
         self, px, py, pz, dx, dy, dz, cols: np.ndarray,
@@ -828,30 +933,44 @@ class VectorEngine:
         equal t resolved to the largest patch index).  The arithmetic is
         elementwise and the rule a pure function of the candidate set,
         so where the tile edges fall cannot change a bit of the result.
-        All tile state is local to the call.
+        Every pass of the test and of the reduction writes into one
+        workspace local to the call (:meth:`_dense_workspace`), and each
+        column chunk's patch constants are gathered once per call.
         """
+        n = px.size
         tile_lanes, tile_cols = DENSE_TILE
-        chunks = [
-            cols[c0:c0 + tile_cols, None] for c0 in range(0, cols.size, tile_cols)
-        ]
-        for l0 in range(0, px.size, tile_lanes):
+        f, b, tmin, tid, upd = self._dense_workspace(n, cols.size)
+        chunks = []
+        for c0 in range(0, cols.size, tile_cols):
+            ids = cols[c0:c0 + tile_cols, None]
+            chunks.append((ids, self._hit_consts(ids)))
+        for l0 in range(0, n, tile_lanes):
             tgt = slice(l0, l0 + tile_lanes)
             ray = px[tgt], py[tgt], pz[tgt], dx[tgt], dy[tgt], dz[tgt]
             bt = best_t[tgt]
             bi = best_i[tgt]
-            for chunk in chunks:
-                t, ok = self._plane_hits(chunk, *ray)
-                tm = np.where(ok, t, np.inf)
-                cmin = tm.min(axis=0)
-                # Largest patch id among equal minima.
-                cand_i = np.where(tm == cmin, chunk, -1).max(axis=0)
-                update = (cmin < np.inf) & (
-                    (cmin < bt) | ((cmin == bt) & (cand_i > bi))
-                )
-                bt[update] = cmin[update]
-                bi[update] = cand_i[update]
-            best_t[tgt] = bt
-            best_i[tgt] = bi
+            m = bt.size
+            cmin, cand = tmin[:m], tid[:m]
+            better, tie, newer = upd[:, :m]
+            for ids, k in chunks:
+                c = ids.shape[0]
+                t, ok = self._plane_hits(k, *ray, f[:, :c, :m], b[:, :c, :m])
+                np.minimum.reduce(t, axis=0, out=cmin, initial=np.inf, where=ok)
+                # Largest patch id among the hits at that minimum.  A lane
+                # with none keeps -1, which never beats a running best: no
+                # hit lies at t = inf, where its (s, t) would be inf or NaN.
+                at_min = b[1, :c, :m]
+                np.equal(t, cmin, out=at_min)
+                at_min &= ok
+                np.maximum.reduce(np.broadcast_to(ids, at_min.shape), axis=0,
+                                  out=cand, initial=-1, where=at_min)
+                np.less(cmin, bt, out=better)
+                np.equal(cmin, bt, out=tie)
+                np.greater(cand, bi, out=newer)
+                tie &= newer
+                better |= tie
+                np.copyto(bt, cmin, where=better)
+                np.copyto(bi, cand, where=better)
 
     def _test_pairs(
         self, px, py, pz, dx, dy, dz, lanes: np.ndarray, cols: np.ndarray,
@@ -860,13 +979,15 @@ class VectorEngine:
         """Test ray ``lanes[k]`` against patch ``cols[k]`` for every pair.
 
         The flat walk's kernel: the same arithmetic as the dense scan on
-        gathered operands, then a per-lane reduction under the same tie
-        rule.  A lane may appear any number of times, and with the same
-        patch more than once.
+        gathered operands, computed in one workspace block per call, then
+        a per-lane reduction under the same tie rule.  A lane may appear
+        any number of times, and with the same patch more than once.
         """
+        m = lanes.size
         t, ok = self._plane_hits(
-            cols, px[lanes], py[lanes], pz[lanes],
+            self._hit_consts(cols), px[lanes], py[lanes], pz[lanes],
             dx[lanes], dy[lanes], dz[lanes],
+            np.empty((_HIT_PLANES, m)), np.empty((2, m), dtype=bool),
         )
         lanes, cols, t = lanes[ok], cols[ok], t[ok]
         if not lanes.size:

@@ -141,9 +141,11 @@ class Octree:
             for i, child in enumerate(children):
                 if child.bounds.overlaps(box):
                     buckets[i].append((p, box))
-        # Guard against non-progress: if every child receives every patch
-        # (patches all straddle the centre) further splitting is useless.
-        if all(len(b) == len(patch_boxes) for b in buckets):
+        # Guard against non-progress: if every child that receives a patch
+        # receives all of them, this split separates nothing (the patches
+        # all straddle the centre, or all sit in one octant, as coincident
+        # patches do at every depth), so the node stays a leaf.
+        if all(len(b) == len(patch_boxes) for b in buckets if b):
             node.patches = [p for p, _ in patch_boxes]
             return
         node.children = children

@@ -1,10 +1,15 @@
 """Bin trees and forests: policies, invariants, path lookup, memory."""
 
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.binning import TWO_PI, BinCoords
+from repro.core import SimulationConfig, forest_to_dict
+from repro.core.binning import TWO_PI, BinCoords, BinNode
 from repro.core.bintree import NODE_BYTES, BinForest, BinTree, SplitPolicy
+from repro.core.vectorized import VectorEngine
 from repro.rng import Lcg48
 
 unit = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
@@ -159,3 +164,85 @@ class TestBinForest:
         assert forest.memory_bytes() == sum(
             t.memory_bytes() for t in forest.trees.values()
         )
+
+
+def _tallied_forest() -> BinForest:
+    """Split trees under keys created out of sorted order."""
+    forest = BinForest(SplitPolicy(min_count=8))
+    rng = Lcg48(11)
+    for i in range(3000):
+        forest.tally((7, 2, 5, 0)[i % 4], skewed_coords(rng), band=rng.randint(3))
+    forest.photons_emitted = 3000
+    forest.band_emitted = [1000, 1000, 1000]
+    return forest
+
+
+def _forest_bytes(forest: BinForest) -> str:
+    return json.dumps(forest_to_dict(forest), sort_keys=True)
+
+
+def _nodes(tree: BinTree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += [node.low_child, node.high_child]
+
+
+class TestForestCopy:
+    """``copy.deepcopy`` of a forest goes through ``BinForest.__deepcopy__``."""
+
+    def test_copy_serialises_to_the_same_bytes_in_the_same_order(self):
+        forest = _tallied_forest()
+        clone = copy.deepcopy(forest)
+        assert clone is not forest
+        assert _forest_bytes(clone) == _forest_bytes(forest)
+        assert list(clone.trees) == list(forest.trees) == [7, 2, 5, 0]
+        clone.check_invariants()
+
+    def test_mutating_the_copy_leaves_the_original(self):
+        forest = _tallied_forest()
+        before = _forest_bytes(forest)
+        clone = copy.deepcopy(forest)
+        rng = Lcg48(12)
+        for i in range(2000):
+            clone.tally((2, 9)[i % 2], skewed_coords(rng), band=rng.randint(3))
+        clone.band_emitted[0] += 5
+        clone.photons_emitted += 5
+        assert _forest_bytes(forest) == before
+        assert _forest_bytes(clone) != before
+        forest.check_invariants()
+
+    def test_every_slot_and_attribute_is_carried(self):
+        """A new slot or forest attribute must be taught to the copy."""
+        forest = _tallied_forest()
+        clone = copy.deepcopy(forest)
+        assert vars(clone).keys() == vars(forest).keys()
+        assert clone.band_tallies is not forest.band_tallies
+        assert clone.band_emitted is not forest.band_emitted
+        for key, tree in forest.trees.items():
+            twin = clone.trees[key]
+            assert twin is not tree
+            for name in BinTree.__slots__:
+                if name != "root":
+                    assert getattr(twin, name) == getattr(tree, name), name
+            pairs = list(zip(_nodes(tree), _nodes(twin)))
+            assert len(pairs) == tree.node_count
+            for node, copied in pairs:
+                assert copied is not node
+                for name in BinNode.__slots__:
+                    value = getattr(copied, name)  # every slot is set
+                    if isinstance(value, list):
+                        assert value == getattr(node, name)
+                        assert value is not getattr(node, name), name
+                    elif not isinstance(value, BinNode):
+                        assert value == getattr(node, name), name
+
+    def test_simulation_result_deepcopy(self, cornell):
+        result = VectorEngine(cornell).run(SimulationConfig(
+            n_photons=400, seed=3, engine="vector", rng_mode="substream"))
+        clone = copy.deepcopy(result)
+        assert clone.forest is not result.forest
+        assert _forest_bytes(clone.forest) == _forest_bytes(result.forest)
+        assert clone.config == result.config

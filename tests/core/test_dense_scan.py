@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -214,6 +216,98 @@ class TestDenseScanProperty:
             warnings.simplefilter("error")
             scene, engine = _cornell_case()
             assert_matches_scalar(engine, scene, batch)
+
+
+# -- workspace ------------------------------------------------------------------
+
+#: An int no patch id reaches: it would win every tie if read unwritten.
+SENTINEL = 2**62
+
+
+@pytest.fixture()
+def poisoned_workspace(monkeypatch):
+    """Every dense-scan workspace starts as garbage: NaN floats, ``True``
+    bools, sentinel ints.  Returns the ``(lanes, cols)`` of each call."""
+    real = VectorEngine._dense_workspace
+    calls = []
+
+    def poisoned(lanes, cols):
+        blocks = real(lanes, cols)
+        for block in blocks:
+            block.fill({"f": np.nan, "b": True, "i": SENTINEL}[block.dtype.kind])
+        calls.append((lanes, cols))
+        return blocks
+
+    monkeypatch.setattr(VectorEngine, "_dense_workspace", staticmethod(poisoned))
+    return calls
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("scene_fixture", ["cornell", "lab_small"])
+    def test_nothing_is_read_before_it_is_written(
+        self, request, monkeypatch, poisoned_workspace, scene_fixture
+    ):
+        """Full, partial-lane and partial-chunk tiles, one workspace a call."""
+        scene = request.getfixturevalue(scene_fixture)
+        rays = concat(random_rays(scene, 8, TILE_LANES + 37), tie_rays(scene))
+        want_i, want_t, _ = scalar_scan(scene, rays)
+        engine = VectorEngine(scene, accel="linear")
+        for tile in [vectorized.DENSE_TILE, (7, 4), (100, 13), (3, 7)]:
+            monkeypatch.setattr(vectorized, "DENSE_TILE", tile)
+            engine.patch_tests = 0
+            best_i, best_t = engine.closest_hit(*rays)
+            assert best_i.tolist() == want_i, tile
+            assert best_t.tolist() == want_t, tile
+            assert engine.patch_tests == rays[0].size * len(scene.patches), tile
+        assert len(poisoned_workspace) == 4
+
+    def test_chunks_straddling_the_workspace(self, lab, poisoned_workspace):
+        engine = VectorEngine(lab, accel="linear")
+        rays = concat(random_rays(lab, 9, TILE_LANES + 5), tie_rays(lab, step=40))
+        n = rays[0].size
+        cols = np.arange(2 * TILE_COLS + 3, dtype=np.int64)
+        best_t = np.full(n, np.inf)
+        best_i = np.full(n, -1, dtype=np.int64)
+        engine._test_patches(*rays, cols, best_t, best_i)
+        want_i, want_t, _ = scalar_scan(lab, rays, cols.tolist())
+        assert (best_i.tolist(), best_t.tolist()) == (want_i, want_t)
+        assert poisoned_workspace == [(n, cols.size)]
+
+    def test_two_threads_on_one_engine(self, cornell):
+        """Each call owns its workspace: concurrent scans over different
+        rays give the sequential answers."""
+        engine = VectorEngine(cornell, accel="linear")
+        batches = [random_rays(cornell, seed, 3 * TILE_LANES + 11) for seed in (31, 32)]
+        want = [
+            tuple(a.tolist() for a in engine.closest_hit(*rays)) for rays in batches
+        ]
+        got = [[], []]
+        errors = []
+        start = threading.Barrier(2)
+
+        def scan(k):
+            try:
+                start.wait(timeout=30)
+                for _ in range(8):
+                    got[k].append(tuple(
+                        a.tolist() for a in engine.closest_hit(*batches[k])))
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for k in (0, 1):
+            assert got[k] == [want[k]] * 8
 
 
 # -- memory ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.api import RenderSession, SceneProgram, SimulateRequest
-from repro.core import SimulationConfig, run_scalar
+from repro.core import SimulationConfig, forest_to_dict, run_scalar
 from repro.geometry import Octree, Scene
 from repro.scenes import generate_scene, save_scene
 from repro.scenes.loader import parse_scene
@@ -124,8 +124,9 @@ def test_bad_octree_parameters_still_fail_at_construction():
 
 
 #: Two coincident 1 mm quads under a lamp over a floor, with an octree
-#: block asking for one patch per leaf and 22 levels: the pointer tree
-#: cannot separate the quads and grows about 4x per level to the cap.
+#: block asking for one patch per leaf and 22 levels: no split can
+#: separate the quads, so the pointer tree must stop where every octant
+#: that receives one receives both, not grow ~4x per level to the cap.
 EXPLODING_OCTREE = {
     "format": "photon-scene",
     "version": 1,
@@ -147,8 +148,7 @@ EXPLODING_OCTREE = {
 
 
 def test_exploding_octree_parameters_serve_a_vector_request():
-    """Parse and one vector request in well under the scalar tree's
-    build time (which does not finish within a minute)."""
+    """Parse and one vector request, without building the pointer tree."""
     t0 = time.perf_counter()
     scene = parse_scene(json.dumps(EXPLODING_OCTREE))
     with RenderSession(scene) as session:
@@ -157,3 +157,21 @@ def test_exploding_octree_parameters_serve_a_vector_request():
     assert result.forest.photons_emitted == 2000
     assert scene._octree is None
     assert (scene.leaf_capacity, scene.max_depth) == (1, 22)
+
+
+def test_coincident_patches_stop_the_pointer_octree():
+    """The scalar tree stops splitting where the quads cannot be told
+    apart, and the scalar oracle then serves the vector session's bytes."""
+    scene = parse_scene(json.dumps(EXPLODING_OCTREE))
+    t0 = time.perf_counter()
+    stats = scene.octree.stats
+    assert time.perf_counter() - t0 < 1.0
+    assert stats.max_depth_reached < scene.max_depth
+    assert stats.node_count < 200
+
+    scalar = run_scalar(scene, SimulationConfig(
+        n_photons=1500, seed=5, rng_mode="substream"))
+    with RenderSession(scene) as session:
+        served = session.simulate(SimulateRequest(n_photons=1500, seed=5))
+    assert (json.dumps(forest_to_dict(scalar.forest), sort_keys=True)
+            == json.dumps(forest_to_dict(served.forest), sort_keys=True))
