@@ -8,9 +8,9 @@ controller, which must land near the best fixed choice without being
 told where the optimum is.
 """
 
-from repro.cluster import INDY_CLUSTER, simulate_trace
 from repro.core import AdaptiveBatchController
-from repro.perf import format_table
+from repro.paper.cluster import INDY_CLUSTER, simulate_trace
+from repro.paper.perf import format_table
 
 TARGET_PHOTONS = 400_000
 RANKS = 8

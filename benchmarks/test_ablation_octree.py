@@ -10,7 +10,7 @@ time on the 2000-polygon Computer Laboratory.
 import pytest
 
 from repro.geometry import Ray, Vec3
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from repro.rng import Lcg48
 
 N_RAYS = 300

@@ -13,7 +13,7 @@ from repro.core.polarization import PolarizedPhoton, polarized_reflect
 from repro.core.reflection import reflect
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
 

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from tests.conftest import build_mini_scene
 
 SIGMAS = [1.5, 2.0, 3.0, 4.5]

@@ -23,9 +23,9 @@ from repro.core import (
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.montecarlo import density_phase_speedup, run_density_estimation
-from repro.perf import format_table
-from repro.radiosity import HierarchicalConfig, solve_hierarchical
-from repro.raytrace import WhittedConfig, render_whitted
+from repro.paper.perf import format_table
+from repro.paper.radiosity import HierarchicalConfig, solve_hierarchical
+from repro.paper.raytrace import WhittedConfig, render_whitted
 from repro.scenes import CORNELL_DEFAULT_CAMERA
 
 N_PHOTONS = 4000

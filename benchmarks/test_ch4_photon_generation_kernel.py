@@ -18,7 +18,7 @@ from repro.core import (
     expected_flops_rejection,
     flops_formula,
 )
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from repro.rng import Lcg48
 
 N_SCALAR = 4000

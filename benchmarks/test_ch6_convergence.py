@@ -20,7 +20,7 @@ from repro.core import (
     run_scalar,
 )
 from repro.geometry import Vec3
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from tests.conftest import build_mini_scene
 
 BUDGETS = [500, 2000, 8000]

@@ -17,12 +17,12 @@ Measured here on the Computer Laboratory:
   would need.
 """
 
-from repro.parallel import (
+from repro.paper.geomdist import (
     GeomDistConfig,
     run_geometry_distributed,
     serial_reference_tallies,
 )
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from repro.scenes import computer_lab
 
 RANKS = 4

@@ -9,8 +9,8 @@ readings put 64-node speedups in the ~16-32+ band.
 """
 
 from benchmarks.conftest import SPEEDUP_READ_TIME
-from repro.cluster import SP2, trace_family
-from repro.perf import ascii_traces, format_table, speedup_table
+from repro.paper.cluster import SP2, trace_family
+from repro.paper.perf import ascii_traces, format_table, speedup_table
 
 RANKS = [1, 2, 4, 8, 16, 32, 64]
 

@@ -8,8 +8,8 @@ coupling) shifts start times right (slower startup/communication).
 """
 
 from benchmarks.conftest import SPEEDUP_READ_TIME
-from repro.cluster import INDY_CLUSTER, POWER_ONYX, SP2, trace_family
-from repro.perf import graph_of_graphs, speedup_table
+from repro.paper.cluster import INDY_CLUSTER, POWER_ONYX, SP2, trace_family
+from repro.paper.perf import graph_of_graphs, speedup_table
 
 SCENE_ORDER = ["cornell-box", "harpsichord-room", "computer-lab"]
 

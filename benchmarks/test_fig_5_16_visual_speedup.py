@@ -17,7 +17,6 @@ scene-independent.
 
 import pytest
 
-from repro.cluster import INDY_CLUSTER, profile_scene, trace_family
 from repro.core import (
     Camera,
     RadianceField,
@@ -27,7 +26,8 @@ from repro.core import (
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse
-from repro.perf import format_table
+from repro.paper.cluster import INDY_CLUSTER, profile_scene, trace_family
+from repro.paper.perf import format_table
 from tests.conftest import build_mini_scene
 
 FIXED_TIME = 120.0  # "2 minute run"

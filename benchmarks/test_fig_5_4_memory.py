@@ -9,7 +9,7 @@ properties.
 
 from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
 from repro.montecarlo import HIT_RECORD_BYTES
-from repro.perf import format_table
+from repro.paper.perf import format_table
 
 PHOTONS = 6000
 BATCH = 600

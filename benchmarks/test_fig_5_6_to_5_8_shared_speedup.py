@@ -10,8 +10,8 @@ room near ~3, and the Computer Laboratory keeps scaling toward ~6-8.
 """
 
 from benchmarks.conftest import SPEEDUP_READ_TIME
-from repro.cluster import POWER_ONYX, trace_family
-from repro.perf import ascii_traces, format_table, speedup_table
+from repro.paper.cluster import POWER_ONYX, trace_family
+from repro.paper.perf import ascii_traces, format_table, speedup_table
 
 RANKS = [1, 2, 4, 8]
 

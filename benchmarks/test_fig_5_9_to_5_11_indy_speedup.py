@@ -7,8 +7,8 @@ result on the Harpsichord room, attributed to cache effects.
 """
 
 from benchmarks.conftest import SPEEDUP_READ_TIME
-from repro.cluster import INDY_CLUSTER, POWER_ONYX, trace_family
-from repro.perf import ascii_traces, format_table, speedup_table
+from repro.paper.cluster import INDY_CLUSTER, POWER_ONYX, trace_family
+from repro.paper.perf import ascii_traces, format_table, speedup_table
 
 RANKS = [1, 2, 4, 8]
 

@@ -33,6 +33,7 @@ import pytest
 
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core.vectorized import VectorEngine
+from repro.paper.perf import format_table
 from repro.parallel import resultplane
 from repro.parallel.procpool import PhotonPool, _shard_starts
 from repro.parallel.resultplane import (
@@ -42,7 +43,6 @@ from repro.parallel.resultplane import (
     block_capacity,
 )
 from repro.parallel.shmplane import leaked_segments, plane_available
-from repro.perf import format_table
 from repro.scenes.generator import generate_scene
 
 

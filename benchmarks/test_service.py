@@ -23,8 +23,8 @@ import time
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.paper.perf import format_table
 from repro.parallel.shmplane import leaked_segments
-from repro.perf import format_table
 from repro.scenes import get_scene
 from repro.service import (
     ServiceConfig,

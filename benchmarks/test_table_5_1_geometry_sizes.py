@@ -18,7 +18,7 @@ its count "disproportionately high ... due to the large mirror").
 import pytest
 
 from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
-from repro.perf import format_table
+from repro.paper.perf import format_table
 
 PAPER = {
     "cornell-box": (30, 397_000),

@@ -12,8 +12,9 @@ The shape to reproduce: Best-Fit bin packing flattens the per-processor
 photon counts that naive geometric assignment leaves badly skewed.
 """
 
-from repro.parallel import DistributedConfig, load_imbalance, run_distributed
-from repro.perf import format_table
+from repro.paper.distributed import DistributedConfig, run_distributed
+from repro.paper.loadbalance import load_imbalance
+from repro.paper.perf import format_table
 
 RANKS = 8
 PHOTONS = 3200

@@ -14,9 +14,9 @@ so sizes keep growing; on message-passing platforms buffer congestion
 creates an optimum the controller oscillates around.
 """
 
-from repro.cluster import INDY_CLUSTER, POWER_ONYX, SP2, simulate_trace
 from repro.core import AdaptiveBatchController
-from repro.perf import format_table
+from repro.paper.cluster import INDY_CLUSTER, POWER_ONYX, SP2, simulate_trace
+from repro.paper.perf import format_table
 
 ROWS = 13
 

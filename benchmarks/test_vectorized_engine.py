@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import SimulationConfig, run_scalar
-from repro.perf import format_table
+from repro.paper.perf import format_table
 
 PHOTONS = 50_000
 SEED = 0x1234ABCD330E

@@ -13,9 +13,9 @@ import errno
 
 import pytest
 
-from repro.cluster import profile_scene
 from repro.core import ENGINES, SimulationConfig, SplitPolicy
 from repro.geometry import Scene
+from repro.paper.cluster import profile_scene
 from repro.scenes import computer_lab, cornell_box, harpsichord_room
 from repro.scenes.generator import generate_scene
 from tests.scenehelpers import build_mini_scene

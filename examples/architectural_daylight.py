@@ -26,7 +26,7 @@ from repro.api import Camera, RenderSession, SimulateRequest
 from repro.core import RadianceField
 from repro.geometry import Ray, Vec3
 from repro.image import save_radiance_ppm
-from repro.raytrace import WhittedConfig, render_whitted
+from repro.paper.raytrace import WhittedConfig, render_whitted
 from repro.scenes import HARPSICHORD_DEFAULT_CAMERA, harpsichord_room
 
 

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cluster import (
+from repro.paper.cluster import (
     INDY_CLUSTER,
     POWER_ONYX,
     SP2,
     profile_scene,
     trace_family,
 )
-from repro.parallel import DistributedConfig, load_imbalance, run_distributed
-from repro.perf import ascii_traces, format_table, graph_of_graphs, speedup_table
+from repro.paper.distributed import DistributedConfig, run_distributed
+from repro.paper.loadbalance import load_imbalance
+from repro.paper.perf import (
+    ascii_traces,
+    format_table,
+    graph_of_graphs,
+    speedup_table,
+)
 from repro.scenes import harpsichord_room
 
 
@@ -60,10 +66,8 @@ def main() -> None:
     dist.forest.check_invariants()
 
     # ---- Era platform traces ---------------------------------------------
-    # Calibration on the scalar reference engine (what `repro trace`
-    # defaults to, and what this example has always measured the era
-    # models against).
-    profile = profile_scene(scene, photons=250, engine="scalar")
+    # Calibration on the paper's per-photon loop, as `repro trace` does.
+    profile = profile_scene(scene, photons=250)
     print("\nscene profile:", profile)
 
     grid = {}

@@ -28,7 +28,7 @@ from repro.core.polarization import PolarizedPhoton, polarized_reflect
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray, Scene, Vec3, axis_rect, matte
 from repro.geometry.material import Material, RGB, emitter
-from repro.perf import format_table
+from repro.paper.perf import format_table
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
 

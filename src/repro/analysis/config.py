@@ -32,13 +32,19 @@ except ImportError:  # pragma: no cover — 3.10 fallback, defaults only
 __all__ = ["LintConfig", "load_config", "find_root", "DEFAULT_CANONICAL"]
 
 #: The modules the determinism contract covers (ARCHITECTURE.md): the
-#: physics core, geometry, the RNG itself, every parallel transport,
-#: and the procedural generator.  Paths are root-relative.
+#: physics core, geometry, the RNG itself, every parallel transport, the
+#: paper's parallel drivers, and the procedural generator.  Paths are
+#: root-relative.
 DEFAULT_CANONICAL = (
     "src/repro/core",
     "src/repro/geometry",
     "src/repro/rng",
     "src/repro/parallel",
+    "src/repro/paper/shared.py",
+    "src/repro/paper/distributed.py",
+    "src/repro/paper/geomdist.py",
+    "src/repro/paper/mpi.py",
+    "src/repro/paper/loadbalance.py",
     "src/repro/scenes/generator.py",
 )
 

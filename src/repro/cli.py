@@ -29,12 +29,10 @@ from typing import Optional, Sequence
 
 from .analysis.cliargs import add_lint_arguments
 from .api import RenderSession, SessionOptions, SimulateRequest
-from .cluster import platform_by_name, profile_scene, trace_family
 from .core import Camera, SimulationConfig, SplitPolicy, load_answer, save_answer
 from .core.simulator import run_scalar
 from .geometry import Vec3
 from .image import save_radiance_ppm
-from .perf import ascii_traces, format_table, speedup_table
 from .scenes import SceneFormatError, get_scene, scene_registry
 from .scenes.loader import save_scene
 
@@ -171,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4, 8])
     p_trace.add_argument("--duration", type=float, default=320.0)
     p_trace.add_argument("--read-at", type=float, default=250.0)
-    p_trace.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="engine used for the calibration profile",
-    )
 
     p_save = sub.add_parser(
         "save-scene",
@@ -298,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     # show the offending subcommand's synopsis, not the root command
     # list — keep a handle on the subparser for the error path.
     parser.simulate_parser = p_sim
+    parser.view_parser = p_view
     parser.serve_parser = p_serve
     parser.trace_parser = p_trace
     parser.lint_parser = p_lint
@@ -337,6 +330,8 @@ def _simulate_scene_spec(args, parser: argparse.ArgumentParser) -> str:
 
 
 def _cmd_scenes(out) -> int:
+    from .paper.perf import format_table
+
     rows = []
     for name, builder in scene_registry().items():
         scene = builder()
@@ -479,7 +474,6 @@ def _serve_repeated(scene, request, options, args, out):
 
 def _cmd_view(args, out, parser: argparse.ArgumentParser) -> int:
     scene = _resolve_scene(args.scene, parser)
-    forest = load_answer(args.answer)
     # Viewing defaults travel with the scene (Scene.default_camera), so
     # newly registered scenes frame themselves instead of inheriting a
     # hardcoded fallback viewpoint.
@@ -489,13 +483,19 @@ def _cmd_view(args, out, parser: argparse.ArgumentParser) -> int:
     fov = args.fov if args.fov is not None else defaults.get(
         "vertical_fov_degrees", 55.0
     )
-    camera = Camera(
-        position=position,
-        look_at=look_at,
-        vertical_fov_degrees=fov,
-        width=args.width,
-        height=args.height,
-    )
+    try:
+        camera = Camera(
+            position=position,
+            look_at=look_at,
+            vertical_fov_degrees=fov,
+            width=args.width,
+            height=args.height,
+        )
+        forest = load_answer(args.answer)
+    except (OSError, ValueError) as exc:
+        # A degenerate camera or an unreadable answer file is a usage
+        # error (usage line + message, exit 2), not a traceback.
+        parser.view_parser.error(str(exc))
     t0 = time.perf_counter()
     with RenderSession(scene) as session:
         image = session.render(forest, camera)
@@ -520,20 +520,37 @@ def _cmd_save_scene(args, out, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_trace(args, out, parser: argparse.ArgumentParser) -> int:
-    machine = platform_by_name(args.platform)
+    # The platform models are paper-reproduction code: imported here, so
+    # no other command (`serve` above all) loads them.
+    from .paper.cluster import PLATFORMS, profile_scene, trace_family
+    from .paper.perf import ascii_traces, format_table, speedup_table
+
+    # Checked here, not with argparse `choices=`: that would import the
+    # platform table whenever any command's parser is built.
+    if args.platform not in PLATFORMS:
+        parser.trace_parser.error(
+            f"argument --platform: invalid choice: {args.platform!r} "
+            f"(choose from {', '.join(sorted(PLATFORMS))})"
+        )
+    machine = PLATFORMS[args.platform]
     scene = _resolve_scene(args.scene, parser)
+    # Same rule as simulate: a model the flags cannot describe is a
+    # usage error (usage line + message, exit 2), not a traceback.
     try:
-        profile = profile_scene(scene, photons=250, engine=args.engine)
         family = trace_family(
-            machine, profile, sorted(set(args.ranks)), duration_s=args.duration
+            machine,
+            profile_scene(scene, photons=250),
+            sorted(set(args.ranks)),
+            duration_s=args.duration,
         )
     except ValueError as exc:
-        # Same rule as simulate: a bad --ranks/--duration is a usage
-        # error (usage line + message, exit 2), not a traceback.
         parser.trace_parser.error(str(exc))
+    try:
+        table = speedup_table(family, at_time=args.read_at) if 1 in family else None
+    except ValueError as exc:
+        parser.trace_parser.error(f"argument --read-at: {exc}")
     print(ascii_traces(family, title=f"{machine.name} / {scene.name}"), file=out)
-    if 1 in family:
-        table = speedup_table(family, at_time=args.read_at)
+    if table is not None:
         print(
             format_table(
                 ["processors", f"speedup@{args.read_at:.0f}s"],

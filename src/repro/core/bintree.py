@@ -90,7 +90,7 @@ class BinTree:
     Serial runs key trees by patch id with the full domain as the root;
     the distributed algorithm keys them by ownership unit, whose root is
     the unit's sub-region of the patch domain (see
-    :class:`repro.parallel.loadbalance.OwnershipMap`).
+    :class:`repro.paper.loadbalance.OwnershipMap`).
     """
 
     __slots__ = ("patch_id", "root", "policy", "leaf_count", "node_count", "splits")

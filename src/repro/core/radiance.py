@@ -57,7 +57,7 @@ class RadianceField:
         scene: Scene the forest was computed for (areas, powers).
         forest: A populated :class:`repro.core.bintree.BinForest`.
         ownership: For distributed answers (unit-keyed forests), the
-            :class:`repro.parallel.loadbalance.OwnershipMap` that maps a
+            :class:`repro.paper.loadbalance.OwnershipMap` that maps a
             (patch, coordinates) query to the owning unit's tree.  Serial
             (patch-keyed) forests leave this ``None``.
 

@@ -35,7 +35,7 @@ possible:
 * **Per-photon counter-based RNG substreams.**  Photon *i* owns the
   substream starting ``(i + 1) * 2**20`` steps into the base sequence
   (:func:`photon_substream` — the same convention
-  :mod:`repro.parallel.geomdist` uses for its wire photons).  Lanes never
+  :mod:`repro.paper.geomdist` uses for its wire photons).  Lanes never
   share a stream, so lane-synchronous masked execution consumes each
   photon's draws in exactly the scalar order.  The LCG itself vectorises
   on ``uint64`` (the product wraps mod 2**64, a multiple of the 2**48
@@ -175,7 +175,7 @@ def photon_substream(seed: int, index: int) -> Lcg48:
     """The private scalar RNG stream of photon *index*.
 
     Identical to the wire-photon streams of
-    :mod:`repro.parallel.geomdist`: a jump of ``(index + 1) << 20`` steps
+    :mod:`repro.paper.geomdist`: a jump of ``(index + 1) << 20`` steps
     from the base sequence.
     """
     return Lcg48(seed).fork_jump((index + 1) << SUBSTREAM_SPACING_BITS)
@@ -746,7 +746,7 @@ class VectorEngine:
 
         Returns the packed emission records plus each photon's
         post-emission RNG state — the batched form of the emission
-        enumeration loop in :mod:`repro.parallel.geomdist`.
+        enumeration loop in :mod:`repro.paper.geomdist`.
         """
         states = substream_states(seed, start, count)
         em = self._emit_states(states)

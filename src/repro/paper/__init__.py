@@ -1,0 +1,21 @@
+"""The paper-reproduction tier: the 1997 algorithms and platform models.
+
+Everything here reproduces a figure, table or baseline of the paper and
+nothing on the serving path imports it (``tests/api/test_public_api.py``
+``TestImportFence``; the CLI imports it only inside the ``trace`` and
+``scenes`` commands):
+
+* :mod:`.shared` — threads over a reader/writer-locked forest (Figure 5.2);
+* :mod:`.distributed` — rank-sharded forests with event forwarding
+  (Figure 5.3), balanced by :mod:`.loadbalance`;
+* :mod:`.geomdist` — geometry distribution with wire photons (chapter 6);
+* :mod:`.mpi` — the in-process MPI substrate those drivers run on;
+* :mod:`.cluster` and :mod:`.perf` — cost models of the three 1997
+  platforms and the speedup tables and traces read off them;
+* :mod:`.radiosity` and :mod:`.raytrace` — the chapter-2 baselines.
+
+The drivers trace one photon at a time, as the paper's pseudo-code
+does; only :mod:`.geomdist` batches its redundant all-photon emission
+(bit-exact with :func:`repro.core.generation.emit_photon`).  The serving
+engines live in :mod:`repro.core.vectorized` and :mod:`repro.parallel`.
+"""

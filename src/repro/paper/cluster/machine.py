@@ -1,7 +1,7 @@
 """Parameterised machine cost models.
 
 A :class:`MachineSpec` turns abstract per-photon work (from a
-:class:`repro.cluster.workload.SceneProfile`) into seconds, and charges
+:class:`repro.paper.cluster.workload.SceneProfile`) into seconds, and charges
 the communication or memory-contention overheads that shape the paper's
 speedup curves:
 

@@ -11,10 +11,11 @@ controller the real code uses (which is also how Table 5.3 falls out).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.batch import AdaptiveBatchController
+from ...core.batch import AdaptiveBatchController
 from .machine import MachineSpec
 from .workload import SceneProfile
 
@@ -107,14 +108,14 @@ def simulate_trace(
 
     Raises:
         ValueError: for ranks outside [1, machine.max_ranks] or a
-            non-positive duration.
+            duration that is not a positive finite number.
     """
     if not 1 <= ranks <= machine.max_ranks:
         raise ValueError(
             f"{machine.name} supports 1..{machine.max_ranks} ranks, got {ranks}"
         )
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
     if imbalance < 1.0:
         raise ValueError("imbalance factor cannot be below 1.0")
     controller = controller or AdaptiveBatchController()

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.bintree import NODE_BYTES, BinForest, SplitPolicy
-from ..core.simulator import ENGINES, TraceStats, trace_photon
-from ..geometry.scene import Scene
-from ..rng import Lcg48
+from ...core.bintree import NODE_BYTES, BinForest, SplitPolicy
+from ...core.simulator import TraceStats, trace_photon
+from ...geometry.scene import Scene
+from ...rng import Lcg48
 
 __all__ = ["SceneProfile", "profile_scene"]
 
@@ -97,30 +97,14 @@ def profile_scene(
     scene: Scene,
     photons: int = 400,
     seed: int = 2024,
-    engine: str = "scalar",
-    arrays=None,
 ) -> SceneProfile:
     """Measure a :class:`SceneProfile` by tracing *photons* real photons.
 
-    Args:
-        engine: ``"scalar"`` traces the calibration photons through the
-            reference loop and reads the octree's traversal counters;
-            ``"vector"`` runs the batch engine and reports its own work
-            counters (lane-x-node slab tests as ``nodes_per_photon``,
-            lane-x-patch plane tests as ``tests_per_photon``) — the
-            honest cost profile of the batched intersector.
-        arrays: Optional pre-compiled
-            :class:`~repro.core.vectorized.SceneArrays` for *scene*
-            (e.g. from a :class:`repro.api.SceneProgram`); the vector
-            calibration then skips its own scene compile.  Ignored by
-            the scalar engine.
+    The calibration photons go through the paper's per-photon loop, and
+    the work counts are the pointer octree's traversal counters.
     """
     if photons < 10:
         raise ValueError("need at least 10 calibration photons")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
-    if engine == "vector":
-        return _profile_scene_vector(scene, photons, seed, arrays)
     rng = Lcg48(seed)
     forest = BinForest(SplitPolicy())
     stats = TraceStats()
@@ -143,37 +127,6 @@ def profile_scene(
         events_per_photon=total / photons,
         nodes_per_photon=octree_stats.nodes_visited / photons,
         tests_per_photon=octree_stats.intersection_tests / photons,
-        concentration=concentration,
-        leaves_per_photon=(forest.leaf_count - forest.tree_count) / photons
-        + forest.tree_count / photons,
-        calibration_photons=photons,
-    )
-
-
-def _profile_scene_vector(
-    scene: Scene, photons: int, seed: int, arrays=None
-) -> SceneProfile:
-    """Vector-engine calibration body of :func:`profile_scene`."""
-    from ..core.vectorized import VectorEngine, apply_events
-
-    engine = VectorEngine(scene, arrays=arrays)
-    forest = BinForest(SplitPolicy())
-    events, _stats = engine.trace_range(seed, 0, photons)
-    events = events.sorted_canonical()
-    apply_events(forest, events)
-    forest.photons_emitted = photons
-    patch_tallies: dict[int, int] = {}
-    for pid in events.patch.tolist():
-        patch_tallies[pid] = patch_tallies.get(pid, 0) + 1
-
-    total = sum(patch_tallies.values())
-    concentration = sum((c / total) ** 2 for c in patch_tallies.values())
-    return SceneProfile(
-        name=scene.name,
-        defining_polygons=scene.defining_polygon_count,
-        events_per_photon=total / photons,
-        nodes_per_photon=engine.box_tests / photons,
-        tests_per_photon=engine.patch_tests / photons,
         concentration=concentration,
         leaves_per_photon=(forest.leaf_count - forest.tree_count) / photons
         + forest.tree_count / photons,

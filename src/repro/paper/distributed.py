@@ -2,7 +2,7 @@
 
 Each rank traces its share of photons against the replicated geometry.
 The *bin forest* is partitioned by ownership units (sections of the
-pilot forest, see :mod:`repro.parallel.loadbalance`): every tally event
+pilot forest, see :mod:`repro.paper.loadbalance`): every tally event
 whose unit is owned by another rank is queued, and queues are exchanged
 in an all-to-all after each batch ("photons are queued and batched for
 transmission ... an all-to-all communication period following each
@@ -21,6 +21,7 @@ from ..core.binning import BinCoords
 from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
 from ..core.simulator import TraceStats, trace_photon
 from ..geometry.scene import Scene
+from ..parallel.procpool import rank_share
 from ..rng import Lcg48
 from .loadbalance import (
     Assignment,
@@ -30,7 +31,6 @@ from .loadbalance import (
     pilot_forest,
 )
 from .mpi import SimComm, run_parallel
-from .procpool import rank_share
 
 __all__ = [
     "DistributedConfig",

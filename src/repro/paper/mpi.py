@@ -8,11 +8,11 @@ threads with blocking mailbox queues, so the blocking semantics, deadlock
 behaviour, and message ordering of a per-pair FIFO MPI are faithfully
 exercised — only the transport is in-process.  Wall-clock performance is
 *not* modelled here (Python's GIL would make it meaningless); the
-discrete-event cost models in :mod:`repro.cluster` consume the message
+discrete-event cost models in :mod:`repro.paper.cluster` consume the message
 accounting this layer records instead.
 
 Substitution note (DESIGN.md): on a machine with real MPI, the driver in
-:mod:`repro.parallel.distributed` runs unchanged against ``mpi4py.MPI.
+:mod:`repro.paper.distributed` runs unchanged against ``mpi4py.MPI.
 COMM_WORLD`` because only this API subset is used.
 """
 

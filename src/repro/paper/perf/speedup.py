@@ -4,11 +4,12 @@ Chapter 5 defines speedup against "the best serial version of the
 program (not the parallel version run on one processor)", read off the
 speed-vs-time traces at a chosen instant (fixed-time speedup) or over a
 fixed photon budget (fixed-size speedup).  Both readings are implemented
-here against :class:`repro.cluster.runner.SpeedTrace` objects.
+here against :class:`repro.paper.cluster.runner.SpeedTrace` objects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,8 +32,8 @@ def fixed_time_speedup(
     sample yet (startup still in progress — the Indy cluster's shifted
     traces really do read as zero speedup early on).
     """
-    if at_time <= 0:
-        raise ValueError("at_time must be positive")
+    if not (math.isfinite(at_time) and at_time > 0):
+        raise ValueError(f"at_time must be positive and finite, got {at_time}")
     serial_rate = serial.rate_at(at_time)
     if serial_rate <= 0.0:
         # Before the serial code's own first batch: compare final rates

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry.polygon import Patch
-from ..geometry.ray import Ray
-from ..geometry.scene import Scene
-from ..geometry.vec import dot, sub
-from ..rng import Lcg48
+from ...geometry.polygon import Patch
+from ...geometry.ray import Ray
+from ...geometry.scene import Scene
+from ...geometry.vec import dot, sub
+from ...rng import Lcg48
 
 __all__ = [
     "point_form_factor",

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..geometry.polygon import Patch
-from ..geometry.scene import Scene
+from ...geometry.polygon import Patch
+from ...geometry.scene import Scene
 from .formfactor import patch_form_factor, point_form_factor
-from ..rng import Lcg48
+from ...rng import Lcg48
 
 __all__ = ["HierarchicalConfig", "Element", "HierarchicalSolution", "solve_hierarchical"]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry.scene import Scene
+from ...geometry.scene import Scene
 from .formfactor import form_factor_matrix
 
 __all__ = [

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.viewing import Camera
-from ..geometry.ray import Ray
-from ..geometry.scene import Scene
-from ..geometry.vec import Vec3, dot, reflect_about, sub
+from ...core.viewing import Camera
+from ...geometry.ray import Ray
+from ...geometry.scene import Scene
+from ...geometry.vec import Vec3, dot, reflect_about, sub
 
 __all__ = ["WhittedConfig", "trace_ray", "render_whitted"]
 

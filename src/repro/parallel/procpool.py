@@ -1,9 +1,9 @@
 """Process-parallel vector backend: true multi-core photon tracing.
 
-The shared-memory variant (:mod:`repro.parallel.shared`) runs real
-threads, but the GIL serialises Python bytecode, so it demonstrates the
-locking protocol rather than speed.  This module is the repo's first
-genuinely multi-core path: it shards the photon index range across a
+The paper's shared-memory variant (:mod:`repro.paper.shared`) runs
+real threads, but the GIL serialises Python bytecode, so it demonstrates
+the locking protocol rather than speed.  This module is the serving
+path's multi-core backend: it shards the photon index range across a
 ``multiprocessing`` pool of :class:`~repro.core.vectorized.VectorEngine`
 workers and reassembles the answer in two phases:
 
@@ -257,10 +257,9 @@ def build_forest_parallel(
     """Phase 2: ownership-sharded forest build + disjoint-section merge.
 
     The build that ships each section's events with its job: used by
-    injected pools, by the shared-memory vector path, and by
-    :meth:`PhotonPool.run` when a trace shard overflowed its block;
-    otherwise the pool runs the block-reading build
-    (:func:`_build_section_pooled`).
+    injected pools and by :meth:`PhotonPool.run` when a trace shard
+    overflowed its block; otherwise the pool runs the block-reading
+    build (:func:`_build_section_pooled`).
     """
     owner = partition_patches(events.patch, workers)
     jobs = []
@@ -550,19 +549,6 @@ class PhotonPool:
         self.close(terminate=exc_type is not None)
 
 
-def book_emissions(forest: BinForest, events: EventBatch, n_photons: int) -> None:
-    """Set a merged forest's emission counters from the event record.
-
-    The one home of post-merge emission accounting, shared by every
-    sharded-reduction driver (the process pool and the shared-memory
-    vector path), so the booking cannot drift between them.
-    """
-    forest.photons_emitted = n_photons
-    counts = events.emission_band_counts()
-    for b in range(NUM_BANDS):
-        forest.band_emitted[b] = counts[b]
-
-
 def _finish_result(
     forest: BinForest,
     events: EventBatch,
@@ -570,8 +556,12 @@ def _finish_result(
     config: SimulationConfig,
     scene_name: str,
 ) -> SimulationResult:
-    """Book emissions on the merged forest and wrap the result."""
-    book_emissions(forest, events, config.n_photons)
+    """Set the merged forest's emission counters from the event record
+    and wrap the result."""
+    forest.photons_emitted = config.n_photons
+    counts = events.emission_band_counts()
+    for b in range(NUM_BANDS):
+        forest.band_emitted[b] = counts[b]
     return SimulationResult(forest, stats, config, scene_name)
 
 

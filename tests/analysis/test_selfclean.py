@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from repro.analysis import run
+from repro.analysis.config import DEFAULT_CANONICAL, load_config
 from repro.analysis.engine import lint_paths
 
 REPO_ROOT = Path(__file__).parents[2]
@@ -44,6 +45,13 @@ class TestRepoLintsClean:
         # contract: the canonical config must match real files.
         result = lint_paths([REPO_ROOT / "src" / "repro" / "core"])
         assert result.checked_files > 0
+
+    def test_canonical_scope_names_real_paths(self):
+        # A moved module must not drop out of the det-* scope unnoticed:
+        # pyproject.toml agrees with the default, and every entry exists.
+        config = load_config([REPO_ROOT / "src"])
+        assert config.canonical == DEFAULT_CANONICAL
+        assert [p for p in config.canonical if not (REPO_ROOT / p).exists()] == []
 
 
 class TestSeededViolationFails:

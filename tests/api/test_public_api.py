@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import json
 import warnings
 from pathlib import Path
@@ -27,7 +28,6 @@ from repro.api import (
     merge_config,
     open_session,
 )
-from repro.cluster import profile_scene
 from repro.core import (
     SimulationConfig,
     SplitPolicy,
@@ -35,6 +35,8 @@ from repro.core import (
     run_scalar,
 )
 from repro.core.vectorized import VectorEngine
+from repro.paper.cluster import profile_scene
+from repro.paper.shared import SharedConfig, run_shared
 
 
 def forest_bytes(result) -> str:
@@ -55,31 +57,40 @@ class TestSurface:
         assert exported == set(api.__all__)
 
 
-#: The paper-reproduction tiers (ROADMAP "Collapse the execution
-#: matrix"): the serving path must never import them.
-REPRODUCTION_MODULES = (
-    "repro.cluster",
-    "repro.perf",
-    "repro.parallel.distributed",
-    "repro.parallel.geomdist",
-    "repro.parallel.mpi",
-    "repro.parallel.shared",
-    "repro.parallel.loadbalance",
-)
-
+#: The paper-reproduction tier: nothing outside it may import it, except
+#: the CLI's `trace` and `scenes` command bodies.
+FENCED = "repro.paper"
 
 SRC = Path(api.__file__).resolve().parents[2]
 
+#: Every package and top-level module of `repro` outside the fence.
+OUTSIDE_FENCE = sorted(
+    path.name
+    for path in (SRC / "repro").iterdir()
+    if path.name != "paper"
+    and (path.suffix == ".py" or (path / "__init__.py").is_file())
+)
 
-def imported_modules(path: Path) -> set:
-    """Every absolute module name *path* imports, at any nesting depth.
+
+def _outside_functions(node):
+    """Every node under *node* that is not inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def imported_modules(path: Path, *, function_bodies: bool = True) -> set:
+    """Every absolute module name *path* imports, at any nesting depth
+    (or, without *function_bodies*, outside function bodies only).
 
     ``from X import a`` contributes both ``X`` and ``X.a`` (``a`` may be
     a submodule); relative imports resolve against the file's package.
     """
     package = path.relative_to(SRC).parent.parts
+    tree = ast.parse(path.read_text(), filename=str(path))
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree) if function_bodies else _outside_functions(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -91,20 +102,41 @@ def imported_modules(path: Path) -> set:
 
 
 class TestImportFence:
-    @pytest.mark.parametrize("tier", ["api", "service"])
+    @pytest.mark.parametrize("tier", OUTSIDE_FENCE)
     def test_serving_path_never_imports_reproduction_tiers(self, tier):
-        """`api/` and `service/` stay on the serving side of the fence,
-        function-level imports included."""
+        """No package outside `repro.paper` imports it, function-level
+        imports included; `cli.py` may only inside its command bodies."""
+        root = SRC / "repro" / tier
         crossings = [
             f"{path.relative_to(SRC)}: {name}"
-            for path in sorted((SRC / "repro" / tier).glob("**/*.py"))
-            for name in sorted(imported_modules(path))
-            if any(
-                name == banned or name.startswith(banned + ".")
-                for banned in REPRODUCTION_MODULES
+            for path in (sorted(root.glob("**/*.py")) if root.is_dir() else [root])
+            for name in sorted(
+                imported_modules(path, function_bodies=tier != "cli.py")
             )
+            if name == FENCED or name.startswith(FENCED + ".")
         ]
         assert crossings == []
+
+    @pytest.mark.parametrize("old", [
+        "repro.cluster", "repro.perf", "repro.radiosity", "repro.raytrace",
+        "repro.parallel.shared", "repro.parallel.distributed",
+        "repro.parallel.geomdist", "repro.parallel.mpi",
+        "repro.parallel.loadbalance",
+    ])
+    def test_old_paths_are_gone(self, old):
+        """The tier moved without aliases."""
+        with pytest.raises(ImportError):
+            importlib.import_module(old)
+
+    def test_parallel_exports_only_the_serving_backend(self):
+        import repro.parallel as parallel
+
+        homes = {getattr(parallel, name).__module__ for name in parallel.__all__}
+        assert homes == {
+            "repro.parallel.procpool",
+            "repro.parallel.resultplane",
+            "repro.parallel.shmplane",
+        }
 
 
 class TestRequestOptionsSplit:
@@ -184,8 +216,7 @@ class TestRequestOptionsSplit:
         (lambda scene: SimulationConfig(n_photons=1, accel="flat"),
          TypeError, "accel"),
         (lambda scene: SessionOptions(accel="flat"), TypeError, "accel"),
-        (lambda scene: profile_scene(scene, engine="vector", accel="flat"),
-         TypeError, "accel"),
+        (lambda scene: profile_scene(scene, accel="flat"), TypeError, "accel"),
         (lambda scene: VectorEngine(scene, accel="octree"),
          ValueError, r"\('auto', 'flat', 'linear'\)"),
     ], ids=["SimulationConfig", "SessionOptions", "profile_scene", "VectorEngine"])
@@ -196,6 +227,21 @@ class TestRequestOptionsSplit:
         with pytest.raises(error, match=match):
             call(mini_scene)
         assert not hasattr(repro.core, "ACCELS")
+
+    @pytest.mark.parametrize("call, keyword", [
+        (lambda scene: SharedConfig(n_photons=1, engine="vector"), "engine"),
+        (lambda scene: SharedConfig(n_photons=1, batch_size=64), "batch_size"),
+        (lambda scene: run_shared(scene, SharedConfig(n_photons=1), 1, arrays=None),
+         "arrays"),
+        (lambda scene: profile_scene(scene, engine="scalar"), "engine"),
+        (lambda scene: profile_scene(scene, arrays=None), "arrays"),
+    ], ids=["SharedConfig-engine", "SharedConfig-batch_size", "run_shared-arrays",
+            "profile_scene-engine", "profile_scene-arrays"])
+    def test_reproduction_tier_has_one_engine(self, mini_scene, call, keyword):
+        """The paper's drivers trace only with the per-photon loop: the
+        vector-engine keywords are gone, not ignored."""
+        with pytest.raises(TypeError, match=keyword):
+            call(mini_scene)
 
     def test_merge_builds_the_serving_config(self):
         """Every merged config is the vector engine on substreams."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import INDY_CLUSTER, POWER_ONYX, SP2, MachineSpec, profile_scene
+from repro.paper.cluster import INDY_CLUSTER, POWER_ONYX, SP2, MachineSpec, profile_scene
 
 
 @pytest.fixture(scope="module")

@@ -7,14 +7,14 @@ change that breaks a published trend fails fast.
 
 import pytest
 
-from repro.cluster import (
+from repro.paper.cluster import (
     INDY_CLUSTER,
     POWER_ONYX,
     SP2,
     profile_scene,
     trace_family,
 )
-from repro.perf import speedup_table
+from repro.paper.perf import speedup_table
 from repro.scenes import computer_lab, cornell_box, harpsichord_room
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import (
+from repro.core import AdaptiveBatchController
+from repro.paper.cluster import (
     INDY_CLUSTER,
     POWER_ONYX,
     SP2,
@@ -11,7 +12,6 @@ from repro.cluster import (
     simulate_trace,
     trace_family,
 )
-from repro.core import AdaptiveBatchController
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,9 @@ class TestSimulateTrace:
             simulate_trace(POWER_ONYX, profile, 0, duration_s=10.0)
 
     def test_bad_duration(self, profile):
-        with pytest.raises(ValueError):
-            simulate_trace(POWER_ONYX, profile, 2, duration_s=0.0)
+        for duration in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                simulate_trace(POWER_ONYX, profile, 2, duration_s=duration)
 
     def test_bad_imbalance(self, profile):
         with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ class TestTraceQueries:
         assert tr.final_rate() == tr.samples[-1].rate
 
     def test_empty_trace_rate(self, profile):
-        from repro.cluster.runner import SpeedTrace
+        from repro.paper.cluster.runner import SpeedTrace
 
         assert SpeedTrace("p", "s", 1).final_rate() == 0.0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SceneProfile, profile_scene
+from repro.paper.cluster import SceneProfile, profile_scene
 
 
 @pytest.fixture(scope="module")

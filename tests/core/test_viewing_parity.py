@@ -30,7 +30,7 @@ from repro.core import RadianceField, SimulationConfig, run_scalar
 from repro.core.vectorized import SceneArrays, VectorEngine
 from repro.core.viewing import Camera, render, render_rows
 from repro.geometry import Vec3
-from repro.parallel.distributed import DistributedConfig, run_distributed
+from repro.paper.distributed import DistributedConfig, run_distributed
 from repro.scenes import cornell_box
 from repro.scenes.generator import generate_scene
 from tests.scenehelpers import build_mini_scene

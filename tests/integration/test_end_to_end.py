@@ -18,7 +18,8 @@ from repro.core import (
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse, save_radiance_ppm, read_ppm
-from repro.parallel import DistributedConfig, run_distributed, run_shared, SharedConfig
+from repro.paper.distributed import DistributedConfig, run_distributed
+from repro.paper.shared import SharedConfig, run_shared
 
 
 class TestSimulateSaveView:

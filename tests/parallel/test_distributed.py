@@ -5,14 +5,10 @@ import json
 import pytest
 
 from repro.core import SplitPolicy, forest_to_dict
-from repro.parallel import (
-    DistributedConfig,
-    load_imbalance,
-    merge_rank_forests,
-    rank_share,
-    run_distributed,
-    serial_replay,
-)
+from repro.core.bintree import merge_rank_forests
+from repro.paper.distributed import DistributedConfig, run_distributed, serial_replay
+from repro.paper.loadbalance import load_imbalance
+from repro.parallel import rank_share
 
 
 def small_config(**overrides) -> DistributedConfig:

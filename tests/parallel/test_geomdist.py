@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import AABB, Vec3
-from repro.parallel import (
+from repro.paper.geomdist import (
     GeomDistConfig,
     RegionGrid,
     run_geometry_distributed,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.binning import TWO_PI, BinCoords
-from repro.parallel import (
+from repro.paper.loadbalance import (
     OwnershipMap,
     assign_units,
     load_imbalance,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import ANY_SOURCE, SimComm, run_parallel
+from repro.paper.mpi import ANY_SOURCE, SimComm, run_parallel
 
 
 class TestWorldConstruction:

@@ -1,12 +1,7 @@
 """Shared-memory Photon (Figure 5.2): lock protocol and equivalence.
 
-Two regimes, two guarantees.  The scalar engine demonstrates the locked
-Figure 5.2 protocol (no lost tallies, totals equal the serial replay).
-The vector engine runs the sharded lock-free reduction and therefore
-promises something stronger: the whole forest is **byte-identical** to a
-serial vector run for every worker count, on either side of the
-engine's accelerator choice — pinned here tally-for-tally, against the
-committed goldens, and with zero lock contention by construction.
+The locked Figure 5.2 protocol loses no tallies: totals equal the serial
+replay of the same leapfrog streams, and one worker is the serial run.
 """
 
 import json
@@ -14,15 +9,8 @@ import threading
 
 import pytest
 
-from repro.core import (
-    SimulationConfig,
-    SplitPolicy,
-    forest_to_dict,
-    run_scalar,
-    save_answer,
-)
-from repro.core.vectorized import VectorEngine
-from repro.parallel import RWLock, SharedConfig, run_shared
+from repro.core import SimulationConfig, forest_to_dict, run_scalar
+from repro.paper.shared import RWLock, SharedConfig, run_shared
 
 
 class TestRWLock:
@@ -132,88 +120,3 @@ class TestSharedRun:
         with pytest.raises(ValueError):
             SharedConfig(n_photons=-5)
 
-
-class TestSharedVector:
-    """The sharded lock-free reduction behind ``engine="vector"``."""
-
-    @pytest.fixture(scope="class")
-    def vector_references(self, cornell, harpsichord):
-        """(scene, serial vector run) keyed by the accelerator the engine
-        picks on that scene."""
-        config = SimulationConfig(n_photons=800, seed=0xBEEF, engine="vector")
-        picked = {VectorEngine(scene).accel: scene for scene in (cornell, harpsichord)}
-        assert sorted(picked) == ["flat", "linear"]
-        return {
-            accel: (scene, VectorEngine(scene).run(config))
-            for accel, scene in picked.items()
-        }
-
-    @pytest.fixture(scope="class")
-    def vector_reference(self, vector_references):
-        return vector_references["linear"][1]
-
-    @pytest.mark.parametrize("workers", [1, 2, 7])
-    @pytest.mark.parametrize("accel", ["flat", "linear"])
-    def test_byte_identical_to_serial_vector(
-        self, vector_references, workers, accel
-    ):
-        """Any worker count, whichever accelerator the engine picks for
-        the scene: the *same bytes* as the serial vector engine — not
-        merely the same per-patch totals."""
-        scene, reference = vector_references[accel]
-        config = SharedConfig(
-            n_photons=800, seed=0xBEEF, engine="vector", batch_size=128
-        )
-        result = run_shared(scene, config, workers)
-        assert json.dumps(forest_to_dict(result.forest)) == json.dumps(
-            forest_to_dict(reference.forest)
-        )
-        assert result.stats == reference.stats
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_committed_golden(self, request, tmp_path, workers):
-        """The reduction lands on the committed golden answer bytes."""
-        from tests.data.regenerate import GOLDEN_PHOTONS, GOLDEN_SEED
-        from tests.core.test_golden_answers import golden_bytes
-
-        cornell = request.getfixturevalue("cornell")
-        config = SharedConfig(
-            n_photons=GOLDEN_PHOTONS, seed=GOLDEN_SEED, engine="vector"
-        )
-        result = run_shared(cornell, config, workers)
-        out = tmp_path / "shared.answer.json"
-        save_answer(result.forest, out)
-        assert out.read_bytes() == golden_bytes("cornell-box.substream.answer.json")
-
-    def test_lock_free_by_construction(self, cornell):
-        """No per-tree locks are ever taken on the vector path."""
-        config = SharedConfig(n_photons=400, seed=11, engine="vector")
-        result = run_shared(cornell, config, 4)
-        assert result.lock_contention == 0
-
-    def test_precompiled_arrays_reused(self, cornell, vector_reference):
-        """run_shared(arrays=) traces on caller-compiled arrays (e.g. a
-        SceneProgram's) and still lands on the serial vector bytes."""
-        from repro.api import SceneProgram
-
-        config = SharedConfig(n_photons=800, seed=0xBEEF, engine="vector")
-        result = run_shared(
-            cornell, config, 3, arrays=SceneProgram.compile(cornell).arrays
-        )
-        assert json.dumps(forest_to_dict(result.forest)) == json.dumps(
-            forest_to_dict(vector_reference.forest)
-        )
-
-    def test_worker_shares_and_invariants(self, cornell):
-        config = SharedConfig(n_photons=401, seed=5, engine="vector")
-        result = run_shared(cornell, config, 4)
-        assert result.per_worker_photons == [101, 100, 100, 100]
-        assert result.stats.photons == 401
-        result.forest.check_invariants()
-
-    def test_zero_photons(self, cornell):
-        result = run_shared(
-            cornell, SharedConfig(n_photons=0, engine="vector"), 2
-        )
-        assert result.forest.total_tallies == 0
-        assert result.stats.photons == 0

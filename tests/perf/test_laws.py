@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf import (
+from repro.paper.perf import (
     amdahl_speedup,
     gustafson_speedup,
     karp_flatt_metric,
@@ -63,8 +63,8 @@ class TestInversion:
         """Reading the SP-2 model's measured speedups through
         Gustafson's law exposes the buffer-copy overhead as a *growing*
         effective serial fraction — overhead, not genuine serial code."""
-        from repro.cluster import SP2, profile_scene, trace_family
-        from repro.perf import speedup_table
+        from repro.paper.cluster import SP2, profile_scene, trace_family
+        from repro.paper.perf import speedup_table
         from tests.conftest import build_mini_scene
 
         profile = profile_scene(build_mini_scene(), photons=150)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.runner import SpeedSample, SpeedTrace
-from repro.perf import ascii_traces, format_table, graph_of_graphs
+from repro.paper.cluster.runner import SpeedSample, SpeedTrace
+from repro.paper.perf import ascii_traces, format_table, graph_of_graphs
 
 
 def make_trace(ranks: int, rate: float) -> SpeedTrace:

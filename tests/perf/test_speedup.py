@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster.runner import SpeedSample, SpeedTrace
-from repro.perf import (
+from repro.paper.cluster.runner import SpeedSample, SpeedTrace
+from repro.paper.perf import (
     fixed_size_speedup,
     fixed_time_speedup,
     speedup_table,
@@ -34,8 +34,9 @@ class TestFixedTime:
 
     def test_bad_time(self):
         serial = make_trace(1, 100.0)
-        with pytest.raises(ValueError):
-            fixed_time_speedup(serial, serial, 0.0)
+        for at_time in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                fixed_time_speedup(serial, serial, at_time)
 
     def test_empty_serial_raises(self):
         serial = SpeedTrace("p", "s", 1)

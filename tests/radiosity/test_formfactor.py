@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.geometry import Patch, Vec3, matte
-from repro.radiosity import form_factor_matrix, patch_form_factor, point_form_factor
+from repro.paper.radiosity import form_factor_matrix, patch_form_factor, point_form_factor
 from repro.rng import Lcg48
 
 MAT = matte("m", 0.5, 0.5, 0.5)

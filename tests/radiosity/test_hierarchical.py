@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.radiosity import HierarchicalConfig, solve_hierarchical
+from repro.paper.radiosity import HierarchicalConfig, solve_hierarchical
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import Patch, Scene, Vec3, matte
 from repro.geometry.material import Material, RGB
-from repro.radiosity import (
+from repro.paper.radiosity import (
     assemble_system,
     gauss_seidel,
     jacobi,

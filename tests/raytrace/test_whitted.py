@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Camera
 from repro.geometry import Ray, Vec3
-from repro.raytrace import WhittedConfig, render_whitted, trace_ray
+from repro.paper.raytrace import WhittedConfig, render_whitted, trace_ray
 
 
 class TestConfig:

@@ -28,7 +28,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "cornell-box", "--accel", "flat", "--out", "x.json"],
-        ["trace", "cornell-box", "--engine", "vector", "--accel", "linear"],
+        ["trace", "cornell-box", "--accel", "linear"],
         ["serve", "--scene", "cornell-box", "--accel", "auto"],
     ], ids=["simulate", "trace", "serve"])
     def test_leftover_accel_flag_exits_2(self, capsys, argv):
@@ -492,9 +492,20 @@ class TestTraceCommand:
         assert "IBM SP-2" in text
         assert "speedup@100s" in text
 
-    def test_unknown_platform(self):
-        with pytest.raises(KeyError):
+    def test_unknown_platform(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["trace", "cornell-box", "--platform", "cray"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--platform" in err and "indy-cluster, power-onyx, sp2" in err
+
+    def test_removed_engine_flag_exits_2(self, capsys):
+        """The calibration profile uses the paper's per-photon loop: the
+        flag is gone, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "cornell-box", "--engine", "vector"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, named", [
         (["--ranks", "0"], "ranks"),
@@ -507,6 +518,47 @@ class TestTraceCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and named in err
+
+
+class TestInputUsageErrors:
+    """Bad `trace` and `view` input is a usage error: the usage line and
+    a message naming what was wrong, exit 2, no traceback."""
+
+    @pytest.fixture(scope="class")
+    def answer(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("answer") / "a.json"
+        main(["simulate", "cornell-box", "--photons", "50", "--out", str(path)],
+             out=io.StringIO())
+        return path
+
+    @pytest.mark.parametrize("argv, named", [
+        (["trace", "cornell-box", "--platform", "nope"], "--platform"),
+        (["trace", "cornell-box", "--read-at", "-5"], "--read-at"),
+        (["trace", "cornell-box", "--read-at", "nan"], "--read-at"),
+        (["trace", "cornell-box", "--duration", "nan"], "duration"),
+        (["view", "cornell-box", "{answer}", "--width", "0"], "resolution"),
+        (["view", "cornell-box", "{answer}", "--height", "0"], "resolution"),
+        (["view", "cornell-box", "{answer}", "--fov", "0"], "fov"),
+        (["view", "cornell-box", "{answer}", "--fov", "nan"], "fov"),
+        (["view", "cornell-box", "{answer}", "--eye", "1", "1", "1",
+          "--look-at", "1", "1", "1"], "degenerate camera"),
+        (["view", "cornell-box", "{missing}"], "no-such.json"),
+    ], ids=["platform-nope", "read-at-negative", "read-at-nan", "duration-nan",
+            "width-0", "height-0", "fov-0", "fov-nan", "eye-is-look-at",
+            "missing-answer"])
+    def test_exits_2(self, capsys, tmp_path, answer, argv, named):
+        argv = [
+            arg.format(answer=answer, missing=tmp_path / "no-such.json")
+            for arg in argv
+        ]
+        if argv[0] == "view":
+            argv += ["--out", str(tmp_path / "x.ppm")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv, out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and named in err
+        assert not (tmp_path / "x.ppm").exists()
 
 
 class TestLintCommand:
