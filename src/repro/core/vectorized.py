@@ -17,11 +17,11 @@ nothing above :class:`VectorEngine` names one.  The two serving paths:
   level-synchronous pair walk: an eight-wide BVH built once from the
   patch columns into contiguous arrays, each patch in one padded leaf
   box, then one slab-test call per tree level over every
-  live ``(lane, node)`` pair and one :meth:`VectorEngine._test_pairs`
-  call over that level's ``(lane, patch)`` pairs, with per-lane
-  closest-hit pruning between levels.  NumPy dispatches per bounce are
-  O(tree depth), independent of how many nodes and leaves the rays
-  visit.
+  live ``(lane, node)`` pair, descending on slab tests alone, and one
+  :meth:`VectorEngine._test_pairs` call per wave over the
+  ``(lane, patch)`` pairs of every leaf the wave reached.  NumPy
+  dispatches per bounce are O(tree depth), independent of how many
+  nodes and leaves the rays visit.
 * ``"auto"`` (the default) — ``"flat"`` at or above
   :data:`PRUNE_PATCH_THRESHOLD` patches, ``"linear"`` below.
 
@@ -116,16 +116,17 @@ ACCEL_MODES = ("auto", "flat", "linear")
 #: Dense all-patches intersection wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
-#: Measured crossover of the pair walk over the binned-SAH BVH against
-#: the tiled dense scan, flat/linear photons/sec (medians of 7
-#: alternating 10k-photon traces, ranges over two runs, 2-vCPU Xeon):
-#: 0.73-0.81 at 14 patches (den-1@2), 0.74-0.92 at 20, 0.99-1.06 at 26,
-#: 1.00-1.03 at 30 (cornell-box), 1.10-1.14 at 32, 1.33-1.35 at 38,
-#: 1.36-1.42 at 44, 1.43 at 50 (office-1), 1.90 at 74, 1.62 at 97
-#: (harpsichord-room), 2.75 at 134, 3.97 at 218 (office-5).  The walk
-#: breaks even at 26-30 patches; at 32, cornell-box (at break-even)
-#: stays on the dense scan.
-PRUNE_PATCH_THRESHOLD = 32
+#: Measured crossover of the slab-only pair walk over the binned-SAH BVH
+#: against the in-place tiled dense scan, flat/linear photons/sec
+#: (medians of 7 alternating 10k-photon traces, ranges over two runs,
+#: four at 30-50 patches, 2-vCPU Xeon): 0.66-0.67 at 14 patches
+#: (den-1@2), 0.82-0.83 at 20, 0.84-0.86 at 26, 0.77-0.86 at 30
+#: (cornell-box), 0.84-0.94 at 32 (den-2@1), 1.00-1.13 at 38 (den-3@2),
+#: 1.04-1.15 at 44, 1.18-1.28 at 50 (office-1), 1.43-1.47 at 74,
+#: 1.03-1.08 at 97 (harpsichord-room), 2.02-2.04 at 134, 2.66-3.18 at
+#: 218 (office-5).  The walk breaks even between 32 and 38 patches, and
+#: takes over at 38.
+PRUNE_PATCH_THRESHOLD = 38
 
 #: ``(lanes, patch columns)`` of one tile of the dense scan
 #: (:meth:`VectorEngine._test_patches`): ~16k elements, 128 KB per float64
@@ -1030,9 +1031,8 @@ class VectorEngine:
             return best_i, best_t
 
         # Level-synchronous pair walk of the array-encoded tree:
-        # (lane, node) pairs drop out as subtrees miss or fall strictly
-        # behind the lane's current best hit, and each level's
-        # (lane, patch) pairs are tested in one kernel call.
+        # (lane, node) pairs drop out as their boxes miss the ray, and
+        # each wave's (lane, patch) pairs are tested in one kernel call.
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_x = 1.0 / dx
             inv_y = 1.0 / dy
@@ -1043,7 +1043,7 @@ class VectorEngine:
                              best_t, best_i)
 
         self.box_tests += A.flat.traverse(
-            px, py, pz, inv_x, inv_y, inv_z, best_t, test_pairs
+            px, py, pz, inv_x, inv_y, inv_z, test_pairs
         )
         return best_i, best_t
 

@@ -45,16 +45,18 @@ Traversal (:meth:`FlatOctree.traverse`) is a level-synchronous *pair
 frontier* — the wavefront shape: two parallel arrays ``(lane, node)``
 hold every ray still inside some interior node of the current tree
 level.  One step gathers each pair's eight-child block, slab-tests all
-``m x 8`` children in a single :func:`slab_spans` call, and splits the
-survivors: leaf pairs are expanded through ``leaf_start`` / ``leaf_end``
-/ ``leaf_items`` into flat ``(lane, patch)`` pairs and handed to the
-caller's kernel in **one** call for the whole level; interior pairs form
-the next frontier, re-pruned against the ``best_t`` that kernel just
-tightened.  NumPy calls per batch are therefore O(tree depth), not
-O(nodes + leaves visited): deep nodes see a handful of lanes each, and
-a call per node would spend its time in ufunc dispatch, not arithmetic.
-Lanes are walked in waves of :data:`WAVE_LANES`, so the frontier's
-transients do not grow with the caller's batch size.
+``m x 8`` children in a single :func:`slab_spans` call, keeps the
+children the ray hits in front of its origin, and splits them: leaf
+pairs are set aside, interior pairs form the next frontier.  The descent
+prunes on slab tests alone.  Once a wave has no interior pairs left,
+its leaf pairs from every level are expanded through ``leaf_start`` /
+``leaf_end`` / ``leaf_items`` into flat ``(lane, patch)`` pairs and
+handed to the caller's kernel in **one** call.  NumPy calls per batch
+are therefore O(tree depth), not O(nodes + leaves visited): deep nodes
+see a handful of lanes each, and a call per node would spend its time
+in ufunc dispatch, not arithmetic.  Lanes are walked in waves of
+:data:`WAVE_LANES`, so the frontier's transients do not grow with the
+caller's batch size.
 
 Determinism contract
 --------------------
@@ -63,24 +65,25 @@ reduction resolves exact-distance ties to the **maximum patch id** (the
 canonical rule shared by the linear scan, the pointer octree, and the
 vector engine — see :mod:`repro.geometry.octree`), a pure function of
 ``(t, patch_id)``, so breadth-first order, which leaf holds a patch and
-wave boundaries cannot change a byte.  A subtree is pruned only when it
-provably cannot beat a lane's current best (slab miss, box behind the
-origin, or entry strictly beyond the best hit; NaN slab results from
-boundary-grazing axis-parallel rays compare ``False`` and are kept,
-which is the conservative side).  Breadth-first pruning is a little
-later than depth-first (a near leaf two levels down cannot yet cull a
-far sibling subtree), which costs a few percent more slab and patch
-tests and nothing else.
+wave boundaries cannot change a byte.  A subtree is pruned only when
+the ray misses its box or the box lies behind the origin; NaN slab
+results from boundary-grazing axis-parallel rays compare ``False`` and
+are kept, which is the conservative side.  The walk does not prune on
+distance: a lane's pairs are every patch of every leaf whose whole root
+path its ray slab-hits.  Pruning against the nearest hit found so far
+would need a kernel call per level, and on the fitted tree it removes
+about 2 % of the slab and patch tests.
 
 Pruning is conservative for every hit the dense scan accepts.  Such a
 hit lies within the scan's barycentric tolerance (1e-9 times each edge,
 at most 2e-9 of the root diagonal) of its patch's AABB; the one leaf
 listing the patch holds that AABB and, padded by :data:`FIT_PAD` (1e-6
-of the diagonal), holds the hit strictly inside, with ``t_enter`` about
-a pad before it — far beyond any slab or plane rounding; every
-ancestor's box contains the leaf's.  The winning candidate therefore
-always reaches the kernel, the answer stays a pure function of the
-candidate set, and no answer byte can move.
+of the diagonal), holds the hit strictly inside, a pad from every face
+— far beyond any slab or plane rounding; every ancestor's box contains
+the leaf's.  The ray therefore slab-hits every box on that leaf's root
+path, in front of its origin, the winning candidate always reaches the
+kernel, the answer stays a pure function of the candidate set, and no
+answer byte can move.
 """
 
 from __future__ import annotations
@@ -94,13 +97,17 @@ __all__ = [
     "FlatOctree", "slab_spans", "WAVE_LANES", "FIT_PAD", "LEAF_SIZE", "SAH_BINS",
 ]
 
-#: Lanes walked together by :meth:`FlatOctree.traverse`.  The frontier
-#: and its ``m x 8`` slab temporaries scale with the lanes in flight, so
-#: a fixed wave keeps peak memory independent of the caller's batch size.
-#: Measured on ``gen:office-259@0xBEEF`` at ``batch_size=4096`` (8,192
-#: photons per trace): photons/sec 67k at 256 lanes, 81k at 512, 84k at
-#: 1,024, 83k at 2,048 and 78k with the whole batch in one frontier.
-#: Peak RSS was 66 MB at every size.
+#: Lanes walked together by :meth:`FlatOctree.traverse`, and so the
+#: lanes behind one pair-kernel call.  The frontier, its ``m x 8`` slab
+#: temporaries and the wave's pair list scale with the lanes in flight,
+#: so a fixed wave keeps peak memory independent of the caller's batch
+#: size.  Medians of 3 alternating bench runs (2-vCPU Xeon) at 512 /
+#: 1,024 / 2,048 lanes: ``lab_pool2``, whose 1,500-photon shards are the
+#: only bench walks wider than 512 lanes, 97.3k / 104.3k / 99.9k
+#: photons/s.  ``gen:office-259@0xBEEF`` at ``batch_size=4096`` (8,192
+#: photons a trace, 5 alternating rounds): 74.0k / 74.6k / 76.9k / 77.2k
+#: photons/s at 256 / 512 / 1,024 / 2,048 lanes, 70.5k with the whole
+#: batch in one frontier.
 WAVE_LANES = 1024
 
 #: Outward pad of every leaf box, as a fraction of the root diagonal.  It
@@ -114,14 +121,14 @@ WAVE_LANES = 1024
 FIT_PAD = 1e-6
 
 #: Most patches one leaf holds; :meth:`FlatOctree.build` splits every
-#: larger node.  A constant, not a knob.  What decides it is tree depth:
-#: each level is one round of NumPy calls per closest-hit call, so a
-#: leaf size that saves a level on a small scene wins even though it
-#: costs patch tests.  Bench medians (3 alternating runs, 2-vCPU Xeon),
-#: leaf size 4 / 5 / 6: ``office_scale_serial`` 34.2k / 35.4k / 35.2k
-#: photons/s, ``lab_pool2`` 92.4k / 96.6k / 92.6k, ``service_mixed``
-#: 126 / 137 / 136 requests/s; ``gen:office-259`` patch tests per photon
-#: 13.6 / 14.6 / 16.1.
+#: larger node.  A constant, not a knob.  It trades tree depth, one round
+#: of slab-test calls per level, against patch tests in the wave's one
+#: kernel call.  Bench medians (3 alternating runs, 2-vCPU Xeon), leaf
+#: size 4 / 5 / 6: ``office_scale_serial`` 35.3k / 37.2k / 35.7k
+#: photons/s, ``lab_pool2`` 97.0k / 95.7k / 102.1k (runs spread over
+#: 86-109k), ``service_mixed`` 134 / 136 / 125 requests/s;
+#: ``gen:office-259`` depth 6 / 6 / 5 and patch tests per photon
+#: 14.0 / 14.8 / 15.4.
 LEAF_SIZE = 5
 
 #: Bins per key in each binned-SAH split.  A constant, not a knob.  16
@@ -161,15 +168,14 @@ def slab_spans(lox, loy, loz, hix, hiy, hiz, ox, oy, oz, ix, iy, iz):
     return t_enter, t_exit
 
 
-def _misses(t_enter, t_exit, best_t):
-    """Mask of (lane, node) slab spans that cannot improve the lane's hit.
+def _misses(t_enter, t_exit):
+    """Mask of (lane, node) slab spans whose box the ray cannot hit.
 
-    Slab miss, box behind the origin, or entry *strictly* beyond the
-    best hit (equal distance survives for the max-patch-id tie-break).
-    All three tests compare False on NaN spans (axis-parallel rays on a
-    box face), keeping them — the conservative choice.
+    Slab miss, or box behind the origin.  Both tests compare False on
+    NaN spans (axis-parallel rays on a box face), keeping them — the
+    conservative choice.
     """
-    return (t_exit < t_enter) | (t_exit < 0.0) | (t_enter > best_t)
+    return (t_exit < t_enter) | (t_exit < 0.0)
 
 
 def _half_area(lo, hi):
@@ -448,7 +454,6 @@ class FlatOctree:
         self,
         px: np.ndarray, py: np.ndarray, pz: np.ndarray,
         inv_x: np.ndarray, inv_y: np.ndarray, inv_z: np.ndarray,
-        best_t: np.ndarray,
         test_pairs: Callable[[np.ndarray, np.ndarray], None],
     ) -> int:
         """Walk the whole ray batch through the tree; returns slab-test count.
@@ -458,18 +463,16 @@ class FlatOctree:
             inv_x, inv_y, inv_z: Lane reciprocal directions (``inf``/NaN
                 for zero components is expected and handled
                 conservatively).
-            best_t: Per-lane current-best hit distance, **read live**:
-                the caller's ``test_pairs`` updates it in place and the
-                walk prunes against the tightened bound.  Pruning is
-                strict (``t_enter > best_t``) so equal-distance
-                candidates survive for the max-patch-id tie-break.
             test_pairs: ``test_pairs(lanes, patch_ids)`` — two parallel
                 1-D arrays; test ray ``lanes[k]`` against patch
-                ``patch_ids[k]`` for every ``k`` and fold the hits into
-                ``best_t``.  Called at most once per tree level per wave
-                of :data:`WAVE_LANES` lanes.  A tree from :meth:`build`
-                lists each patch once, but the kernel must not assume
-                it: a hand-built tree may list a patch in several leaves.
+                ``patch_ids[k]`` for every ``k``.  Called exactly once
+                per wave of :data:`WAVE_LANES` lanes that reaches a
+                non-empty leaf, with every ``(lane, patch)`` pair of
+                that wave: one per patch of each leaf whose whole root
+                path the lane's ray slab-hits.  A tree from
+                :meth:`build` lists each patch once, but the kernel must
+                not assume it: a hand-built tree may list a patch in
+                several leaves.
 
         Returns:
             Number of lane x node slab tests performed (the flat
@@ -481,41 +484,47 @@ class FlatOctree:
         box_tests = 0
         for w0 in range(0, px.size, WAVE_LANES):
             lanes = np.arange(w0, min(w0 + WAVE_LANES, px.size))
-            box_tests += self._walk_wave(lanes, rays, best_t, test_pairs)
+            lane, leaf, tests = self._walk_wave(lanes, rays)
+            box_tests += tests
+            self._test_leaves(lane, leaf, test_pairs)
         return box_tests
 
-    def _walk_wave(self, lane, rays, best_t, test_pairs) -> int:
-        """Level-synchronous walk of the lanes in *lane*; slab-test count."""
+    def _walk_wave(self, lane, rays) -> tuple[np.ndarray, np.ndarray, int]:
+        """Slab-only descent of the lanes in *lane*, one level at a time.
+
+        Returns the ``(lane, leaf)`` pairs reached — every leaf whose
+        whole root path the lane's ray slab-hits — and the slab-test
+        count.
+        """
         first_child = self.first_child
         bounds = (self.lox, self.loy, self.loz, self.hix, self.hiy, self.hiz)
         box_tests = lane.size
         t_enter, t_exit = slab_spans(
             *(b[0] for b in bounds), *(r[lane] for r in rays)
         )
-        lane = lane[~_misses(t_enter, t_exit, best_t[lane])]
+        lane = lane[~_misses(t_enter, t_exit)]
         node = np.zeros(lane.size, dtype=np.intp)
         if first_child[0] < 0:
-            self._test_leaves(lane, node, test_pairs)
-            return box_tests
+            return lane, node, box_tests
+        # Seeded empty: a wave whose every lane misses the root walks no
+        # level and still concatenates to empty arrays.
+        leaf_lanes, leaf_nodes = [lane[:0]], [node[:0]]
         while lane.size:
             box_tests += lane.size * 8
             child = first_child[node][:, None] + _OCTANTS
             t_enter, t_exit = slab_spans(
                 *(b[child] for b in bounds), *(r[lane, None] for r in rays)
             )
-            hit, octant = np.nonzero(
-                ~_misses(t_enter, t_exit, best_t[lane, None])
-            )
+            hit, octant = np.nonzero(~_misses(t_enter, t_exit))
             lane = lane[hit]
             node = child[hit, octant]
             is_leaf = first_child[node] < 0
-            self._test_leaves(lane[is_leaf], node[is_leaf], test_pairs)
-            # The level's leaves have tightened best_t: prune the next
-            # frontier against it before descending (NaN keeps the pair).
-            descend = ~(is_leaf | (t_enter[hit, octant] > best_t[lane]))
+            leaf_lanes.append(lane[is_leaf])
+            leaf_nodes.append(node[is_leaf])
+            descend = ~is_leaf
             lane = lane[descend]
             node = node[descend]
-        return box_tests
+        return np.concatenate(leaf_lanes), np.concatenate(leaf_nodes), box_tests
 
     def _test_leaves(self, lane, node, test_pairs) -> None:
         """Expand (lane, leaf) pairs to (lane, patch) pairs; one callback."""

@@ -12,7 +12,8 @@ The walk is a level-synchronous pair frontier feeding a 1-D (lane, patch)
 kernel, so the second half pins what that shape makes new: exact ties
 (within one kernel call, across leaves, against the running best),
 duplicate pairs, wave chunking, the root-is-leaf tree, the empty batch,
-and one kernel call per tree level.
+one kernel call per wave, and a pair set that is exactly the slab-reachable
+leaves' patches.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ class TestEngineIntegration:
         paths are measured, with nobody naming either."""
         assert VectorEngine(get_scene(spec)).accel == accel
 
-    @pytest.mark.parametrize("patches, accel", [(31, "linear"), (32, "flat")])
+    @pytest.mark.parametrize("patches, accel", [(37, "linear"), (38, "flat")])
     def test_threshold_edges(self, patches, accel):
-        assert PRUNE_PATCH_THRESHOLD == 32
+        assert PRUNE_PATCH_THRESHOLD == 38
         scene = tiled_scene(patches)
         assert len(scene.patches) == patches
         assert VectorEngine(scene).accel == accel
@@ -491,8 +492,8 @@ class TestExactTies:
 
 
     def test_pruning_is_strict(self, tie_scene):
-        """A subtree *entered* at exactly the running best distance is
-        still walked: it may hold the equal-distance, larger-id winner.
+        """A subtree *entered* at exactly the nearer leaf's hit distance
+        is still walked: it may hold the equal-distance, larger-id winner.
 
         A built tree pads every leaf box past its patches, so this needs
         a hand-built one: the big shelf in a leaf above the shelf plane,
@@ -560,25 +561,77 @@ class TestWaves:
             monkeypatch.setattr(flatoctree, "WAVE_LANES", wave)
             assert [a.tolist() for a in engine.closest_hit(*rays)] == want
 
-    def test_one_kernel_call_per_level_per_wave(self, lab_small):
-        """The regression guard for per-node dispatch: callbacks are
-        bounded by tree depth, not by leaves visited."""
+    def test_one_kernel_call_per_wave(self, lab_small, monkeypatch):
+        """The regression guard for per-level dispatch: one callback per
+        wave that reaches a leaf, over that wave's lanes only, and none
+        for a wave whose every lane misses the root."""
         flat = SceneArrays(lab_small).flat
-        px, py, pz, dx, dy, dz = _random_rays(
-            lab_small, np.random.default_rng(13), 512)
+        inside = _random_rays(lab_small, np.random.default_rng(13), 300)
+        far = (np.full(100, 1e6),) * 3 + (np.ones(100), np.zeros(100), np.zeros(100))
+        px, py, pz, dx, dy, dz = (np.concatenate([a, b]) for a, b in zip(inside, far))
+        monkeypatch.setattr(flatoctree, "WAVE_LANES", 100)
         calls = []
-        slabs = flat.traverse(
-            px, py, pz, 1.0 / dx, 1.0 / dy, 1.0 / dz, np.full(512, np.inf),
-            lambda lanes, cols: calls.append((lanes, cols)),
-        )
-        assert 0 < len(calls) <= int(flat.depth.max())
-        assert slabs >= 512
-        for lanes, cols in calls:
+        with np.errstate(divide="ignore"):
+            slabs = flat.traverse(
+                px, py, pz, 1.0 / dx, 1.0 / dy, 1.0 / dz,
+                lambda lanes, cols: calls.append((lanes, cols)),
+            )
+        assert len(calls) == 3
+        assert slabs >= 400
+        for wave, (lanes, cols) in enumerate(calls):
             assert lanes.shape == cols.shape and lanes.ndim == 1
-            assert lanes.min() >= 0 and lanes.max() < 512
-        # With best_t never tightened nothing is pruned by distance, so
-        # every ray/leaf incidence of the tree shows up as pairs.
-        assert sum(c[0].size for c in calls) > 512
+            assert 100 * wave <= lanes.min() and lanes.max() < 100 * (wave + 1)
+
+
+def _slab_pair_oracle(flat: FlatOctree, rays) -> list[tuple[int, int]]:
+    """Every ``(lane, patch)`` pair of each leaf whose whole root path the
+    lane's ray slab-hits, by brute force: every lane against every box."""
+    px, py, pz, dx, dy, dz = rays
+    with np.errstate(divide="ignore"):
+        inv = (1.0 / dx, 1.0 / dy, 1.0 / dz)
+    boxes = (flat.lox, flat.loy, flat.loz, flat.hix, flat.hiy, flat.hiz)
+    t_enter, t_exit = flatoctree.slab_spans(
+        *boxes, *(c[:, None] for c in (px, py, pz, *inv)))
+    reach = ~((t_exit < t_enter) | (t_exit < 0.0))
+    for j in range(flat.node_count):  # breadth first: parents come first
+        if flat.first_child[j] >= 0:
+            kids = slice(flat.first_child[j], flat.first_child[j] + 8)
+            reach[:, kids] &= reach[:, j:j + 1]
+    return sorted(
+        (lane, patch)
+        for lane, node in zip(*np.nonzero(reach))
+        for patch in flat.leaf_patch_ids(node).tolist()
+    )
+
+
+class TestPairSet:
+    """The walk prunes on slab tests alone, never on distance."""
+
+    @pytest.mark.parametrize("scene_fixture", ("lab_small", "office64"))
+    def test_pairs_are_the_slab_reachable_leaves(
+        self, request, scene_fixture, monkeypatch
+    ):
+        scene = request.getfixturevalue(scene_fixture)
+        flat = SceneArrays(scene).flat
+        rays = _random_rays(scene, np.random.default_rng(17), 300)
+        monkeypatch.setattr(flatoctree, "WAVE_LANES", 128)
+        got = []
+        with np.errstate(divide="ignore"):
+            flat.traverse(
+                *rays[:3], *(1.0 / d for d in rays[3:]),
+                lambda lanes, cols: got.extend(zip(lanes.tolist(), cols.tolist())),
+            )
+        assert sorted(got) == _slab_pair_oracle(flat, rays)
+
+    def test_office_counts_per_photon(self):
+        """Slab and patch tests per photon on a 500-photon
+        ``gen:office-259@0xBEEF`` trace stay within 5 % of the walk that
+        also pruned on distance: 85.85 and 14.82."""
+        engine = VectorEngine(get_scene("gen:office-259@0xBEEF"))
+        assert engine.accel == "flat"
+        engine.trace_range(0x1234ABCD330E, 0, 500)
+        assert engine.box_tests / 500 == pytest.approx(85.854, rel=0.05)
+        assert engine.patch_tests / 500 == pytest.approx(14.824, rel=0.05)
 
 
 def open_box_scene() -> Scene:
@@ -644,7 +697,7 @@ class TestDegenerateShapes:
         def never(lanes, cols):
             raise AssertionError("no lanes, no pairs")
 
-        assert engine.arrays.flat.traverse(*(empty,) * 7, never) == 0
+        assert engine.arrays.flat.traverse(*(empty,) * 6, never) == 0
 
     def test_all_lanes_miss_the_root(self, lab_small):
         """A wave whose every lane is rejected at the root walks no level."""
