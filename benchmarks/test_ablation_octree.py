@@ -10,6 +10,7 @@ time on the 2000-polygon Computer Laboratory.
 import pytest
 
 from repro.geometry import Ray, Vec3
+from repro.paper.octree import intersect, intersect_linear, scene_octree
 from repro.paper.perf import format_table
 from repro.rng import Lcg48
 
@@ -42,21 +43,21 @@ def lab_rays(scenes):
 
 
 def octree_pass(scene, rays):
-    return [scene.intersect(ray) for ray in rays]
+    return [intersect(scene, ray) for ray in rays]
 
 
 def linear_pass(scene, rays):
-    return [scene.intersect_linear(ray) for ray in rays]
+    return [intersect_linear(scene, ray) for ray in rays]
 
 
 class TestWorkMetric:
     def test_tests_per_ray(self, scenes, lab_rays, benchmark):
         scene = scenes["computer-lab"]
-        scene.octree.stats.reset_traversal_counters()
+        scene_octree(scene).stats.reset_traversal_counters()
         hits = benchmark.pedantic(
             octree_pass, args=(scene, lab_rays), rounds=1, iterations=1
         )
-        octree_tests = scene.octree.stats.intersection_tests / len(lab_rays)
+        octree_tests = scene_octree(scene).stats.intersection_tests / len(lab_rays)
         linear_tests = scene.defining_polygon_count  # every patch, every ray
 
         print("\nAblation — intersection tests per ray (Computer Lab)")
@@ -78,8 +79,8 @@ class TestWorkMetric:
 
         def check():
             for ray in lab_rays[:60]:
-                a = scene.intersect(ray)
-                b = scene.intersect_linear(ray)
+                a = intersect(scene, ray)
+                b = intersect_linear(scene, ray)
                 if b is None:
                     assert a is None
                 else:

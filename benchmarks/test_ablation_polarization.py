@@ -13,6 +13,7 @@ from repro.core.polarization import PolarizedPhoton, polarized_reflect
 from repro.core.reflection import reflect
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray
+from repro.paper.octree import intersect
 from repro.paper.perf import format_table
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
@@ -27,7 +28,7 @@ def trace_plain(scene, seed: int) -> int:
         record = emit_photon(scene, rng)
         photon = record.photon
         for _ in range(MAX_BOUNCES):
-            hit = scene.intersect(Ray(photon.position, photon.direction, normalized=True))
+            hit = intersect(scene, Ray(photon.position, photon.direction, normalized=True))
             if hit is None:
                 break
             result = reflect(photon, hit, rng)
@@ -45,8 +46,8 @@ def trace_polarized(scene, seed: int) -> int:
         record = emit_photon(scene, rng)
         pp = PolarizedPhoton.from_photon(record.photon)
         for _ in range(MAX_BOUNCES):
-            hit = scene.intersect(
-                Ray(pp.photon.position, pp.photon.direction, normalized=True)
+            hit = intersect(
+                scene, Ray(pp.photon.position, pp.photon.direction, normalized=True)
             )
             if hit is None:
                 break

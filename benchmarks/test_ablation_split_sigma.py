@@ -10,17 +10,12 @@ both sides of the trade on a real simulation + render.
 
 import numpy as np
 
-from repro.core import (
-    Camera,
-    RadianceField,
-    SimulationConfig,
-    SplitPolicy,
-    run_scalar,
-)
+from repro.core import Camera, RadianceField, SimulationConfig, SplitPolicy
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar
 from tests.conftest import build_mini_scene
 
 SIGMAS = [1.5, 2.0, 3.0, 4.5]

@@ -14,18 +14,14 @@ Three published contrasts, measured on the same Cornell box:
 
 import time
 
-from repro.core import (
-    Camera,
-    RadianceField,
-    SimulationConfig,
-    run_scalar,
-)
+from repro.core import Camera, RadianceField, SimulationConfig
 from repro.core.viewing import render
 from repro.geometry import Vec3
-from repro.montecarlo import density_phase_speedup, run_density_estimation
+from repro.paper.densityestimation import density_phase_speedup, run_density_estimation
 from repro.paper.perf import format_table
 from repro.paper.radiosity import HierarchicalConfig, solve_hierarchical
 from repro.paper.raytrace import WhittedConfig, render_whitted
+from repro.paper.scalar import run_scalar
 from repro.scenes import CORNELL_DEFAULT_CAMERA
 
 N_PHOTONS = 4000

@@ -17,10 +17,10 @@ from repro.core import (
     SplitPolicy,
     decay_exponent,
     forest_error_summary,
-    run_scalar,
 )
 from repro.geometry import Vec3
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar
 from tests.conftest import build_mini_scene
 
 BUDGETS = [500, 2000, 8000]

@@ -17,17 +17,13 @@ scene-independent.
 
 import pytest
 
-from repro.core import (
-    Camera,
-    RadianceField,
-    SimulationConfig,
-    run_scalar,
-)
+from repro.core import Camera, RadianceField, SimulationConfig
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse
 from repro.paper.cluster import INDY_CLUSTER, profile_scene, trace_family
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar
 from tests.conftest import build_mini_scene
 
 FIXED_TIME = 120.0  # "2 minute run"

@@ -7,9 +7,10 @@ bench traces a real run, prints the growth curve, and checks both
 properties.
 """
 
-from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
-from repro.montecarlo import HIT_RECORD_BYTES
+from repro.core import SimulationConfig, SplitPolicy
+from repro.paper.densityestimation import HIT_RECORD_BYTES
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar_batches
 
 PHOTONS = 6000
 BATCH = 600

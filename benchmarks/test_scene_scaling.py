@@ -169,7 +169,7 @@ class TestPooledScaling:
         at the adaptive capacity, not the blanket one — and agrees with
         the single-process answer byte-for-byte."""
         config = SimulationConfig(
-            n_photons=PHOTONS, seed=SEED, engine="vector",
+            n_photons=PHOTONS, seed=SEED,
             workers=WORKERS,
         )
         with PhotonPool(gen_scene, config) as pool:
@@ -194,7 +194,7 @@ class TestPooledScaling:
         monkeypatch.setattr(resultplane, "ADAPTIVE_EVENTS_HEADROOM", 1e-6)
         monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
         config = SimulationConfig(
-            n_photons=PHOTONS, seed=SEED, engine="vector",
+            n_photons=PHOTONS, seed=SEED,
             workers=WORKERS,
         )
         with PhotonPool(gen_scene, config) as pool:

@@ -17,8 +17,9 @@ its count "disproportionately high ... due to the large mirror").
 
 import pytest
 
-from repro.core import SimulationConfig, SplitPolicy, run_scalar_batches
+from repro.core import SimulationConfig, SplitPolicy
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar_batches
 
 PAPER = {
     "cornell-box": (30, 397_000),

@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
-from repro.core import SimulationConfig, run_scalar
+from repro.core import SimulationConfig
 from repro.paper.perf import format_table
+from repro.paper.scalar import run_scalar
 
 PHOTONS = 50_000
 SEED = 0x1234ABCD330E

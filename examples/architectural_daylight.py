@@ -26,6 +26,7 @@ from repro.api import Camera, RenderSession, SimulateRequest
 from repro.core import RadianceField
 from repro.geometry import Ray, Vec3
 from repro.image import save_radiance_ppm
+from repro.paper.octree import intersect
 from repro.paper.raytrace import WhittedConfig, render_whitted
 from repro.scenes import HARPSICHORD_DEFAULT_CAMERA, harpsichord_room
 
@@ -36,7 +37,7 @@ def floor_irradiance_profile(scene, field, z: float, x_range, steps: int = 60):
     x0, x1 = x_range
     for i in range(steps):
         x = x0 + (x1 - x0) * i / (steps - 1)
-        hit = scene.intersect(Ray(Vec3(x, 1.0, z), Vec3(0.0, -1.0, 0.0)))
+        hit = intersect(scene, Ray(Vec3(x, 1.0, z), Vec3(0.0, -1.0, 0.0)))
         if hit is None or hit.patch.name not in ("floor", "rug"):
             profile.append((x, 0.0))
             continue

@@ -28,6 +28,7 @@ from repro.core.polarization import PolarizedPhoton, polarized_reflect
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray, Scene, Vec3, axis_rect, matte
 from repro.geometry.material import Material, RGB, emitter
+from repro.paper.octree import intersect
 from repro.paper.perf import format_table
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
@@ -41,8 +42,8 @@ def polarization_study(photons: int) -> None:
         record = emit_photon(scene, rng)
         pp = PolarizedPhoton.from_photon(record.photon)
         for _ in range(MAX_BOUNCES):
-            hit = scene.intersect(
-                Ray(pp.photon.position, pp.photon.direction, normalized=True)
+            hit = intersect(
+                scene, Ray(pp.photon.position, pp.photon.direction, normalized=True)
             )
             if hit is None:
                 break
@@ -91,7 +92,7 @@ def fluorescence_study(photons: int) -> None:
         photon = record.photon
         band_tallies[photon.band] += 1
         for _ in range(MAX_BOUNCES):
-            hit = scene.intersect(Ray(photon.position, photon.direction, normalized=True))
+            hit = intersect(scene, Ray(photon.position, photon.direction, normalized=True))
             if hit is None:
                 break
             result = fluorescent_reflect(photon, hit, rng, spec)

@@ -18,8 +18,9 @@ Sessions trace with the NumPy batch engine: photons in
 structure-of-arrays batches through the flat walk's tree on large
 scenes, and with ``--workers N`` sharded across a persistent
 multiprocessing pool that stays warm across requests.  The per-photon
-reference loop of Figure 4.1 is the correctness oracle
-(``repro.core.run_scalar``, ~10k photons/s on the Cornell box);
+reference loop of Figure 4.1 is the correctness oracle of the
+paper-reproduction tier (``repro.paper.scalar.run_scalar``, ~10k
+photons/s on the Cornell box);
 ``--compare-engines`` times it against a session and checks that both
 write bit-identical answers under per-photon substream RNG.
 
@@ -41,7 +42,7 @@ from repro.api import (
     SessionOptions,
     SimulateRequest,
 )
-from repro.core import SimulationConfig, load_answer, run_scalar, save_answer
+from repro.core import SimulationConfig, load_answer, save_answer
 from repro.geometry import Vec3
 from repro.image import save_radiance_ppm
 from repro.scenes import cornell_box
@@ -131,10 +132,11 @@ def main() -> None:
 def compare_engines(scene, photons: int) -> None:
     """Time the scalar oracle against a vector session, prove parity."""
     from repro.core import forest_to_dict
+    from repro.paper.scalar import run_scalar
 
     def oracle():
-        config = SimulationConfig(n_photons=photons, rng_mode="substream")
-        return run_scalar(scene, config)
+        config = SimulationConfig(n_photons=photons)
+        return run_scalar(scene, config, rng="substream")
 
     def served():
         with RenderSession(scene) as session:

@@ -33,13 +33,16 @@ __all__ = ["LintConfig", "load_config", "find_root", "DEFAULT_CANONICAL"]
 
 #: The modules the determinism contract covers (ARCHITECTURE.md): the
 #: physics core, geometry, the RNG itself, every parallel transport, the
-#: paper's parallel drivers, and the procedural generator.  Paths are
-#: root-relative.
+#: paper's scalar oracle, pointer octree, density-estimation baseline and
+#: parallel drivers, and the procedural generator.  Paths are root-relative.
 DEFAULT_CANONICAL = (
     "src/repro/core",
     "src/repro/geometry",
     "src/repro/rng",
     "src/repro/parallel",
+    "src/repro/paper/scalar.py",
+    "src/repro/paper/octree.py",
+    "src/repro/paper/densityestimation.py",
     "src/repro/paper/shared.py",
     "src/repro/paper/distributed.py",
     "src/repro/paper/geomdist.py",

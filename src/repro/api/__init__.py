@@ -29,7 +29,7 @@ Quick start::
 
 Every session traces with the vector engine on per-photon substreams.
 The per-photon reference loop of Figure 4.1 is not a serving path: it
-is the oracle :func:`repro.core.run_scalar`, which the golden suite
+is the oracle :func:`repro.paper.scalar.run_scalar`, which the golden suite
 holds to the same bytes.  See ``docs/ARCHITECTURE.md`` ("Public API &
 session lifecycle").
 """

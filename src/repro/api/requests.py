@@ -160,8 +160,6 @@ def merge_config(
         seed=request.seed,
         policy=request.policy,
         fluorescence=request.fluorescence,
-        engine="vector",
-        rng_mode="substream",
         batch_size=options.batch_size,
         workers=options.workers,
     )

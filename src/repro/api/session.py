@@ -47,7 +47,7 @@ workers or between stream chunks.
 
 Every session traces with the vector engine on per-photon substreams;
 the per-photon reference loop is the oracle
-:func:`repro.core.simulator.run_scalar`, not a session.  Determinism
+:func:`repro.paper.scalar.run_scalar`, not a session.  Determinism
 contract: for equal requests, every session configuration — worker
 count, batch size, streamed or one-shot — produces byte-identical
 answers, and all of them equal ``run_scalar`` under substream RNG (the
@@ -340,7 +340,7 @@ class RenderSession:
     def simulate(self, request: SimulateRequest) -> SimulationResult:
         """Serve one request on the warm resources.
 
-        Byte-identical to :func:`~repro.core.simulator.run_scalar` of
+        Byte-identical to :func:`~repro.paper.scalar.run_scalar` of
         the same request under substream RNG — the session only changes
         *how* and *when* photons are traced, never a single tally.
 
@@ -530,7 +530,7 @@ class RenderSession:
         Yields after every *batch_size* photons (default: the session's
         ``options.batch_size``); each yield is the cumulative result so
         far — the same forest object growing across yields, exactly like
-        :func:`~repro.core.simulator.run_scalar_batches`.  Because tally
+        :func:`~repro.paper.scalar.run_scalar_batches`.  Because tally
         replay is canonical in (photon, bounce) order regardless of
         chunk boundaries, the **final** yield is byte-identical to
         :meth:`simulate` of the same request, on every worker/batch-size

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .analysis.cliargs import add_lint_arguments
 from .api import RenderSession, SessionOptions, SimulateRequest
 from .core import Camera, SimulationConfig, SplitPolicy, load_answer, save_answer
-from .core.simulator import run_scalar
 from .geometry import Vec3
 from .image import save_radiance_ppm
 from .scenes import SceneFormatError, get_scene, scene_registry
@@ -53,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run the Photon simulation stage",
         description=(
-            "Engines: 'scalar' runs the per-photon reference loop once; "
-            "'vector' serves the request on a RenderSession, tracing "
+            "Engines: 'scalar' runs the paper's per-photon reference loop "
+            "once; 'vector' serves the request on a RenderSession, tracing "
             "photons in NumPy batches (several times faster, "
             "bit-identical answers under --rng substream), and with "
             "--workers N shards batches across a process pool for "
-            "multi-core speedup.  --workers > 1, --repeat > 1, "
+            "multi-core speedup.  --workers > 1, --batch-size, --repeat > 1, "
             "--amortize and --target-error need --engine vector."
         ),
     )
@@ -111,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--batch-size",
         type=int,
-        default=4096,
-        help="photons per vector batch",
+        default=None,
+        help="photons per vector batch (default 4096)",
     )
     p_sim.add_argument(
         "--target-error",
@@ -345,22 +344,24 @@ def _cmd_scenes(out) -> int:
 def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
     scene = _resolve_scene(_simulate_scene_spec(args, parser), parser)
     try:
-        # The record of the run, built first: its cross-field checks
-        # (vector forbids stream RNG, workers need the vector engine)
-        # cover both engines before anything is provisioned.
-        config = SimulationConfig(
-            n_photons=args.photons,
-            seed=args.seed,
-            policy=SplitPolicy(threshold=args.sigma),
-            engine=args.engine,
-            rng_mode=args.rng,
-            batch_size=args.batch_size,
-            workers=args.workers,
-        )
+        # Every flag is checked before anything is provisioned.
+        policy = SplitPolicy(threshold=args.sigma)
         if args.repeat < 1:
             raise ValueError("--repeat must be at least 1")
         if args.engine == "scalar":
+            config = SimulationConfig(
+                n_photons=args.photons,
+                seed=args.seed,
+                policy=policy,
+                workers=args.workers,
+            )
+            if args.workers > 1:
+                raise ValueError(
+                    "workers > 1 requires the vector engine (the scalar loop "
+                    "would silently ignore the pool); pass engine='vector'"
+                )
             for flag, used in (
+                ("--batch-size", args.batch_size is not None),
                 ("--repeat > 1", args.repeat > 1),
                 ("--amortize", args.amortize),
                 ("--target-error", args.target_error is not None),
@@ -368,19 +369,23 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
                 if used:
                     raise ValueError(f"{flag} requires --engine vector")
         else:
+            if args.rng == "stream":
+                raise ValueError(
+                    "the vector engine requires per-photon substreams; "
+                    "use rng_mode='substream' (or 'auto')"
+                )
             request = SimulateRequest(
                 n_photons=args.photons,
                 seed=args.seed,
-                policy=config.policy,
+                policy=policy,
                 target_rel_error=args.target_error,
             )
+            batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
             options = SessionOptions(
-                workers=args.workers,
-                batch_size=args.batch_size,
-                amortize=args.amortize,
+                workers=args.workers, amortize=args.amortize, **batch
             )
     except ValueError as exc:
-        # Flag combinations the config rejects (e.g. --workers without
+        # Flag combinations the engine rejects (e.g. --workers without
         # the vector engine) are usage errors, not tracebacks: report
         # them the argparse way (usage line + message, exit code 2),
         # against the simulate subparser so the synopsis actually shows
@@ -393,8 +398,13 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
     if args.workers > 1:
         engine_label += f" x{args.workers} procs"
     if args.engine == "scalar":
+        # The paper's Figure 4.1 loop is reproduction code: imported
+        # here, so no other command loads it.
+        from .paper.scalar import run_scalar
+
+        rng = "stream" if args.rng == "auto" else args.rng
         t0 = time.perf_counter()
-        result = run_scalar(scene, config)
+        result = run_scalar(scene, config, rng=rng)
         dt = time.perf_counter() - t0
     else:
         result, dt = _serve_repeated(scene, request, options, args, out)

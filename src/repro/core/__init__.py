@@ -36,18 +36,7 @@ from .generation import (
 from .photon import BAND_NAMES, NUM_BANDS, Photon
 from .radiance import RadianceField, RadianceSample
 from .reflection import ReflectionResult, local_frame_coords, reflect
-from .simulator import (
-    ENGINES,
-    MAX_BOUNCES,
-    RNG_MODES,
-    SimulationConfig,
-    SimulationResult,
-    TallyEvent,
-    TraceStats,
-    run_scalar,
-    run_scalar_batches,
-    trace_photon,
-)
+from .simulator import MAX_BOUNCES, SimulationConfig, SimulationResult, TraceStats
 from .vectorized import (
     EVENT_FIELDS,
     EmissionBatch,
@@ -84,14 +73,12 @@ __all__ = [
     "fresnel_reflection_mueller",
     "polarized_reflect",
     "rotation_mueller",
-    "ENGINES",
     "EVENT_FIELDS",
     "EmissionBatch",
     "EmissionRecord",
     "EventBatch",
     "MAX_BOUNCES",
     "NODE_BYTES",
-    "RNG_MODES",
     "SceneArrays",
     "VectorEngine",
     "apply_events",
@@ -109,7 +96,6 @@ __all__ = [
     "SimulationResult",
     "SplitPolicy",
     "TWO_PI",
-    "TallyEvent",
     "TraceStats",
     "direction_formula",
     "direction_formula_batch",
@@ -125,8 +111,5 @@ __all__ = [
     "reflect",
     "render",
     "render_rows",
-    "run_scalar",
-    "run_scalar_batches",
     "save_answer",
-    "trace_photon",
 ]

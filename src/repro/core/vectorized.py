@@ -1,6 +1,6 @@
 """Vectorized batch photon engine: structure-of-arrays tracing.
 
-The scalar reference (:func:`repro.core.simulator.trace_photon`) walks one
+The scalar reference (:func:`repro.paper.scalar.trace_photon`) walks one
 photon at a time through emission -> intersect -> reflect, consuming one
 ``drand48`` stream.  This module traces *batches* of photons in NumPy
 structure-of-arrays form — batched emission, batched ray/patch
@@ -1011,7 +1011,7 @@ class VectorEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Closest hit per lane: (patch index or -1, distance).
 
-        The batched :meth:`repro.geometry.scene.Scene.intersect`: one
+        The batched :func:`repro.paper.octree.intersect`: one
         lane per ray, origins and unit directions as six equal-length
         float64 arrays.  Photon bounces and the viewing stage's eye rays
         both resolve here.  Dispatches on ``self.accel``; every mode
@@ -1292,7 +1292,7 @@ class VectorEngine:
 
     def run(self, config) -> "SimulationResult":
         """Run a full photon budget; returns the same result type as the
-        scalar oracle :func:`~repro.core.simulator.run_scalar`.
+        scalar oracle :func:`~repro.paper.scalar.run_scalar`.
         """
         from .simulator import SimulationResult, TraceStats
 

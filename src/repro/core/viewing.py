@@ -14,7 +14,7 @@ structure-of-arrays columns, resolves every closest hit in one
 compiled kernel, accelerator and tie rule the photons use) and looks
 radiance up per (tree, leaf) group with
 :meth:`~repro.core.radiance.RadianceField.sample_rows`.  The single-ray
-API — :meth:`Camera.primary_ray`, ``Scene.intersect``,
+API — :meth:`Camera.primary_ray`, :func:`repro.paper.octree.intersect`,
 ``RadianceField.sample`` — is the arithmetic it replicates expression
 for expression, and the oracle ``tests/core/test_viewing_parity.py``
 holds it to, byte for byte.

@@ -1,4 +1,4 @@
-"""Geometric substrate: vectors, rays, patches, octree, scenes."""
+"""Geometric substrate: vectors, rays, patches, the flat octree, scenes."""
 
 from .aabb import AABB
 from .builders import axis_rect, box, parallelogram, quad_from_corners, room, table
@@ -13,7 +13,6 @@ from .material import (
     mirror,
 )
 from .flatoctree import FlatOctree
-from .octree import Octree, OctreeNode, OctreeStats
 from .polygon import Hit, Patch
 from .ray import EPSILON, Ray
 from .scene import Luminaire, Scene, SceneStats
@@ -28,9 +27,6 @@ __all__ = [
     "Hit",
     "Luminaire",
     "Material",
-    "Octree",
-    "OctreeNode",
-    "OctreeStats",
     "Patch",
     "RGB",
     "Ray",

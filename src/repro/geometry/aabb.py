@@ -178,7 +178,7 @@ class AABB:
         """The *index*-th of the 8 equal child cells.
 
         Bit 0 selects the high-x half, bit 1 high-y, bit 2 high-z — the
-        ordering used throughout :mod:`repro.geometry.octree`.
+        ordering used throughout :mod:`repro.paper.octree`.
         """
         if not 0 <= index < 8:
             raise ValueError(f"octant index must be in [0, 8), got {index}")

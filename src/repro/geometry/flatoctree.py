@@ -1,6 +1,6 @@
 """Flat eight-wide bounding volume hierarchy for batched traversal.
 
-The pointer octree (:class:`repro.geometry.octree.Octree`) is ideal for
+The pointer octree (:class:`repro.paper.octree.Octree`) is ideal for
 the scalar tracer: one ray at a time, near-to-far recursion, early exit.
 The vector engine needs the opposite shape — *one node at a time, all
 rays at once* — and a tree shaped for it: an octree halves all three
@@ -39,7 +39,7 @@ The module, the class and :meth:`FlatOctree.traverse` keep their octree
 names although the tree is no longer an octree: the benchmark harness
 wraps ``repro.geometry.flatoctree.FlatOctree.traverse`` by name, and the
 eight-slot layout is the octree's.  The pointer octree is now built only
-for the scalar tracer (:attr:`repro.geometry.scene.Scene.octree`).
+for the paper tier's scalar tracer (:func:`repro.paper.octree.scene_octree`).
 
 Traversal (:meth:`FlatOctree.traverse`) is a level-synchronous *pair
 frontier* — the wavefront shape: two parallel arrays ``(lane, node)``
@@ -63,7 +63,7 @@ Determinism contract
 The *answer* is visit-order independent: the caller's closest-hit
 reduction resolves exact-distance ties to the **maximum patch id** (the
 canonical rule shared by the linear scan, the pointer octree, and the
-vector engine — see :mod:`repro.geometry.octree`), a pure function of
+vector engine — see :mod:`repro.paper.octree`), a pure function of
 ``(t, patch_id)``, so breadth-first order, which leaf holds a patch and
 wave boundaries cannot change a byte.  A subtree is pruned only when
 the ray misses its box or the box lies behind the origin; NaN slab

@@ -1,4 +1,4 @@
-"""Scene container: patches, luminaires, and the scalar tracer's octree.
+"""Scene container: patches, luminaires and their bounds.
 
 A :class:`Scene` owns the *defining polygons* (Table 5.1's first column).
 The view-dependent mesh polygons of the second column are not geometry at
@@ -8,17 +8,35 @@ all — they are histogram bins that the Photon simulator grows at run time
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .aabb import AABB
-from .octree import Octree, check_params, root_bounds
-from .polygon import Hit, Patch
-from .ray import Ray
+from .polygon import Patch
 from .vec import Vec3
 
-__all__ = ["Scene", "Luminaire", "SceneStats"]
+__all__ = ["Scene", "Luminaire", "SceneStats", "root_bounds", "check_params"]
+
+
+def root_bounds(patches: Sequence[Patch]) -> AABB:
+    """The union of the patch AABBs, grown by a hair.
+
+    Patches lying exactly on the boundary are inside.  This is the root
+    cell of the paper tier's pointer octree
+    (:class:`repro.paper.octree.Octree`) and what :meth:`Scene.bounds`
+    returns, without building any tree.
+    """
+    bounds = AABB.union_all([p.bounds() for p in patches])
+    diag = bounds.extent().length()
+    return bounds.expanded(max(diag, 1.0) * 1e-9 + 1e-12)
+
+
+def check_params(leaf_capacity: int, max_depth: int) -> None:
+    """Raise ``ValueError`` unless the octree build parameters are usable."""
+    if leaf_capacity < 1:
+        raise ValueError("leaf_capacity must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,9 +80,11 @@ class Scene:
         name: Scene label, used in reports.
         beam_half_angles: Optional mapping from patch index (in *patches*)
             to a collimation half-angle for that emitter.
-        leaf_capacity / max_depth: Build parameters of the pointer
-            octree (:attr:`octree`), which only the scalar tracer walks;
-            the vector engine builds its own tree from the patches.
+        leaf_capacity / max_depth: Build parameters of the paper tier's
+            pointer octree (:func:`repro.paper.octree.scene_octree`),
+            which only the scalar tracer walks; the vector engine builds
+            its own tree from the patches.  Plain scene data, checked
+            here: scene files and ``save_scene`` carry them.
         default_camera: Optional viewing defaults carried *with* the
             scene — ``Camera(**scene.default_camera)`` keyword arguments
             (``position``, ``look_at``, ``vertical_fov_degrees``).  When
@@ -149,30 +169,6 @@ class Scene:
         )
 
         self._bounds: Optional[AABB] = None
-        self._octree: Optional[Octree] = None
-        self._octree_lock = threading.Lock()
-
-    @property
-    def octree(self) -> Octree:
-        """The pointer octree over the patches, built on first use.
-
-        Only the scalar tracer (:meth:`intersect`, :meth:`is_occluded`)
-        walks it, so vector-engine serving never pays for it: on
-        ``gen:office-259`` it is most of the scene build and ~20 MB.
-        Built once under a lock, so concurrent first callers share one
-        tree, from ``leaf_capacity`` / ``max_depth``.
-        """
-        tree = self._octree
-        if tree is None:
-            with self._octree_lock:
-                tree = self._octree
-                if tree is None:
-                    tree = self._octree = Octree(
-                        self.patches,
-                        leaf_capacity=self.leaf_capacity,
-                        max_depth=self.max_depth,
-                    )
-        return tree
 
     def __getstate__(self) -> dict:
         """Pickle without process-local state.
@@ -181,44 +177,14 @@ class Scene:
         program on the scene object; the program holds locks and
         megabytes of arrays, neither of which may travel with the scene
         when the multi-process pickle transport ships it to a worker
-        (spawn-start platforms pickle pool init args).  The octree and
-        its lock stay behind too.  The receiving process compiles its
-        own program, and builds its own octree, on first need.
+        (spawn-start platforms pickle pool init args).  The receiving
+        process compiles its own program on first need.
         """
         state = self.__dict__.copy()
         state.pop("_compiled_program", None)
-        state.pop("_octree_lock")
-        state["_octree"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._octree_lock = threading.Lock()
-
     # -- queries -------------------------------------------------------------
-
-    def intersect(self, ray: Ray, t_max: float = float("inf")) -> Optional[Hit]:
-        """Closest hit in the scene (octree-accelerated)."""
-        return self.octree.intersect(ray, t_max)
-
-    def intersect_linear(self, ray: Ray, t_max: float = float("inf")) -> Optional[Hit]:
-        """Closest hit by brute-force scan of every patch.
-
-        Kept as the correctness oracle for the octree and as the baseline
-        for the octree ablation bench.
-        """
-        best: Optional[Hit] = None
-        limit = t_max
-        for patch in self.patches:
-            hit = patch.intersect(ray, limit)
-            if hit is not None:
-                best = hit
-                limit = hit.distance
-        return best
-
-    def is_occluded(self, ray: Ray, distance: float) -> bool:
-        """Any-hit shadow query strictly before *distance*."""
-        return self.octree.is_occluded(ray, distance)
 
     def pick_luminaire(self, u: float) -> Luminaire:
         """Luminaire whose CDF interval contains ``u * total_power``.
@@ -237,11 +203,7 @@ class Scene:
         return self.luminaires[lo]
 
     def bounds(self) -> AABB:
-        """The slightly expanded scene extent: the octree's root cell.
-
-        Computed by :func:`repro.geometry.octree.root_bounds`, the helper
-        the octree itself uses, so it never builds the tree.
-        """
+        """The slightly expanded scene extent (:func:`root_bounds`)."""
         if self._bounds is None:
             self._bounds = root_bounds(self.patches)
         return self._bounds

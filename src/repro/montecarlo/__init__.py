@@ -1,11 +1,5 @@
 """Monte Carlo substrate: split statistics, adaptive histograms, integration."""
 
-from .densityestimation import (
-    DensityEstimationResult,
-    HIT_RECORD_BYTES,
-    density_phase_speedup,
-    run_density_estimation,
-)
 from .histogram import (
     AdaptiveHistogram,
     FixedHistogram,
@@ -32,11 +26,7 @@ __all__ = [
     "AdaptiveHistogram",
     "DEFAULT_MIN_COUNT",
     "DEFAULT_SPLIT_THRESHOLD",
-    "DensityEstimationResult",
     "FixedHistogram",
-    "HIT_RECORD_BYTES",
-    "density_phase_speedup",
-    "run_density_estimation",
     "HistogramBin",
     "IntegrationResult",
     "RunningMeanVar",

@@ -3,8 +3,11 @@
 Everything here reproduces a figure, table or baseline of the paper and
 nothing on the serving path imports it (``tests/api/test_public_api.py``
 ``TestImportFence``; the CLI imports it only inside the ``trace`` and
-``scenes`` commands):
+``scenes`` commands and ``simulate --engine scalar``):
 
+* :mod:`.scalar` — the serial Photon loop of Figure 4.1, the oracle the
+  vector engine's answers are checked against, tracing through the
+  chapter-6 pointer octree of :mod:`.octree`;
 * :mod:`.shared` — threads over a reader/writer-locked forest (Figure 5.2);
 * :mod:`.distributed` — rank-sharded forests with event forwarding
   (Figure 5.3), balanced by :mod:`.loadbalance`;
@@ -12,7 +15,8 @@ nothing on the serving path imports it (``tests/api/test_public_api.py``
 * :mod:`.mpi` — the in-process MPI substrate those drivers run on;
 * :mod:`.cluster` and :mod:`.perf` — cost models of the three 1997
   platforms and the speedup tables and traces read off them;
-* :mod:`.radiosity` and :mod:`.raytrace` — the chapter-2 baselines.
+* :mod:`.radiosity`, :mod:`.raytrace` and :mod:`.densityestimation` —
+  the chapter-2 baselines.
 
 The drivers trace one photon at a time, as the paper's pseudo-code
 does; only :mod:`.geomdist` batches its redundant all-photon emission

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...core.bintree import NODE_BYTES, BinForest, SplitPolicy
-from ...core.simulator import TraceStats, trace_photon
+from ...core.simulator import TraceStats
 from ...geometry.scene import Scene
 from ...rng import Lcg48
+from ..octree import scene_octree
+from ..scalar import trace_photon
 
 __all__ = ["SceneProfile", "profile_scene"]
 
@@ -108,7 +110,8 @@ def profile_scene(
     rng = Lcg48(seed)
     forest = BinForest(SplitPolicy())
     stats = TraceStats()
-    scene.octree.stats.reset_traversal_counters()
+    octree_stats = scene_octree(scene).stats
+    octree_stats.reset_traversal_counters()
     patch_tallies: dict[int, int] = {}
     for _ in range(photons):
         events, photon_stats = trace_photon(scene, rng)
@@ -120,7 +123,6 @@ def profile_scene(
 
     total = sum(patch_tallies.values())
     concentration = sum((c / total) ** 2 for c in patch_tallies.values())
-    octree_stats = scene.octree.stats
     return SceneProfile(
         name=scene.name,
         defining_polygons=scene.defining_polygon_count,

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..geometry.scene import Scene
 from ..rng import Lcg48
+from .scalar import trace_photon
 
 __all__ = [
     "HIT_RECORD_BYTES",
@@ -96,10 +97,6 @@ def run_density_estimation(
     *position only*, so the result cannot represent mirrors or glare —
     a separate per-viewpoint ray pass would be needed.
     """
-    # Deferred import: repro.core.binning depends on repro.montecarlo.stats,
-    # so importing the simulator at module load would be circular.
-    from ..core.simulator import trace_photon
-
     if n_photons < 1:
         raise ValueError("need at least one photon")
     if grid < 1:

@@ -19,7 +19,7 @@ from typing import Literal
 
 from ..core.binning import BinCoords
 from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
-from ..core.simulator import TraceStats, trace_photon
+from ..core.simulator import TraceStats
 from ..geometry.scene import Scene
 from ..parallel.procpool import rank_share
 from ..rng import Lcg48
@@ -31,6 +31,7 @@ from .loadbalance import (
     pilot_forest,
 )
 from .mpi import SimComm, run_parallel
+from .scalar import trace_photon
 
 __all__ = [
     "DistributedConfig",

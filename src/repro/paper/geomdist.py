@@ -38,12 +38,12 @@ from ..core.photon import Photon
 from ..core.reflection import reflect
 from ..core.simulator import MAX_BOUNCES
 from ..geometry.aabb import AABB
-from ..geometry.octree import Octree
 from ..geometry.ray import Ray
 from ..geometry.scene import Scene
 from ..geometry.vec import Vec3
 from ..rng import Lcg48
 from .mpi import SimComm, run_parallel
+from .octree import Octree, intersect
 
 __all__ = [
     "RegionGrid",
@@ -413,7 +413,7 @@ def serial_reference_tallies(scene: Scene, config: GeomDistConfig) -> dict[int, 
         while True:
             if photon.bounces >= MAX_BOUNCES:
                 break
-            hit = scene.intersect(Ray(photon.position, photon.direction, normalized=True))
+            hit = intersect(scene, Ray(photon.position, photon.direction, normalized=True))
             if hit is None:
                 break
             result = reflect(photon, hit, rng)

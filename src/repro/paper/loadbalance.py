@@ -28,9 +28,9 @@ from typing import Mapping, Optional, Sequence
 
 from ..core.binning import BinCoords, BinNode, NUM_AXES
 from ..core.bintree import BinForest, SplitPolicy
-from ..core.simulator import trace_photon
 from ..geometry.scene import Scene
 from ..rng import Lcg48
+from .scalar import trace_photon
 
 __all__ = [
     "OwnershipMap",

@@ -1,4 +1,4 @@
-"""Octree spatial index over patches.
+"""The chapter-6 pointer octree and the scalar tracer's scene queries.
 
 The dissertation (chapter 6) singles out the octree as the structure that
 "orders the intersection testing for a given photon such that we only test
@@ -23,45 +23,38 @@ rule in both the leaf loop and the cross-cell merge, and (b) the slab
 arithmetic of :meth:`repro.geometry.aabb.AABB.intersect_ray`, which the
 batched kernels replicate expression-for-expression.
 
-The pointer layout (this module) serves the one-ray-at-a-time scalar
-tracer, and a :class:`repro.geometry.scene.Scene` builds it only when
-that tracer first asks; batch tracing builds its own tree straight from
-the patch columns (:meth:`repro.geometry.flatoctree.FlatOctree.build`).
+The pointer layout serves the one-ray-at-a-time scalar tracer
+(:mod:`repro.paper.scalar`) and the chapter-2 baselines.
+:func:`scene_octree` builds one per scene on first use, from the
+scene's ``leaf_capacity`` / ``max_depth``; batch tracing builds its own
+tree straight from the patch columns
+(:meth:`repro.geometry.flatoctree.FlatOctree.build`) and never this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .aabb import AABB
-from .polygon import Hit, Patch
-from .ray import Ray
+from ..geometry.aabb import AABB
+from ..geometry.polygon import Hit, Patch
+from ..geometry.ray import Ray
+from ..geometry.scene import Scene, check_params, root_bounds
 
-__all__ = ["Octree", "OctreeNode", "OctreeStats", "root_bounds", "check_params"]
+__all__ = [
+    "Octree",
+    "OctreeNode",
+    "OctreeStats",
+    "scene_octree",
+    "intersect",
+    "intersect_linear",
+    "is_occluded",
+]
 
 _MAX_DEPTH_DEFAULT = 10
 _LEAF_CAPACITY_DEFAULT = 8
-
-
-def root_bounds(patches: Sequence[Patch]) -> AABB:
-    """The root cell of an octree over *patches*.
-
-    The union of the patch AABBs, grown by a hair so patches lying
-    exactly on the boundary are inside.  :meth:`repro.geometry.scene.Scene.bounds`
-    returns the same box without building the tree.
-    """
-    bounds = AABB.union_all([p.bounds() for p in patches])
-    diag = bounds.extent().length()
-    return bounds.expanded(max(diag, 1.0) * 1e-9 + 1e-12)
-
-
-def check_params(leaf_capacity: int, max_depth: int) -> None:
-    """Raise ``ValueError`` unless the build parameters are usable."""
-    if leaf_capacity < 1:
-        raise ValueError("leaf_capacity must be >= 1")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
 
 
 @dataclass
@@ -260,3 +253,57 @@ class Octree:
             if node.is_leaf:
                 out[node.depth] = out.get(node.depth, 0) + 1
         return out
+
+
+#: One tree per live scene, built on first use; the entry dies with the scene.
+_TREES: "weakref.WeakKeyDictionary[Scene, Octree]" = weakref.WeakKeyDictionary()
+_TREES_LOCK = threading.Lock()
+
+
+def scene_octree(scene: Scene) -> Octree:
+    """The pointer octree over *scene*'s patches, built on first use.
+
+    Built once under a lock, so concurrent first callers share one tree,
+    from the scene's ``leaf_capacity`` / ``max_depth``.  On
+    ``gen:office-259`` it is most of a scene build and ~20 MB, which is
+    why serving never asks for it.
+    """
+    tree = _TREES.get(scene)
+    if tree is None:
+        with _TREES_LOCK:
+            tree = _TREES.get(scene)
+            if tree is None:
+                tree = _TREES[scene] = Octree(
+                    scene.patches,
+                    leaf_capacity=scene.leaf_capacity,
+                    max_depth=scene.max_depth,
+                )
+    return tree
+
+
+def intersect(scene: Scene, ray: Ray, t_max: float = float("inf")) -> Optional[Hit]:
+    """Closest hit in *scene* (octree-accelerated)."""
+    return scene_octree(scene).intersect(ray, t_max)
+
+
+def intersect_linear(
+    scene: Scene, ray: Ray, t_max: float = float("inf")
+) -> Optional[Hit]:
+    """Closest hit by brute-force scan of every patch.
+
+    Kept as the correctness oracle for the octree and as the baseline
+    for the octree ablation bench.
+    """
+    best: Optional[Hit] = None
+    limit = t_max
+    for patch in scene.patches:
+        hit = patch.intersect(ray, limit)
+        if hit is not None:
+            best = hit
+            limit = hit.distance
+    return best
+
+
+def is_occluded(scene: Scene, ray: Ray, distance: float) -> bool:
+    """Any-hit shadow query strictly before *distance*."""
+    return scene_octree(scene).is_occluded(ray, distance)

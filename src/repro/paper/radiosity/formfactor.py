@@ -20,6 +20,7 @@ from ...geometry.ray import Ray
 from ...geometry.scene import Scene
 from ...geometry.vec import dot, sub
 from ...rng import Lcg48
+from ..octree import intersect
 
 __all__ = [
     "point_form_factor",
@@ -90,7 +91,7 @@ def patch_form_factor(
         k = cos_x * cos_y * area_j / (math.pi * r2 + area_j)
         if scene is not None:
             ray = Ray(xi, d / r, normalized=True)
-            hit = scene.intersect(ray, r * (1.0 - 1e-9))
+            hit = intersect(scene, ray, r * (1.0 - 1e-9))
             # The sample pair is visible only if nothing sits strictly
             # between the two points (hitting patch_j itself earlier than
             # the sample point also counts as occlusion of *this pair*).

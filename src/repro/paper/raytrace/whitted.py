@@ -18,6 +18,7 @@ from ...core.viewing import Camera
 from ...geometry.ray import Ray
 from ...geometry.scene import Scene
 from ...geometry.vec import Vec3, dot, reflect_about, sub
+from ..octree import intersect, is_occluded
 
 __all__ = ["WhittedConfig", "trace_ray", "render_whitted"]
 
@@ -50,7 +51,7 @@ class WhittedConfig:
 
 def trace_ray(scene: Scene, ray: Ray, config: WhittedConfig, depth: int = 0) -> tuple[float, float, float]:
     """Radiance estimate along *ray* under the Whitted model."""
-    hit = scene.intersect(ray)
+    hit = intersect(scene, ray)
     if hit is None:
         return (0.0, 0.0, 0.0)
     material = hit.patch.material
@@ -73,7 +74,7 @@ def trace_ray(scene: Scene, ray: Ray, config: WhittedConfig, depth: int = 0) -> 
         ndotl = dot(normal, direction)
         if ndotl <= 0.0:
             continue
-        if scene.is_occluded(Ray(hit.point, direction, normalized=True), distance):
+        if is_occluded(scene, Ray(hit.point, direction, normalized=True), distance):
             continue
         emission = lum.patch.material.emission
         # Inverse-square falloff of a point source.

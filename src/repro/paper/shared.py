@@ -20,10 +20,11 @@ import threading
 from dataclasses import dataclass, field
 
 from ..core.bintree import BinForest, SplitPolicy
-from ..core.simulator import TraceStats, trace_photon
+from ..core.simulator import TraceStats
 from ..geometry.scene import Scene
 from ..parallel.procpool import rank_share
 from ..rng import Lcg48
+from .scalar import trace_photon
 
 __all__ = [
     "RWLock",
@@ -191,7 +192,7 @@ def run_shared(scene: Scene, config: SharedConfig, n_workers: int) -> SharedResu
     """Run the forall loop of Figure 5.2 on *n_workers* threads.
 
     With ``n_workers == 1`` and the same seed this produces a forest
-    identical to :func:`repro.core.simulator.run_scalar` — the
+    identical to :func:`repro.paper.scalar.run_scalar` — the
     equivalence the integration tests pin down.
     """
     if n_workers < 1:

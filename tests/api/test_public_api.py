@@ -13,6 +13,9 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,14 +31,11 @@ from repro.api import (
     merge_config,
     open_session,
 )
-from repro.core import (
-    SimulationConfig,
-    SplitPolicy,
-    forest_to_dict,
-    run_scalar,
-)
+from repro.core import SimulationConfig, SplitPolicy, forest_to_dict
 from repro.core.vectorized import VectorEngine
+from repro.paper import scalar
 from repro.paper.cluster import profile_scene
+from repro.paper.scalar import run_scalar
 from repro.paper.shared import SharedConfig, run_shared
 
 
@@ -121,12 +121,52 @@ class TestImportFence:
         "repro.cluster", "repro.perf", "repro.radiosity", "repro.raytrace",
         "repro.parallel.shared", "repro.parallel.distributed",
         "repro.parallel.geomdist", "repro.parallel.mpi",
-        "repro.parallel.loadbalance",
+        "repro.parallel.loadbalance", "repro.geometry.octree",
+        "repro.montecarlo.densityestimation",
     ])
     def test_old_paths_are_gone(self, old):
         """The tier moved without aliases."""
         with pytest.raises(ImportError):
             importlib.import_module(old)
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.core", "run_scalar"),
+        ("repro.core", "trace_photon"),
+        ("repro.core", "TallyEvent"),
+        ("repro.core", "ENGINES"),
+        ("repro.core", "RNG_MODES"),
+        ("repro.geometry", "Octree"),
+    ], ids=lambda value: value.rpartition(".")[2])
+    def test_old_names_are_gone(self, module, name):
+        """The scalar loop and the pointer octree moved without aliases."""
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    @pytest.mark.parametrize("attr", [
+        "octree", "intersect", "intersect_linear", "is_occluded",
+    ])
+    def test_scene_has_no_scalar_queries(self, mini_scene, attr):
+        """They are functions over a scene in `repro.paper.octree`."""
+        assert not hasattr(mini_scene, attr)
+
+    def test_serving_imports_load_no_fenced_module(self):
+        """Importing the CLI, the service and the pool in a fresh process
+        loads no `repro.paper` module and nothing holding the scalar
+        loop or the pointer octree."""
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.service, repro.parallel.procpool\n"
+            "print([name for name, module in list(sys.modules.items())\n"
+            "       if name.startswith('repro') and (name.startswith('repro.paper')\n"
+            "       or any(hasattr(module, attr)\n"
+            "              for attr in ('trace_photon', 'run_scalar', 'Octree')))])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_parallel_exports_only_the_serving_backend(self):
         import repro.parallel as parallel
@@ -207,9 +247,11 @@ class TestRequestOptionsSplit:
         assert [f.name for f in dataclasses.fields(SimulateRequest)] == [
             "n_photons", "seed", "policy", "fluorescence", "target_rel_error",
         ]
+        # The record of a run names no engine and no RNG discipline
+        # either (TestConfigValidation pins the TypeErrors).
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
-            "n_photons", "seed", "policy", "fluorescence", "engine",
-            "rng_mode", "batch_size", "workers",
+            "n_photons", "seed", "policy", "fluorescence", "batch_size",
+            "workers",
         ]
 
     @pytest.mark.parametrize("call, error, match", [
@@ -253,8 +295,6 @@ class TestRequestOptionsSplit:
             n_photons=123,
             seed=0xBEEF,
             policy=SplitPolicy(threshold=2.5),
-            engine="vector",
-            rng_mode="substream",
             batch_size=512,
             workers=3,
         )
@@ -265,20 +305,19 @@ class TestOneServingPath:
         """The oracle is a function, not a one-shot simulator class, and
         nothing splits a config back into a request/options pair."""
         assert not [name for name in dir(repro.core) if name.endswith("Simulator")]
-        assert {"run_scalar", "run_scalar_batches"} <= set(repro.core.__all__)
+        assert {"run_scalar", "run_scalar_batches"} <= set(scalar.__all__)
+        assert not {"run_scalar", "trace_photon"} & set(repro.core.__all__)
         assert not [name for name in dir(api) if name.startswith("split")]
 
     @pytest.mark.parametrize("run", [
-        run_scalar,
+        lambda scene, config: run_scalar(scene, config, rng="substream"),
         lambda scene, config: VectorEngine(scene).run(config),
     ], ids=["scalar", "vector"])
     def test_oracle_matches_session_bytes(self, mini_scene, run):
         """The scalar oracle under substreams, a bare vector engine and a
         session serve identical bytes."""
         request = SimulateRequest(n_photons=220, seed=0xC0FFEE)
-        oracle = run(mini_scene, SimulationConfig(
-            n_photons=220, seed=0xC0FFEE, rng_mode="substream"
-        ))
+        oracle = run(mini_scene, SimulationConfig(n_photons=220, seed=0xC0FFEE))
         with RenderSession(mini_scene) as session:
             served = session.simulate(request)
         assert forest_bytes(oracle) == forest_bytes(served)

@@ -11,10 +11,10 @@ from repro.core import (
     forest_from_dict,
     forest_to_dict,
     load_answer,
-    run_scalar,
     save_answer,
 )
 from repro.geometry import Vec3
+from repro.paper.scalar import run_scalar
 
 
 @pytest.fixture(scope="module")

@@ -241,7 +241,7 @@ class TestForestCopy:
 
     def test_simulation_result_deepcopy(self, cornell):
         result = VectorEngine(cornell).run(SimulationConfig(
-            n_photons=400, seed=3, engine="vector", rng_mode="substream"))
+            n_photons=400, seed=3))
         clone = copy.deepcopy(result)
         assert clone.forest is not result.forest
         assert _forest_bytes(clone.forest) == _forest_bytes(result.forest)

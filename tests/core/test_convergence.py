@@ -11,10 +11,10 @@ from repro.core import (
     bin_relative_error,
     decay_exponent,
     forest_error_summary,
-    run_scalar,
 )
 from repro.core.binning import BinNode, TWO_PI
 from repro.geometry import Vec3
+from repro.paper.scalar import run_scalar
 
 
 def leaf_with(total: int) -> BinNode:

@@ -7,10 +7,10 @@ pure function of the candidate set, so where tile edges fall must be
 invisible: these tests move the edges (1-lane tiles, 7 x 5 tiles, one
 tile for everything), straddle them with lane and patch counts, and
 compare with the scalar oracle — ``Patch.intersect`` patch by patch,
-later equal distances winning, which is ``Scene.intersect_linear`` and
-the canonical rule.  (``Scene.intersect`` walks the pointer octree and
-may break a cross-cell exact tie the other way; it is a second oracle
-only where no tie straddles two of its cells.)
+later equal distances winning, which is the paper tier's
+``intersect_linear`` and the canonical rule.  (Its ``intersect`` walks
+the pointer octree and may break a cross-cell exact tie the other way;
+it is a second oracle only where no tie straddles two of its cells.)
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.core import vectorized
 from repro.core.vectorized import VectorEngine
 from repro.geometry import Vec3
 from repro.geometry.ray import Ray
+from repro.paper.octree import intersect
 from repro.scenes import computer_lab, cornell_box
 
 TILE_LANES, TILE_COLS = vectorized.DENSE_TILE
@@ -133,7 +134,7 @@ class TestTileEdges:
         # The pointer octree agrees too: the few exact ties here (floor
         # against a block's base) do not straddle two of its cells.
         for k in range(0, lanes, 17):
-            hit = cornell.intersect(Ray(
+            hit = intersect(cornell, Ray(
                 Vec3(*(float(r[k]) for r in rays[:3])),
                 Vec3(*(float(r[k]) for r in rays[3:])), normalized=True,
             ))

@@ -16,8 +16,9 @@ import pytest
 
 from repro.api import RenderSession, SimulateRequest
 from repro.cli import main as cli_main
-from repro.core import run_scalar, save_answer
+from repro.core import save_answer
 from repro.core.vectorized import VectorEngine
+from repro.paper.scalar import run_scalar
 from repro.parallel.procpool import run_procpool
 from tests.data.regenerate import DATA_DIR, GOLDEN_PHOTONS, GOLDEN_SEED, golden_config
 
@@ -53,8 +54,8 @@ def answer_bytes(result, tmp_path: Path) -> bytes:
     return out.read_bytes()
 
 
-def simulate_bytes(scene, config, tmp_path: Path) -> bytes:
-    return answer_bytes(run_scalar(scene, config), tmp_path)
+def simulate_bytes(scene, rng: str, tmp_path: Path) -> bytes:
+    return answer_bytes(run_scalar(scene, golden_config(), rng=rng), tmp_path)
 
 
 class TestSubstreamGoldens:
@@ -63,7 +64,7 @@ class TestSubstreamGoldens:
     @pytest.mark.parametrize("scene_name", sorted(SCENE_FIXTURES))
     def test_scalar_engine(self, request, tmp_path, scene_name):
         scene = scene_for(request, scene_name)
-        got = simulate_bytes(scene, golden_config("scalar", "substream"), tmp_path)
+        got = simulate_bytes(scene, "substream", tmp_path)
         assert got == golden_bytes(f"{scene_name}.substream.answer.json")
 
     @pytest.mark.parametrize("scene_name", sorted(SCENE_FIXTURES))
@@ -83,9 +84,7 @@ class TestSubstreamGoldens:
         whichever one the engine would pick there (the engine-level seam:
         no config names an accelerator)."""
         scene = scene_for(request, scene_name)
-        result = VectorEngine(scene, accel=accel).run(
-            golden_config("vector", "substream")
-        )
+        result = VectorEngine(scene, accel=accel).run(golden_config())
         assert answer_bytes(result, tmp_path) == golden_bytes(
             f"{scene_name}.substream.answer.json"
         )
@@ -95,9 +94,7 @@ class TestSubstreamGoldens:
         from tests.parallel.test_procpool import _InlinePool
 
         scene = scene_for(request, "cornell-box")
-        config = replace(
-            golden_config("vector", "substream"), workers=3, batch_size=64
-        )
+        config = replace(golden_config(), workers=3, batch_size=64)
         result = run_procpool(scene, config, pool=_InlinePool())
         out = tmp_path / "answer.json"
         save_answer(result.forest, out)
@@ -111,11 +108,7 @@ class TestSubstreamGoldens:
         from tests.parallel.test_procpool import _InlinePool
 
         scene = scene_for(request, "gen-office-64")
-        config = replace(
-            golden_config("vector", "substream"),
-            workers=workers,
-            batch_size=96,
-        )
+        config = replace(golden_config(), workers=workers, batch_size=96)
         result = run_procpool(scene, config, pool=_InlinePool())
         out = tmp_path / "answer.json"
         save_answer(result.forest, out)
@@ -127,28 +120,31 @@ class TestSubstreamGoldens:
 class TestLegacyStreamGolden:
     def test_scalar_single_stream(self, request, tmp_path):
         scene = scene_for(request, "cornell-box")
-        got = simulate_bytes(scene, golden_config("scalar", "stream"), tmp_path)
+        got = simulate_bytes(scene, "stream", tmp_path)
         assert got == golden_bytes("cornell-box.stream.answer.json")
 
 
 class TestCliGolden:
-    """`repro simulate` end-to-end lands on the same bytes."""
+    """`repro simulate` end-to-end lands on the same bytes; the default
+    (the scalar oracle on one serial stream) on the legacy golden."""
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, golden",
         [
-            ["--engine", "scalar", "--rng", "substream"],
-            ["--engine", "vector"],
-            ["--engine", "vector", "--batch-size", "100000"],
-            ["--engine", "vector", "--workers", "2", "--batch-size", "128"],
-            ["--engine", "vector", "--workers", "2"],
+            (["--engine", "scalar", "--rng", "substream"], "substream"),
+            (["--engine", "vector"], "substream"),
+            (["--engine", "vector", "--batch-size", "100000"], "substream"),
+            (["--engine", "vector", "--workers", "2", "--batch-size", "128"],
+             "substream"),
+            (["--engine", "vector", "--workers", "2"], "substream"),
+            ([], "stream"),
         ],
         ids=[
             "scalar-substream", "vector", "vector-one-batch",
-            "vector-procpool", "vector-procpool-plane",
+            "vector-procpool", "vector-procpool-plane", "default-scalar-stream",
         ],
     )
-    def test_simulate_matches_golden(self, tmp_path, extra):
+    def test_simulate_matches_golden(self, tmp_path, extra, golden):
         out = tmp_path / "cli.json"
         rc = cli_main(
             [
@@ -161,4 +157,4 @@ class TestCliGolden:
             out=io.StringIO(),
         )
         assert rc == 0
-        assert out.read_bytes() == golden_bytes("cornell-box.substream.answer.json")
+        assert out.read_bytes() == golden_bytes(f"cornell-box.{golden}.answer.json")

@@ -4,15 +4,11 @@ import math
 
 import pytest
 
-from repro.core import (
-    RadianceField,
-    SimulationConfig,
-    SplitPolicy,
-    run_scalar,
-)
+from repro.core import RadianceField, SimulationConfig, SplitPolicy
 from repro.core.binning import BinCoords
 from repro.core.bintree import BinForest
 from repro.geometry import Vec3
+from repro.paper.scalar import run_scalar
 
 
 @pytest.fixture(scope="module")

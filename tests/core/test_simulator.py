@@ -5,14 +5,8 @@ import json
 import pytest
 
 from repro.api import RenderSession, SimulateRequest
-from repro.core import (
-    SimulationConfig,
-    SplitPolicy,
-    forest_to_dict,
-    run_scalar,
-    run_scalar_batches,
-    trace_photon,
-)
+from repro.core import SimulationConfig, SplitPolicy, forest_to_dict
+from repro.paper.scalar import run_scalar, run_scalar_batches, trace_photon
 from repro.rng import Lcg48
 
 
@@ -136,20 +130,13 @@ class TestBatches:
             run_scalar_batches(mini_scene, fast_config, 0)
 
     def test_vector_workers_rejected_not_ignored(self, mini_scene):
-        """The oracle traces scalar configs only; a vector (pool) config
-        is a loud error naming the serving path, not a silent scalar
-        run on one core."""
-        cfg = SimulationConfig(n_photons=200, engine="vector", workers=3)
+        """The oracle traces on one core; a pool config is a loud error
+        naming the serving path, not a silent scalar run on one core."""
+        cfg = SimulationConfig(n_photons=200, workers=3)
         with pytest.raises(ValueError, match="RenderSession"):
             run_scalar(mini_scene, cfg)
         with pytest.raises(ValueError, match="RenderSession"):
             run_scalar_batches(mini_scene, cfg, 100)
-
-    def test_scalar_workers_rejected_at_config(self):
-        """The scalar engine cannot even configure a pool — the config
-        itself rejects the combination (the other engine's guard)."""
-        with pytest.raises(ValueError, match="vector"):
-            SimulationConfig(n_photons=200, engine="scalar", workers=3)
 
     def test_vector_batches_stream_from_a_session(self, mini_scene):
         with RenderSession(mini_scene) as session:

@@ -25,12 +25,11 @@ from repro.core import (
     SplitPolicy,
     forest_to_dict,
     photon_substream,
-    run_scalar,
     substream_states,
-    trace_photon,
 )
 from repro.core import vectorized
 from repro.core.vectorized import VectorEngine
+from repro.paper.scalar import run_scalar, trace_photon
 from tests.scenehelpers import build_mini_scene
 
 FLUOR = FluorescenceSpec.simple(
@@ -45,8 +44,7 @@ def run_engine(scene, engine: str, **kwargs) -> tuple[dict, object]:
     session, the one serving path.
     """
     if engine == "scalar":
-        config = SimulationConfig(rng_mode="substream", **kwargs)
-        result = run_scalar(scene, config)
+        result = run_scalar(scene, SimulationConfig(**kwargs), rng="substream")
     else:
         options = SessionOptions(batch_size=kwargs.pop("batch_size", 4096))
         with RenderSession(scene, options) as session:
@@ -107,9 +105,7 @@ class TestSceneParity:
         not only on the side of the threshold where the engine picks them."""
         scene = request.getfixturevalue(scene_fixture)
         scalar_forest, scalar_stats = run_engine(scene, "scalar", n_photons=350, seed=11)
-        config = SimulationConfig(
-            n_photons=350, seed=11, engine="vector", rng_mode="substream"
-        )
+        config = SimulationConfig(n_photons=350, seed=11)
         result = VectorEngine(scene, accel=accel).run(config)
         result.forest.check_invariants()
         assert result.stats == scalar_stats
@@ -229,20 +225,26 @@ class TestIntersectionPruning:
 
 
 class TestConfigValidation:
-    def test_vector_rejects_serial_stream(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(n_photons=1, engine="vector", rng_mode="stream")
+    """The config names no engine and no RNG discipline: the vector
+    engine traces every config on substreams, and only the scalar
+    oracle takes a discipline, as an argument."""
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(n_photons=1, engine="gpu")
+    def test_rng_mode_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="rng_mode"):
+            SimulationConfig(n_photons=1, rng_mode="stream")
 
-    def test_auto_resolution(self):
-        assert SimulationConfig(n_photons=1).resolved_rng_mode == "stream"
-        assert (
-            SimulationConfig(n_photons=1, engine="vector").resolved_rng_mode
-            == "substream"
-        )
+    def test_engine_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="engine"):
+            SimulationConfig(n_photons=1, engine="vector")
+
+    def test_oracle_rng_argument(self, mini_scene):
+        config = SimulationConfig(n_photons=30, seed=9)
+        default = forest_to_dict(run_scalar(mini_scene, config).forest)
+        stream = forest_to_dict(run_scalar(mini_scene, config, rng="stream").forest)
+        assert default == stream
+        for unknown in ("auto", "gpu"):
+            with pytest.raises(ValueError, match="unknown rng"):
+                run_scalar(mini_scene, config, rng=unknown)
 
 
 class TestLibmHelpers:

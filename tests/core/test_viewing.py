@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    Camera,
-    RadianceField,
-    SimulationConfig,
-    run_scalar,
-)
+from repro.core import Camera, RadianceField, SimulationConfig
 from repro.core.viewing import render, render_rows
 from repro.geometry import Vec3
+from repro.paper.scalar import run_scalar
 
 
 @pytest.fixture(scope="module")

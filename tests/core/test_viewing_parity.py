@@ -2,15 +2,15 @@
 
 :func:`repro.core.viewing.render_rows` sends a band of eye rays through
 the compiled closest-hit kernel and looks radiance up per (tree, leaf)
-group.  The loop it replaced survives as the public single-ray API —
-``Camera.primary_ray`` -> ``Scene.intersect`` -> ``RadianceField.sample``
-— and is the reference here: for any camera the two must produce the
-same float64 image to the bit, whichever accelerator resolves the hits,
-however the rows are split into calls or bands, for patch-keyed and
-``ownership=``-keyed forests alike.
+group.  The loop it replaced survives as the single-ray API —
+``Camera.primary_ray`` -> ``repro.paper.octree.intersect`` ->
+``RadianceField.sample`` — and is the reference here: for any camera
+the two must produce the same float64 image to the bit, whichever
+accelerator resolves the hits, however the rows are split into calls or
+bands, for patch-keyed and ``ownership=``-keyed forests alike.
 
 The ``vectorized.py`` determinism contract's caveat applies to this
-suite: the pointer octree behind ``Scene.intersect`` may disagree with
+suite: the pointer octree behind ``intersect`` may disagree with
 the canonical max-patch-id rule on a cross-cell exact-distance tie.  If
 Hypothesis ever draws one, the canonical rule wins — pin the example
 here with a comment rather than bending the batch to it.
@@ -26,11 +26,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RadianceField, SimulationConfig, run_scalar
+from repro.core import RadianceField, SimulationConfig
 from repro.core.vectorized import SceneArrays, VectorEngine
 from repro.core.viewing import Camera, render, render_rows
 from repro.geometry import Vec3
 from repro.paper.distributed import DistributedConfig, run_distributed
+from repro.paper.octree import intersect
+from repro.paper.scalar import run_scalar
 from repro.scenes import cornell_box
 from repro.scenes.generator import generate_scene
 from tests.scenehelpers import build_mini_scene
@@ -42,7 +44,7 @@ def oracle_render(scene, field: RadianceField, camera: Camera) -> np.ndarray:
     for j in range(camera.height):
         for i in range(camera.width):
             ray = camera.primary_ray(i, j)
-            hit = scene.intersect(ray)
+            hit = intersect(scene, ray)
             if hit is None:
                 continue
             d = ray.direction

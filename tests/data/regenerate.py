@@ -29,9 +29,10 @@ import hashlib
 from pathlib import Path
 
 from repro.api import RenderSession
-from repro.core import SimulationConfig, load_answer, run_scalar, save_answer
+from repro.core import SimulationConfig, load_answer, save_answer
 from repro.image.ppm import ppm_bytes
 from repro.image.tonemap import to_uint8
+from repro.paper.scalar import run_scalar
 from repro.scenes import build_scene
 
 DATA_DIR = Path(__file__).parent
@@ -64,21 +65,16 @@ def golden_image_bytes(scene, forest) -> bytes:
     return ppm_bytes(to_uint8(image))
 
 
-def golden_config(engine: str, rng_mode: str) -> SimulationConfig:
+def golden_config() -> SimulationConfig:
     """The exact configuration every golden is produced with."""
-    return SimulationConfig(
-        n_photons=GOLDEN_PHOTONS,
-        seed=GOLDEN_SEED,
-        engine=engine,
-        rng_mode=rng_mode,
-    )
+    return SimulationConfig(n_photons=GOLDEN_PHOTONS, seed=GOLDEN_SEED)
 
 
 def main() -> None:
     image_lines = []
     for name in SCENES + GEN_SCENES:
         scene = build_scene(name)
-        result = run_scalar(scene, golden_config("scalar", "substream"))
+        result = run_scalar(scene, golden_config(), rng="substream")
         out = DATA_DIR / golden_name(name)
         save_answer(result.forest, out)
         print(f"wrote {out} ({out.stat().st_size} bytes)")
@@ -90,7 +86,7 @@ def main() -> None:
     IMAGE_HASHES.write_text("".join(image_lines))
     print(f"wrote {IMAGE_HASHES} ({len(image_lines)} images)")
     scene = build_scene("cornell-box")
-    result = run_scalar(scene, golden_config("scalar", "stream"))
+    result = run_scalar(scene, golden_config(), rng="stream")
     out = DATA_DIR / "cornell-box.stream.answer.json"
     save_answer(result.forest, out)
     print(f"wrote {out} ({out.stat().st_size} bytes)")

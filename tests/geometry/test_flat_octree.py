@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.vectorized import PRUNE_PATCH_THRESHOLD, SceneArrays, VectorEngine
 from repro.geometry import AABB, FlatOctree, Scene, Vec3, axis_rect, flatoctree, matte
 from repro.geometry.material import emitter
-from repro.geometry.octree import OctreeNode
+from repro.paper.octree import OctreeNode, scene_octree
 from repro.scenes import get_scene
 from repro.scenes.generator import generate_scene
 
@@ -285,7 +285,7 @@ def octree_mirror(scene: Scene) -> FlatOctree:
     pointer node in breadth-first order, each leaf listing every patch
     whose AABB meets its cell.
     """
-    nodes = pointer_nodes_bfs(scene.octree)
+    nodes = pointer_nodes_bfs(scene_octree(scene))
     first_child, leaf_start, leaf_end, items = [], [], [], []
     below = 1
     for node in nodes:

@@ -1,11 +1,12 @@
 """The pointer octree is built only when the scalar tracer asks for it.
 
 Vector serving — compile, simulate, render, save — never walks the
-pointer octree, so a :class:`Scene` builds it on first use of
-``scene.octree``, once, under a lock.  These tests spy on
-``Octree.__init__`` to pin both halves, pin that the tree-free
-``Scene.bounds()`` is the tree's root cell bit for bit, and serve a
-scene whose octree parameters make the pointer tree explode.
+pointer octree, so the paper tier builds it on the first
+``scene_octree(scene)``, once, under a lock, and keeps it beside the
+scene rather than on it.  These tests spy on ``Octree.__init__`` to pin
+both halves, pin that the tree-free ``Scene.bounds()`` is the tree's
+root cell bit for bit, and serve a scene whose octree parameters make
+the pointer tree explode.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import time
 import pytest
 
 from repro.api import RenderSession, SceneProgram, SimulateRequest
-from repro.core import SimulationConfig, forest_to_dict, run_scalar
-from repro.geometry import Octree, Scene
+from repro.core import SimulationConfig, forest_to_dict
+from repro.geometry import Scene
+from repro.paper.octree import Octree, scene_octree
+from repro.paper.scalar import run_scalar
 from repro.scenes import generate_scene, save_scene
 from repro.scenes.loader import parse_scene
 
@@ -48,7 +51,7 @@ def test_vector_serving_never_builds_the_octree(octree_builds, tmp_path):
     save_scene(scene, tmp_path / "office.json")
     assert octree_builds == []
     # The spy does see a build: the scalar tracer's first query.
-    assert scene.octree is scene.octree
+    assert scene_octree(scene) is scene_octree(scene)
     assert len(octree_builds) == 1
 
 
@@ -56,7 +59,7 @@ def test_bounds_are_the_octree_root_cell(octree_builds):
     scene = generate_scene("office-8@3")
     bounds = scene.bounds()
     assert octree_builds == []
-    assert scene.octree.root.bounds == bounds
+    assert scene_octree(scene).root.bounds == bounds
     assert scene.default_camera == generate_scene("office-8@3").default_camera
 
 
@@ -68,8 +71,8 @@ def test_concurrent_scalar_runs_build_it_once(octree_builds):
     def serve(seed):
         try:
             start.wait(timeout=30)
-            answers.append(run_scalar(scene, SimulationConfig(
-                n_photons=40, seed=seed, rng_mode="substream")))
+            answers.append(run_scalar(
+                scene, SimulationConfig(n_photons=40, seed=seed), rng="substream"))
         except Exception as exc:  # surfaced below, on the main thread
             errors.append(exc)
 
@@ -89,7 +92,7 @@ def test_concurrent_first_uses_share_one_tree(octree_builds):
 
     def first_use():
         start.wait(timeout=30)
-        trees.append(scene.octree)
+        trees.append(scene_octree(scene))
 
     threads = [threading.Thread(target=first_use) for _ in range(4)]
     for thread in threads:
@@ -102,10 +105,11 @@ def test_concurrent_first_uses_share_one_tree(octree_builds):
 
 def test_pickle_drops_the_tree_and_the_lock():
     scene = generate_scene("office-8")
-    _ = scene.octree
+    tree = scene_octree(scene)
     clone = pickle.loads(pickle.dumps(scene))
-    assert clone._octree is None
-    assert clone.octree.stats.node_count == scene.octree.stats.node_count
+    assert not [name for name in vars(clone) if "octree" in name]
+    assert scene_octree(clone) is not tree
+    assert scene_octree(clone).stats.node_count == tree.stats.node_count
     assert (clone.leaf_capacity, clone.max_depth) == (scene.leaf_capacity, scene.max_depth)
 
 
@@ -147,7 +151,7 @@ EXPLODING_OCTREE = {
 }
 
 
-def test_exploding_octree_parameters_serve_a_vector_request():
+def test_exploding_octree_parameters_serve_a_vector_request(octree_builds):
     """Parse and one vector request, without building the pointer tree."""
     t0 = time.perf_counter()
     scene = parse_scene(json.dumps(EXPLODING_OCTREE))
@@ -155,7 +159,7 @@ def test_exploding_octree_parameters_serve_a_vector_request():
         result = session.simulate(SimulateRequest(n_photons=2000, seed=5))
     assert time.perf_counter() - t0 < 2.0
     assert result.forest.photons_emitted == 2000
-    assert scene._octree is None
+    assert octree_builds == []
     assert (scene.leaf_capacity, scene.max_depth) == (1, 22)
 
 
@@ -164,13 +168,13 @@ def test_coincident_patches_stop_the_pointer_octree():
     apart, and the scalar oracle then serves the vector session's bytes."""
     scene = parse_scene(json.dumps(EXPLODING_OCTREE))
     t0 = time.perf_counter()
-    stats = scene.octree.stats
+    stats = scene_octree(scene).stats
     assert time.perf_counter() - t0 < 1.0
     assert stats.max_depth_reached < scene.max_depth
     assert stats.node_count < 200
 
-    scalar = run_scalar(scene, SimulationConfig(
-        n_photons=1500, seed=5, rng_mode="substream"))
+    scalar = run_scalar(
+        scene, SimulationConfig(n_photons=1500, seed=5), rng="substream")
     with RenderSession(scene) as session:
         served = session.simulate(SimulateRequest(n_photons=1500, seed=5))
     assert (json.dumps(forest_to_dict(scalar.forest), sort_keys=True)

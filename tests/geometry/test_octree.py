@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Octree, Ray, Vec3
+from repro.geometry import Ray, Vec3
+from repro.paper.octree import Octree, intersect_linear, scene_octree
 from tests.conftest import build_mini_scene
 
 
@@ -28,7 +29,7 @@ class TestConstruction:
             Octree(scene.patches, max_depth=-1)
 
     def test_stats_populated(self, scene):
-        stats = scene.octree.stats
+        stats = scene_octree(scene).stats
         assert stats.node_count >= stats.leaf_count >= 1
         assert stats.patch_references >= len(scene.patches)
 
@@ -39,11 +40,11 @@ class TestConstruction:
         assert len(tree.root.patches) == len(scene.patches)
 
     def test_depth_histogram_counts_leaves(self, scene):
-        hist = scene.octree.depth_histogram()
-        assert sum(hist.values()) == scene.octree.stats.leaf_count
+        hist = scene_octree(scene).depth_histogram()
+        assert sum(hist.values()) == scene_octree(scene).stats.leaf_count
 
     def test_root_bounds_cover_all(self, scene):
-        root = scene.octree.root.bounds
+        root = scene_octree(scene).root.bounds
         for patch in scene.patches:
             for corner in patch.corners():
                 assert root.contains_point(corner)
@@ -52,18 +53,18 @@ class TestConstruction:
 class TestIntersection:
     def test_straight_down_hits_shelf_not_floor(self, scene):
         # The shelf at y=0.4 occludes the floor from above.
-        hit = scene.octree.intersect(Ray(Vec3(0.5, 0.9, 0.5), Vec3(0, -1, 0)))
+        hit = scene_octree(scene).intersect(Ray(Vec3(0.5, 0.9, 0.5), Vec3(0, -1, 0)))
         assert hit is not None
         assert hit.patch.name == "lamp" or hit.point.y > 0.0
 
     def test_t_max(self, scene):
         ray = Ray(Vec3(0.5, 0.5, -2.0), Vec3(0, 0, 1))
-        assert scene.octree.intersect(ray, t_max=1.0) is None
-        assert scene.octree.intersect(ray, t_max=5.0) is not None
+        assert scene_octree(scene).intersect(ray, t_max=1.0) is None
+        assert scene_octree(scene).intersect(ray, t_max=5.0) is not None
 
     def test_miss_outside(self, scene):
         ray = Ray(Vec3(5, 5, 5), Vec3(0, 1, 0))
-        assert scene.octree.intersect(ray) is None
+        assert scene_octree(scene).intersect(ray) is None
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -75,8 +76,8 @@ class TestIntersection:
         if direction.length() < 1e-3:
             return
         ray = Ray(origin, direction)
-        fast = scene.octree.intersect(ray)
-        slow = scene.intersect_linear(ray)
+        fast = scene_octree(scene).intersect(ray)
+        slow = intersect_linear(scene, ray)
         if slow is None:
             assert fast is None
         else:
@@ -85,26 +86,26 @@ class TestIntersection:
             assert fast.distance == pytest.approx(slow.distance, rel=1e-12)
 
     def test_traversal_counters_grow(self, scene):
-        before = scene.octree.stats.intersection_tests
-        scene.octree.intersect(Ray(Vec3(0.5, 0.5, -2.0), Vec3(0, 0, 1)))
-        assert scene.octree.stats.intersection_tests > before
+        before = scene_octree(scene).stats.intersection_tests
+        scene_octree(scene).intersect(Ray(Vec3(0.5, 0.5, -2.0), Vec3(0, 0, 1)))
+        assert scene_octree(scene).stats.intersection_tests > before
 
     def test_counter_reset(self, scene):
-        scene.octree.stats.reset_traversal_counters()
-        assert scene.octree.stats.intersection_tests == 0
-        assert scene.octree.stats.nodes_visited == 0
+        scene_octree(scene).stats.reset_traversal_counters()
+        assert scene_octree(scene).stats.intersection_tests == 0
+        assert scene_octree(scene).stats.nodes_visited == 0
 
 
 class TestOcclusion:
     def test_occluded_by_shelf(self, scene):
         # Floor centre to lamp: the shelf is in between.
         ray = Ray(Vec3(0.5, 0.001, 0.5), Vec3(0, 1, 0))
-        assert scene.octree.is_occluded(ray, 0.97)
+        assert scene_octree(scene).is_occluded(ray, 0.97)
 
     def test_not_occluded_short_range(self, scene):
         ray = Ray(Vec3(0.5, 0.001, 0.5), Vec3(0, 1, 0))
-        assert not scene.octree.is_occluded(ray, 0.3)
+        assert not scene_octree(scene).is_occluded(ray, 0.3)
 
     def test_iter_nodes_complete(self, scene):
-        nodes = list(scene.octree.iter_nodes())
-        assert len(nodes) == scene.octree.stats.node_count
+        nodes = list(scene_octree(scene).iter_nodes())
+        assert len(nodes) == scene_octree(scene).stats.node_count

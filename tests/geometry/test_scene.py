@@ -4,6 +4,7 @@ import pytest
 
 from repro.geometry import Scene, Vec3, axis_rect, matte
 from repro.geometry.material import emitter
+from repro.paper.octree import intersect, intersect_linear
 
 
 def two_lamp_scene() -> Scene:
@@ -80,8 +81,8 @@ class TestQueries:
         from repro.geometry import Ray
 
         ray = Ray(Vec3(0.5, 0.5, -1.0), Vec3(0, 0, 1))
-        a = mini_scene.intersect(ray)
-        b = mini_scene.intersect_linear(ray)
+        a = intersect(mini_scene, ray)
+        b = intersect_linear(mini_scene, ray)
         assert a is not None and b is not None
         assert a.patch.patch_id == b.patch.patch_id
 

@@ -12,13 +12,13 @@ from repro.core import (
     SplitPolicy,
     forest_to_dict,
     load_answer,
-    run_scalar,
     save_answer,
 )
 from repro.core.viewing import render
 from repro.geometry import Vec3
 from repro.image import rmse, save_radiance_ppm, read_ppm
 from repro.paper.distributed import DistributedConfig, run_distributed
+from repro.paper.scalar import run_scalar
 from repro.paper.shared import SharedConfig, run_shared
 
 

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.core import (
-    FluorescenceSpec,
-    RadianceField,
-    SimulationConfig,
-    run_scalar,
-    run_scalar_batches,
-)
+from repro.core import FluorescenceSpec, RadianceField, SimulationConfig
 from repro.geometry import Scene, Vec3, axis_rect, matte
 from repro.geometry.material import Material, RGB, emitter
+from repro.paper.scalar import run_scalar, run_scalar_batches
 
 
 @pytest.fixture(scope="module")

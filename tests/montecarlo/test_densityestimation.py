@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.montecarlo import (
+from repro.paper.densityestimation import (
     HIT_RECORD_BYTES,
     density_phase_speedup,
     run_density_estimation,
@@ -55,7 +55,8 @@ class TestStorageContrast:
         the hit file stores verbatim.  At realistic photon counts the
         gap is 1-2 orders of magnitude; even at test scale the forest
         must win."""
-        from repro.core import SimulationConfig, run_scalar
+        from repro.core import SimulationConfig
+        from repro.paper.scalar import run_scalar
 
         n = 3000
         de = run_density_estimation(mini_scene, n, seed=4)

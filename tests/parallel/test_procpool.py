@@ -40,7 +40,7 @@ def _forest_bytes(forest) -> str:
 def reference(request):
     """Single-process vector run the pool must reproduce."""
     cornell = request.getfixturevalue("cornell")
-    config = SimulationConfig(n_photons=1200, seed=0xC0FFEE, engine="vector")
+    config = SimulationConfig(n_photons=1200, seed=0xC0FFEE)
     return VectorEngine(cornell).run(config)
 
 
@@ -48,7 +48,7 @@ class TestWorkerInvariance:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_same_bytes_any_worker_count(self, cornell, reference, workers):
         config = SimulationConfig(
-            n_photons=1200, seed=0xC0FFEE, engine="vector",
+            n_photons=1200, seed=0xC0FFEE,
             workers=workers, batch_size=256,
         )
         result = run_procpool(cornell, config, pool=_InlinePool())
@@ -58,7 +58,7 @@ class TestWorkerInvariance:
     @pytest.mark.parametrize("batch_size", [64, 512, 4096])
     def test_same_bytes_any_batch_size(self, cornell, reference, batch_size):
         config = SimulationConfig(
-            n_photons=1200, seed=0xC0FFEE, engine="vector",
+            n_photons=1200, seed=0xC0FFEE,
             workers=3, batch_size=batch_size,
         )
         result = run_procpool(cornell, config, pool=_InlinePool())
@@ -67,7 +67,7 @@ class TestWorkerInvariance:
     def test_real_processes(self, cornell, reference):
         """One end-to-end run on genuine multiprocessing workers."""
         config = SimulationConfig(
-            n_photons=1200, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=1200, seed=0xC0FFEE, workers=2
         )
         result = run_procpool(cornell, config)
         assert result.stats == reference.stats
@@ -75,7 +75,7 @@ class TestWorkerInvariance:
 
     def test_zero_photons(self, cornell):
         config = SimulationConfig(
-            n_photons=0, seed=1, engine="vector", workers=2
+            n_photons=0, seed=1, workers=2
         )
         result = run_procpool(cornell, config, pool=_InlinePool())
         assert result.forest.total_tallies == 0
@@ -86,7 +86,7 @@ class TestMergeOrder:
     def test_merge_order_does_not_change_tallies(self, cornell):
         """Per-worker forest sections merge identically in any order."""
         config = SimulationConfig(
-            n_photons=800, seed=0xBEEF, engine="vector", workers=3
+            n_photons=800, seed=0xBEEF, workers=3
         )
         pool = _InlinePool()
         events, _ = trace_events_parallel(pool, cornell, config)

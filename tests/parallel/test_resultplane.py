@@ -164,16 +164,16 @@ class TestPooledRuns:
 
     @pytest.fixture(scope="class")
     def reference(self, cornell):
-        config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        config = SimulationConfig(n_photons=600, seed=0xC0FFEE)
         return VectorEngine(cornell).run(config)
 
     @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
     def test_pool_returns_events_through_blocks(self, request, scene_name):
         scene = request.getfixturevalue(scene_name)
-        single = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        single = SimulationConfig(n_photons=600, seed=0xC0FFEE)
         expected = VectorEngine(scene).run(single)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=600, seed=0xC0FFEE, workers=2
         )
         with PhotonPool(scene, config) as pool:
             result = pool.run()
@@ -188,7 +188,7 @@ class TestPooledRuns:
     def test_blocks_recycle_across_warm_requests(self, cornell):
         """Request #2 reuses the same ResultPlane object and segment."""
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
+            n_photons=600, seed=0xC0FFEE,
             workers=2,
         )
         with PhotonPool(cornell, config) as pool:
@@ -203,7 +203,7 @@ class TestPooledRuns:
     def test_blocks_regrow_for_bigger_budgets(self, cornell):
         """A budget the blocks cannot hold unlinks and reallocates them."""
         config = SimulationConfig(
-            n_photons=200, seed=0xC0FFEE, engine="vector",
+            n_photons=200, seed=0xC0FFEE,
             workers=2,
         )
         with PhotonPool(cornell, config) as pool:
@@ -211,7 +211,7 @@ class TestPooledRuns:
             small = pool.result_blocks
             grown_photons = MIN_BLOCK_EVENTS * 2  # per-shard need > floor
             bigger = SimulationConfig(
-                n_photons=grown_photons * 2, seed=1, engine="vector", workers=2,
+                n_photons=grown_photons * 2, seed=1, workers=2,
             )
             pool.run(bigger)
             assert pool.result_blocks is not small
@@ -226,14 +226,14 @@ class TestPooledRuns:
         and new segments both gone, and the following request
         re-allocates and answers byte-identically."""
         small = SimulationConfig(
-            n_photons=200, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=200, seed=0xC0FFEE, workers=2
         )
         bigger = SimulationConfig(
-            n_photons=MIN_BLOCK_EVENTS * 4, seed=1, engine="vector", workers=2
+            n_photons=MIN_BLOCK_EVENTS * 4, seed=1, workers=2
         )
         expected = VectorEngine(cornell).run(
             SimulationConfig(
-                n_photons=bigger.n_photons, seed=1, engine="vector"
+                n_photons=bigger.n_photons, seed=1
             )
         )
         with PhotonPool(cornell, small) as pool:
@@ -256,7 +256,7 @@ class TestPooledRuns:
 
     def test_worker_exception_releases_blocks(self, cornell):
         config = SimulationConfig(
-            n_photons=100, seed=1, engine="vector", workers=2
+            n_photons=100, seed=1, workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
             with PhotonPool(cornell, config) as pool:
@@ -278,7 +278,7 @@ class TestPooledRuns:
         monkeypatch.setattr(resultplane, "EVENTS_PER_PHOTON_HEADROOM", 0.001)
         monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector",
+            n_photons=600, seed=0xC0FFEE,
             workers=2,
         )
         with PhotonPool(cornell, config) as pool:
@@ -309,7 +309,7 @@ class TestFreshProcessLifecycle:
             "from repro.parallel.procpool import PhotonPool\n"
             "from repro.parallel.shmplane import leaked_segments\n"
             "from repro.scenes import cornell_box\n"
-            "config = SimulationConfig(n_photons=300, engine='vector',\n"
+            "config = SimulationConfig(n_photons=300,\n"
             "                          workers=2)\n"
             "with PhotonPool(cornell_box(), config) as pool:\n"
             "    pool.run()\n"

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.core import SimulationConfig, forest_to_dict, run_scalar
+from repro.core import SimulationConfig, forest_to_dict
+from repro.paper.scalar import run_scalar
 from repro.paper.shared import RWLock, SharedConfig, run_shared
 
 
@@ -92,7 +93,7 @@ class TestSharedRun:
         shared = run_shared(mini_scene, cfg, workers)
         shared.forest.check_invariants()
         # Replay the same schedule serially.
-        from repro.core.simulator import trace_photon
+        from repro.paper.scalar import trace_photon
         from repro.parallel import rank_share
         from repro.rng import Lcg48
 

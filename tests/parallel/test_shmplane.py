@@ -177,7 +177,7 @@ class TestAllocationFailure:
 
     def test_unavailable_platform(self, cornell, monkeypatch):
         monkeypatch.setattr(shmplane, "_shm", None)
-        config = SimulationConfig(n_photons=10, engine="vector", workers=2)
+        config = SimulationConfig(n_photons=10, workers=2)
         with pytest.raises(RuntimeError, match="unavailable"):
             PhotonPool(cornell, config).start()
         # workers=1 never touches shared memory and still serves.
@@ -215,7 +215,7 @@ class TestPooledRuns:
 
     @pytest.fixture(scope="class")
     def reference(self, cornell):
-        config = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        config = SimulationConfig(n_photons=600, seed=0xC0FFEE)
         return VectorEngine(cornell).run(config)
 
     @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
@@ -226,10 +226,10 @@ class TestPooledRuns:
         segment (plus its result blocks) and reproduces the
         single-process bytes."""
         scene = request.getfixturevalue(scene_name)
-        single = SimulationConfig(n_photons=600, seed=0xC0FFEE, engine="vector")
+        single = SimulationConfig(n_photons=600, seed=0xC0FFEE)
         expected = VectorEngine(scene).run(single)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=600, seed=0xC0FFEE, workers=2
         )
         with PhotonPool(scene, config) as pool:
             assert leaked_segments() == [pool.plane.name]
@@ -244,7 +244,7 @@ class TestPooledRuns:
     def test_pool_reuse_across_runs(self, cornell, reference):
         """A persistent pool serves several budgets without re-publishing."""
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=600, seed=0xC0FFEE, workers=2
         )
         with PhotonPool(cornell, config) as pool:
             first = pool.run()
@@ -252,7 +252,7 @@ class TestPooledRuns:
             assert _forest_bytes(first.forest) == _forest_bytes(again.forest)
             other = pool.run(
                 SimulationConfig(
-                    n_photons=150, seed=0xBEEF, engine="vector", workers=2
+                    n_photons=150, seed=0xBEEF, workers=2
                 )
             )
             assert other.stats.photons == 150
@@ -272,7 +272,7 @@ class TestPooledRuns:
 
         monkeypatch.setattr(shmplane, "publish", recording_publish)
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=600, seed=0xC0FFEE, workers=2
         )
         with PhotonPool(cornell, config, arrays=precompiled) as pool:
             result = pool.run()
@@ -284,7 +284,7 @@ class TestPooledRuns:
         """plane_handle= pools attach a registry/session-owned segment
         and must NOT unlink it on close — the owner does."""
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2,
+            n_photons=600, seed=0xC0FFEE, workers=2,
         )
         with publish(SceneArrays(cornell)) as plane:
             with PhotonPool(cornell, config, plane_handle=plane.handle) as pool:
@@ -297,7 +297,7 @@ class TestPooledRuns:
 
     def test_worker_exception_releases_segment(self, cornell):
         config = SimulationConfig(
-            n_photons=100, seed=1, engine="vector", workers=2
+            n_photons=100, seed=1, workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
             with PhotonPool(cornell, config) as pool:
@@ -307,7 +307,7 @@ class TestPooledRuns:
 
     def test_run_procpool_without_injected_pool_matches(self, cornell, reference):
         config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, engine="vector", workers=2
+            n_photons=600, seed=0xC0FFEE, workers=2
         )
         result = run_procpool(cornell, config)
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.vectorized import SceneArrays
+from repro.paper.octree import scene_octree
 from repro.scenes import (
     build_scene,
     computer_lab,
@@ -69,8 +70,8 @@ def assert_scene_equal(original, reloaded) -> None:
     assert [l.beam_half_angle for l in reloaded.luminaires] == [
         l.beam_half_angle for l in original.luminaires
     ]
-    assert reloaded.octree.leaf_capacity == original.octree.leaf_capacity
-    assert reloaded.octree.max_depth == original.octree.max_depth
+    assert scene_octree(reloaded).leaf_capacity == scene_octree(original).leaf_capacity
+    assert scene_octree(reloaded).max_depth == scene_octree(original).max_depth
     assert reloaded.events_per_photon_hint == original.events_per_photon_hint
 
 

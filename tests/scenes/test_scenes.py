@@ -114,7 +114,8 @@ class TestSceneSanity:
 
     @pytest.mark.parametrize("fixture", ["cornell", "harpsichord", "lab_small"])
     def test_short_simulation_runs(self, request, fixture):
-        from repro.core import SimulationConfig, run_scalar
+        from repro.core import SimulationConfig
+        from repro.paper.scalar import run_scalar
 
         scene = request.getfixturevalue(fixture)
         res = run_scalar(scene, SimulationConfig(n_photons=50))

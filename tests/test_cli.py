@@ -19,6 +19,9 @@ class TestParser:
         )
         assert args.photons == 100
         assert args.scene == "cornell-box"
+        # Unset, so the scalar oracle can tell it was not asked for and
+        # the vector path takes the session's default.
+        assert args.batch_size is None
 
     def test_hex_seed(self):
         args = build_parser().parse_args(
@@ -102,7 +105,8 @@ class TestSimulateUsageErrors:
 
     @pytest.mark.parametrize("flags", [
         ["--repeat", "2"], ["--amortize"], ["--target-error", "0.5"],
-    ], ids=["repeat", "amortize", "target-error"])
+        ["--batch-size", "7"],
+    ], ids=["repeat", "amortize", "target-error", "batch-size"])
     def test_session_flags_on_the_scalar_oracle_exit_2(self, capsys, flags):
         """The scalar engine runs the reference loop once, not a
         session: serving flags are refused, not ignored."""
@@ -110,7 +114,8 @@ class TestSimulateUsageErrors:
             main(["simulate", "cornell-box", "--photons", "10",
                   *flags, "--out", "x.json"])
         assert excinfo.value.code == 2
-        assert "requires --engine vector" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flags[0] in err and "requires --engine vector" in err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
     def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
