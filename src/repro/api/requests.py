@@ -28,6 +28,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..core.bintree import SplitPolicy
 from ..core.simulator import SimulationConfig
+from ..rng import MODULUS
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.fluorescence import FluorescenceSpec
@@ -44,6 +45,17 @@ def _require_int(value: object, name: str) -> None:
     would serve seed 1's bytes, so both are refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def check_seed(seed: int) -> int:
+    """*seed* itself, when it lies in ``[0, 2**48)``; else ``ValueError``.
+
+    The generators reduce a seed modulo 2**48, so ``-5`` and
+    ``2**48 - 5`` would serve the same bytes under two trace keys.
+    """
+    if not 0 <= seed < MODULUS:
+        raise ValueError(f"seed must lie in [0, 2**48), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,8 @@ class SimulateRequest:
     Raises:
         TypeError: when ``n_photons`` or ``seed`` is not an ``int``
             (bools included).
+        ValueError: when ``seed`` lies outside ``[0, 2**48)``
+            (:func:`check_seed`).
     """
 
     n_photons: int
@@ -85,6 +99,7 @@ class SimulateRequest:
     def __post_init__(self) -> None:
         _require_int(self.n_photons, "n_photons")
         _require_int(self.seed, "seed")
+        check_seed(self.seed)
         if self.n_photons < 0:
             raise ValueError("n_photons must be non-negative")
         if self.target_rel_error is not None and not (

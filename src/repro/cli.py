@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .analysis.cliargs import add_lint_arguments
 from .api import RenderSession, SessionOptions, SimulateRequest
+from .api.requests import check_seed
 from .core import Camera, SimulationConfig, SplitPolicy, load_answer, save_answer
 from .geometry import Vec3
 from .image import save_radiance_ppm
@@ -36,6 +37,14 @@ from .scenes import SceneFormatError, get_scene, scene_registry
 from .scenes.loader import save_scene
 
 __all__ = ["main", "build_parser"]
+
+
+def _seed_arg(value: str) -> int:
+    """``--seed``: any int literal (``0xBEEF`` too) in ``[0, 2**48)``."""
+    try:
+        return check_seed(int(value, 0))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_sim.add_argument("--photons", type=int, default=20_000)
-    p_sim.add_argument("--seed", type=lambda v: int(v, 0), default=0x1234ABCD330E)
+    p_sim.add_argument("--seed", type=_seed_arg, default=0x1234ABCD330E)
     p_sim.add_argument("--sigma", type=float, default=3.0, help="bin split threshold")
     p_sim.add_argument(
         "--engine",

@@ -6,10 +6,10 @@ the global illumination answer: a discrete representation of the radiance
 ``L`` for every surface point and direction.
 
 Splitting policy lives here (threshold/min-count/max-depth), tallying and
-axis selection in :mod:`repro.core.binning`.  A tree takes events one at
-a time (:meth:`BinTree.tally`, the scalar engine and the oracle) or a
-block at a time (:meth:`BinTree.tally_rows`, every batched replay); the
-two build the same tree.
+axis selection in :mod:`repro.core.binning`.  A forest takes events one
+at a time (:meth:`BinForest.tally`, the scalar engine and the oracle) or
+a whole block at once, across all its trees (:meth:`BinForest.tally_groups`,
+every batched replay); the two build the same forest, node for node.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -30,7 +32,6 @@ __all__ = [
     "BinTree",
     "BinForest",
     "NODE_BYTES",
-    "GROUPED_MIN_ROWS",
     "merge_rank_forests",
 ]
 
@@ -38,14 +39,6 @@ __all__ = [
 #: memory-growth reproduction: 8 region floats + 3 band counts + total +
 #: 4 speculative counts + axis/child pointers ~= 8*8 + 8*4 + 3*8 = 120.
 NODE_BYTES = 120
-
-#: Row groups smaller than this replay one event at a time inside
-#: :meth:`BinTree.tally_rows`, from the node they have reached: the ~30
-#: NumPy calls of a leaf's prefix scan cost more than the Python loop
-#: they replace.  A measured crossover (flat from 8 to 32 on cornell,
-#: computer-lab and generated-office events), not a knob: both sides of
-#: it build the same tree.
-GROUPED_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -162,119 +155,6 @@ class BinTree:
         self.node_count += 2
         self.splits += 1
 
-    # -- grouped tallying ------------------------------------------------------
-
-    def tally_rows(self, coords: np.ndarray, band: np.ndarray) -> None:
-        """Record many departures at once; same tree as row-by-row :meth:`tally`.
-
-        Args:
-            coords: ``[NUM_AXES, m]`` float64 — ``s, t, theta, r^2`` of
-                this tree's events in replay order, already range-checked
-                (:func:`repro.core.vectorized.apply_events` checks whole
-                blocks up front).
-            band: ``[m]`` integer bands in ``[0, NUM_BANDS)``.
-
-        Rows are routed down the tree as index groups: an interior node
-        takes its whole group in one add and partitions it on the split
-        plane; a leaf finds the first row after which it must split with
-        one prefix scan (:meth:`_fill_leaf`).  Why that equals the
-        one-at-a-time replay:
-
-        * A leaf's tallies and its split decision read nothing but that
-          leaf's own counts, so the rows of different leaves commute —
-          except through ``SplitPolicy.max_leaves``, which reads the
-          tree-wide leaf count.
-        * So splits, and only splits, are carried out in replay order: a
-          leaf that triggers parks ``(trigger row, leaf, axis, rows after
-          it)`` on a heap, and the earliest trigger in the whole tree is
-          popped and split first.  Daughters only ever trigger on later
-          rows, so the pop order is the replay order and the
-          ``max_leaves`` check sees the leaf count the scalar replay
-          would have seen.
-        """
-        if band.size < GROUPED_MIN_ROWS:
-            self._replay(self.root, coords, band)
-            return
-        pending: list = []
-        self._route(self.root, np.arange(band.size), coords, band, pending)
-        while pending:
-            _, leaf, axis, rest = heapq.heappop(pending)
-            if self._may_split(leaf):
-                self._split(leaf, axis)
-            if rest.size:
-                self._route(leaf, rest, coords, band, pending)
-
-    def _replay(self, node: BinNode, coords: np.ndarray, band: np.ndarray) -> None:
-        """Tally every column of *coords* from *node*, one at a time."""
-        for point, b in zip(coords.T.tolist(), band.tolist()):
-            self._tally_from(node, BinCoords(*point), b)
-
-    def _route(self, node: BinNode, rows: np.ndarray, coords: np.ndarray,
-               band: np.ndarray, pending: list) -> None:
-        """Send the ascending row group *rows* from *node* to its leaves.
-
-        Without ``max_leaves`` no other group's split can matter to this
-        one, so a group under :data:`GROUPED_MIN_ROWS` replays on the
-        spot, splits included.
-        """
-        unordered = self.policy.max_leaves is None
-        stack = [(node, rows)]
-        while stack:
-            node, rows = stack.pop()
-            if unordered and rows.size < GROUPED_MIN_ROWS:
-                self._replay(node, coords[:, rows], band[rows])
-            elif node.is_leaf:
-                self._fill_leaf(node, rows, coords, band, pending)
-            else:
-                node.total += rows.size
-                add_band_counts(node.counts, band[rows])
-                axis = node.split_axis
-                low = coords[axis, rows] < node.mid(axis)
-                for child, sub in (
-                    (node.low_child, rows[low]), (node.high_child, rows[~low])
-                ):
-                    if sub.size:
-                        stack.append((child, sub))
-
-    def _fill_leaf(self, leaf: BinNode, rows: np.ndarray, coords: np.ndarray,
-                   band: np.ndarray, pending: list) -> None:
-        """Tally *rows* into *leaf* up to and including its first split trigger.
-
-        The split itself is not carried out here: the trigger is pushed
-        on *pending* with the rows that follow it, for :meth:`tally_rows`
-        to accept in replay order.
-        """
-        policy = self.policy
-        m = rows.size
-        mids = np.array([leaf.mid(axis) for axis in range(NUM_AXES)])
-        # low[a, k]: the speculative low count of axis a after row k.
-        low = np.cumsum(coords[:, rows] < mids[:, None], axis=1)
-        low += np.array(leaf.low_counts)[:, None]
-        stop = m
-        if leaf.total + m >= policy.min_count and self._may_split(leaf):
-            # montecarlo.stats.split_statistic for every prefix at once,
-            # in its expression order.  All rows on one side gives q == 0
-            # and a positive numerator, so IEEE division yields the inf
-            # the scalar returns; totals below 2 are below min_count.
-            total = leaf.total + np.arange(1, m + 1)
-            big = np.maximum(low, total - low)
-            p = big / total
-            q = 1.0 - p
-            with np.errstate(divide="ignore"):
-                stat = (big - total / 2.0) / np.sqrt(total * p * q)
-            hit = (total >= policy.min_count) & (stat.max(axis=0) > policy.threshold)
-            first = int(hit.argmax())
-            if hit[first]:
-                stop = first + 1
-                # argmax takes the first maximum, as best_split_axis does.
-                axis = int(stat[:, first].argmax())
-                heapq.heappush(
-                    pending, (int(rows[first]), leaf, axis, rows[stop:])
-                )
-        leaf.total += stop
-        leaf.low_counts = low[:, stop - 1].tolist()
-        add_band_counts(leaf.counts, band[rows[:stop]])
-
     # -- queries ---------------------------------------------------------------
 
     def leaf_groups(
@@ -282,11 +162,12 @@ class BinTree:
     ) -> Iterator[tuple[BinNode, np.ndarray]]:
         """Route the columns of *coords* to their leaves; touch nothing.
 
-        The read-only shape of :meth:`_route`: *coords* is ``[NUM_AXES,
-        m]`` (``s, t, theta, r^2`` per column) and each yield is ``(leaf,
-        rows)`` — *leaf* is what :meth:`find_leaf` returns for every
-        column in the ascending index group *rows*, by the same
-        ``value < mid`` test.  Every column lands in exactly one group.
+        The read-only, one-tree shape of :func:`_descend`: *coords* is
+        ``[NUM_AXES, m]`` (``s, t, theta, r^2`` per column) and each
+        yield is ``(leaf, rows)`` — *leaf* is what :meth:`find_leaf`
+        returns for every column in the ascending index group *rows*, by
+        the same ``value < mid`` test.  Every column lands in exactly one
+        group.
         """
         stack = [(self.root, np.arange(coords.shape[1]))]
         while stack:
@@ -391,6 +272,180 @@ def add_band_counts(counts: list, bands: np.ndarray) -> None:
         counts[b] += n
 
 
+def _columns(nodes: list, attr: str, dtype, width: int) -> np.ndarray:
+    """``[width, len(nodes)]``: each node's length-*width* sequence *attr*
+    as a column (one flat pass, not a list of rows)."""
+    flat = chain.from_iterable(map(attrgetter(attr), nodes))
+    return np.fromiter(flat, dtype, width * len(nodes)).reshape(-1, width).T
+
+
+def _segment_ids(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(segment of each row, first row of each segment)`` for back-to-back
+    segments of *sizes* rows."""
+    return np.arange(sizes.size).repeat(sizes), sizes.cumsum() - sizes
+
+
+def _descend(nodes: list, owners: list, rows: np.ndarray, sizes: np.ndarray,
+             coords: np.ndarray, band: np.ndarray):
+    """Route row groups from their nodes down to leaves, one level a step.
+
+    Group *k* is the next ``sizes[k]`` entries of *rows* (ascending row
+    indices) and starts at ``nodes[k]``.  Every interior node a group
+    reaches takes it in one add and partitions it on its split plane
+    with the ``value < mid`` test :meth:`BinNode.child_for` uses; a
+    stable partition keeps each group ascending.  Returns ``(leaves,
+    owners, rows, sizes)`` in the same layout, one group per reached
+    leaf.
+    """
+    out_nodes: list = []
+    out_owners: list = []
+    out_rows: list = []
+    out_sizes: list = []
+    while nodes:
+        inner = [k for k, node in enumerate(nodes) if node.split_axis is not None]
+        if not inner:
+            out_nodes += nodes
+            out_owners += owners
+            out_rows.append(rows)
+            out_sizes.append(sizes)
+            break
+        seg, _ = _segment_ids(sizes)
+        is_inner = np.zeros(len(nodes), dtype=bool)
+        is_inner[inner] = True
+        at_inner = is_inner[seg]
+        if len(inner) < len(nodes):
+            at_leaf = (~is_inner).nonzero()[0].tolist()
+            out_nodes += [nodes[k] for k in at_leaf]
+            out_owners += [owners[k] for k in at_leaf]
+            out_rows.append(rows[~at_inner])
+            out_sizes.append(sizes[at_leaf])
+        parents = [nodes[k] for k in inner]
+        parent_owners = [owners[k] for k in inner]
+        inner_sizes = sizes[inner]
+        rows = rows[at_inner]
+        local, _ = _segment_ids(inner_sizes)
+        axes = np.array([node.split_axis for node in parents])
+        mids = np.array([node.mid(node.split_axis) for node in parents])
+        added = np.bincount(
+            local * NUM_BANDS + band[rows], minlength=len(parents) * NUM_BANDS
+        ).reshape(len(parents), NUM_BANDS).tolist()
+        for node, m, counts in zip(parents, inner_sizes.tolist(), added):
+            node.total += m
+            node.counts = [a + b for a, b in zip(node.counts, counts)]
+        # Side 0 is the low child, side 1 the high one; ``>=`` is the
+        # ``not <`` of child_for on range-checked (NaN-free) values.
+        side = 2 * local + (coords[axes[local], rows] >= mids[local])
+        child_sizes = np.bincount(side, minlength=2 * len(parents))
+        rows = rows[np.argsort(side, kind="stable")]
+        keep = child_sizes.nonzero()[0].tolist()
+        nodes = [
+            parents[j >> 1].high_child if j & 1 else parents[j >> 1].low_child
+            for j in keep
+        ]
+        owners = [parent_owners[j >> 1] for j in keep]
+        sizes = child_sizes[keep]
+    return (
+        out_nodes, out_owners,
+        np.concatenate(out_rows) if len(out_rows) > 1 else out_rows[0],
+        np.concatenate(out_sizes) if len(out_sizes) > 1 else out_sizes[0],
+    )
+
+
+def _fill(leaves: list, owners: list, trees: list, rows: np.ndarray,
+          sizes: np.ndarray, coords: np.ndarray, band: np.ndarray,
+          policy: SplitPolicy) -> list:
+    """Tally each leaf's row group up to and including its first split trigger.
+
+    Group *k* (the next ``sizes[k]`` entries of *rows*, ascending) lands
+    in ``leaves[k]`` of ``trees[owners[k]]``.  A leaf whose total stays under
+    ``min_count`` through its whole group, or whose depth or tree leaf
+    count forbids a split, cannot trigger: it takes every row in one
+    add.  The other groups share one segmented prefix scan over their
+    speculative low counts.  Splits are not carried out here: each
+    trigger comes back as ``(owner, (row, leaf, axis, rows after it))``
+    for :meth:`BinForest.tally_groups` to accept in replay order.
+    """
+    count = len(leaves)
+    seg, first = _segment_ids(sizes)
+    local = np.arange(rows.size) - first[seg]
+    # Each leaf's own bounds, so a non-default root domain stays exact.
+    mids = 0.5 * (
+        _columns(leaves, "lo", np.float64, NUM_AXES)
+        + _columns(leaves, "hi", np.float64, NUM_AXES)
+    )
+    below = coords.take(rows, axis=1) < mids.repeat(sizes, axis=1)
+    total0 = np.array([leaf.total for leaf in leaves])
+    low0 = _columns(leaves, "low_counts", np.int64, NUM_AXES)
+    stop = sizes.copy()
+    scan = [
+        k for k in (total0 + sizes >= policy.min_count).nonzero()[0].tolist()
+        if trees[owners[k]]._may_split(leaves[k])
+    ]
+    triggers = []
+    if scan:
+        scan_sizes = sizes[scan]
+        if len(scan) == count:
+            ix = np.arange(rows.size)
+            flags = below
+        else:
+            scanned = np.zeros(count, dtype=bool)
+            scanned[scan] = True
+            ix = scanned.repeat(sizes).nonzero()[0]
+            flags = below.take(ix, axis=1)
+        # low[a, j]: axis a's speculative low count after scanned row j.
+        low = flags.cumsum(axis=1)
+        ends = scan_sizes.cumsum()
+        before = np.zeros((NUM_AXES, len(scan)), dtype=low.dtype)
+        before[:, 1:] = low[:, ends[:-1] - 1]
+        low += (low0[:, scan] - before).repeat(scan_sizes, axis=1)
+        # montecarlo.stats.split_statistic for every prefix at once, in
+        # its expression order.  All rows on one side gives q == 0 and a
+        # positive numerator, so IEEE division yields the inf the scalar
+        # returns; totals below 2 are below min_count.
+        total = total0[scan].repeat(scan_sizes) + local[ix] + 1
+        big = np.maximum(low, total - low)
+        p = big / total
+        q = 1.0 - p
+        with np.errstate(divide="ignore"):
+            stat = (big - total / 2.0) / np.sqrt(total * p * q)
+        peak = stat[0]
+        for axis_stat in stat[1:]:  # row by row: far faster than max(axis=0)
+            peak = np.maximum(peak, axis_stat)
+        hit = ((total >= policy.min_count) & (peak > policy.threshold)).nonzero()[0]
+        if hit.size:
+            # Each group's first triggering row only.
+            hit_seg = seg[ix[hit]]
+            first_hit = np.concatenate(([True], hit_seg[1:] != hit_seg[:-1]))
+            hit, hit_seg = hit[first_hit], hit_seg[first_hit]
+            at = ix[hit]
+            stop[hit_seg] = local[at] + 1
+            # argmax takes the first maximum, as best_split_axis does.
+            axes = stat[:, hit].argmax(axis=0).tolist()
+            group_ends = (first + sizes)[hit_seg].tolist()
+            for k, a, axis, end in zip(
+                hit_seg.tolist(), at.tolist(), axes, group_ends
+            ):
+                triggers.append(
+                    (owners[k], (int(rows[a]), leaves[k], axis, rows[a + 1:end]))
+                )
+    kept = local < stop[seg]
+    added_low = np.add.reduceat(below & kept, first, axis=1, dtype=np.int64)
+    bands = np.bincount(
+        seg[kept] * NUM_BANDS + band[rows[kept]], minlength=count * NUM_BANDS
+    )
+    counts = _columns(leaves, "counts", np.int64, NUM_BANDS).T + bands.reshape(
+        count, NUM_BANDS
+    )
+    for leaf, total, band_counts, low_counts in zip(
+        leaves, (total0 + stop).tolist(), counts.tolist(),
+        (low0 + added_low).T.tolist(),
+    ):
+        leaf.total = total
+        leaf.counts = band_counts
+        leaf.low_counts = low_counts
+    return triggers
+
+
 class BinForest:
     """All bin trees of a scene plus global tally bookkeeping.
 
@@ -434,6 +489,84 @@ class BinForest:
         self.total_tallies += 1
         self.band_tallies[band] += 1
         return leaf
+
+    def tally_groups(self, keys: list, starts: np.ndarray, coords: np.ndarray,
+                     band: np.ndarray) -> None:
+        """Tally a block into many trees in one pass; same forest as :meth:`tally`.
+
+        Args:
+            keys: Tree key of each row group; a missing tree is created
+                in list order.
+            starts: ``[len(keys) + 1]`` bounds: rows ``starts[g] ..
+                starts[g + 1]`` belong to tree ``keys[g]``, in replay order.
+            coords: ``[NUM_AXES, n]`` float64 — ``s, t, theta, r^2`` per
+                row, already range-checked
+                (:func:`repro.core.vectorized.apply_events` checks whole
+                blocks up front).
+            band: ``[n]`` integer bands in ``[0, NUM_BANDS)``.
+
+        The block moves through every tree at once, in rounds.  Each
+        round routes its row groups down to leaves (:func:`_descend`: an
+        interior node takes a group in one add and partitions it on its
+        split plane), then fills every reached leaf (:func:`_fill`): a
+        leaf that cannot split in this block takes all its rows in one
+        add; the others share one segmented prefix scan that finds the
+        first row after which each must split.  Why that equals the
+        one-at-a-time replay:
+
+        * A leaf's tallies and its split decision read nothing but that
+          leaf's own counts, so rows of different leaves — and of
+          different trees — commute, except through
+          ``SplitPolicy.max_leaves``, which reads the tree-wide leaf
+          count.
+        * So splits, and only splits, are carried out in replay order: a
+          leaf that triggers stops filling at the trigger and parks
+          ``(trigger row, leaf, axis, rows after it)`` on its tree's
+          heap, and each round pops the earliest trigger of every tree.
+          Daughters only ever trigger on later rows, so the pop order is
+          each tree's replay order and the ``max_leaves`` check sees the
+          leaf count the row-by-row replay would have seen.  A popped
+          trigger's remaining rows are the next round's groups, routed
+          from the leaf it split (or, when ``max_leaves`` now refuses the
+          split, back into that same leaf).
+
+        The policy read is the forest's, which every tree it creates
+        shares.
+        """
+        trees = [self.tree(key) for key in keys]
+        policy = self.policy
+        nodes = [tree.root for tree in trees]
+        owners = list(range(len(trees)))
+        sizes = np.diff(starts)
+        rows = np.arange(band.size)
+        pending: dict = {}  # owner -> heap of parked triggers
+        while nodes or pending:
+            if nodes:
+                leaves, owners, rows, sizes = _descend(
+                    nodes, owners, rows, sizes, coords, band
+                )
+                for owner, trigger in _fill(
+                    leaves, owners, trees, rows, sizes, coords, band, policy
+                ):
+                    heapq.heappush(pending.setdefault(owner, []), trigger)
+            nodes, owners, parts = [], [], []
+            for owner in list(pending):
+                heap = pending[owner]
+                _, leaf, axis, rest = heapq.heappop(heap)
+                if not heap:
+                    del pending[owner]
+                tree = trees[owner]
+                if tree._may_split(leaf):
+                    tree._split(leaf, axis)
+                if rest.size:
+                    nodes.append(leaf)
+                    owners.append(owner)
+                    parts.append(rest)
+            if nodes:
+                sizes = np.array([part.size for part in parts])
+                rows = np.concatenate(parts)
+        self.total_tallies += band.size
+        add_band_counts(self.band_tallies, band)
 
     # -- aggregate statistics ------------------------------------------------------
 

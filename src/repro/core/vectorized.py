@@ -81,7 +81,7 @@ from ..geometry.vec import Vec3, orthonormal_basis
 from ..rng import Lcg48
 from ..rng.lcg import INCREMENT, MODULUS, MULTIPLIER, _affine_power
 from .binning import TWO_PI
-from .bintree import BinForest, SplitPolicy, add_band_counts
+from .bintree import BinForest, SplitPolicy
 from .photon import NUM_BANDS
 
 if TYPE_CHECKING:  # pragma: no cover — import-cycle guard
@@ -530,15 +530,16 @@ def _check_events(coords: np.ndarray, band: np.ndarray) -> None:
 
 
 def apply_events(forest: BinForest, events: EventBatch) -> None:
-    """Replay *events* (already canonically ordered) into *forest*.
+    """Replay *events* into *forest* in canonical (photon, bounce) order.
 
     Produces exactly the forest a row-by-row :meth:`BinForest.tally`
-    replay would — node for node, tree-dict order and forest-wide
-    counters included — without visiting events one at a time: the block
-    is range-checked as a whole, stable-sorted by patch, and each tree
-    takes its rows in one :meth:`BinTree.tally_rows` call.  Trees are
-    independent, so only the order *within* a tree matters and the
-    stable sort keeps it; trees are still created in first-tally order.
+    replay of the canonically ordered block would — node for node,
+    tree-dict order and forest-wide counters included — in one pass over
+    the whole block: it is range-checked as a whole, sorted once by
+    (patch, photon, bounce), and every tree takes its rows in the same
+    :meth:`BinForest.tally_groups` call.  Trees are independent, so only
+    the order *within* a tree matters and the sort gives it; trees are
+    still created in first-tally order.
 
     Raises:
         ValueError: for the first row with a coordinate or band out of
@@ -554,36 +555,40 @@ def apply_events(forest: BinForest, events: EventBatch) -> None:
     band = np.asarray(events.band)
     _check_events(coords, band)
 
+    gidx, seq = np.asarray(events.gidx), np.asarray(events.seq)
     patch = np.asarray(events.patch)
-    order = np.argsort(patch, kind="stable")
+    order = np.lexsort((seq, gidx, patch))
     patch = patch[order]
-    coords = coords[:, order]
-    band = band[order]
     starts = np.flatnonzero(np.concatenate(([True], patch[1:] != patch[:-1])))
-    keys = patch[starts].tolist()
-    bounds = starts.tolist() + [n]
-    # A stable sort puts each tree's earliest block row first in its
-    # group, so ordering groups by that row is first-tally order.
-    for g in np.argsort(order[starts]).tolist():
-        a, b = bounds[g], bounds[g + 1]
-        forest.tree(keys[g]).tally_rows(coords[:, a:b], band[a:b])
-
-    forest.total_tallies += n
-    add_band_counts(forest.band_tallies, band)
+    sizes = np.diff(np.append(starts, n))
+    # Each group's first row is its tree's earliest event; ordering the
+    # groups by those rows (ties by block position, as a stable sort
+    # would) is first-tally order, the order trees must be created in.
+    heads = order[starts]
+    created = np.lexsort((heads, seq[heads], gidx[heads]))
+    # Lay the groups out in that order: whole groups move, rows within
+    # a group keep their (photon, bounce) order.
+    sizes = sizes[created]
+    begin = np.cumsum(sizes) - sizes
+    order = order[np.arange(n) + np.repeat(starts[created] - begin, sizes)]
+    forest.tally_groups(
+        patch[starts[created]].tolist(), np.append(begin, n),
+        coords.take(order, axis=1), band[order],
+    )
 
 
 def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:
-    """Sort one traced block canonically, replay it, book the emissions.
+    """Replay one traced block, book its emissions.
 
     The single place the per-batch forest bookkeeping lives — shared by
     :meth:`VectorEngine.run`, the simulator's batched driver, the
     session's streaming and top-up paths, and tests — so emission
     accounting cannot drift between them.  The replay is
-    :func:`apply_events`: chunking a photon range into blocks of any
-    size gives the same forest, because each block is replayed exactly
-    as its rows one at a time would be.
+    :func:`apply_events`, which puts the block in canonical order
+    itself: chunking a photon range into blocks of any size gives the
+    same forest, because each block is replayed exactly as its rows one
+    at a time would be.
     """
-    block = block.sorted_canonical()
     apply_events(forest, block)
     counts = block.emission_band_counts()
     forest.photons_emitted += photons

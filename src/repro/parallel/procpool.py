@@ -4,7 +4,7 @@ The paper's shared-memory variant (:mod:`repro.paper.shared`) runs
 real threads, but the GIL serialises Python bytecode, so it demonstrates
 the locking protocol rather than speed.  This module is the serving
 path's multi-core backend: it shards the photon index range across a
-``multiprocessing`` pool of :class:`~repro.core.vectorized.VectorEngine`
+process pool of :class:`~repro.core.vectorized.VectorEngine`
 workers and reassembles the answer in two phases:
 
 1. **Trace phase** — each worker traces a contiguous shard of photon
@@ -47,6 +47,12 @@ is an estimate, so a shard that outruns it ships its columns inline,
 loudly (:class:`repro.parallel.resultplane.ResultPlaneWarning`), and
 the build phase drops to :func:`build_forest_parallel` for that request.
 
+Workers are a ``ProcessPoolExecutor`` (:class:`_WorkerPool`), each
+pinned to its own CPU as it starts.  A worker that dies mid-request
+fails the request with ``BrokenProcessPool`` instead of leaving it
+waiting for a result that never comes; the pool closes itself and its
+result blocks, and the next request starts a fresh one.
+
 The in-process seam — :func:`run_procpool` with an injected ``pool=``,
 :func:`trace_events_parallel`, :func:`_trace_shard` — forks nothing and
 touches no shared memory; it is the golden suite's no-fork oracle for
@@ -74,6 +80,10 @@ suite locks down.  Three invariants carry the proof:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,13 +175,35 @@ def _trace_shard(
 _POOL_ENGINE: Optional[VectorEngine] = None
 
 
-def _init_pool_worker(handle, fluorescence, batch_size: int) -> None:
-    """Pool initializer: construct this worker's engine exactly once.
+def _pin_worker(counter) -> None:
+    """Pin this worker to CPU ``i % n`` of the CPUs it may run on.
+
+    *i* is the worker's start order, drawn from the pool-wide *counter*.
+    Unpinned, a freshly woken worker lands on the CPU of the process
+    that woke it, so a request's shards can start stacked on one CPU
+    while another idles.  Where ``sched_setaffinity`` is missing (or
+    refused) the worker stays unpinned.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    except OSError:
+        pass
+
+
+def _init_pool_worker(handle, fluorescence, batch_size: int, counter) -> None:
+    """Pool initializer: pin this worker, then construct its engine once.
 
     The engine's arrays are zero-copy views into the shared segment
     behind *handle* — nothing big was pickled, nothing is compiled here.
     """
     global _POOL_ENGINE
+    _pin_worker(counter)
     _POOL_ENGINE = VectorEngine(
         arrays=shmplane.attach(handle),
         fluorescence=fluorescence,
@@ -273,6 +305,47 @@ def build_forest_parallel(
     return _reorder_first_tally(merged, events)
 
 
+class _WorkerPool:
+    """The worker processes behind :class:`PhotonPool`.
+
+    A ``ProcessPoolExecutor`` with the ``starmap``/``apply`` surface of
+    ``multiprocessing.Pool``.  Not that pool itself: when one of its
+    workers dies mid-task it quietly starts a replacement and the dead
+    task's result never arrives, so the request waits forever.  The
+    executor instead fails every pending task with ``BrokenProcessPool``.
+    """
+
+    def __init__(self, workers: int, initializer, initargs: tuple) -> None:
+        import multiprocessing as mp
+
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp.get_context(),
+            initializer=initializer,
+            initargs=initargs,
+        )
+        # Start the workers now, as multiprocessing.Pool does, rather
+        # than at the first request.
+        self._executor.submit(int)
+
+    def starmap(self, fn, jobs) -> list:
+        futures = [self._executor.submit(fn, *job) for job in jobs]
+        return [future.result() for future in futures]
+
+    def apply(self, fn, args: tuple = ()):
+        return self._executor.submit(fn, *args).result()
+
+    def shutdown(self, terminate: bool = False) -> None:
+        """Stop the workers once the queued tasks are done, or, with
+        *terminate*, drop the queue and stop them mid-task."""
+        if terminate:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            # The executor has no public way to stop a running task.
+            for process in list((self._executor._processes or {}).values()):
+                process.terminate()
+        self._executor.shutdown(wait=True)
+
+
 class PhotonPool:
     """A persistent worker pool over one shared-memory scene plane.
 
@@ -359,10 +432,11 @@ class PhotonPool:
 
         config = self.config
         try:
-            self._pool = mp.get_context().Pool(
-                processes=config.workers,
-                initializer=_init_pool_worker,
-                initargs=(handle, config.fluorescence, config.batch_size),
+            self._pool = _WorkerPool(
+                config.workers,
+                _init_pool_worker,
+                (handle, config.fluorescence, config.batch_size,
+                 mp.get_context().Value("i", 0)),
             )
         except BaseException:
             # The no-leak contract covers a failed fork too: a published
@@ -401,18 +475,34 @@ class PhotonPool:
             )
         events, stats = self.trace_range(config.seed, 0, config.n_photons)
         results = self.last_shard_results
-        if any(r.overflow for r in results):
-            # An overflowed shard's events are not in its block, so the
-            # block-reading build would miss them: ship the gathered
-            # events with the build jobs instead.
-            forest = build_forest_parallel(
-                self._pool, events, config.policy, workers
-            )
-        else:
-            forest = self._build_forest_from_blocks(
-                events, results, config.policy, workers
-            )
+        with self._closing_if_broken():
+            if any(r.overflow for r in results):
+                # An overflowed shard's events are not in its block, so
+                # the block-reading build would miss them: ship the
+                # gathered events with the build jobs instead.
+                forest = build_forest_parallel(
+                    self._pool, events, config.policy, workers
+                )
+            else:
+                forest = self._build_forest_from_blocks(
+                    events, results, config.policy, workers
+                )
         return _finish_result(forest, events, stats, config, self.scene.name)
+
+    @contextmanager
+    def _closing_if_broken(self):
+        """Close this pool when a worker died under the enclosed tasks.
+
+        The executor fails every pending task with ``BrokenProcessPool``,
+        which propagates to the caller; the workers, the result blocks
+        and a plane this pool published go with it, and the next
+        :meth:`run` or :meth:`trace_range` starts a fresh pool.
+        """
+        try:
+            yield
+        except BrokenProcessPool:
+            self.close(terminate=True)
+            raise
 
     def _build_forest_from_blocks(
         self,
@@ -504,7 +594,8 @@ class PhotonPool:
             (seed, start + offset, share, blocks.handle, slot)
             for slot, (offset, share) in enumerate(shards)
         ]
-        results = self._pool.starmap(_trace_shard_pooled, jobs)
+        with self._closing_if_broken():
+            results = self._pool.starmap(_trace_shard_pooled, jobs)
         gathered = gather_shards(results, blocks)
         self.last_result_wire_bytes = resultplane.wire_bytes(results)
         # The gather copied every event out; drop overflow payloads so
@@ -524,11 +615,7 @@ class PhotonPool:
         cover for the return transport too.
         """
         if self._pool is not None:
-            if terminate:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
+            self._pool.shutdown(terminate)
             self._pool = None
         if self.plane is not None:
             self.plane.close()

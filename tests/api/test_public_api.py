@@ -203,6 +203,15 @@ class TestRequestOptionsSplit:
         with pytest.raises(ValueError):
             SimulateRequest(n_photons=-1)
 
+    @pytest.mark.parametrize("seed", [-5, 2**48, 2**80])
+    def test_seed_outside_the_generator_period_is_refused(self, seed):
+        """The generators reduce seeds modulo 2**48: -5 and 2**48 - 5
+        would serve the same bytes under two trace keys."""
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*48\)"):
+            SimulateRequest(n_photons=10, seed=seed)
+        assert SimulateRequest(n_photons=10, seed=0).seed == 0
+        assert SimulateRequest(n_photons=10, seed=2**48 - 1).seed == 2**48 - 1
+
     @pytest.mark.parametrize("make, field", [
         (lambda v: SimulateRequest(n_photons=300, seed=v), "seed"),
         (lambda v: SimulateRequest(n_photons=v), "n_photons"),

@@ -1,13 +1,16 @@
-"""Grouped bin-forest tally == the row-by-row oracle, node for node.
+"""One-pass bin-forest tally == the row-by-row oracle, node for node.
 
-:func:`repro.core.vectorized.apply_events` replays a block per tree with
-prefix scans (:meth:`repro.core.bintree.BinTree.tally_rows`); the scalar
-:meth:`BinForest.tally` loop it replaced stays as the reference.  The two
-must build the *same* forest — every node's path, region, totals, band
-and speculative counts, every tree counter, the tree-dict order and the
-forest-wide counters — for any split policy, any chunking of the event
-stream (the streaming / top-up contract) and coordinates sitting exactly
-on split planes and domain edges.
+:func:`repro.core.vectorized.apply_events` replays a whole block across
+every tree at once (:meth:`repro.core.bintree.BinForest.tally_groups`:
+one add for leaves that cannot split, one segmented prefix scan per
+round for the rest); the scalar :meth:`BinForest.tally` loop it replaced
+stays as the reference.  The two must build the *same* forest — every
+node's path, region, totals, band and speculative counts, every tree
+counter, the tree-dict order and the forest-wide counters — for any
+split policy, any chunking of the event stream (the streaming / top-up
+contract), forests already filled by earlier blocks, non-default root
+domains and coordinates sitting exactly on split planes and domain
+edges.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binning import TWO_PI, BinCoords, BinNode
-from repro.core.bintree import GROUPED_MIN_ROWS, BinForest, BinTree, SplitPolicy
+from repro.core.bintree import BinForest, BinTree, SplitPolicy
 from repro.core.photon import NUM_BANDS
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events, tally_block
 
@@ -73,16 +76,26 @@ def make_events(patch, s, t, theta, r2, band) -> EventBatch:
     )
 
 
-def assert_grouped_equals_scalar(policy, events, cuts=()) -> None:
-    """Replay *events* both ways, the grouped side chunked at *cuts*."""
+def assert_grouped_equals_scalar(policy, events, cuts=(), prepare=None) -> BinForest:
+    """Replay *events* both ways, the grouped side chunked at *cuts*.
+
+    *prepare*, when given, sets both forests up identically first (trees
+    with their own root domains, an earlier block replayed row by row).
+    Returns the grouped forest.
+    """
     oracle = BinForest(policy)
-    scalar_replay(oracle, events)
     grouped = BinForest(policy)
+    if prepare is not None:
+        prepare(oracle)
+        prepare(grouped)
+        assert snapshot(grouped) == snapshot(oracle)
+    scalar_replay(oracle, events)
     bounds = [0, *sorted(cuts), len(events)]
     for a, b in zip(bounds, bounds[1:]):
         apply_events(grouped, events.take(np.arange(a, b)))
     assert snapshot(grouped) == snapshot(oracle)
     grouped.check_invariants()
+    return grouped
 
 
 # Values that sit exactly on split planes (dyadic points of the unit
@@ -131,7 +144,7 @@ class TestOracleProperty:
     @given(
         rows=st.lists(
             st.tuples(unit_coord, unit_coord, theta_coord, unit_coord),
-            min_size=GROUPED_MIN_ROWS, max_size=300,
+            min_size=16, max_size=300,
         ),
         max_leaves=st.integers(min_value=2, max_value=12),
     )
@@ -145,7 +158,137 @@ class TestOracleProperty:
         assert_grouped_equals_scalar(policy, events)
 
 
+#: Root domains other than the full patch domain (ownership-unit style
+#: sub-regions): every leaf's split planes come from its own bounds.
+_DOMAINS = [
+    ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, TWO_PI, 1.0)),
+    ((0.25, 0.0, 0.0, 0.5), (0.75, 0.5, math.pi, 1.0)),
+    ((0.0, 0.5, math.pi, 0.0), (0.5, 1.0, TWO_PI, 0.25)),
+]
+small_policies = st.builds(
+    SplitPolicy,
+    threshold=st.floats(min_value=0.5, max_value=3.0, allow_nan=False),
+    min_count=st.integers(min_value=2, max_value=4),
+    max_depth=st.integers(min_value=0, max_value=4),
+    max_leaves=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+)
+
+
+def _point(data, domain):
+    """A coordinate tuple inside *domain*, often on a split plane."""
+    lo, hi = domain
+    return tuple(
+        data.draw(st.one_of(
+            st.sampled_from([a + (b - a) * d for d in (0.0, 0.25, 0.5, 1.0)]),
+            st.floats(min_value=a, max_value=a + (b - a) * 0.2),
+            st.floats(min_value=a, max_value=b),
+        ))
+        for a, b in zip(lo, hi)
+    )
+
+
+class TestManyTrees:
+    @settings(max_examples=50, deadline=None)
+    @given(policy=small_policies, data=st.data())
+    def test_one_pass_equals_row_by_row(self, policy, data):
+        """Up to 64 trees in one block, each with ``min_count - 1``,
+        ``min_count`` or ``min_count + 1`` rows (plus a few stragglers),
+        over forests an earlier block already filled — some with split
+        roots — and trees rooted on non-default domains."""
+        n_trees = data.draw(st.integers(min_value=1, max_value=64))
+        domains = [data.draw(st.sampled_from(_DOMAINS)) for _ in range(n_trees)]
+        prefill = []
+        for key in data.draw(st.lists(
+            st.integers(min_value=0, max_value=n_trees - 1), max_size=8,
+            unique=True,
+        )):
+            # A tight cluster: enough rows on one side to split the root.
+            size = data.draw(st.integers(min_value=0, max_value=12))
+            point = _point(data, domains[key])
+            prefill += [(key, point, k % NUM_BANDS) for k in range(size)]
+        rows = []
+        for key in range(n_trees):
+            size = policy.min_count + data.draw(st.sampled_from([-1, 0, 1]))
+            size += data.draw(st.integers(min_value=0, max_value=2))
+            rows += [
+                (key, _point(data, domains[key]),
+                 data.draw(st.integers(min_value=0, max_value=NUM_BANDS - 1)))
+                for _ in range(size)
+            ]
+        rows = data.draw(st.permutations(rows))
+        # Keys scattered over a wide id range, so patch order is not the
+        # first-tally order the block must create its new trees in.
+        ids = data.draw(st.lists(
+            st.integers(min_value=0, max_value=10**6), min_size=n_trees,
+            max_size=n_trees, unique=True,
+        ))
+        # Trees with their own domain or an earlier block exist already;
+        # the others are created by this block.
+        existing = sorted(
+            {key for key, _, _ in prefill}
+            | {key for key in range(n_trees) if domains[key] != _DOMAINS[0]}
+        )
+
+        def prepare(forest: BinForest) -> None:
+            for key in existing:
+                forest.tree(ids[key], *domains[key])
+            for key, point, band in prefill:
+                forest.tally(ids[key], BinCoords(*point), band)
+
+        events = make_events(
+            [ids[key] for key, _, _ in rows],
+            *zip(*[point for _, point, _ in rows]) if rows else ([],) * 4,
+            [band for _, _, band in rows],
+        ) if rows else EventBatch.empty()
+        cuts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(rows)), max_size=2,
+        ))
+        assert_grouped_equals_scalar(policy, events, cuts, prepare)
+
+
+class TestExactnessEdges:
+    """The two rules a forest-wide pass most easily gets wrong."""
+
+    def test_trigger_on_a_leafs_last_row_still_splits(self):
+        """The fourth row of a ``min_count=4`` leaf triggers, and nothing
+        follows it: the split must happen with an empty remainder — in a
+        block where another tree keeps the rounds going."""
+        policy = SplitPolicy(threshold=1.0, min_count=4)
+        patch = [5, 9, 5, 9, 5, 9, 5, 9, 9, 9]
+        s = [0.1, 0.2, 0.1, 0.7, 0.1, 0.2, 0.1, 0.7, 0.2, 0.7]
+        events = make_events(
+            patch, s, [0.3] * 10, [1.0] * 10, [0.4] * 10, [0] * 10,
+        )
+        forest = assert_grouped_equals_scalar(policy, events)
+        tree = forest.trees[5]
+        assert tree.leaf_count == 2 and tree.root.split_axis is not None
+        assert tree.root.total == 4
+
+    def test_refused_trigger_returns_its_rows_to_the_same_leaf(self):
+        """Two leaves of a ``max_leaves=3`` tree both trigger in one block;
+        the earlier split spends the budget, so the later trigger is
+        refused at its turn and the rows after it land in the same leaf."""
+        policy = SplitPolicy(threshold=1.0, min_count=4, max_leaves=3)
+
+        def prepare(forest: BinForest) -> None:
+            tree = forest.tree(3)
+            tree._split(tree.root, 0)  # empty halves at s = 0.5
+
+        # Low half (s < 0.5) triggers on its 4th row (block row 6), the
+        # high half on its 4th (block row 7) and keeps 3 rows after it.
+        s = [0.1, 0.6, 0.1, 0.6, 0.1, 0.6, 0.1, 0.6, 0.6, 0.6, 0.6]
+        t = [0.1] * 11
+        events = make_events([3] * 11, s, t, [1.0] * 11, [0.4] * 11, [1] * 11)
+        forest = assert_grouped_equals_scalar(policy, events, prepare=prepare)
+        tree = forest.trees[3]
+        low, high = tree.root.low_child, tree.root.high_child
+        assert tree.leaf_count == 3
+        assert not low.is_leaf and high.is_leaf
+        assert high.total == 7 and low.total == 4
+
+
 SCENE_FIXTURES = ("cornell", "lab_small", "office64")
+MIN_COUNT = SplitPolicy().min_count
 
 
 class TestTracedEvents:
@@ -170,11 +313,12 @@ class TestTracedEvents:
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
     @pytest.mark.parametrize(
-        "size", [GROUPED_MIN_ROWS - 1, GROUPED_MIN_ROWS, GROUPED_MIN_ROWS + 1],
+        "size", [MIN_COUNT - 1, MIN_COUNT, MIN_COUNT + 1],
     )
     def test_small_group_fallback_boundary(self, request, scene_fixture, size):
-        """Groups one under, at and one over the scalar-fallback constant,
-        first into an empty tree and then on top of what that left."""
+        """Groups one under, at and one over the default ``min_count``
+        — the edge between a leaf's one add and its prefix scan — first
+        into an empty tree and then on top of what that left."""
         events = self.traced(request.getfixturevalue(scene_fixture), 1500)
         patches, counts = np.unique(events.patch, return_counts=True)
         busiest = np.flatnonzero(events.patch == patches[counts.argmax()])
@@ -238,6 +382,22 @@ class TestValidation:
         assert snapshot(forest) == before
         with pytest.raises(ValueError, match=message):  # the oracle's error
             scalar_replay(BinForest(), bad)
+
+    @pytest.mark.parametrize("where", [0, 0.5, -1])
+    def test_bad_row_in_a_many_tree_block_leaves_the_forest_untouched(
+        self, office64, where
+    ):
+        events, _ = VectorEngine(office64).trace_range(5, 0, 600)
+        events = events.sorted_canonical()
+        forest = BinForest(SplitPolicy(min_count=4, threshold=1.0))
+        apply_events(forest, events.take(np.arange(len(events) // 2)))
+        before = snapshot(forest)
+        row = int(where * (len(events) - 1)) if where != -1 else len(events) - 1
+        bad = _with(events, row, theta=-1.0)
+        assert np.unique(bad.patch).size > 64
+        with pytest.raises(ValueError, match="theta out of range: -1.0"):
+            apply_events(forest, bad)
+        assert snapshot(forest) == before
 
     def test_error_names_the_first_offending_row_and_field(self, cornell):
         _, events = _filled_forest(cornell)

@@ -253,6 +253,14 @@ class TestRouting:
             )
             assert status == 400, bad
 
+    @pytest.mark.parametrize("seed", [-5, 2**48, 2**80])
+    def test_seed_outside_the_generator_period_400(self, service, seed):
+        status, _, body = service.request(
+            "POST", simulate_path("cornell-box"), {"photons": 10, "seed": seed}
+        )
+        assert status == 400
+        assert "seed must lie in [0, 2**48)" in json.loads(body)["error"]["message"]
+
     def test_non_object_body_400(self, service):
         status, _, _ = service.request(
             "POST", simulate_path("cornell-box"), b"[1, 2, 3]"

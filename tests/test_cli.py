@@ -29,6 +29,19 @@ class TestParser:
         )
         assert args.seed == 0xBEEF
 
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("seed", ["-5", "0x1000000000000", str(2**80)])
+    def test_seed_outside_the_generator_period_exits_2(
+        self, capsys, tmp_path, engine, seed
+    ):
+        out = tmp_path / "a.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "cornell-box", "--photons", "10", "--seed", seed,
+                  "--engine", engine, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "seed must lie in [0, 2**48)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "cornell-box", "--accel", "flat", "--out", "x.json"],
         ["trace", "cornell-box", "--accel", "linear"],
