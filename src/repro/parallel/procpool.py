@@ -47,8 +47,8 @@ is an estimate, so a shard that outruns it ships its columns inline,
 loudly (:class:`repro.parallel.resultplane.ResultPlaneWarning`), and
 the build phase drops to :func:`build_forest_parallel` for that request.
 
-Workers are a ``ProcessPoolExecutor`` (:class:`_WorkerPool`), each
-pinned to its own CPU as it starts.  A worker that dies mid-request
+Workers are a ``ProcessPoolExecutor`` (:class:`_WorkerPool`).  A
+worker that dies mid-request
 fails the request with ``BrokenProcessPool`` instead of leaving it
 waiting for a result that never comes; the pool closes itself and its
 result blocks, and the next request starts a fresh one.
@@ -80,7 +80,6 @@ suite locks down.  Three invariants carry the proof:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -175,35 +174,13 @@ def _trace_shard(
 _POOL_ENGINE: Optional[VectorEngine] = None
 
 
-def _pin_worker(counter) -> None:
-    """Pin this worker to CPU ``i % n`` of the CPUs it may run on.
-
-    *i* is the worker's start order, drawn from the pool-wide *counter*.
-    Unpinned, a freshly woken worker lands on the CPU of the process
-    that woke it, so a request's shards can start stacked on one CPU
-    while another idles.  Where ``sched_setaffinity`` is missing (or
-    refused) the worker stays unpinned.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    with counter.get_lock():
-        index = counter.value
-        counter.value += 1
-    cpus = sorted(os.sched_getaffinity(0))
-    try:
-        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    except OSError:
-        pass
-
-
-def _init_pool_worker(handle, fluorescence, batch_size: int, counter) -> None:
-    """Pool initializer: pin this worker, then construct its engine once.
+def _init_pool_worker(handle, fluorescence, batch_size: int) -> None:
+    """Pool initializer: construct this worker's engine exactly once.
 
     The engine's arrays are zero-copy views into the shared segment
     behind *handle* — nothing big was pickled, nothing is compiled here.
     """
     global _POOL_ENGINE
-    _pin_worker(counter)
     _POOL_ENGINE = VectorEngine(
         arrays=shmplane.attach(handle),
         fluorescence=fluorescence,
@@ -338,12 +315,20 @@ class _WorkerPool:
     def shutdown(self, terminate: bool = False) -> None:
         """Stop the workers once the queued tasks are done, or, with
         *terminate*, drop the queue and stop them mid-task."""
-        if terminate:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            # The executor has no public way to stop a running task.
-            for process in list((self._executor._processes or {}).values()):
-                process.terminate()
-        self._executor.shutdown(wait=True)
+        if not terminate:
+            self._executor.shutdown(wait=True)
+            return
+        # The executor has no public way to stop a running task, and
+        # ``shutdown`` forgets its processes, so take them first.
+        processes = list((self._executor._processes or {}).values())
+        manager = self._executor._executor_manager_thread
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+        if manager is not None:
+            manager.join()
 
 
 class PhotonPool:
@@ -428,15 +413,12 @@ class PhotonPool:
                 else SceneArrays(self.scene)
             )
             handle = self.plane.handle
-        import multiprocessing as mp
-
         config = self.config
         try:
             self._pool = _WorkerPool(
                 config.workers,
                 _init_pool_worker,
-                (handle, config.fluorescence, config.batch_size,
-                 mp.get_context().Value("i", 0)),
+                (handle, config.fluorescence, config.batch_size),
             )
         except BaseException:
             # The no-leak contract covers a failed fork too: a published

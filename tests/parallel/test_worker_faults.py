@@ -1,5 +1,5 @@
-"""Pool workers under fault and placement: a worker killed mid-request,
-and the CPU each worker runs on.
+"""Pool workers under fault: a worker killed mid-request, and a request
+interrupted in the parent.
 
 A ``multiprocessing.Pool`` replaces a dead worker but never delivers the
 dead task's result, so a request used to wait forever.  The pool now
@@ -22,6 +22,7 @@ from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import SimulationConfig
 from repro.parallel.procpool import PhotonPool
 from repro.parallel.shmplane import leaked_segments, plane_available
+from repro.scenes import get_scene
 from repro.service.service import canonical_answer_bytes
 
 needs_plane = pytest.mark.skipif(
@@ -72,28 +73,34 @@ def test_killed_worker_fails_the_request_promptly():
     assert leaked_segments() == []
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
 @needs_plane
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs sched_setaffinity and at least two CPUs",
-)
-def test_each_worker_is_pinned_to_its_own_cpu(cornell):
+def test_an_interrupted_request_stops_its_workers():
+    """An exception mid-``starmap`` leaves the ``with`` block through
+    ``close(terminate=True)``: the running shards are stopped, not left
+    burning CPU over planes that are already unlinked."""
     before = {p.pid for p in multiprocessing.active_children()}
-    allowed = os.sched_getaffinity(0)
+    lab = get_scene("computer-lab")
     config = SimulationConfig(n_photons=200, seed=1, workers=2)
-    with PhotonPool(cornell, config) as pool:
-        pool.run()
-        workers = _children_since(before)
-        assert len(workers) == 2
-        # The initializer pins a worker as it starts; give a late starter
-        # a moment.
-        deadline = time.monotonic() + 10
-        while True:
-            cpus = [os.sched_getaffinity(p.pid) for p in workers]
-            if all(len(c) == 1 for c in cpus) or time.monotonic() > deadline:
-                break
-            time.sleep(0.01)
-    assert all(len(c) == 1 for c in cpus), cpus
-    assert len(set().union(*cpus)) == 2, cpus
-    assert set().union(*cpus) <= allowed
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        with pytest.raises(_Interrupted):
+            with PhotonPool(lab, config) as pool:
+                pool.run()
+                workers = _children_since(before)
+                assert len(workers) == 2
+                signal.setitimer(signal.ITIMER_REAL, 0.05)
+                pool.run(SimulationConfig(n_photons=60_000, seed=2, workers=2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not any(p.is_alive() for p in workers)
+    assert _children_since(before) == []
     assert leaked_segments() == []
