@@ -38,8 +38,8 @@ Treat every served ``result.forest`` as read-only — it may be shared
 with the cache and with other results.
 
 Kernel gate: every in-process, CPU-bound section of a serve — a
-single-process trace and tally, the top-up copy, the convergence
-summary, a render — runs holding the process-wide
+single-process trace and tally, each shard's tally in a pooled run,
+the top-up copy, the convergence summary, a render — runs holding the process-wide
 :data:`repro.api.gate.KERNEL_GATE`, one section at a time across all
 sessions.  A request the cache already
 answers never takes it, and it is never held across a wait on pool
@@ -371,7 +371,8 @@ class RenderSession:
             else:
                 # The full budget in one call to the warm pool or engine.
                 if config.workers > 1:
-                    # A wait on the workers: never under the gate.
+                    # Mostly a wait on the workers: the pool takes the
+                    # gate only around each shard's tally.
                     result = self._pool_for(request.fluorescence, config).run(
                         config
                     )

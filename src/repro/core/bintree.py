@@ -643,9 +643,8 @@ class BinForest:
 def merge_rank_forests(forests, policy: Optional[SplitPolicy]) -> BinForest:
     """Union disjoint forest sections into one answer forest.
 
-    Every sharded driver — distributed ranks, shared-memory threads, the
-    process pool's ownership build — partitions tree keys between its
-    workers, so the union is disjoint; counters are summed.  Raises on
+    The paper tier's distributed driver partitions tree keys between its
+    ranks, so the union is disjoint; counters are summed.  Raises on
     overlapping ownership (protocol violation).
     """
     merged = BinForest(policy)

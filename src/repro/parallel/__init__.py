@@ -6,8 +6,6 @@ live in :mod:`repro.paper`.
 
 from .procpool import (
     PhotonPool,
-    build_forest_parallel,
-    partition_patches,
     rank_share,
     run_procpool,
     trace_events_parallel,
@@ -35,8 +33,6 @@ __all__ = [
     "ResultPlaneWarning",
     "ScenePlane",
     "ShardResult",
-    "build_forest_parallel",
-    "partition_patches",
     "plane_available",
     "plane_registry",
     "rank_share",

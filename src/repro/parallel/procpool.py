@@ -5,21 +5,20 @@ real threads, but the GIL serialises Python bytecode, so it demonstrates
 the locking protocol rather than speed.  This module is the serving
 path's multi-core backend: it shards the photon index range across a
 process pool of :class:`~repro.core.vectorized.VectorEngine`
-workers and reassembles the answer in two phases:
+workers, and the parent builds the answer from the shards as they land:
 
-1. **Trace phase** — each worker traces a contiguous shard of photon
-   indices (per-photon counter-based substreams make shards independent)
-   and writes its tally events into a preallocated shared-memory result
-   block, returning only a tiny descriptor
-   (:class:`repro.parallel.resultplane.ShardResult`).
+* **Workers trace** — each worker traces a contiguous shard of photon
+  indices (per-photon counter-based substreams make shards independent)
+  and writes its tally events into a preallocated shared-memory result
+  block, returning only a tiny descriptor
+  (:class:`repro.parallel.resultplane.ShardResult`).
 
-2. **Build phase** — patch ids are partitioned round-robin into
-   ownership sections; each worker re-reads *its* patches' events
-   straight from the shard blocks
-   (:func:`repro.parallel.resultplane.take_owned`) and replays them (in
-   canonical photon order, so every tree sees exactly the serial tally
-   sequence) into a private :class:`BinForest`.  The parent unions the
-   disjoint sections (:func:`repro.core.bintree.merge_rank_forests`).
+* **The parent tallies** — it waits on the shards in shard order and
+  replays each one into the forest
+  (:func:`repro.core.vectorized.tally_block`) straight from a zero-copy
+  view of its block, so shard *k* is tallied while later shards are
+  still tracing.  The tally is in-process CPU work and runs under
+  :data:`repro.api.gate.KERNEL_GATE`; the waits on the workers do not.
 
 One transport each way
 ----------------------
@@ -33,8 +32,7 @@ scene size.  Events come back through per-shard result blocks
 the first trace, recycles verbatim across warm requests, regrows (old
 segment unlinked first) when a bigger budget arrives, and unlinks at
 close — the same no-leak contract the scene plane honours.  A request's
-events therefore cross the process boundary as O(workers) descriptors in
-both phases.
+events therefore cross the process boundary as O(workers) descriptors.
 
 There is no second transport.  A segment that cannot be created
 (``OSError`` from a full ``/dev/shm``, ``RuntimeError`` where
@@ -45,58 +43,50 @@ blocks — and the pool stays serviceable: the next trace allocates
 afresh.  The one per-shard exception is block **overflow** — capacity
 is an estimate, so a shard that outruns it ships its columns inline,
 loudly (:class:`repro.parallel.resultplane.ResultPlaneWarning`), and
-the build phase drops to :func:`build_forest_parallel` for that request.
+the parent tallies that payload instead of a view.
 
 Workers are a ``ProcessPoolExecutor`` (:class:`_WorkerPool`).  A
-worker that dies mid-request
-fails the request with ``BrokenProcessPool`` instead of leaving it
-waiting for a result that never comes; the pool closes itself and its
-result blocks, and the next request starts a fresh one.
+worker that dies mid-request fails the request with
+``BrokenProcessPool`` instead of leaving it waiting for a result that
+never comes; the pool closes itself and its result blocks, and the
+next request starts a fresh one.  A request that leaves early for any
+other reason — a shard or the parent's own tally raised — cancels its
+queued shards and waits out the running ones first, so no straggler
+writes into a block the next request reads.
 
 The in-process seam — :func:`run_procpool` with an injected ``pool=``,
 :func:`trace_events_parallel`, :func:`_trace_shard` — forks nothing and
 touches no shared memory; it is the golden suite's no-fork oracle for
-the same two phases.
+the same shard-and-tally path.
 
 Determinism contract
 --------------------
-Because tallies replay in canonical order and ownership partitions the
-tree keys, the merged forest is **identical node-for-node** to a
-single-process vector run (and to the scalar substream oracle) for any
-worker count, batch size or merge order — the property the determinism
-suite locks down.  Three invariants carry the proof:
+The forest is **identical node-for-node** to a single-process vector
+run (and to the scalar substream oracle) for any worker count, batch
+size or shard landing order — the property the determinism suite locks
+down.  Three invariants carry the proof:
 
 * **Substream independence** — photon *i* draws only from its private
   counter-based substream, so shard boundaries cannot change any draw.
-* **Canonical event order** — every shard sorts its events by
-  ``(photon, bounce)`` before shipping, and shards cover contiguous
-  ascending index ranges, so concatenation replays the exact serial
-  tally sequence.
-* **Merge-order invariance** — ownership sections are disjoint by
-  construction (``patch_id % workers``), so the union is a permutation-
-  free merge; trees are then re-keyed into first-tally order to make
-  the serialised answer byte-stable.
+* **Canonical event order** — shards cover contiguous ascending index
+  ranges and are tallied in shard order, whatever order they land in,
+  so the parent replays the exact serial tally sequence.
+* **Chunking invariance** — :func:`~repro.core.vectorized.tally_block`
+  builds the same forest however a photon range is cut into blocks
+  (the stream-parity contract), trees included in first-tally order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from typing import Optional, Sequence
+from contextlib import closing, contextmanager
+from typing import Iterator, Optional
 
-import numpy as np
-
-from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
-from ..core.photon import NUM_BANDS
+from ..api.gate import KERNEL_GATE
+from ..core.bintree import BinForest
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
-from ..core.vectorized import (
-    EVENT_FIELDS,
-    EventBatch,
-    SceneArrays,
-    VectorEngine,
-    apply_events,
-)
+from ..core.vectorized import EventBatch, SceneArrays, VectorEngine, tally_block
 from ..geometry.scene import Scene
 from . import resultplane, shmplane
 from .resultplane import (
@@ -105,14 +95,13 @@ from .resultplane import (
     block_capacity,
     gather_shards,
     pack_shard,
+    shard_events,
 )
 
 __all__ = [
     "PhotonPool",
     "run_procpool",
     "trace_events_parallel",
-    "build_forest_parallel",
-    "partition_patches",
     "rank_share",
 ]
 
@@ -136,16 +125,6 @@ def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:
         starts.append((offset, share))
         offset += share
     return starts
-
-
-def _event_columns(events: EventBatch) -> tuple:
-    """EventBatch -> plain array tuple (what a build job's pickle carries).
-
-    Column order is :data:`repro.core.vectorized.EVENT_FIELDS` — the
-    same layout the result blocks use.
-    """
-    fields = events.export_fields()
-    return tuple(fields[name] for name, _ in EVENT_FIELDS)
 
 
 def _trace_shard(
@@ -200,96 +179,56 @@ def _trace_shard_pooled(
     return pack_shard(events.sorted_canonical(), stats, result_handle, slot)
 
 
-def _build_section(policy: SplitPolicy, arrays: tuple) -> BinForest:
-    """Pool target: replay one ownership section's events into a forest."""
-    forest = BinForest(policy)
-    apply_events(forest, EventBatch(*arrays))
-    return forest
-
-
-def _build_section_pooled(
-    policy: SplitPolicy,
-    result_handle,
-    counts: tuple,
-    worker_id: int,
-    workers: int,
-) -> BinForest:
-    """Pool target: build one ownership section from the result blocks.
-
-    The zero-pickle build phase: the job carries only the block handle
-    plus per-slot live counts; the worker re-reads its owned rows from
-    the blocks the trace phase just filled
-    (:func:`repro.parallel.resultplane.take_owned`).
-    """
-    forest = BinForest(policy)
-    apply_events(
-        forest, resultplane.take_owned(result_handle, counts, worker_id, workers)
-    )
-    return forest
-
-
-def partition_patches(patch_ids: np.ndarray, workers: int) -> np.ndarray:
-    """Round-robin patch -> worker ownership (stable for any worker count)."""
-    return patch_ids % workers
+def _injected_jobs(scene: Scene, config: SimulationConfig) -> list[tuple]:
+    """:func:`_trace_shard` jobs for an injected pool: the scene rides
+    every job."""
+    return [
+        (scene, config.fluorescence, config.batch_size, config.seed, start, count)
+        for start, count in _shard_starts(config.n_photons, config.workers)
+        if count > 0
+    ]
 
 
 def trace_events_parallel(
     pool, scene: Scene, config: SimulationConfig
 ) -> tuple[EventBatch, TraceStats]:
-    """Phase 1 on an injected pool: hand the scene to every job.
+    """The shard trace on an injected pool, concatenated.
 
     The entry point for pool-shaped in-process executors (the no-fork
-    oracle); :class:`PhotonPool` runs the same phase against persistent
-    workers attached to the scene plane, with events returning through
-    result blocks.
+    oracle); :meth:`PhotonPool.trace_range` is the same step against
+    persistent workers attached to the scene plane, with events
+    returning through result blocks.
     """
-    jobs = [
-        (scene, config.fluorescence, config.batch_size, config.seed, start, count)
-        for start, count in _shard_starts(config.n_photons, config.workers)
-        if count > 0
-    ]
-    return gather_shards(pool.starmap(_trace_shard, jobs), None)
+    results = pool.starmap(_trace_shard, _injected_jobs(scene, config))
+    return gather_shards(results, None)
 
 
-def _reorder_first_tally(merged: BinForest, events: EventBatch) -> BinForest:
-    """Present trees in first-tally order so the merged forest serialises
-    byte-for-byte like a single-process vector run."""
-    unique, first_index = np.unique(events.patch, return_index=True)
-    order = unique[np.argsort(first_index)]
-    merged.trees = {int(pid): merged.trees[int(pid)] for pid in order}
-    return merged
+def _tally_shard(
+    forest: BinForest,
+    stats: TraceStats,
+    result: ShardResult,
+    plane: Optional[ResultPlane],
+) -> None:
+    """Replay one landed shard into *forest* and book its counters.
 
-
-def build_forest_parallel(
-    pool, events: EventBatch, policy: SplitPolicy, workers: int
-) -> BinForest:
-    """Phase 2: ownership-sharded forest build + disjoint-section merge.
-
-    The build that ships each section's events with its job: used by
-    injected pools and by :meth:`PhotonPool.run` when a trace shard
-    overflowed its block; otherwise the pool runs the block-reading
-    build (:func:`_build_section_pooled`).
+    Reads the shard's block in place (or its inline payload) and runs
+    the tally under the kernel gate: it is CPU work in this process,
+    unlike the wait that delivered *result*.
     """
-    owner = partition_patches(events.patch, workers)
-    jobs = []
-    for w in range(workers):
-        rows = np.nonzero(owner == w)[0]
-        if rows.size == 0:
-            continue
-        jobs.append((policy, _event_columns(events.take(rows))))
-    sections = pool.starmap(_build_section, jobs) if jobs else []
-    merged = merge_rank_forests(sections, policy)
-    return _reorder_first_tally(merged, events)
+    events = shard_events(result, plane)
+    with KERNEL_GATE:
+        tally_block(forest, events, result.stats.photons)
+    stats.merge(result.stats)
 
 
 class _WorkerPool:
     """The worker processes behind :class:`PhotonPool`.
 
-    A ``ProcessPoolExecutor`` with the ``starmap``/``apply`` surface of
-    ``multiprocessing.Pool``.  Not that pool itself: when one of its
-    workers dies mid-task it quietly starts a replacement and the dead
-    task's result never arrives, so the request waits forever.  The
-    executor instead fails every pending task with ``BrokenProcessPool``.
+    A ``ProcessPoolExecutor`` behind an in-order ``starmap`` and an
+    ``apply``.  Not a ``multiprocessing.Pool``, which quietly replaces a
+    worker that dies mid-task and never delivers the dead task's result,
+    so the request waits forever; the executor instead fails every
+    pending task with ``BrokenProcessPool``.
     """
 
     def __init__(self, workers: int, initializer, initargs: tuple) -> None:
@@ -305,9 +244,24 @@ class _WorkerPool:
         # than at the first request.
         self._executor.submit(int)
 
-    def starmap(self, fn, jobs) -> list:
+    def starmap(self, fn, jobs) -> Iterator:
+        """Run every job at once; yield the results in job order, each
+        as soon as it lands.
+
+        The jobs are submitted at the first ``next()``.  However the
+        iteration ends early — a job raised, or the caller closed the
+        iterator after raising between results — the queued jobs are
+        cancelled and the running ones waited out before the error goes
+        on, so no job outlives the call that submitted it.
+        """
         futures = [self._executor.submit(fn, *job) for job in jobs]
-        return [future.result() for future in futures]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
     def apply(self, fn, args: tuple = ()):
         return self._executor.submit(fn, *args).result()
@@ -384,11 +338,10 @@ class PhotonPool:
         #: trace and recycled across warm requests (None until then).
         self.result_blocks: Optional[ResultPlane] = None
         #: The previous trace call's :class:`ShardResult` descriptors in
-        #: job order, with overflow payloads stripped after the gather
-        #: (:meth:`run` reuses the slot/count fields for the build
-        #: phase).  ``last_result_wire_bytes`` records what the full
-        #: results — payloads included — cost to cross the process
-        #: boundary; the benchmark reads it.
+        #: shard order, with overflow payloads stripped once read.
+        #: ``last_result_wire_bytes`` records what the full results —
+        #: payloads included — cost to cross the process boundary; the
+        #: benchmark reads both.
         self.last_shard_results: list[ShardResult] = []
         self.last_result_wire_bytes = 0
         #: Warm traces that recycled the existing result blocks instead
@@ -432,7 +385,7 @@ class PhotonPool:
 
         *config* defaults to the pool's own; passing a different one
         (other budget/seed/policy) reuses the warm workers.  Engine
-        parameters and the shard/ownership count always come from the
+        parameters and the shard count always come from the
         pool's construction config — the pool has exactly that many
         workers, with engines built once at :meth:`start`.  (Answers do
         not depend on the count either way; that is the determinism
@@ -440,10 +393,10 @@ class PhotonPool:
         rejected: it changes the physics, and the frozen worker engines
         could not honour it — silently mislabelling the result is the
         one failure mode worse than an error.
+
+        The parent tallies each shard as it lands, in shard order, under
+        the kernel gate; the waits on the workers run outside it.
         """
-        if self._pool is None:
-            self.start()
-        workers = self.config.workers
         config = config if config is not None else self.config
         if config.fluorescence != self.config.fluorescence:
             raise ValueError(
@@ -455,21 +408,11 @@ class PhotonPool:
             return SimulationResult(
                 BinForest(config.policy), TraceStats(), config, self.scene.name
             )
-        events, stats = self.trace_range(config.seed, 0, config.n_photons)
-        results = self.last_shard_results
-        with self._closing_if_broken():
-            if any(r.overflow for r in results):
-                # An overflowed shard's events are not in its block, so
-                # the block-reading build would miss them: ship the
-                # gathered events with the build jobs instead.
-                forest = build_forest_parallel(
-                    self._pool, events, config.policy, workers
-                )
-            else:
-                forest = self._build_forest_from_blocks(
-                    events, results, config.policy, workers
-                )
-        return _finish_result(forest, events, stats, config, self.scene.name)
+        forest, stats = BinForest(config.policy), TraceStats()
+        with self._shards(config.seed, 0, config.n_photons) as landed:
+            for result in landed:
+                _tally_shard(forest, stats, result, self.result_blocks)
+        return SimulationResult(forest, stats, config, self.scene.name)
 
     @contextmanager
     def _closing_if_broken(self):
@@ -485,34 +428,6 @@ class PhotonPool:
         except BrokenProcessPool:
             self.close(terminate=True)
             raise
-
-    def _build_forest_from_blocks(
-        self,
-        events: EventBatch,
-        results: Sequence[ShardResult],
-        policy: SplitPolicy,
-        workers: int,
-    ) -> BinForest:
-        """Phase 2 over the result plane: O(1) job arguments per section.
-
-        Each non-empty ownership section gets one job carrying only the
-        block handle, the per-slot live counts, and its owner id; the
-        worker re-reads and filters the blocks still holding this
-        trace's events itself (:func:`_build_section_pooled`).  Empty
-        sections are skipped parent-side, exactly like
-        :func:`build_forest_parallel`.
-        """
-        counts = [0] * self.result_blocks.blocks
-        for r in results:
-            counts[r.slot] = r.count
-        present = np.unique(events.patch % workers)
-        jobs = [
-            (policy, self.result_blocks.handle, tuple(counts), int(w), workers)
-            for w in present
-        ]
-        sections = self._pool.starmap(_build_section_pooled, jobs) if jobs else []
-        merged = merge_rank_forests(sections, policy)
-        return _reorder_first_tally(merged, events)
 
     def _ensure_result_blocks(self, max_share: int) -> ResultPlane:
         """The result blocks for a trace whose largest shard is *max_share*.
@@ -541,24 +456,18 @@ class PhotonPool:
         self.result_blocks = ResultPlane(blocks, capacity)
         return self.result_blocks
 
-    def trace_range(
-        self, seed: int, start: int, count: int
-    ) -> tuple[EventBatch, TraceStats]:
-        """Phase 1 only: trace photons ``start .. start+count`` on the
-        warm workers, returning globally canonical events plus counters.
+    @contextmanager
+    def _shards(self, seed: int, start: int, count: int) -> Iterator:
+        """Trace photons ``start .. start+count`` on the warm workers.
 
-        The streaming building block behind
-        :meth:`repro.api.RenderSession.simulate_stream`: the caller
-        chunks the photon budget, tallies each returned block itself
-        (:func:`repro.core.vectorized.tally_block`), and gets a forest
-        byte-identical to :meth:`run` — contiguous ascending shards on
-        per-photon substreams make the concatenation canonical exactly
-        as in the one-shot path.
-
-        Each call's events come back as block descriptors (streamed
-        serving stays free of per-batch event pickling); the blocks are
-        recycled by the next call, after the canonical merge has copied
-        the events out.
+        Yields an iterator over the shards' :class:`ShardResult`
+        descriptors in shard order, each as soon as its shard lands —
+        the one trace path behind :meth:`run` (tally each shard as it
+        lands) and :meth:`trace_range` (concatenate them).  A descriptor
+        is read with :func:`repro.parallel.resultplane.shard_events`
+        against ``self.result_blocks`` while the block is still open.
+        Leaving the block early drains this call's shards (see
+        :meth:`_WorkerPool.starmap`); a dead worker closes the pool.
         """
         if self._pool is None:
             self.start()
@@ -576,17 +485,46 @@ class PhotonPool:
             (seed, start + offset, share, blocks.handle, slot)
             for slot, (offset, share) in enumerate(shards)
         ]
-        with self._closing_if_broken():
-            results = self._pool.starmap(_trace_shard_pooled, jobs)
-        gathered = gather_shards(results, blocks)
-        self.last_result_wire_bytes = resultplane.wire_bytes(results)
-        # The gather copied every event out; drop overflow payloads so
-        # they cannot pin O(events) arrays in the parent until the next
-        # trace (descriptors alone drive the build phase).
+        results = self.last_shard_results = []
+        self.last_result_wire_bytes = 0
+
+        def record(landed):
+            for r in landed:
+                self.last_result_wire_bytes += resultplane.wire_bytes([r])
+                results.append(r)
+                yield r
+
+        with self._closing_if_broken(), closing(
+            self._pool.starmap(_trace_shard_pooled, jobs)
+        ) as landed:
+            yield record(landed)
+        # Every event has been read; drop overflow payloads so they
+        # cannot pin O(events) arrays in the parent until the next
+        # trace.
         for r in results:
             r.payload = None
-        self.last_shard_results = results
-        return gathered
+
+    def trace_range(
+        self, seed: int, start: int, count: int
+    ) -> tuple[EventBatch, TraceStats]:
+        """Trace photons ``start .. start+count`` on the warm workers,
+        returning globally canonical events plus counters.
+
+        The streaming building block behind
+        :meth:`repro.api.RenderSession.simulate_stream`: the caller
+        chunks the photon budget, tallies each returned block itself
+        (:func:`repro.core.vectorized.tally_block`), and gets a forest
+        byte-identical to :meth:`run` — contiguous ascending shards on
+        per-photon substreams make the concatenation canonical exactly
+        as in the one-shot path.
+
+        Each call's events come back as block descriptors (streamed
+        serving stays free of per-batch event pickling); the blocks are
+        recycled by the next call, after the canonical merge has copied
+        the events out.
+        """
+        with self._shards(seed, start, count) as landed:
+            return gather_shards(list(landed), self.result_blocks)
 
     def close(self, terminate: bool = False) -> None:
         """Tear down workers, then close and unlink both planes (idempotent).
@@ -618,22 +556,6 @@ class PhotonPool:
         self.close(terminate=exc_type is not None)
 
 
-def _finish_result(
-    forest: BinForest,
-    events: EventBatch,
-    stats: TraceStats,
-    config: SimulationConfig,
-    scene_name: str,
-) -> SimulationResult:
-    """Set the merged forest's emission counters from the event record
-    and wrap the result."""
-    forest.photons_emitted = config.n_photons
-    counts = events.emission_band_counts()
-    for b in range(NUM_BANDS):
-        forest.band_emitted[b] = counts[b]
-    return SimulationResult(forest, stats, config, scene_name)
-
-
 def run_procpool(
     scene: Scene, config: SimulationConfig, pool=None
 ) -> SimulationResult:
@@ -651,8 +573,9 @@ def run_procpool(
             BinForest(config.policy), TraceStats(), config, scene.name
         )
     if pool is not None:
-        events, stats = trace_events_parallel(pool, scene, config)
-        forest = build_forest_parallel(pool, events, config.policy, config.workers)
-        return _finish_result(forest, events, stats, config, scene.name)
+        forest, stats = BinForest(config.policy), TraceStats()
+        for result in pool.starmap(_trace_shard, _injected_jobs(scene, config)):
+            _tally_shard(forest, stats, result, None)
+        return SimulationResult(forest, stats, config, scene.name)
     with PhotonPool(scene, config) as photon_pool:
         return photon_pool.run()

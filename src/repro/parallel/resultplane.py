@@ -18,17 +18,18 @@ blocks scale them with the worker count instead:
   :meth:`EventBatch.export_fields`) and returns a tiny
   :class:`ShardResult` descriptor: ``(slot, count, stats)``, a few
   hundred bytes regardless of budget.
-* The parent rebuilds **zero-copy views** over the same bytes
-  (:meth:`ResultPlane.view` / :func:`gather_shards`) and performs the
-  existing canonical merge; the ownership build phase re-reads the same
-  blocks worker-side (:func:`take_owned`), so the whole request crosses
-  the process boundary in O(workers) descriptors.
+* The parent reads each shard through a **zero-copy view** over the
+  same bytes (:func:`shard_events` / :meth:`ResultPlane.view`): a
+  one-shot run tallies it in place as it lands, a streamed chunk
+  concatenates the shards (:func:`gather_shards`).  The whole request
+  crosses the process boundary in O(workers) descriptors.
 
-Blocks are keyed by **job slot**, not worker identity: ``Pool.starmap``
+Blocks are keyed by **job slot**, not worker identity: the executor
 may hand two shards to one process, and slot-addressed blocks make that
 harmless.  Parent and workers never write the same bytes — each job owns
-its slot exclusively, and the parent reads only after ``starmap``
-returns.
+its slot exclusively, the parent reads a slot only after its job has
+returned, and a call that leaves early waits out its jobs first, so
+none of them writes into a slot the next call reads.
 
 Overflow and failure contract
 -----------------------------
@@ -82,7 +83,7 @@ __all__ = [
     "detach_worker_blocks",
     "gather_shards",
     "pack_shard",
-    "take_owned",
+    "shard_events",
     "wire_bytes",
 ]
 
@@ -145,7 +146,7 @@ def block_capacity(
 
 @dataclass(frozen=True)
 class ResultBlockHandle:
-    """Everything a worker needs to write (or re-read) a result block.
+    """Everything a worker needs to write a result block.
 
     Pickles in a few hundred bytes regardless of budget: the payload
     lives in the named segment.  ``column_offsets`` places each
@@ -243,8 +244,8 @@ class ResultPlane(SegmentOwner):
         """Zero-copy :class:`EventBatch` over block *slot*'s first *count* rows.
 
         Valid until the plane is closed or the slot is recycled by the
-        next trace call — callers that keep events (everyone does, via
-        the canonical concat-merge) copy exactly once, at the merge.
+        next trace call: the pool's tally reads it in place, and a
+        caller that keeps events copies them once, at the concat-merge.
         """
         cols = self._views[slot]
         return EventBatch.from_fields(
@@ -343,6 +344,36 @@ def pack_shard(
     )
 
 
+def shard_events(
+    result: ShardResult, plane: Optional[ResultPlane]
+) -> EventBatch:
+    """One shard's canonical events: a view of its block, or its payload.
+
+    A block shard is a zero-copy view, valid until the slot is recycled
+    by the next trace call.  An overflowed shard raises a
+    :class:`ResultPlaneWarning` here (the parent process, where warnings
+    actually reach the caller).
+    """
+    if result.slot >= 0:
+        if plane is None:
+            raise RuntimeError(
+                "shard descriptor references a result block but the "
+                "parent holds no result plane"
+            )
+        return plane.view(result.slot, result.count)
+    if result.overflow:
+        warnings.warn(
+            f"result block overflow: a shard produced {result.count} "
+            f"events, above the preallocated capacity "
+            f"(EVENTS_PER_PHOTON_HEADROOM={EVENTS_PER_PHOTON_HEADROOM}); "
+            "the shard fell back to pickling — answer unchanged, "
+            "transport win lost",
+            ResultPlaneWarning,
+            stacklevel=3,
+        )
+    return EventBatch(*result.payload)
+
+
 def gather_shards(
     results: Sequence[ShardResult], plane: Optional[ResultPlane]
 ) -> tuple[EventBatch, TraceStats]:
@@ -352,63 +383,12 @@ def gather_shards(
     the concat, which also frees the blocks for recycling by the next
     request.  Shards cover contiguous ascending photon ranges and each
     arrives canonically sorted, so the concatenation is globally
-    canonical.  Overflowed shards raise a :class:`ResultPlaneWarning`
-    here (the parent process, where warnings actually reach the caller).
+    canonical.
     """
     stats = TraceStats()
-    blocks = []
     for r in results:
         stats.merge(r.stats)
-        if r.slot >= 0:
-            if plane is None:
-                raise RuntimeError(
-                    "shard descriptor references a result block but the "
-                    "parent holds no result plane"
-                )
-            blocks.append(plane.view(r.slot, r.count))
-        else:
-            if r.overflow:
-                warnings.warn(
-                    f"result block overflow: a shard produced {r.count} "
-                    f"events, above the preallocated capacity "
-                    f"(EVENTS_PER_PHOTON_HEADROOM={EVENTS_PER_PHOTON_HEADROOM}); "
-                    "the shard fell back to pickling — answer unchanged, "
-                    "transport win lost",
-                    ResultPlaneWarning,
-                    stacklevel=2,
-                )
-            blocks.append(EventBatch(*r.payload))
-    return EventBatch.concat(blocks), stats
-
-
-def take_owned(
-    handle: ResultBlockHandle,
-    counts: Sequence[int],
-    worker_id: int,
-    workers: int,
-) -> EventBatch:
-    """Worker-side read of the build phase: this owner's event rows.
-
-    Re-reads the shard blocks the trace phase just filled (``counts``
-    live rows per slot, in job order), selects the rows whose patch this
-    worker owns (``patch % workers == worker_id``), and returns them in
-    global canonical order — per-slot selection preserves it because
-    slots cover ascending photon ranges.  This is what lets the
-    ownership build receive O(1) job arguments instead of re-pickling
-    every owned event back across the boundary.
-    """
-    views = _attach_blocks(handle)
-    parts = []
-    for slot, count in enumerate(counts):
-        if count == 0:
-            continue
-        ev = EventBatch.from_fields(
-            {name: views[slot][name][:count] for name, _ in EVENT_FIELDS}
-        )
-        rows = np.nonzero(ev.patch % workers == worker_id)[0]
-        if rows.size:
-            parts.append(ev.take(rows))
-    return EventBatch.concat(parts)
+    return EventBatch.concat([shard_events(r, plane) for r in results]), stats
 
 
 def wire_bytes(results: Sequence[ShardResult]) -> int:
@@ -418,7 +398,8 @@ def wire_bytes(results: Sequence[ShardResult]) -> int:
     measured exactly (their pickle is tiny); payload shards count as the
     descriptor plus the raw column bytes — the dominant term — rather
     than re-pickling megabytes of arrays just to size them.  Cheap
-    enough that :meth:`PhotonPool.trace_range` records it per call.
+    enough that :class:`~repro.parallel.procpool.PhotonPool` records it
+    for every shard that lands.
     """
     import pickle
 

@@ -4,20 +4,23 @@ What the gate promises beyond "a lock around the trace": a request the
 cache already answers never waits at it; a miss looks the cache up
 *after* taking it, so two threads on one never-seen key trace it once;
 it is never held across a wait on pool workers or between stream
-chunks; and a kernel section that raises leaves it free.  Every answer
+chunks, while a pooled run takes it around each shard's tally; and a
+kernel section that raises leaves it free.  Every answer
 stays its cold bytes throughout.
 """
 
 from __future__ import annotations
 
 import errno
+import os
 import threading
+import time
 
 import pytest
 
 from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
 from repro.api.gate import KERNEL_GATE, KernelGate
-from repro.parallel import resultplane
+from repro.parallel import procpool, resultplane
 from repro.parallel.shmplane import leaked_segments, plane_available
 from tests.api.test_amortize import forest_bytes
 from tests.scenehelpers import build_mini_scene
@@ -289,6 +292,83 @@ class TestPoolWaits:
             assert pooled.last_photons_traced == 192
         assert forest_bytes(results["pooled"]) == cold_bytes(scene, pooled_request)
         assert forest_bytes(results["serial"]) == cold_bytes(scene, serial_request)
+        assert not KERNEL_GATE.locked()
+        assert leaked_segments() == []
+
+
+def _parked_shard(release: str, *job):
+    """A pool job that waits for the file *release* before tracing."""
+    while not os.path.exists(release):
+        time.sleep(0.005)
+    return procpool._trace_shard_pooled(*job)
+
+
+class ParkedShards:
+    """Wraps a pool's workers: every shard parks until released."""
+
+    def __init__(self, real, release: str) -> None:
+        self.called = threading.Event()
+        self._real = real
+        self._release = release
+
+    def starmap(self, fn, jobs):
+        self.called.set()
+        return self._real.starmap(
+            _parked_shard, [(self._release, *job) for job in jobs]
+        )
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+@needs_plane
+class TestPooledTally:
+    """A one-shot ``workers=2`` serve: the parent's per-shard tallies are
+    kernel sections, the waits on the workers are not."""
+
+    OPTIONS = SessionOptions(batch_size=64, workers=2)
+
+    def test_each_shard_tally_takes_the_gate_once(self):
+        scene = build_mini_scene()
+        request = SimulateRequest(n_photons=192, seed=41)
+        with RenderSession(scene, self.OPTIONS) as session:
+            session.simulate(SimulateRequest(n_photons=64, seed=40))  # spawn
+            before = KERNEL_GATE.snapshot()["acquired"]
+            answer = session.simulate(request)
+            assert KERNEL_GATE.snapshot()["acquired"] - before == 2
+            assert len(session._pool.last_shard_results) == 2
+        assert forest_bytes(answer) == cold_bytes(scene, request)
+        assert not KERNEL_GATE.locked()
+
+    def test_another_thread_takes_the_gate_while_workers_trace(self, tmp_path):
+        scene = build_mini_scene()
+        request = SimulateRequest(n_photons=192, seed=42)
+        release = str(tmp_path / "release")
+        results = {}
+        with RenderSession(scene, self.OPTIONS) as session:
+            session.simulate(SimulateRequest(n_photons=64, seed=40))  # spawn
+            parked = ParkedShards(session._pool._pool, release)
+            session._pool._pool = parked
+            waiting = run_thread(
+                lambda: results.update(answer=session.simulate(request))
+            )
+            took = threading.Event()
+
+            def take_gate() -> None:
+                with KERNEL_GATE:
+                    took.set()
+
+            try:
+                assert parked.called.wait(WAIT)
+                time.sleep(0.05)  # the serve is now waiting on its shards
+                probe = run_thread(take_gate)
+                assert took.wait(WAIT)
+                assert joined(probe)
+                assert waiting.is_alive()
+            finally:
+                open(release, "w").close()
+            assert joined(waiting)
+        assert forest_bytes(results["answer"]) == cold_bytes(scene, request)
         assert not KERNEL_GATE.locked()
         assert leaked_segments() == []
 

@@ -1,28 +1,32 @@
-"""Process-pool backend: determinism across workers, batches and merges.
+"""Process-pool backend: determinism across workers, batches, landing
+order and merges.
 
 The pool must be an implementation detail: any worker count, any batch
-size, and any merge order must serialise to the *same bytes* as a
-single-process vector run (which the parity suite in turn locks to the
-scalar oracle).
+size, and any order the shards land in must serialise to the *same
+bytes* as a single-process vector run (which the parity suite in turn
+locks to the scalar oracle).
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from repro.core import SimulationConfig, SplitPolicy, forest_to_dict
-from repro.core.bintree import merge_rank_forests
-from repro.core.vectorized import EventBatch, VectorEngine
+from repro.core import SimulationConfig, forest_to_dict
+from repro.core.bintree import BinForest, merge_rank_forests
+from repro.core.vectorized import EventBatch, VectorEngine, apply_events
+from repro.parallel import procpool, resultplane
 from repro.parallel.procpool import (
-    _build_section,
+    PhotonPool,
     _trace_shard,
-    build_forest_parallel,
-    partition_patches,
     run_procpool,
     trace_events_parallel,
 )
+from repro.parallel.resultplane import ResultPlaneWarning
+from repro.parallel.shmplane import leaked_segments, plane_available
+from repro.scenes import get_scene
 
 
 class _InlinePool:
@@ -84,24 +88,17 @@ class TestWorkerInvariance:
 
 class TestMergeOrder:
     def test_merge_order_does_not_change_tallies(self, cornell):
-        """Per-worker forest sections merge identically in any order."""
+        """Disjoint per-rank forest sections (the distributed tier's
+        shape) merge identically in any order."""
         config = SimulationConfig(
             n_photons=800, seed=0xBEEF, workers=3
         )
-        pool = _InlinePool()
-        events, _ = trace_events_parallel(pool, cornell, config)
-        owner = partition_patches(events.patch, 3)
-        sections = [
-            _build_section(
-                config.policy,
-                tuple(
-                    getattr(events.take((owner == w).nonzero()[0]), name)
-                    for name in ("gidx", "seq", "patch", "s", "t",
-                                 "theta", "r2", "band")
-                ),
-            )
-            for w in range(3)
-        ]
+        events, _ = trace_events_parallel(_InlinePool(), cornell, config)
+        sections = []
+        for w in range(3):
+            section = BinForest(config.policy)
+            apply_events(section, events.take((events.patch % 3 == w).nonzero()[0]))
+            sections.append(section)
         forward = merge_rank_forests(sections, config.policy)
         backward = merge_rank_forests(list(reversed(sections)), config.policy)
         rotated = merge_rank_forests(sections[1:] + sections[:1], config.policy)
@@ -116,15 +113,6 @@ class TestMergeOrder:
         fdict = {k: forest_to_dict_tree(v) for k, v in forward.trees.items()}
         bdict = {k: forest_to_dict_tree(v) for k, v in backward.trees.items()}
         assert fdict == bdict
-
-    def test_ownership_partitions_disjointly(self):
-        import numpy as np
-
-        pids = np.arange(97)
-        owner = partition_patches(pids, 4)
-        assert set(owner.tolist()) == {0, 1, 2, 3}
-        # Stable: same patch always lands on the same worker.
-        assert (owner == partition_patches(pids, 4)).all()
 
 
 def forest_to_dict_tree(tree):
@@ -151,3 +139,86 @@ class TestShardTracing:
         assert full.gidx.tolist() == merged.gidx.tolist()
         assert full.patch.tolist() == merged.patch.tolist()
         assert full.theta.tolist() == merged.theta.tolist()
+
+
+#: Seconds between two shards' landings in the reverse-landing runs:
+#: far above a 450-photon shard's trace time.
+LANDING_GAP = 0.2
+
+
+def _late_shard(delay: float, *job):
+    """A pooled shard job that starts tracing *delay* seconds late."""
+    time.sleep(delay)
+    return procpool._trace_shard_pooled(*job)
+
+
+def _serial_bytes(scene, photons: int, seed: int) -> str:
+    config = SimulationConfig(n_photons=photons, seed=seed)
+    return _forest_bytes(VectorEngine(scene).run(config).forest)
+
+
+@pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
+class TestLandingOrder:
+    """The parent tallies in shard order, whatever order shards land in."""
+
+    PHOTONS = 450
+    SEED = 0x5EED
+
+    def _reversed_run(self, scene_name: str, workers: int, monkeypatch):
+        """One pooled run whose last shard lands first and shard 0 last."""
+        scene = get_scene(scene_name)
+        config = SimulationConfig(
+            n_photons=self.PHOTONS, seed=self.SEED, workers=workers
+        )
+        landed = []
+        with PhotonPool(scene, config) as pool:
+            executor = pool._pool._executor
+            real_submit = executor.submit
+
+            def submit(fn, *args):
+                if fn is not procpool._trace_shard_pooled:
+                    return real_submit(fn, *args)
+                slot = args[-1]
+                delay = (workers - 1 - slot) * LANDING_GAP
+                future = real_submit(_late_shard, delay, *args)
+                future.add_done_callback(lambda _: landed.append(slot))
+                return future
+
+            monkeypatch.setattr(executor, "submit", submit)
+            result = pool.run()
+            overflows = [r.overflow for r in pool.last_shard_results]
+        assert landed == list(reversed(range(workers)))
+        assert leaked_segments() == []
+        return scene, result, overflows
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("scene_name", ["cornell-box", "computer-lab"])
+    def test_reverse_landing_gives_serial_bytes(
+        self, scene_name, workers, monkeypatch
+    ):
+        scene, result, overflows = self._reversed_run(
+            scene_name, workers, monkeypatch
+        )
+        assert overflows == [False] * workers
+        assert result.forest.photons_emitted == self.PHOTONS
+        assert _forest_bytes(result.forest) == _serial_bytes(
+            scene, self.PHOTONS, self.SEED
+        )
+
+    @pytest.mark.parametrize("scene_name", ["cornell-box", "computer-lab"])
+    def test_overflow_with_reverse_landing_is_loud_and_exact(
+        self, scene_name, monkeypatch
+    ):
+        monkeypatch.setattr(resultplane, "EVENTS_PER_PHOTON_HEADROOM", 0.001)
+        monkeypatch.setattr(resultplane, "ADAPTIVE_EVENTS_HEADROOM", 0.001)
+        monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
+        with pytest.warns(ResultPlaneWarning, match="overflow"):
+            scene, result, overflows = self._reversed_run(
+                scene_name, 3, monkeypatch
+            )
+        assert overflows == [True] * 3
+        assert _forest_bytes(result.forest) == _serial_bytes(
+            scene, self.PHOTONS, self.SEED
+        )

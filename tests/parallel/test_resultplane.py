@@ -9,8 +9,7 @@ extra moving parts the tests pin separately:
   suites extend this through every engine x worker x batch-size
   combination — the blocks are the pool's only result transport).
 * **Descriptors** — what crosses the boundary is O(workers) small
-  :class:`ShardResult` objects, never O(events) pickles; the build
-  phase's job arguments are O(1) per section.
+  :class:`ShardResult` objects, never O(events) pickles.
 * **Lifecycle** — blocks recycle verbatim across warm requests, regrow
   when the budget grows (old segment unlinked first), survive overflow
   by shipping the shard inline, loudly, with identical bytes, and never
@@ -25,7 +24,6 @@ import errno
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -44,7 +42,6 @@ from repro.parallel.resultplane import (
     block_capacity,
     gather_shards,
     pack_shard,
-    take_owned,
     wire_bytes,
 )
 from repro.parallel.shmplane import leaked_segments
@@ -112,15 +109,6 @@ class TestBlockRoundTrip:
             merged, stats = gather_shards(results, plane)
             _batches_equal(merged, EventBatch.concat([part_a, part_b]))
             assert stats.photons == st_a.photons + st_b.photons
-
-    def test_take_owned_matches_parent_side_partition(self, cornell):
-        events, stats = _trace_events(cornell)
-        with ResultPlane(blocks=1, capacity=len(events)) as plane:
-            pack_shard(events, stats, plane.handle, 0)
-            for w in range(3):
-                owned = take_owned(plane.handle, (len(events),), w, 3)
-                rows = np.nonzero(events.patch % 3 == w)[0]
-                _batches_equal(owned, events.take(rows))
 
 
 class TestDescriptors:

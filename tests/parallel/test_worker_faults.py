@@ -1,10 +1,12 @@
-"""Pool workers under fault: a worker killed mid-request, and a request
-interrupted in the parent.
+"""Pool workers under fault: a worker killed mid-request, a request
+interrupted in the parent, and a parent tally that raises.
 
 A ``multiprocessing.Pool`` replaces a dead worker but never delivers the
 dead task's result, so a request used to wait forever.  The pool now
 fails the request promptly, tears itself down (result blocks included)
-and starts afresh on the next request, whose bytes must not notice.
+and starts afresh on the next request, whose bytes must not notice.  A
+request that fails any other way drains its own shards first, so none
+of them writes into a result block the next request reads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api.gate import KERNEL_GATE
 from repro.core import SimulationConfig
+from repro.core.vectorized import VectorEngine
+from repro.parallel import procpool
 from repro.parallel.procpool import PhotonPool
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
@@ -103,4 +108,64 @@ def test_an_interrupted_request_stops_its_workers():
         signal.signal(signal.SIGALRM, previous)
     assert not any(p.is_alive() for p in workers)
     assert _children_since(before) == []
+    assert leaked_segments() == []
+
+
+def _slow_shard(delay: float, *job):
+    """A shard job that starts tracing *delay* seconds late."""
+    time.sleep(delay)
+    return procpool._trace_shard_pooled(*job)
+
+
+@needs_plane
+def test_a_raising_tally_drains_the_shards_it_submitted(monkeypatch):
+    """Shard 0's tally raises while shard 1 still traces: ``run()``
+    re-raises only once shard 1 is done, and the next ``run()`` on the
+    same blocks gives the serial bytes."""
+    lab = get_scene("computer-lab")
+    config = SimulationConfig(n_photons=600, seed=5, workers=2)
+    with PhotonPool(lab, config) as pool:
+        pool.run()  # workers up, result blocks allocated
+        executor = pool._pool._executor
+        real_submit = executor.submit
+        submitted = []
+
+        def submit(fn, *args):
+            if fn is procpool._trace_shard_pooled and submitted:
+                fn, args = _slow_shard, (0.5, *args)
+            submitted.append(real_submit(fn, *args))
+            return submitted[-1]
+
+        def boom(forest, block, photons):
+            raise RuntimeError("tally fell over")
+
+        monkeypatch.setattr(executor, "submit", submit)
+        monkeypatch.setattr(procpool, "tally_block", boom)
+        with pytest.raises(RuntimeError, match="fell over"):
+            pool.run()
+        assert len(submitted) == 2
+        assert all(future.done() for future in submitted)
+        assert not KERNEL_GATE.locked()
+        monkeypatch.undo()
+        blocks = pool.result_blocks
+        again = pool.run()
+        assert pool.result_blocks is blocks
+    expected = VectorEngine(lab).run(SimulationConfig(n_photons=600, seed=5))
+    assert canonical_answer_bytes(again) == canonical_answer_bytes(expected)
+    assert leaked_segments() == []
+
+
+@needs_plane
+def test_a_raising_tally_leaves_the_pool_block_as_itself(monkeypatch):
+    """A tally error leaves ``with PhotonPool`` unchanged, through
+    ``close(terminate=True)``, with no segment left behind."""
+
+    def boom(forest, block, photons):
+        raise RuntimeError("tally fell over")
+
+    monkeypatch.setattr(procpool, "tally_block", boom)
+    config = SimulationConfig(n_photons=300, seed=6, workers=2)
+    with pytest.raises(RuntimeError, match="fell over"):
+        with PhotonPool(get_scene("cornell-box"), config) as pool:
+            pool.run()
     assert leaked_segments() == []
