@@ -366,8 +366,8 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
             )
             if args.workers > 1:
                 raise ValueError(
-                    "workers > 1 requires the vector engine (the scalar loop "
-                    "would silently ignore the pool); pass engine='vector'"
+                    "--workers > 1 requires the vector engine (the scalar "
+                    "loop would silently ignore the pool); pass --engine vector"
                 )
             for flag, used in (
                 ("--batch-size", args.batch_size is not None),
@@ -381,7 +381,7 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
             if args.rng == "stream":
                 raise ValueError(
                     "the vector engine requires per-photon substreams; "
-                    "use rng_mode='substream' (or 'auto')"
+                    "pass --rng substream or --rng auto"
                 )
             request = SimulateRequest(
                 n_photons=args.photons,
@@ -399,10 +399,7 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
         # them the argparse way (usage line + message, exit code 2),
         # against the simulate subparser so the synopsis actually shows
         # the flags the message talks about.
-        hint = ""
-        if "requires the vector engine" in str(exc):
-            hint = " (hint: pass --engine vector to use --workers)"
-        parser.simulate_parser.error(f"{exc}{hint}")
+        parser.simulate_parser.error(str(exc))
     engine_label = args.engine
     if args.workers > 1:
         engine_label += f" x{args.workers} procs"

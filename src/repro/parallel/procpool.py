@@ -54,6 +54,16 @@ other reason — a shard or the parent's own tally raised — cancels its
 queued shards and waits out the running ones first, so no straggler
 writes into a block the next request reads.
 
+Workers keep their heap between shards.  A shard's wave temporaries are
+megabytes, and glibc's dynamic thresholds hand the heap top back to the
+OS after each shard, so the next one faulted it in again (~1,100 minor
+faults per 1,500-photon ``computer-lab`` shard).  The initializer fixes
+both ``mallopt`` thresholds in the processes the pool owns
+(:func:`_retain_worker_heap`); a warm shard now takes a few dozen
+faults (:attr:`ShardResult.faults`), and a worker keeps up to the
+64 MiB trim threshold free at its heap top.  The parent and in-process sessions
+keep the embedding application's allocator.
+
 The in-process seam — :func:`run_procpool` with an injected ``pool=``,
 :func:`trace_events_parallel`, :func:`_trace_shard` — forks nothing and
 touches no shared memory; it is the golden suite's no-fork oracle for
@@ -78,6 +88,7 @@ down.  Three invariants carry the proof:
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
@@ -97,6 +108,11 @@ from .resultplane import (
     pack_shard,
     shard_events,
 )
+
+try:
+    import resource
+except ImportError:  # not on every platform; shard fault counts stay 0
+    resource = None
 
 __all__ = [
     "PhotonPool",
@@ -152,14 +168,48 @@ def _trace_shard(
 #: pool initializer over the attached scene plane.
 _POOL_ENGINE: Optional[VectorEngine] = None
 
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Allocations below this come from the heap, not a fresh ``mmap``:
+#: glibc's own 64-bit ceiling for its sliding threshold.
+_WORKER_MMAP_THRESHOLD = 32 << 20
+#: Free memory the heap top keeps before it is returned to the OS —
+#: twice the mmap threshold, glibc's own rule for the pair.
+_WORKER_TRIM_THRESHOLD = 2 * _WORKER_MMAP_THRESHOLD
+
+
+def _retain_worker_heap(load_libc=ctypes.CDLL) -> None:
+    """Keep this worker's heap mapped between shards (glibc only).
+
+    A shard's wave temporaries are megabytes; with glibc's dynamic
+    thresholds the heap top goes back to the OS after every shard and
+    the next shard faults it in again.  Both thresholds are set: setting
+    either turns the sliding rule off and leaves the other at its small
+    default.  The trim threshold bounds the free heap top a worker keeps.
+    Without ``mallopt`` (another libc, a loader that fails) this does
+    nothing.
+    """
+    try:
+        mallopt = load_libc("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
 
 def _init_pool_worker(handle, fluorescence, batch_size: int) -> None:
     """Pool initializer: construct this worker's engine exactly once.
 
     The engine's arrays are zero-copy views into the shared segment
     behind *handle* — nothing big was pickled, nothing is compiled here.
+    First the worker's allocator is set to keep its heap between shards
+    (:func:`_retain_worker_heap`): the process is the pool's own.
     """
     global _POOL_ENGINE
+    _retain_worker_heap()
     _POOL_ENGINE = VectorEngine(
         arrays=shmplane.attach(handle),
         fluorescence=fluorescence,
@@ -173,10 +223,21 @@ def _trace_shard_pooled(
     """Pool target for persistent workers: trace on the initializer's engine.
 
     The canonical events land in result block *slot* and only the
-    descriptor returns (or, on overflow, the inline payload).
+    descriptor returns (or, on overflow, the inline payload), with the
+    minor page faults the trace and the pack took.
     """
+    before = _minor_faults()
     events, stats = _POOL_ENGINE.trace_range(seed, start, count)
-    return pack_shard(events.sorted_canonical(), stats, result_handle, slot)
+    result = pack_shard(events.sorted_canonical(), stats, result_handle, slot)
+    result.faults = _minor_faults() - before
+    return result
+
+
+def _minor_faults() -> int:
+    """This process's minor page faults so far (0 without ``resource``)."""
+    if resource is None:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _injected_jobs(scene: Scene, config: SimulationConfig) -> list[tuple]:
@@ -338,7 +399,9 @@ class PhotonPool:
         #: trace and recycled across warm requests (None until then).
         self.result_blocks: Optional[ResultPlane] = None
         #: The previous trace call's :class:`ShardResult` descriptors in
-        #: shard order, with overflow payloads stripped once read.
+        #: shard order, with overflow payloads stripped once read.  Each
+        #: carries ``faults``, the minor page faults its worker took over
+        #: the shard's trace and pack — a few dozen on a warm glibc worker.
         #: ``last_result_wire_bytes`` records what the full results —
         #: payloads included — cost to cross the process boundary; the
         #: benchmark reads both.

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,7 +270,8 @@ class ShardResult:
     forked (the in-process seam of
     :func:`repro.parallel.procpool.trace_events_parallel`) or because
     the shard overflowed its block (*overflow* set — the parent warns
-    loudly).
+    loudly).  *faults* is the minor page faults the worker took tracing
+    and packing the shard (0 where nothing measured them).
     """
 
     slot: int
@@ -278,6 +279,7 @@ class ShardResult:
     stats: TraceStats
     payload: Optional[tuple] = None
     overflow: bool = field(default=False)
+    faults: int = 0
 
 
 #: This worker's attachment to the (single) live result segment:
@@ -408,8 +410,6 @@ def wire_bytes(results: Sequence[ShardResult]) -> int:
         if r.payload is None:
             total += len(pickle.dumps(r))
         else:
-            header = ShardResult(slot=r.slot, count=r.count, stats=r.stats,
-                                 overflow=r.overflow)
-            total += len(pickle.dumps(header))
+            total += len(pickle.dumps(replace(r, payload=None)))
             total += sum(a.nbytes for a in r.payload)
     return total

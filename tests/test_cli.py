@@ -96,7 +96,11 @@ class TestSimulateUsageErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
-        assert "--engine vector" in err  # the actionable hint
+        assert err.splitlines()[-1] == (
+            "repro simulate: error: --workers > 1 requires the vector "
+            "engine (the scalar loop would silently ignore the pool); "
+            "pass --engine vector"
+        )
 
     def test_vector_with_stream_rng_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -105,7 +109,10 @@ class TestSimulateUsageErrors:
                  "--engine", "vector", "--rng", "stream", "--out", "x.json"]
             )
         assert excinfo.value.code == 2
-        assert "substream" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro simulate: error: the vector engine requires per-photon "
+            "substreams; pass --rng substream or --rng auto"
+        )
 
     def test_zero_repeat_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
