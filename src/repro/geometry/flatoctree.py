@@ -44,19 +44,25 @@ for the paper tier's scalar tracer (:func:`repro.paper.octree.scene_octree`).
 Traversal (:meth:`FlatOctree.traverse`) is a level-synchronous *pair
 frontier* — the wavefront shape: two parallel arrays ``(lane, node)``
 hold every ray still inside some interior node of the current tree
-level.  One step gathers each pair's eight-child block, slab-tests all
-``m x 8`` children in a single :func:`slab_spans` call, keeps the
-children the ray hits in front of its origin, and splits them: leaf
-pairs are set aside, interior pairs form the next frontier.  The descent
-prunes on slab tests alone.  Once a wave has no interior pairs left,
-its leaf pairs from every level are expanded through ``leaf_start`` /
-``leaf_end`` / ``leaf_items`` into flat ``(lane, patch)`` pairs and
-handed to the caller's kernel in **one** call.  NumPy calls per batch
-are therefore O(tree depth), not O(nodes + leaves visited): deep nodes
-see a handful of lanes each, and a call per node would spend its time
-in ufunc dispatch, not arithmetic.  Lanes are walked in waves of
-:data:`WAVE_LANES`, so the frontier's transients do not grow with the
-caller's batch size.
+level.  Lanes are walked in waves of :data:`WAVE_LANES`, so the
+frontier's transients do not grow with the caller's batch size.  A wave
+of ``m`` lanes starts at the deepest *cut* of the tree it can afford —
+the cut at depth ``d`` is every filled node at depth ``d`` plus every
+non-empty leaf shallower — the deepest of at most ``CUT_PAIRS // m``
+nodes (:data:`CUT_PAIRS`; the root if none fits), and slab-tests all
+``m x size`` pairs in one :func:`slab_spans` call.  One step then
+gathers each interior pair's eight-child block, slab-tests all ``m x 8``
+children in a single call, keeps the children the ray hits in front of
+its origin, and splits them: leaf pairs are set aside, interior pairs
+form the next frontier.  The descent prunes on slab tests alone.  Once a
+wave has no interior pairs left, its leaf pairs from every level are
+expanded through ``leaf_start`` / ``leaf_end`` / ``leaf_items`` into
+flat ``(lane, patch)`` pairs and handed to the caller's kernel in
+**one** call.  NumPy calls per batch are therefore O(tree depth), not
+O(nodes + leaves visited): deep nodes see a handful of lanes each, and a
+call per node would spend its time in ufunc dispatch, not arithmetic.
+Narrow waves — a request's tail bounces, a handful of live lanes each —
+also skip every level above their start cut.
 
 Determinism contract
 --------------------
@@ -64,15 +70,16 @@ The *answer* is visit-order independent: the caller's closest-hit
 reduction resolves exact-distance ties to the **maximum patch id** (the
 canonical rule shared by the linear scan, the pointer octree, and the
 vector engine — see :mod:`repro.paper.octree`), a pure function of
-``(t, patch_id)``, so breadth-first order, which leaf holds a patch and
-wave boundaries cannot change a byte.  A subtree is pruned only when
-the ray misses its box or the box lies behind the origin; NaN slab
-results from boundary-grazing axis-parallel rays compare ``False`` and
-are kept, which is the conservative side.  The walk does not prune on
-distance: a lane's pairs are every patch of every leaf whose whole root
-path its ray slab-hits.  Pruning against the nearest hit found so far
-would need a kernel call per level, and on the fitted tree it removes
-about 2 % of the slab and patch tests.
+``(t, patch_id)``, so breadth-first order, which leaf holds a patch,
+wave boundaries and the cut a wave starts at cannot change a byte.  A
+subtree is pruned only when the ray misses its box or the box lies
+behind the origin; NaN slab results from boundary-grazing axis-parallel
+rays compare ``False`` and are kept, which is the conservative side.
+The walk does not prune on distance: a lane's pairs are every patch of
+every leaf whose path from its wave's start cut the ray slab-hits.
+Pruning against the nearest hit found so far would need a kernel call
+per level, and on the fitted tree it removes about 2 % of the slab and
+patch tests.
 
 Pruning is conservative for every hit the dense scan accepts.  Such a
 hit lies within the scan's barycentric tolerance (1e-9 times each edge,
@@ -81,9 +88,12 @@ listing the patch holds that AABB and, padded by :data:`FIT_PAD` (1e-6
 of the diagonal), holds the hit strictly inside, a pad from every face
 — far beyond any slab or plane rounding; every ancestor's box contains
 the leaf's.  The ray therefore slab-hits every box on that leaf's root
-path, in front of its origin, the winning candidate always reaches the
-kernel, the answer stays a pure function of the candidate set, and no
-answer byte can move.
+path, in front of its origin, and so every box on the shorter path from
+whichever cut node the wave starts at: the winning candidate always
+reaches the kernel, the answer stays a pure function of the candidate
+set, and no answer byte can move.  Skipping a start cut's ancestors
+only drops slab tests such a hit cannot fail; on the bench scenes the
+candidate set is the root walk's (patch tests per photon are equal).
 """
 
 from __future__ import annotations
@@ -94,7 +104,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "FlatOctree", "slab_spans", "WAVE_LANES", "FIT_PAD", "LEAF_SIZE", "SAH_BINS",
+    "FlatOctree", "slab_spans", "WAVE_LANES", "CUT_PAIRS", "FIT_PAD", "LEAF_SIZE",
+    "SAH_BINS",
 ]
 
 #: Lanes walked together by :meth:`FlatOctree.traverse`, and so the
@@ -109,6 +120,20 @@ __all__ = [
 #: photons/s at 256 / 512 / 1,024 / 2,048 lanes, 70.5k with the whole
 #: batch in one frontier.
 WAVE_LANES = 1024
+
+#: Most lane x node pairs a wave's first slab test may take.  A wave of
+#: ``m`` lanes starts at the deepest cut of the tree (see
+#: :meth:`FlatOctree._derive_cuts`) no larger than ``CUT_PAIRS // m``
+#: nodes, so narrow tail-bounce waves skip the levels above it in one
+#: call; a wave wider than ``CUT_PAIRS / 8`` lanes starts at the root.
+#: A measured constant, not a knob.  Bench medians (2-vCPU Xeon, 10 s
+#: runs, 3-4 alternating rounds) at 2,048 / 4,096 / 8,192 pairs, with the
+#: root start in brackets: ``office_scale_serial`` 40.8k / 42.3k / 42.6k
+#: (40.2k) photons/s, ``service_mixed`` 140 / 151 / 147 (142) requests/s,
+#: ``lab_pool2`` 137k / 136k / 135k (131k) photons/s.  On
+#: ``gen:office-259`` the cuts hold 1 / 8 / 50 / 382 / 2,614 nodes, so a
+#: one-lane wave starts two levels above the deepest leaves.
+CUT_PAIRS = 4096
 
 #: Outward pad of every leaf box, as a fraction of the root diagonal.  It
 #: must exceed what the dense scan accepts beyond a patch's AABB — its
@@ -281,10 +306,13 @@ class FlatOctree:
             diagnostics, not by traversal.
     """
 
-    __slots__ = (
+    #: The arrays that fully describe the tree: :meth:`arrays` exports
+    #: them and :meth:`from_arrays` attaches them.
+    _ARRAYS = (
         "lox", "loy", "loz", "hix", "hiy", "hiz",
         "first_child", "leaf_start", "leaf_end", "leaf_items", "depth",
     )
+    __slots__ = _ARRAYS + ("_cuts", "_cut_sizes")
 
     def __init__(
         self,
@@ -301,6 +329,8 @@ class FlatOctree:
         self.leaf_end = leaf_end
         self.leaf_items = leaf_items
         self.depth = depth
+        self._cuts = self._derive_cuts()
+        self._cut_sizes = np.array([cut[0].size for cut in self._cuts])
 
     # -- builder --------------------------------------------------------------
 
@@ -411,6 +441,38 @@ class FlatOctree:
             first_child, leaf_start, leaf_end, items, np.concatenate(seg_depth),
         )
 
+    def _derive_cuts(self) -> list[tuple[np.ndarray, ...]]:
+        """The tree's cuts of at most :data:`CUT_PAIRS` nodes, root first.
+
+        The cut at depth ``d`` is every filled node at depth ``d`` (an
+        interior node or a non-empty leaf) plus every non-empty leaf
+        shallower than ``d``, so each patch's leaf is in, or below, exactly
+        one of its nodes.  Depth 0's cut is the root.  Each cut is its
+        node ids, ascending, and their six bounds copied into contiguous
+        arrays; cuts grow with depth, and the list stops before the
+        first larger than :data:`CUT_PAIRS` or after the deepest level.
+        Depths come from walking ``first_child``, not from ``depth``.
+        """
+        first_child = self.first_child
+        if first_child.size == 0:
+            return []
+        bounds = (self.lox, self.loy, self.loz, self.hix, self.hiy, self.hiz)
+        filled = (first_child >= 0) | (self.leaf_end > self.leaf_start)
+        level = np.zeros(1, dtype=np.intp)
+        above = level[:0]  # non-empty leaves shallower than `level`
+        cuts = []
+        while True:
+            nodes = np.sort(np.concatenate([above, level]))
+            if nodes.size > CUT_PAIRS:
+                return cuts
+            cuts.append((nodes, *(np.ascontiguousarray(b[nodes]) for b in bounds)))
+            inner = first_child[level] >= 0
+            if not inner.any():
+                return cuts
+            above = np.concatenate([above, level[~inner & filled[level]]])
+            kids = (first_child[level[inner]][:, None] + _OCTANTS).ravel()
+            level = kids[filled[kids]]
+
     # -- export / attach ------------------------------------------------------
 
     def arrays(self) -> dict:
@@ -421,7 +483,7 @@ class FlatOctree:
         describe the tree, so a worker can rebuild it zero-copy from
         views into a shared segment via :meth:`from_arrays`.
         """
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._ARRAYS}
 
     @classmethod
     def from_arrays(cls, arrays: dict) -> "FlatOctree":
@@ -430,7 +492,7 @@ class FlatOctree:
         No copies are made: the instance aliases whatever buffers the
         caller passes, which is exactly what zero-copy attach needs.
         """
-        return cls(**{name: arrays[name] for name in cls.__slots__})
+        return cls(**{name: arrays[name] for name in cls._ARRAYS})
 
     # -- introspection --------------------------------------------------------
 
@@ -492,24 +554,32 @@ class FlatOctree:
     def _walk_wave(self, lane, rays) -> tuple[np.ndarray, np.ndarray, int]:
         """Slab-only descent of the lanes in *lane*, one level at a time.
 
-        Returns the ``(lane, leaf)`` pairs reached — every leaf whose
-        whole root path the lane's ray slab-hits — and the slab-test
-        count.
+        The wave starts at the deepest cut (see :meth:`_derive_cuts`)
+        whose every node it can slab-test against every lane in one call
+        of at most :data:`CUT_PAIRS` pairs; a wave too wide for any cut
+        but the root's starts at the root.  Returns the ``(lane, leaf)``
+        pairs reached — every leaf whose path from the start cut the
+        lane's ray slab-hits — and the slab-test count.
         """
         first_child = self.first_child
         bounds = (self.lox, self.loy, self.loz, self.hix, self.hiy, self.hiz)
-        box_tests = lane.size
-        t_enter, t_exit = slab_spans(
-            *(b[0] for b in bounds), *(r[lane] for r in rays)
-        )
-        lane = lane[~_misses(t_enter, t_exit)]
-        node = np.zeros(lane.size, dtype=np.intp)
-        if first_child[0] < 0:
-            return lane, node, box_tests
-        # Seeded empty: a wave whose every lane misses the root walks no
-        # level and still concatenates to empty arrays.
-        leaf_lanes, leaf_nodes = [lane[:0]], [node[:0]]
-        while lane.size:
+        deepest = np.searchsorted(self._cut_sizes, CUT_PAIRS // lane.size, side="right")
+        nodes, *cut_bounds = self._cuts[max(deepest - 1, 0)]
+        t_enter, t_exit = slab_spans(*cut_bounds, *(r[lane, None] for r in rays))
+        box_tests = t_enter.size
+        hit, at = np.nonzero(~_misses(t_enter, t_exit))
+        lane = lane[hit]
+        node = nodes[at]
+        leaf_lanes, leaf_nodes = [], []
+        while True:
+            is_leaf = first_child[node] < 0
+            leaf_lanes.append(lane[is_leaf])
+            leaf_nodes.append(node[is_leaf])
+            descend = ~is_leaf
+            lane = lane[descend]
+            node = node[descend]
+            if not lane.size:
+                break
             box_tests += lane.size * 8
             child = first_child[node][:, None] + _OCTANTS
             t_enter, t_exit = slab_spans(
@@ -518,12 +588,6 @@ class FlatOctree:
             hit, octant = np.nonzero(~_misses(t_enter, t_exit))
             lane = lane[hit]
             node = child[hit, octant]
-            is_leaf = first_child[node] < 0
-            leaf_lanes.append(lane[is_leaf])
-            leaf_nodes.append(node[is_leaf])
-            descend = ~is_leaf
-            lane = lane[descend]
-            node = node[descend]
         return np.concatenate(leaf_lanes), np.concatenate(leaf_nodes), box_tests
 
     def _test_leaves(self, lane, node, test_pairs) -> None:

@@ -13,7 +13,9 @@ kernel, so the second half pins what that shape makes new: exact ties
 (within one kernel call, across leaves, against the running best),
 duplicate pairs, wave chunking, the root-is-leaf tree, the empty batch,
 one kernel call per wave, and a pair set that is exactly the slab-reachable
-leaves' patches.
+leaves' patches.  A wave starts at the deepest cut of the tree it can
+slab-test in one call, so the pair set and closest-hit parity are also
+checked at wave widths that start at every cut, down to the deepest.
 """
 
 from __future__ import annotations
@@ -604,34 +606,107 @@ def _slab_pair_oracle(flat: FlatOctree, rays) -> list[tuple[int, int]]:
     )
 
 
+def _cut_sizes(flat: FlatOctree) -> list[int]:
+    """Node count of the tree's cut at each depth, from the ``depth``
+    array: every filled node at that depth plus every non-empty leaf
+    shallower, with depth 0 the root alone."""
+    filled = (flat.first_child >= 0) | (flat.leaf_end > flat.leaf_start)
+    leaf = (flat.first_child < 0) & filled
+    return [1] + [
+        int((filled & (flat.depth == d)).sum() + (leaf & (flat.depth < d)).sum())
+        for d in range(1, int(flat.depth.max()) + 1)
+    ]
+
+
+def _start_cut(flat: FlatOctree, lanes: int) -> int:
+    """Depth of the cut a wave of *lanes* lanes starts at."""
+    fits = [d for d, size in enumerate(_cut_sizes(flat))
+            if lanes * size <= flatoctree.CUT_PAIRS]
+    return max(fits, default=0)
+
+
+#: Wave widths whose 300-lane batches start at every cut of the pair-set
+#: fixtures' trees, from the deepest (one lane) to depth 1 (128 lanes);
+#: 27 lanes is the one width that starts at ``lab_small``'s depth-3 cut.
+START_CUT_WAVES = (1, 2, 7, 27, 33, 128)
+
+
+def _walk_pairs(flat: FlatOctree, rays) -> list[tuple[int, int]]:
+    """Every ``(lane, patch)`` pair the walk hands its kernel, sorted."""
+    got = []
+    with np.errstate(divide="ignore"):
+        flat.traverse(
+            *rays[:3], *(1.0 / d for d in rays[3:]),
+            lambda lanes, cols: got.extend(zip(lanes.tolist(), cols.tolist())),
+        )
+    return sorted(got)
+
+
 class TestPairSet:
     """The walk prunes on slab tests alone, never on distance."""
 
     @pytest.mark.parametrize("scene_fixture", ("lab_small", "office64"))
+    @pytest.mark.parametrize("wave", START_CUT_WAVES)
     def test_pairs_are_the_slab_reachable_leaves(
-        self, request, scene_fixture, monkeypatch
+        self, request, scene_fixture, wave, monkeypatch
     ):
+        """At every start cut: every cut node's ancestors hold its box,
+        so no ray reaches a leaf it could not reach from the root."""
         scene = request.getfixturevalue(scene_fixture)
         flat = SceneArrays(scene).flat
         rays = _random_rays(scene, np.random.default_rng(17), 300)
-        monkeypatch.setattr(flatoctree, "WAVE_LANES", 128)
-        got = []
-        with np.errstate(divide="ignore"):
-            flat.traverse(
-                *rays[:3], *(1.0 / d for d in rays[3:]),
-                lambda lanes, cols: got.extend(zip(lanes.tolist(), cols.tolist())),
-            )
-        assert sorted(got) == _slab_pair_oracle(flat, rays)
+        monkeypatch.setattr(flatoctree, "WAVE_LANES", wave)
+        assert _walk_pairs(flat, rays) == _slab_pair_oracle(flat, rays)
+
+    @pytest.mark.parametrize("scene_fixture", ("lab_small", "office64"))
+    def test_start_cut_waves_reach_every_depth(self, request, scene_fixture):
+        flat = SceneArrays(request.getfixturevalue(scene_fixture)).flat
+        widths = {r for w in START_CUT_WAVES for r in (w, 300 % w) if r}
+        kept = [d for d, size in enumerate(_cut_sizes(flat))
+                if size <= flatoctree.CUT_PAIRS]
+        assert {_start_cut(flat, m) for m in widths} >= set(kept[1:])
 
     def test_office_counts_per_photon(self):
         """Slab and patch tests per photon on a 500-photon
-        ``gen:office-259@0xBEEF`` trace stay within 5 % of the walk that
-        also pruned on distance: 85.85 and 14.82."""
+        ``gen:office-259@0xBEEF`` trace, within 5 %: 97.8 and 14.82.  A
+        narrow wave slab-tests a whole cut in one call, so it takes more
+        slab tests than a walk from the root (87.5) for the same patch
+        tests."""
         engine = VectorEngine(get_scene("gen:office-259@0xBEEF"))
         assert engine.accel == "flat"
         engine.trace_range(0x1234ABCD330E, 0, 500)
-        assert engine.box_tests / 500 == pytest.approx(85.854, rel=0.05)
+        assert engine.box_tests / 500 == pytest.approx(97.8, rel=0.05)
         assert engine.patch_tests / 500 == pytest.approx(14.824, rel=0.05)
+
+
+class TestStartCut:
+    """A wave of ``m`` lanes starts at the deepest cut of at most
+    ``CUT_PAIRS / m`` nodes; the answer cannot tell."""
+
+    @pytest.mark.parametrize("spec", [
+        "gen:office-259@0xBEEF", "computer-lab", "gen:office-8@7",
+    ])
+    @pytest.mark.parametrize("lanes", [1, 3, 17, 64])
+    def test_emitted_rays_flat_equals_linear(self, spec, lanes):
+        scene = get_scene(spec)
+        rays = VectorEngine(scene).emit_range(0x5EED, 0, lanes)
+        _assert_flat_equals_linear(
+            scene, (rays.px, rays.py, rays.pz, rays.dx, rays.dy, rays.dz))
+
+    def test_arrays_are_still_the_eleven(self, lab_small):
+        """The cuts are derived, not exported: the scene plane carries
+        the same eleven arrays, and a tree attached from them walks the
+        same pairs."""
+        flat = SceneArrays(lab_small).flat
+        arrays = flat.arrays()
+        assert list(arrays) == [
+            "lox", "loy", "loz", "hix", "hiy", "hiz",
+            "first_child", "leaf_start", "leaf_end", "leaf_items", "depth",
+        ]
+        assert all(arrays[name] is getattr(flat, name) for name in arrays)
+        rays = _random_rays(lab_small, np.random.default_rng(19), 40)
+        attached = FlatOctree.from_arrays(arrays)
+        assert _walk_pairs(attached, rays) == _walk_pairs(flat, rays)
 
 
 def open_box_scene() -> Scene:
@@ -700,13 +775,24 @@ class TestDegenerateShapes:
         assert engine.arrays.flat.traverse(*(empty,) * 6, never) == 0
 
     def test_all_lanes_miss_the_root(self, lab_small):
-        """A wave whose every lane is rejected at the root walks no level."""
+        """A wave whose every lane misses its start cut walks no level:
+        no kernel call, and one slab test per lane and cut node."""
         engine = VectorEngine(lab_small, accel="flat")
         n = 5
         far = np.full(n, 1e6)
-        best_i, _ = engine.closest_hit(far, far, far, np.ones(n), np.zeros(n), np.zeros(n))
+        rays = (far, far, far, np.ones(n), np.zeros(n), np.zeros(n))
+        best_i, _ = engine.closest_hit(*rays)
         assert (best_i == -1).all()
-        assert engine.box_tests == n and engine.patch_tests == 0
+        flat = engine.arrays.flat
+        start = _cut_sizes(flat)[_start_cut(flat, n)]
+        assert start > 1
+        assert engine.box_tests == n * start and engine.patch_tests == 0
+
+        def never(lanes, cols):
+            raise AssertionError("no lane reaches a leaf")
+
+        with np.errstate(divide="ignore"):
+            assert flat.traverse(*rays[:3], *(1.0 / d for d in rays[3:]), never) == n * start
 
 
 # -- property: flat == linear on generated scenes -----------------------------

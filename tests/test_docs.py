@@ -65,6 +65,34 @@ def all_doc_commands() -> list[tuple[str, str]]:
     return out
 
 
+class TestArchitectureDoc:
+    """``docs/ARCHITECTURE.md`` stays a map of what is, at a fixed size."""
+
+    PATH = REPO_ROOT / "docs" / "ARCHITECTURE.md"
+    #: Most lines the document may have; a change that adds a paragraph
+    #: tightens another.
+    LINE_BUDGET = 941
+
+    def test_line_budget(self):
+        lines = self.PATH.read_text(encoding="utf-8").count("\n")
+        assert lines <= self.LINE_BUDGET, (
+            f"ARCHITECTURE.md has {lines} lines, over its budget of "
+            f"{self.LINE_BUDGET}: tighten it instead")
+
+    def test_module_map_names_existing_modules(self):
+        text = self.PATH.read_text(encoding="utf-8")
+        table = re.search(r"^## Module map\n(.*?)^## ", text, re.S | re.M)
+        assert table, "no '## Module map' section"
+        names = set(re.findall(r"`(repro(?:\.\w+)+)`", table.group(1)))
+        assert names, "no `repro.` module named in the map"
+        src = REPO_ROOT / "src"
+        missing = sorted(
+            name for name in names
+            if not (src.joinpath(*name.split(".")).with_suffix(".py").is_file()
+                    or src.joinpath(*name.split("."), "__init__.py").is_file()))
+        assert missing == [], f"the module map names missing modules: {missing}"
+
+
 class TestCommandsParse:
     """Every documented command is either a known tool or parses."""
 
