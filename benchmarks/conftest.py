@@ -5,7 +5,8 @@ Session-scoped scene and calibration fixtures live in the repo-root
 the ``engine`` fixture without duplicating them).  Every bench prints
 the table/figure it regenerates (run with ``-s`` to see them) and
 asserts the published *shape* — orderings, dips, crossovers — never
-absolute numbers, per EXPERIMENTS.md.
+absolute numbers: absolute rates belong to the host, shapes to the
+paper.
 
 Perf trajectory: transport benches additionally take the
 :func:`write_bench_json` fixture and record their measured numbers as

@@ -8,7 +8,7 @@ controller, which must land near the best fixed choice without being
 told where the optimum is.
 """
 
-from repro.core import AdaptiveBatchController
+from repro.paper.cluster.batch import AdaptiveBatchController
 from repro.paper.cluster import INDY_CLUSTER, simulate_trace
 from repro.paper.perf import format_table
 

@@ -8,13 +8,12 @@ question for adopters is photons/second with and without the extension.
 
 import time
 
-from repro.core.generation import emit_photon
-from repro.core.polarization import PolarizedPhoton, polarized_reflect
-from repro.core.reflection import reflect
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray
 from repro.paper.octree import intersect
 from repro.paper.perf import format_table
+from repro.paper.physics import emit_photon, reflect
+from repro.paper.polarization import PolarizedPhoton, polarized_reflect
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
 

@@ -14,11 +14,11 @@ Cornell box with the vector engine:
 * **early stop** — a 400k budget with ``target_rel_error=0.5``
   converges after a few batches and stops.
 
-Asserted *shape* (per EXPERIMENTS.md): the topped-up answer is
-byte-identical to the cold CLI answer file (exactness is the whole
-point), the top-up beats the cold CLI serve by at least 3x, the
-camera-only render traces nothing, and the early stop traces well
-under its budget.  Honest numbers land in
+Asserted *shape* (per the rule in ``benchmarks/conftest.py``): the
+topped-up answer is byte-identical to the cold CLI answer file
+(exactness is the whole point), the top-up beats the cold CLI serve by
+at least 3x, the camera-only render traces nothing, and the early stop
+traces well under its budget.  Honest numbers land in
 ``benchmarks/BENCH_amortize.json``.
 """
 

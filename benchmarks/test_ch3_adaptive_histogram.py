@@ -7,7 +7,7 @@ discretisation of the same storage budget.
 
 import math
 
-from repro.montecarlo import AdaptiveHistogram, FixedHistogram, l1_density_error
+from repro.paper.histogram import AdaptiveHistogram, FixedHistogram, l1_density_error
 from repro.paper.perf import format_table
 from repro.rng import Lcg48
 

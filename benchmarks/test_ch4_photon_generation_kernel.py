@@ -10,7 +10,7 @@ and NumPy-vectorised (the form today's library user would call).
 
 import pytest
 
-from repro.core import (
+from repro.paper.physics import (
     direction_formula,
     direction_formula_batch,
     direction_rejection,

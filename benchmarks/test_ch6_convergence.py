@@ -11,13 +11,8 @@ Measured form of the claim, in its two halves:
    shrink), while per-bin relative error stays controlled.
 """
 
-from repro.core import (
-    RadianceField,
-    SimulationConfig,
-    SplitPolicy,
-    decay_exponent,
-    forest_error_summary,
-)
+from repro.core import RadianceField, SimulationConfig, SplitPolicy
+from repro.core.convergence import decay_exponent, forest_error_summary
 from repro.geometry import Vec3
 from repro.paper.perf import format_table
 from repro.paper.scalar import run_scalar

@@ -6,11 +6,12 @@ provisioned by: requests/sec and p50/p95 latency at 1, 4, and 16
 concurrent HTTP clients.  Clients alternate scenes, so the 16-client
 row exercises both session pools and the registry's hit path at once.
 
-Asserted *shape* (per EXPERIMENTS.md, never absolute seconds): every
-response — at every concurrency, on both scenes — is byte-identical to
-the scene's reference answer (the determinism contract under load),
-every request is answered 200 (admission is sized for the offered
-load), and no shared-memory segment survives the service.  The honest
+Asserted *shape* (per the rule in ``benchmarks/conftest.py``, never
+absolute seconds): every response — at every concurrency, on both
+scenes — is byte-identical to the scene's reference answer (the
+determinism contract under load), every request is answered 200
+(admission is sized for the offered load), and no shared-memory
+segment survives the service.  The honest
 numbers land in the printed table and in
 ``benchmarks/BENCH_service.json``.
 """

@@ -14,7 +14,7 @@ so sizes keep growing; on message-passing platforms buffer congestion
 creates an optimum the controller oscillates around.
 """
 
-from repro.core import AdaptiveBatchController
+from repro.paper.cluster.batch import AdaptiveBatchController
 from repro.paper.cluster import INDY_CLUSTER, POWER_ONYX, SP2, simulate_trace
 from repro.paper.perf import format_table
 

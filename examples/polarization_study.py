@@ -22,14 +22,14 @@ from __future__ import annotations
 import argparse
 
 from repro.api import RenderSession, SimulateRequest
-from repro.core.fluorescence import FluorescenceSpec, fluorescent_reflect
-from repro.core.generation import emit_photon
-from repro.core.polarization import PolarizedPhoton, polarized_reflect
+from repro.core.fluorescence import FluorescenceSpec
 from repro.core.simulator import MAX_BOUNCES
 from repro.geometry import Ray, Scene, Vec3, axis_rect, matte
 from repro.geometry.material import Material, RGB, emitter
 from repro.paper.octree import intersect
 from repro.paper.perf import format_table
+from repro.paper.physics import emit_photon, fluorescent_reflect
+from repro.paper.polarization import PolarizedPhoton, polarized_reflect
 from repro.rng import Lcg48
 from repro.scenes import cornell_box
 

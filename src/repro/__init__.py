@@ -16,8 +16,10 @@ compiled once, served by a persistent session)::
         result = session.simulate(SimulateRequest(n_photons=20_000))
         image = session.render(result)  # the scene's registered view
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See README.md for the overview and docs/ARCHITECTURE.md for the design.
+The ``benchmarks/`` suite regenerates every table and figure of the
+paper and asserts its shape (the rule is stated in
+``benchmarks/conftest.py``).
 """
 
 __version__ = "1.0.0"

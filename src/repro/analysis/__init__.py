@@ -18,29 +18,12 @@ tree, before anything runs:
   ``__all__`` stays honest, deprecated shims warn, broad excepts
   don't swallow silently.
 
-Entry points: ``repro lint`` (the CLI subcommand), ``python -m
-repro.analysis``, and :func:`lint_source` for embedding (the docs
-harness lints documented code blocks with it).  Escape hatches:
+Entry points: ``repro lint`` (the CLI subcommand) and ``python -m
+repro.analysis``, both through :mod:`.engine`, whose
+:func:`~.engine.lint_source` serves embedding (the docs harness lints
+documented code blocks with it).  The package imports nothing eagerly,
+so the CLI's argument wiring (:mod:`.cliargs`) does not load the rules.
+Escape hatches:
 ``# repro: allow[rule-id]`` pragmas and the committed baseline file —
 see docs/ARCHITECTURE.md, "Correctness tooling".
 """
-
-from .base import Checker, LintContext
-from .engine import LintResult, lint_paths, lint_source, main, run
-from .findings import Finding, Rule
-from .rules import ALL_CHECKERS, all_rule_ids, all_rules
-
-__all__ = [
-    "ALL_CHECKERS",
-    "Checker",
-    "Finding",
-    "LintContext",
-    "LintResult",
-    "Rule",
-    "all_rule_ids",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "run",
-]

@@ -32,7 +32,6 @@ __all__ = [
     "BinTree",
     "BinForest",
     "NODE_BYTES",
-    "merge_rank_forests",
 ]
 
 #: Approximate C-struct footprint of one bin node, used for the Figure 5.4
@@ -639,23 +638,3 @@ class BinForest:
         clone.band_emitted = self.band_emitted.copy()
         return clone
 
-
-def merge_rank_forests(forests, policy: Optional[SplitPolicy]) -> BinForest:
-    """Union disjoint forest sections into one answer forest.
-
-    The paper tier's distributed driver partitions tree keys between its
-    ranks, so the union is disjoint; counters are summed.  Raises on
-    overlapping ownership (protocol violation).
-    """
-    merged = BinForest(policy)
-    for forest in forests:
-        for key, tree in forest.trees.items():
-            if key in merged.trees:
-                raise ValueError(f"unit {key} owned by more than one rank")
-            merged.trees[key] = tree
-        merged.total_tallies += forest.total_tallies
-        for b in range(NUM_BANDS):
-            merged.band_tallies[b] += forest.band_tallies[b]
-            merged.band_emitted[b] += forest.band_emitted[b]
-        merged.photons_emitted += forest.photons_emitted
-    return merged

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .binning import BinNode
 
@@ -29,7 +29,6 @@ __all__ = [
     "forest_error_summary",
     "ErrorSummary",
     "decay_exponent",
-    "ConvergenceStudy",
 ]
 
 
@@ -107,32 +106,3 @@ def decay_exponent(ns: Sequence[float], errors: Sequence[float]) -> float:
         raise ValueError("degenerate abscissae")
     return num / den
 
-
-@dataclass
-class ConvergenceStudy:
-    """Probe-based convergence measurement across photon budgets.
-
-    Args:
-        probe: Maps a photon budget to a scalar estimate (e.g. the
-            radiance of a fixed bin, or a pixel's value).
-        reference_budget: Budget for the 'truth' estimate.
-    """
-
-    probe: Callable[[int], float]
-    reference_budget: int
-
-    def run(self, budgets: Sequence[int]) -> tuple[list[float], float]:
-        """Probe each budget; return absolute errors and the fitted
-        decay exponent versus the reference estimate.
-
-        Raises:
-            ValueError: when any error is exactly zero (exponent
-                undefined) — increase the probe resolution.
-        """
-        reference = self.probe(self.reference_budget)
-        errors = [abs(self.probe(n) - reference) for n in budgets]
-        if any(e == 0.0 for e in errors):
-            raise ValueError(
-                "zero probe error; use a finer probe or smaller budgets"
-            )
-        return errors, decay_exponent(list(budgets), errors)

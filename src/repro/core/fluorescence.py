@@ -7,29 +7,31 @@ surface, an absorbed short-wavelength photon may be re-emitted in a
 longer-wavelength band (a Stokes shift; energy only ever moves *down*
 the spectrum, blue -> green -> red).
 
-The implementation wraps the standard reflection step: the roulette
-first decides ordinary reflection as usual; if the photon would be
-absorbed, the fluorescence matrix gives it a second chance in a lower
-band, re-emitted diffusely (fluorescent emission is isotropic).
+A :class:`FluorescenceSpec` is request data: the vector engine applies
+it after the reflection roulette (an absorbed photon gets a second
+chance in a lower band, re-emitted diffusely — fluorescent emission is
+isotropic), and :func:`repro.paper.physics.fluorescent_reflect` is the
+scalar oracle of that step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from numbers import Real
 
-from ..geometry.polygon import Hit
-from ..geometry.vec import Vec3, orthonormal_basis
-from ..rng import Lcg48
-from .generation import direction_rejection
-from .photon import NUM_BANDS, Photon
-from .reflection import ReflectionResult, local_frame_coords, reflect
+from .photon import NUM_BANDS
 
-__all__ = ["FluorescenceSpec", "fluorescent_reflect"]
+__all__ = ["FluorescenceSpec"]
 
 #: Band energy ordering: index 2 (blue) is the most energetic, 0 (red)
 #: the least; a Stokes shift can only move a photon to a *lower* index.
 _BAND_ENERGY_ORDER = (2, 1, 0)  # blue > green > red
+
+
+def _is_probability(p) -> bool:
+    """A finite real >= 0 (NaN fails every comparison the checks use)."""
+    return isinstance(p, Real) and math.isfinite(p) and p >= 0.0
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,11 @@ class FluorescenceSpec:
             row = self.conversion[src]
             if len(row) != NUM_BANDS:
                 raise ValueError("conversion rows must have 3 entries")
-            if any(p < 0.0 for p in row):
-                raise ValueError("conversion probabilities must be >= 0")
+            if not all(_is_probability(p) for p in row):
+                raise ValueError(
+                    "conversion probabilities must be finite reals >= 0, "
+                    f"got {row!r}"
+                )
             if sum(row) > 1.0 + 1e-12:
                 raise ValueError(f"band {src} converts more than it absorbs")
             for dst in range(NUM_BANDS):
@@ -79,51 +84,3 @@ class FluorescenceSpec:
     def probability(self, src: int, dst: int) -> float:
         """Conversion probability from band *src* to band *dst*."""
         return self.conversion[src][dst]
-
-
-def fluorescent_reflect(
-    photon: Photon,
-    hit: Hit,
-    rng: Lcg48,
-    spec: FluorescenceSpec,
-) -> Optional[ReflectionResult]:
-    """Reflection step with a fluorescence second chance.
-
-    Ordinary reflection is attempted first (identical stream consumption
-    to :func:`repro.core.reflection.reflect`); if the photon is
-    absorbed, the conversion row for its band may re-emit it diffusely
-    in a lower band — in which case ``photon.band`` is *changed in
-    place* (the tally that follows must use the new band, which is how
-    a fluorescent surface glows in a band its illumination lacked).
-    """
-    result = reflect(photon, hit, rng)
-    if result is not None:
-        return result
-
-    row = spec.conversion[photon.band]
-    total = sum(row)
-    if total <= 0.0:
-        return None
-    u = rng.uniform()
-    acc = 0.0
-    target: Optional[int] = None
-    for dst in range(NUM_BANDS):
-        acc += row[dst]
-        if u < acc:
-            target = dst
-            break
-    if target is None:
-        return None  # stayed absorbed
-
-    # Re-emit diffusely in the new band.
-    photon.band = target
-    normal = hit.shading_normal()
-    lx, ly, lz = direction_rejection(rng)
-    t1, t2 = orthonormal_basis(normal)
-    direction = Vec3(
-        lx * t1.x + ly * t2.x + lz * normal.x,
-        lx * t1.y + ly * t2.y + lz * normal.y,
-        lx * t1.z + ly * t2.z + lz * normal.z,
-    )
-    theta, r_squared = local_frame_coords(direction, hit.patch)
-    return ReflectionResult(direction, theta, r_squared, "fluorescent")

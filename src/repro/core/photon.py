@@ -1,57 +1,18 @@
-"""The photon particle record.
+"""Colour bands of the photon record.
 
 A photon in this simulator is a classical energy packet: a position, a
 unit direction of travel, and a colour band.  Colour is "a fifth
 dimension, but one not subject to hierarchical subdivision" (chapter 4):
 each photon is monochromatic, carrying one of the three RGB bands chosen
 at emission in proportion to the luminaire's spectrum, and every bin
-keeps three per-band tallies.
+keeps three per-band tallies.  The scalar record itself is
+:class:`repro.paper.physics.Photon`; the vector engine keeps the same
+fields as columns.
 """
 
 from __future__ import annotations
 
-from ..geometry.vec import Vec3
-
-__all__ = ["Photon", "BAND_NAMES", "NUM_BANDS"]
+__all__ = ["BAND_NAMES", "NUM_BANDS"]
 
 NUM_BANDS = 3
 BAND_NAMES = ("red", "green", "blue")
-
-
-class Photon:
-    """A light particle in flight.
-
-    Attributes:
-        position: Current origin of travel.
-        direction: Unit direction of travel.
-        band: Colour band index (0=red, 1=green, 2=blue).
-        bounces: Number of reflections so far (0 for a fresh emission).
-    """
-
-    __slots__ = ("position", "direction", "band", "bounces")
-
-    def __init__(
-        self,
-        position: Vec3,
-        direction: Vec3,
-        band: int,
-        bounces: int = 0,
-    ) -> None:
-        if not 0 <= band < NUM_BANDS:
-            raise ValueError(f"band must be in [0, {NUM_BANDS}), got {band}")
-        self.position = position
-        self.direction = direction
-        self.band = band
-        self.bounces = bounces
-
-    def advance_to(self, point: Vec3, new_direction: Vec3) -> None:
-        """Move to a reflection point and set the outgoing direction."""
-        self.position = point
-        self.direction = new_direction
-        self.bounces += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"Photon(band={BAND_NAMES[self.band]}, bounces={self.bounces}, "
-            f"position={self.position!r}, direction={self.direction!r})"
-        )

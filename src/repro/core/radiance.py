@@ -24,13 +24,34 @@ from typing import Optional
 import numpy as np
 
 from ..geometry.scene import Scene
-from ..geometry.vec import Vec3
+from ..geometry.vec import Vec3, dot, orthonormal_basis
 from .binning import BinCoords, TWO_PI
 from .bintree import BinForest
 from .photon import NUM_BANDS
-from .reflection import local_frame_coords
 
-__all__ = ["RadianceField", "RadianceSample"]
+__all__ = ["RadianceField", "RadianceSample", "local_frame_coords"]
+
+
+def local_frame_coords(direction: Vec3, patch) -> tuple[float, float]:
+    """Map a world direction to the patch-frame ``(theta, r^2)`` pair.
+
+    The frame is the patch's canonical tangent basis about its geometric
+    normal.  Directions on the back side are folded onto the front
+    hemisphere (|z|): in the closed test scenes genuine backface
+    reflection is a numerical corner case, and folding keeps every
+    direction binnable.
+    """
+    n = patch.normal
+    t1, t2 = orthonormal_basis(n)
+    lx = dot(direction, t1)
+    ly = dot(direction, t2)
+    theta = math.atan2(ly, lx)
+    if theta < 0.0:
+        theta += 2.0 * math.pi
+    r_squared = lx * lx + ly * ly
+    if r_squared >= 1.0:  # unit direction => r^2 <= 1, guard roundoff
+        r_squared = 1.0 - 1e-15
+    return theta, r_squared
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ _A64 = _U64(MULTIPLIER)
 _C64 = _U64(INCREMENT)
 _MASK64 = _U64(_MASK)
 
-#: Mirrors ``repro.core.reflection._GLOSS_RETRIES``.
+#: Mirrors ``repro.paper.physics._GLOSS_RETRIES``.
 _GLOSS_RETRIES = 8
 
 
@@ -472,7 +472,7 @@ class EventBatch:
 
 @dataclass
 class EmissionBatch:
-    """Batched :class:`~repro.core.generation.EmissionRecord` mirror.
+    """Batched :class:`~repro.paper.physics.EmissionRecord` mirror.
 
     ``states`` holds each photon's LCG state *after* its emission draws,
     so callers (the geometry-distributed driver) can continue the photon's
@@ -610,7 +610,7 @@ class VectorEngine:
             construction and traces against the provided buffers;
             results are bit-identical because the arrays are.
         fluorescence: Optional Stokes-shift spec (same semantics as the
-            scalar :func:`repro.core.fluorescence.fluorescent_reflect`).
+            scalar :func:`repro.paper.physics.fluorescent_reflect`).
         batch_size: Photons per structure-of-arrays batch.
         accel: One of :data:`ACCEL_MODES`.  Leave it at the default:
             ``"auto"`` picks ``"flat"`` at or above
@@ -1073,7 +1073,7 @@ class VectorEngine:
         return t1x, t1y, t1z, t2x, t2y, t2z
 
     def local_frame(self, dx, dy, dz, pidx):
-        """Vectorized :func:`repro.core.reflection.local_frame_coords`.
+        """Vectorized :func:`repro.core.radiance.local_frame_coords`.
 
         ``(theta, r^2)`` of world directions leaving patches *pidx*, in
         each patch's canonical tangent frame.

@@ -18,8 +18,9 @@ qualitative features each platform contributes to the figures:
   beyond, producing the 2 -> 4 processor performance dip, after which
   scaling is good.
 
-Absolute seconds are *era-simulated*, not this container's wall clock;
-EXPERIMENTS.md records shape comparisons only.
+Absolute seconds are *era-simulated*, not the host's wall clock; the
+benches compare shapes only (the rule is stated in
+``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations

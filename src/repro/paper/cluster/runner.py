@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ...core.batch import AdaptiveBatchController
+from .batch import AdaptiveBatchController
 from .machine import MachineSpec
 from .workload import SceneProfile
 

@@ -15,13 +15,13 @@ pseudo-code shows, so bin *structure* never crosses the wire, only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Optional
 
 from ..core.binning import BinCoords
-from ..core.bintree import BinForest, SplitPolicy, merge_rank_forests
+from ..core.bintree import BinForest, SplitPolicy
+from ..core.photon import NUM_BANDS
 from ..core.simulator import TraceStats
 from ..geometry.scene import Scene
-from ..parallel.procpool import rank_share
 from ..rng import Lcg48
 from .loadbalance import (
     Assignment,
@@ -41,11 +41,40 @@ __all__ = [
     "run_distributed",
     "serial_replay",
     "build_balance",
+    "merge_rank_forests",
+    "rank_share",
 ]
 
 #: Compact wire format for one tally event:
 #: (unit_id, s, t, theta, r_squared, band).
 WireEvent = tuple[int, float, float, float, float, int]
+
+
+def rank_share(n_photons: int, rank: int, size: int) -> int:
+    """Photons rank *rank* emits out of *n_photons* (first ranks get extras)."""
+    base, extra = divmod(n_photons, size)
+    return base + (1 if rank < extra else 0)
+
+
+def merge_rank_forests(forests, policy: Optional[SplitPolicy]) -> BinForest:
+    """Union disjoint forest sections into one answer forest.
+
+    The ranks partition tree keys between them, so the union is
+    disjoint; counters are summed.  Raises on overlapping ownership
+    (protocol violation).
+    """
+    merged = BinForest(policy)
+    for forest in forests:
+        for key, tree in forest.trees.items():
+            if key in merged.trees:
+                raise ValueError(f"unit {key} owned by more than one rank")
+            merged.trees[key] = tree
+        merged.total_tallies += forest.total_tallies
+        for b in range(NUM_BANDS):
+            merged.band_tallies[b] += forest.band_tallies[b]
+            merged.band_emitted[b] += forest.band_emitted[b]
+        merged.photons_emitted += forest.photons_emitted
+    return merged
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ from typing import Optional, Sequence
 
 from ..core.binning import BinCoords
 from ..core.bintree import BinForest, SplitPolicy
-from ..core.generation import emit_photon
-from ..core.photon import Photon
-from ..core.reflection import reflect
 from ..core.simulator import MAX_BOUNCES
 from ..geometry.aabb import AABB
 from ..geometry.ray import Ray
@@ -44,6 +41,7 @@ from ..geometry.vec import Vec3
 from ..rng import Lcg48
 from .mpi import SimComm, run_parallel
 from .octree import Octree, intersect
+from .physics import Photon, emit_photon, reflect
 
 __all__ = [
     "RegionGrid",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD, should_split
+from ..montecarlo.stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD, should_split
 
 __all__ = ["AdaptiveHistogram", "FixedHistogram", "HistogramBin"]
 

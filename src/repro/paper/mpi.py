@@ -11,7 +11,8 @@ exercised — only the transport is in-process.  Wall-clock performance is
 discrete-event cost models in :mod:`repro.paper.cluster` consume the message
 accounting this layer records instead.
 
-Substitution note (DESIGN.md): on a machine with real MPI, the driver in
+Substitution note (``mpi`` is interface-gated; see the ``repro.paper``
+row of docs/ARCHITECTURE.md): on a machine with real MPI, the driver in
 :mod:`repro.paper.distributed` runs unchanged against ``mpi4py.MPI.
 COMM_WORLD`` because only this API subset is used.
 """

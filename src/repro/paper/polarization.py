@@ -32,8 +32,7 @@ from typing import Optional
 from ..geometry.polygon import Hit
 from ..geometry.vec import Vec3, cross, dot, normalize
 from ..rng import Lcg48
-from .photon import Photon
-from .reflection import ReflectionResult, reflect
+from .physics import Photon, ReflectionResult, reflect
 
 __all__ = [
     "StokesVector",
@@ -230,7 +229,7 @@ def polarized_reflect(
 ) -> Optional[tuple[ReflectionResult, PolarizedPhoton]]:
     """Geometric reflection plus Stokes-state transport.
 
-    Wraps :func:`repro.core.reflection.reflect`; on a specular bounce the
+    Wraps :func:`repro.paper.physics.reflect`; on a specular bounce the
     Stokes vector is rotated into the plane of incidence and passed
     through a Fresnel Mueller matrix (default s/p ratio models a real
     mirror's partial polarization), on a diffuse bounce it depolarizes.

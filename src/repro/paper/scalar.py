@@ -32,16 +32,14 @@ from typing import Iterator, Optional
 
 from ..core.binning import BinCoords
 from ..core.bintree import BinForest
-from ..core.fluorescence import FluorescenceSpec, fluorescent_reflect
-from ..core.generation import emit_photon
-from ..core.photon import Photon
-from ..core.reflection import reflect
+from ..core.fluorescence import FluorescenceSpec
 from ..core.simulator import MAX_BOUNCES, SimulationConfig, SimulationResult, TraceStats
 from ..core.vectorized import photon_substream
 from ..geometry.ray import Ray
 from ..geometry.scene import Scene
 from ..rng import Lcg48
 from .octree import scene_octree
+from .physics import Photon, emit_photon, fluorescent_reflect, reflect
 
 __all__ = ["RNGS", "TallyEvent", "trace_photon", "run_scalar", "run_scalar_batches"]
 
@@ -77,7 +75,7 @@ def trace_photon(
     Args:
         fluorescence: When given, the reflection step gains the
             Stokes-shift second chance of
-            :func:`repro.core.fluorescence.fluorescent_reflect`.
+            :func:`repro.paper.physics.fluorescent_reflect`.
     """
     stats = TraceStats(photons=1)
     record = emit_photon(scene, rng)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from ..core.bintree import BinForest, SplitPolicy
 from ..core.simulator import TraceStats
 from ..geometry.scene import Scene
-from ..parallel.procpool import rank_share
 from ..rng import Lcg48
+from .distributed import rank_share
 from .scalar import trace_photon
 
 __all__ = [

@@ -6,7 +6,6 @@ live in :mod:`repro.paper`.
 
 from .procpool import (
     PhotonPool,
-    rank_share,
     run_procpool,
     trace_events_parallel,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ShardResult",
     "plane_available",
     "plane_registry",
-    "rank_share",
     "run_procpool",
     "trace_events_parallel",
 ]

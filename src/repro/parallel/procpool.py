@@ -118,26 +118,20 @@ __all__ = [
     "PhotonPool",
     "run_procpool",
     "trace_events_parallel",
-    "rank_share",
 ]
-
-
-def rank_share(n_photons: int, rank: int, size: int) -> int:
-    """Photons rank *rank* emits out of *n_photons* (first ranks get extras)."""
-    base, extra = divmod(n_photons, size)
-    return base + (1 if rank < extra else 0)
 
 
 def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous ``(start, count)`` photon shards, one per worker.
 
-    The single prefix pass over :func:`rank_share` — every caller that
-    needs shard offsets uses this instead of re-summing per rank.
+    The first ``n_photons % workers`` workers take one extra photon.
+    Every caller that needs shard offsets uses this single prefix pass.
     """
+    base, extra = divmod(n_photons, workers)
     starts = []
     offset = 0
     for w in range(workers):
-        share = rank_share(n_photons, w, workers)
+        share = base + (1 if w < extra else 0)
         starts.append((offset, share))
         offset += share
     return starts

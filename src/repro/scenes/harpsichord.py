@@ -15,9 +15,12 @@ import math
 from ..geometry import Scene, Vec3, axis_rect, box, matte, mirror, quad_from_corners, table
 from ..geometry.material import emitter, glossy
 
-from ..core.generation import SUN_HALF_ANGLE_RADIANS
+__all__ = ["harpsichord_room", "HARPSICHORD_DEFAULT_CAMERA", "SUN_HALF_ANGLE_RADIANS"]
 
-__all__ = ["harpsichord_room", "HARPSICHORD_DEFAULT_CAMERA"]
+#: The sun subtends about half a degree, so the emission cone half-angle is
+#: a quarter degree; sin(0.25 deg) ~= 0.00436, which the paper rounds to a
+#: 0.005 scaling of the unit circle (Figure 4.4).
+SUN_HALF_ANGLE_RADIANS = math.radians(0.25)
 
 
 def harpsichord_room() -> Scene:

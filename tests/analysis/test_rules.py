@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rule_ids, lint_source
+from repro.analysis.engine import lint_source
+from repro.analysis.rules import all_rule_ids
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -12,9 +12,8 @@ import io
 import json
 from pathlib import Path
 
-from repro.analysis import run
 from repro.analysis.config import DEFAULT_CANONICAL, load_config
-from repro.analysis.engine import lint_paths
+from repro.analysis.engine import lint_paths, run
 
 REPO_ROOT = Path(__file__).parents[2]
 

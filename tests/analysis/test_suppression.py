@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis.engine import lint_paths, lint_source
 from repro.analysis.baseline import load_baseline, split_baselined, write_baseline
 from repro.analysis.config import LintConfig
 

@@ -101,6 +101,15 @@ def imported_modules(path: Path, *, function_bodies: bool = True) -> set:
     return found
 
 
+#: Names only fenced modules may hold: a serving-path module that has
+#: one has pulled in the scalar loop, its physics, the pointer octree,
+#: the Table 5.3 controller or the chapter-3 histograms.
+FENCED_ATTRS = (
+    "trace_photon", "run_scalar", "Octree", "emit_photon", "reflect",
+    "polarized_reflect", "AdaptiveBatchController", "AdaptiveHistogram",
+)
+
+
 class TestImportFence:
     @pytest.mark.parametrize("tier", OUTSIDE_FENCE)
     def test_serving_path_never_imports_reproduction_tiers(self, tier):
@@ -123,9 +132,14 @@ class TestImportFence:
         "repro.parallel.geomdist", "repro.parallel.mpi",
         "repro.parallel.loadbalance", "repro.geometry.octree",
         "repro.montecarlo.densityestimation",
+        "repro.core.generation", "repro.core.reflection",
+        "repro.core.polarization", "repro.core.batch",
+        "repro.montecarlo.histogram", "repro.montecarlo.integration",
+        "repro.montecarlo.variance", "repro.geometry.transform",
     ])
     def test_old_paths_are_gone(self, old):
-        """The tier moved without aliases."""
+        """The tier and the scalar physics moved (or were deleted)
+        without aliases."""
         with pytest.raises(ImportError):
             importlib.import_module(old)
 
@@ -136,9 +150,19 @@ class TestImportFence:
         ("repro.core", "ENGINES"),
         ("repro.core", "RNG_MODES"),
         ("repro.geometry", "Octree"),
+        ("repro.core", "emit_photon"),
+        ("repro.core", "reflect"),
+        ("repro.core", "Photon"),
+        ("repro.core", "PolarizedPhoton"),
+        ("repro.core", "AdaptiveBatchController"),
+        ("repro.core", "fluorescent_reflect"),
+        ("repro.montecarlo", "AdaptiveHistogram"),
+        ("repro.geometry", "Transform"),
     ], ids=lambda value: value.rpartition(".")[2])
     def test_old_names_are_gone(self, module, name):
-        """The scalar loop and the pointer octree moved without aliases."""
+        """The scalar loop, its physics, the pointer octree and the
+        chapter-3 histograms moved (the transforms were deleted) without
+        aliases."""
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
 
@@ -151,15 +175,18 @@ class TestImportFence:
 
     def test_serving_imports_load_no_fenced_module(self):
         """Importing the CLI, the service and the pool in a fresh process
-        loads no `repro.paper` module and nothing holding the scalar
-        loop or the pointer octree."""
+        loads no `repro.paper` module, nothing holding the scalar loop,
+        its physics, the pointer octree or the chapter-3 histograms, and
+        of the lint package only the `repro lint` argument wiring."""
         probe = (
             "import sys\n"
             "import repro.cli, repro.service, repro.parallel.procpool\n"
+            f"fenced = {FENCED_ATTRS!r}\n"
             "print([name for name, module in list(sys.modules.items())\n"
             "       if name.startswith('repro') and (name.startswith('repro.paper')\n"
-            "       or any(hasattr(module, attr)\n"
-            "              for attr in ('trace_photon', 'run_scalar', 'Octree')))])\n"
+            "       or name.startswith('repro.analysis.')\n"
+            "       and name != 'repro.analysis.cliargs'\n"
+            "       or any(hasattr(module, attr) for attr in fenced))])\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,

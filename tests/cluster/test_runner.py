@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AdaptiveBatchController
+from repro.paper.cluster.batch import AdaptiveBatchController
 from repro.paper.cluster import (
     INDY_CLUSTER,
     POWER_ONYX,

@@ -159,7 +159,7 @@ class TestAxisSelection:
         """The squared-radius parameterisation halves a cosine lobe —
         chapter 4's justification for splitting r^2 rather than the
         elevation angle."""
-        from repro.core.generation import direction_rejection
+        from repro.paper.physics import direction_rejection
 
         node = fresh_node()
         rng = Lcg48(4)

@@ -4,10 +4,8 @@ import math
 
 import pytest
 
-from repro.core import (
-    RadianceField,
-    SimulationConfig,
-    SplitPolicy,
+from repro.core import RadianceField, SimulationConfig, SplitPolicy
+from repro.core.convergence import (
     bin_relative_error,
     decay_exponent,
     forest_error_summary,
@@ -120,26 +118,6 @@ class TestDecayExponent:
             decay_exponent([], [])
         with pytest.raises(ValueError, match="at least 2"):
             decay_exponent([100, 400], [0.5])
-
-    def test_single_budget_study_rejected(self):
-        """ConvergenceStudy.run with one budget cannot fit a slope:
-        the underlying <2-points validation surfaces unchanged."""
-        from repro.core.convergence import ConvergenceStudy
-
-        study = ConvergenceStudy(
-            probe=lambda n: 1.0 / math.sqrt(n), reference_budget=10_000
-        )
-        with pytest.raises(ValueError, match="at least 2"):
-            study.run([400])
-
-    def test_zero_probe_error_rejected(self):
-        """A probe the budget cannot move produces zero error — the
-        study refuses (log of zero) instead of returning -inf."""
-        from repro.core.convergence import ConvergenceStudy
-
-        study = ConvergenceStudy(probe=lambda n: 42.0, reference_budget=1000)
-        with pytest.raises(ValueError, match="zero probe error"):
-            study.run([100, 400])
 
     def test_monte_carlo_radiance_decay(self, mini_scene):
         """Radiance probe error decays with exponent near -1/2: the

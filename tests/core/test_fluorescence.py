@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.fluorescence import FluorescenceSpec, fluorescent_reflect
-from repro.core.photon import Photon
+from repro.core.fluorescence import FluorescenceSpec
 from repro.geometry import Patch, Ray, Vec3, matte
+from repro.paper.physics import Photon, fluorescent_reflect
 from repro.rng import Lcg48
 
 
@@ -43,6 +43,22 @@ class TestSpecValidation:
     def test_self_conversion_rejected(self):
         with pytest.raises(ValueError):
             FluorescenceSpec(((0.0,) * 3, (0.0, 0.5, 0.0), (0.0,) * 3))
+
+    @pytest.mark.parametrize("row, col, value", [
+        (1, 0, float("nan")),
+        (1, 1, float("nan")),
+        (2, 1, float("inf")),
+        (2, 0, float("-inf")),
+        (1, 0, "0.1"),
+    ], ids=["nan-off-diagonal", "nan-on-diagonal", "inf", "minus-inf", "str"])
+    def test_non_finite_or_non_real_rejected(self, row, col, value):
+        """NaN fails every comparison the range and Stokes-shift checks
+        make, so it used to pass them all; its trace key then equals
+        nothing, not even an identical spec's."""
+        conversion = [[0.0] * 3 for _ in range(3)]
+        conversion[row][col] = value
+        with pytest.raises(ValueError, match="finite reals"):
+            FluorescenceSpec(tuple(tuple(r) for r in conversion))
 
 
 class TestFluorescentReflect:

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.generation import (
-    SUN_HALF_ANGLE_RADIANS,
+from repro.paper.physics import (
     direction_formula,
     direction_formula_batch,
     direction_rejection,
@@ -16,6 +15,7 @@ from repro.core.generation import (
     flops_formula,
 )
 from repro.rng import Lcg48
+from repro.scenes.harpsichord import SUN_HALF_ANGLE_RADIANS
 
 
 def moments(samples):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.photon import BAND_NAMES, NUM_BANDS, Photon
+from repro.core.photon import BAND_NAMES, NUM_BANDS
 from repro.geometry import Vec3
+from repro.paper.physics import Photon
 
 
 class TestPhoton:

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.core.photon import Photon
-from repro.core.polarization import (
+from repro.geometry import Patch, Ray, Vec3, matte, mirror
+from repro.paper.physics import Photon
+from repro.paper.polarization import (
     MuellerMatrix,
     PolarizedPhoton,
     StokesVector,
@@ -14,7 +15,6 @@ from repro.core.polarization import (
     polarized_reflect,
     rotation_mueller,
 )
-from repro.geometry import Patch, Ray, Vec3, matte, mirror
 from repro.rng import Lcg48
 
 

@@ -44,7 +44,7 @@ class TestSampling:
     def test_sample_coords_equivalent(self, mini_scene, sim_result):
         field = RadianceField(mini_scene, sim_result.forest)
         patch = mini_scene.patch_by_id(0)
-        from repro.core.reflection import local_frame_coords
+        from repro.core.radiance import local_frame_coords
 
         direction = Vec3(0.2, 0.9, 0.1).normalized()
         theta, r2 = local_frame_coords(direction, patch)

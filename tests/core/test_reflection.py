@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from repro.core.photon import Photon
-from repro.core.reflection import local_frame_coords, reflect
+from repro.core.radiance import local_frame_coords
 from repro.geometry import Patch, Ray, Vec3, matte, mirror
 from repro.geometry.material import glossy
+from repro.paper.physics import Photon, reflect
 from repro.rng import Lcg48
 
 

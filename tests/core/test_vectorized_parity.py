@@ -25,10 +25,9 @@ from repro.core import (
     SplitPolicy,
     forest_to_dict,
     photon_substream,
-    substream_states,
 )
 from repro.core import vectorized
-from repro.core.vectorized import VectorEngine
+from repro.core.vectorized import VectorEngine, substream_states
 from repro.paper.scalar import run_scalar, trace_photon
 from tests.scenehelpers import build_mini_scene
 
@@ -185,7 +184,7 @@ class TestEmissionParity:
     """Batched emission mirrors emit_photon record-for-record."""
 
     def test_emit_range_bit_exact(self, harpsichord):
-        from repro.core.generation import emit_photon
+        from repro.paper.physics import emit_photon
 
         engine = VectorEngine(harpsichord)
         batch = engine.emit_range(0xFACE, 10, 64)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.montecarlo import AdaptiveHistogram, FixedHistogram, l1_density_error
+from repro.paper.histogram import AdaptiveHistogram, FixedHistogram, l1_density_error
 from repro.rng import Lcg48
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.montecarlo import (
+from repro.montecarlo.stats import (
     RunningMeanVar,
     normal_approximation_valid,
     should_split,

@@ -5,10 +5,14 @@ import json
 import pytest
 
 from repro.core import SplitPolicy, forest_to_dict
-from repro.core.bintree import merge_rank_forests
-from repro.paper.distributed import DistributedConfig, run_distributed, serial_replay
+from repro.paper.distributed import (
+    DistributedConfig,
+    merge_rank_forests,
+    rank_share,
+    run_distributed,
+    serial_replay,
+)
 from repro.paper.loadbalance import load_imbalance
-from repro.parallel import rank_share
 
 
 def small_config(**overrides) -> DistributedConfig:

@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.core import SimulationConfig, forest_to_dict
-from repro.core.bintree import BinForest, merge_rank_forests
+from repro.core.bintree import BinForest
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
+from repro.paper.distributed import merge_rank_forests
 from repro.parallel import procpool, resultplane
 from repro.parallel.procpool import (
     PhotonPool,

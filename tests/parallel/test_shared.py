@@ -94,7 +94,7 @@ class TestSharedRun:
         shared.forest.check_invariants()
         # Replay the same schedule serially.
         from repro.paper.scalar import trace_photon
-        from repro.parallel import rank_share
+        from repro.paper.distributed import rank_share
         from repro.rng import Lcg48
 
         expected = 0

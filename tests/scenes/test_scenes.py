@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.generation import SUN_HALF_ANGLE_RADIANS
+from repro.scenes.harpsichord import SUN_HALF_ANGLE_RADIANS
 from repro.scenes import (
     build_scene,
     computer_lab,

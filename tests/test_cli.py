@@ -672,7 +672,7 @@ class TestLintCommand:
         assert doc["checked_files"] == 1
 
     def test_module_entry_point_matches_cli(self):
-        from repro.analysis import main as analysis_main
+        from repro.analysis.engine import main as analysis_main
 
         out_cli = io.StringIO()
         out_mod = io.StringIO()

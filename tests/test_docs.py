@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,35 @@ class TestArchitectureDoc:
             if not (src.joinpath(*name.split(".")).with_suffix(".py").is_file()
                     or src.joinpath(*name.split("."), "__init__.py").is_file()))
         assert missing == [], f"the module map names missing modules: {missing}"
+
+
+def md_references(path: Path) -> set[str]:
+    """Every ``*.md`` file name in *path*'s comments and strings
+    (docstrings included)."""
+    found = set()
+    with path.open("rb") as handle:
+        for token in tokenize.tokenize(handle.readline):
+            if token.type in (tokenize.COMMENT, tokenize.STRING):
+                found.update(re.findall(r"[\w./-]*\w\.md\b", token.string))
+    return found
+
+
+class TestMdReferencesResolve:
+    """A docstring or comment that sends the reader to a ``.md`` file
+    names one that exists, at the repo root, in ``docs/`` or in
+    ``bench/``."""
+
+    ROOTS = (REPO_ROOT, REPO_ROOT / "docs", REPO_ROOT / "bench")
+
+    @pytest.mark.parametrize("tree", ["src", "benchmarks"])
+    def test_every_named_md_file_exists(self, tree):
+        dangling = sorted(
+            f"{path.relative_to(REPO_ROOT)}: {name}"
+            for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+            for name in md_references(path)
+            if not any((root / name).is_file() for root in self.ROOTS)
+        )
+        assert dangling == []
 
 
 class TestCommandsParse:
@@ -306,7 +336,7 @@ class TestDocsPythonBlocksLint:
 
     @pytest.mark.parametrize("doc", [p.name for p in DOC_FILES])
     def test_blocks_lint_clean(self, doc):
-        from repro.analysis import lint_source
+        from repro.analysis.engine import lint_source
 
         path = next(p for p in DOC_FILES if p.name == doc)
         for line, block in self.python_blocks(path):
