@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core.vectorized import VectorEngine
 from repro.paper.perf import format_table
@@ -172,7 +173,7 @@ class TestPooledScaling:
             n_photons=PHOTONS, seed=SEED,
             workers=WORKERS,
         )
-        with PhotonPool(gen_scene, config) as pool:
+        with PhotonPool(SceneProgram.compile(gen_scene), config) as pool:
             result = pool.run()
             shard = max(share for _, share in _shard_starts(PHOTONS, WORKERS))
             expected = block_capacity(
@@ -197,7 +198,7 @@ class TestPooledScaling:
             n_photons=PHOTONS, seed=SEED,
             workers=WORKERS,
         )
-        with PhotonPool(gen_scene, config) as pool:
+        with PhotonPool(SceneProgram.compile(gen_scene), config) as pool:
             with pytest.warns(ResultPlaneWarning, match="overflow"):
                 result = pool.run()
             assert all(r.overflow for r in pool.last_shard_results)

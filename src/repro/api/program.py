@@ -16,17 +16,15 @@ Two levels of sharing:
   (and therefore the same compiled arrays), and dropping the scene
   drops the program — nothing process-global pins compiled arrays.
 * **Worker-facing** — :meth:`acquire_plane` / :meth:`release_plane`
-  refcount one published shared-memory segment per program through the
-  process-wide :func:`repro.parallel.shmplane.plane_registry`, so every
-  concurrent multi-process session this process opens on the program
-  attaches the **same** ``/dev/shm`` segment instead of publishing one
-  each.  (The registry is per serving process; independent processes
-  publish independently.)
+  refcount the program's one published shared-memory segment: the
+  first acquire publishes it, every concurrent
+  :class:`~repro.parallel.procpool.PhotonPool` on the program attaches
+  its workers to that **same** ``/dev/shm`` segment, and the last
+  release unlinks it.  Independent processes publish independently.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Optional, TYPE_CHECKING
 
@@ -35,16 +33,15 @@ from .amortize import ForestCache
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.vectorized import SceneArrays
-    from ..parallel.shmplane import PlaneHandle
+    from ..parallel.shmplane import PlaneHandle, ScenePlane
 
 __all__ = ["SceneProgram"]
 
 _COMPILE_LOCK = threading.Lock()
-_PROGRAM_IDS = itertools.count()
 
 
 class SceneProgram:
-    """A scene compiled once: SoA arrays, flat octree, plane identity.
+    """A scene compiled once: SoA arrays, flat octree, shared plane.
 
     Programs are hashable by identity (two programs are the same
     program, not merely equal) and safe to share across threads: the
@@ -67,13 +64,11 @@ class SceneProgram:
     ) -> None:
         self.scene = scene
         self.name = name if name is not None else scene.name
-        #: Key under which this program's plane publishes in the
-        #: process-wide registry; unique per program, stable for its life.
-        self.plane_key = f"{self.name}#{next(_PROGRAM_IDS)}"
         self._arrays: Optional["SceneArrays"] = None
         self._arrays_lock = threading.Lock()
         self._plane_lock = threading.Lock()
-        self._plane_acquires = 0
+        self._plane: Optional["ScenePlane"] = None
+        self._plane_refs = 0
         # The program-shared amortization cache (repro.api.amortize);
         # sessions opt in with SessionOptions(amortize=True).
         self._forest_cache = ForestCache()
@@ -159,29 +154,37 @@ class SceneProgram:
     def acquire_plane(self) -> "PlaneHandle":
         """A handle to this program's published plane (refcounted).
 
-        First acquire publishes the compiled arrays through the
-        process-wide :func:`~repro.parallel.shmplane.plane_registry`;
-        subsequent acquires — from this or any other session on the same
-        program — share that segment.  Pair every acquire with one
-        :meth:`release_plane` (session teardown does this, exceptions
-        included).
+        The first acquire publishes the compiled arrays
+        (:func:`repro.parallel.shmplane.publish`); later acquires share
+        that segment.  A publish that fails raises with no reference
+        taken.  Pair every acquire with one :meth:`release_plane` —
+        :class:`~repro.parallel.procpool.PhotonPool` does, on every exit
+        path.
         """
-        from ..parallel.shmplane import plane_registry
+        from ..parallel import shmplane
 
         with self._plane_lock:
-            handle = plane_registry().acquire(self.plane_key, lambda: self.arrays)
-            self._plane_acquires += 1
-            return handle
+            if self._plane is None:
+                self._plane = shmplane.publish(self.arrays)
+            self._plane_refs += 1
+            return self._plane.handle
 
     def release_plane(self) -> None:
-        """Drop one plane reference; the last drop unlinks the segment."""
-        from ..parallel.shmplane import plane_registry
-
+        """Drop one plane reference; the last one closes and unlinks the
+        segment.  Releasing with no reference held does nothing."""
         with self._plane_lock:
-            if self._plane_acquires == 0:
+            if self._plane_refs == 0:
                 return
-            self._plane_acquires -= 1
-            plane_registry().release(self.plane_key)
+            self._plane_refs -= 1
+            if self._plane_refs == 0:
+                self._plane.close()
+                self._plane.unlink()
+                self._plane = None
+
+    @property
+    def plane_refs(self) -> int:
+        """Live plane references (0 when nothing is published)."""
+        return self._plane_refs
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         state = "compiled" if self.compiled else "lazy"

@@ -25,10 +25,11 @@ shared-memory result blocks (:mod:`repro.parallel.resultplane`), so
 warm requests reuse the same block objects and :meth:`simulate_stream`
 serves every cumulative batch from the plane without per-batch event
 pickling.  Multi-process sessions share one published scene plane per
-program across all the serving process's concurrent sessions
-(:func:`repro.parallel.shmplane.plane_registry`); result blocks are
-budget-sized and per-pool, so they stay session-owned rather than
-registry-shared.
+program across all the serving process's concurrent sessions (the
+:class:`~repro.api.SceneProgram` refcounts it, one reference per live
+pool); result blocks are budget-sized and per-pool, so each session's
+pool owns its own.  The pool serves every fluorescence spec: the spec
+travels with each shard, so no request respawns the workers.
 
 Amortization (``SessionOptions(amortize=True)``): requests go through
 the program's :class:`~repro.api.amortize.ForestCache`, the only
@@ -54,9 +55,9 @@ answers, and all of them equal ``run_scalar`` under substream RNG (the
 golden suite holds both to the same committed bytes).
 
 Sessions are context managers; always ``with`` them (or call
-:meth:`close` in a ``finally``) so pools shut down and plane refcounts
-release even when a request raises.  A session serves **one request at
-a time**, and that is *enforced*, not merely documented: starting a
+:meth:`close` in a ``finally``) so pools shut down and release their
+plane references even when a request raises.  A session serves **one
+request at a time**, and that is *enforced*, not merely documented: starting a
 :meth:`simulate` or :meth:`simulate_stream` while another is in flight
 raises ``RuntimeError`` immediately (the serving tier's session pools
 depend on concurrent misuse being loud rather than silently corrupting
@@ -84,9 +85,6 @@ from .program import SceneProgram
 from .requests import SessionOptions, SimulateRequest, merge_config
 
 __all__ = ["RenderSession", "open_session"]
-
-#: Sentinel distinguishing "no pool yet" from "pool for fluorescence=None".
-_NO_POOL = object()
 
 
 def _answers(
@@ -208,8 +206,6 @@ class RenderSession:
         self.requests_served = 0
         self._engines: dict = {}  # fluorescence spec -> warm VectorEngine
         self._pool = None
-        self._pool_fluorescence = _NO_POOL
-        self._plane_handle = None  # set while holding a registry reference
         self._closed = False
         # Reentrancy guard: a session serves one request at a time; the
         # check-and-set is atomic so concurrent misuse from another
@@ -239,24 +235,18 @@ class RenderSession:
     def close(self) -> None:
         """Release every owned resource (idempotent).
 
-        Shuts the worker pool down and drops this session's reference on
-        the program's shared plane; the registry unlinks the segment
-        when the last session on the program releases.  Serving after
-        close raises ``RuntimeError``.
+        Shuts the worker pool down, which drops its reference on the
+        program's shared plane; the program unlinks the segment when the
+        last pool on it releases.  Serving after close raises
+        ``RuntimeError``.
         """
         if self._closed:
             return
         self._closed = True
         self._engines.clear()
-        try:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
-                self._pool_fluorescence = _NO_POOL
-        finally:
-            if self._plane_handle is not None:
-                self._plane_handle = None
-                self.program.release_plane()
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     def __enter__(self) -> "RenderSession":
         return self
@@ -306,34 +296,19 @@ class RenderSession:
             self._engines[fluorescence] = engine
         return engine
 
-    def _pool_for(self, fluorescence, config: SimulationConfig):
-        """The warm process pool, (re)built only when fluorescence changes.
+    def _warm_pool(self, config: SimulationConfig):
+        """The session's process pool, started on first use.
 
-        Worker engines bake the fluorescence spec in at spawn, so a
-        request with a different spec forces a pool rebuild (the cold
-        path, documented on :class:`~repro.api.SimulateRequest`); every
-        other request reuses the resident workers.  The scene plane is
-        acquired once per session through the program's registry entry
-        and survives pool rebuilds.
+        One pool serves every request: the fluorescence spec travels
+        with each shard, so no request respawns the workers.  A pool
+        that closed itself after a worker died restarts at its next
+        trace; a pool whose start raised is not kept.
         """
-        if self._pool is not None and self._pool_fluorescence == fluorescence:
-            return self._pool
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_fluorescence = _NO_POOL
-        from ..parallel.procpool import PhotonPool
+        if self._pool is None:
+            from ..parallel.procpool import PhotonPool
 
-        if self._plane_handle is None:
-            # One registry reference per session, released at close();
-            # the plane survives pool rebuilds within the session.  A
-            # publish failure propagates with no reference taken.
-            self._plane_handle = self.program.acquire_plane()
-        pool = PhotonPool(self.scene, config, plane_handle=self._plane_handle)
-        pool.start()
-        self._pool = pool
-        self._pool_fluorescence = fluorescence
-        return pool
+            self._pool = PhotonPool(self.program, config).start()
+        return self._pool
 
     # -- serving -----------------------------------------------------------
 
@@ -373,9 +348,7 @@ class RenderSession:
                 if config.workers > 1:
                     # Mostly a wait on the workers: the pool takes the
                     # gate only around each shard's tally.
-                    result = self._pool_for(request.fluorescence, config).run(
-                        config
-                    )
+                    result = self._warm_pool(config).run(config)
                 else:
                     with KERNEL_GATE:
                         result = self._engine_for(request.fluorescence).run(
@@ -510,8 +483,9 @@ class RenderSession:
                 # waiting on them uses none of this process's CPU, so
                 # neither happens under it.
                 with KERNEL_GATE.released():
-                    pool = self._pool_for(request.fluorescence, config)
-                    return pool.trace_range(seed, start, count)
+                    return self._warm_pool(config).trace_range(
+                        seed, start, count, request.fluorescence
+                    )
 
         else:
             source = self._engine_for(request.fluorescence).trace_range

@@ -1,4 +1,4 @@
-"""Statistical machinery behind adaptive histogramming.
+"""The split statistic behind adaptive histogramming and the bin trees.
 
 A histogram bin is hypothesised to hold a uniform distribution, so each
 arriving sample falls in the bin's left half with probability p and right
@@ -14,13 +14,9 @@ ablation bench).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "split_statistic",
-    "should_split",
-    "normal_approximation_valid",
-    "RunningMeanVar",
     "DEFAULT_SPLIT_THRESHOLD",
     "DEFAULT_MIN_COUNT",
 ]
@@ -59,71 +55,3 @@ def split_statistic(left: int, right: int) -> float:
         return math.inf
     sigma = math.sqrt(n * p * q)
     return (big - n / 2.0) / sigma
-
-
-def should_split(
-    left: int,
-    right: int,
-    *,
-    threshold: float = DEFAULT_SPLIT_THRESHOLD,
-    min_count: int = DEFAULT_MIN_COUNT,
-) -> bool:
-    """The dissertation's split decision for one candidate axis.
-
-    Args:
-        left / right: Speculative daughter tallies.
-        threshold: Rejection level in standard deviations (paper: 3).
-        min_count: Minimum total tally before the normal approximation is
-            trusted.
-    """
-    n = left + right
-    if n < min_count:
-        return False
-    return split_statistic(left, right) > threshold
-
-
-def normal_approximation_valid(left: int, right: int, minimum: float = 5.0) -> bool:
-    """Rule-of-thumb check that np and nq both exceed *minimum*."""
-    n = left + right
-    if n == 0:
-        return False
-    big = max(left, right)
-    p = big / n
-    return n * p >= minimum and n * (1.0 - p) >= minimum
-
-
-@dataclass
-class RunningMeanVar:
-    """Welford's online mean/variance, used by performance traces.
-
-    Attributes:
-        count: Number of samples accumulated.
-        mean: Running mean.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-
-    def add(self, x: float) -> None:
-        """Accumulate one observation."""
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for fewer than 2 samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance())
-
-    def standard_error(self) -> float:
-        """Standard error of the mean (0 with no samples)."""
-        if self.count == 0:
-            return 0.0
-        return self.std() / math.sqrt(self.count)

@@ -12,9 +12,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..montecarlo.stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD, should_split
+from ..montecarlo.stats import (
+    DEFAULT_MIN_COUNT,
+    DEFAULT_SPLIT_THRESHOLD,
+    split_statistic,
+)
 
-__all__ = ["AdaptiveHistogram", "FixedHistogram", "HistogramBin"]
+__all__ = ["AdaptiveHistogram", "FixedHistogram", "HistogramBin", "should_split"]
+
+
+def should_split(
+    left: int,
+    right: int,
+    *,
+    threshold: float = DEFAULT_SPLIT_THRESHOLD,
+    min_count: int = DEFAULT_MIN_COUNT,
+) -> bool:
+    """The dissertation's split decision for one candidate axis.
+
+    Args:
+        left / right: Speculative daughter tallies.
+        threshold: Rejection level in standard deviations (paper: 3).
+        min_count: Minimum total tally before the normal approximation is
+            trusted.
+    """
+    if left + right < min_count:
+        return False
+    return split_statistic(left, right) > threshold
 
 
 class HistogramBin:

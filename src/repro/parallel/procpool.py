@@ -22,12 +22,15 @@ workers, and the parent builds the answer from the shards as they land:
 
 One transport each way
 ----------------------
-:class:`PhotonPool` owns a persistent pool whose initializer builds each
-worker's engine **once**, attached zero-copy to the shared-memory scene
-plane (:mod:`repro.parallel.shmplane`) the parent published — no
-per-worker scene pickle, no per-worker octree re-compilation, one copy
-of the acceleration structure in RAM no matter the worker count or the
-scene size.  Events come back through per-shard result blocks
+:class:`PhotonPool` owns a persistent pool whose initializer attaches
+each worker **once**, zero-copy, to the shared-memory scene plane
+(:mod:`repro.parallel.shmplane`) its :class:`~repro.api.SceneProgram`
+published — no per-worker scene pickle, no per-worker octree
+re-compilation, one copy of the acceleration structure in RAM no matter
+the worker count or the scene size.  The fluorescence spec rides in
+every shard's job arguments, and a worker builds one engine per spec
+over its attached arrays and keeps it, so one pool serves every
+request on the program.  Events come back through per-shard result blocks
 (:mod:`repro.parallel.resultplane`), which the pool allocates lazily at
 the first trace, recycles verbatim across warm requests, regrows (old
 segment unlinked first) when a bigger budget arrives, and unlinks at
@@ -64,10 +67,10 @@ faults (:attr:`ShardResult.faults`), and a worker keeps up to the
 64 MiB trim threshold free at its heap top.  The parent and in-process sessions
 keep the embedding application's allocator.
 
-The in-process seam — :func:`run_procpool` with an injected ``pool=``,
-:func:`trace_events_parallel`, :func:`_trace_shard` — forks nothing and
-touches no shared memory; it is the golden suite's no-fork oracle for
-the same shard-and-tally path.
+The in-process seam — :func:`run_procpool` with an injected ``pool=``
+and its job :func:`_trace_shard` — forks nothing and touches no shared
+memory; it is the golden suite's no-fork oracle for the same
+shard-and-tally path.
 
 Determinism contract
 --------------------
@@ -95,6 +98,7 @@ from contextlib import closing, contextmanager
 from typing import Iterator, Optional
 
 from ..api.gate import KERNEL_GATE
+from ..api.program import SceneProgram
 from ..core.bintree import BinForest
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
 from ..core.vectorized import EventBatch, SceneArrays, VectorEngine, tally_block
@@ -117,7 +121,6 @@ except ImportError:  # not on every platform; shard fault counts stay 0
 __all__ = [
     "PhotonPool",
     "run_procpool",
-    "trace_events_parallel",
 ]
 
 
@@ -158,9 +161,13 @@ def _trace_shard(
     return pack_shard(events.sorted_canonical(), stats, None, -1)
 
 
-#: Per-process engine of a :class:`PhotonPool` worker, built once by the
-#: pool initializer over the attached scene plane.
-_POOL_ENGINE: Optional[VectorEngine] = None
+#: A :class:`PhotonPool` worker's attached scene plane and batch size,
+#: set once by the pool initializer.
+_POOL_ARRAYS: Optional[SceneArrays] = None
+_POOL_BATCH_SIZE = 0
+#: The worker's engines over :data:`_POOL_ARRAYS`, one per fluorescence
+#: spec, each built by the first shard that asks for it.
+_POOL_ENGINES: dict = {}
 
 #: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
 _M_TRIM_THRESHOLD = -1
@@ -194,34 +201,44 @@ def _retain_worker_heap(load_libc=ctypes.CDLL) -> None:
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
-def _init_pool_worker(handle, fluorescence, batch_size: int) -> None:
-    """Pool initializer: construct this worker's engine exactly once.
+def _init_pool_worker(handle, batch_size: int) -> None:
+    """Pool initializer: attach this worker to the scene plane once.
 
-    The engine's arrays are zero-copy views into the shared segment
-    behind *handle* — nothing big was pickled, nothing is compiled here.
+    The arrays are zero-copy views into the shared segment behind
+    *handle* — nothing big was pickled, nothing is compiled here.
     First the worker's allocator is set to keep its heap between shards
     (:func:`_retain_worker_heap`): the process is the pool's own.
     """
-    global _POOL_ENGINE
+    global _POOL_ARRAYS, _POOL_BATCH_SIZE
     _retain_worker_heap()
-    _POOL_ENGINE = VectorEngine(
-        arrays=shmplane.attach(handle),
-        fluorescence=fluorescence,
-        batch_size=batch_size,
-    )
+    _POOL_ARRAYS = shmplane.attach(handle)
+    _POOL_BATCH_SIZE = batch_size
+
+
+def _pool_engine(fluorescence) -> VectorEngine:
+    """This worker's warm engine for *fluorescence*, built on first use."""
+    engine = _POOL_ENGINES.get(fluorescence)
+    if engine is None:
+        engine = _POOL_ENGINES[fluorescence] = VectorEngine(
+            arrays=_POOL_ARRAYS,
+            fluorescence=fluorescence,
+            batch_size=_POOL_BATCH_SIZE,
+        )
+    return engine
 
 
 def _trace_shard_pooled(
-    seed: int, start: int, count: int, result_handle, slot: int
+    fluorescence, seed: int, start: int, count: int, result_handle, slot: int
 ) -> ShardResult:
-    """Pool target for persistent workers: trace on the initializer's engine.
+    """Pool target for persistent workers: trace on the worker's engine
+    for *fluorescence*.
 
     The canonical events land in result block *slot* and only the
     descriptor returns (or, on overflow, the inline payload), with the
     minor page faults the trace and the pack took.
     """
     before = _minor_faults()
-    events, stats = _POOL_ENGINE.trace_range(seed, start, count)
+    events, stats = _pool_engine(fluorescence).trace_range(seed, start, count)
     result = pack_shard(events.sorted_canonical(), stats, result_handle, slot)
     result.faults = _minor_faults() - before
     return result
@@ -232,30 +249,6 @@ def _minor_faults() -> int:
     if resource is None:
         return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _injected_jobs(scene: Scene, config: SimulationConfig) -> list[tuple]:
-    """:func:`_trace_shard` jobs for an injected pool: the scene rides
-    every job."""
-    return [
-        (scene, config.fluorescence, config.batch_size, config.seed, start, count)
-        for start, count in _shard_starts(config.n_photons, config.workers)
-        if count > 0
-    ]
-
-
-def trace_events_parallel(
-    pool, scene: Scene, config: SimulationConfig
-) -> tuple[EventBatch, TraceStats]:
-    """The shard trace on an injected pool, concatenated.
-
-    The entry point for pool-shaped in-process executors (the no-fork
-    oracle); :meth:`PhotonPool.trace_range` is the same step against
-    persistent workers attached to the scene plane, with events
-    returning through result blocks.
-    """
-    results = pool.starmap(_trace_shard, _injected_jobs(scene, config))
-    return gather_shards(results, None)
 
 
 def _tally_shard(
@@ -341,53 +334,37 @@ class _WorkerPool:
 
 
 class PhotonPool:
-    """A persistent worker pool over one shared-memory scene plane.
+    """A persistent worker pool over its program's shared-memory plane.
 
-    Publishing, worker startup, and segment cleanup happen once per pool
+    Worker startup and the plane reference are taken once per pool
     rather than once per run, so repeated :meth:`run` calls (parameter
     sweeps, benchmarks, services) pay only tracing time.  Always use the
-    context manager (or call :meth:`close` in a ``finally``): it closes
-    **and unlinks** the pool's segments even when a worker raises, which
-    is the no-leak contract the lifecycle tests enforce.
+    context manager (or call :meth:`close` in a ``finally``): it stops
+    the workers, unlinks the result blocks and drops the plane
+    reference even when a worker raises, which is the no-leak contract
+    the lifecycle tests enforce.
 
     Example::
 
-        with PhotonPool(scene, config) as pool:
+        with PhotonPool(SceneProgram.compile(scene), config) as pool:
             result = pool.run()
 
     Args:
-        scene: Scene the pool serves; one plane is published for it.
-        config: Pool sizing (``workers``) and engine parameters
-            (``fluorescence``, ``batch_size``) come from here.
-        arrays: Optional pre-compiled :class:`SceneArrays` for *scene*.
-            When this pool itself publishes a plane it publishes these
-            instead of recompiling the scene — for direct pool users
-            that already hold compiled arrays.  (The session API does
-            not publish through the pool at all: it acquires a
-            registry-owned plane and passes *plane_handle* instead.)
-        plane_handle: Optional handle of an **externally owned** plane
-            (typically from
-            :func:`repro.parallel.shmplane.plane_registry`).  The pool
-            attaches its workers to that segment, never publishes, and
-            never unlinks it on :meth:`close` — the owner (registry /
-            session) controls the segment lifetime.
+        program: The :class:`~repro.api.SceneProgram` the pool serves.
+            :meth:`start` acquires its plane
+            (:meth:`~repro.api.SceneProgram.acquire_plane`, which
+            publishes on the program's first acquire) and :meth:`close`
+            releases it.
+        config: Pool sizing (``workers``) and the workers'
+            ``batch_size``; also the budget :meth:`run` traces by
+            default.
     """
 
-    def __init__(
-        self,
-        scene: Scene,
-        config: SimulationConfig,
-        *,
-        arrays: Optional[SceneArrays] = None,
-        plane_handle=None,
-    ) -> None:
-        self.scene = scene
+    def __init__(self, program: SceneProgram, config: SimulationConfig) -> None:
+        self.program = program
         self.config = config
-        self.arrays = arrays
-        self.plane_handle = plane_handle
-        #: The scene plane this pool published and owns (None before
-        #: :meth:`start`, and always None under *plane_handle*).
-        self.plane = None
+        #: The program's plane while this pool holds a reference on it.
+        self._scene_handle = None
         self._pool = None
         #: The per-shard result blocks, allocated lazily by the first
         #: trace and recycled across warm requests (None until then).
@@ -408,31 +385,24 @@ class PhotonPool:
         self.result_block_reuses = 0
 
     def start(self) -> "PhotonPool":
-        """Publish the plane (unless externally owned) and fork the workers.
+        """Acquire the program's plane and fork the workers.
 
         A plane that cannot be published raises (``OSError`` /
         ``RuntimeError``, see :func:`repro.parallel.shmplane.publish`)
-        with nothing allocated and no worker forked.
+        with no reference taken and no worker forked.
         """
         if self._pool is not None:
             return self
-        handle = self.plane_handle
-        if handle is None:
-            self.plane = shmplane.publish(
-                self.arrays if self.arrays is not None
-                else SceneArrays(self.scene)
-            )
-            handle = self.plane.handle
-        config = self.config
+        self._scene_handle = self.program.acquire_plane()
         try:
             self._pool = _WorkerPool(
-                config.workers,
+                self.config.workers,
                 _init_pool_worker,
-                (handle, config.fluorescence, config.batch_size),
+                (self._scene_handle, self.config.batch_size),
             )
         except BaseException:
-            # The no-leak contract covers a failed fork too: a published
-            # segment must not outlive the pool that never started.
+            # The no-leak contract covers a failed fork too: the plane
+            # reference must not outlive the pool that never started.
             self.close()
             raise
         return self
@@ -441,35 +411,24 @@ class PhotonPool:
         """Run one photon budget; the result matches the serial engines.
 
         *config* defaults to the pool's own; passing a different one
-        (other budget/seed/policy) reuses the warm workers.  Engine
-        parameters and the shard count always come from the
+        (other budget/seed/policy/fluorescence) reuses the warm workers.
+        The shard count and the workers' batch size always come from the
         pool's construction config — the pool has exactly that many
-        workers, with engines built once at :meth:`start`.  (Answers do
-        not depend on the count either way; that is the determinism
-        contract.)  A *config* whose ``fluorescence`` differs is
-        rejected: it changes the physics, and the frozen worker engines
-        could not honour it — silently mislabelling the result is the
-        one failure mode worse than an error.
+        workers.  (Answers do not depend on either; that is the
+        determinism contract.)
 
         The parent tallies each shard as it lands, in shard order, under
         the kernel gate; the waits on the workers run outside it.
         """
         config = config if config is not None else self.config
-        if config.fluorescence != self.config.fluorescence:
-            raise ValueError(
-                "run() config changes fluorescence, but worker engines are "
-                "built once at pool start; create a new PhotonPool for a "
-                "different fluorescence spec"
-            )
-        if config.n_photons == 0:
-            return SimulationResult(
-                BinForest(config.policy), TraceStats(), config, self.scene.name
-            )
         forest, stats = BinForest(config.policy), TraceStats()
-        with self._shards(config.seed, 0, config.n_photons) as landed:
-            for result in landed:
-                _tally_shard(forest, stats, result, self.result_blocks)
-        return SimulationResult(forest, stats, config, self.scene.name)
+        if config.n_photons:
+            with self._shards(
+                config.fluorescence, config.seed, 0, config.n_photons
+            ) as landed:
+                for result in landed:
+                    _tally_shard(forest, stats, result, self.result_blocks)
+        return SimulationResult(forest, stats, config, self.program.scene.name)
 
     @contextmanager
     def _closing_if_broken(self):
@@ -477,8 +436,9 @@ class PhotonPool:
 
         The executor fails every pending task with ``BrokenProcessPool``,
         which propagates to the caller; the workers, the result blocks
-        and a plane this pool published go with it, and the next
-        :meth:`run` or :meth:`trace_range` starts a fresh pool.
+        and the plane reference go with it (the program unlinks the
+        plane if that was its last reference), and the next :meth:`run`
+        or :meth:`trace_range` starts a fresh pool.
         """
         try:
             yield
@@ -500,7 +460,8 @@ class PhotonPool:
         # without a hint keep the blanket worst-case factor.  getattr:
         # scenes unpickled from pre-hint answer pipelines lack the attr.
         capacity = block_capacity(
-            max_share, getattr(self.scene, "events_per_photon_hint", None)
+            max_share,
+            getattr(self.program.scene, "events_per_photon_hint", None),
         )
         blocks = self.config.workers
         if self.result_blocks is not None:
@@ -514,8 +475,9 @@ class PhotonPool:
         return self.result_blocks
 
     @contextmanager
-    def _shards(self, seed: int, start: int, count: int) -> Iterator:
-        """Trace photons ``start .. start+count`` on the warm workers.
+    def _shards(self, fluorescence, seed: int, start: int, count: int) -> Iterator:
+        """Trace photons ``start .. start+count`` under *fluorescence* on
+        the warm workers.
 
         Yields an iterator over the shards' :class:`ShardResult`
         descriptors in shard order, each as soon as its shard lands —
@@ -539,7 +501,7 @@ class PhotonPool:
             else None
         )
         jobs = [
-            (seed, start + offset, share, blocks.handle, slot)
+            (fluorescence, seed, start + offset, share, blocks.handle, slot)
             for slot, (offset, share) in enumerate(shards)
         ]
         results = self.last_shard_results = []
@@ -562,10 +524,11 @@ class PhotonPool:
             r.payload = None
 
     def trace_range(
-        self, seed: int, start: int, count: int
+        self, seed: int, start: int, count: int, fluorescence=None
     ) -> tuple[EventBatch, TraceStats]:
-        """Trace photons ``start .. start+count`` on the warm workers,
-        returning globally canonical events plus counters.
+        """Trace photons ``start .. start+count`` under *fluorescence*
+        (``None``: none) on the warm workers, returning globally
+        canonical events plus counters.
 
         The streaming building block behind
         :meth:`repro.api.RenderSession.simulate_stream`: the caller
@@ -580,24 +543,23 @@ class PhotonPool:
         recycled by the next call, after the canonical merge has copied
         the events out.
         """
-        with self._shards(seed, start, count) as landed:
+        with self._shards(fluorescence, seed, start, count) as landed:
             return gather_shards(list(landed), self.result_blocks)
 
     def close(self, terminate: bool = False) -> None:
-        """Tear down workers, then close and unlink both planes (idempotent).
+        """Tear down workers, then release the scene plane and unlink the
+        result blocks (idempotent).
 
-        The result blocks release with the scene plane — also on the
-        worker-exception path (the context manager routes here), which
-        is the crash half of the no-leak contract the lifecycle tests
-        cover for the return transport too.
+        Both go on the worker-exception path too (the context manager
+        routes here), which is the crash half of the no-leak contract
+        the lifecycle tests cover for both transports.
         """
         if self._pool is not None:
             self._pool.shutdown(terminate)
             self._pool = None
-        if self.plane is not None:
-            self.plane.close()
-            self.plane.unlink()
-            self.plane = None
+        if self._scene_handle is not None:
+            self._scene_handle = None
+            self.program.release_plane()
         self.last_shard_results = []
         if self.result_blocks is not None:
             self.result_blocks.close()
@@ -631,8 +593,14 @@ def run_procpool(
         )
     if pool is not None:
         forest, stats = BinForest(config.policy), TraceStats()
-        for result in pool.starmap(_trace_shard, _injected_jobs(scene, config)):
+        jobs = [
+            (scene, config.fluorescence, config.batch_size, config.seed,
+             start, count)
+            for start, count in _shard_starts(config.n_photons, config.workers)
+            if count > 0
+        ]
+        for result in pool.starmap(_trace_shard, jobs):
             _tally_shard(forest, stats, result, None)
         return SimulationResult(forest, stats, config, scene.name)
-    with PhotonPool(scene, config) as photon_pool:
+    with PhotonPool(SceneProgram.compile(scene), config) as photon_pool:
         return photon_pool.run()

@@ -267,8 +267,8 @@ class ShardResult:
     object is then a few hundred pickled bytes).  ``slot == -1`` is the
     inline path: *payload* carries the raw column arrays of
     :data:`~repro.core.vectorized.EVENT_FIELDS`, either because nothing
-    forked (the in-process seam of
-    :func:`repro.parallel.procpool.trace_events_parallel`) or because
+    forked (the in-process seam of :func:`repro.parallel.procpool.run_procpool`
+    with an injected pool) or because
     the shard overflowed its block (*overflow* set — the parent warns
     loudly).  *faults* is the minor page faults the worker took tracing
     and packing the shard (0 where nothing measured them).

@@ -29,7 +29,11 @@ Lifecycle contract
 ------------------
 The publisher is the segment's owner: it must :meth:`ScenePlane.close`
 *and* :meth:`ScenePlane.unlink` when done (the context manager does
-both, including on exceptions).  Workers only ever attach; their
+both, including on exceptions).  On the serving path the publisher is
+:meth:`repro.api.SceneProgram.acquire_plane`: each program publishes
+one segment on its first acquire and unlinks it on its last release,
+and every :class:`~repro.parallel.procpool.PhotonPool` borrows one
+reference while it runs.  Workers only ever attach; their
 mappings are cached per segment for the life of the process and torn
 down by the OS at process exit — a worker must **not** unlink.  After
 ``unlink`` the name is gone: late attaches raise ``FileNotFoundError``
@@ -61,7 +65,6 @@ import os
 import secrets
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,13 +78,11 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "PLANE_SEGMENT_PREFIX",
     "PlaneHandle",
-    "PlaneRegistry",
     "ScenePlane",
     "SegmentOwner",
     "allocate_segment",
     "layout_fields",
     "plane_available",
-    "plane_registry",
     "publish",
     "attach",
     "detach_all",
@@ -344,126 +345,6 @@ def attach(handle: PlaneHandle) -> SceneArrays:
     arrays = SceneArrays.from_fields(views, total_power=handle.total_power)
     _ATTACHED[handle.segment] = (shm, arrays)
     return arrays
-
-
-class PlaneRegistry:
-    """Process-wide refcounted ownership of published scene planes.
-
-    Several :class:`~repro.api.RenderSession` pools in one serving
-    process can serve the same compiled scene; publishing one segment
-    per pool would duplicate the payload in ``/dev/shm``.  The registry
-    keys published planes by an opaque caller-chosen string
-    (:attr:`repro.api.SceneProgram.plane_key`) and refcounts acquires
-    (the registry itself is per-process — separate serving processes
-    each own their segments):
-
-    * :meth:`acquire` publishes on first use and returns the (shared)
-      :class:`PlaneHandle`; later acquires of the same key return the
-      same handle without touching ``/dev/shm``.
-    * :meth:`release` decrements; the **last** release closes *and
-      unlinks* the segment.  Acquires and releases must pair exactly —
-      the session context manager guarantees that even on exceptions.
-
-    Thread-safe; keys are process-local (the handle, as ever, is what
-    crosses process boundaries).
-    """
-
-    class _Entry:
-        """One key's plane, refcount, and publish latch."""
-
-        __slots__ = ("lock", "plane", "refs", "dead")
-
-        def __init__(self) -> None:
-            self.lock = threading.Lock()
-            self.plane: Optional[ScenePlane] = None
-            self.refs = 0
-            self.dead = False  # unlinked and removed; re-acquire must retry
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._planes: dict[str, PlaneRegistry._Entry] = {}
-
-    def acquire(
-        self, key: str, arrays: "Callable[[], SceneArrays] | SceneArrays"
-    ) -> PlaneHandle:
-        """Return the published handle for *key*, publishing if needed.
-
-        The registry lock guards only the key table; the (possibly
-        expensive) compile + publish happens under a per-key latch, so
-        sessions on *different* scenes never serialize on each other.
-
-        Args:
-            key: Process-wide identity of the compiled scene.
-            arrays: The :class:`SceneArrays` to publish on first acquire,
-                or a zero-argument callable producing them (so callers
-                can defer compilation until a publish actually happens).
-        """
-        while True:
-            with self._lock:
-                entry = self._planes.get(key)
-                if entry is None:
-                    entry = self._planes[key] = PlaneRegistry._Entry()
-            with entry.lock:
-                if entry.dead:
-                    continue  # lost a race with the last release; retry
-                if entry.plane is None:
-                    payload = arrays() if callable(arrays) else arrays
-                    entry.plane = publish(payload)
-                entry.refs += 1
-                return entry.plane.handle
-
-    def release(self, key: str) -> None:
-        """Drop one reference; the last one closes and unlinks the plane."""
-        with self._lock:
-            entry = self._planes.get(key)
-        if entry is None:
-            return  # idempotent: double-release must not raise in cleanup
-        plane = None
-        with entry.lock:
-            if entry.refs == 0:
-                return
-            entry.refs -= 1
-            if entry.refs == 0:
-                plane, entry.plane = entry.plane, None
-                entry.dead = True
-                with self._lock:
-                    if self._planes.get(key) is entry:
-                        del self._planes[key]
-        if plane is not None:
-            plane.close()
-            plane.unlink()
-
-    def _entry(self, key: str) -> Optional["PlaneRegistry._Entry"]:
-        with self._lock:
-            return self._planes.get(key)
-
-    def refcount(self, key: str) -> int:
-        """Current reference count for *key* (0 when unpublished)."""
-        entry = self._entry(key)
-        return entry.refs if entry is not None else 0
-
-    def segment_name(self, key: str) -> Optional[str]:
-        """The live segment name behind *key*, or ``None``."""
-        entry = self._entry(key)
-        if entry is None or entry.plane is None:
-            return None
-        return entry.plane.name
-
-    def active_keys(self) -> list[str]:
-        """Keys with a live published plane (tests and diagnostics)."""
-        with self._lock:
-            return sorted(
-                k for k, e in self._planes.items() if e.plane is not None
-            )
-
-
-#: The process-wide registry instance (see :func:`plane_registry`).
-_REGISTRY = PlaneRegistry()
-
-
-def plane_registry() -> PlaneRegistry:
-    """The process-wide :class:`PlaneRegistry` every session shares."""
-    return _REGISTRY
 
 
 def detach_all() -> None:

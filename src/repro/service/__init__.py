@@ -8,8 +8,8 @@ front of it — the Iray shape from PAPERS.md, a light-transport server
 streaming progressively refining answers:
 
 * :class:`ProgramRegistry` — many resident compiled scenes in one
-  process, LRU-evicted under a program/byte budget, layered on the
-  refcounted shared-memory plane registry (an evicted program's
+  process, LRU-evicted under a program/byte budget, layered on each
+  program's refcounted shared-memory plane (an evicted program's
   ``/dev/shm`` segment lives until its last session closes).
 * :class:`SessionPool` — bounded, lazily grown pools of warm sessions
   per scene, with admission control: a bounded wait queue, explicit

@@ -82,18 +82,28 @@ class HttpRequest:
         return doc
 
 
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line from *reader*; a line over the reader's limit (which
+    ``readline`` reports as ``ValueError``) is a :class:`BadRequest`."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise BadRequest(f"{what} too long") from None
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body: int
 ) -> Optional[HttpRequest]:
     """Parse one request from *reader*; ``None`` on a closed connection.
 
     Raises:
-        BadRequest: on an unparsable request line or header block.
+        BadRequest: on an unparsable request line or header block, or a
+            line longer than the reader's limit.
         PayloadTooLarge: when ``Content-Length`` exceeds *max_body*.
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        line = await _readline(reader, "request line")
+    except ConnectionError:
         return None
     if not line:
         return None
@@ -105,7 +115,7 @@ async def read_request(
     headers: dict = {}
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader, "header line")
         header_bytes += len(raw)
         if header_bytes > _MAX_HEADER_BYTES:
             raise BadRequest("header block too large")

@@ -16,10 +16,10 @@ scene means *several* sessions.  The pool keeps them warm and bounded:
 * **Draining** — :meth:`retire` (registry eviction) closes the idle
   sessions, fails the queued waiters, and marks the pool draining:
   checked-out sessions finish their current request and are closed on
-  :meth:`release` instead of being re-pooled.  Because each session
-  holds one reference on the program's shared plane, the ``/dev/shm``
-  segment survives exactly until the last live session closes — the
-  eviction half of the plane-registry refcount contract.
+  :meth:`release` instead of being re-pooled.  Because each session's
+  worker pool holds one reference on the program's shared plane, the
+  ``/dev/shm`` segment survives exactly until the last live session
+  closes — the eviction half of the program's plane refcount.
 
 The pool is event-loop affine: every method must run on the service's
 loop (session *work* runs on executor threads; checkout bookkeeping
@@ -187,9 +187,9 @@ class SessionPool:
         """Return a checked-out session; hands off, re-pools, or closes.
 
         On a draining pool the session is closed instead (on an
-        executor thread — closing joins worker processes), releasing
-        its plane reference; the last such release unlinks the
-        program's segment.
+        executor thread — closing joins worker processes), and its
+        worker pool releases its plane reference; the last such release
+        unlinks the program's segment.
         """
         self._in_use -= 1
         if self._draining:

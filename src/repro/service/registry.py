@@ -7,20 +7,20 @@ the dominant memory cost, so residency is budgeted: at most
 ``max_programs`` programs (and optionally ``max_bytes`` of compiled
 array payload) stay resident, evicted in least-recently-used order.
 
-Eviction is *graceful*, layered on the refcounted plane registry
-(:func:`repro.parallel.shmplane.plane_registry`): evicting a program
-retires its :class:`~repro.service.pool.SessionPool`, which closes idle
-sessions immediately but lets checked-out sessions finish their
-in-flight request.  Each live session holds one reference on the
-program's published ``/dev/shm`` plane, so the segment unlinks exactly
-when the **last** session closes — never under a request's feet.  A
-re-requested evicted spec is simply re-admitted (compile + publish run
-again); determinism makes the round trip invisible in the answer bytes.
+Eviction is *graceful*, layered on the program's refcounted scene
+plane (:meth:`repro.api.SceneProgram.acquire_plane`): evicting a
+program retires its :class:`~repro.service.pool.SessionPool`, which
+closes idle sessions immediately but lets checked-out sessions finish
+their in-flight request.  Each live session's worker pool holds one
+reference on the program's published ``/dev/shm`` plane, so the segment
+unlinks exactly when the **last** session closes — never under a
+request's feet.  A re-requested evicted spec is simply re-admitted
+(compile + publish run again); determinism makes the round trip
+invisible in the answer bytes.
 
 Admission is single-flight: concurrent first requests for the same spec
-share one compile (per-spec admit task), mirroring
-:class:`~repro.parallel.shmplane.PlaneRegistry`'s per-key publish latch
-one layer down.
+share one compile (per-spec admit task), as one program's lock covers
+its plane's publish one layer down.
 
 The registry is event-loop affine like the pools it manages; the
 (blocking) scene build + compile runs inside the caller-supplied async

@@ -184,8 +184,15 @@ class ServiceConfig:
             raise ValueError("sessions_per_scene must be at least 1")
         if self.queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
-        if self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive")
+        if not (math.isfinite(self.default_deadline) and self.default_deadline > 0):
+            raise ValueError(
+                "default_deadline must be a positive finite number of "
+                f"seconds, got {self.default_deadline}"
+            )
+        if self.max_body_bytes < 0:
+            raise ValueError(
+                f"max_body_bytes must be non-negative, got {self.max_body_bytes}"
+            )
         if self.max_programs < 1:
             raise ValueError("max_programs must be at least 1")
 

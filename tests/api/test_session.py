@@ -3,9 +3,9 @@
 The session's value is in what it does *not* do on request #2: no scene
 recompile, no plane republish, no worker respawn.  These tests pin the
 resource lifecycle — warm engines and pools are reused, concurrent
-sessions on one program share a single published segment through the
-process-wide registry, and a crashed session still leaves ``/dev/shm``
-clean (the no-leak contract, reusing :func:`leaked_segments`).
+sessions on one program share the single segment the program publishes
+and refcounts, and a crashed session still leaves ``/dev/shm`` clean
+(the no-leak contract, reusing :func:`leaked_segments`).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ import pytest
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.core import forest_to_dict
 from repro.core.fluorescence import FluorescenceSpec
-from repro.parallel.shmplane import (
-    leaked_segments,
-    plane_available,
-    plane_registry,
-)
+from repro.parallel.shmplane import leaked_segments, plane_available
 
 needs_plane = pytest.mark.skipif(
     not plane_available(), reason="no multiprocessing.shared_memory here"
@@ -36,7 +32,7 @@ def scene_segments() -> list:
     """Live *scene-plane* segments only.
 
     A live multi-process session also holds per-pool result blocks
-    (``photon-plane-result-…``); the registry-sharing assertions are
+    (``photon-plane-result-…``); the plane-sharing assertions are
     about the scene plane, so filter the result blocks out.  The
     after-close assertions keep using :func:`leaked_segments` raw — at
     close *nothing* of either kind may survive.
@@ -104,7 +100,7 @@ class TestWarmReuse:
 
 @needs_plane
 class TestPlaneSharing:
-    """The registry half of the tentpole: one segment per program."""
+    """One segment per program, refcounted by the program itself."""
 
     def test_registry_refcounts_one_segment(self, mini_scene):
         from repro.api import SceneProgram
@@ -114,14 +110,14 @@ class TestPlaneSharing:
         h1 = program.acquire_plane()
         h2 = program.acquire_plane()
         assert h1.segment == h2.segment
-        assert plane_registry().refcount(program.plane_key) == 2
+        assert program.plane_refs == 2
         assert len(leaked_segments()) == before + 1
         program.release_plane()
         assert len(leaked_segments()) == before + 1  # still referenced
         program.release_plane()
         assert len(leaked_segments()) == before
         program.release_plane()  # over-release is a no-op, not a crash
-        assert plane_registry().refcount(program.plane_key) == 0
+        assert program.plane_refs == 0
 
     def test_concurrent_sessions_share_one_segment(self, mini_scene):
         """Two live multi-process sessions publish exactly one plane."""
@@ -144,13 +140,38 @@ class TestPlaneSharing:
             session.simulate(SimulateRequest(n_photons=60))
             pool_once = session._pool
             arrays_once = session.program.arrays
-            key = session.program.plane_key
-            segment_once = plane_registry().segment_name(key)
-            assert segment_once is not None
+            segment_once = scene_segments()
+            assert len(segment_once) == 1
             session.simulate(SimulateRequest(n_photons=60, seed=3))
             assert session._pool is pool_once
             assert session.program.arrays is arrays_once
-            assert plane_registry().segment_name(key) == segment_once
+            assert scene_segments() == segment_once
+
+    def test_one_pool_serves_every_fluorescence_spec(self, mini_scene):
+        """Plain, fluorescent, plain again on one 2-worker session: each
+        answer equals the single-process bytes, and the pool and its
+        worker processes stay the same throughout — a spec change
+        respawns nothing."""
+        spec = FluorescenceSpec.simple(blue_to_green=0.5)
+        requests = [
+            SimulateRequest(n_photons=240, seed=11),
+            SimulateRequest(n_photons=240, seed=11, fluorescence=spec),
+            SimulateRequest(n_photons=240, seed=11),
+        ]
+        with RenderSession(mini_scene) as single:
+            expected = [forest_bytes(single.simulate(r)) for r in requests]
+        assert expected[0] != expected[1]
+        with RenderSession(mini_scene, SessionOptions(workers=2)) as session:
+            served, pools, pids = [], [], []
+            for request in requests:
+                served.append(forest_bytes(session.simulate(request)))
+                pools.append(session._pool)
+                pids.append(set(session._pool._pool._executor._processes))
+            assert served == expected
+            assert pools[0] is pools[1] is pools[2]
+            assert len(pids[0]) == 2
+            assert pids[0] == pids[1] == pids[2]
+        assert leaked_segments() == []
 
 
 @needs_plane

@@ -1,16 +1,12 @@
-"""Split statistics and running moments."""
+"""The split statistic and the histogram's split decision."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.montecarlo.stats import (
-    RunningMeanVar,
-    normal_approximation_valid,
-    should_split,
-    split_statistic,
-)
+from repro.montecarlo.stats import split_statistic
+from repro.paper.histogram import should_split
 
 counts = st.integers(min_value=0, max_value=100_000)
 
@@ -66,38 +62,3 @@ class TestShouldSplit:
     def test_never_splits_tiny_bins(self, left, right):
         if left + right < 16:
             assert not should_split(left, right)
-
-
-class TestNormalApproximation:
-    def test_requires_samples(self):
-        assert not normal_approximation_valid(0, 0)
-
-    def test_balanced_large(self):
-        assert normal_approximation_valid(50, 50)
-
-    def test_skewed_small_fails(self):
-        assert not normal_approximation_valid(99, 1)
-
-
-class TestRunningMeanVar:
-    def test_empty(self):
-        acc = RunningMeanVar()
-        assert acc.variance() == 0.0
-        assert acc.standard_error() == 0.0
-
-    def test_known_sequence(self):
-        acc = RunningMeanVar()
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            acc.add(x)
-        assert acc.mean == pytest.approx(5.0)
-        assert acc.variance() == pytest.approx(32.0 / 7.0)
-
-    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=50))
-    def test_matches_two_pass(self, xs):
-        acc = RunningMeanVar()
-        for x in xs:
-            acc.add(x)
-        mean = sum(xs) / len(xs)
-        var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-        assert acc.mean == pytest.approx(mean, abs=1e-6)
-        assert acc.variance() == pytest.approx(var, abs=1e-6)

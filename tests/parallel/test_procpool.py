@@ -14,17 +14,13 @@ import time
 
 import pytest
 
+from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core.bintree import BinForest
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
 from repro.paper.distributed import merge_rank_forests
 from repro.parallel import procpool, resultplane
-from repro.parallel.procpool import (
-    PhotonPool,
-    _trace_shard,
-    run_procpool,
-    trace_events_parallel,
-)
+from repro.parallel.procpool import PhotonPool, _trace_shard, run_procpool
 from repro.parallel.resultplane import ResultPlaneWarning
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
@@ -91,10 +87,8 @@ class TestMergeOrder:
     def test_merge_order_does_not_change_tallies(self, cornell):
         """Disjoint per-rank forest sections (the distributed tier's
         shape) merge identically in any order."""
-        config = SimulationConfig(
-            n_photons=800, seed=0xBEEF, workers=3
-        )
-        events, _ = trace_events_parallel(_InlinePool(), cornell, config)
+        config = SimulationConfig(n_photons=800, seed=0xBEEF)
+        events, _ = VectorEngine(cornell).trace_range(config.seed, 0, 800)
         sections = []
         for w in range(3):
             section = BinForest(config.policy)
@@ -174,7 +168,7 @@ class TestLandingOrder:
             n_photons=self.PHOTONS, seed=self.SEED, workers=workers
         )
         landed = []
-        with PhotonPool(scene, config) as pool:
+        with PhotonPool(SceneProgram.compile(scene), config) as pool:
             executor = pool._pool._executor
             real_submit = executor.submit
 

@@ -26,6 +26,7 @@ import pickle
 
 import pytest
 
+from repro.api import SceneProgram
 from repro.core import (
     EVENT_FIELDS,
     SimulationConfig,
@@ -163,7 +164,7 @@ class TestPooledRuns:
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, workers=2
         )
-        with PhotonPool(scene, config) as pool:
+        with PhotonPool(SceneProgram.compile(scene), config) as pool:
             result = pool.run()
             results = pool.last_shard_results
             assert pool.result_blocks is not None
@@ -179,7 +180,7 @@ class TestPooledRuns:
             n_photons=600, seed=0xC0FFEE,
             workers=2,
         )
-        with PhotonPool(cornell, config) as pool:
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             first = pool.run()
             blocks = pool.result_blocks
             name = blocks.name
@@ -194,7 +195,7 @@ class TestPooledRuns:
             n_photons=200, seed=0xC0FFEE,
             workers=2,
         )
-        with PhotonPool(cornell, config) as pool:
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             pool.run()
             small = pool.result_blocks
             grown_photons = MIN_BLOCK_EVENTS * 2  # per-shard need > floor
@@ -224,10 +225,10 @@ class TestPooledRuns:
                 n_photons=bigger.n_photons, seed=1
             )
         )
-        with PhotonPool(cornell, small) as pool:
+        with PhotonPool(SceneProgram.compile(cornell), small) as pool:
             pool.run()
             old_name = pool.result_blocks.name
-            scene_segment = pool.plane.name
+            [scene_segment] = set(leaked_segments()) - {old_name}
             refused = enospc_once(resultplane)
             with pytest.raises(OSError) as raised:
                 pool.run(bigger)
@@ -247,7 +248,7 @@ class TestPooledRuns:
             n_photons=100, seed=1, workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
-            with PhotonPool(cornell, config) as pool:
+            with PhotonPool(SceneProgram.compile(cornell), config) as pool:
                 pool.trace_range(1, 0, 100)  # blocks now live
                 assert pool.result_blocks is not None
                 assert pool.result_blocks.name in leaked_segments()
@@ -269,7 +270,7 @@ class TestPooledRuns:
             n_photons=600, seed=0xC0FFEE,
             workers=2,
         )
-        with PhotonPool(cornell, config) as pool:
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             with pytest.warns(ResultPlaneWarning, match="overflow"):
                 result = pool.run()
             assert all(r.overflow for r in pool.last_shard_results)
@@ -293,13 +294,15 @@ class TestFreshProcessLifecycle:
         import sys
 
         script = (
+            "from repro.api import SceneProgram\n"
             "from repro.core import SimulationConfig\n"
             "from repro.parallel.procpool import PhotonPool\n"
             "from repro.parallel.shmplane import leaked_segments\n"
             "from repro.scenes import cornell_box\n"
             "config = SimulationConfig(n_photons=300,\n"
             "                          workers=2)\n"
-            "with PhotonPool(cornell_box(), config) as pool:\n"
+            "program = SceneProgram.compile(cornell_box())\n"
+            "with PhotonPool(program, config) as pool:\n"
             "    pool.run()\n"
             "    pool.run()\n"
             "assert leaked_segments() == [], leaked_segments()\n"

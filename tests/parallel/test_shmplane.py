@@ -7,9 +7,9 @@ The plane's contract has three parts the tests pin down separately:
   suites then extend this through the pool).
 * **Lifecycle** — the handle pickles small, repeat attaches are cached,
   the owner's close+unlink kills the name (late attaches fail), and the
-  pool releases its segment after normal exit *and* after a worker
-  exception — :func:`repro.parallel.shmplane.leaked_segments` must stay
-  empty, always.
+  pool releases its program's segment after normal exit *and* after a
+  worker exception — :func:`repro.parallel.shmplane.leaked_segments`
+  must stay empty, always.
 * **One path** — the plane is the pool's only scene transport on every
   scene size, and a segment that cannot be created propagates to the
   caller (no second transport to degrade to) with nothing leaked and
@@ -25,7 +25,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
 from repro.core import (
     EVENT_FIELDS,
     SceneArrays,
@@ -40,7 +40,6 @@ from repro.parallel.shmplane import (
     attach,
     detach_all,
     leaked_segments,
-    plane_registry,
     publish,
 )
 
@@ -179,7 +178,7 @@ class TestAllocationFailure:
         monkeypatch.setattr(shmplane, "_shm", None)
         config = SimulationConfig(n_photons=10, workers=2)
         with pytest.raises(RuntimeError, match="unavailable"):
-            PhotonPool(cornell, config).start()
+            PhotonPool(SceneProgram.compile(cornell), config).start()
         # workers=1 never touches shared memory and still serves.
         with RenderSession(cornell, SessionOptions(workers=1)) as session:
             result = session.simulate(SimulateRequest(n_photons=50))
@@ -189,7 +188,7 @@ class TestAllocationFailure:
         self, cornell, enospc_once
     ):
         """ENOSPC on the scene publish: the request raises, nothing
-        leaks, no registry reference is taken, and the *next* request on
+        leaks, no plane reference is taken, and the *next* request on
         the same session publishes and answers byte-identically."""
         request = SimulateRequest(n_photons=600, seed=0xC0FFEE)
         with RenderSession(cornell, SessionOptions(workers=1)) as single:
@@ -201,9 +200,9 @@ class TestAllocationFailure:
                 session.simulate(request)
             assert raised.value.errno == errno.ENOSPC
             assert leaked_segments() == []
-            assert plane_registry().refcount(session.program.plane_key) == 0
+            assert session.program.plane_refs == 0
             result = session.simulate(request)
-            assert plane_registry().refcount(session.program.plane_key) == 1
+            assert session.program.plane_refs == 1
         assert len(refused) == 1
         assert result.stats == reference.stats
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
@@ -231,11 +230,12 @@ class TestPooledRuns:
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, workers=2
         )
-        with PhotonPool(scene, config) as pool:
-            assert leaked_segments() == [pool.plane.name]
+        program = SceneProgram.compile(scene)
+        with PhotonPool(program, config) as pool:
+            [scene_segment] = leaked_segments()
             result = pool.run()
             assert leaked_segments() == sorted(
-                [pool.plane.name, pool.result_blocks.name]
+                [scene_segment, pool.result_blocks.name]
             )
         assert result.stats == expected.stats
         assert _forest_bytes(result.forest) == _forest_bytes(expected.forest)
@@ -246,7 +246,7 @@ class TestPooledRuns:
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, workers=2
         )
-        with PhotonPool(cornell, config) as pool:
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             first = pool.run()
             again = pool.run()
             assert _forest_bytes(first.forest) == _forest_bytes(again.forest)
@@ -260,9 +260,9 @@ class TestPooledRuns:
         assert leaked_segments() == []
 
     def test_pool_publishes_caller_arrays(self, cornell, reference, monkeypatch):
-        """arrays= lets a pool publish pre-compiled arrays instead of
-        recompiling the scene; answers and cleanup are unchanged."""
-        precompiled = SceneArrays(cornell)
+        """The pool publishes its program's compiled arrays, never a
+        recompile of the scene; answers and cleanup are unchanged."""
+        program = SceneProgram.compile(cornell)
         published = []
         real_publish = shmplane.publish
 
@@ -274,24 +274,31 @@ class TestPooledRuns:
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, workers=2
         )
-        with PhotonPool(cornell, config, arrays=precompiled) as pool:
+        with PhotonPool(program, config) as pool:
             result = pool.run()
-        assert len(published) == 1 and published[0] is precompiled
+        assert len(published) == 1 and published[0] is program.arrays
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
         assert leaked_segments() == []
 
     def test_pool_attaches_external_plane_without_owning_it(self, cornell, reference):
-        """plane_handle= pools attach a registry/session-owned segment
-        and must NOT unlink it on close — the owner does."""
+        """A pool borrows its program's plane: with another reference
+        held it attaches that segment, publishes none of its own, and
+        leaves it alive on close — the last release unlinks it."""
         config = SimulationConfig(
             n_photons=600, seed=0xC0FFEE, workers=2,
         )
-        with publish(SceneArrays(cornell)) as plane:
-            with PhotonPool(cornell, config, plane_handle=plane.handle) as pool:
-                assert pool.plane is None  # attached, never published
+        program = SceneProgram.compile(cornell)
+        handle = program.acquire_plane()
+        try:
+            with PhotonPool(program, config) as pool:
+                assert program.plane_refs == 2
+                assert leaked_segments() == [handle.segment]
                 result = pool.run()
-            # The pool is closed; the externally owned segment survives.
-            assert leaked_segments() == [plane.name]
+            # The pool is closed; the other reference keeps the segment.
+            assert program.plane_refs == 1
+            assert leaked_segments() == [handle.segment]
+        finally:
+            program.release_plane()
         assert leaked_segments() == []
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
@@ -300,7 +307,7 @@ class TestPooledRuns:
             n_photons=100, seed=1, workers=2
         )
         with pytest.raises(RuntimeError, match="boom"):
-            with PhotonPool(cornell, config) as pool:
+            with PhotonPool(SceneProgram.compile(cornell), config) as pool:
                 assert leaked_segments() != []
                 pool._pool.apply(_boom)
         assert leaked_segments() == []

@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
 from repro.api.gate import KERNEL_GATE
 from repro.core import SimulationConfig
 from repro.core.vectorized import VectorEngine
@@ -64,9 +64,12 @@ def test_killed_worker_fails_the_request_promptly():
         assert not thread.is_alive(), "simulate() hung on a dead worker"
         assert time.monotonic() - started < 20
         assert isinstance(outcome.get("error"), BrokenProcessPool)
-        # The broken pool's result blocks are gone; the registry-owned
-        # scene plane is all that is left until the session closes.
+        # The broken pool's result blocks are gone, and so is its plane
+        # reference: it was the program's last, so the segment went too
+        # and the next request publishes afresh.
         assert all("-result-" not in name for name in leaked_segments())
+        assert session.program.plane_refs == 0
+        assert leaked_segments() == []
 
         again = session.simulate(small)
         assert {p.pid for p in _children_since(before)}.isdisjoint(
@@ -97,7 +100,7 @@ def test_an_interrupted_request_stops_its_workers():
     previous = signal.signal(signal.SIGALRM, _interrupt)
     try:
         with pytest.raises(_Interrupted):
-            with PhotonPool(lab, config) as pool:
+            with PhotonPool(SceneProgram.compile(lab), config) as pool:
                 pool.run()
                 workers = _children_since(before)
                 assert len(workers) == 2
@@ -124,7 +127,7 @@ def test_a_raising_tally_drains_the_shards_it_submitted(monkeypatch):
     same blocks gives the serial bytes."""
     lab = get_scene("computer-lab")
     config = SimulationConfig(n_photons=600, seed=5, workers=2)
-    with PhotonPool(lab, config) as pool:
+    with PhotonPool(SceneProgram.compile(lab), config) as pool:
         pool.run()  # workers up, result blocks allocated
         executor = pool._pool._executor
         real_submit = executor.submit
@@ -166,6 +169,7 @@ def test_a_raising_tally_leaves_the_pool_block_as_itself(monkeypatch):
     monkeypatch.setattr(procpool, "tally_block", boom)
     config = SimulationConfig(n_photons=300, seed=6, workers=2)
     with pytest.raises(RuntimeError, match="fell over"):
-        with PhotonPool(get_scene("cornell-box"), config) as pool:
+        program = SceneProgram.compile(get_scene("cornell-box"))
+        with PhotonPool(program, config) as pool:
             pool.run()
     assert leaked_segments() == []

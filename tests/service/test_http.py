@@ -78,6 +78,17 @@ class TestReadRequest:
         with pytest.raises(BadRequest, match="header block"):
             parse(raw)
 
+    def test_overlong_request_line_is_bad_request(self):
+        """A line past the reader's 64 KiB limit is the client's fault."""
+        raw = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        with pytest.raises(BadRequest, match="request line too long"):
+            parse(raw)
+
+    def test_overlong_header_line_is_bad_request(self):
+        raw = b"GET / HTTP/1.1\r\nX-Pad: " + b"y" * 70_000 + b"\r\n\r\n"
+        with pytest.raises(BadRequest, match="header line too long"):
+            parse(raw)
+
     def test_bad_content_length(self):
         with pytest.raises(BadRequest, match="Content-Length"):
             parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")

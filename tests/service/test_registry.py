@@ -1,7 +1,7 @@
 """ProgramRegistry: LRU residency, budgets, graceful eviction.
 
-The serving-tier eviction contract sits on the refcounted plane
-registry one layer down: evicting a program retires its pool, but a
+The serving-tier eviction contract sits on the program's refcounted
+plane one layer down: evicting a program retires its pool, but a
 session still checked out keeps the program's ``/dev/shm`` segment
 alive until *it* closes — the segment unlinks on the last release,
 never under an in-flight request.  A re-admitted spec compiles fresh
@@ -21,11 +21,7 @@ from repro.api import (
     SimulateRequest,
 )
 from repro.core import forest_to_dict
-from repro.parallel.shmplane import (
-    leaked_segments,
-    plane_available,
-    plane_registry,
-)
+from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 from repro.service import (
     ProgramRegistry,
@@ -164,17 +160,16 @@ class TestEvictionSegmentContract:
             first = await loop.run_in_executor(
                 None, session.simulate, REQUEST
             )
-            key = entry.program.plane_key
-            segment = plane_registry().segment_name(key)
-            assert segment is not None
-            assert plane_registry().refcount(key) >= 1
+            program = entry.program
+            [segment] = [s for s in leaked_segments() if "-result-" not in s]
+            assert program.plane_refs >= 1
 
             # Evict while the session is checked out: the pool drains,
             # but the segment must survive — the session still serves.
             await registry.get("gen:office-4@5")
             assert registry.resident_specs() == ["gen:office-4@5"]
             assert entry.pool.draining
-            assert plane_registry().segment_name(key) == segment
+            assert segment in leaked_segments()
             second = await loop.run_in_executor(
                 None, session.simulate, REQUEST
             )
@@ -182,7 +177,8 @@ class TestEvictionSegmentContract:
             # Last release closes the session and unlinks the segment.
             await entry.pool.release(session)
             assert session._closed
-            assert plane_registry().segment_name(key) is None
+            assert program.plane_refs == 0
+            assert segment not in leaked_segments()
 
             # Re-admission compiles fresh; determinism makes the round
             # trip invisible in the answer bytes.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import threading
 import time
 
@@ -305,6 +306,22 @@ class TestConfig:
             ServiceConfig(scenes=("a",), sessions_per_scene=0)
         with pytest.raises(ValueError, match="default_deadline"):
             ServiceConfig(scenes=("a",), default_deadline=0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"default_deadline": math.nan},
+            {"default_deadline": math.inf},
+            {"max_body_bytes": -1},
+        ],
+        ids=["deadline-nan", "deadline-inf", "negative-body-cap"],
+    )
+    def test_settings_that_refuse_every_request_are_rejected(self, setting):
+        """A NaN or infinite default deadline would 400 every request
+        without a body deadline; a negative body cap would 413 even a
+        bodiless ``GET /healthz``."""
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            ServiceConfig(scenes=("a",), **setting)
 
     def test_executor_sizing(self):
         config = ServiceConfig(
