@@ -10,8 +10,13 @@ intersection, batched roulette/lobe sampling — while remaining
 The engine picks its intersection accelerator from the patch count;
 nothing above :class:`VectorEngine` names one.  The two serving paths:
 
-* ``"linear"`` — dense all-patches testing, walked in cache-sized
-  lane x patch tiles (:data:`DENSE_TILE`); fastest for small scenes
+* ``"linear"`` — the screened dense scan over every patch, walked in
+  cache-sized lane x patch tiles (:data:`DENSE_TILE`): per tile, two
+  single-threaded matrix products against per-patch tables give every
+  pair an approximate hit distance and patch parameters, a conservative
+  screen with margins from a rounding-error bound rules most pairs out,
+  and only the rest run the exact test
+  (:meth:`VectorEngine._screen_patches`).  Fastest for small scenes,
   where candidate selection cannot pay for itself.
 * ``"flat"`` — the :class:`repro.geometry.flatoctree.FlatOctree`
   level-synchronous pair walk: an eight-wide BVH built once from the
@@ -113,40 +118,38 @@ SUBSTREAM_SPACING_BITS = 20
 #: (``"auto"`` resolves at construction, see the module docstring).
 ACCEL_MODES = ("auto", "flat", "linear")
 
-#: Dense all-patches intersection wins below this patch count; above it
+#: The screened dense scan wins below this patch count; above it
 #: hierarchical candidate selection pays for its per-level overhead
 #: (``accel="auto"`` switches from ``"linear"`` to ``"flat"`` here).
 #: Measured crossover of the slab-only pair walk over the binned-SAH BVH
-#: against the in-place tiled dense scan, flat/linear photons/sec
-#: (medians of 7 alternating 10k-photon traces, ranges over two runs,
-#: four at 30-50 patches, 2-vCPU Xeon): 0.66-0.67 at 14 patches
-#: (den-1@2), 0.82-0.83 at 20, 0.84-0.86 at 26, 0.77-0.86 at 30
-#: (cornell-box), 0.84-0.94 at 32 (den-2@1), 1.00-1.13 at 38 (den-3@2),
-#: 1.04-1.15 at 44, 1.18-1.28 at 50 (office-1), 1.43-1.47 at 74,
-#: 1.03-1.08 at 97 (harpsichord-room), 2.02-2.04 at 134, 2.66-3.18 at
-#: 218 (office-5).  The walk breaks even between 32 and 38 patches, and
-#: takes over at 38.
-PRUNE_PATCH_THRESHOLD = 38
+#: against the screened tiled dense scan, flat/linear photons/sec
+#: (medians of 7 alternating 10k-photon traces, 2-vCPU Xeon; ranges
+#: over up to three runs from 30 to 134 patches): 0.52 at 14 patches
+#: (den-1@2), 0.67 at 20, 0.70 at 26, 0.70-0.72 at 30 (cornell-box),
+#: 0.71-0.78 at 32, 0.76-0.99 at 38, 0.93-0.97 at 44, 0.77-0.82 at 50,
+#: 0.77-0.87 at 62, 1.03-1.37 at 68 (den-2@5), 0.98-0.99 at 74
+#: (den-3@9), 1.04-1.05 at 86 (den-3@5), 1.64-1.88 at 97
+#: (harpsichord-room), 1.22-1.27 at 134 (office-3), 1.35 at 218,
+#: 1.73 at 344 (office-8@0xBEEF).  The walk breaks even between 62 and
+#: 86 patches and takes over at 80.
+PRUNE_PATCH_THRESHOLD = 80
 
 #: ``(lanes, patch columns)`` of one tile of the dense scan
-#: (:meth:`VectorEngine._test_patches`): ~16k elements, 128 KB per float64
-#: plane, so the ~55 array passes of the plane/barycentric test run on
-#: cache-resident operands and peak memory is independent of the
-#: caller's batch size.  A constant, not a knob.  Re-measured once the
-#: passes wrote into one workspace instead of fresh temporaries
-#: (alternating 10k-photon cornell traces, 6 rounds, 2-vCPU Xeon):
-#: medians 83.0 / 80.5 / 80.3 / 83.2 ms at 256 / 512 / 1,024 / 2,048
-#: lanes, no shape ahead in every round, so 512 stays.  Measured on the
-#: ``cornell_serial`` bench workload (10k-photon requests, 4,096-lane
-#: batches, 30 patches), photons/sec by lane count: 125k at 128, a
-#: plateau of 130-137k from 192 to 512, against 105k for the whole batch
-#: as one ``[4096, 30]`` operand (983 KB temporaries, 11k minor page
-#: faults a request); 16 columns instead of 32 make a scan 1.5x slower.
-#: 512 is the top of the plateau because every pass is also a GIL
-#: hand-off when a second thread traces: two threads on 1,000-photon
-#: requests make 630 voluntary context switches a request pair at 256
-#: lanes against 400-490 at 512 or untiled, and ``service_mixed`` loses
-#: 4-5 % requests/sec at 256 or 384 lanes and nothing at 512.
+#: (:meth:`VectorEngine._screen_patches`): the screen's two matrix
+#: products and ~16 passes run on ~16k pairs, cache-resident, and peak
+#: memory is independent of the caller's batch size.  A constant, not a
+#: knob.  Re-measured for the screen (10k-photon cornell traces, 6
+#: alternating rounds, two runs each, 2-vCPU Xeon): medians 65-68 /
+#: 57-58 / 53-55 / 52-54 / 60-62 ms at 128 / 256 / 512 / 1,024 /
+#: 2,048 lanes, and 36.6-39.6 / 36.3-37.6 / 38.0-38.8 / 43.6-55.3 ms at
+#: 512 / 768 / 1,024 / 1,536 on a quieter host; no shape ahead in every
+#: round, so 512 stays.  16 columns instead of 32 (two chunks for
+#: cornell) take 61-63 ms at 512 lanes and 43-46 ms at 1,024 in those
+#: two sweeps.  Lanes must stay at or below 2,048:
+#: past that OpenBLAS runs a ``[90, 4] @ [4, lanes]`` product on a
+#: second thread (3.2 ms of wall time at 4,096 lanes against 0.11 ms on
+#: one thread at 2,048), and a scan must hold one core
+#: (``test_scan_stays_on_one_thread``).
 DENSE_TILE = (512, 32)
 
 #: The per-patch constants the intersection test reads
@@ -160,6 +163,29 @@ _HIT_CONSTS = (
 #: Float planes the intersection test computes in: eight for
 #: :meth:`VectorEngine._surface_params`, then one holding ``t``.
 _HIT_PLANES = 9
+
+#: How far outside [0, 1] a hit's patch parameters may round
+#: (``Patch.intersect``'s ``tol``).
+_PARAM_TOL = 1e-9
+
+#: Pairs whose ``|n.d|`` is below this share of the call's largest
+#: ``|d|_1`` always pass the dense scan's screen: its error bound divides
+#: by ``|n.d|`` (:meth:`VectorEngine._screen_patches`).
+_SCREEN_FLOOR = 1e-3
+
+#: The screen's margins in units of ``S`` roundoffs: four times the sum
+#: of the error terms its docstring derives.
+_SCREEN_KAPPA = 64.0
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: The dense scan's exact stage takes a tile's surviving pairs in blocks
+#: of this many a tile lane, so its workspace is fixed by the tile.
+_EXACT_BLOCK = 2
+
+#: Float rows of one exact-stage block: the gathered patch constants,
+#: six ray rows, then the planes :meth:`VectorEngine._plane_hits` uses.
+_EXACT_ROWS = len(_HIT_CONSTS) + 6 + _HIT_PLANES
 
 _MASK = MODULUS - 1
 _INV_MODULUS = 1.0 / MODULUS
@@ -617,13 +643,15 @@ class VectorEngine:
             :data:`PRUNE_PATCH_THRESHOLD` patches and ``"linear"`` below,
             and no config, option or flag above the engine can say
             otherwise.  Naming a mode here is the seam the parity
-            oracles use to hold the flat walk against the dense-scan
-            reference on the same scene.
+            oracles use to hold the flat walk against the screened dense
+            scan on the same scene.
 
     Attributes:
         accel: The resolved acceleration mode (never ``"auto"``).
-        patch_tests: Cumulative lane-x-patch plane tests performed (the
-            vector analogue of ``OctreeStats.intersection_tests``).
+        patch_tests: Cumulative exact lane-x-patch intersection tests
+            (the vector analogue of ``OctreeStats.intersection_tests``):
+            the pairs the flat walk's boxes or the dense scan's screen
+            let through.
         box_tests: Cumulative lane-x-node slab tests (the flat walk
             counts eight per visited child block).
     """
@@ -654,6 +682,7 @@ class VectorEngine:
                 else "linear"
             )
         self.accel = accel
+        self._screen = self._screen_tables() if accel == "linear" else None
         self.patch_tests = 0
         self.box_tests = 0
 
@@ -770,9 +799,9 @@ class VectorEngine:
     def _hit_consts(self, cols) -> tuple:
         """The patch constants of the intersection test, gathered at *cols*.
 
-        In :data:`_HIT_CONSTS` order, shaped like *cols*: the dense scan
-        gathers a ``[C, 1]`` column once per call, the pair kernel and
-        :meth:`hit_attributes` one row per lane.
+        In :data:`_HIT_CONSTS` order, shaped like *cols*: the pair
+        kernel and :meth:`hit_attributes` gather one per lane.  (The
+        dense scan gathers the same columns from its stacked table.)
         """
         A = self.arrays
         return tuple(getattr(A, name)[cols] for name in _HIT_CONSTS)
@@ -833,11 +862,11 @@ class VectorEngine:
 
         The single home of the bit-exact intersection test
         (:meth:`repro.geometry.polygon.Patch.intersect` expression for
-        expression).  Broadcast-shape agnostic: the dense scan passes
-        ``[C, 1]`` patch constants against 1-D lane operands, the pair
-        kernel gathered 1-D operands of one length.  Every pass writes
-        into the caller's workspace: *f* holds :data:`_HIT_PLANES` float
-        planes and *b* two bool planes of the broadcast shape.  Returns
+        expression).  Broadcast-shape agnostic; both callers pass
+        gathered 1-D operands of one length, one entry per pair.  Every
+        pass writes into the caller's workspace: *f* holds
+        :data:`_HIT_PLANES` float planes and *b* two bool planes of the
+        broadcast shape.  Returns
         ``(t, ok)`` as views of ``f[-1]`` and ``b[0]``; ``t`` is
         meaningful only where ``ok``.
         """
@@ -871,11 +900,10 @@ class VectorEngine:
             _, _, _, sc, tc = self._surface_params(
                 k, lpx, lpy, lpz, ldx, ldy, ldz, t, f[:-1]
             )
-        tol = 1e-9
         for v in (sc, tc):
-            np.greater_equal(v, -tol, out=okb)
+            np.greater_equal(v, -_PARAM_TOL, out=okb)
             ok &= okb
-            np.less_equal(v, 1.0 + tol, out=okb)
+            np.less_equal(v, 1.0 + _PARAM_TOL, out=okb)
             ok &= okb
         self.patch_tests += t.size
         return t, ok
@@ -907,76 +935,201 @@ class VectorEngine:
         denom = (nx * dx + ny * dy) + nz * dz
         return hx, hy, hz, hs, ht, denom > 0.0
 
-    @staticmethod
-    def _dense_workspace(lanes: int, cols: int) -> tuple:
-        """Scratch for one :meth:`_test_patches` call over lanes x cols.
+    def _screen_tables(self) -> tuple:
+        """The dense scan's per-patch tables, derived once from the arrays.
 
-        ``(f, b, tmin, tid, upd)``: :data:`_HIT_PLANES` float and two
-        bool planes of one tile, laid out ``[patches, lanes]``, then the
-        per-lane rows of the tile reduction (minimum, its largest patch
-        id, three masks).  Each is sized ``min(DENSE_TILE, actual)``;
-        tiles at the ragged edges compute in a corner of it.
+        ``(consts, origin rows, direction rows, pad_s, pad_v, reach)``.
+        *consts* stacks the :data:`_HIT_CONSTS` columns for the exact
+        stage's one-call gather.  The rows are ``[3, C, 4]`` and
+        ``[3, C, 3]``: against a homogeneous origin ``(o, 1)`` and a
+        direction ``d`` they give ``d_plane - n.o`` and ``n.d``,
+        ``U.(o - p0) - 1/2`` and ``U.d``, ``V.(o - p0) - 1/2`` and
+        ``V.d``, where ``U = (inv_vv eu - inv_uv ev) det_inv`` and
+        ``V = (inv_uu ev - inv_uv eu) det_inv`` fold the two steps of
+        :meth:`_surface_params` into one.  *pad_s* and *pad_v* are the
+        parameter margins per unit of ``S`` and *reach* the patch's part
+        of ``S`` (:meth:`_screen_patches`).
+        """
+        A = self.arrays
+        p0 = np.stack([A.p0x, A.p0y, A.p0z], axis=1)
+        eu = np.stack([A.eux, A.euy, A.euz], axis=1)
+        ev = np.stack([A.evx, A.evy, A.evz], axis=1)
+        n = np.stack([A.nx, A.ny, A.nz], axis=1)
+        # A patch far out may overflow its rows; the screen keeps the
+        # NaN pairs that follows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_inv = A.det_inv[:, None]
+            u = (A.inv_vv[:, None] * eu - A.inv_uv[:, None] * ev) * det_inv
+            v = (A.inv_uu[:, None] * ev - A.inv_uv[:, None] * eu) * det_inv
+            origin_rows = np.empty((3, A.patch_count, 4))
+            origin_rows[0, :, :3] = -n
+            origin_rows[0, :, 3] = A.d_plane
+            for k, g in ((1, u), (2, v)):
+                origin_rows[k, :, :3] = g
+                origin_rows[k, :, 3] = -(g * p0).sum(axis=1) - 0.5
+            # gs, gv >= every |U_i|, |V_i| (and every rounding of them).
+            top_u, top_v = np.abs(eu).max(axis=1), np.abs(ev).max(axis=1)
+            uv, det_inv = np.abs(A.inv_uv), np.abs(A.det_inv)
+            gs = det_inv * (A.inv_vv * top_u + uv * top_v)
+            gv = det_inv * (A.inv_uu * top_v + uv * top_u)
+            pad = _SCREEN_KAPPA * _UNIT_ROUNDOFF * (1.0 + 1.0 / _SCREEN_FLOOR)
+            corner = np.abs(p0).sum(axis=1) + 2.0 * (
+                np.abs(eu).sum(axis=1) + np.abs(ev).sum(axis=1)
+            )
+            reach = corner + np.abs(p0).sum(axis=1) + np.abs(A.d_plane)
+        return (
+            np.stack([getattr(A, name) for name in _HIT_CONSTS]),
+            origin_rows, np.stack([n, u, v]), pad * gs, pad * gv, reach,
+        )
+
+    @staticmethod
+    def _scan_workspace(lanes: int, cols: int) -> tuple:
+        """Scratch for one :meth:`_screen_patches` call over lanes x cols.
+
+        Screen blocks, flat so that each tile computes in a reshaped
+        prefix: the two matrix products' ``[3 x patches, lanes]``
+        outputs, one lane tile's homogeneous origins ``[4, lanes]`` and
+        directions ``[3, lanes]``, two bool planes ``[patches, lanes]``.
+        Then the exact stage's, one block of pairs each: the 17 gathered
+        patch constants, six ray rows, :data:`_HIT_PLANES` float and two
+        bool planes, and three index rows.  Sized for
+        ``min(DENSE_TILE, actual)``; a block holds :data:`_EXACT_BLOCK`
+        pairs a tile lane.
         """
         tile_lanes, tile_cols = DENSE_TILE
         c, m = min(tile_cols, cols), min(tile_lanes, lanes)
+        q = min(c * m, _EXACT_BLOCK * tile_lanes)
         return (
-            np.empty((_HIT_PLANES, c, m)),
-            np.empty((2, c, m), dtype=bool),
-            np.empty(m),
-            np.empty(m, dtype=np.int64),
-            np.empty((3, m), dtype=bool),
+            np.empty(3 * c * m), np.empty(3 * c * m),
+            np.empty(4 * m), np.empty(3 * m),
+            np.empty(2 * c * m, dtype=bool),
+            np.empty(_EXACT_ROWS * q), np.empty(2 * q, dtype=bool),
+            np.empty(3 * q, dtype=np.int64),
         )
 
-    def _test_patches(
+    def _screen_patches(
         self, px, py, pz, dx, dy, dz, cols: np.ndarray,
         best_t: np.ndarray, best_i: np.ndarray,
     ) -> None:
-        """Dense test of every lane against patch columns *cols*.
+        """Closest hits of every lane among patch columns *cols*.
 
         Walks the lanes x *cols* rectangle in tiles of :data:`DENSE_TILE`,
-        each laid out ``[patches, lanes]``, and folds every tile into the
-        running closest hit under the canonical tie rule (smallest t;
-        equal t resolved to the largest patch index).  The arithmetic is
-        elementwise and the rule a pure function of the candidate set,
-        so where the tile edges fall cannot change a bit of the result.
-        Every pass of the test and of the reduction writes into one
-        workspace local to the call (:meth:`_dense_workspace`), and each
-        column chunk's patch constants are gathered once per call.
+        laid out ``[patches, lanes]``.  Per tile, two matrix products of
+        the screen tables (:meth:`_screen_tables`) with the tile's
+        homogeneous origins and with its directions give every pair's
+        approximate ``t`` and patch parameters ``s``, ``v``, and sixteen
+        elementwise passes screen them.  Only the pairs the screen
+        cannot rule out go through the exact :meth:`_plane_hits` and
+        :meth:`_fold_hits`, so the answer is the exact scan's over every
+        pair, and ``patch_tests`` counts the pairs tested exactly.
+
+        The screen never drops a pair the exact test accepts.  Let
+        ``u = 2**-53``, ``R >= |o|_1`` and ``D >= |d|_1`` over the call's
+        lanes, and ``gs``/``gv`` bound the components of ``U``/``V``.  An
+        accepted hit lies within 1e-9 of its patch, so ``|h|_1 <= B =
+        |p0|_1 + 2 (|eu|_1 + |ev|_1)`` (the 2 absorbs rounding) and
+        ``|t| |d|_1 <= B + R``: every magnitude either computation meets
+        (``|o|_1``, ``|p0|_1``, ``|d_plane|``, ``|t d|_1``, ``|h - p0|_1``)
+        is at most ``S = 2 R + B + |p0|_1 + |d_plane|``.  A dot product
+        in any summation order, fused or not, is off by at most ``5 u``
+        times the sum of its terms' magnitudes.  So the screen's ``t``
+        and the exact one differ by at most ``16 u S / |n.d|``, and the
+        parameters by that times ``|U.d| <= gs |d|_1``, plus ``25 u gs S``
+        of rounding in the two parameter chains.  The bound holds down
+        to ``|n.d| = F D`` (:data:`_SCREEN_FLOOR`), where ``|d|_1 / |n.d|
+        <= 1 / F``; below it every pair is kept.  Above it a pair is
+        dropped only if ``|s - 1/2| > 1/2 + 1e-9 + k u gs S (1 + 1/F)``,
+        the same with ``gv`` for ``v``, or ``t <= EPSILON - k u S /
+        (F D)``, where ``k`` (:data:`_SCREEN_KAPPA`) is four times the
+        sum of the error terms.  Each test is written as a rejection, so
+        a pair whose screen arithmetic is NaN (an overflow, say) is kept
+        too.  ``FIT_PAD`` makes the same argument for the flat walk.
+
+        Each matrix product has at most ``DENSE_TILE[0]`` columns, below
+        the size where OpenBLAS wakes a second thread: a scan stays on
+        the one core that ``KERNEL_GATE`` accounts for.
         """
         n = px.size
+        if not n:
+            return
         tile_lanes, tile_cols = DENSE_TILE
-        f, b, tmin, tid, upd = self._dense_workspace(n, cols.size)
-        chunks = []
-        for c0 in range(0, cols.size, tile_cols):
-            ids = cols[c0:c0 + tile_cols, None]
-            chunks.append((ids, self._hit_consts(ids)))
-        for l0 in range(0, n, tile_lanes):
-            tgt = slice(l0, l0 + tile_lanes)
-            ray = px[tgt], py[tgt], pz[tgt], dx[tgt], dy[tgt], dz[tgt]
-            bt = best_t[tgt]
-            bi = best_i[tgt]
-            m = bt.size
-            cmin, cand = tmin[:m], tid[:m]
-            better, tie, newer = upd[:, :m]
-            for ids, k in chunks:
-                c = ids.shape[0]
-                t, ok = self._plane_hits(k, *ray, f[:, :c, :m], b[:, :c, :m])
-                np.minimum.reduce(t, axis=0, out=cmin, initial=np.inf, where=ok)
-                # Largest patch id among the hits at that minimum.  A lane
-                # with none keeps -1, which never beats a running best: no
-                # hit lies at t = inf, where its (s, t) would be inf or NaN.
-                at_min = b[1, :c, :m]
-                np.equal(t, cmin, out=at_min)
-                at_min &= ok
-                np.maximum.reduce(np.broadcast_to(ids, at_min.shape), axis=0,
-                                  out=cand, initial=-1, where=at_min)
-                np.less(cmin, bt, out=better)
-                np.equal(cmin, bt, out=tie)
-                np.greater(cand, bi, out=newer)
-                tie &= newer
-                better |= tie
-                np.copyto(bt, cmin, where=better)
-                np.copyto(bi, cand, where=better)
+        consts, origin_rows, dir_rows, pad_s, pad_v, reach = self._screen
+        mul, add, absolute = np.multiply, np.add, np.absolute
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # |o|_1 and |d|_1 bounds for every lane (NaN if any lane is).
+            big_o, big_d = (
+                sum(abs(f(a)) for a in axes
+                    for f in (np.maximum.reduce, np.minimum.reduce))
+                for axes in ((px, py, pz), (dx, dy, dz))
+            )
+            floor = _SCREEN_FLOOR * big_d
+            span = 2.0 * big_o + reach
+            half_s = 0.5 + _PARAM_TOL + pad_s * span
+            half_v = 0.5 + _PARAM_TOL + pad_v * span
+            t_lo = EPSILON - (_SCREEN_KAPPA * _UNIT_ROUNDOFF / floor) * span
+            chunks = []
+            for c0 in range(0, cols.size, tile_cols):
+                ids = cols[c0:c0 + tile_cols]
+                chunks.append((
+                    ids,
+                    origin_rows[:, ids].reshape(-1, 4),
+                    dir_rows[:, ids].reshape(-1, 3),
+                    half_s[ids, None], half_v[ids, None], t_lo[ids, None],
+                ))
+            out_o, out_d, org, dirs, b, xf, xb, ix = self._scan_workspace(
+                n, cols.size
+            )
+            block, nk = ix.size // 3, len(_HIT_CONSTS)
+            for l0 in range(0, n, tile_lanes):
+                m = min(tile_lanes, n - l0)
+                tgt = slice(l0, l0 + m)
+                o = org[:4 * m].reshape(4, m)
+                d = dirs[:3 * m].reshape(3, m)
+                o[0], o[1], o[2], o[3] = px[tgt], py[tgt], pz[tgt], 1.0
+                d[0], d[1], d[2] = dx[tgt], dy[tgt], dz[tgt]
+                for ids, o_rows, d_rows, hs, hv, tl in chunks:
+                    c = ids.size
+                    fo = out_o[:3 * c * m].reshape(3 * c, m)
+                    fd = out_d[:3 * c * m].reshape(3 * c, m)
+                    np.matmul(o_rows, o, out=fo)
+                    np.matmul(d_rows, d, out=fd)
+                    t, s, v = fo[:c], fo[c:2 * c], fo[2 * c:]
+                    den, sd, vd = fd[:c], fd[c:2 * c], fd[2 * c:]
+                    out = b[:c * m].reshape(c, m)
+                    tmp = b[c * m:2 * c * m].reshape(c, m)
+                    np.divide(t, den, out=t)
+                    # |s - 1/2| and |v - 1/2|: the tables fold in the 1/2.
+                    mul(t, sd, out=sd)
+                    add(s, sd, out=s)
+                    absolute(s, out=s)
+                    np.greater(s, hs, out=out)
+                    mul(t, vd, out=vd)
+                    add(v, vd, out=v)
+                    absolute(v, out=v)
+                    np.greater(v, hv, out=tmp)
+                    out |= tmp
+                    np.less_equal(t, tl, out=tmp)
+                    out |= tmp
+                    absolute(den, out=den)
+                    np.greater_equal(den, floor, out=tmp)
+                    out &= tmp
+                    # out marks the pairs ruled out; NaN rules nothing out.
+                    np.logical_not(out, out=out)
+                    keep = np.flatnonzero(b[:c * m])
+                    for k0 in range(0, keep.size, block):
+                        k = min(block, keep.size - k0)
+                        col, lane, pid = ix[:3 * k].reshape(3, k)
+                        rows = xf[:_EXACT_ROWS * k].reshape(_EXACT_ROWS, k)
+                        kc, ray, f = rows[:nk], rows[nk:nk + 6], rows[nk + 6:]
+                        np.divmod(keep[k0:k0 + k], m, out=(col, lane))
+                        np.take(ids, col, out=pid, mode="clip")
+                        np.take(consts, pid, axis=1, out=kc, mode="clip")
+                        np.take(o[:3], lane, axis=1, out=ray[:3], mode="clip")
+                        np.take(d, lane, axis=1, out=ray[3:], mode="clip")
+                        t, ok = self._plane_hits(
+                            tuple(kc), *ray, f, xb[:2 * k].reshape(2, k)
+                        )
+                        self._fold_hits(lane, pid, t, ok, best_t[tgt], best_i[tgt])
 
     def _test_pairs(
         self, px, py, pz, dx, dy, dz, lanes: np.ndarray, cols: np.ndarray,
@@ -984,10 +1137,10 @@ class VectorEngine:
     ) -> None:
         """Test ray ``lanes[k]`` against patch ``cols[k]`` for every pair.
 
-        The flat walk's kernel: the same arithmetic as the dense scan on
-        gathered operands, computed in one workspace block per call, then
-        a per-lane reduction under the same tie rule.  A lane may appear
-        any number of times, and with the same patch more than once.
+        The flat walk's kernel: the exact arithmetic on gathered
+        operands, computed in one workspace block per call, then folded
+        by :meth:`_fold_hits`.  A lane may appear any number of times,
+        and with the same patch more than once.
         """
         m = lanes.size
         t, ok = self._plane_hits(
@@ -995,21 +1148,33 @@ class VectorEngine:
             dx[lanes], dy[lanes], dz[lanes],
             np.empty((_HIT_PLANES, m)), np.empty((2, m), dtype=bool),
         )
+        self._fold_hits(lanes, cols, t, ok, best_t, best_i)
+
+    @staticmethod
+    def _fold_hits(lanes, cols, t, ok, best_t, best_i) -> None:
+        """Fold pair hits (where *ok*) into the running closest hit in place.
+
+        The canonical rule, a pure function of the candidate set:
+        smallest ``t``, exact ties to the largest patch id.  *lanes*
+        index *best_t* / *best_i*, which may be views of a lane tile.
+        """
         lanes, cols, t = lanes[ok], cols[ok], t[ok]
         if not lanes.size:
             return
-        # Sorted by (lane, t, -patch), each lane's first row is its
-        # candidate: smallest t, largest patch id among equal t.
-        order = np.lexsort((-cols, t, lanes))
-        by_lane = lanes[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = by_lane[1:] != by_lane[:-1]
-        winners = order[first]
-        lanes, cols, t = lanes[winners], cols[winners], t[winners]
-        bt = best_t[lanes]
-        update = (t < bt) | ((t == bt) & (cols > best_i[lanes]))
-        best_t[lanes[update]] = t[update]
-        best_i[lanes[update]] = cols[update]
+        cmin = np.full(best_t.size, np.inf)
+        np.minimum.at(cmin, lanes, t)
+        # Largest patch id among each lane's hits at its minimum.  A lane
+        # with none keeps -1, which never beats a running best: no hit
+        # lies at t = inf, where its (s, t) would be inf or NaN.
+        at_min = t == cmin[lanes]
+        cand = np.full(best_i.size, -1, dtype=best_i.dtype)
+        np.maximum.at(cand, lanes[at_min], cols[at_min])
+        better = cmin < best_t
+        tie = cmin == best_t
+        tie &= cand > best_i
+        better |= tie
+        np.copyto(best_t, cmin, where=better)
+        np.copyto(best_i, cand, where=better)
 
     def closest_hit(
         self, px, py, pz, dx, dy, dz
@@ -1022,7 +1187,7 @@ class VectorEngine:
         both resolve here.  Dispatches on ``self.accel``; every mode
         computes the identical reduction (closest ``t``, exact ties to
         the largest patch id).  ``"linear"`` is one tiled
-        :meth:`_test_patches` pass over every patch, whose working set
+        :meth:`_screen_patches` pass over every patch, whose working set
         besides the two arrays returned does not grow with the lane
         count.
         """
@@ -1032,7 +1197,7 @@ class VectorEngine:
         A = self.arrays
         if self.accel == "linear":
             cols = np.arange(A.patch_count, dtype=np.int64)
-            self._test_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
+            self._screen_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
             return best_i, best_t
 
         # Level-synchronous pair walk of the array-encoded tree:

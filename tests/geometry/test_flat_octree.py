@@ -236,9 +236,9 @@ class TestEngineIntegration:
         paths are measured, with nobody naming either."""
         assert VectorEngine(get_scene(spec)).accel == accel
 
-    @pytest.mark.parametrize("patches, accel", [(37, "linear"), (38, "flat")])
+    @pytest.mark.parametrize("patches, accel", [(79, "linear"), (80, "flat")])
     def test_threshold_edges(self, patches, accel):
-        assert PRUNE_PATCH_THRESHOLD == 38
+        assert PRUNE_PATCH_THRESHOLD == 80
         scene = tiled_scene(patches)
         assert len(scene.patches) == patches
         assert VectorEngine(scene).accel == accel
