@@ -38,7 +38,7 @@ from ..core.simulator import SimulationResult
 from ..core.viewing import Camera
 from .program import SceneProgram
 from .requests import SessionOptions, SimulateRequest, merge_config
-from .session import RenderSession, open_session
+from .session import RenderSession
 
 __all__ = [
     "Camera",
@@ -48,5 +48,4 @@ __all__ = [
     "SimulateRequest",
     "SimulationResult",
     "merge_config",
-    "open_session",
 ]

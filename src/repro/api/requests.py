@@ -23,6 +23,7 @@ so neither half names an engine or an RNG discipline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -87,7 +88,8 @@ class SimulateRequest:
         TypeError: when ``n_photons`` or ``seed`` is not an ``int``
             (bools included).
         ValueError: when ``seed`` lies outside ``[0, 2**48)``
-            (:func:`check_seed`).
+            (:func:`check_seed`), or ``target_rel_error`` is not a
+            positive finite number.
     """
 
     n_photons: int
@@ -102,11 +104,14 @@ class SimulateRequest:
         check_seed(self.seed)
         if self.n_photons < 0:
             raise ValueError("n_photons must be non-negative")
+        # not (x > 0) also rejects NaN; an infinite target is met by the
+        # first batch, so it would stop every request at once.
         if self.target_rel_error is not None and not (
-            self.target_rel_error > 0
+            self.target_rel_error > 0 and math.isfinite(self.target_rel_error)
         ):
             raise ValueError(
-                f"target_rel_error must be positive, got {self.target_rel_error}"
+                "target_rel_error must be positive and finite, "
+                f"got {self.target_rel_error}"
             )
 
 

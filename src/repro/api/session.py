@@ -84,7 +84,7 @@ from .gate import KERNEL_GATE
 from .program import SceneProgram
 from .requests import SessionOptions, SimulateRequest, merge_config
 
-__all__ = ["RenderSession", "open_session"]
+__all__ = ["RenderSession"]
 
 
 def _answers(
@@ -637,23 +637,3 @@ class RenderSession:
             return render(
                 self.scene, field, camera, engine=self._engine_for(None)
             )
-
-
-def open_session(
-    program: Union[Scene, SceneProgram, str],
-    options: Optional[SessionOptions] = None,
-    **option_kwargs,
-) -> RenderSession:
-    """Open a :class:`RenderSession` (convenience constructor).
-
-    Accepts a scene, program, or registered scene name, plus either a
-    full :class:`SessionOptions` or its fields as keyword arguments::
-
-        with open_session("cornell-box", workers=4) as session:
-            ...
-    """
-    if options is not None and option_kwargs:
-        raise ValueError("pass options= or option keywords, not both")
-    if options is None:
-        options = SessionOptions(**option_kwargs)
-    return RenderSession(program, options)

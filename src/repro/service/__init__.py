@@ -7,10 +7,12 @@ many viewing requests; :mod:`repro.api` built that shape in-process
 front of it — the Iray shape from PAPERS.md, a light-transport server
 streaming progressively refining answers:
 
-* :class:`ProgramRegistry` — many resident compiled scenes in one
-  process, LRU-evicted under a program/byte budget, layered on each
-  program's refcounted shared-memory plane (an evicted program's
-  ``/dev/shm`` segment lives until its last session closes).
+* :class:`ProgramRegistry` — the one owner of a scene's lifecycle:
+  many resident scenes in one process, each a :class:`SessionPool`,
+  LRU-evicted under a program/byte budget.  An evicted pool with a
+  session still out drains under the registry until its last release
+  (its ``/dev/shm`` plane lives exactly that long) and shows in
+  ``/stats`` as ``requests.draining_pools``.
 * :class:`SessionPool` — bounded, lazily grown pools of warm sessions
   per scene, with admission control: a bounded wait queue, explicit
   429-style rejection (:class:`ServiceOverloaded`), and per-request
@@ -20,7 +22,10 @@ streaming progressively refining answers:
   identical to the ``repro simulate`` answer file),
   ``POST .../simulate?stream=1`` (chunked NDJSON progress over
   ``simulate_stream``, final line = the same canonical answer),
-  ``GET /healthz``, and ``GET /stats``.
+  ``POST /scenes/{spec}/render`` (a PPM image), ``GET /healthz``, and
+  ``GET /stats``.  Every route admits through one path (pool lookup,
+  then a session, inside the request's deadline), so a deadline spent
+  queueing is a 504 before any response byte, streams included.
 * :class:`ServiceThread` — the service on a background thread for
   synchronous callers (tests, benchmarks, embedding).
 
@@ -36,7 +41,7 @@ from .errors import (
     ServiceOverloaded,
 )
 from .pool import SessionPool
-from .registry import ProgramRegistry, ResidentProgram, program_nbytes
+from .registry import ProgramRegistry, program_nbytes
 from .runner import ServiceThread, http_request
 from .service import (
     RenderService,
@@ -51,7 +56,6 @@ __all__ = [
     "PayloadTooLarge",
     "ProgramRegistry",
     "RenderService",
-    "ResidentProgram",
     "SceneNotServed",
     "ServiceConfig",
     "ServiceError",

@@ -13,13 +13,15 @@ scene means *several* sessions.  The pool keeps them warm and bounded:
   :class:`~repro.service.errors.ServiceOverloaded` (the HTTP layer's
   429).  A waiter whose per-request deadline elapses is failed with
   :class:`~repro.service.errors.DeadlineExceeded` and leaves the queue.
-* **Draining** — :meth:`retire` (registry eviction) closes the idle
-  sessions, fails the queued waiters, and marks the pool draining:
-  checked-out sessions finish their current request and are closed on
-  :meth:`release` instead of being re-pooled.  Because each session's
-  worker pool holds one reference on the program's shared plane, the
-  ``/dev/shm`` segment survives exactly until the last live session
-  closes — the eviction half of the program's plane refcount.
+* **Draining** — :meth:`retire` closes the idle sessions, fails the
+  queued waiters, and marks the pool draining: checked-out sessions
+  finish their current request and are closed on :meth:`release`
+  instead of being re-pooled.  Because each session's worker pool
+  holds one reference on the program's shared plane, the ``/dev/shm``
+  segment survives exactly until the last live session closes.  When
+  that last close is done the pool calls the retirer's ``on_drained``
+  hook; the :class:`~repro.service.registry.ProgramRegistry` uses it to
+  stop tracking the evicted pool.
 
 The pool is event-loop affine: every method must run on the service's
 loop (session *work* runs on executor threads; checkout bookkeeping
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from ..api import RenderSession, SceneProgram, SessionOptions
 from .errors import DeadlineExceeded, ServiceOverloaded
@@ -75,6 +77,7 @@ class SessionPool:
         self._in_use = 0
         self._waiters: deque[asyncio.Future] = deque()
         self._draining = False
+        self._on_drained: Optional[Callable[[], None]] = None
         # Admission counters surfaced by /stats.
         self.acquired = 0
         self.rejected_queue_full = 0
@@ -94,7 +97,7 @@ class SessionPool:
 
     @property
     def empty(self) -> bool:
-        """True when no session is checked out (safe to forget the pool)."""
+        """True when no session is checked out."""
         return self._in_use == 0
 
     def stats(self) -> dict:
@@ -194,6 +197,7 @@ class SessionPool:
         self._in_use -= 1
         if self._draining:
             await self._close_session(session)
+            self._check_drained()
             return
         while self._waiters:
             fut = self._waiters.popleft()
@@ -204,22 +208,37 @@ class SessionPool:
         self._idle.append(session)
 
     async def _close_session(self, session: RenderSession) -> None:
+        # The session leaves ``_all`` only once closed, so an empty
+        # ``_all`` on a draining pool means every plane reference is back.
+        await asyncio.get_running_loop().run_in_executor(None, session.close)
         if session in self._all:
             self._all.remove(session)
-        await asyncio.get_running_loop().run_in_executor(None, session.close)
+
+    def _check_drained(self) -> None:
+        """Run the retirer's hook once the last session has closed."""
+        if self._draining and not self._all and self._on_drained is not None:
+            on_drained, self._on_drained = self._on_drained, None
+            on_drained()
 
     # -- teardown ----------------------------------------------------------
 
-    async def retire(self, force: bool = False) -> None:
+    async def retire(
+        self,
+        force: bool = False,
+        on_drained: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Stop admitting, fail waiters, close idle (all, when *force*).
 
         The graceful mode (registry eviction) leaves checked-out
         sessions to finish their in-flight request; they are closed on
-        release.  ``force=True`` (final service shutdown, after the
-        executor has drained so nothing is mid-trace) closes every
-        session the pool ever created, idempotently.
+        release, and *on_drained* runs once the last of them has closed
+        (before this returns, when none is checked out).  ``force=True``
+        (final service shutdown, after the executor has drained so
+        nothing is mid-trace) closes every session the pool ever
+        created, idempotently.
         """
         self._draining = True
+        self._on_drained = on_drained
         while self._waiters:
             fut = self._waiters.popleft()
             if not fut.done():
@@ -238,3 +257,4 @@ class SessionPool:
             for session in remaining:
                 await loop.run_in_executor(None, session.close)
             self._in_use = 0
+        self._check_drained()

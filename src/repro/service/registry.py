@@ -1,28 +1,34 @@
-"""LRU registry of resident scene programs for the serving tier.
+"""LRU registry of resident scenes: the one owner of a scene's lifecycle.
 
 One serving process hosts **many** compiled
-:class:`~repro.api.SceneProgram` objects — the multi-tenant shape the
-ROADMAP's "millions of users" item calls for — but compiled arrays are
-the dominant memory cost, so residency is budgeted: at most
-``max_programs`` programs (and optionally ``max_bytes`` of compiled
-array payload) stay resident, evicted in least-recently-used order.
+:class:`~repro.api.SceneProgram` objects, each behind its own
+:class:`~repro.service.pool.SessionPool`; the pool *is* the registry's
+entry.  Compiled arrays are the dominant memory cost, so residency is
+budgeted: at most ``max_programs`` pools (and optionally ``max_bytes``
+of compiled array payload, recorded per pool at admission) stay
+resident, evicted in least-recently-used order.
 
-Eviction is *graceful*, layered on the program's refcounted scene
-plane (:meth:`repro.api.SceneProgram.acquire_plane`): evicting a
-program retires its :class:`~repro.service.pool.SessionPool`, which
-closes idle sessions immediately but lets checked-out sessions finish
-their in-flight request.  Each live session's worker pool holds one
-reference on the program's published ``/dev/shm`` plane, so the segment
-unlinks exactly when the **last** session closes — never under a
-request's feet.  A re-requested evicted spec is simply re-admitted
-(compile + publish run again); determinism makes the round trip
-invisible in the answer bytes.
+A spec moves through three states, all held here:
 
-Admission is single-flight: concurrent first requests for the same spec
-share one compile (per-spec admit task), as one program's lock covers
-its plane's publish one layer down.
+* **admitting** — concurrent first requests share one admit task (one
+  scene build + compile), as one program's lock covers its plane's
+  publish one layer down;
+* **resident** — served by :meth:`ProgramRegistry.get`;
+* **draining** — evicted while a session was still checked out.  The
+  pool closes its idle sessions and fails its queued waiters at once;
+  each checked-out session finishes its in-flight request and closes on
+  release.  Each live session's worker pool holds one reference on the
+  program's ``/dev/shm`` plane, so the segment unlinks exactly when the
+  **last** session closes — never under a request's feet.  The registry
+  reports draining pools in :meth:`~ProgramRegistry.stats`, forgets each
+  one when its last session has closed, and force-retires what is left
+  in ``close(force=True)``.
 
-The registry is event-loop affine like the pools it manages; the
+A re-requested evicted spec is simply re-admitted (compile + publish
+run again); determinism makes the round trip invisible in the answer
+bytes.
+
+The registry is event-loop affine like the pools it holds; the
 (blocking) scene build + compile runs inside the caller-supplied async
 factory, which the service routes through its executor.
 """
@@ -31,12 +37,12 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from typing import Awaitable, Callable, Optional, Union
+from typing import Awaitable, Callable, Optional
 
 from ..api import SceneProgram
 from .pool import SessionPool
 
-__all__ = ["ProgramRegistry", "ResidentProgram", "program_nbytes"]
+__all__ = ["ProgramRegistry", "program_nbytes"]
 
 
 def program_nbytes(program: SceneProgram) -> int:
@@ -50,57 +56,18 @@ def program_nbytes(program: SceneProgram) -> int:
     )
 
 
-class ResidentProgram:
-    """One resident scene: compiled program + its session pool.
-
-    Attributes:
-        spec: The scene spec this program was admitted under.
-        program: The compiled :class:`~repro.api.SceneProgram`.
-        pool: The scene's :class:`~repro.service.pool.SessionPool`.
-        nbytes: Compiled-array payload size (byte-budget accounting).
-    """
-
-    def __init__(
-        self,
-        spec: str,
-        program: SceneProgram,
-        pool: SessionPool,
-        *,
-        nbytes: Optional[int] = None,
-    ) -> None:
-        self.spec = spec
-        self.program = program
-        self.pool = pool
-        self.nbytes = nbytes if nbytes is not None else program_nbytes(program)
-
-    async def retire(self, force: bool = False) -> None:
-        """Drain (or force-close) the pool; see :meth:`SessionPool.retire`."""
-        await self.pool.retire(force=force)
-
-    def stats(self) -> dict:
-        """Size and pool counters for this entry's ``/stats`` stanza."""
-        return {
-            "patches": self.program.patch_count,
-            "nbytes": self.nbytes,
-            "pool": self.pool.stats(),
-            "amortize": self.program.amortize_stats(),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover — debugging aid
-        return f"ResidentProgram({self.spec!r}, {self.nbytes} bytes)"
-
-
-#: Factory signature: spec -> ResidentProgram (may run blocking work on
-#: an executor; the registry awaits it under a per-spec latch).
-AdmitFactory = Callable[[str], Awaitable[ResidentProgram]]
+#: Factory signature: spec -> the scene's SessionPool (may run blocking
+#: work on an executor; the registry awaits it under a per-spec latch).
+AdmitFactory = Callable[[str], Awaitable[SessionPool]]
 
 
 class ProgramRegistry:
-    """LRU-evicting table of resident programs under a budget.
+    """LRU-evicting table of resident session pools under a budget.
 
     Args:
-        factory: Async callable building a :class:`ResidentProgram` for
-            a spec on admission (scene build + compile + pool creation).
+        factory: Async callable building the
+            :class:`~repro.service.pool.SessionPool` for a spec on
+            admission (scene build + compile + pool creation).
         max_programs: Resident-program count budget (>= 1).
         max_bytes: Optional compiled-array byte budget.  Budgets are
             floors-of-one: the most recently admitted program always
@@ -122,10 +89,14 @@ class ProgramRegistry:
         self._factory = factory
         self.max_programs = max_programs
         self.max_bytes = max_bytes
-        #: spec -> ResidentProgram | asyncio.Task (in-flight admit),
-        #: ordered least- to most-recently used.
-        self._entries: "OrderedDict[str, Union[ResidentProgram, asyncio.Task]]"
-        self._entries = OrderedDict()
+        #: spec -> resident pool, least- to most-recently used.
+        self._resident: "OrderedDict[str, SessionPool]" = OrderedDict()
+        #: spec -> compiled-array bytes of the resident pool's program.
+        self._nbytes: dict[str, int] = {}
+        #: spec -> in-flight admit task (single-flight admission).
+        self._admits: dict[str, asyncio.Task] = {}
+        #: Evicted pools with a session still out, oldest first.
+        self._draining: list[SessionPool] = []
         self._closed = False
         self.hits = 0
         self.misses = 0
@@ -133,8 +104,8 @@ class ProgramRegistry:
 
     # -- lookup ------------------------------------------------------------
 
-    async def get(self, spec: str) -> ResidentProgram:
-        """The resident program for *spec*, admitting (once) on a miss.
+    async def get(self, spec: str) -> SessionPool:
+        """The resident pool for *spec*, admitting (once) on a miss.
 
         A hit refreshes the entry's recency.  Concurrent misses for one
         spec share a single admit; an admit failure propagates to every
@@ -142,91 +113,70 @@ class ProgramRegistry:
         """
         if self._closed:
             raise RuntimeError("this ProgramRegistry is closed")
-        entry = self._entries.get(spec)
-        if isinstance(entry, ResidentProgram):
+        pool = self._resident.get(spec)
+        if pool is not None:
             self.hits += 1
-            self._entries.move_to_end(spec)
-            return entry
-        if entry is not None:  # an admit for this spec is in flight
+            self._resident.move_to_end(spec)
+            return pool
+        admit = self._admits.get(spec)
+        if admit is not None:
             self.hits += 1
-            return await asyncio.shield(entry)
-        self.misses += 1
-        task = asyncio.get_running_loop().create_task(self._admit(spec))
-        self._entries[spec] = task
-        return await asyncio.shield(task)
+        else:
+            self.misses += 1
+            admit = asyncio.get_running_loop().create_task(self._admit(spec))
+            self._admits[spec] = admit
+        return await asyncio.shield(admit)
 
-    async def _admit(self, spec: str) -> ResidentProgram:
+    async def _admit(self, spec: str) -> SessionPool:
         try:
-            resident = await self._factory(spec)
-        except BaseException:
-            if self._entries.get(spec) is asyncio.current_task():
-                del self._entries[spec]
-            raise
-        self._entries[spec] = resident
-        self._entries.move_to_end(spec)
+            pool = await self._factory(spec)
+        finally:
+            del self._admits[spec]
+        self._resident[spec] = pool
+        self._nbytes[spec] = program_nbytes(pool.program)
         await self._evict_over_budget(keep=spec)
-        return resident
+        return pool
 
     # -- eviction ----------------------------------------------------------
 
     def resident_specs(self) -> list[str]:
         """Resident specs, least- to most-recently used."""
-        return [
-            spec
-            for spec, entry in self._entries.items()
-            if isinstance(entry, ResidentProgram)
-        ]
-
-    def resident_entries(self) -> list[ResidentProgram]:
-        """Resident programs, least- to most-recently used."""
-        return [
-            entry
-            for entry in self._entries.values()
-            if isinstance(entry, ResidentProgram)
-        ]
+        return list(self._resident)
 
     def resident_bytes(self) -> int:
         """Total compiled-array bytes currently resident."""
-        return sum(
-            entry.nbytes
-            for entry in self._entries.values()
-            if isinstance(entry, ResidentProgram)
-        )
+        return sum(self._nbytes.values())
 
     def _over_budget(self) -> bool:
-        resident = self.resident_specs()
-        if len(resident) > self.max_programs:
+        if len(self._resident) > self.max_programs:
             return True
         return (
             self.max_bytes is not None
-            and len(resident) > 1
+            and len(self._resident) > 1
             and self.resident_bytes() > self.max_bytes
         )
 
     async def _evict_over_budget(self, keep: str) -> None:
         while self._over_budget():
-            victim_spec = next(
-                (
-                    spec
-                    for spec, entry in self._entries.items()
-                    if isinstance(entry, ResidentProgram) and spec != keep
-                ),
-                None,
-            )
-            if victim_spec is None:
+            victim = next((spec for spec in self._resident if spec != keep), None)
+            if victim is None:
                 return
-            await self._evict_one(victim_spec)
+            await self._evict_one(victim)
 
     async def _evict_one(self, spec: str) -> None:
-        victim = self._entries.pop(spec)
-        assert isinstance(victim, ResidentProgram)
         self.evictions += 1
-        await victim.retire()
+        await self._retire(spec)
+
+    async def _retire(self, spec: str) -> None:
+        """Drop *spec* from residency; track its pool until it drains."""
+        pool = self._resident.pop(spec)
+        del self._nbytes[spec]
+        self._draining.append(pool)
+        await pool.retire(on_drained=lambda: self._draining.remove(pool))
 
     async def evict(self, spec: str) -> bool:
         """Explicitly evict *spec*; True when it was resident."""
-        entry = self._entries.get(spec)
-        if not isinstance(entry, ResidentProgram):
+        if spec not in self._resident:
             return False
         await self._evict_one(spec)
         return True
@@ -234,35 +184,52 @@ class ProgramRegistry:
     # -- teardown ----------------------------------------------------------
 
     async def close(self, force: bool = False) -> None:
-        """Retire every resident program (idempotent).
+        """Retire every pool (idempotent).
 
         In-flight admits are awaited first so their pools do not appear
-        after the sweep.  ``force`` is passed through to each pool (the
-        final-shutdown close-everything mode).
+        after the sweep.  Resident pools retire like an eviction; with
+        ``force`` (the final-shutdown close-everything mode) every pool
+        still draining is then force-retired and forgotten.
         """
         if self._closed:
             return
         self._closed = True
-        for entry in list(self._entries.values()):
-            if isinstance(entry, asyncio.Task):
-                try:
-                    await entry
-                # repro: allow[hyg-broad-except] — settlement-only wait:
-                # the admit's failure (or cancellation, a BaseException)
-                # was already delivered to the requester that started
-                # it; close only needs the task to be finished.
-                except BaseException:
-                    pass
-        while self._entries:
-            _, entry = self._entries.popitem(last=False)
-            if isinstance(entry, ResidentProgram):
-                await entry.retire(force=force)
+        for admit in list(self._admits.values()):
+            try:
+                await admit
+            # repro: allow[hyg-broad-except] — settlement-only wait:
+            # the admit's failure (or cancellation, a BaseException)
+            # was already delivered to the requester that started
+            # it; close only needs the task to be finished.
+            except BaseException:
+                pass
+        while self._resident:
+            await self._retire(next(iter(self._resident)))
+        if force:
+            for pool in list(self._draining):
+                await pool.retire(force=True)
+            self._draining.clear()
+
+    # -- reporting ---------------------------------------------------------
+
+    def scene_stats(self) -> dict:
+        """Per-scene ``/stats`` stanzas of the resident pools."""
+        return {
+            spec: {
+                "patches": pool.program.patch_count,
+                "nbytes": self._nbytes[spec],
+                "pool": pool.stats(),
+                "amortize": pool.program.amortize_stats(),
+            }
+            for spec, pool in self._resident.items()
+        }
 
     def stats(self) -> dict:
-        """Residency + traffic counters (the /stats payload)."""
+        """Residency, draining and traffic counters (the /stats payload)."""
         return {
             "resident": self.resident_specs(),
             "resident_bytes": self.resident_bytes(),
+            "draining": [pool.label for pool in self._draining],
             "max_programs": self.max_programs,
             "max_bytes": self.max_bytes,
             "hits": self.hits,

@@ -37,7 +37,9 @@ admission, and chunk shuttling.  Request bodies are JSON objects::
 
 all fields optional (defaults mirror the ``repro simulate`` CLI), with
 ``batch`` (stream chunk size) and ``deadline`` (seconds, admission +
-service) being service-level extras.  ``target_error`` (body field or
+service) being service-level extras.  Every route admits through one
+path: a deadline spent before a session is in hand is a 504 before any
+response byte, streams included.  ``target_error`` (body field or
 ``?target_error=`` query parameter, query winning) enables
 convergence-driven early stop: the answer is the exact canonical
 answer for the photons actually traced, with ``X-Repro-Photons-Traced``
@@ -69,7 +71,7 @@ from .errors import (
     ServiceError,
 )
 from .pool import SessionPool
-from .registry import ProgramRegistry, ResidentProgram, program_nbytes
+from .registry import ProgramRegistry
 
 __all__ = ["RenderService", "ServiceConfig", "canonical_answer_bytes"]
 
@@ -155,12 +157,6 @@ class ServiceConfig:
             session is provisioned with (workers, batch size,
             amortization).
         max_body_bytes: Request-body cap (HTTP 413 above it).
-        executor_threads: Blocking-work thread count; defaults to
-            ``max_programs * sessions_per_scene + 2`` so every pooled
-            session can be admitted — answering a cache hit, waiting on
-            its workers or at the kernel gate — with cleanup headroom.
-            It sizes admission, not compute: in-process kernel sections
-            run one at a time (:mod:`repro.api.gate`).
     """
 
     scenes: tuple[str, ...]
@@ -173,7 +169,6 @@ class ServiceConfig:
     default_deadline: float = DEFAULT_DEADLINE_SECONDS
     options: SessionOptions = field(default_factory=SessionOptions)
     max_body_bytes: int = 1 << 20
-    executor_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.scenes:
@@ -198,8 +193,14 @@ class ServiceConfig:
 
     @property
     def resolved_executor_threads(self) -> int:
-        if self.executor_threads is not None:
-            return self.executor_threads
+        """Blocking-work thread count of the service's executor.
+
+        One thread per pooled session, so every one can be admitted —
+        answering a cache hit, waiting on its workers or at the kernel
+        gate — plus two for cleanup.  It sizes admission, not compute:
+        in-process kernel sections run one at a time
+        (:mod:`repro.api.gate`).
+        """
         return self.max_programs * self.sessions_per_scene + 2
 
 
@@ -210,6 +211,18 @@ class _SimulateParams:
     request: SimulateRequest
     deadline: float
     batch: Optional[int]
+
+
+@dataclass
+class _Checkout:
+    """A session checked out for one request (see ``_checkout``)."""
+
+    pool: SessionPool
+    session: RenderSession
+    #: Loop time at which the request's deadline expires.
+    expires: float
+    #: The render's camera (``None`` on the simulate routes).
+    camera: object = None
 
 
 class RenderService:
@@ -232,9 +245,6 @@ class RenderService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._handlers: set[asyncio.Task] = set()
         self._background: set[asyncio.Future] = set()
-        #: Pools evicted while a session was checked out; force-retired
-        #: at shutdown so a slow release can never leak a segment.
-        self._draining_pools: set[SessionPool] = set()
         self._closed = False
         # Traffic counters (/stats).
         self.served_oneshot = 0
@@ -336,51 +346,80 @@ class RenderService:
             )
         if self._registry is not None:
             await self._registry.close(force=True)
-        for pool in list(self._draining_pools):
-            await pool.retire(force=True)
-        self._draining_pools.clear()
 
     # -- admission ---------------------------------------------------------
 
-    async def _admit(self, spec: str) -> ResidentProgram:
+    async def _admit(self, spec: str) -> SessionPool:
         """Registry factory: build + compile the scene off-loop."""
         assert self._loop is not None and self._executor is not None
 
-        def build() -> tuple[SceneProgram, int]:
+        def build() -> SceneProgram:
             from ..scenes import get_scene
 
-            program = SceneProgram.compile(get_scene(spec), eager=True)
-            return program, program_nbytes(program)
+            return SceneProgram.compile(get_scene(spec), eager=True)
 
-        program, nbytes = await self._loop.run_in_executor(
-            self._executor, build
-        )
-        pool = SessionPool(
+        program = await self._loop.run_in_executor(self._executor, build)
+        return SessionPool(
             program,
             self.config.options,
             max_sessions=self.config.sessions_per_scene,
             queue_limit=self.config.queue_limit,
             label=spec,
         )
-        return ResidentProgram(spec, program, pool, nbytes=nbytes)
 
-    async def _resident(self, spec: str) -> ResidentProgram:
+    async def _checkout(
+        self, spec: str, deadline: float, camera_spec: Optional[dict] = None
+    ) -> _Checkout:
+        """The one admission path: the scene's pool, then a session.
+
+        Every route comes through here.  The deadline covers both steps:
+        it is checked after the pool lookup (which may admit the scene),
+        bounds the wait for a session, and is checked again once one is
+        in hand, so a deadline spent in the queue is a 504 before any
+        response byte.  A render's *camera_spec* becomes its camera
+        between the two steps (it needs the scene's default view): a
+        view no ray can be built for is the client's error and costs it
+        no session.
+        """
+        assert self._loop is not None
         if spec not in self._allowed:
             served = ", ".join(sorted(self._allowed))
             raise SceneNotServed(
                 f"scene {spec!r} is not served here; serving: {served}"
             )
         assert self._registry is not None
-        entry = await self._registry.get(spec)
-        if entry.pool.draining:
-            self._track_draining(entry.pool)
-        return entry
+        expires = self._loop.time() + deadline
+        late = f"deadline of {deadline:.3f}s elapsed during admission"
+        pool = await self._registry.get(spec)
+        camera = None
+        if camera_spec is not None:
+            camera = _build_camera(pool.program.default_camera, camera_spec)
+        remaining = expires - self._loop.time()
+        if remaining <= 0:
+            raise DeadlineExceeded(late)
+        session = await pool.acquire(timeout=remaining)
+        if self._loop.time() >= expires:
+            await pool.release(session)
+            raise DeadlineExceeded(late)
+        return _Checkout(pool, session, expires, camera)
 
-    def _track_draining(self, pool: SessionPool) -> None:
-        if pool.draining and not pool.empty:
-            self._draining_pools.add(pool)
-        else:
-            self._draining_pools.discard(pool)
+    async def _run_checked_out(self, checkout: _Checkout, job, late: str):
+        """*job(session)* on the executor, answered within the deadline.
+
+        The session goes back to its pool when the job really ends,
+        which may be after the deadline response: a timed-out trace
+        cannot be interrupted, only declined.  *late* is the 504's
+        message.
+        """
+        assert self._loop is not None and self._executor is not None
+        fut = self._loop.run_in_executor(self._executor, job, checkout.session)
+        fut.add_done_callback(lambda _f: self._spawn_release(checkout))
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(fut), checkout.expires - self._loop.time()
+            )
+        except asyncio.TimeoutError:
+            raise DeadlineExceeded(late) from None
 
     # -- HTTP plumbing -----------------------------------------------------
 
@@ -539,24 +578,9 @@ class RenderService:
     async def _serve_oneshot(
         self, spec: str, params: _SimulateParams, writer
     ) -> None:
-        assert self._loop is not None and self._executor is not None
-        t0 = self._loop.time()
-        entry = await self._resident(spec)
-        remaining = params.deadline - (self._loop.time() - t0)
-        if remaining <= 0:
-            raise DeadlineExceeded(
-                f"deadline of {params.deadline:.3f}s elapsed during admission"
-            )
-        session = await entry.pool.acquire(timeout=remaining)
-        remaining = params.deadline - (self._loop.time() - t0)
-        if remaining <= 0:
-            await entry.pool.release(session)
-            self._track_draining(entry.pool)
-            raise DeadlineExceeded(
-                f"deadline of {params.deadline:.3f}s elapsed during admission"
-            )
+        checkout = await self._checkout(spec, params.deadline)
 
-        def run() -> tuple[bytes, tuple]:
+        def run(session: RenderSession) -> tuple[bytes, tuple]:
             result = session.simulate(params.request)
             # Early-stop serves surface the traced prefix out-of-band:
             # the body stays the pure canonical answer document (still
@@ -572,22 +596,11 @@ class RenderService:
                     headers += (("X-Repro-Achieved-Error", f"{achieved:.6g}"),)
             return canonical_answer_bytes(result), headers
 
-        fut = self._loop.run_in_executor(self._executor, run)
-        # The session goes back to the pool when the trace really ends,
-        # which may be after the deadline response below — a timed-out
-        # trace cannot be interrupted, only declined.
-        fut.add_done_callback(
-            lambda _f: self._spawn_release(entry.pool, session)
+        body, headers = await self._run_checked_out(
+            checkout, run,
+            f"request exceeded its {params.deadline:.3f}s deadline "
+            f"({params.request.n_photons} photons on {spec!r})",
         )
-        try:
-            body, headers = await asyncio.wait_for(
-                asyncio.shield(fut), remaining
-            )
-        except asyncio.TimeoutError:
-            raise DeadlineExceeded(
-                f"request exceeded its {params.deadline:.3f}s deadline "
-                f"({params.request.n_photons} photons on {spec!r})"
-            ) from None
         writer.write(http.response_bytes(200, body, extra_headers=headers))
         await writer.drain()
         self.served_oneshot += 1
@@ -639,46 +652,21 @@ class RenderService:
         self, spec: str, body: dict, writer
     ) -> None:
         """POST /scenes/{spec}/render — simulate (or reuse) + render."""
-        assert self._loop is not None and self._executor is not None
         params, camera_spec = self._parse_render(body)
-        t0 = self._loop.time()
-        entry = await self._resident(spec)
-        # The camera needs the scene's defaults, hence the resident
-        # program; a view no ray can be built for is the client's error
-        # and costs it no session and no trace.
-        camera = _build_camera(entry.program.default_camera, camera_spec)
-        remaining = params.deadline - (self._loop.time() - t0)
-        if remaining <= 0:
-            raise DeadlineExceeded(
-                f"deadline of {params.deadline:.3f}s elapsed during admission"
-            )
-        session = await entry.pool.acquire(timeout=remaining)
-        remaining = params.deadline - (self._loop.time() - t0)
-        if remaining <= 0:
-            await entry.pool.release(session)
-            self._track_draining(entry.pool)
-            raise DeadlineExceeded(
-                f"deadline of {params.deadline:.3f}s elapsed during admission"
-            )
+        checkout = await self._checkout(spec, params.deadline, camera_spec)
 
-        def run() -> bytes:
+        def run(session: RenderSession) -> bytes:
             from ..image.ppm import ppm_bytes
             from ..image.tonemap import to_uint8
 
-            image = session.render_view(params.request, camera)
+            image = session.render_view(params.request, checkout.camera)
             return ppm_bytes(to_uint8(image, key=0.4))
 
-        fut = self._loop.run_in_executor(self._executor, run)
-        fut.add_done_callback(
-            lambda _f: self._spawn_release(entry.pool, session)
+        ppm = await self._run_checked_out(
+            checkout, run,
+            f"render exceeded its {params.deadline:.3f}s deadline "
+            f"({params.request.n_photons} photons on {spec!r})",
         )
-        try:
-            ppm = await asyncio.wait_for(asyncio.shield(fut), remaining)
-        except asyncio.TimeoutError:
-            raise DeadlineExceeded(
-                f"render exceeded its {params.deadline:.3f}s deadline "
-                f"({params.request.n_photons} photons on {spec!r})"
-            ) from None
         writer.write(
             http.response_bytes(
                 200, ppm, content_type="image/x-portable-pixmap"
@@ -691,22 +679,15 @@ class RenderService:
         self, spec: str, params: _SimulateParams, writer
     ) -> None:
         assert self._loop is not None and self._executor is not None
-        t0 = self._loop.time()
-        entry = await self._resident(spec)
-        remaining = params.deadline - (self._loop.time() - t0)
-        if remaining <= 0:
-            raise DeadlineExceeded(
-                f"deadline of {params.deadline:.3f}s elapsed during admission"
-            )
-        session = await entry.pool.acquire(timeout=remaining)
+        checkout = await self._checkout(spec, params.deadline)
+        session = checkout.session
         try:
             # repro: allow[async-blocking] — construction is eager
             # validation + guard binding only (microseconds, no trace);
             # every stream *step* runs on the executor via _stream_step.
             gen = session.simulate_stream(params.request, params.batch)
         except ValueError as exc:
-            await entry.pool.release(session)
-            self._track_draining(entry.pool)
+            await checkout.pool.release(session)
             raise BadRequest(str(exc)) from None
         chunk = params.batch or session.options.batch_size
         total_yields = max(1, math.ceil(params.request.n_photons / chunk))
@@ -715,7 +696,7 @@ class RenderService:
         try:
             await http.start_chunked(writer)
             for index in range(1, total_yields + 1):
-                if params.deadline - (self._loop.time() - t0) <= 0:
+                if self._loop.time() >= checkout.expires:
                     # Headers are long gone, so the deadline is reported
                     # in-band: a final error line, then a clean chunked
                     # terminator (loud, not dropped).
@@ -770,34 +751,33 @@ class RenderService:
             cleanup = self._executor.submit(_close_stream, pending, gen)
             cleanup.add_done_callback(
                 lambda _f: self._loop.call_soon_threadsafe(
-                    self._spawn_release, entry.pool, session
+                    self._spawn_release, checkout
                 )
             )
 
-    def _spawn_release(self, pool: SessionPool, session: RenderSession) -> None:
+    def _spawn_release(self, checkout: _Checkout) -> None:
         """Schedule an async pool release from a done-callback."""
         assert self._loop is not None
-        task = self._loop.create_task(pool.release(session))
+        task = self._loop.create_task(
+            checkout.pool.release(checkout.session)
+        )
         self._background.add(task)
         task.add_done_callback(self._background.discard)
-        task.add_done_callback(lambda _t: self._track_draining(pool))
 
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
         """The /stats payload (also handy programmatically in tests)."""
         assert self._registry is not None
-        scenes = {
-            entry.spec: entry.stats()
-            for entry in self._registry.resident_entries()
-        }
+        programs = self._registry.stats()
+        scenes = self._registry.scene_stats()
         amortize_keys = (
             "exact_hits", "topups", "camera_only_hits", "photons_saved",
             "early_stops",
         )
         return {
             "status": "ok",
-            "programs": self._registry.stats(),
+            "programs": programs,
             "scenes": scenes,
             "amortize": {
                 key: sum(s["amortize"][key] for s in scenes.values())
@@ -816,7 +796,7 @@ class RenderService:
                 "bad_requests": self.bad_requests,
                 "not_found": self.not_found,
                 "active_connections": len(self._handlers),
-                "draining_pools": len(self._draining_pools),
+                "draining_pools": len(programs["draining"]),
             },
         }
 

@@ -13,6 +13,7 @@ import ast
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,6 @@ from repro.api import (
     SessionOptions,
     SimulateRequest,
     merge_config,
-    open_session,
 )
 from repro.core import SimulationConfig, SplitPolicy, forest_to_dict
 from repro.core.vectorized import VectorEngine
@@ -230,6 +230,14 @@ class TestRequestOptionsSplit:
         with pytest.raises(ValueError):
             SimulateRequest(n_photons=-1)
 
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+    def test_target_error_must_be_positive_and_finite(self, target):
+        """An infinite target is met by the first batch, so every request
+        would stop after it; the rule is ``SplitPolicy``'s threshold rule."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimulateRequest(n_photons=10, target_rel_error=target)
+        assert SimulateRequest(n_photons=10, target_rel_error=1e300).target_rel_error == 1e300
+
     @pytest.mark.parametrize("seed", [-5, 2**48, 2**80])
     def test_seed_outside_the_generator_period_is_refused(self, seed):
         """The generators reduce seeds modulo 2**48: -5 and 2**48 - 5
@@ -266,7 +274,7 @@ class TestRequestOptionsSplit:
         with pytest.raises(TypeError):
             SimulateRequest(n_photons=1, rng_mode="substream")
         with pytest.raises(TypeError):
-            open_session("cornell-box", engine="vector")
+            SessionOptions(engine="vector")
         # The transport knobs are gone, not ignored: the planes are the
         # pool's only transports, so naming one is a loud TypeError.
         with pytest.raises(TypeError):
@@ -415,9 +423,11 @@ class TestSceneProgram:
 
 class TestOpenSession:
     def test_accepts_registered_name(self):
-        with open_session("cornell-box", batch_size=512) as session:
+        options = SessionOptions(batch_size=512)
+        with RenderSession("cornell-box", options) as session:
             assert session.scene.name == "cornell-box"
 
-    def test_rejects_options_and_kwargs(self, mini_scene):
-        with pytest.raises(ValueError):
-            open_session(mini_scene, SessionOptions(), workers=2)
+    def test_sessions_are_constructed_directly(self):
+        """``RenderSession(program, options)`` is the one way to open a
+        session; the keyword-forwarding wrapper is gone."""
+        assert not hasattr(api, "open_session")

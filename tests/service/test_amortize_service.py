@@ -265,6 +265,32 @@ class TestTargetError:
         assert status == 200
         assert "x-repro-photons-traced" not in headers
 
+    @pytest.mark.parametrize("query, body", [
+        ("", b'{"photons": 20000, "target_error": 1e400}'),
+        ("", b'{"photons": 20000, "target_error": Infinity}'),
+        ("", b'{"photons": 20000, "target_error": NaN}'),
+        ("?target_error=inf", b'{"photons": 20000}'),
+        ("?target_error=1e400", b'{"photons": 20000}'),
+        ("?target_error=nan", b'{"photons": 20000}'),
+    ], ids=[
+        "body-1e400", "body-Infinity", "body-NaN",
+        "query-inf", "query-1e400", "query-nan",
+    ])
+    def test_non_finite_target_is_400(self, amortized, query, body):
+        """An infinite target is met by the first batch: served, it
+        would answer 200 with a 4,096-photon prefix of the budget."""
+        amortized.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = service_stats(amortized)["scenes"]["cornell-box"]
+        status, _, reply = amortized.request(
+            "POST", simulate_path("cornell-box") + query, body
+        )
+        assert status == 400
+        error = json.loads(reply)["error"]
+        assert error["code"] == "bad-request"
+        assert "positive and finite" in error["message"]
+        after = service_stats(amortized)["scenes"]["cornell-box"]
+        assert after["pool"] == before["pool"]
+
     @pytest.mark.parametrize("bad", [0, -0.5, "soon"])
     def test_invalid_target_is_400(self, amortized, bad):
         status, _, _ = amortized.request(

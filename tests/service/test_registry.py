@@ -1,11 +1,13 @@
 """ProgramRegistry: LRU residency, budgets, graceful eviction.
 
-The serving-tier eviction contract sits on the program's refcounted
-plane one layer down: evicting a program retires its pool, but a
-session still checked out keeps the program's ``/dev/shm`` segment
-alive until *it* closes — the segment unlinks on the last release,
-never under an in-flight request.  A re-admitted spec compiles fresh
-and, by determinism, answers with byte-identical JSON.
+The registry's entries are the scenes' session pools.  The eviction
+contract sits on the program's refcounted plane one layer down:
+evicting a program retires its pool, but a session still checked out
+keeps the program's ``/dev/shm`` segment alive until *it* closes — the
+segment unlinks on the last release, never under an in-flight request,
+and the registry reports the pool as draining until then.  A
+re-admitted spec compiles fresh and, by determinism, answers with
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from repro.api import (
 from repro.core import forest_to_dict
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
-from repro.service import (
-    ProgramRegistry,
-    ResidentProgram,
-    SessionPool,
-    program_nbytes,
-)
+from repro.service import ProgramRegistry, SessionPool, program_nbytes
 
 needs_plane = pytest.mark.skipif(
     not plane_available(), reason="no multiprocessing.shared_memory here"
@@ -38,12 +35,11 @@ REQUEST = SimulateRequest(n_photons=200, seed=0xFEED)
 
 
 def make_factory(options=None, calls=None, **pool_kwargs):
-    async def factory(spec: str) -> ResidentProgram:
+    async def factory(spec: str) -> SessionPool:
         if calls is not None:
             calls.append(spec)
         program = SceneProgram.compile(get_scene(spec), eager=True)
-        pool = SessionPool(program, options, label=spec, **pool_kwargs)
-        return ResidentProgram(spec, program, pool)
+        return SessionPool(program, options, label=spec, **pool_kwargs)
 
     return factory
 
@@ -82,11 +78,10 @@ class TestResidency:
             first = await registry.get("gen:office-4@1")
             # Budget only fits one program: admitting a second evicts
             # the first, but the newest always stays (floor of one).
-            registry.max_bytes = first.nbytes + 1
+            registry.max_bytes = program_nbytes(first.program) + 1
             second = await registry.get("gen:den-4@2")
             assert registry.resident_specs() == ["gen:den-4@2"]
-            assert registry.resident_bytes() == second.nbytes
-            assert second.nbytes == program_nbytes(second.program)
+            assert registry.resident_bytes() == program_nbytes(second.program)
             await registry.close(force=True)
 
         run(main())
@@ -108,21 +103,19 @@ class TestResidency:
         async def main():
             attempts = []
 
-            async def flaky(spec: str) -> ResidentProgram:
+            async def flaky(spec: str) -> SessionPool:
                 attempts.append(spec)
                 if len(attempts) == 1:
                     raise RuntimeError("boom")
                 program = SceneProgram.compile(get_scene(spec))
-                return ResidentProgram(
-                    spec, program, SessionPool(program, label=spec)
-                )
+                return SessionPool(program, label=spec)
 
             registry = ProgramRegistry(flaky)
             with pytest.raises(RuntimeError):
                 await registry.get("cornell-box")
             assert registry.resident_specs() == []
             entry = await registry.get("cornell-box")
-            assert entry.spec == "cornell-box"
+            assert entry.label == "cornell-box"
             assert len(attempts) == 2
             await registry.close(force=True)
 
@@ -140,6 +133,64 @@ class TestResidency:
         run(main())
 
 
+class TestDrainingOwnership:
+    """An evicted pool with a session out belongs to the registry until
+    its last session closes, and no longer."""
+
+    def test_draining_until_the_last_release(self):
+        async def main():
+            registry = ProgramRegistry(make_factory(max_sessions=2))
+            pool = await registry.get("cornell-box")
+            first = await pool.acquire()
+            second = await pool.acquire()
+            await registry.evict("cornell-box")
+            assert registry.stats()["draining"] == ["cornell-box"]
+            await pool.release(first)
+            assert registry.stats()["draining"] == ["cornell-box"]
+            await pool.release(second)
+            assert first._closed and second._closed
+            assert registry.stats()["draining"] == []
+            await registry.close(force=True)
+
+        run(main())
+
+    def test_idle_pool_is_forgotten_at_eviction(self):
+        async def main():
+            registry = ProgramRegistry(make_factory())
+            pool = await registry.get("cornell-box")
+            await pool.release(await pool.acquire())
+            await registry.evict("cornell-box")
+            assert registry.stats()["draining"] == []
+            await registry.close(force=True)
+
+        run(main())
+
+    def test_forced_close_retires_draining_pools(self):
+        async def main():
+            registry = ProgramRegistry(make_factory())
+            pool = await registry.get("cornell-box")
+            held = await pool.acquire()
+            await registry.evict("cornell-box")
+            await registry.close(force=True)
+            assert held._closed
+            assert registry.stats()["draining"] == []
+
+        run(main())
+
+    def test_graceful_close_drains_like_an_eviction(self):
+        async def main():
+            registry = ProgramRegistry(make_factory())
+            pool = await registry.get("cornell-box")
+            held = await pool.acquire()
+            await registry.close()
+            assert registry.stats()["draining"] == ["cornell-box"]
+            await pool.release(held)
+            assert held._closed
+            assert registry.stats()["draining"] == []
+
+        run(main())
+
+
 @needs_plane
 class TestEvictionSegmentContract:
     """The satellite contract: evict with a live session, then re-admit."""
@@ -153,7 +204,7 @@ class TestEvictionSegmentContract:
                 make_factory(self.OPTIONS), max_programs=1
             )
             entry = await registry.get("cornell-box")
-            session = await entry.pool.acquire()
+            session = await entry.acquire()
             # A multi-process request provisions the worker pool and
             # publishes the program's plane; the session now holds one
             # reference on the segment.
@@ -168,14 +219,14 @@ class TestEvictionSegmentContract:
             # but the segment must survive — the session still serves.
             await registry.get("gen:office-4@5")
             assert registry.resident_specs() == ["gen:office-4@5"]
-            assert entry.pool.draining
+            assert entry.draining
             assert segment in leaked_segments()
             second = await loop.run_in_executor(
                 None, session.simulate, REQUEST
             )
 
             # Last release closes the session and unlinks the segment.
-            await entry.pool.release(session)
+            await entry.release(session)
             assert session._closed
             assert program.plane_refs == 0
             assert segment not in leaked_segments()
@@ -186,11 +237,11 @@ class TestEvictionSegmentContract:
             assert readmitted is not entry
             fresh = await registry.get("cornell-box")
             assert fresh is readmitted
-            session2 = await readmitted.pool.acquire()
+            session2 = await readmitted.acquire()
             third = await loop.run_in_executor(
                 None, session2.simulate, REQUEST
             )
-            await readmitted.pool.release(session2)
+            await readmitted.release(session2)
             await registry.close(force=True)
 
             answers = [

@@ -9,22 +9,27 @@ resident scenes all get those bytes, overload is rejected loudly with
 
 from __future__ import annotations
 
+import asyncio
 import concurrent.futures
+import dataclasses
+import gc
 import json
 import math
 import threading
 import time
+import weakref
 
 import pytest
 
-from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
 from repro.api.gate import KERNEL_GATE
 from repro.core import save_answer
-from repro.parallel.shmplane import leaked_segments
+from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 from repro.service import (
     ServiceConfig,
     ServiceThread,
+    SessionPool,
     canonical_answer_bytes,
     simulate_path,
 )
@@ -216,6 +221,132 @@ class TestAdmission:
         assert last["error"]["code"] == "deadline-exceeded"
         assert "truncated" in last["error"]["message"]
 
+    @pytest.mark.parametrize("route", ["stream", "oneshot", "render"])
+    def test_deadline_spent_in_the_queue_is_504_before_headers(
+        self, service, monkeypatch, route
+    ):
+        """A session handed over only as the deadline passes is put back
+        at once: every route answers a plain 504, a stream included,
+        before any header; nothing is traced."""
+        real_acquire = SessionPool.acquire
+
+        async def late_handoff(pool, timeout=None):
+            session = await real_acquire(pool, timeout)
+            await asyncio.sleep(timeout)  # the queue used the deadline up
+            return session
+
+        path = {
+            "stream": simulate_path("cornell-box", stream=True),
+            "oneshot": simulate_path("cornell-box"),
+            "render": "/scenes/cornell-box/render",
+        }[route]
+        service.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = scene_pool(service)
+        monkeypatch.setattr(SessionPool, "acquire", late_handoff)
+        status, headers, body = service.request(
+            "POST", path, {"photons": 20_000, "deadline": 0.2}, timeout=60
+        )
+        monkeypatch.undo()
+        assert status == 504, body[:200]
+        assert "transfer-encoding" not in headers
+        error = json.loads(body)["error"]
+        assert error["code"] == "deadline-exceeded"
+        assert "during admission" in error["message"]
+        after = scene_pool(service)
+        assert after["acquired"] == before["acquired"] + 1
+        assert after["in_use"] == 0
+
+
+def scene_pool(service, spec: str = "cornell-box") -> dict:
+    _, _, raw = service.request("GET", "/stats")
+    return json.loads(raw)["scenes"][spec]["pool"]
+
+
+def poll_stats(service, predicate, timeout: float = 60.0) -> dict:
+    deadline = time.monotonic() + timeout
+    while True:
+        _, _, raw = service.request("GET", "/stats")
+        stats = json.loads(raw)
+        if predicate(stats) or time.monotonic() > deadline:
+            return stats
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
+class TestEvictionInFlight:
+    """``max_programs=1``: a request on scene B evicts scene A while A's
+    request is still in flight.  A's pool drains under the registry —
+    ``/stats`` says so — and its answer, its program and its plane come
+    out as if nothing had happened."""
+
+    def test_evicted_scene_drains_then_is_forgotten(self, tmp_path, monkeypatch):
+        office = SCENES[1]
+        photons = 3000
+        expected = {
+            spec: reference_bytes(spec, photons, tmp_path) for spec in SCENES
+        }
+        config = ServiceConfig(
+            scenes=SCENES, port=0, max_programs=1,
+            options=SessionOptions(workers=2),
+        )
+        replies: dict = {}
+        compiled: list = []
+        compile_program = SceneProgram.compile.__func__
+
+        def recording_compile(cls, scene, **kwargs):
+            program = compile_program(cls, scene, **kwargs)
+            compiled.append(weakref.ref(program))
+            return program
+
+        monkeypatch.setattr(
+            SceneProgram, "compile", classmethod(recording_compile)
+        )
+
+        def post(spec: str) -> None:
+            replies[spec] = service.request(
+                "POST", simulate_path(spec),
+                {"photons": photons, "deadline": 300.0}, timeout=300,
+            )
+
+        with ServiceThread(config) as service:
+            # Warm A: its session keeps a worker pool, and with it a
+            # reference on A's published plane.
+            status, _, _ = service.request(
+                "POST", simulate_path("cornell-box"), {"photons": 10}
+            )
+            assert status == 200
+            [program] = compiled
+            # The held gate parks A (session in hand) and then B.
+            with KERNEL_GATE:
+                a = threading.Thread(target=post, args=("cornell-box",))
+                a.start()
+                poll_stats(service, lambda s: s["scenes"]["cornell-box"][
+                    "pool"]["in_use"] == 1)
+                b = threading.Thread(target=post, args=(office,))
+                b.start()
+                during = poll_stats(
+                    service, lambda s: s["programs"]["evictions"] == 1
+                )
+                assert during["requests"]["draining_pools"] == 1
+                assert during["programs"]["resident"] == [office]
+                assert during["programs"]["draining"] == ["cornell-box"]
+            a.join(timeout=300)
+            b.join(timeout=300)
+            after = poll_stats(
+                service, lambda s: s["requests"]["draining_pools"] == 0
+            )
+            assert after["requests"]["draining_pools"] == 0
+            assert after["programs"]["draining"] == []
+            for spec in SCENES:
+                status, _, body = replies[spec]
+                assert status == 200
+                assert body == expected[spec], spec
+            gc.collect()
+            assert program() is None, "the evicted program is still referenced"
+        assert leaked_segments() == []
+
 
 class TestRouting:
     def test_unserved_scene_404(self, service):
@@ -328,9 +459,11 @@ class TestConfig:
             scenes=("a",), max_programs=3, sessions_per_scene=2
         )
         assert config.resolved_executor_threads == 8
-        assert ServiceConfig(
-            scenes=("a",), executor_threads=5
-        ).resolved_executor_threads == 5
+
+    def test_executor_size_is_derived_not_configured(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(scenes=("a",), executor_threads=5)
+        assert len(dataclasses.fields(ServiceConfig)) == 10
 
     def test_bad_scene_spec_fails_startup(self):
         config = ServiceConfig(scenes=("no-such-scene",), port=0)

@@ -149,6 +149,21 @@ class TestSimulateUsageErrors:
         assert "threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["inf", "1e400", "nan", "0"])
+    def test_non_finite_target_error_exits_2(self, tmp_path, capsys, target):
+        """``--target-error inf`` would stop after the first batch and
+        exit 0 with a truncated answer; it is a usage error."""
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["simulate", "cornell-box", "--engine", "vector",
+                 "--photons", "20000", "--target-error", target,
+                 "--out", str(out)]
+            )
+        assert excinfo.value.code == 2
+        assert "target_rel_error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestServeCommand:
     def test_no_scene_exits_2(self, capsys):
