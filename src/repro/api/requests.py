@@ -129,8 +129,10 @@ class SessionOptions:
         workers: Process count; > 1 keeps a persistent
             :class:`~repro.parallel.procpool.PhotonPool` warm across
             requests.
-        batch_size: Photons per structure-of-arrays batch, and the
-            default chunk size of
+        batch_size: The most photons in flight in the engine's trace
+            wave, the view stage's ray band, the chunk a top-up or an
+            early-stop request traces between checks, and the default
+            chunk size of
             :meth:`~repro.api.RenderSession.simulate_stream`.
         amortize: Enable the program-level
             :class:`~repro.api.amortize.ForestCache`: a request whose

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=None,
-        help="photons per vector batch (default 4096)",
+        help="most photons in flight in the vector engine's wave (default 4096)",
     )
     p_sim.add_argument(
         "--target-error",
@@ -264,7 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="process count per pooled session",
     )
-    p_serve.add_argument("--batch-size", type=int, default=4096)
+    p_serve.add_argument(
+        "--batch-size",
+        type=int,
+        default=4096,
+        help="most photons in flight in each session's trace wave (default 4096)",
+    )
     p_serve.add_argument(
         "--amortize",
         choices=("on", "off"),

@@ -44,7 +44,8 @@ class SimulationConfig:
         fluorescence: Optional Stokes-shift conversion spec (the
             chapter-6 extension); when set, would-be absorptions may
             re-emit in a lower band.  ``None`` disables it.
-        batch_size: Photons per structure-of-arrays batch.
+        batch_size: The most photons in flight: the vector engine
+            traces a range as one wave of at most this many lanes.
         workers: Process count; > 1 shards batches across a
             multiprocessing pool (:mod:`repro.parallel.procpool`).
 

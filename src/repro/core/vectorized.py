@@ -2,10 +2,16 @@
 
 The scalar reference (:func:`repro.paper.scalar.trace_photon`) walks one
 photon at a time through emission -> intersect -> reflect, consuming one
-``drand48`` stream.  This module traces *batches* of photons in NumPy
-structure-of-arrays form — batched emission, batched ray/patch
-intersection, batched roulette/lobe sampling — while remaining
-**bit-exact** with the scalar path photon-for-photon.
+``drand48`` stream.  This module traces a photon range as one *wave* of
+lanes in NumPy structure-of-arrays form (:class:`Lanes`) — batched
+emission, batched ray/patch intersection, batched roulette/lobe
+sampling — while remaining **bit-exact** with the scalar path
+photon-for-photon.  The wave has two passes: :meth:`VectorEngine.emit`
+turns the range's next photons into lanes and :meth:`VectorEngine.step`
+moves every lane one bounce on.  At most ``batch_size`` lanes are in
+flight; before each step, lanes that were absorbed, escaped or reached
+the bounce cap are replaced by fresh photons, so a range pays one
+narrowing tail of bounces, not one per ``batch_size`` photons.
 
 The engine picks its intersection accelerator from the patch count;
 nothing above :class:`VectorEngine` names one.  The two serving paths:
@@ -75,7 +81,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -101,6 +107,7 @@ __all__ = [
     "EVENT_FIELDS",
     "EventBatch",
     "EmissionBatch",
+    "Lanes",
     "VectorEngine",
     "apply_events",
     "tally_block",
@@ -178,6 +185,10 @@ _SCREEN_FLOOR = 1e-3
 _SCREEN_KAPPA = 64.0
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+#: The screen's parameter bound before its margin: ``|s - 1/2|`` of an
+#: accepted hit is at most this.
+_HALF_SPAN = 0.5 + _PARAM_TOL
 
 #: The dense scan's exact stage takes a tile's surviving pairs in blocks
 #: of this many a tile lane, so its workspace is fixed by the tile.
@@ -521,6 +532,57 @@ class EmissionBatch:
     r2: np.ndarray
 
 
+#: The per-lane columns of a :class:`Lanes`, in field order.
+_LANE_FIELDS = (
+    "gidx", "states", "px", "py", "pz", "dx", "dy", "dz", "band", "bounces",
+)
+
+
+@dataclass
+class Lanes:
+    """The photons of a wave in flight, one lane each, as columns.
+
+    ``gidx`` is each lane's photon index, ``states`` its substream's
+    LCG state, ``p*``/``d*`` its ray, ``band`` its wavelength band and
+    ``bounces`` the reflections it has made.  :meth:`VectorEngine.emit`
+    makes lanes and :meth:`VectorEngine.step` advances them.
+    """
+
+    gidx: np.ndarray
+    states: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    pz: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    band: np.ndarray
+    bounces: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "Lanes":
+        i, f = np.empty(0, dtype=np.int64), np.empty(0)
+        return cls(i, np.empty(0, dtype=np.uint64), f, f, f, f, f, f, i, i)
+
+    @property
+    def size(self) -> int:
+        return self.gidx.size
+
+    def columns(self) -> tuple:
+        """Every per-lane array, in field order."""
+        return tuple(getattr(self, name) for name in _LANE_FIELDS)
+
+    def take(self, idx: np.ndarray) -> "Lanes":
+        """The lanes at *idx* (an index or mask array), in that order."""
+        return Lanes(*(a[idx] for a in self.columns()))
+
+    def extend(self, other: "Lanes") -> "Lanes":
+        """These lanes followed by *other*'s."""
+        if not self.size:
+            return other
+        return Lanes(*map(np.concatenate, zip(self.columns(), other.columns())))
+
+
 #: The bounds :class:`~repro.core.binning.BinCoords` enforces, per
 #: coordinate column: (message name, upper bound, upper bound inclusive).
 _COORD_BOUNDS = (
@@ -606,12 +668,12 @@ def apply_events(forest: BinForest, events: EventBatch) -> None:
 def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:
     """Replay one traced block, book its emissions.
 
-    The single place the per-batch forest bookkeeping lives — shared by
-    :meth:`VectorEngine.run`, the simulator's batched driver, the
-    session's streaming and top-up paths, and tests — so emission
-    accounting cannot drift between them.  The replay is
-    :func:`apply_events`, which puts the block in canonical order
-    itself: chunking a photon range into blocks of any size gives the
+    The single place the per-block forest bookkeeping lives — shared by
+    :meth:`VectorEngine.run` (one block per completed prefix), the
+    pool's per-shard tally, the session's streaming and top-up paths,
+    and tests — so emission accounting cannot drift between them.  The
+    replay is :func:`apply_events`, which puts the block in canonical
+    order itself: chunking a photon range into blocks of any size gives the
     same forest, because each block is replayed exactly as its rows one
     at a time would be.
     """
@@ -637,7 +699,10 @@ class VectorEngine:
             results are bit-identical because the arrays are.
         fluorescence: Optional Stokes-shift spec (same semantics as the
             scalar :func:`repro.paper.physics.fluorescent_reflect`).
-        batch_size: Photons per structure-of-arrays batch.
+        batch_size: The most photons in flight: a range is traced as
+            one wave of at most this many lanes (:meth:`_wave`), and
+            :meth:`run` tallies completed prefixes of at least this many
+            photons.
         accel: One of :data:`ACCEL_MODES`.  Leave it at the default:
             ``"auto"`` picks ``"flat"`` at or above
             :data:`PRUNE_PATCH_THRESHOLD` patches and ``"linear"`` below,
@@ -683,6 +748,9 @@ class VectorEngine:
             )
         self.accel = accel
         self._screen = self._screen_tables() if accel == "linear" else None
+        self._all_cols = np.arange(self.arrays.patch_count, dtype=np.int64)
+        #: ``(chunk width, chunks)`` of every patch, cut on first use.
+        self._all_chunks = (0, [])
         self.patch_tests = 0
         self.box_tests = 0
 
@@ -982,6 +1050,36 @@ class VectorEngine:
             origin_rows, np.stack([n, u, v]), pad * gs, pad * gv, reach,
         )
 
+    def _screen_chunks(self, cols: np.ndarray) -> list:
+        """The screen tables of patch columns *cols*, a chunk at a time.
+
+        One entry per :data:`DENSE_TILE` column chunk: its patch ids,
+        its origin rows ``[3C, 4]`` and direction rows ``[3C, 3]``, and
+        its ``pad_s``, ``pad_v`` and ``reach`` as ``[C, 1]`` columns
+        (:meth:`_screen_tables`).  Nothing here depends on the rays.
+        """
+        _, origin_rows, dir_rows, pad_s, pad_v, reach = self._screen
+        tile_cols = DENSE_TILE[1]
+        chunks = []
+        for c0 in range(0, cols.size, tile_cols):
+            ids = cols[c0:c0 + tile_cols]
+            chunks.append((
+                ids,
+                origin_rows[:, ids].reshape(-1, 4),
+                dir_rows[:, ids].reshape(-1, 3),
+                pad_s[ids, None], pad_v[ids, None], reach[ids, None],
+            ))
+        return chunks
+
+    def _every_chunk(self) -> list:
+        """:meth:`_screen_chunks` of every patch, cut once per chunk width."""
+        width, chunks = self._all_chunks
+        if width != DENSE_TILE[1]:
+            width = DENSE_TILE[1]
+            chunks = self._screen_chunks(self._all_cols)
+            self._all_chunks = (width, chunks)
+        return chunks
+
     @staticmethod
     def _scan_workspace(lanes: int, cols: int) -> tuple:
         """Scratch for one :meth:`_screen_patches` call over lanes x cols.
@@ -1008,10 +1106,13 @@ class VectorEngine:
         )
 
     def _screen_patches(
-        self, px, py, pz, dx, dy, dz, cols: np.ndarray,
+        self, px, py, pz, dx, dy, dz, cols: Optional[np.ndarray],
         best_t: np.ndarray, best_i: np.ndarray,
     ) -> None:
         """Closest hits of every lane among patch columns *cols*.
+
+        ``cols=None`` scans every patch, from column chunks the engine
+        cut once (:meth:`_every_chunk`); the margins are the call's own.
 
         Walks the lanes x *cols* rectangle in tiles of :data:`DENSE_TILE`,
         laid out ``[patches, lanes]``.  Per tile, two matrix products of
@@ -1052,42 +1153,66 @@ class VectorEngine:
         n = px.size
         if not n:
             return
-        tile_lanes, tile_cols = DENSE_TILE
-        consts, origin_rows, dir_rows, pad_s, pad_v, reach = self._screen
+        tile_lanes = DENSE_TILE[0]
+        consts = self._screen[0]
+        if cols is None:
+            cols = self._all_cols
+            chunks = self._every_chunk()
+        else:
+            chunks = self._screen_chunks(cols)
         mul, add, absolute = np.multiply, np.add, np.absolute
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # |o|_1 and |d|_1 bounds for every lane (NaN if any lane is).
-            big_o, big_d = (
-                sum(abs(f(a)) for a in axes
-                    for f in (np.maximum.reduce, np.minimum.reduce))
-                for axes in ((px, py, pz), (dx, dy, dz))
-            )
-            floor = _SCREEN_FLOOR * big_d
-            span = 2.0 * big_o + reach
-            half_s = 0.5 + _PARAM_TOL + pad_s * span
-            half_v = 0.5 + _PARAM_TOL + pad_v * span
-            t_lo = EPSILON - (_SCREEN_KAPPA * _UNIT_ROUNDOFF / floor) * span
-            chunks = []
-            for c0 in range(0, cols.size, tile_cols):
-                ids = cols[c0:c0 + tile_cols]
-                chunks.append((
-                    ids,
-                    origin_rows[:, ids].reshape(-1, 4),
-                    dir_rows[:, ids].reshape(-1, 3),
-                    half_s[ids, None], half_v[ids, None], t_lo[ids, None],
-                ))
             out_o, out_d, org, dirs, b, xf, xb, ix = self._scan_workspace(
                 n, cols.size
             )
-            block, nk = ix.size // 3, len(_HIT_CONSTS)
-            for l0 in range(0, n, tile_lanes):
-                m = min(tile_lanes, n - l0)
+
+            def load(l0: int, m: int) -> tuple:
+                """Lanes ``l0 .. l0+m``: homogeneous origins, directions."""
                 tgt = slice(l0, l0 + m)
                 o = org[:4 * m].reshape(4, m)
                 d = dirs[:3 * m].reshape(3, m)
                 o[0], o[1], o[2], o[3] = px[tgt], py[tgt], pz[tgt], 1.0
                 d[0], d[1], d[2] = dx[tgt], dy[tgt], dz[tgt]
-                for ids, o_rows, d_rows, hs, hv, tl in chunks:
+                return o, d
+
+            # |o|_1 and |d|_1 bounds for every lane (NaN if any lane is):
+            # |max| + |min| per axis, summed in axis order.  A call that
+            # fits one lane tile reduces the loaded tile, all three axes
+            # in one call.
+            if n <= tile_lanes:
+                o, d = load(0, n)
+                extremes = [
+                    zip(np.maximum.reduce(r, axis=1).tolist(),
+                        np.minimum.reduce(r, axis=1).tolist())
+                    for r in (o[:3], d)
+                ]
+            else:
+                extremes = [
+                    [(np.maximum.reduce(a), np.minimum.reduce(a)) for a in axes]
+                    for axes in ((px, py, pz), (dx, dy, dz))
+                ]
+            big_o, big_d = (
+                np.float64(sum(abs(v) for pair in axes for v in pair))
+                for axes in extremes
+            )
+            floor = _SCREEN_FLOOR * big_d
+            reach_o = 2.0 * big_o
+            t_scale = _SCREEN_KAPPA * _UNIT_ROUNDOFF / floor
+            margins = []
+            for ids, o_rows, d_rows, pad_s, pad_v, reach in chunks:
+                span = reach_o + reach
+                margins.append((
+                    ids, o_rows, d_rows,
+                    _HALF_SPAN + pad_s * span, _HALF_SPAN + pad_v * span,
+                    EPSILON - t_scale * span,
+                ))
+            block, nk = ix.size // 3, len(_HIT_CONSTS)
+            for l0 in range(0, n, tile_lanes):
+                m = min(tile_lanes, n - l0)
+                tgt = slice(l0, l0 + m)
+                if n > tile_lanes:
+                    o, d = load(l0, m)
+                for ids, o_rows, d_rows, hs, hv, tl in margins:
                     c = ids.size
                     fo = out_o[:3 * c * m].reshape(3 * c, m)
                     fd = out_d[:3 * c * m].reshape(3 * c, m)
@@ -1196,8 +1321,7 @@ class VectorEngine:
         best_i = np.full(n, -1, dtype=np.int64)
         A = self.arrays
         if self.accel == "linear":
-            cols = np.arange(A.patch_count, dtype=np.int64)
-            self._screen_patches(px, py, pz, dx, dy, dz, cols, best_t, best_i)
+            self._screen_patches(px, py, pz, dx, dy, dz, None, best_t, best_i)
             return best_i, best_t
 
         # Level-synchronous pair walk of the array-encoded tree:
@@ -1251,141 +1375,174 @@ class VectorEngine:
         r2 = np.where(r2 >= 1.0, 1.0 - 1e-15, r2)
         return theta, r2
 
-    # -- tracing --------------------------------------------------------------
+    # -- tracing: the wave ---------------------------------------------------
+
+    def emit(self, seed: int, start: int, count: int) -> tuple[Lanes, EventBatch]:
+        """The wave's first pass: photons ``start .. start+count`` as lanes.
+
+        Returns the lanes, positioned on their luminaires and pointed
+        along their emission directions, and each photon's emission
+        tally event (``seq`` 0).
+        """
+        states = substream_states(seed, start, count)
+        gidx = np.arange(start, start + count, dtype=np.int64)
+        em = self._emit_states(states)
+        band = em["band"]
+        lanes = Lanes(
+            gidx, states, em["px"], em["py"], em["pz"],
+            em["dx"], em["dy"], em["dz"], band, np.zeros(count, dtype=np.int64),
+        )
+        return lanes, EventBatch(
+            gidx, np.zeros(count, dtype=np.int64), em["patch"].astype(np.int64),
+            em["s"], em["t"], em["theta"], em["r2"], band,
+        )
+
+    def step(self, lanes: Lanes, stats: "TraceStats") -> tuple[Lanes, EventBatch]:
+        """The wave's second pass: move every lane one bounce on.
+
+        Lanes at the bounce cap retire first; the rest find their closest
+        hit, and those that hit roll the roulette.  Returns the lanes
+        still in flight, in their input order, and one reflection tally
+        event for each.  Escapes, absorptions, reflections and cap hits
+        are counted into *stats*.
+        """
+        from .simulator import MAX_BOUNCES
+
+        A = self.arrays
+        capped = lanes.bounces >= MAX_BOUNCES
+        if capped.any():
+            stats.bounce_limit_hits += int(capped.sum())
+            lanes = lanes.take(~capped)
+        gidx, states, px, py, pz, dx, dy, dz, band, bounces = lanes.columns()
+        if not gidx.size:
+            return lanes, EventBatch.empty()
+
+        pi, t_hit = self.closest_hit(px, py, pz, dx, dy, dz)
+        hit = pi >= 0
+        if not hit.all():
+            stats.escapes += int(hit.size - np.count_nonzero(hit))
+            (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit) = (
+                a[hit] for a in (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit)
+            )
+        n = gidx.size
+        if not n:
+            return Lanes.empty(), EventBatch.empty()
+
+        hx, hy, hz, hs, ht, backface = self.hit_attributes(
+            px, py, pz, dx, dy, dz, pi, t_hit
+        )
+        snx = np.where(backface, -A.nx[pi], A.nx[pi])
+        sny = np.where(backface, -A.ny[pi], A.ny[pi])
+        snz = np.where(backface, -A.nz[pi], A.nz[pi])
+
+        # Roulette.
+        u = self._uniform(states, np.arange(n))
+        pd = A.diffuse[pi, band]
+        ps = A.specular[pi]
+        is_diff = u < pd
+        is_spec = (~is_diff) & (u < pd + ps)
+
+        out_dx = np.empty(n)
+        out_dy = np.empty(n)
+        out_dz = np.empty(n)
+        reflected = np.zeros(n, dtype=bool)
+        new_band = band.copy()
+
+        # Diffuse lobe: disc sample about the shading normal.
+        didx = np.nonzero(is_diff)[0]
+        if didx.size:
+            self._diffuse_emit(states, didx, pi, backface, snx, sny, snz,
+                               out_dx, out_dy, out_dz)
+            reflected[didx] = True
+
+        # Specular: ideal mirror or Phong gloss about the mirror axis.
+        sidx = np.nonzero(is_spec)[0]
+        if sidx.size:
+            k = 2.0 * ((dx[sidx] * snx[sidx] + dy[sidx] * sny[sidx])
+                       + dz[sidx] * snz[sidx])
+            mx = dx[sidx] - k * snx[sidx]
+            my = dy[sidx] - k * sny[sidx]
+            mz = dz[sidx] - k * snz[sidx]
+            glossy = A.has_gloss[pi[sidx]]
+            mirror_rows = sidx[~glossy]
+            out_dx[mirror_rows] = mx[~glossy]
+            out_dy[mirror_rows] = my[~glossy]
+            out_dz[mirror_rows] = mz[~glossy]
+            reflected[mirror_rows] = True
+            grows = sidx[glossy]
+            if grows.size:
+                self._gloss_lobe(states, grows, pi, mx[glossy], my[glossy],
+                                 mz[glossy], snx, sny, snz,
+                                 out_dx, out_dy, out_dz, reflected)
+
+        # Fluorescence second chance for every absorbed lane.
+        absorbed = ~reflected
+        if self.fluorescence is not None and absorbed.any():
+            self._fluorescent_rescue(states, np.nonzero(absorbed)[0], band,
+                                     new_band, pi, backface, snx, sny, snz,
+                                     out_dx, out_dy, out_dz, reflected)
+
+        ridx = np.nonzero(reflected)[0]
+        stats.reflections += ridx.size
+        stats.absorptions += n - ridx.size
+        pi, bounces = pi[ridx], bounces[ridx] + 1
+        dx, dy, dz = out_dx[ridx], out_dy[ridx], out_dz[ridx]
+        gidx, band = gidx[ridx], new_band[ridx]
+        theta, r2 = self.local_frame(dx, dy, dz, pi)
+        return (
+            Lanes(gidx, states[ridx], hx[ridx], hy[ridx], hz[ridx],
+                  dx, dy, dz, band, bounces),
+            EventBatch(gidx, bounces, pi, hs[ridx], ht[ridx], theta, r2, band),
+        )
+
+    def _wave(
+        self, seed: int, start: int, count: int, stats: "TraceStats"
+    ) -> Iterator[tuple[EventBatch, int]]:
+        """Trace photons ``start .. start+count`` as one refilled wave.
+
+        At most ``batch_size`` lanes are in flight.  Before every
+        :meth:`step`, the lanes that retired are replaced by
+        :meth:`emit`-ting the range's next photons, so only the range's
+        last photons trace a narrowing tail.  Lanes stay in photon order:
+        a step keeps its survivors' order and fresh photons join at the
+        end.  Yields each pass's events with the photon index below which
+        every photon has finished (the lowest one in flight), so every
+        event of the photons below it has been yielded.  Each lane draws
+        from its own substream, so no event depends on which photons
+        share a step.
+        """
+        stats.photons += count
+        end = start + count
+        fresh = start
+        lanes = Lanes.empty()
+        while fresh < end or lanes.size:
+            room = self.batch_size - lanes.size
+            if room and fresh < end:
+                joined, events = self.emit(seed, fresh, min(room, end - fresh))
+                fresh += joined.size
+                lanes = lanes.extend(joined)
+                yield events, int(lanes.gidx[0])
+            lanes, events = self.step(lanes, stats)
+            yield events, int(lanes.gidx[0]) if lanes.size else fresh
 
     def trace_range(
         self, seed: int, start: int, count: int
     ) -> tuple[EventBatch, "TraceStats"]:
-        """Trace photons ``start .. start+count``; canonical events + stats."""
+        """Trace photons ``start .. start+count``; their events + stats.
+
+        The events of one refilled wave (:meth:`_wave`), concatenated in
+        the order they were traced; replays sort them canonically.
+        """
         from .simulator import TraceStats
 
+        start, count = operator.index(start), operator.index(count)
+        if start < 0:
+            raise ValueError(f"start must be non-negative, got {start}")
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
         stats = TraceStats()
-        blocks: list[EventBatch] = []
-        done = 0
-        while done < count:
-            todo = min(self.batch_size, count - done)
-            block = self._trace_batch(seed, start + done, todo, stats)
-            blocks.append(block)
-            done += todo
+        blocks = [events for events, _ in self._wave(seed, start, count, stats)]
         return EventBatch.concat(blocks), stats
-
-    def _trace_batch(
-        self, seed: int, start: int, count: int, stats: "TraceStats"
-    ) -> EventBatch:
-        A = self.arrays
-        stats.photons += count
-        states = substream_states(seed, start, count)
-        gidx = np.arange(start, start + count, dtype=np.int64)
-        em = self._emit_states(states)
-
-        ev = [EventBatch(
-            gidx.copy(), np.zeros(count, dtype=np.int64), em["patch"].astype(np.int64),
-            em["s"], em["t"], em["theta"], em["r2"], em["band"].copy(),
-        )]
-
-        px, py, pz = em["px"], em["py"], em["pz"]
-        dx, dy, dz = em["dx"], em["dy"], em["dz"]
-        band = em["band"]
-        bounces = np.zeros(count, dtype=np.int64)
-        from .simulator import MAX_BOUNCES
-
-        while gidx.size:
-            capped = bounces >= MAX_BOUNCES
-            if capped.any():
-                stats.bounce_limit_hits += int(capped.sum())
-                keep = ~capped
-                (gidx, states, px, py, pz, dx, dy, dz, band, bounces) = (
-                    a[keep] for a in (gidx, states, px, py, pz, dx, dy, dz, band, bounces)
-                )
-                if not gidx.size:
-                    break
-
-            pi, t_hit = self.closest_hit(px, py, pz, dx, dy, dz)
-            hit = pi >= 0
-            stats.escapes += int((~hit).sum())
-            if not hit.any():
-                break
-            (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit) = (
-                a[hit] for a in (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit)
-            )
-            n = gidx.size
-
-            hx, hy, hz, hs, ht, backface = self.hit_attributes(
-                px, py, pz, dx, dy, dz, pi, t_hit
-            )
-            snx = np.where(backface, -A.nx[pi], A.nx[pi])
-            sny = np.where(backface, -A.ny[pi], A.ny[pi])
-            snz = np.where(backface, -A.nz[pi], A.nz[pi])
-
-            # Roulette.
-            u = self._uniform(states, np.arange(n))
-            pd = A.diffuse[pi, band]
-            ps = A.specular[pi]
-            is_diff = u < pd
-            is_spec = (~is_diff) & (u < pd + ps)
-
-            out_dx = np.empty(n)
-            out_dy = np.empty(n)
-            out_dz = np.empty(n)
-            reflected = np.zeros(n, dtype=bool)
-            new_band = band.copy()
-
-            # Diffuse lobe: disc sample about the shading normal.
-            didx = np.nonzero(is_diff)[0]
-            if didx.size:
-                self._diffuse_emit(states, didx, pi, backface, snx, sny, snz,
-                                   out_dx, out_dy, out_dz)
-                reflected[didx] = True
-
-            # Specular: ideal mirror or Phong gloss about the mirror axis.
-            sidx = np.nonzero(is_spec)[0]
-            if sidx.size:
-                k = 2.0 * ((dx[sidx] * snx[sidx] + dy[sidx] * sny[sidx])
-                           + dz[sidx] * snz[sidx])
-                mx = dx[sidx] - k * snx[sidx]
-                my = dy[sidx] - k * sny[sidx]
-                mz = dz[sidx] - k * snz[sidx]
-                glossy = A.has_gloss[pi[sidx]]
-                mirror_rows = sidx[~glossy]
-                out_dx[mirror_rows] = mx[~glossy]
-                out_dy[mirror_rows] = my[~glossy]
-                out_dz[mirror_rows] = mz[~glossy]
-                reflected[mirror_rows] = True
-                grows = sidx[glossy]
-                if grows.size:
-                    self._gloss_lobe(states, grows, pi, mx[glossy], my[glossy],
-                                     mz[glossy], snx, sny, snz,
-                                     out_dx, out_dy, out_dz, reflected)
-
-            # Fluorescence second chance for every absorbed lane.
-            absorbed = ~reflected
-            if self.fluorescence is not None and absorbed.any():
-                self._fluorescent_rescue(states, np.nonzero(absorbed)[0], band,
-                                         new_band, pi, backface, snx, sny, snz,
-                                         out_dx, out_dy, out_dz, reflected)
-
-            n_ref = int(reflected.sum())
-            stats.reflections += n_ref
-            stats.absorptions += n - n_ref
-            if not n_ref:
-                break
-
-            ridx = np.nonzero(reflected)[0]
-            theta, r2 = self.local_frame(out_dx[ridx], out_dy[ridx],
-                                         out_dz[ridx], pi[ridx])
-            ev.append(EventBatch(
-                gidx[ridx], bounces[ridx] + 1, pi[ridx],
-                hs[ridx], ht[ridx], theta, r2, new_band[ridx],
-            ))
-
-            gidx = gidx[ridx]
-            states = states[ridx]
-            px, py, pz = hx[ridx], hy[ridx], hz[ridx]
-            dx, dy, dz = out_dx[ridx], out_dy[ridx], out_dz[ridx]
-            band = new_band[ridx]
-            bounces = bounces[ridx] + 1
-
-        return EventBatch.concat(ev)
 
     def _diffuse_emit(self, states, rows, pi, backface, snx, sny, snz,
                       out_dx, out_dy, out_dz) -> None:
@@ -1463,17 +1620,36 @@ class VectorEngine:
     def run(self, config) -> "SimulationResult":
         """Run a full photon budget; returns the same result type as the
         scalar oracle :func:`~repro.paper.scalar.run_scalar`.
+
+        The budget is one wave (:meth:`_wave`).  Its events are tallied
+        by completed prefix: once every photon below some index has
+        finished and that prefix reaches ``batch_size`` photons past the
+        last tally, its events go through :func:`tally_block`, a block
+        of ``batch_size`` photons at a time, and the rest at the end.
+        Each block is a contiguous photon range, so the forest is the
+        per-photon replay's; a block is never wider than ``batch_size``
+        photons, and only the events of photons above the prefix wait.
         """
         from .simulator import SimulationResult, TraceStats
 
         forest = BinForest(config.policy)
         stats = TraceStats()
-        done = 0
-        while done < config.n_photons:
-            todo = min(self.batch_size, config.n_photons - done)
-            block = self._trace_batch(config.seed, done, todo, stats)
-            tally_block(forest, block, todo)
-            done += todo
+        n, width = config.n_photons, self.batch_size
+        held: list[EventBatch] = []
+        tallied = 0
+        for events, done in self._wave(config.seed, 0, n, stats):
+            held.append(events)
+            if done - tallied < width and done < n:
+                continue
+            rest = EventBatch.concat(held)
+            held.clear()
+            while done - tallied >= width or tallied < done == n:
+                end = min(tallied + width, done)
+                inside = rest.gidx < end
+                block, rest = rest.take(inside), rest.take(~inside)
+                tally_block(forest, block, end - tallied)
+                tallied = end
+            held.append(rest)
         # An attached-plane engine has no scene object; the handle does
         # not carry the name, only the arrays.
         name = self.scene.name if self.scene is not None else "<attached-plane>"

@@ -1,0 +1,144 @@
+"""The vector engine traces a photon range as one refilled wave.
+
+``VectorEngine._wave`` keeps at most ``batch_size`` lanes in flight and,
+before every ``step``, replaces the lanes that retired with the range's
+next photons (``emit``), so a range pays one narrowing tail of bounces.
+``run()`` tallies completed prefixes: every photon below the lowest one
+still in flight, in blocks of ``batch_size`` photons as the prefix
+reaches them, plus the rest at the end.  These tests pin that structure;
+the parity and golden suites pin the bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import SimulationConfig, forest_to_dict
+from repro.core import vectorized
+from repro.core.simulator import TraceStats
+from repro.core.vectorized import EventBatch, Lanes, VectorEngine
+
+
+def spy_widths(engine: VectorEngine) -> list[int]:
+    """Record the lane count of every ``closest_hit`` call on *engine*."""
+    widths = []
+    real = engine.closest_hit
+
+    def closest_hit(*rays):
+        widths.append(rays[0].size)
+        return real(*rays)
+
+    engine.closest_hit = closest_hit
+    return widths
+
+
+def test_ten_thousand_cornell_photons_pay_one_tail(cornell):
+    """Cut into 4,096-photon batches, each narrowed to its own one-lane
+    tail, this request took 44 calls.  One wave takes 19."""
+    engine = VectorEngine(cornell)
+    widths = spy_widths(engine)
+    engine.run(SimulationConfig(n_photons=10_000))
+    assert len(widths) <= 20, widths
+
+
+@pytest.mark.parametrize("batch_size", [7, 64])
+def test_no_step_is_wider_than_batch_size(cornell, batch_size):
+    engine = VectorEngine(cornell, batch_size=batch_size)
+    widths = spy_widths(engine)
+    engine.run(SimulationConfig(n_photons=1_000, seed=11))
+    engine.trace_range(11, 3, 500)
+    assert max(widths) == batch_size, widths
+    # Retired lanes are refilled: until the range runs dry every step is
+    # full, so the wave takes far fewer steps than batches would.
+    assert widths.count(batch_size) >= (1_000 - batch_size) // batch_size // 2
+
+
+@pytest.mark.parametrize("batch_size", [1, 64, 4096])
+def test_prefix_tallies_are_contiguous(monkeypatch, cornell, batch_size):
+    """Each ``tally_block`` in ``run()`` takes every event of a photon
+    range that starts where the previous one ended, and nothing else;
+    every range but the last spans exactly ``batch_size`` photons."""
+    n = 1_500
+    blocks = []
+    real = vectorized.tally_block
+
+    def tally_block(forest, block, photons):
+        blocks.append((block.gidx.copy(), block.seq.copy(), photons))
+        real(forest, block, photons)
+
+    monkeypatch.setattr(vectorized, "tally_block", tally_block)
+    result = VectorEngine(cornell, batch_size=batch_size).run(
+        SimulationConfig(n_photons=n, seed=5)
+    )
+    events, _ = VectorEngine(cornell).trace_range(5, 0, n)
+    begin = 0
+    for k, (gidx, seq, photons) in enumerate(blocks):
+        end = begin + photons
+        if k < len(blocks) - 1:
+            assert photons == batch_size
+        assert np.sort(gidx[seq == 0]).tolist() == list(range(begin, end))
+        assert gidx.min() >= begin and gidx.max() < end
+        inside = (events.gidx >= begin) & (events.gidx < end)
+        assert gidx.size == np.count_nonzero(inside)
+        begin = end
+    assert begin == n
+    assert result.forest.photons_emitted == n
+
+
+def test_wave_equals_one_photon_at_a_time(cornell):
+    """No lane's events depend on which photons share its steps."""
+    wide, wide_stats = VectorEngine(cornell, batch_size=4096).trace_range(9, 40, 300)
+    narrow, narrow_stats = VectorEngine(cornell, batch_size=1).trace_range(9, 40, 300)
+    assert wide_stats == narrow_stats
+    wide, narrow = wide.sorted_canonical(), narrow.sorted_canonical()
+    for name in ("gidx", "seq", "patch", "s", "t", "theta", "r2", "band"):
+        assert getattr(wide, name).tolist() == getattr(narrow, name).tolist(), name
+
+
+def test_run_and_trace_range_agree(cornell):
+    """``run()`` tallies the events ``trace_range`` returns."""
+    from repro.core.bintree import BinForest
+
+    config = SimulationConfig(n_photons=900, seed=21, batch_size=100)
+    engine = VectorEngine(cornell, batch_size=100)
+    ran = engine.run(config)
+    events, stats = engine.trace_range(21, 0, 900)
+    forest = BinForest(config.policy)
+    vectorized.tally_block(forest, events, 900)
+    assert forest_to_dict(ran.forest) == forest_to_dict(forest)
+    assert ran.stats == stats
+
+
+def test_emit_then_step_until_empty(cornell):
+    """The two passes by hand: ``emit`` once, ``step`` until no lane is
+    left, is the wave of a range that fits in one ``batch_size``."""
+    engine = VectorEngine(cornell)
+    lanes, first = engine.emit(3, 10, 50)
+    assert isinstance(lanes, Lanes) and lanes.size == 50
+    assert first.seq.tolist() == [0] * 50
+    stats = TraceStats(photons=50)
+    events = [first]
+    while lanes.size:
+        assert np.all(np.diff(lanes.gidx) > 0)
+        lanes, stepped = engine.step(lanes, stats)
+        events.append(stepped)
+    want, want_stats = engine.trace_range(3, 10, 50)
+    got = EventBatch.concat(events).sorted_canonical()
+    assert got.gidx.tolist() == want.sorted_canonical().gidx.tolist()
+    assert got.theta.tolist() == want.sorted_canonical().theta.tolist()
+    assert stats == want_stats
+
+
+class TestTraceRangeArguments:
+    def test_negative_count_is_refused(self, cornell):
+        with pytest.raises(ValueError, match="count"):
+            VectorEngine(cornell).trace_range(1, 0, -1)
+
+    def test_negative_start_is_refused(self, cornell):
+        with pytest.raises(ValueError, match="start"):
+            VectorEngine(cornell).trace_range(1, -3, 10)
+
+    def test_empty_range(self, cornell):
+        events, stats = VectorEngine(cornell).trace_range(1, 7, 0)
+        assert len(events) == 0 and stats == TraceStats()
