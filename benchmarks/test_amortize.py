@@ -52,7 +52,6 @@ def run_cold_cli(out: Path) -> float:
     subprocess.run(
         [
             sys.executable, "-m", "repro", "simulate", SCENE,
-            "--engine", "vector",
             "--photons", str(PHOTONS_FULL),
             "--out", str(out),
         ],

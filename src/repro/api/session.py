@@ -82,7 +82,12 @@ from ..geometry.scene import Scene
 from .amortize import CachedTrace, trace_key
 from .gate import KERNEL_GATE
 from .program import SceneProgram
-from .requests import SessionOptions, SimulateRequest, merge_config
+from .requests import (
+    SessionOptions,
+    SimulateRequest,
+    _require_int,
+    merge_config,
+)
 
 __all__ = ["RenderSession"]
 
@@ -436,8 +441,22 @@ class RenderSession:
         Runs under the kernel gate.  Returns ``(forest, stats, done,
         achieved)``: the photons in the forest, and its median relative
         error when the request set a target (else ``None``).
+
+        A cold request with no target traces its whole budget in one
+        call, as a serve without the cache does: one refilled wave on
+        the engine, or shards tallied as they land on the pool.  Only a
+        top-up or a convergence check needs ``batch_size`` chunks.
         """
         target = request.target_rel_error
+        if entry is None and target is None:
+            if config.workers > 1:
+                # The pool takes the gate around each shard's tally, and
+                # the gate is not reentrant.
+                with KERNEL_GATE.released():
+                    result = self._warm_pool(config).run(config)
+            else:
+                result = self._engine_for(request.fluorescence).run(config)
+            return result.forest, result.stats, config.n_photons, None
         if entry is not None:
             forest, stats, done = entry.forest, entry.stats, entry.n
         else:
@@ -521,6 +540,7 @@ class RenderSession:
         """
         self._check_open()
         chunk = batch_size if batch_size is not None else self.options.batch_size
+        _require_int(chunk, "batch_size")
         if chunk < 1:
             raise ValueError("batch_size must be positive")
         config = merge_config(request, self.options)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .analysis.cliargs import add_lint_arguments
 from .api import RenderSession, SessionOptions, SimulateRequest
 from .api.requests import check_seed
-from .core import Camera, SimulationConfig, SplitPolicy, load_answer, save_answer
+from .core import Camera, SplitPolicy, load_answer, save_answer
 from .geometry import Vec3
 from .image import save_radiance_ppm
 from .scenes import SceneFormatError, get_scene, scene_registry
@@ -61,13 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run the Photon simulation stage",
         description=(
-            "Engines: 'scalar' runs the paper's per-photon reference loop "
-            "once; 'vector' serves the request on a RenderSession, tracing "
-            "photons in NumPy batches (several times faster, "
-            "bit-identical answers under --rng substream), and with "
-            "--workers N shards batches across a process pool for "
-            "multi-core speedup.  --workers > 1, --batch-size, --repeat > 1, "
-            "--amortize and --target-error need --engine vector."
+            "Serves the request on a RenderSession, as `repro serve` "
+            "does: the vector engine traces photons on per-photon "
+            "substreams, so the answer file is byte-identical to the "
+            "service's answer for the same budget and seed; --workers N "
+            "shards each request across a process pool."
         ),
     )
     p_sim.add_argument(
@@ -95,32 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=_seed_arg, default=0x1234ABCD330E)
     p_sim.add_argument("--sigma", type=float, default=3.0, help="bin split threshold")
     p_sim.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="tracing engine (vector = NumPy batch engine)",
-    )
-    p_sim.add_argument(
-        "--rng",
-        choices=("auto", "stream", "substream"),
-        default="auto",
-        help=(
-            "RNG discipline: one serial stream (historical scalar "
-            "behaviour) or per-photon substreams (engine-independent "
-            "answers); auto picks stream for scalar, substream for vector"
-        ),
-    )
-    p_sim.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="process count for the vector engine (>1 uses a multiprocessing pool)",
+        help="process count (>1 shards each request across a worker pool)",
     )
     p_sim.add_argument(
         "--batch-size",
         type=int,
         default=None,
-        help="most photons in flight in the vector engine's wave (default 4096)",
+        help="most photons in flight in the trace wave (default 4096)",
     )
     p_sim.add_argument(
         "--target-error",
@@ -359,66 +341,25 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
     scene = _resolve_scene(_simulate_scene_spec(args, parser), parser)
     try:
         # Every flag is checked before anything is provisioned.
-        policy = SplitPolicy(threshold=args.sigma)
         if args.repeat < 1:
             raise ValueError("--repeat must be at least 1")
-        if args.engine == "scalar":
-            config = SimulationConfig(
-                n_photons=args.photons,
-                seed=args.seed,
-                policy=policy,
-                workers=args.workers,
-            )
-            if args.workers > 1:
-                raise ValueError(
-                    "--workers > 1 requires the vector engine (the scalar "
-                    "loop would silently ignore the pool); pass --engine vector"
-                )
-            for flag, used in (
-                ("--batch-size", args.batch_size is not None),
-                ("--repeat > 1", args.repeat > 1),
-                ("--amortize", args.amortize),
-                ("--target-error", args.target_error is not None),
-            ):
-                if used:
-                    raise ValueError(f"{flag} requires --engine vector")
-        else:
-            if args.rng == "stream":
-                raise ValueError(
-                    "the vector engine requires per-photon substreams; "
-                    "pass --rng substream or --rng auto"
-                )
-            request = SimulateRequest(
-                n_photons=args.photons,
-                seed=args.seed,
-                policy=policy,
-                target_rel_error=args.target_error,
-            )
-            batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
-            options = SessionOptions(
-                workers=args.workers, amortize=args.amortize, **batch
-            )
+        request = SimulateRequest(
+            n_photons=args.photons,
+            seed=args.seed,
+            policy=SplitPolicy(threshold=args.sigma),
+            target_rel_error=args.target_error,
+        )
+        batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
+        options = SessionOptions(
+            workers=args.workers, amortize=args.amortize, **batch
+        )
     except ValueError as exc:
-        # Flag combinations the engine rejects (e.g. --workers without
-        # the vector engine) are usage errors, not tracebacks: report
-        # them the argparse way (usage line + message, exit code 2),
-        # against the simulate subparser so the synopsis actually shows
-        # the flags the message talks about.
+        # Values the request or the session rejects are usage errors, not
+        # tracebacks: report them the argparse way (usage line + message,
+        # exit code 2), against the simulate subparser so the synopsis
+        # actually shows the flags the message talks about.
         parser.simulate_parser.error(str(exc))
-    engine_label = args.engine
-    if args.workers > 1:
-        engine_label += f" x{args.workers} procs"
-    if args.engine == "scalar":
-        # The paper's Figure 4.1 loop is reproduction code: imported
-        # here, so no other command loads it.
-        from .paper.scalar import run_scalar
-
-        rng = "stream" if args.rng == "auto" else args.rng
-        t0 = time.perf_counter()
-        result = run_scalar(scene, config, rng=rng)
-        dt = time.perf_counter() - t0
-    else:
-        result, dt = _serve_repeated(scene, request, options, args, out)
+    result, dt = _serve_repeated(scene, request, options, args, out)
     if result.early_stopped:
         achieved = result.achieved_rel_error
         label = (
@@ -435,9 +376,10 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
     result.forest.check_invariants()
     save_answer(result.forest, args.out)
     photons_done = result.config.n_photons
+    procs = f", {args.workers} procs" if args.workers > 1 else ""
     print(
         f"{photons_done:,} photons in {dt:.1f}s "
-        f"({photons_done / max(dt, 1e-9):,.0f}/s, {engine_label}); "
+        f"({photons_done / max(dt, 1e-9):,.0f}/s{procs}); "
         f"{result.forest.leaf_count:,} bins; "
         f"answer -> {args.out}",
         file=out,

@@ -244,6 +244,17 @@ def substream_states(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
+def checked_range(start: int, count: int) -> tuple[int, int]:
+    """The photon range ``start .. start+count`` as ints, or ``ValueError``
+    when either end is negative (the message names which)."""
+    start, count = operator.index(start), operator.index(count)
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    return start, count
+
+
 def _atan2_theta(ly: np.ndarray, lx: np.ndarray) -> np.ndarray:
     """``atan2`` folded to [0, 2 pi), via libm for bit-parity with scalar."""
     theta = np.fromiter(
@@ -1535,11 +1546,7 @@ class VectorEngine:
         """
         from .simulator import TraceStats
 
-        start, count = operator.index(start), operator.index(count)
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+        start, count = checked_range(start, count)
         stats = TraceStats()
         blocks = [events for events, _ in self._wave(seed, start, count, stats)]
         return EventBatch.concat(blocks), stats

@@ -3,10 +3,11 @@
 Everything here reproduces a figure, table or baseline of the paper and
 nothing on the serving path imports it (``tests/api/test_public_api.py``
 ``TestImportFence``; the CLI imports it only inside the ``trace`` and
-``scenes`` commands and ``simulate --engine scalar``):
+``scenes`` commands):
 
 * :mod:`.scalar` — the serial Photon loop of Figure 4.1, the oracle the
-  vector engine's answers are checked against, tracing through the
+  vector engine's answers are checked against (called from Python
+  only; ``repro simulate`` serves a session), tracing through the
   chapter-6 pointer octree of :mod:`.octree` with the per-photon
   emission, reflection and fluorescence of :mod:`.physics`;
 * :mod:`.polarization` — the chapter-6 Stokes-vector extension of that

@@ -101,7 +101,13 @@ from ..api.gate import KERNEL_GATE
 from ..api.program import SceneProgram
 from ..core.bintree import BinForest
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
-from ..core.vectorized import EventBatch, SceneArrays, VectorEngine, tally_block
+from ..core.vectorized import (
+    EventBatch,
+    SceneArrays,
+    VectorEngine,
+    checked_range,
+    tally_block,
+)
 from ..geometry.scene import Scene
 from . import resultplane, shmplane
 from .resultplane import (
@@ -541,8 +547,11 @@ class PhotonPool:
         Each call's events come back as block descriptors (streamed
         serving stays free of per-batch event pickling); the blocks are
         recycled by the next call, after the canonical merge has copied
-        the events out.
+        the events out.  A negative *start* or *count* raises
+        ``ValueError`` here, before any worker starts or any block is
+        allocated.
         """
+        start, count = checked_range(start, count)
         with self._shards(fluorescence, seed, start, count) as landed:
             return gather_shards(list(landed), self.result_blocks)
 

@@ -458,6 +458,46 @@ class TestSharingUnderConcurrency:
         assert stats["forest_entries"] == 1
 
 
+class TestColdServeIsOneWave:
+    """A cold request with no target is traced the way a session without
+    the cache traces it: one wave on the engine, one shard per worker on
+    the pool — not ``batch_size`` chunks, each with its own tail."""
+
+    REQUEST = SimulateRequest(n_photons=10_000)
+
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_plane),
+    ])
+    def test_cold_amortized_serve_is_the_plain_one(self, cornell, workers):
+        with RenderSession(cornell, SessionOptions(workers=workers)) as plain:
+            expected = forest_bytes(plain.simulate(self.REQUEST))
+        # A program of its own: a cache no other test has filled.
+        program = SceneProgram(cornell)
+        options = SessionOptions(workers=workers, amortize=True)
+        with RenderSession(program, options) as session:
+            widths = []
+            if workers == 1:
+                engine = session._engine_for(None)
+                real = engine.closest_hit
+
+                def closest_hit(*rays):
+                    widths.append(rays[0].size)
+                    return real(*rays)
+
+                engine.closest_hit = closest_hit
+            result = session.simulate(self.REQUEST)
+            assert session.last_photons_traced == 10_000
+            if workers == 1:
+                # Three 4,096-photon chunks, a tail each, took 44 calls.
+                assert 0 < len(widths) <= 20, widths
+            else:
+                shards = session._pool.last_shard_results
+                assert [r.stats.photons for r in shards] == [5_000, 5_000]
+        assert forest_bytes(result) == expected
+        entry = program.forest_cache().lookup(trace_key(result.config), 10_000)
+        assert entry is not None and entry.n == 10_000
+
+
 class TestEarlyStop:
     def test_early_stopped_answer_is_an_exact_prefix(self):
         with RenderSession(

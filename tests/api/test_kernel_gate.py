@@ -50,19 +50,20 @@ def joined(thread: threading.Thread) -> bool:
 
 
 class BlockedTracer:
-    """Wraps an engine's ``trace_range``: the first call parks inside the
-    kernel section until released."""
+    """Wraps an engine's ``run``, which traces every cold request with no
+    target: the first call parks inside the kernel section until
+    released."""
 
     def __init__(self, engine) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
-        self._real = engine.trace_range
-        engine.trace_range = self
+        self._real = engine.run
+        engine.run = self
 
-    def __call__(self, seed, start, count):
+    def __call__(self, config):
         self.entered.set()
         assert self.release.wait(WAIT)
-        return self._real(seed, start, count)
+        return self._real(config)
 
 
 class TestCounters:
@@ -132,14 +133,17 @@ class TestSingleFlight:
 
         cache.peek = peek
 
+        traced = []  # the held-back runs: exactly the one cold trace
+
         def after_both_probed(engine):
-            real = engine.trace_range
+            real = engine.run
 
-            def trace_range(seed, start, count):
+            def run(config):
                 assert both_probed.wait(WAIT)
-                return real(seed, start, count)
+                traced.append(config.n_photons)
+                return real(config)
 
-            engine.trace_range = trace_range
+            engine.run = run
 
         with RenderSession(program, AMORTIZE) as one, RenderSession(
             program, AMORTIZE
@@ -158,6 +162,7 @@ class TestSingleFlight:
             ]
             assert all(joined(thread) for thread in threads)
             after = program.amortize_stats()
+            assert traced == [320]
             assert sorted(
                 (one.last_photons_traced, two.last_photons_traced)
             ) == [0, 320]
@@ -379,13 +384,13 @@ class TestRaisingSections:
         request = SimulateRequest(n_photons=200, seed=21)
         with RenderSession(scene, AMORTIZE) as session:
             engine = session._engine_for(None)
-            real = engine.trace_range
+            real = engine.run
 
-            def boom(seed, start, count):
-                engine.trace_range = real
+            def boom(config):
+                engine.run = real
                 raise RuntimeError("tracer fell over")
 
-            engine.trace_range = boom
+            engine.run = boom
             with pytest.raises(RuntimeError, match="fell over"):
                 session.simulate(request)
             assert not KERNEL_GATE.locked()

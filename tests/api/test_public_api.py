@@ -60,6 +60,7 @@ class TestSurface:
 #: The paper-reproduction tier: nothing outside it may import it, except
 #: the CLI's `trace` and `scenes` command bodies.
 FENCED = "repro.paper"
+FENCE_GATES = {"cli.py": ("_cmd_trace", "_cmd_scenes")}
 
 SRC = Path(api.__file__).resolve().parents[2]
 
@@ -72,17 +73,21 @@ OUTSIDE_FENCE = sorted(
 )
 
 
-def _outside_functions(node):
-    """Every node under *node* that is not inside a function body."""
+def _outside_functions(node, skipped):
+    """Every node under *node* except the bodies of the functions named
+    in *skipped*."""
     for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not (
+            isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and child.name in skipped
+        ):
             yield child
-            yield from _outside_functions(child)
+            yield from _outside_functions(child, skipped)
 
 
-def imported_modules(path: Path, *, function_bodies: bool = True) -> set:
-    """Every absolute module name *path* imports, at any nesting depth
-    (or, without *function_bodies*, outside function bodies only).
+def imported_modules(path: Path, *, skipped: tuple = ()) -> set:
+    """Every absolute module name *path* imports, at any nesting depth,
+    outside the bodies of the functions named in *skipped*.
 
     ``from X import a`` contributes both ``X`` and ``X.a`` (``a`` may be
     a submodule); relative imports resolve against the file's package.
@@ -90,7 +95,7 @@ def imported_modules(path: Path, *, function_bodies: bool = True) -> set:
     package = path.relative_to(SRC).parent.parts
     tree = ast.parse(path.read_text(), filename=str(path))
     found = set()
-    for node in ast.walk(tree) if function_bodies else _outside_functions(tree):
+    for node in _outside_functions(tree, skipped):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -114,13 +119,14 @@ class TestImportFence:
     @pytest.mark.parametrize("tier", OUTSIDE_FENCE)
     def test_serving_path_never_imports_reproduction_tiers(self, tier):
         """No package outside `repro.paper` imports it, function-level
-        imports included; `cli.py` may only inside its command bodies."""
+        imports included; `cli.py` may only inside its `trace` and
+        `scenes` command bodies."""
         root = SRC / "repro" / tier
         crossings = [
             f"{path.relative_to(SRC)}: {name}"
             for path in (sorted(root.glob("**/*.py")) if root.is_dir() else [root])
             for name in sorted(
-                imported_modules(path, function_bodies=tier != "cli.py")
+                imported_modules(path, skipped=FENCE_GATES.get(tier, ()))
             )
             if name == FENCED or name.startswith(FENCED + ".")
         ]
@@ -194,6 +200,26 @@ class TestImportFence:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_simulate_loads_no_fenced_module(self, tmp_path):
+        """`repro simulate` serves what `repro serve` serves: a whole run,
+        answer file written, loads no `repro.paper` module."""
+        answer = tmp_path / "a.json"
+        probe = (
+            "import io, sys\n"
+            "from repro.cli import main\n"
+            "assert main(['simulate', 'cornell-box', '--photons', '50',\n"
+            f"             '--out', {str(answer)!r}], out=io.StringIO()) == 0\n"
+            "print([name for name in sys.modules\n"
+            "       if name.startswith('repro.paper')])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert answer.exists()
 
     def test_parallel_exports_only_the_serving_backend(self):
         import repro.parallel as parallel

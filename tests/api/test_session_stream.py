@@ -93,3 +93,15 @@ class TestStreamShape:
             *_, last = session.simulate_stream(request)
         assert last.forest.total_tallies == 0
         assert forest_bytes(last) == forest_bytes(one_shot)
+
+    @pytest.mark.parametrize("batch_size", [2.5, True], ids=["float", "bool"])
+    def test_non_int_batch_size_raises_at_the_call(self, mini_scene, batch_size):
+        """``2.5`` would fail only at the first ``next()``, after the
+        request was counted; ``True`` would stream one photon a chunk."""
+        with RenderSession(mini_scene) as session:
+            with pytest.raises(TypeError, match="batch_size must be an int"):
+                session.simulate_stream(REQUEST, batch_size=batch_size)
+            assert session.requests_served == 0
+            *_, last = session.simulate_stream(REQUEST, batch_size=100)
+            assert session.requests_served == 1
+        assert last.forest.photons_emitted == REQUEST.n_photons

@@ -125,26 +125,22 @@ class TestLegacyStreamGolden:
 
 
 class TestCliGolden:
-    """`repro simulate` end-to-end lands on the same bytes; the default
-    (the scalar oracle on one serial stream) on the legacy golden."""
+    """`repro simulate` serves the request on the vector engine and lands
+    on the substream golden, the bytes the scalar oracle writes, with the
+    default flags, one batch for the whole budget, or a worker pool."""
 
     @pytest.mark.parametrize(
-        "extra, golden",
+        "extra",
         [
-            (["--engine", "scalar", "--rng", "substream"], "substream"),
-            (["--engine", "vector"], "substream"),
-            (["--engine", "vector", "--batch-size", "100000"], "substream"),
-            (["--engine", "vector", "--workers", "2", "--batch-size", "128"],
-             "substream"),
-            (["--engine", "vector", "--workers", "2"], "substream"),
-            ([], "stream"),
+            [],
+            ["--batch-size", "100000"],
+            ["--workers", "2", "--batch-size", "128"],
+            ["--workers", "2"],
         ],
-        ids=[
-            "scalar-substream", "vector", "vector-one-batch",
-            "vector-procpool", "vector-procpool-plane", "default-scalar-stream",
-        ],
+        ids=["vector", "vector-one-batch", "vector-procpool",
+             "vector-procpool-plane"],
     )
-    def test_simulate_matches_golden(self, tmp_path, extra, golden):
+    def test_simulate_matches_golden(self, request, tmp_path, extra):
         out = tmp_path / "cli.json"
         rc = cli_main(
             [
@@ -157,4 +153,7 @@ class TestCliGolden:
             out=io.StringIO(),
         )
         assert rc == 0
-        assert out.read_bytes() == golden_bytes(f"cornell-box.{golden}.answer.json")
+        got = out.read_bytes()
+        assert got == golden_bytes("cornell-box.substream.answer.json")
+        scene = scene_for(request, "cornell-box")
+        assert got == simulate_bytes(scene, "substream", tmp_path)

@@ -136,6 +136,26 @@ class TestShardTracing:
         assert full.theta.tolist() == merged.theta.tolist()
 
 
+    @pytest.mark.parametrize("start, count, message", [
+        (0, -1, "count must be non-negative, got -1"),
+        (-3, 10, "start must be non-negative, got -3"),
+    ], ids=["count", "start"])
+    def test_negative_range_raises_in_the_parent(
+        self, cornell, start, count, message
+    ):
+        """The engine's errors, before any worker starts or any result
+        block is allocated (a negative count used to trace nothing)."""
+        config = SimulationConfig(n_photons=100, workers=2)
+        pool = PhotonPool(SceneProgram.compile(cornell), config)
+        try:
+            with pytest.raises(ValueError, match=message):
+                pool.trace_range(0xAB, start, count)
+            assert pool.result_blocks is None
+            assert pool._pool is None
+        finally:
+            pool.close()
+
+
 #: Seconds between two shards' landings in the reverse-landing runs:
 #: far above a 450-photon shard's trace time.
 LANDING_GAP = 0.2

@@ -38,7 +38,7 @@ SCENES = ("cornell-box", "gen:office-8@0xBEEF")
 
 
 def reference_bytes(spec: str, photons: int, tmp_path) -> bytes:
-    """The answer-file bytes ``repro simulate --engine vector`` writes."""
+    """The answer-file bytes ``repro simulate`` writes."""
     with RenderSession(get_scene(spec), SessionOptions()) as session:
         result = session.simulate(SimulateRequest(n_photons=photons))
     path = tmp_path / "reference.answer.json"

@@ -19,8 +19,7 @@ class TestParser:
         )
         assert args.photons == 100
         assert args.scene == "cornell-box"
-        # Unset, so the scalar oracle can tell it was not asked for and
-        # the vector path takes the session's default.
+        # Unset, so the session takes its own default.
         assert args.batch_size is None
 
     def test_hex_seed(self):
@@ -29,30 +28,52 @@ class TestParser:
         )
         assert args.seed == 0xBEEF
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    @pytest.mark.parametrize("seed", ["-5", "0x1000000000000", str(2**80)])
+    # simulate runs the vector engine; the ids name it, as they did when
+    # the CLI also ran the scalar oracle.
+    @pytest.mark.parametrize("seed", ["-5", "0x1000000000000", str(2**80)],
+                             ids=lambda seed: f"{seed}-vector")
     def test_seed_outside_the_generator_period_exits_2(
-        self, capsys, tmp_path, engine, seed
+        self, capsys, tmp_path, seed
     ):
         out = tmp_path / "a.json"
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "cornell-box", "--photons", "10", "--seed", seed,
-                  "--engine", engine, "--out", str(out)])
+                  "--out", str(out)])
         assert excinfo.value.code == 2
         assert "seed must lie in [0, 2**48)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "cornell-box", "--accel", "flat", "--out", "x.json"],
-        ["trace", "cornell-box", "--accel", "linear"],
-        ["serve", "--scene", "cornell-box", "--accel", "auto"],
-    ], ids=["simulate", "trace", "serve"])
-    def test_leftover_accel_flag_exits_2(self, capsys, argv):
-        """The engine picks the accelerator: the flag is gone, not ignored."""
+    @pytest.mark.parametrize("argv, flag", [
+        # The engine picks the intersection accelerator.
+        (["simulate", "cornell-box", "--accel", "flat"], "--accel"),
+        (["trace", "cornell-box", "--accel", "linear"], "--accel"),
+        (["serve", "--scene", "cornell-box", "--accel", "auto"], "--accel"),
+        # One engine serves every request; the scalar oracle is Python only.
+        (["simulate", "cornell-box", "--engine", "scalar"], "--engine"),
+        (["simulate", "cornell-box", "--rng", "stream"], "--rng"),
+        (["serve", "--scene", "cornell-box", "--engine", "vector"], "--engine"),
+        (["trace", "cornell-box", "--engine", "vector"], "--engine"),
+        # Pools always share the scene plane; there is no transport knob.
+        (["simulate", "cornell-box", "--share-plane", "on"], "--share-plane"),
+        # The forest cache behind --amortize is the one cache.
+        (["serve", "--scene", "cornell-box", "--cache-results", "on"],
+         "--cache-results"),
+    ], ids=[
+        "simulate-accel", "trace-accel", "serve-accel", "simulate-engine",
+        "simulate-rng", "serve-engine", "trace-engine", "simulate-share-plane",
+        "serve-cache-results",
+    ])
+    def test_removed_flag_exits_2(self, capsys, tmp_path, argv, flag):
+        """A removed flag is refused, not ignored: exit 2, the flag named,
+        nothing written."""
+        out = tmp_path / "x.json"
+        if argv[0] == "simulate":
+            argv = [*argv, "--photons", "10", "--out", str(out)]
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(argv, out=io.StringIO())
         assert excinfo.value.code == 2
-        assert "--accel" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeat_flag(self):
         args = build_parser().parse_args(
@@ -87,33 +108,6 @@ class TestParser:
 class TestSimulateUsageErrors:
     """Config rejections surface as argparse usage errors, not tracebacks."""
 
-    def test_workers_without_vector_engine_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["simulate", "cornell-box", "--photons", "10",
-                 "--workers", "4", "--out", "x.json"]
-            )
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert err.splitlines()[-1] == (
-            "repro simulate: error: --workers > 1 requires the vector "
-            "engine (the scalar loop would silently ignore the pool); "
-            "pass --engine vector"
-        )
-
-    def test_vector_with_stream_rng_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["simulate", "cornell-box", "--photons", "10",
-                 "--engine", "vector", "--rng", "stream", "--out", "x.json"]
-            )
-        assert excinfo.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "repro simulate: error: the vector engine requires per-photon "
-            "substreams; pass --rng substream or --rng auto"
-        )
-
     def test_zero_repeat_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -122,20 +116,6 @@ class TestSimulateUsageErrors:
             )
         assert excinfo.value.code == 2
         assert "--repeat" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [
-        ["--repeat", "2"], ["--amortize"], ["--target-error", "0.5"],
-        ["--batch-size", "7"],
-    ], ids=["repeat", "amortize", "target-error", "batch-size"])
-    def test_session_flags_on_the_scalar_oracle_exit_2(self, capsys, flags):
-        """The scalar engine runs the reference loop once, not a
-        session: serving flags are refused, not ignored."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "cornell-box", "--photons", "10",
-                  *flags, "--out", "x.json"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert flags[0] in err and "requires --engine vector" in err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
     def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
@@ -156,7 +136,7 @@ class TestSimulateUsageErrors:
         out = tmp_path / "x.json"
         with pytest.raises(SystemExit) as excinfo:
             main(
-                ["simulate", "cornell-box", "--engine", "vector",
+                ["simulate", "cornell-box",
                  "--photons", "20000", "--target-error", target,
                  "--out", str(out)]
             )
@@ -184,20 +164,6 @@ class TestServeCommand:
             main(["serve", "--scene", "cornell-box", "--pool-size", "0"])
         assert excinfo.value.code == 2
         assert "sessions_per_scene" in capsys.readouterr().err
-
-    def test_removed_memo_flag_exits_2(self, capsys):
-        """The memo is gone, not ignored: `--amortize` is the one cache."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--scene", "cornell-box", "--cache-results", "on"])
-        assert excinfo.value.code == 2
-        assert "--cache-results" in capsys.readouterr().err
-
-    def test_removed_engine_flag_exits_2(self, capsys):
-        """Serving is the vector engine: the flag is gone, not ignored."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--scene", "cornell-box", "--engine", "vector"])
-        assert excinfo.value.code == 2
-        assert "--engine" in capsys.readouterr().err
 
     def test_boot_serve_sigterm(self):
         """`repro serve` boots, answers /healthz, exits 0 on SIGTERM."""
@@ -315,7 +281,7 @@ class TestSceneSpecs:
         ppm = tmp_path / "g.ppm"
         rc = main(
             ["simulate", "--gen", "office-5@3", "--photons", "200",
-             "--engine", "vector", "--out", str(answer)],
+             "--out", str(answer)],
             out=io.StringIO(),
         )
         assert rc == 0
@@ -334,7 +300,7 @@ class TestSceneSpecs:
         main(["save-scene", "gen:den-6@5", "--out", str(scene_file)],
              out=io.StringIO())
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        common = ["--photons", "200", "--engine", "vector", "--seed", "0xBEEF"]
+        common = ["--photons", "200", "--seed", "0xBEEF"]
         assert main(
             ["simulate", "--gen", "den-6@5", *common, "--out", str(a)],
             out=io.StringIO(),
@@ -429,8 +395,8 @@ class TestSimulateViewWorkflow:
         answer = tmp_path / "a.json"
         out = io.StringIO()
         rc = main(
-            ["simulate", "cornell-box", "--photons", "200", "--engine",
-             "vector", "--repeat", "3", "--out", str(answer)],
+            ["simulate", "cornell-box", "--photons", "200",
+             "--repeat", "3", "--out", str(answer)],
             out=out,
         )
         assert rc == 0
@@ -439,8 +405,8 @@ class TestSimulateViewWorkflow:
         assert "warm" in text
         single = tmp_path / "b.json"
         main(
-            ["simulate", "cornell-box", "--photons", "200", "--engine",
-             "vector", "--out", str(single)],
+            ["simulate", "cornell-box", "--photons", "200",
+             "--out", str(single)],
             out=io.StringIO(),
         )
         assert answer.read_bytes() == single.read_bytes()
@@ -450,8 +416,8 @@ class TestSimulateViewWorkflow:
         the whole warm session (overall and warm-only rates)."""
         out = io.StringIO()
         rc = main(
-            ["simulate", "cornell-box", "--photons", "200", "--engine",
-             "vector", "--repeat", "3", "--out", str(tmp_path / "a.json")],
+            ["simulate", "cornell-box", "--photons", "200",
+             "--repeat", "3", "--out", str(tmp_path / "a.json")],
             out=out,
         )
         assert rc == 0
@@ -466,8 +432,8 @@ class TestSimulateViewWorkflow:
     def test_single_request_prints_no_aggregate(self, tmp_path):
         out = io.StringIO()
         main(
-            ["simulate", "cornell-box", "--photons", "100", "--engine",
-             "vector", "--out", str(tmp_path / "a.json")],
+            ["simulate", "cornell-box", "--photons", "100",
+             "--out", str(tmp_path / "a.json")],
             out=out,
         )
         assert "aggregate:" not in out.getvalue()
@@ -480,8 +446,8 @@ class TestSimulateViewWorkflow:
             pool, single = tmp_path / "w2.json", tmp_path / "w1.json"
             for path, workers in ((pool, "2"), (single, "1")):
                 rc = main(
-                    ["simulate", scene, "--photons", "200", "--engine",
-                     "vector", "--workers", workers, "--out", str(path)],
+                    ["simulate", scene, "--photons", "200",
+                     "--workers", workers, "--out", str(path)],
                     out=io.StringIO(),
                 )
                 assert rc == 0
@@ -538,14 +504,6 @@ class TestTraceCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--platform" in err and "indy-cluster, power-onyx, sp2" in err
-
-    def test_removed_engine_flag_exits_2(self, capsys):
-        """The calibration profile uses the paper's per-photon loop: the
-        flag is gone, not ignored."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "cornell-box", "--engine", "vector"], out=io.StringIO())
-        assert excinfo.value.code == 2
-        assert "--engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, named", [
         (["--ranks", "0"], "ranks"),

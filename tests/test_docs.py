@@ -3,8 +3,8 @@
 Documentation rots when nothing executes it.  These tests extract every
 fenced ``bash`` block from the user-facing docs and (a) argparse-check
 each ``python -m repro`` command against the real CLI parser, (b)
-*execute* the README quickstart pipeline end-to-end — simulate with
-every engine variant the README shows, then view — and (c) execute
+*execute* the README quickstart pipeline end-to-end — every
+simulate variant the README shows, then view — and (c) execute
 **every** ``examples/*.py`` script under a tiny photon budget, so an
 API change that breaks an example fails CI instead of the next reader.
 The CI docs job runs exactly this module.
