@@ -15,9 +15,7 @@ gate adds no queue of its own.
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Iterator
 
 __all__ = ["KERNEL_GATE", "KernelGate"]
 
@@ -47,20 +45,6 @@ class KernelGate:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._lock.release()
-
-    @contextlib.contextmanager
-    def released(self) -> Iterator[None]:
-        """Let the holder drop the gate around a wait on another process.
-
-        Everyone queued at the gate would otherwise sit out a wait that
-        uses none of this process's CPU.  The gate is re-taken (and
-        counted) before the block exits, whether or not the wait raised.
-        """
-        self._lock.release()
-        try:
-            yield
-        finally:
-            self.__enter__()
 
     def locked(self) -> bool:
         """Whether some thread is inside a kernel section right now."""

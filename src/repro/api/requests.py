@@ -130,10 +130,12 @@ class SessionOptions:
             :class:`~repro.parallel.procpool.PhotonPool` warm across
             requests.
         batch_size: The most photons in flight in the engine's trace
-            wave, the view stage's ray band, the chunk a top-up or an
-            early-stop request traces between checks, and the default
+            wave, the view stage's ray band, the photons an early-stop
+            request traces between convergence checks, and the default
             chunk size of
-            :meth:`~repro.api.RenderSession.simulate_stream`.
+            :meth:`~repro.api.RenderSession.simulate_stream`.  A
+            request without a target — cold or a top-up — traces its
+            missing range as one wave, whatever this is.
         amortize: Enable the program-level
             :class:`~repro.api.amortize.ForestCache`: a request whose
             camera-free trace key (policy, fluorescence, seed) matches

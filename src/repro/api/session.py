@@ -31,6 +31,10 @@ pool); result blocks are budget-sized and per-pool, so each session's
 pool owns its own.  The pool serves every fluorescence spec: the spec
 travels with each shard, so no request respawns the workers.
 
+One path from request to forest: a cold request, a top-up, an early
+stop and a stream chunk all add photons ``[a, b)`` to a forest, through
+one chunk loop (``_grow``) into the warm engine's or pool's ``run``.
+
 Amortization (``SessionOptions(amortize=True)``): requests go through
 the program's :class:`~repro.api.amortize.ForestCache`, the only
 cross-request cache.  A serve that needs no new photons returns the
@@ -38,13 +42,12 @@ cached forest itself; a top-up copies it once before extending it.
 Treat every served ``result.forest`` as read-only — it may be shared
 with the cache and with other results.
 
-Kernel gate: every in-process, CPU-bound section of a serve — a
-single-process trace and tally, each shard's tally in a pooled run,
-the top-up copy, the convergence summary, a render — runs holding the process-wide
+Kernel gate: in-process, CPU-bound work — a single-process serve's
+whole cache miss, a pooled serve's shard tallies, top-up copy and
+convergence checks, a render — runs holding the process-wide
 :data:`repro.api.gate.KERNEL_GATE`, one section at a time across all
-sessions.  A request the cache already
-answers never takes it, and it is never held across a wait on pool
-workers or between stream chunks.
+sessions.  A request the cache already answers never takes it, and it
+is never held across a wait on pool workers or between stream chunks.
 
 Every session traces with the vector engine on per-photon substreams;
 the per-photon reference loop is the oracle
@@ -68,6 +71,7 @@ session, across threads — or check sessions out of a
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import threading
@@ -211,6 +215,12 @@ class RenderSession:
         self.requests_served = 0
         self._engines: dict = {}  # fluorescence spec -> warm VectorEngine
         self._pool = None
+        # Where a serve holds the kernel gate (see _trace): around a
+        # whole cache miss in process, around each of the serve's own
+        # kernel steps on a pool, whose shard tallies take it.
+        pooled = self.options.workers > 1
+        self._miss_gate = contextlib.nullcontext() if pooled else KERNEL_GATE
+        self._step_gate = KERNEL_GATE if pooled else contextlib.nullcontext()
         self._closed = False
         # Reentrancy guard: a session serves one request at a time; the
         # check-and-set is atomic so concurrent misuse from another
@@ -324,55 +334,39 @@ class RenderSession:
         the same request under substream RNG — the session only changes
         *how* and *when* photons are traced, never a single tally.
 
-        Under ``SessionOptions(amortize=True)`` a request whose trace
-        key matches a cached run of at most its budget (any batch size
-        or worker count) starts from the cached forest and traces only
-        the missing photon range — byte-identical to a cold run,
-        per the substream prefix property (see
-        :mod:`repro.api.amortize`).  A hit that traces nothing (an
-        exact repeat, an already-converged early stop, a camera-only
-        render) returns the cached forest itself, shared and
-        read-only; only a top-up pays a deep copy.
+        Every request takes one path (:meth:`_serve`): its forest starts
+        from what the cache already holds — under
+        ``SessionOptions(amortize=True)``, a cached run of the same
+        trace key and at most the budget (any batch size or worker
+        count); otherwise nothing — and only the missing photon range is
+        traced, as one wave.  That is byte-identical to a cold run, per
+        the substream prefix property (see :mod:`repro.api.amortize`).
+        A hit that traces nothing (an exact repeat, an already-converged
+        early stop, a camera-only render) returns the cached forest
+        itself, shared and read-only; only a top-up pays a deep copy.
 
-        Under ``request.target_rel_error`` the trace proceeds in
-        ``options.batch_size`` chunks and stops early once the forest's
+        Under ``request.target_rel_error`` the range is traced in
+        ``options.batch_size`` steps and stops early once the forest's
         median per-bin relative error reaches the target; the answer is
         the exact canonical answer for the photons actually traced.
         """
         self._check_open()
         self._begin_request("simulate()")
         try:
-            config = merge_config(request, self.options)
-            if (
-                self._forest_cache is not None
-                or request.target_rel_error is not None
-            ):
-                result = self._simulate_incremental(request, config)
-            else:
-                # The full budget in one call to the warm pool or engine.
-                if config.workers > 1:
-                    # Mostly a wait on the workers: the pool takes the
-                    # gate only around each shard's tally.
-                    result = self._warm_pool(config).run(config)
-                else:
-                    with KERNEL_GATE:
-                        result = self._engine_for(request.fluorescence).run(
-                            config
-                        )
-                self.last_photons_traced = config.n_photons
+            result = self._serve(request, merge_config(request, self.options))
             self.requests_served += 1
             return result
         finally:
             self._end_request()
 
-    def _simulate_incremental(
+    def _serve(
         self, request: SimulateRequest, config: SimulationConfig
     ) -> SimulationResult:
-        """Chunked tracing over an optional cached prefix.
+        """The one serve body: the cached prefix, if any, grown to the answer.
 
         Exactness argument: per-photon substreams make photon *i*'s
         events independent of every other photon, and canonical tally
-        replay over contiguous ascending chunks is chunking-invariant
+        replay over contiguous ascending ranges is chunking-invariant
         (the stream-parity contract) — so extending a deep copy of the
         cached ``[0, n)`` forest with the events of ``[n, m)`` replays
         the identical global tally sequence a cold ``[0, m)`` run
@@ -381,15 +375,16 @@ class RenderSession:
 
         Sharing rule: a cached forest is never mutated.  A serve with
         nothing to trace returns ``entry.forest``/``entry.stats`` as
-        they are; :meth:`_extend` copies them before its first chunk.
+        they are; :meth:`_extend` copies them before extending them.
 
         Gate rule: a request the cache already answers — an exact
         repeat, a prefix that meets the convergence target — is told so
         by a read-only probe and never waits at the kernel gate.  Every
-        other request takes the gate *first* and looks the cache up
-        under it, so of two threads released on one never-seen key the
-        second finds the forest the first just stored: an exact hit,
-        with no coalescing machinery.
+        other request enters its miss section (``_miss_gate``, see
+        :meth:`_trace`) *first* and looks the cache up inside it.  On an
+        in-process engine that section is the gate, so of two threads
+        released on one never-seen key the second finds the forest the
+        first just stored: an exact hit, with no coalescing machinery.
         """
         n, target = config.n_photons, request.target_rel_error
         cache = self._forest_cache
@@ -398,15 +393,12 @@ class RenderSession:
         if cache is not None and _answers(cache.peek(key, n), n, target):
             # The serve's lookup proper: it refreshes recency, the probe
             # does not.  An entry evicted or outgrown since the probe no
-            # longer answers, and the request goes to the gate after all.
+            # longer answers, and the request misses after all.
             entry = cache.lookup(key, n)
         if _answers(entry, n, target):
-            forest, stats, done = entry.forest, entry.stats, entry.n
-            achieved = (
-                entry.median_relative_error() if target is not None else None
-            )
+            forest, stats, done, achieved = self._extend(request, config, entry)
         else:
-            with KERNEL_GATE:
+            with self._miss_gate:
                 if cache is not None:
                     entry = cache.lookup(key, n)
                 forest, stats, done, achieved = self._extend(
@@ -418,15 +410,23 @@ class RenderSession:
         if cache is not None:
             cache.record_serve(reused, done - reused, done < n)
         self.last_photons_traced = done - reused
-        result_config = (
-            config if done == n else dataclasses.replace(config, n_photons=done)
-        )
+        return self._answer(config, target, forest, stats, done, achieved)
+
+    def _answer(
+        self, config, target, forest, stats, done, achieved
+    ) -> SimulationResult:
+        """The result for *forest*, which holds photons ``0 .. done``:
+        the exact answer for the photons traced, with the budget and the
+        error reached when the request set a *target*."""
+        if target is not None and achieved is None:
+            # An empty budget takes no step; measure the empty forest.
+            achieved = forest_error_summary(forest).median_relative_error
         return SimulationResult(
             forest,
             stats,
-            result_config,
+            dataclasses.replace(config, n_photons=done),
             self.scene.name,
-            photons_requested=n if target is not None else None,
+            photons_requested=config.n_photons if target is not None else None,
             achieved_rel_error=achieved,
         )
 
@@ -436,85 +436,86 @@ class RenderSession:
         config: SimulationConfig,
         entry: Optional[CachedTrace],
     ) -> tuple:
-        """Trace from *entry*'s prefix (or from nothing) towards the budget.
+        """Grow *entry*'s prefix (or an empty forest) towards the budget.
 
-        Runs under the kernel gate.  Returns ``(forest, stats, done,
-        achieved)``: the photons in the forest, and its median relative
-        error when the request set a target (else ``None``).
+        Returns ``(forest, stats, done, achieved)``: the photons in the
+        forest, and its median relative error when the request set a
+        target (else ``None``).  An entry that already answers is
+        returned as it is, shared; anything else runs inside the
+        serve's miss section.
 
-        A cold request with no target traces its whole budget in one
-        call, as a serve without the cache does: one refilled wave on
-        the engine, or shards tallied as they land on the pool.  Only a
-        top-up or a convergence check needs ``batch_size`` chunks.
+        Without a target the missing range is one step of
+        :meth:`_grow` — one wave on the engine, one shard per worker on
+        the pool — for a cold request and a top-up alike.  Under a
+        target it goes in ``batch_size`` steps, checked after each.
         """
         target = request.target_rel_error
-        if entry is None and target is None:
-            if config.workers > 1:
-                # The pool takes the gate around each shard's tally, and
-                # the gate is not reentrant.
-                with KERNEL_GATE.released():
-                    result = self._warm_pool(config).run(config)
-            else:
-                result = self._engine_for(request.fluorescence).run(config)
-            return result.forest, result.stats, config.n_photons, None
-        if entry is not None:
-            forest, stats, done = entry.forest, entry.stats, entry.n
-        else:
+        if _answers(entry, config.n_photons, target):
+            achieved = (
+                entry.median_relative_error() if target is not None else None
+            )
+            return entry.forest, entry.stats, entry.n, achieved
+        if entry is None:
             forest, stats, done = BinForest(config.policy), TraceStats(), 0
-        trace = None
-        while done < config.n_photons:
-            if target is not None and done > 0:
-                summary = forest_error_summary(forest)
-                if summary.median_relative_error <= target:
-                    break
-            if trace is None:
-                # First chunk: provision the tracer and un-share the
-                # cached prefix this chunk is about to extend.
-                trace = self._chunk_tracer(request, config)
-                if entry is not None:
-                    forest = copy.deepcopy(forest)
-                    stats = dataclasses.replace(stats)
-            todo = min(self.options.batch_size, config.n_photons - done)
-            trace(forest, stats, done, todo)
-            done += todo
-        achieved = (
-            forest_error_summary(forest).median_relative_error
-            if target is not None
-            else None
-        )
+        else:
+            # Un-share the cached prefix this serve is about to extend.
+            with self._step_gate:
+                forest = copy.deepcopy(entry.forest)
+            stats, done = dataclasses.replace(entry.stats), entry.n
+        step = config.batch_size if target is not None else config.n_photons
+        achieved = None
+        for done, achieved in self._grow(config, target, forest, stats, done, step):
+            pass
         return forest, stats, done, achieved
 
-    def _chunk_tracer(self, request: SimulateRequest, config: SimulationConfig):
-        """A ``trace(forest, stats, start, count)`` closure for *config*.
+    def _grow(
+        self, config, target, forest, stats, done: int, step: int
+    ) -> Iterator[tuple]:
+        """The one chunk loop: extend *forest* from photon *done* towards
+        ``config.n_photons``, *step* photons at a time.
 
-        Both variants — warm pool or warm in-process engine — trace the
-        absolute photon range ``[start, start + count)`` into the
-        growing forest: the same building blocks :meth:`simulate_stream`
-        chains, so the chunked answer is pinned byte-identical to the
-        one-shot one by the stream-parity suite.
+        Yields ``(done, error)`` after each step — *error* the forest's
+        median per-bin relative error when *target* is set, else
+        ``None`` — and ends at the budget or after the first step that
+        meets the target.  :meth:`_extend` drains it inside a serve's
+        miss section; :meth:`_stream` runs one step per section and
+        yields in between.  Contiguous ascending steps keep the global
+        tally sequence canonical, so where they fall moves no byte.
         """
-        from ..core.vectorized import tally_block
+        n = config.n_photons
+        while done < n:
+            end = min(done + step, n)
+            stats.merge(
+                self._trace(
+                    dataclasses.replace(config, n_photons=end), forest, done
+                )
+            )
+            done = end
+            error = None
+            if target is not None:
+                with self._step_gate:
+                    error = forest_error_summary(forest).median_relative_error
+            yield done, error
+            if error is not None and error <= target:
+                return
 
+    def _trace(
+        self, config: SimulationConfig, forest: BinForest, start: int
+    ) -> TraceStats:
+        """Add photons ``start .. config.n_photons`` to *forest* on the
+        warm tracer; that range's counters.
+
+        The one place engine and pool differ, with the two gates
+        ``__init__`` sets: in process the trace is this process's kernel
+        work, inside the serve's miss section (``_miss_gate`` is the
+        gate); on a pool :meth:`~repro.parallel.procpool.PhotonPool.run`
+        gates each shard's tally itself, and the serve gates only its
+        copy and convergence checks (``_step_gate``), never a wait.
+        """
         if config.workers > 1:
-
-            def source(seed, start, count):
-                # The caller holds the gate; spawning the workers and
-                # waiting on them uses none of this process's CPU, so
-                # neither happens under it.
-                with KERNEL_GATE.released():
-                    return self._warm_pool(config).trace_range(
-                        seed, start, count, request.fluorescence
-                    )
-
-        else:
-            source = self._engine_for(request.fluorescence).trace_range
-
-        def trace(forest, stats, start, count):
-            block, chunk_stats = source(config.seed, start, count)
-            stats.merge(chunk_stats)
-            tally_block(forest, block, count)
-
-        return trace
+            return self._warm_pool(config).run(config, forest, start).stats
+        engine = self._engine_for(config.fluorescence)
+        return engine.run(config, forest, start).stats
 
     def simulate_stream(
         self, request: SimulateRequest, batch_size: Optional[int] = None
@@ -535,8 +536,12 @@ class RenderSession:
         stop early on convergence — an advertised use).  When
         ``request.target_rel_error`` is set the session does that
         convergence check itself: the stream ends after the first chunk
-        whose forest meets the target, and — as with every early stop —
-        that final yield is the exact answer for the photons traced.
+        whose forest meets the target.  The final yield is the answer,
+        and it carries what :meth:`simulate` returns: the photons traced
+        as ``config.n_photons``, ``photons_requested`` and
+        ``achieved_rel_error`` under a target.  Every earlier yield
+        carries the whole budget as ``config.n_photons``, more than its
+        forest holds.
         """
         self._check_open()
         chunk = batch_size if batch_size is not None else self.options.batch_size
@@ -553,42 +558,26 @@ class RenderSession:
     ) -> Iterator[SimulationResult]:
         """The one stream body: cumulative results, one per *chunk*.
 
-        Each chunk goes through the same :meth:`_chunk_tracer` closure
-        the incremental serve uses — warm engine or warm pool — into
-        one growing forest; contiguous ascending chunks
-        keep the global tally sequence canonical, which is why the
-        final cumulative forest matches the one-shot answer
-        byte-for-byte.  Under a convergence target the check shares the
-        chunk's gated section and acts after the yield, so the consumer
-        always receives the chunk that crossed the threshold.
+        Each chunk is one step of :meth:`_grow`, the loop every
+        :meth:`simulate` drains, into one growing forest, so the final
+        forest is the one-shot answer byte for byte.  A step runs in its
+        own miss section and never across a yield: a slow consumer must
+        not park every other session.  The chunk that meets a
+        convergence target is the last.
         """
-        forest = BinForest(config.policy)
-        stats = TraceStats()
-        if config.n_photons == 0:
-            # Keep the final-yield-equals-simulate contract on an empty
-            # budget: one empty cumulative result.
+        n, target = config.n_photons, request.target_rel_error
+        forest, stats = BinForest(config.policy), TraceStats()
+        steps = self._grow(config, target, forest, stats, 0, chunk)
+        done, error = 0, None
+        while done < n:
+            with self._miss_gate:
+                done, error = next(steps)
+            if done == n or (error is not None and error <= target):
+                break
             yield SimulationResult(forest, stats, config, self.scene.name)
-            return
-        target = request.target_rel_error
-        trace = self._chunk_tracer(request, config)
-        done = 0
-        while done < config.n_photons:
-            todo = min(chunk, config.n_photons - done)
-            # The gate is taken per chunk and never held across a yield:
-            # a slow consumer must not park every other session.
-            with KERNEL_GATE:
-                trace(forest, stats, done, todo)
-                converged = (
-                    target is not None
-                    and forest_error_summary(forest).median_relative_error
-                    <= target
-                )
-            done += todo
-            yield SimulationResult(forest, stats, config, self.scene.name)
-            if converged:
-                if self._forest_cache is not None:
-                    self._forest_cache.record_serve(0, 0, True)
-                return
+        if done < n and self._forest_cache is not None:
+            self._forest_cache.record_serve(0, 0, True)
+        yield self._answer(config, target, forest, stats, done, error)
 
     def render_view(
         self,

@@ -96,8 +96,9 @@ class TraceStats:
 class SimulationResult:
     """Output of a simulation run: the answer forest plus run counters.
 
-    ``config.n_photons`` always equals the photons actually traced.
-    Under a convergence target
+    ``config.n_photons`` equals the photons actually traced (only a
+    non-final :meth:`~repro.api.RenderSession.simulate_stream` yield
+    carries the whole budget instead).  Under a convergence target
     (:attr:`repro.api.SimulateRequest.target_rel_error`) that may be
     fewer than requested: the answer is then the exact canonical answer
     for the traced prefix, with :attr:`photons_requested` recording the

@@ -681,12 +681,11 @@ def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:
 
     The single place the per-block forest bookkeeping lives — shared by
     :meth:`VectorEngine.run` (one block per completed prefix), the
-    pool's per-shard tally, the session's streaming and top-up paths,
-    and tests — so emission accounting cannot drift between them.  The
-    replay is :func:`apply_events`, which puts the block in canonical
-    order itself: chunking a photon range into blocks of any size gives the
-    same forest, because each block is replayed exactly as its rows one
-    at a time would be.
+    pool's per-shard tally and tests — so emission accounting cannot
+    drift between them.  The replay is :func:`apply_events`, which puts
+    the block in canonical order itself: chunking a photon range into
+    blocks of any size gives the same forest, because each block is
+    replayed exactly as its rows one at a time would be.
     """
     apply_events(forest, block)
     counts = block.emission_band_counts()
@@ -712,8 +711,8 @@ class VectorEngine:
             scalar :func:`repro.paper.physics.fluorescent_reflect`).
         batch_size: The most photons in flight: a range is traced as
             one wave of at most this many lanes (:meth:`_wave`), and
-            :meth:`run` tallies completed prefixes of at least this many
-            photons.
+            :meth:`run` tallies its completed prefix in blocks of this
+            many photons.
         accel: One of :data:`ACCEL_MODES`.  Leave it at the default:
             ``"auto"`` picks ``"flat"`` at or above
             :data:`PRUNE_PATCH_THRESHOLD` patches and ``"linear"`` below,
@@ -1542,7 +1541,9 @@ class VectorEngine:
         """Trace photons ``start .. start+count``; their events + stats.
 
         The events of one refilled wave (:meth:`_wave`), concatenated in
-        the order they were traced; replays sort them canonically.
+        the order they were traced; replays sort them canonically.  A
+        pool worker's shard job: it ships events, where :meth:`run`
+        tallies them into a forest as the wave goes.
         """
         from .simulator import TraceStats
 
@@ -1624,11 +1625,15 @@ class VectorEngine:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self, config) -> "SimulationResult":
-        """Run a full photon budget; returns the same result type as the
-        scalar oracle :func:`~repro.paper.scalar.run_scalar`.
+    def run(
+        self, config, forest: Optional[BinForest] = None, start: int = 0
+    ) -> "SimulationResult":
+        """Add photons ``start .. config.n_photons`` to *forest*, which
+        holds photons ``0 .. start`` (a fresh forest by default: the
+        scalar oracle's :func:`~repro.paper.scalar.run_scalar` result).
+        ``result.stats`` counts only this call's photons.
 
-        The budget is one wave (:meth:`_wave`).  Its events are tallied
+        The range is one wave (:meth:`_wave`).  Its events are tallied
         by completed prefix: once every photon below some index has
         finished and that prefix reaches ``batch_size`` photons past the
         last tally, its events go through :func:`tally_block`, a block
@@ -1639,23 +1644,25 @@ class VectorEngine:
         """
         from .simulator import SimulationResult, TraceStats
 
-        forest = BinForest(config.policy)
+        if forest is None:
+            forest = BinForest(config.policy)
+        start, count = checked_range(start, config.n_photons - start)
         stats = TraceStats()
-        n, width = config.n_photons, self.batch_size
+        end, width = start + count, self.batch_size
         held: list[EventBatch] = []
-        tallied = 0
-        for events, done in self._wave(config.seed, 0, n, stats):
+        tallied = start
+        for events, done in self._wave(config.seed, start, count, stats):
             held.append(events)
-            if done - tallied < width and done < n:
+            if done - tallied < width and done < end:
                 continue
             rest = EventBatch.concat(held)
             held.clear()
-            while done - tallied >= width or tallied < done == n:
-                end = min(tallied + width, done)
-                inside = rest.gidx < end
+            while done - tallied >= width or tallied < done == end:
+                stop = min(tallied + width, done)
+                inside = rest.gidx < stop
                 block, rest = rest.take(inside), rest.take(~inside)
-                tally_block(forest, block, end - tallied)
-                tallied = end
+                tally_block(forest, block, stop - tallied)
+                tallied = stop
             held.append(rest)
         # An attached-plane engine has no scene object; the handle does
         # not carry the name, only the arrays.

@@ -413,8 +413,16 @@ class PhotonPool:
             raise
         return self
 
-    def run(self, config: Optional[SimulationConfig] = None) -> SimulationResult:
-        """Run one photon budget; the result matches the serial engines.
+    def run(
+        self,
+        config: Optional[SimulationConfig] = None,
+        forest: Optional[BinForest] = None,
+        start: int = 0,
+    ) -> SimulationResult:
+        """Add photons ``start .. config.n_photons`` to *forest*, which
+        holds photons ``0 .. start`` (a fresh forest by default), exactly
+        as :meth:`repro.core.vectorized.VectorEngine.run` does;
+        ``result.stats`` counts only this call's photons.
 
         *config* defaults to the pool's own; passing a different one
         (other budget/seed/policy/fluorescence) reuses the warm workers.
@@ -427,10 +435,13 @@ class PhotonPool:
         the kernel gate; the waits on the workers run outside it.
         """
         config = config if config is not None else self.config
-        forest, stats = BinForest(config.policy), TraceStats()
-        if config.n_photons:
+        if forest is None:
+            forest = BinForest(config.policy)
+        start, count = checked_range(start, config.n_photons - start)
+        stats = TraceStats()
+        if count:
             with self._shards(
-                config.fluorescence, config.seed, 0, config.n_photons
+                config.fluorescence, config.seed, start, count
             ) as landed:
                 for result in landed:
                     _tally_shard(forest, stats, result, self.result_blocks)
@@ -536,20 +547,13 @@ class PhotonPool:
         (``None``: none) on the warm workers, returning globally
         canonical events plus counters.
 
-        The streaming building block behind
-        :meth:`repro.api.RenderSession.simulate_stream`: the caller
-        chunks the photon budget, tallies each returned block itself
-        (:func:`repro.core.vectorized.tally_block`), and gets a forest
-        byte-identical to :meth:`run` — contiguous ascending shards on
-        per-photon substreams make the concatenation canonical exactly
-        as in the one-shot path.
-
-        Each call's events come back as block descriptors (streamed
-        serving stays free of per-batch event pickling); the blocks are
-        recycled by the next call, after the canonical merge has copied
-        the events out.  A negative *start* or *count* raises
-        ``ValueError`` here, before any worker starts or any block is
-        allocated.
+        The pool's events API, which serving does not use (a forest
+        grows through :meth:`run`, tallying each shard as it lands):
+        the shards are concatenated
+        (:func:`repro.parallel.resultplane.gather_shards`), canonical
+        because they are contiguous and ascending, so tallying the block
+        builds the forest :meth:`run` builds.  A negative *start* or
+        *count* raises ``ValueError`` before any worker starts.
         """
         start, count = checked_range(start, count)
         with self._shards(fluorescence, seed, start, count) as landed:

@@ -19,8 +19,9 @@ blocks scale them with the worker count instead:
   :class:`ShardResult` descriptor: ``(slot, count, stats)``, a few
   hundred bytes regardless of budget.
 * The parent reads each shard through a **zero-copy view** over the
-  same bytes (:func:`shard_events` / :meth:`ResultPlane.view`): a
-  one-shot run tallies it in place as it lands, a streamed chunk
+  same bytes (:func:`shard_events` / :meth:`ResultPlane.view`) and
+  tallies it in place as it lands — a whole budget, a top-up and a
+  stream chunk alike; only a caller that wants the events themselves
   concatenates the shards (:func:`gather_shards`).  The whole request
   crosses the process boundary in O(workers) descriptors.
 

@@ -716,16 +716,17 @@ class RenderService:
                 pending = None
                 if result is _STREAM_DONE:
                     break
-                if index == total_yields:
-                    final = self._executor.submit(
-                        canonical_answer_bytes, result
-                    )
-                    pending = final
-                    line = await asyncio.wrap_future(final) + b"\n"
-                    pending = None
-                else:
+                if result.forest.photons_emitted < result.config.n_photons:
                     line = _progress_line(result, params.request.n_photons)
+                    await http.write_chunk(writer, line)
+                    continue
+                # The session's last yield is the answer, for the whole
+                # budget or the prefix that met the target.
+                pending = self._executor.submit(canonical_answer_bytes, result)
+                line = await asyncio.wrap_future(pending) + b"\n"
+                pending = None
                 await http.write_chunk(writer, line)
+                break
             await http.end_chunked(writer)
             if not truncated:
                 self.served_stream += 1

@@ -40,6 +40,7 @@ from repro.core.bintree import SplitPolicy
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
 from repro.scenes import get_scene
+from tests.core.test_wave import spy_widths
 from tests.scenehelpers import build_mini_scene
 
 needs_plane = pytest.mark.skipif(
@@ -459,43 +460,69 @@ class TestSharingUnderConcurrency:
 
 
 class TestColdServeIsOneWave:
-    """A cold request with no target is traced the way a session without
-    the cache traces it: one wave on the engine, one shard per worker on
-    the pool — not ``batch_size`` chunks, each with its own tail."""
+    """Whatever a request finds cached, its missing range is traced as
+    one wave on the engine and one shard per worker on the pool — not
+    ``batch_size`` chunks, each with its own tail — and no shards are
+    concatenated on the way into the forest."""
 
     REQUEST = SimulateRequest(n_photons=10_000)
 
-    @pytest.mark.parametrize("workers", [
-        1, pytest.param(2, marks=needs_plane),
-    ])
-    def test_cold_amortized_serve_is_the_plain_one(self, cornell, workers):
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        """Every call of the pool's shard concatenation."""
+        from repro.parallel import procpool
+
+        calls = []
+        real = procpool.gather_shards
+
+        def gather_shards(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(procpool, "gather_shards", gather_shards)
+        return calls
+
+    def check_one_wave(self, cornell, workers, prefix, shards):
+        """A fresh amortized session serves the 10k request after
+        *prefix* photons: one wave, *shards* on a pool, cold bytes."""
         with RenderSession(cornell, SessionOptions(workers=workers)) as plain:
             expected = forest_bytes(plain.simulate(self.REQUEST))
         # A program of its own: a cache no other test has filled.
         program = SceneProgram(cornell)
         options = SessionOptions(workers=workers, amortize=True)
         with RenderSession(program, options) as session:
-            widths = []
-            if workers == 1:
-                engine = session._engine_for(None)
-                real = engine.closest_hit
-
-                def closest_hit(*rays):
-                    widths.append(rays[0].size)
-                    return real(*rays)
-
-                engine.closest_hit = closest_hit
+            if prefix:
+                session.simulate(SimulateRequest(n_photons=prefix))
+            widths = spy_widths(session._engine_for(None))
             result = session.simulate(self.REQUEST)
-            assert session.last_photons_traced == 10_000
+            assert session.last_photons_traced == 10_000 - prefix
             if workers == 1:
-                # Three 4,096-photon chunks, a tail each, took 44 calls.
                 assert 0 < len(widths) <= 20, widths
             else:
-                shards = session._pool.last_shard_results
-                assert [r.stats.photons for r in shards] == [5_000, 5_000]
+                landed = session._pool.last_shard_results
+                assert [r.stats.photons for r in landed] == shards
         assert forest_bytes(result) == expected
         entry = program.forest_cache().lookup(trace_key(result.config), 10_000)
         assert entry is not None and entry.n == 10_000
+
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_plane),
+    ])
+    def test_cold_amortized_serve_is_the_plain_one(
+        self, cornell, workers, gathers
+    ):
+        # Three 4,096-photon chunks, a tail each, took 44 calls.
+        self.check_one_wave(cornell, workers, 0, [5_000, 5_000])
+        assert gathers == []
+
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_plane),
+    ])
+    def test_a_top_up_is_one_wave(self, cornell, workers, gathers):
+        # The missing 9,000 photons in 4,096-photon chunks took 44 calls,
+        # and the last of three chunks landed as [404, 404] shards.
+        self.check_one_wave(cornell, workers, 1_000, [4_500, 4_500])
+        assert gathers == []
 
 
 class TestEarlyStop:

@@ -50,8 +50,8 @@ def joined(thread: threading.Thread) -> bool:
 
 
 class BlockedTracer:
-    """Wraps an engine's ``run``, which traces every cold request with no
-    target: the first call parks inside the kernel section until
+    """Wraps an engine's ``run``, which traces every range a serve adds
+    to a forest: the first call parks inside the kernel section until
     released."""
 
     def __init__(self, engine) -> None:
@@ -60,10 +60,10 @@ class BlockedTracer:
         self._real = engine.run
         engine.run = self
 
-    def __call__(self, config):
+    def __call__(self, config, *grown):
         self.entered.set()
         assert self.release.wait(WAIT)
-        return self._real(config)
+        return self._real(config, *grown)
 
 
 class TestCounters:
@@ -98,16 +98,6 @@ class TestCounters:
         assert joined(waiter)
         assert gate.snapshot() == {"acquired": 3, "contended": 1}
 
-    def test_released_reacquires_even_when_the_wait_raises(self):
-        gate = KernelGate()
-        with pytest.raises(OSError):
-            with gate:
-                with gate.released():
-                    assert not gate.locked()
-                    raise OSError(errno.ENOSPC, "No space left on device")
-        assert not gate.locked()
-        assert gate.snapshot() == {"acquired": 2, "contended": 0}
-
 
 class TestSingleFlight:
     def test_two_threads_on_one_new_key_trace_it_once(self):
@@ -138,10 +128,10 @@ class TestSingleFlight:
         def after_both_probed(engine):
             real = engine.run
 
-            def run(config):
+            def run(config, *grown):
                 assert both_probed.wait(WAIT)
                 traced.append(config.n_photons)
-                return real(config)
+                return real(config, *grown)
 
             engine.run = run
 
@@ -345,6 +335,26 @@ class TestPooledTally:
         assert forest_bytes(answer) == cold_bytes(scene, request)
         assert not KERNEL_GATE.locked()
 
+    def test_the_cache_does_not_change_a_cold_serves_gate_count(self):
+        """With the cache or without it, a cold pooled serve takes the
+        gate for its shard tallies and nothing else."""
+        scene = build_mini_scene()
+        request = SimulateRequest(n_photons=192, seed=43)
+        deltas = {}
+        for amortize in (False, True):
+            options = SessionOptions(
+                batch_size=64, workers=2, amortize=amortize
+            )
+            # A program of its own: the request is cold on both routes.
+            with RenderSession(SceneProgram(scene), options) as session:
+                session.simulate(SimulateRequest(n_photons=64, seed=40))
+                before = KERNEL_GATE.snapshot()["acquired"]
+                answer = session.simulate(request)
+                deltas[amortize] = KERNEL_GATE.snapshot()["acquired"] - before
+                assert session.last_photons_traced == 192
+            assert forest_bytes(answer) == cold_bytes(scene, request)
+        assert deltas[True] == deltas[False] == 2
+
     def test_another_thread_takes_the_gate_while_workers_trace(self, tmp_path):
         scene = build_mini_scene()
         request = SimulateRequest(n_photons=192, seed=42)
@@ -386,7 +396,7 @@ class TestRaisingSections:
             engine = session._engine_for(None)
             real = engine.run
 
-            def boom(config):
+            def boom(config, *grown):
                 engine.run = real
                 raise RuntimeError("tracer fell over")
 

@@ -5,7 +5,8 @@ before every ``step``, replaces the lanes that retired with the range's
 next photons (``emit``), so a range pays one narrowing tail of bounces.
 ``run()`` tallies completed prefixes: every photon below the lowest one
 still in flight, in blocks of ``batch_size`` photons as the prefix
-reaches them, plus the rest at the end.  These tests pin that structure;
+reaches them, plus the rest at the end, into a fresh forest or one it
+extends from photon ``start``.  These tests pin that structure;
 the parity and golden suites pin the bytes.
 """
 
@@ -59,7 +60,22 @@ def test_prefix_tallies_are_contiguous(monkeypatch, cornell, batch_size):
     """Each ``tally_block`` in ``run()`` takes every event of a photon
     range that starts where the previous one ended, and nothing else;
     every range but the last spans exactly ``batch_size`` photons."""
+    check_prefix_tallies(monkeypatch, cornell, batch_size, 0)
+
+
+@pytest.mark.parametrize("batch_size", [1, 64, 4096])
+def test_an_extension_tallies_from_the_forest_end(monkeypatch, cornell, batch_size):
+    """``run(config, forest, start)`` does the same from photon *start*
+    on, into the forest it is given: the bytes of one whole run, and
+    counters for its own range only."""
+    check_prefix_tallies(monkeypatch, cornell, batch_size, 250)
+
+
+def check_prefix_tallies(monkeypatch, cornell, batch_size, start):
     n = 1_500
+    config = SimulationConfig(n_photons=n, seed=5)
+    engine = VectorEngine(cornell, batch_size=batch_size)
+    prefix = engine.run(SimulationConfig(n_photons=start, seed=5)).forest
     blocks = []
     real = vectorized.tally_block
 
@@ -68,11 +84,13 @@ def test_prefix_tallies_are_contiguous(monkeypatch, cornell, batch_size):
         real(forest, block, photons)
 
     monkeypatch.setattr(vectorized, "tally_block", tally_block)
-    result = VectorEngine(cornell, batch_size=batch_size).run(
-        SimulationConfig(n_photons=n, seed=5)
-    )
+    result = engine.run(config, prefix, start)
     events, _ = VectorEngine(cornell).trace_range(5, 0, n)
-    begin = 0
+    assert result.forest is prefix
+    assert result.stats.photons == n - start
+    monkeypatch.undo()
+    assert forest_to_dict(prefix) == forest_to_dict(engine.run(config).forest)
+    begin = start
     for k, (gidx, seq, photons) in enumerate(blocks):
         end = begin + photons
         if k < len(blocks) - 1:
@@ -142,3 +160,8 @@ class TestTraceRangeArguments:
     def test_empty_range(self, cornell):
         events, stats = VectorEngine(cornell).trace_range(1, 7, 0)
         assert len(events) == 0 and stats == TraceStats()
+
+    def test_run_past_the_budget_is_refused(self, cornell):
+        config = SimulationConfig(n_photons=10, seed=1)
+        with pytest.raises(ValueError, match="count"):
+            VectorEngine(cornell).run(config, start=11)

@@ -247,6 +247,29 @@ class TestTargetError:
         # (reference_bytes uses the same default seed).
         assert body == reference_bytes("cornell-box", traced, tmp_path)
 
+    def test_early_stopped_stream_ends_with_its_answer(
+        self, amortized, tmp_path
+    ):
+        """The stream's last line is what the one-shot early stop
+        answers: the exact answer for the photons traced."""
+        before = service_stats(amortized)["requests"]["served_stream"]
+        status, _, body = amortized.request(
+            "POST",
+            simulate_path("cornell-box", stream=True) + "&target_error=0.5",
+            {"photons": 40_000, "batch": 2_000},
+        )
+        assert status == 200
+        *progress, last = body.strip().split(b"\n")
+        assert all("progress" in json.loads(line) for line in progress)
+        answer = json.loads(last)
+        assert "progress" not in answer and "error" not in answer
+        traced = answer["photons_emitted"]
+        assert 0 < traced < 40_000
+        assert traced % 2_000 == 0
+        assert last == reference_bytes("cornell-box", traced, tmp_path)
+        after = service_stats(amortized)["requests"]["served_stream"]
+        assert after == before + 1
+
     def test_query_param_overrides_body(self, amortized):
         status, headers, _ = amortized.request(
             "POST",
