@@ -66,10 +66,10 @@ def trace_key(config: "SimulationConfig") -> tuple:
     """The camera- and budget-free identity of a photon trace.
 
     Everything that changes *which events exist* is in the key; the
-    photon budget (a prefix length, not an identity) and every
-    provisioning knob that is byte-invariant by contract (worker count,
-    batch size) is excluded.  Sessions trace only with the vector engine
-    on substreams, so neither is part of the identity.
+    photon budget (a prefix length, not an identity) and the worker
+    count, byte-invariant by contract, are excluded.  Sessions trace
+    only with the vector engine on substreams at one fixed wave width,
+    so none of those is part of the identity either.
     """
     return (config.policy, config.fluorescence, config.seed)
 

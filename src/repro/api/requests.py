@@ -3,7 +3,7 @@
 A serve has two very different kinds of knob: *what to simulate*
 (photons, seed, split policy, fluorescence — different on every
 request) and *how the serving process is provisioned* (worker count,
-batch size, amortization — fixed for the lifetime of a warm session).
+amortization — fixed for the lifetime of a warm session).
 The paper's architecture is a long-lived simulation program answering
 many requests, so the public API separates them:
 
@@ -70,12 +70,14 @@ class SimulateRequest:
         n_photons: Photons to emit for this request.
         seed: Base RNG seed; photon *i* derives its private substream
             from it, so equal seeds give byte-identical answers on any
-            worker/batch configuration.
+            worker count.
         policy: Bin-splitting policy (3-sigma by default).
         fluorescence: Optional Stokes-shift conversion spec; ``None``
             disables it.
         target_rel_error: Optional convergence target.  When set, the
-            session traces in batches and stops as soon as
+            session traces in steps of
+            :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT` photons and
+            stops as soon as
             :func:`repro.core.convergence.forest_error_summary` reports
             a median per-bin relative error at or below the target —
             the answer is then the **exact** canonical answer for the
@@ -129,13 +131,6 @@ class SessionOptions:
         workers: Process count; > 1 keeps a persistent
             :class:`~repro.parallel.procpool.PhotonPool` warm across
             requests.
-        batch_size: The most photons in flight in the engine's trace
-            wave, the view stage's ray band, the photons an early-stop
-            request traces between convergence checks, and the default
-            chunk size of
-            :meth:`~repro.api.RenderSession.simulate_stream`.  A
-            request without a target — cold or a top-up — traces its
-            missing range as one wave, whatever this is.
         amortize: Enable the program-level
             :class:`~repro.api.amortize.ForestCache`: a request whose
             camera-free trace key (policy, fluorescence, seed) matches
@@ -149,19 +144,14 @@ class SessionOptions:
             timings stay honest); the serving tier turns it on.
 
     Raises:
-        TypeError: when ``workers`` or ``batch_size`` is not an ``int``
-            (bools included).
+        TypeError: when ``workers`` is not an ``int`` (bools included).
     """
 
     workers: int = 1
-    batch_size: int = 4096
     amortize: bool = False
 
     def __post_init__(self) -> None:
         _require_int(self.workers, "workers")
-        _require_int(self.batch_size, "batch_size")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if not isinstance(self.amortize, bool):
@@ -184,6 +174,5 @@ def merge_config(
         seed=request.seed,
         policy=request.policy,
         fluorescence=request.fluorescence,
-        batch_size=options.batch_size,
         workers=options.workers,
     )

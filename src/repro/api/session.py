@@ -53,9 +53,12 @@ Every session traces with the vector engine on per-photon substreams;
 the per-photon reference loop is the oracle
 :func:`repro.paper.scalar.run_scalar`, not a session.  Determinism
 contract: for equal requests, every session configuration — worker
-count, batch size, streamed or one-shot — produces byte-identical
-answers, and all of them equal ``run_scalar`` under substream RNG (the
-golden suite holds both to the same committed bytes).
+count, amortization, cache history — produces byte-identical answers,
+and all of them equal ``run_scalar`` under substream RNG (the golden
+suite holds both to the same committed bytes).  A convergence target
+is checked every :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`
+photons on every session, so an early stop has one answer too; a
+stream checks it at its own chunk boundaries instead.
 
 Sessions are context managers; always ``with`` them (or call
 :meth:`close` in a ``finally``) so pools shut down and release their
@@ -79,6 +82,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from ..core import vectorized
 from ..core.bintree import BinForest
 from ..core.convergence import forest_error_summary
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
@@ -301,12 +305,8 @@ class RenderSession:
         """
         engine = self._engines.get(fluorescence)
         if engine is None:
-            from ..core.vectorized import VectorEngine
-
-            engine = VectorEngine(
-                arrays=self.program.arrays,
-                fluorescence=fluorescence,
-                batch_size=self.options.batch_size,
+            engine = vectorized.VectorEngine(
+                arrays=self.program.arrays, fluorescence=fluorescence
             )
             self._engines[fluorescence] = engine
         return engine
@@ -337,18 +337,20 @@ class RenderSession:
         Every request takes one path (:meth:`_serve`): its forest starts
         from what the cache already holds — under
         ``SessionOptions(amortize=True)``, a cached run of the same
-        trace key and at most the budget (any batch size or worker
-        count); otherwise nothing — and only the missing photon range is
+        trace key and at most the budget (any worker count); otherwise
+        nothing — and only the missing photon range is
         traced, as one wave.  That is byte-identical to a cold run, per
         the substream prefix property (see :mod:`repro.api.amortize`).
         A hit that traces nothing (an exact repeat, an already-converged
         early stop, a camera-only render) returns the cached forest
         itself, shared and read-only; only a top-up pays a deep copy.
 
-        Under ``request.target_rel_error`` the range is traced in
-        ``options.batch_size`` steps and stops early once the forest's
-        median per-bin relative error reaches the target; the answer is
-        the exact canonical answer for the photons actually traced.
+        Under ``request.target_rel_error`` the forest grows to each
+        multiple of :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT` in
+        turn and stops early once its median per-bin relative error
+        reaches the target; the answer is the exact canonical answer for
+        the photons actually traced, the same on every session whatever
+        prefix the cache held.
         """
         self._check_open()
         self._begin_request("simulate()")
@@ -370,7 +372,7 @@ class RenderSession:
         (the stream-parity contract) — so extending a deep copy of the
         cached ``[0, n)`` forest with the events of ``[n, m)`` replays
         the identical global tally sequence a cold ``[0, m)`` run
-        replays, byte for byte, whatever batch size or worker count
+        replays, byte for byte, whatever wave width or worker count
         traced either half.
 
         Sharing rule: a cached forest is never mutated.  A serve with
@@ -447,7 +449,7 @@ class RenderSession:
         Without a target the missing range is one step of
         :meth:`_grow` — one wave on the engine, one shard per worker on
         the pool — for a cold request and a top-up alike.  Under a
-        target it goes in ``batch_size`` steps, checked after each.
+        target it goes step by step, checked after each.
         """
         target = request.target_rel_error
         if _answers(entry, config.n_photons, target):
@@ -462,7 +464,10 @@ class RenderSession:
             with self._step_gate:
                 forest = copy.deepcopy(entry.forest)
             stats, done = dataclasses.replace(entry.stats), entry.n
-        step = config.batch_size if target is not None else config.n_photons
+        step = (
+            vectorized.PHOTONS_IN_FLIGHT if target is not None
+            else config.n_photons
+        )
         achieved = None
         for done, achieved in self._grow(config, target, forest, stats, done, step):
             pass
@@ -472,7 +477,7 @@ class RenderSession:
         self, config, target, forest, stats, done: int, step: int
     ) -> Iterator[tuple]:
         """The one chunk loop: extend *forest* from photon *done* towards
-        ``config.n_photons``, *step* photons at a time.
+        ``config.n_photons``, to each multiple of *step* in turn.
 
         Yields ``(done, error)`` after each step — *error* the forest's
         median per-bin relative error when *target* is set, else
@@ -480,11 +485,13 @@ class RenderSession:
         meets the target.  :meth:`_extend` drains it inside a serve's
         miss section; :meth:`_stream` runs one step per section and
         yields in between.  Contiguous ascending steps keep the global
-        tally sequence canonical, so where they fall moves no byte.
+        tally sequence canonical, so where they fall moves no byte; they
+        end on multiples of *step*, so a grown prefix checks a target at
+        the photon counts a cold request does.
         """
         n = config.n_photons
         while done < n:
-            end = min(done + step, n)
+            end = min((done // step + 1) * step, n)
             stats.merge(
                 self._trace(
                     dataclasses.replace(config, n_photons=end), forest, done
@@ -522,29 +529,35 @@ class RenderSession:
     ) -> Iterator[SimulationResult]:
         """Serve one request as cumulative per-chunk results.
 
-        Yields after every *batch_size* photons (default: the session's
-        ``options.batch_size``); each yield is the cumulative result so
-        far — the same forest object growing across yields, exactly like
+        Yields after every *batch_size* photons (default:
+        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`); each yield is
+        the cumulative result so far — the same forest object growing
+        across yields, exactly like
         :func:`~repro.paper.scalar.run_scalar_batches`.  Because tally
         replay is canonical in (photon, bounce) order regardless of
-        chunk boundaries, the **final** yield is byte-identical to
-        :meth:`simulate` of the same request, on every worker/batch-size
-        combination (pinned by the stream-parity suite).
+        chunk boundaries, the **final** yield of a request without a
+        target is byte-identical to :meth:`simulate` of the same
+        request, on every worker count and chunk size (pinned by the
+        stream-parity suite).
 
         Validation happens at the call, not at first iteration, and the
         request counts as served when the stream starts (a consumer may
         stop early on convergence — an advertised use).  When
         ``request.target_rel_error`` is set the session does that
         convergence check itself: the stream ends after the first chunk
-        whose forest meets the target.  The final yield is the answer,
-        and it carries what :meth:`simulate` returns: the photons traced
-        as ``config.n_photons``, ``photons_requested`` and
+        whose forest meets the target, so its early stop lands on its own
+        chunk boundaries (the default chunk's are :meth:`simulate`'s).
+        The final yield is the answer, and it carries what
+        :meth:`simulate` returns: the photons traced as
+        ``config.n_photons``, ``photons_requested`` and
         ``achieved_rel_error`` under a target.  Every earlier yield
         carries the whole budget as ``config.n_photons``, more than its
         forest holds.
         """
         self._check_open()
-        chunk = batch_size if batch_size is not None else self.options.batch_size
+        chunk = batch_size
+        if chunk is None:
+            chunk = vectorized.PHOTONS_IN_FLIGHT
         _require_int(chunk, "batch_size")
         if chunk < 1:
             raise ValueError("batch_size must be positive")
@@ -615,7 +628,7 @@ class RenderSession:
 
         Eye rays go through the session's warm vector engine — the
         compiled closest-hit kernel and accelerator the photons use —
-        a band of ``options.batch_size`` rays at a time
+        a wave's width of rays at a time
         (:func:`repro.core.viewing.render_rows`), so nothing is
         compiled per render.
 

@@ -99,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process count (>1 shards each request across a worker pool)",
     )
     p_sim.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="most photons in flight in the trace wave (default 4096)",
-    )
-    p_sim.add_argument(
         "--target-error",
         type=float,
         default=None,
@@ -247,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process count per pooled session",
     )
     p_serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=4096,
-        help="most photons in flight in each session's trace wave (default 4096)",
-    )
-    p_serve.add_argument(
         "--amortize",
         choices=("on", "off"),
         default="on",
@@ -349,10 +337,7 @@ def _cmd_simulate(args, out, parser: argparse.ArgumentParser) -> int:
             policy=SplitPolicy(threshold=args.sigma),
             target_rel_error=args.target_error,
         )
-        batch = {} if args.batch_size is None else {"batch_size": args.batch_size}
-        options = SessionOptions(
-            workers=args.workers, amortize=args.amortize, **batch
-        )
+        options = SessionOptions(workers=args.workers, amortize=args.amortize)
     except ValueError as exc:
         # Values the request or the session rejects are usage errors, not
         # tracebacks: report them the argparse way (usage line + message,
@@ -574,7 +559,6 @@ def _cmd_serve(args, out, parser: argparse.ArgumentParser) -> int:
     try:
         options = SessionOptions(
             workers=args.workers,
-            batch_size=args.batch_size,
             amortize=args.amortize == "on",
         )
         config = ServiceConfig(

@@ -44,27 +44,24 @@ class SimulationConfig:
         fluorescence: Optional Stokes-shift conversion spec (the
             chapter-6 extension); when set, would-be absorptions may
             re-emit in a lower band.  ``None`` disables it.
-        batch_size: The most photons in flight: the vector engine
-            traces a range as one wave of at most this many lanes.
-        workers: Process count; > 1 shards batches across a
+        workers: Process count; > 1 shards each range across a
             multiprocessing pool (:mod:`repro.parallel.procpool`).
 
     The vector engine traces every config on per-photon substreams, so
-    no field names an engine or an RNG discipline.
+    no field names an engine or an RNG discipline, and at a fixed width
+    (:data:`repro.core.vectorized.PHOTONS_IN_FLIGHT`), so none sizes
+    its wave.
     """
 
     n_photons: int
     seed: int = 0x1234ABCD330E
     policy: SplitPolicy = field(default_factory=SplitPolicy)
     fluorescence: Optional["FluorescenceSpec"] = None
-    batch_size: int = 4096
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_photons < 0:
             raise ValueError("n_photons must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 

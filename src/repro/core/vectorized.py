@@ -8,10 +8,10 @@ emission, batched ray/patch intersection, batched roulette/lobe
 sampling — while remaining **bit-exact** with the scalar path
 photon-for-photon.  The wave has two passes: :meth:`VectorEngine.emit`
 turns the range's next photons into lanes and :meth:`VectorEngine.step`
-moves every lane one bounce on.  At most ``batch_size`` lanes are in
-flight; before each step, lanes that were absorbed, escaped or reached
-the bounce cap are replaced by fresh photons, so a range pays one
-narrowing tail of bounces, not one per ``batch_size`` photons.
+moves every lane one bounce on.  At most :data:`PHOTONS_IN_FLIGHT`
+lanes are in flight; before each step, lanes that were absorbed,
+escaped or reached the bounce cap are replaced by fresh photons, so a
+range pays one narrowing tail of bounces, not one per wave width.
 
 The engine picks its intersection accelerator from the patch count;
 nothing above :class:`VectorEngine` names one.  The two serving paths:
@@ -114,6 +114,7 @@ __all__ = [
     "ACCEL_MODES",
     "PRUNE_PATCH_THRESHOLD",
     "DENSE_TILE",
+    "PHOTONS_IN_FLIGHT",
 ]
 
 #: Each photon's private substream starts ``(index + 1) << 20`` draws into
@@ -158,6 +159,16 @@ PRUNE_PATCH_THRESHOLD = 80
 #: one thread at 2,048), and a scan must hold one core
 #: (``test_scan_stays_on_one_thread``).
 DENSE_TILE = (512, 32)
+
+#: The most photons in flight: a wave's width (:meth:`VectorEngine._wave`),
+#: :meth:`VectorEngine.run`'s tally block, a session's early-stop step
+#: (the photons traced between convergence checks), the default chunk of
+#: :meth:`repro.api.RenderSession.simulate_stream`, and, divided by the
+#: image width, the render band.  A constant, not a knob: a session
+#: checks a convergence target at the same photon counts on every
+#: configuration, so a target request has one answer.  Answers without
+#: a target do not depend on it.
+PHOTONS_IN_FLIGHT = 4096
 
 #: The per-patch constants the intersection test reads
 #: (:meth:`VectorEngine._hit_consts`), in gather order.
@@ -709,10 +720,12 @@ class VectorEngine:
             results are bit-identical because the arrays are.
         fluorescence: Optional Stokes-shift spec (same semantics as the
             scalar :func:`repro.paper.physics.fluorescent_reflect`).
-        batch_size: The most photons in flight: a range is traced as
-            one wave of at most this many lanes (:meth:`_wave`), and
-            :meth:`run` tallies its completed prefix in blocks of this
-            many photons.
+        batch_size: The most photons in flight, :data:`PHOTONS_IN_FLIGHT`
+            by default: a range is traced as one wave of at most this
+            many lanes (:meth:`_wave`), and :meth:`run` tallies its
+            completed prefix in blocks of this many photons.  Leave it
+            at the default; naming a width is the seam the parity tests
+            use to hold every width to the same answer.
         accel: One of :data:`ACCEL_MODES`.  Leave it at the default:
             ``"auto"`` picks ``"flat"`` at or above
             :data:`PRUNE_PATCH_THRESHOLD` patches and ``"linear"`` below,
@@ -737,9 +750,11 @@ class VectorEngine:
         *,
         arrays: Optional[SceneArrays] = None,
         fluorescence: Optional["FluorescenceSpec"] = None,
-        batch_size: int = 4096,
+        batch_size: Optional[int] = None,
         accel: str = "auto",
     ) -> None:
+        if batch_size is None:
+            batch_size = PHOTONS_IN_FLIGHT
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if accel not in ACCEL_MODES:

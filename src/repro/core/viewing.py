@@ -207,7 +207,7 @@ def render_rows(
 
     The rows are rendered in bands of whole rows, as many as fit in
     ``engine.batch_size`` rays (at least one), so transient memory is
-    that of one simulate batch whatever the resolution.
+    that of one photon wave whatever the resolution.
 
     Args:
         engine: A warm :class:`~repro.core.vectorized.VectorEngine` over

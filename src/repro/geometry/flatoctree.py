@@ -115,7 +115,7 @@ __all__ = [
 #: size.  Medians of 3 alternating bench runs (2-vCPU Xeon) at 512 /
 #: 1,024 / 2,048 lanes: ``lab_pool2``, whose 1,500-photon shards are the
 #: only bench walks wider than 512 lanes, 97.3k / 104.3k / 99.9k
-#: photons/s.  ``gen:office-259@0xBEEF`` at ``batch_size=4096`` (8,192
+#: photons/s.  ``gen:office-259@0xBEEF`` at 4,096 photons in flight (8,192
 #: photons a trace, 5 alternating rounds): 74.0k / 74.6k / 76.9k / 77.2k
 #: photons/s at 256 / 512 / 1,024 / 2,048 lanes, 70.5k with the whole
 #: batch in one frontier.

@@ -4,7 +4,7 @@ The paper's own parallel algorithms (Figures 5.2 and 5.3, chapter 6)
 live in :mod:`repro.paper`.
 """
 
-from .procpool import PhotonPool, run_procpool
+from .procpool import PhotonPool
 from .resultplane import (
     ResultBlockHandle,
     ResultPlane,
@@ -22,5 +22,4 @@ __all__ = [
     "ScenePlane",
     "ShardResult",
     "plane_available",
-    "run_procpool",
 ]

@@ -67,17 +67,12 @@ faults (:attr:`ShardResult.faults`), and a worker keeps up to the
 64 MiB trim threshold free at its heap top.  The parent and in-process sessions
 keep the embedding application's allocator.
 
-The in-process seam — :func:`run_procpool` with an injected ``pool=``
-and its job :func:`_trace_shard` — forks nothing and touches no shared
-memory; it is the golden suite's no-fork oracle for the same
-shard-and-tally path.
-
 Determinism contract
 --------------------
 The forest is **identical node-for-node** to a single-process vector
-run (and to the scalar substream oracle) for any worker count, batch
-size or shard landing order — the property the determinism suite locks
-down.  Three invariants carry the proof:
+run (and to the scalar substream oracle) for any worker count or shard
+landing order — the property the determinism suite locks down.  Three
+invariants carry the proof:
 
 * **Substream independence** — photon *i* draws only from its private
   counter-based substream, so shard boundaries cannot change any draw.
@@ -108,7 +103,6 @@ from ..core.vectorized import (
     checked_range,
     tally_block,
 )
-from ..geometry.scene import Scene
 from . import resultplane, shmplane
 from .resultplane import (
     ResultPlane,
@@ -126,7 +120,6 @@ except ImportError:  # not on every platform; shard fault counts stay 0
 
 __all__ = [
     "PhotonPool",
-    "run_procpool",
 ]
 
 
@@ -146,31 +139,9 @@ def _shard_starts(n_photons: int, workers: int) -> list[tuple[int, int]]:
     return starts
 
 
-def _trace_shard(
-    scene: Scene,
-    fluorescence,
-    batch_size: int,
-    seed: int,
-    start: int,
-    count: int,
-) -> ShardResult:
-    """Self-contained pool target: trace photons ``start .. start+count``.
-
-    Builds a throwaway engine from *scene* — the in-process seam for
-    injected pools (tests) and the semantics reference for the
-    persistent-pool path below.  Always returns an inline-payload
-    :class:`ShardResult` (nothing forked, so there is no plane to write
-    into).
-    """
-    engine = VectorEngine(scene, fluorescence=fluorescence, batch_size=batch_size)
-    events, stats = engine.trace_range(seed, start, count)
-    return pack_shard(events.sorted_canonical(), stats, None, -1)
-
-
-#: A :class:`PhotonPool` worker's attached scene plane and batch size,
-#: set once by the pool initializer.
+#: A :class:`PhotonPool` worker's attached scene plane, set once by the
+#: pool initializer.
 _POOL_ARRAYS: Optional[SceneArrays] = None
-_POOL_BATCH_SIZE = 0
 #: The worker's engines over :data:`_POOL_ARRAYS`, one per fluorescence
 #: spec, each built by the first shard that asks for it.
 _POOL_ENGINES: dict = {}
@@ -207,7 +178,7 @@ def _retain_worker_heap(load_libc=ctypes.CDLL) -> None:
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
-def _init_pool_worker(handle, batch_size: int) -> None:
+def _init_pool_worker(handle) -> None:
     """Pool initializer: attach this worker to the scene plane once.
 
     The arrays are zero-copy views into the shared segment behind
@@ -215,10 +186,9 @@ def _init_pool_worker(handle, batch_size: int) -> None:
     First the worker's allocator is set to keep its heap between shards
     (:func:`_retain_worker_heap`): the process is the pool's own.
     """
-    global _POOL_ARRAYS, _POOL_BATCH_SIZE
+    global _POOL_ARRAYS
     _retain_worker_heap()
     _POOL_ARRAYS = shmplane.attach(handle)
-    _POOL_BATCH_SIZE = batch_size
 
 
 def _pool_engine(fluorescence) -> VectorEngine:
@@ -226,9 +196,7 @@ def _pool_engine(fluorescence) -> VectorEngine:
     engine = _POOL_ENGINES.get(fluorescence)
     if engine is None:
         engine = _POOL_ENGINES[fluorescence] = VectorEngine(
-            arrays=_POOL_ARRAYS,
-            fluorescence=fluorescence,
-            batch_size=_POOL_BATCH_SIZE,
+            arrays=_POOL_ARRAYS, fluorescence=fluorescence
         )
     return engine
 
@@ -361,9 +329,8 @@ class PhotonPool:
             (:meth:`~repro.api.SceneProgram.acquire_plane`, which
             publishes on the program's first acquire) and :meth:`close`
             releases it.
-        config: Pool sizing (``workers``) and the workers'
-            ``batch_size``; also the budget :meth:`run` traces by
-            default.
+        config: Pool sizing (``workers``); also the budget :meth:`run`
+            traces by default.
     """
 
     def __init__(self, program: SceneProgram, config: SimulationConfig) -> None:
@@ -402,9 +369,7 @@ class PhotonPool:
         self._scene_handle = self.program.acquire_plane()
         try:
             self._pool = _WorkerPool(
-                self.config.workers,
-                _init_pool_worker,
-                (self._scene_handle, self.config.batch_size),
+                self.config.workers, _init_pool_worker, (self._scene_handle,)
             )
         except BaseException:
             # The no-leak contract covers a failed fork too: the plane
@@ -426,10 +391,9 @@ class PhotonPool:
 
         *config* defaults to the pool's own; passing a different one
         (other budget/seed/policy/fluorescence) reuses the warm workers.
-        The shard count and the workers' batch size always come from the
-        pool's construction config — the pool has exactly that many
-        workers.  (Answers do not depend on either; that is the
-        determinism contract.)
+        The shard count always comes from the pool's construction config
+        — the pool has exactly that many workers.  (Answers do not
+        depend on it; that is the determinism contract.)
 
         The parent tallies each shard as it lands, in shard order, under
         the kernel gate; the waits on the workers run outside it.
@@ -587,33 +551,3 @@ class PhotonPool:
         # of draining them, but release the segment either way.
         self.close(terminate=exc_type is not None)
 
-
-def run_procpool(
-    scene: Scene, config: SimulationConfig, pool=None
-) -> SimulationResult:
-    """Run *config* on a process pool; result matches the serial engines.
-
-    Args:
-        scene: Scene to trace.
-        config: Simulation parameters; ``config.workers`` sizes the pool.
-        pool: Optional pre-built pool-like object exposing ``starmap``
-            (used by tests to inject an in-process executor; nothing
-            forks, so no shared memory is touched).
-    """
-    if config.n_photons == 0:
-        return SimulationResult(
-            BinForest(config.policy), TraceStats(), config, scene.name
-        )
-    if pool is not None:
-        forest, stats = BinForest(config.policy), TraceStats()
-        jobs = [
-            (scene, config.fluorescence, config.batch_size, config.seed,
-             start, count)
-            for start, count in _shard_starts(config.n_photons, config.workers)
-            if count > 0
-        ]
-        for result in pool.starmap(_trace_shard, jobs):
-            _tally_shard(forest, stats, result, None)
-        return SimulationResult(forest, stats, config, scene.name)
-    with PhotonPool(SceneProgram.compile(scene), config) as photon_pool:
-        return photon_pool.run()

@@ -267,12 +267,10 @@ class ShardResult:
     ``slot >= 0`` means the events sit in result block *slot* (this
     object is then a few hundred pickled bytes).  ``slot == -1`` is the
     inline path: *payload* carries the raw column arrays of
-    :data:`~repro.core.vectorized.EVENT_FIELDS`, either because nothing
-    forked (the in-process seam of :func:`repro.parallel.procpool.run_procpool`
-    with an injected pool) or because
-    the shard overflowed its block (*overflow* set — the parent warns
-    loudly).  *faults* is the minor page faults the worker took tracing
-    and packing the shard (0 where nothing measured them).
+    :data:`~repro.core.vectorized.EVENT_FIELDS`, because the shard
+    overflowed its block (*overflow* set — the parent warns loudly).
+    *faults* is the minor page faults the worker took tracing and
+    packing the shard (0 where nothing measured them).
     """
 
     slot: int
@@ -316,34 +314,29 @@ def detach_worker_blocks() -> None:
 def pack_shard(
     events: EventBatch,
     stats: TraceStats,
-    handle: Optional[ResultBlockHandle],
+    handle: ResultBlockHandle,
     slot: int,
 ) -> ShardResult:
-    """Ship one shard's events: into its result block, or inline.
+    """Ship one shard's events: into result block *slot*, or inline.
 
-    The single worker-side exit point of the trace phase.  With a
-    *handle* and room in the block, the columns are copied into shared
-    memory and only the descriptor returns; without a handle (injected
-    in-process pools) or on overflow, the columns ride the result
-    object itself.
+    The single worker-side exit point of the trace phase.  With room in
+    the block, the columns are copied into shared memory and only the
+    descriptor returns; on overflow, the columns ride the result object
+    itself.
     """
     n = len(events)
-    overflow = False
-    if handle is not None:
-        if n <= handle.capacity:
-            block = _attach_blocks(handle)[slot]
-            fields = events.export_fields()
-            for name, _ in EVENT_FIELDS:
-                block[name][:n] = fields[name]
-            return ShardResult(slot=slot, count=n, stats=stats)
-        overflow = True
     fields = events.export_fields()
+    if n <= handle.capacity:
+        block = _attach_blocks(handle)[slot]
+        for name, _ in EVENT_FIELDS:
+            block[name][:n] = fields[name]
+        return ShardResult(slot=slot, count=n, stats=stats)
     return ShardResult(
         slot=-1,
         count=n,
         stats=stats,
         payload=tuple(fields[name] for name, _ in EVENT_FIELDS),
-        overflow=overflow,
+        overflow=True,
     )
 
 

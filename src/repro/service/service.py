@@ -154,8 +154,7 @@ class ServiceConfig:
         default_deadline: Per-request deadline (seconds) when the
             request body does not set one.
         options: The :class:`~repro.api.SessionOptions` every pooled
-            session is provisioned with (workers, batch size,
-            amortization).
+            session is provisioned with (workers, amortization).
         max_body_bytes: Request-body cap (HTTP 413 above it).
     """
 
@@ -689,13 +688,15 @@ class RenderService:
         except ValueError as exc:
             await checkout.pool.release(session)
             raise BadRequest(str(exc)) from None
-        chunk = params.batch or session.options.batch_size
-        total_yields = max(1, math.ceil(params.request.n_photons / chunk))
         pending: Optional[concurrent.futures.Future] = None
         truncated = False
+        sent = 0
         try:
             await http.start_chunked(writer)
-            for index in range(1, total_yields + 1):
+            # The session's last yield is the answer, for the whole budget
+            # or the prefix that met the target; every earlier one is a
+            # progress line.
+            while True:
                 if self._loop.time() >= checkout.expires:
                     # Headers are long gone, so the deadline is reported
                     # in-band: a final error line, then a clean chunked
@@ -706,8 +707,7 @@ class RenderService:
                         writer,
                         _stream_error_line(
                             "deadline-exceeded",
-                            f"stream truncated after {index - 1} of "
-                            f"{total_yields} chunks",
+                            f"stream truncated after {sent} chunks",
                         ),
                     )
                     break
@@ -719,9 +719,8 @@ class RenderService:
                 if result.forest.photons_emitted < result.config.n_photons:
                     line = _progress_line(result, params.request.n_photons)
                     await http.write_chunk(writer, line)
+                    sent += 1
                     continue
-                # The session's last yield is the answer, for the whole
-                # budget or the prefix that met the target.
                 pending = self._executor.submit(canonical_answer_bytes, result)
                 line = await asyncio.wrap_future(pending) + b"\n"
                 pending = None

@@ -2,7 +2,7 @@
 
 The forest cache may only ever *save work*, never change an answer:
 a topped-up serve must be byte-identical to a cold full-budget run on
-every worker/batch shape, a camera-only render must reuse the
+every worker count and wave width, a camera-only render must reuse the
 trace without touching it, and an early-stopped answer must be the
 exact canonical answer for the photons actually traced.  These tests
 pin each of those contracts plus the cache mechanics (bounds,
@@ -35,7 +35,7 @@ from repro.api.amortize import (
 )
 from repro.api.gate import KERNEL_GATE
 from repro.api.requests import merge_config
-from repro.core import forest_to_dict
+from repro.core import forest_to_dict, vectorized
 from repro.core.bintree import SplitPolicy
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
@@ -62,7 +62,6 @@ class TestTraceKey:
         for request, options in (
             (SimulateRequest(n_photons=9999), SessionOptions()),
             (SimulateRequest(n_photons=100), SessionOptions(workers=3)),
-            (SimulateRequest(n_photons=100), SessionOptions(batch_size=7)),
         ):
             other = merge_config(request, options)
             assert trace_key(other) == trace_key(base)
@@ -138,25 +137,31 @@ SCENE_PICKING = {
 }
 
 # The exactness matrix: every session shape the golden suite pins — on a
-# scene each side of the engine's accelerator choice — must serve a
+# scene each side of the engine's accelerator choice, and at wave widths
+# (PHOTONS_IN_FLIGHT, patched) far below the budget — must serve a
 # topped-up answer byte-identical to its own cold run.
 MATRIX = [
-    pytest.param("flat", SessionOptions(amortize=True), id="vector-flat"),
-    pytest.param("linear", SessionOptions(amortize=True), id="vector-linear"),
-    pytest.param("linear", SessionOptions(batch_size=7, amortize=True),
+    pytest.param("flat", SessionOptions(amortize=True), None, id="vector-flat"),
+    pytest.param("linear", SessionOptions(amortize=True), None,
+                 id="vector-linear"),
+    pytest.param("linear", SessionOptions(amortize=True), 7,
                  id="vector-linear-b7"),
-    pytest.param("flat", SessionOptions(workers=2, amortize=True),
+    pytest.param("flat", SessionOptions(workers=2, amortize=True), None,
                  id="vector-flat-x2", marks=needs_plane),
-    pytest.param("linear", SessionOptions(workers=3, amortize=True, batch_size=64),
+    pytest.param("linear", SessionOptions(workers=3, amortize=True), 64,
                  id="vector-linear-x3", marks=needs_plane),
 ]
 
 
 class TestTopUpExactness:
-    @pytest.mark.parametrize("accel, options", MATRIX)
-    def test_topped_up_bytes_equal_cold_bytes(self, accel, options):
+    @pytest.mark.parametrize("accel, options, width", MATRIX)
+    def test_topped_up_bytes_equal_cold_bytes(
+        self, monkeypatch, accel, options, width
+    ):
         import dataclasses
 
+        if width is not None:
+            monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", width)
         build_scene = SCENE_PICKING[accel]
         cold_options = dataclasses.replace(options, amortize=False)
         with RenderSession(build_scene(), cold_options) as session:
@@ -171,17 +176,15 @@ class TestTopUpExactness:
         # ...and the answer is still byte-for-byte the cold answer.
         assert forest_bytes(topped) == forest_bytes(cold)
 
-    def test_topup_crosses_session_shapes(self):
-        """The trace key is provisioning-free: a forest traced by one
-        session shape tops up a request served by another."""
+    def test_topup_crosses_session_shapes(self, monkeypatch):
+        """The trace key is provisioning-free: a forest traced at one
+        wave width tops up a request served at another."""
         scene = build_mini_scene()
-        with RenderSession(
-            scene, SessionOptions(batch_size=7, amortize=True)
-        ) as session:
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 7)
+        with RenderSession(scene, AMORTIZE) as session:
             session.simulate(SimulateRequest(n_photons=96))
-        with RenderSession(
-            scene, SessionOptions(batch_size=64, amortize=True)
-        ) as session:
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 64)
+        with RenderSession(scene, AMORTIZE) as session:
             topped = session.simulate(SimulateRequest(n_photons=240))
             assert session.last_photons_traced == 144
         with RenderSession(build_mini_scene()) as session:
@@ -272,8 +275,7 @@ class TestSharedHits:
         assert deepcopies == []
 
     def test_converged_early_stop_hit_shares_the_forest(self, deepcopies):
-        options = SessionOptions(batch_size=64, amortize=True)
-        with RenderSession(build_mini_scene(), options) as session:
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
             warm = session.simulate(SimulateRequest(n_photons=4096))
             stopped = session.simulate(
                 SimulateRequest(n_photons=100_000, target_rel_error=0.5)
@@ -303,12 +305,11 @@ class TestSharedHits:
         assert deepcopies == []
 
     def test_topup_copies_exactly_once(self, deepcopies):
-        options = SessionOptions(batch_size=32, amortize=True)
-        with RenderSession(build_mini_scene(), options) as session:
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
             small = session.simulate(SimulateRequest(n_photons=96))
             assert deepcopies == []  # a cold serve has nothing to copy
             topped = session.simulate(SimulateRequest(n_photons=240))
-            # Five chunks extend the prefix; one copy, before the first.
+            # One wave extends the prefix; one copy, before it.
             assert deepcopies == [small.forest]
             assert topped.forest is not small.forest
             assert topped.forest is cached_entry(
@@ -343,7 +344,7 @@ class TestSharedHits:
         with RenderSession(scene, AMORTIZE) as session:
             first = session.simulate(request)
         with RenderSession(
-            scene, SessionOptions(batch_size=7, amortize=True)
+            scene, SessionOptions(workers=2, amortize=True)
         ) as second:
             assert second.simulate(request).forest is first.forest
             assert second.last_photons_traced == 0
@@ -370,10 +371,14 @@ class TestSharingUnderConcurrency:
     BUDGETS = (64, 128, 192, 256, 320)
     STOP = SimulateRequest(n_photons=100_000, target_rel_error=0.2)
 
-    def test_interleaved_serves_never_mutate_a_served_forest(self):
+    def test_interleaved_serves_never_mutate_a_served_forest(
+        self, monkeypatch
+    ):
         scene = build_mini_scene()
         program = SceneProgram.compile(scene)
-        options = SessionOptions(batch_size=64, amortize=True)
+        # Early stops check every 64 photons, so they land among the
+        # budgets the other threads top up to.
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 64)
         held = []  # (result, bytes when served), across all threads
         images = []  # (budget, image)
         traced = []  # photons each simulate traced (render_view's included)
@@ -382,7 +387,7 @@ class TestSharingUnderConcurrency:
 
         def client(turn: int) -> None:
             try:
-                with RenderSession(program, options) as session:
+                with RenderSession(program, AMORTIZE) as session:
                     # Each thread walks the budgets from its own offset,
                     # so exact hits, top-ups and oversized-entry misses
                     # all land on the one key in a racing order.
@@ -430,7 +435,7 @@ class TestSharingUnderConcurrency:
         assert not KERNEL_GATE.locked()
 
         cold = {}  # traced count -> (cold bytes, cold 8x6 image)
-        with RenderSession(scene, SessionOptions(batch_size=64)) as reference:
+        with RenderSession(scene) as reference:
 
             def cold_answer(n: int):
                 if n not in cold:
@@ -449,7 +454,7 @@ class TestSharingUnderConcurrency:
             for n, image in images:
                 assert np.array_equal(image, cold_answer(n)[1])
             entry = program.forest_cache().lookup(
-                trace_key(merge_config(self.STOP, options)), 100_000
+                trace_key(merge_config(self.STOP, AMORTIZE)), 100_000
             )
             assert json.dumps(
                 forest_to_dict(entry.forest), sort_keys=True
@@ -462,8 +467,8 @@ class TestSharingUnderConcurrency:
 class TestColdServeIsOneWave:
     """Whatever a request finds cached, its missing range is traced as
     one wave on the engine and one shard per worker on the pool — not
-    ``batch_size`` chunks, each with its own tail — and no shards are
-    concatenated on the way into the forest."""
+    ``PHOTONS_IN_FLIGHT``-photon chunks, each with its own tail — and no
+    shards are concatenated on the way into the forest."""
 
     REQUEST = SimulateRequest(n_photons=10_000)
 
@@ -526,10 +531,9 @@ class TestColdServeIsOneWave:
 
 
 class TestEarlyStop:
-    def test_early_stopped_answer_is_an_exact_prefix(self):
-        with RenderSession(
-            build_mini_scene(), SessionOptions(batch_size=64)
-        ) as session:
+    def test_early_stopped_answer_is_an_exact_prefix(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 64)
+        with RenderSession(build_mini_scene()) as session:
             stopped = session.simulate(
                 SimulateRequest(n_photons=100_000, target_rel_error=0.5)
             )
@@ -558,10 +562,7 @@ class TestEarlyStop:
     def test_converged_cache_entry_serves_without_tracing(self):
         """An amortized session whose cached forest already meets the
         target answers from the cache with zero new photons."""
-        with RenderSession(
-            build_mini_scene(),
-            SessionOptions(batch_size=64, amortize=True),
-        ) as session:
+        with RenderSession(build_mini_scene(), AMORTIZE) as session:
             warm = session.simulate(SimulateRequest(n_photons=4096))
             summary_target = 0.5  # mini scene converges well before 4096
             stopped = session.simulate(
@@ -573,6 +574,24 @@ class TestEarlyStop:
             assert session.last_photons_traced == 0
             assert stopped.config.n_photons == 4096
             assert forest_bytes(stopped) == forest_bytes(warm)
+
+    def test_a_topped_up_early_stop_checks_where_a_cold_one_does(
+        self, cornell
+    ):
+        """A target request grown from a cached prefix stops at the
+        photon count, and with the bytes, of the same request served
+        cold: its checks land on multiples of the step, not on steps
+        counted from the prefix."""
+        request = SimulateRequest(n_photons=20_000, seed=7, target_rel_error=0.2)
+        with RenderSession(cornell) as session:
+            cold = session.simulate(request)
+        assert cold.config.n_photons == vectorized.PHOTONS_IN_FLIGHT
+        with RenderSession(SceneProgram(cornell), AMORTIZE) as session:
+            session.simulate(SimulateRequest(n_photons=1_000, seed=7))
+            topped = session.simulate(request)
+            assert session.last_photons_traced == cold.config.n_photons - 1_000
+        assert topped.config.n_photons == cold.config.n_photons
+        assert forest_bytes(topped) == forest_bytes(cold)
 
     def test_early_stop_streams_stop_streaming(self):
         with RenderSession(build_mini_scene()) as session:

@@ -29,12 +29,12 @@ needs_plane = pytest.mark.skipif(
     not plane_available(), reason="no multiprocessing.shared_memory here"
 )
 
-AMORTIZE = SessionOptions(batch_size=64, amortize=True)
+AMORTIZE = SessionOptions(amortize=True)
 WAIT = 30.0  # every join/wait below is bounded by this
 
 
 def cold_bytes(scene, request: SimulateRequest) -> str:
-    with RenderSession(scene, SessionOptions(batch_size=64)) as reference:
+    with RenderSession(scene) as reference:
         return forest_bytes(reference.simulate(request))
 
 
@@ -167,7 +167,7 @@ class TestSingleFlight:
         # the cold answer; the kernel ran for one request's photons.
         assert results["one"].forest is results["two"].forest
         assert forest_bytes(results["one"]) == cold_bytes(scene, request)
-        with RenderSession(scene, SessionOptions(batch_size=64)) as reference:
+        with RenderSession(scene) as reference:
             reference.simulate(request)
             assert traced_tests == reference._engine_for(None).patch_tests
 
@@ -265,7 +265,7 @@ class TestPoolWaits:
         pooled_request = SimulateRequest(n_photons=192, seed=11)
         serial_request = SimulateRequest(n_photons=192, seed=12)
         results = {}
-        pooled_options = SessionOptions(batch_size=64, workers=2, amortize=True)
+        pooled_options = SessionOptions(workers=2, amortize=True)
         with RenderSession(program, pooled_options) as pooled, RenderSession(
             program, AMORTIZE
         ) as serial:
@@ -321,7 +321,7 @@ class TestPooledTally:
     """A one-shot ``workers=2`` serve: the parent's per-shard tallies are
     kernel sections, the waits on the workers are not."""
 
-    OPTIONS = SessionOptions(batch_size=64, workers=2)
+    OPTIONS = SessionOptions(workers=2)
 
     def test_each_shard_tally_takes_the_gate_once(self):
         scene = build_mini_scene()
@@ -342,9 +342,7 @@ class TestPooledTally:
         request = SimulateRequest(n_photons=192, seed=43)
         deltas = {}
         for amortize in (False, True):
-            options = SessionOptions(
-                batch_size=64, workers=2, amortize=amortize
-            )
+            options = SessionOptions(workers=2, amortize=amortize)
             # A program of its own: the request is cold on both routes.
             with RenderSession(SceneProgram(scene), options) as session:
                 session.simulate(SimulateRequest(n_photons=64, seed=40))
@@ -415,7 +413,7 @@ class TestRaisingSections:
         the failure passes back through the gate and out."""
         scene = build_mini_scene()
         request = SimulateRequest(n_photons=200, seed=22)
-        options = SessionOptions(batch_size=64, workers=2, amortize=True)
+        options = SessionOptions(workers=2, amortize=True)
         with RenderSession(scene, options) as session:
             refused = enospc_once(resultplane)
             with pytest.raises(OSError) as raised:

@@ -37,6 +37,7 @@ from repro.paper import scalar
 from repro.paper.cluster import profile_scene
 from repro.paper.scalar import run_scalar
 from repro.paper.shared import SharedConfig, run_shared
+from tests.scenehelpers import build_mini_scene
 
 
 def forest_bytes(result) -> str:
@@ -232,6 +233,15 @@ class TestImportFence:
         }
 
 
+def stream_chunk(chunk) -> None:
+    """Open and close a stream of *chunk* photons a yield (the stream's
+    ``batch_size``, the one chunk size a caller still names)."""
+    with RenderSession(build_mini_scene()) as session:
+        session.simulate_stream(
+            SimulateRequest(n_photons=1), batch_size=chunk
+        ).close()
+
+
 class TestRequestOptionsSplit:
     def test_request_frozen(self):
         request = SimulateRequest(n_photons=10)
@@ -277,7 +287,7 @@ class TestRequestOptionsSplit:
         (lambda v: SimulateRequest(n_photons=300, seed=v), "seed"),
         (lambda v: SimulateRequest(n_photons=v), "n_photons"),
         (lambda v: SessionOptions(workers=v), "workers"),
-        (lambda v: SessionOptions(batch_size=v), "batch_size"),
+        (stream_chunk, "batch_size"),
     ], ids=["seed", "n_photons", "workers", "batch_size"])
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"],
                              ids=["float", "integral-float", "bool", "str"])
@@ -291,8 +301,14 @@ class TestRequestOptionsSplit:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SessionOptions(workers=0)
-        with pytest.raises(ValueError):
+        # One wave width serves every session (PHOTONS_IN_FLIGHT): the
+        # batch-size knob is gone, not ignored.
+        with pytest.raises(TypeError, match="batch_size"):
             SessionOptions(batch_size=0)
+        with pytest.raises(TypeError, match="batch_size"):
+            SessionOptions(batch_size=64)
+        with pytest.raises(TypeError, match="batch_size"):
+            SimulationConfig(n_photons=1, batch_size=64)
         # Sessions trace only with the vector engine on substreams: the
         # engine and RNG knobs are gone, not ignored.
         with pytest.raises(TypeError):
@@ -312,7 +328,7 @@ class TestRequestOptionsSplit:
         with pytest.raises(TypeError):
             SessionOptions(cache_results=True)
         assert [f.name for f in dataclasses.fields(SessionOptions)] == [
-            "workers", "batch_size", "amortize",
+            "workers", "amortize",
         ]
         assert [f.name for f in dataclasses.fields(SimulateRequest)] == [
             "n_photons", "seed", "policy", "fluorescence", "target_rel_error",
@@ -320,8 +336,7 @@ class TestRequestOptionsSplit:
         # The record of a run names no engine and no RNG discipline
         # either (TestConfigValidation pins the TypeErrors).
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
-            "n_photons", "seed", "policy", "fluorescence", "batch_size",
-            "workers",
+            "n_photons", "seed", "policy", "fluorescence", "workers",
         ]
 
     @pytest.mark.parametrize("call, error, match", [
@@ -360,12 +375,11 @@ class TestRequestOptionsSplit:
         request = SimulateRequest(
             n_photons=123, seed=0xBEEF, policy=SplitPolicy(threshold=2.5)
         )
-        options = SessionOptions(workers=3, batch_size=512)
+        options = SessionOptions(workers=3)
         assert merge_config(request, options) == SimulationConfig(
             n_photons=123,
             seed=0xBEEF,
             policy=SplitPolicy(threshold=2.5),
-            batch_size=512,
             workers=3,
         )
 
@@ -449,8 +463,7 @@ class TestSceneProgram:
 
 class TestOpenSession:
     def test_accepts_registered_name(self):
-        options = SessionOptions(batch_size=512)
-        with RenderSession("cornell-box", options) as session:
+        with RenderSession("cornell-box") as session:
             assert session.scene.name == "cornell-box"
 
     def test_sessions_are_constructed_directly(self):

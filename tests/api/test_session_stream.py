@@ -2,7 +2,7 @@
 
 The streaming surface re-chunks the photon budget, so the one property
 that matters is that chunking is invisible: on a scene each side of
-the engine's accelerator choice, at any batch size
+the engine's accelerator choice, at any chunk size and wave width
 (and for a warm multi-process pool), the final cumulative
 result of ``simulate_stream`` serialises byte-for-byte identical to the
 one-shot ``simulate`` of the same request — the canonical
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
-from repro.core import forest_to_dict
+from repro.core import forest_to_dict, vectorized
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
 
@@ -27,23 +27,25 @@ def forest_bytes(result) -> str:
 
 REQUEST = SimulateRequest(n_photons=230, seed=0xC0FFEE)
 
-#: Every surface the stream serves single-process: (session options,
-#: scene fixture, the accelerator the engine picks on that scene).
+#: Every surface the stream serves single-process: (wave width, ``None``
+#: for :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`, scene fixture,
+#: the accelerator the engine picks on that scene).
 SURFACES = [
-    pytest.param(SessionOptions(), "mini_scene", "linear", id="vector-linear"),
-    pytest.param(SessionOptions(batch_size=7), "mini_scene", "linear",
-                 id="vector-linear-b7"),
-    pytest.param(SessionOptions(), "harpsichord", "flat", id="vector-flat"),
+    pytest.param(None, "mini_scene", "linear", id="vector-linear"),
+    pytest.param(7, "mini_scene", "linear", id="vector-linear-b7"),
+    pytest.param(None, "harpsichord", "flat", id="vector-flat"),
 ]
 
 
 class TestStreamParity:
-    @pytest.mark.parametrize("options, scene_fixture, accel", SURFACES)
+    @pytest.mark.parametrize("width, scene_fixture, accel", SURFACES)
     def test_final_stream_equals_one_shot(
-        self, request, options, scene_fixture, accel
+        self, request, monkeypatch, width, scene_fixture, accel
     ):
+        if width is not None:
+            monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", width)
         scene = request.getfixturevalue(scene_fixture)
-        with RenderSession(scene, options) as session:
+        with RenderSession(scene) as session:
             assert VectorEngine(arrays=session.program.arrays).accel == accel
             one_shot = session.simulate(REQUEST)
             last = None

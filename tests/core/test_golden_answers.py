@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RenderSession, SimulateRequest
+from repro.api import RenderSession, SceneProgram, SimulateRequest
 from repro.cli import main as cli_main
-from repro.core import save_answer
+from repro.core import save_answer, vectorized
 from repro.core.vectorized import VectorEngine
 from repro.paper.scalar import run_scalar
-from repro.parallel.procpool import run_procpool
+from repro.parallel.procpool import PhotonPool
+from repro.parallel.shmplane import plane_available
 from tests.data.regenerate import DATA_DIR, GOLDEN_PHOTONS, GOLDEN_SEED, golden_config
 
 import io
@@ -58,6 +59,17 @@ def simulate_bytes(scene, rng: str, tmp_path: Path) -> bytes:
     return answer_bytes(run_scalar(scene, golden_config(), rng=rng), tmp_path)
 
 
+def pool_bytes(scene, config, tmp_path: Path) -> bytes:
+    """*config* traced on a fresh process pool over *scene*."""
+    with PhotonPool(SceneProgram.compile(scene), config) as pool:
+        return answer_bytes(pool.run(), tmp_path)
+
+
+needs_plane = pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
+
+
 class TestSubstreamGoldens:
     """Both engines (and the pool) reproduce the committed bytes."""
 
@@ -89,30 +101,29 @@ class TestSubstreamGoldens:
             f"{scene_name}.substream.answer.json"
         )
 
-    def test_procpool(self, request, tmp_path):
-        """The multi-process backend hits the same bytes."""
-        from tests.parallel.test_procpool import _InlinePool
-
+    @needs_plane
+    def test_procpool(self, request, tmp_path, monkeypatch):
+        """The multi-process backend hits the same bytes, its workers
+        tracing waves far narrower than the budget."""
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 64)
         scene = scene_for(request, "cornell-box")
-        config = replace(golden_config(), workers=3, batch_size=64)
-        result = run_procpool(scene, config, pool=_InlinePool())
-        out = tmp_path / "answer.json"
-        save_answer(result.forest, out)
-        assert out.read_bytes() == golden_bytes("cornell-box.substream.answer.json")
+        config = replace(golden_config(), workers=3)
+        assert pool_bytes(scene, config, tmp_path) == golden_bytes(
+            "cornell-box.substream.answer.json"
+        )
 
+    @needs_plane
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_procpool_generated_scene(self, request, tmp_path, workers):
+    def test_procpool_generated_scene(
+        self, request, tmp_path, monkeypatch, workers
+    ):
         """Every worker count shards the generated corpus scene onto the
         identical committed bytes (the gen: bit-reproducibility claim,
         transport edition)."""
-        from tests.parallel.test_procpool import _InlinePool
-
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 96)
         scene = scene_for(request, "gen-office-64")
-        config = replace(golden_config(), workers=workers, batch_size=96)
-        result = run_procpool(scene, config, pool=_InlinePool())
-        out = tmp_path / "answer.json"
-        save_answer(result.forest, out)
-        assert out.read_bytes() == golden_bytes(
+        config = replace(golden_config(), workers=workers)
+        assert pool_bytes(scene, config, tmp_path) == golden_bytes(
             "gen-office-64.substream.answer.json"
         )
 
@@ -127,20 +138,25 @@ class TestLegacyStreamGolden:
 class TestCliGolden:
     """`repro simulate` serves the request on the vector engine and lands
     on the substream golden, the bytes the scalar oracle writes, with the
-    default flags, one batch for the whole budget, or a worker pool."""
+    default flags, one wave for the whole budget, or a worker pool (wave
+    widths set through ``PHOTONS_IN_FLIGHT``, which no flag names)."""
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, width",
         [
-            [],
-            ["--batch-size", "100000"],
-            ["--workers", "2", "--batch-size", "128"],
-            ["--workers", "2"],
+            ([], None),
+            ([], 100_000),
+            (["--workers", "2"], 128),
+            (["--workers", "2"], None),
         ],
         ids=["vector", "vector-one-batch", "vector-procpool",
              "vector-procpool-plane"],
     )
-    def test_simulate_matches_golden(self, request, tmp_path, extra):
+    def test_simulate_matches_golden(
+        self, request, tmp_path, monkeypatch, extra, width
+    ):
+        if width is not None:
+            monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", width)
         out = tmp_path / "cli.json"
         rc = cli_main(
             [

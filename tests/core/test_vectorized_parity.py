@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api import RenderSession, SimulateRequest
 from repro.core import (
     FluorescenceSpec,
     SimulationConfig,
@@ -36,17 +36,25 @@ FLUOR = FluorescenceSpec.simple(
 )
 
 
-def run_engine(scene, engine: str, **kwargs) -> tuple[dict, object]:
+def run_engine(
+    scene, engine: str, batch_size=None, **kwargs
+) -> tuple[dict, object]:
     """Simulate with *engine* under substream RNG; (forest dict, stats).
 
     The scalar side is the oracle loop; the vector side is served by a
-    session, the one serving path.
+    session, the one serving path, or with a *batch_size* by an engine
+    that wide (the engine-level seam: no session option sizes a wave).
     """
     if engine == "scalar":
         result = run_scalar(scene, SimulationConfig(**kwargs), rng="substream")
+    elif batch_size is not None:
+        config = SimulationConfig(**kwargs)
+        engine = VectorEngine(
+            scene, fluorescence=config.fluorescence, batch_size=batch_size
+        )
+        result = engine.run(config)
     else:
-        options = SessionOptions(batch_size=kwargs.pop("batch_size", 4096))
-        with RenderSession(scene, options) as session:
+        with RenderSession(scene) as session:
             result = session.simulate(SimulateRequest(**kwargs))
     result.forest.check_invariants()
     return forest_to_dict(result.forest), result.stats
@@ -91,11 +99,12 @@ class TestSceneParity:
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
     def test_batch_size_invariance(self, request, scene_fixture):
-        """The batch boundary must never leak into the answer."""
+        """The wave width must never leak into the answer: a 37-lane
+        engine serves a session's bytes."""
         scene = request.getfixturevalue(scene_fixture)
         small = run_engine(scene, "vector", n_photons=300, seed=3, batch_size=37)
-        large = run_engine(scene, "vector", n_photons=300, seed=3, batch_size=4096)
-        assert small == large
+        served = run_engine(scene, "vector", n_photons=300, seed=3)
+        assert small == served
 
     @pytest.mark.parametrize("scene_fixture", SCENE_FIXTURES)
     @pytest.mark.parametrize("accel", ["flat", "linear"])
@@ -112,7 +121,7 @@ class TestSceneParity:
 
 
 class TestPropertyParity:
-    """Hypothesis sweep over seeds, budgets and batch sizes (mini box)."""
+    """Hypothesis sweep over seeds, budgets and wave widths (mini box)."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**48 - 1),

@@ -1,6 +1,7 @@
 """The vector engine traces a photon range as one refilled wave.
 
-``VectorEngine._wave`` keeps at most ``batch_size`` lanes in flight and,
+``VectorEngine._wave`` keeps at most ``batch_size`` lanes in flight
+(``PHOTONS_IN_FLIGHT`` unless a test names a width) and,
 before every ``step``, replaces the lanes that retired with the range's
 next photons (``emit``), so a range pays one narrowing tail of bounces.
 ``run()`` tallies completed prefixes: every photon below the lowest one
@@ -15,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SimulationConfig, forest_to_dict
+from repro.api import RenderSession, SimulateRequest
+from repro.core import SimulationConfig, forest_to_dict, save_answer
 from repro.core import vectorized
 from repro.core.simulator import TraceStats
 from repro.core.vectorized import EventBatch, Lanes, VectorEngine
@@ -104,6 +106,25 @@ def check_prefix_tallies(monkeypatch, cornell, batch_size, start):
     assert result.forest.photons_emitted == n
 
 
+def test_one_wave_wider_than_the_budget_serves_the_same_bytes(
+    cornell, tmp_path
+):
+    """5,000 cornell photons in one wave: the first ``closest_hit`` call
+    takes every lane (the dense scan's tiles, not the wave, bound its
+    operands), and the answer file is a default session's."""
+    engine = VectorEngine(cornell, batch_size=100_000)
+    widths = spy_widths(engine)
+    wide = engine.run(SimulationConfig(n_photons=5_000))
+    assert widths[0] == 5_000 and max(widths[1:]) < 5_000, widths
+    with RenderSession(cornell) as session:
+        served = session.simulate(SimulateRequest(n_photons=5_000))
+    save_answer(wide.forest, tmp_path / "wide.json")
+    save_answer(served.forest, tmp_path / "served.json")
+    assert (tmp_path / "wide.json").read_bytes() == (
+        tmp_path / "served.json"
+    ).read_bytes()
+
+
 def test_wave_equals_one_photon_at_a_time(cornell):
     """No lane's events depend on which photons share its steps."""
     wide, wide_stats = VectorEngine(cornell, batch_size=4096).trace_range(9, 40, 300)
@@ -118,7 +139,7 @@ def test_run_and_trace_range_agree(cornell):
     """``run()`` tallies the events ``trace_range`` returns."""
     from repro.core.bintree import BinForest
 
-    config = SimulationConfig(n_photons=900, seed=21, batch_size=100)
+    config = SimulationConfig(n_photons=900, seed=21)
     engine = VectorEngine(cornell, batch_size=100)
     ran = engine.run(config)
     events, stats = engine.trace_range(21, 0, 900)

@@ -1,8 +1,8 @@
-"""Process-pool backend: determinism across workers, batches, landing
-order and merges.
+"""Process-pool backend: determinism across workers, wave widths,
+landing order and merges.
 
-The pool must be an implementation detail: any worker count, any batch
-size, and any order the shards land in must serialise to the *same
+The pool must be an implementation detail: any worker count, any wave
+width, and any order the shards land in must serialise to the *same
 bytes* as a single-process vector run (which the parity suite in turn
 locks to the scalar oracle).
 """
@@ -16,25 +16,34 @@ import pytest
 
 from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
+from repro.core import vectorized
 from repro.core.bintree import BinForest
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
 from repro.paper.distributed import merge_rank_forests
 from repro.parallel import procpool, resultplane
-from repro.parallel.procpool import PhotonPool, _trace_shard, run_procpool
+from repro.parallel.procpool import PhotonPool
 from repro.parallel.resultplane import ResultPlaneWarning
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 
-
-class _InlinePool:
-    """A pool-shaped in-process executor (keeps unit tests fork-free)."""
-
-    def starmap(self, fn, jobs):
-        return [fn(*job) for job in jobs]
+needs_plane = pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
 
 
 def _forest_bytes(forest) -> str:
     return json.dumps(forest_to_dict(forest))
+
+
+def pool_run(scene, config: SimulationConfig):
+    """*config* traced on a fresh :class:`PhotonPool` over *scene*."""
+    with PhotonPool(SceneProgram.compile(scene), config) as pool:
+        return pool.run()
+
+
+def _in_flight() -> int:
+    """Pool target: the wave width this worker's engines take."""
+    return vectorized.PHOTONS_IN_FLIGHT
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +54,27 @@ def reference(request):
     return VectorEngine(cornell).run(config)
 
 
+@needs_plane
 class TestWorkerInvariance:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_same_bytes_any_worker_count(self, cornell, reference, workers):
         config = SimulationConfig(
-            n_photons=1200, seed=0xC0FFEE,
-            workers=workers, batch_size=256,
+            n_photons=1200, seed=0xC0FFEE, workers=workers
         )
-        result = run_procpool(cornell, config, pool=_InlinePool())
+        result = pool_run(cornell, config)
         assert result.stats == reference.stats
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
     @pytest.mark.parametrize("batch_size", [64, 512, 4096])
-    def test_same_bytes_any_batch_size(self, cornell, reference, batch_size):
-        config = SimulationConfig(
-            n_photons=1200, seed=0xC0FFEE,
-            workers=3, batch_size=batch_size,
-        )
-        result = run_procpool(cornell, config, pool=_InlinePool())
+    def test_same_bytes_any_batch_size(
+        self, monkeypatch, cornell, reference, batch_size
+    ):
+        """Workers forked with another wave width trace the same bytes."""
+        monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", batch_size)
+        config = SimulationConfig(n_photons=1200, seed=0xC0FFEE, workers=3)
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
+            assert pool._pool.apply(_in_flight) == batch_size
+            result = pool.run()
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
     def test_real_processes(self, cornell, reference):
@@ -70,7 +82,7 @@ class TestWorkerInvariance:
         config = SimulationConfig(
             n_photons=1200, seed=0xC0FFEE, workers=2
         )
-        result = run_procpool(cornell, config)
+        result = pool_run(cornell, config)
         assert result.stats == reference.stats
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
@@ -78,7 +90,7 @@ class TestWorkerInvariance:
         config = SimulationConfig(
             n_photons=0, seed=1, workers=2
         )
-        result = run_procpool(cornell, config, pool=_InlinePool())
+        result = pool_run(cornell, config)
         assert result.forest.total_tallies == 0
         assert result.stats.photons == 0
 
@@ -120,17 +132,16 @@ def forest_to_dict_tree(tree):
 
 class TestShardTracing:
     def test_shards_concatenate_to_full_range(self, cornell):
-        """Sharded tracing covers each photon exactly once."""
-        whole = _trace_shard(cornell, None, 4096, 0xAB, 0, 300)
-        part_a = _trace_shard(cornell, None, 4096, 0xAB, 0, 120)
-        part_b = _trace_shard(cornell, None, 4096, 0xAB, 120, 180)
-        # The injected-pool target ships inline payloads (nothing forked,
-        # so there is no result plane to write into).
-        assert whole.slot == part_a.slot == part_b.slot == -1
+        """Sharded tracing covers each photon exactly once: two ranges,
+        each sorted as a worker ships it, concatenate to the whole."""
+        engine = VectorEngine(cornell)
+        whole, _ = engine.trace_range(0xAB, 0, 300)
+        part_a, _ = engine.trace_range(0xAB, 0, 120)
+        part_b, _ = engine.trace_range(0xAB, 120, 180)
         merged = EventBatch.concat(
-            [EventBatch(*part_a.payload), EventBatch(*part_b.payload)]
-        ).sorted_canonical()
-        full = EventBatch(*whole.payload)
+            [part_a.sorted_canonical(), part_b.sorted_canonical()]
+        )
+        full = whole.sorted_canonical()
         assert full.gidx.tolist() == merged.gidx.tolist()
         assert full.patch.tolist() == merged.patch.tolist()
         assert full.theta.tolist() == merged.theta.tolist()

@@ -6,7 +6,7 @@ extra moving parts the tests pin separately:
 * **Fidelity** — a block round-trips an :class:`EventBatch`
   bit-for-bit, the parent's views are zero-copy, and a real 2-process
   pool reproduces the single-process forest byte for byte (the golden
-  suites extend this through every engine x worker x batch-size
+  suites extend this through every engine x worker x wave-width
   combination — the blocks are the pool's only result transport).
 * **Descriptors** — what crosses the boundary is O(workers) small
   :class:`ShardResult` objects, never O(events) pickles.
@@ -118,8 +118,11 @@ class TestDescriptors:
         with ResultPlane(blocks=1, capacity=len(events)) as plane:
             result = pack_shard(events, stats, plane.handle, 0)
             descriptor_bytes = len(pickle.dumps(result))
-            payload = pack_shard(events, stats, None, -1)
+        # A block too small for the shard: the columns ride inline.
+        with ResultPlane(blocks=1, capacity=len(events) - 1) as small:
+            payload = pack_shard(events, stats, small.handle, 0)
             payload_bytes = len(pickle.dumps(payload))
+        assert payload.overflow
         assert descriptor_bytes < 1024
         # The pickle path pays the full eight columns x 8 bytes.
         assert payload_bytes > len(events) * 8 * 8

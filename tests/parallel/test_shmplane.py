@@ -34,7 +34,7 @@ from repro.core import (
     forest_to_dict,
 )
 from repro.parallel import shmplane
-from repro.parallel.procpool import PhotonPool, run_procpool
+from repro.parallel.procpool import PhotonPool
 from repro.parallel.shmplane import (
     PLANE_SEGMENT_PREFIX,
     attach,
@@ -310,14 +310,6 @@ class TestPooledRuns:
             with PhotonPool(SceneProgram.compile(cornell), config) as pool:
                 assert leaked_segments() != []
                 pool._pool.apply(_boom)
-        assert leaked_segments() == []
-
-    def test_run_procpool_without_injected_pool_matches(self, cornell, reference):
-        config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE, workers=2
-        )
-        result = run_procpool(cornell, config)
-        assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
         assert leaked_segments() == []
 
 

@@ -19,8 +19,8 @@ class TestParser:
         )
         assert args.photons == 100
         assert args.scene == "cornell-box"
-        # Unset, so the session takes its own default.
-        assert args.batch_size is None
+        # No flag sizes the trace wave: one width serves every session.
+        assert not hasattr(args, "batch_size")
 
     def test_hex_seed(self):
         args = build_parser().parse_args(
@@ -58,10 +58,14 @@ class TestParser:
         # The forest cache behind --amortize is the one cache.
         (["serve", "--scene", "cornell-box", "--cache-results", "on"],
          "--cache-results"),
+        # One wave width and early-stop step serve every session.
+        (["simulate", "cornell-box", "--batch-size", "64"], "--batch-size"),
+        (["serve", "--scene", "cornell-box", "--batch-size", "64"],
+         "--batch-size"),
     ], ids=[
         "simulate-accel", "trace-accel", "serve-accel", "simulate-engine",
         "simulate-rng", "serve-engine", "trace-engine", "simulate-share-plane",
-        "serve-cache-results",
+        "serve-cache-results", "simulate-batch-size", "serve-batch-size",
     ])
     def test_removed_flag_exits_2(self, capsys, tmp_path, argv, flag):
         """A removed flag is refused, not ignored: exit 2, the flag named,
