@@ -20,7 +20,7 @@ allocation; a forced overflow still degrades loudly
 (:class:`ResultPlaneWarning`) to byte-identical answers; and the 50x
 scene — the acceptance scene for scene ingestion — runs end-to-end
 through :class:`RenderSession` with both planes on and leaves
-``/dev/shm`` clean.  Numbers land in ``benchmarks/BENCH_scenescale.json``.
+``/dev/shm`` clean.
 """
 
 from __future__ import annotations
@@ -229,36 +229,6 @@ def test_fifty_x_scene_end_to_end_session(scaling_runs):
     assert result.stats.photons == PHOTONS
     assert image.shape == (32, 48, 3)
     assert leaked_segments() == []
-
-
-def test_record_bench_json(scaling_runs, write_bench_json):
-    """Write the machine-readable scaling snapshot (see ``write_bench_json``)."""
-    path = write_bench_json("scenescale", {
-        "photons": PHOTONS,
-        "seed": hex(SEED),
-        "scales": {
-            label: {
-                "spec": r["spec"],
-                "patches": r["patches"],
-                "events_per_photon_hint": r["events_per_photon_hint"],
-                "events_traced": r["events"],
-                "adaptive_block_capacity": r["adaptive_capacity"],
-                "blanket_block_capacity": r["blanket_capacity"],
-                "accels": {
-                    accel: {
-                        "photons_per_s": round(a["photons_per_s"], 1),
-                        "slab_tests_per_photon":
-                            round(a["slab_tests_per_photon"], 1),
-                        "patch_tests_per_photon":
-                            round(a["patch_tests_per_photon"], 1),
-                    }
-                    for accel, a in r["accels"].items()
-                },
-            }
-            for label, r in scaling_runs.items()
-        },
-    })
-    assert path.exists()
 
 
 def test_no_segments_leak(scaling_runs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import errno
 
 import pytest
+from hypothesis import settings
 
 from repro.core import SimulationConfig, SplitPolicy
 from repro.geometry import Scene
@@ -24,22 +25,7 @@ from tests.scenehelpers import build_mini_scene
 # CI runs `pytest --hypothesis-profile=ci`: the byte-identity properties
 # (grouped tally == row-by-row, flat == linear) draw the same examples on
 # every run, so a red build is a code change and never a lucky draw.
-try:
-    from hypothesis import settings
-except ImportError:  # the docs CI job installs pytest without hypothesis
-    pass
-else:
-    settings.register_profile("ci", derandomize=True, deadline=None)
-
-
-def pytest_addoption(parser) -> None:
-    # Declared here, not in benchmarks/conftest.py: pytest only honours
-    # the hook in conftests it loads before parsing the command line.
-    parser.addoption(
-        "--record-bench", action="store_true", default=False,
-        help="rewrite the committed benchmarks/BENCH_*.json "
-             "(default: write to the ignored benchmarks/out/)",
-    )
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -57,8 +57,8 @@ count, amortization, cache history — produces byte-identical answers,
 and all of them equal ``run_scalar`` under substream RNG (the golden
 suite holds both to the same committed bytes).  A convergence target
 is checked every :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`
-photons on every session, so an early stop has one answer too; a
-stream checks it at its own chunk boundaries instead.
+photons on every session and in every stream, whatever its chunk, so an
+early stop has one answer too.
 
 Sessions are context managers; always ``with`` them (or call
 :meth:`close` in a ``finally``) so pools shut down and release their
@@ -485,13 +485,18 @@ class RenderSession:
         meets the target.  :meth:`_extend` drains it inside a serve's
         miss section; :meth:`_stream` runs one step per section and
         yields in between.  Contiguous ascending steps keep the global
-        tally sequence canonical, so where they fall moves no byte; they
-        end on multiples of *step*, so a grown prefix checks a target at
-        the photon counts a cold request does.
+        tally sequence canonical, so where they fall moves no byte.
+        Under a target, steps also end on every multiple of
+        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`, and the target
+        is checked there and at the budget only: a grown prefix and a
+        stream of any chunk check it at the photon counts a cold
+        :meth:`simulate` does.
         """
-        n = config.n_photons
+        n, check = config.n_photons, vectorized.PHOTONS_IN_FLIGHT
         while done < n:
             end = min((done // step + 1) * step, n)
+            if target is not None:
+                end = min(end, (done // check + 1) * check)
             stats.merge(
                 self._trace(
                     dataclasses.replace(config, n_photons=end), forest, done
@@ -499,7 +504,7 @@ class RenderSession:
             )
             done = end
             error = None
-            if target is not None:
+            if target is not None and (done % check == 0 or done == n):
                 with self._step_gate:
                     error = forest_error_summary(forest).median_relative_error
             yield done, error
@@ -544,11 +549,13 @@ class RenderSession:
         request counts as served when the stream starts (a consumer may
         stop early on convergence — an advertised use).  When
         ``request.target_rel_error`` is set the session does that
-        convergence check itself: the stream ends after the first chunk
-        whose forest meets the target, so its early stop lands on its own
-        chunk boundaries (the default chunk's are :meth:`simulate`'s).
-        The final yield is the answer, and it carries what
-        :meth:`simulate` returns: the photons traced as
+        convergence check itself, at the photon counts :meth:`simulate`
+        checks (each multiple of
+        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`), and ends at the
+        first one whose forest meets the target: its last yield is what
+        a cold :meth:`simulate` answers, on every chunk size.  Progress still comes at
+        the chunk boundaries.  The final yield is the answer, and it
+        carries what :meth:`simulate` returns: the photons traced as
         ``config.n_photons``, ``photons_requested`` and
         ``achieved_rel_error`` under a target.  Every earlier yield
         carries the whole budget as ``config.n_photons``, more than its
@@ -575,8 +582,9 @@ class RenderSession:
         :meth:`simulate` drains, into one growing forest, so the final
         forest is the one-shot answer byte for byte.  A step runs in its
         own miss section and never across a yield: a slow consumer must
-        not park every other session.  The chunk that meets a
-        convergence target is the last.
+        not park every other session.  The step that meets a
+        convergence target is the last; a step that ends between chunk
+        boundaries (a target's check) yields nothing.
         """
         n, target = config.n_photons, request.target_rel_error
         forest, stats = BinForest(config.policy), TraceStats()
@@ -587,7 +595,8 @@ class RenderSession:
                 done, error = next(steps)
             if done == n or (error is not None and error <= target):
                 break
-            yield SimulationResult(forest, stats, config, self.scene.name)
+            if done % chunk == 0:
+                yield SimulationResult(forest, stats, config, self.scene.name)
         if done < n and self._forest_cache is not None:
             self._forest_cache.record_serve(0, 0, True)
         yield self._answer(config, target, forest, stats, done, error)

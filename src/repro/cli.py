@@ -532,7 +532,7 @@ async def _serve_main(config, out) -> None:
         file=out,
         flush=True,
     )
-    # The readiness line: scripts (and the CI smoke job) wait for it,
+    # The readiness line: scripts (and the serve tests) wait for it,
     # then parse the bound port out of it when --port 0 was used.
     print(
         f"listening on http://{service.host}:{service.port}",

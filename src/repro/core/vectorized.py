@@ -490,8 +490,9 @@ class EventBatch:
         """Column name -> contiguous array in the :data:`EVENT_FIELDS` dtypes.
 
         Emission rows carry int64/float64 columns already; the cast is a
-        no-op there and a normalization everywhere else, so both wire
-        transports always carry identical bytes.
+        no-op there and a normalization everywhere else, so a result
+        block and an overflowed shard's inline payload carry identical
+        bytes.
         """
         return {
             name: np.ascontiguousarray(getattr(self, name), dtype=np.dtype(dt))

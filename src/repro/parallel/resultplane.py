@@ -55,8 +55,9 @@ bigger budget arrives, and unlinked at pool close even when a worker
 raises mid-result.  Worker-side attachments are cached one segment at a
 time (:func:`_attach_blocks`) — replacing a regrown segment closes the
 stale mapping.  Segment names carry the shared plane prefix, so
-:func:`repro.parallel.shmplane.leaked_segments` and the CI ``/dev/shm``
-scan cover result blocks too.
+:func:`repro.parallel.shmplane.leaked_segments` covers result blocks
+too, after a real ``repro serve``'s SIGTERM as well
+(``tests/test_cli.py::TestServeCommand::test_boot_serve_sigterm``).
 """
 
 from __future__ import annotations

@@ -90,8 +90,8 @@ __all__ = [
     "attach_segment",
 ]
 
-#: Every plane segment name starts with this, so leak checks (tests, CI)
-#: can scan ``/dev/shm`` without false positives from other software.
+#: Every plane segment name starts with this, so leak checks can scan
+#: ``/dev/shm`` without false positives from other software.
 PLANE_SEGMENT_PREFIX = "photon-plane-"
 
 #: Field offsets are rounded up to this many bytes so every dtype in the
@@ -183,8 +183,8 @@ def segment_name(tag: str) -> str:
     """A fresh leak-scannable segment name (``photon-plane-<tag>-…``).
 
     Every segment this package creates — scene plane or result blocks —
-    goes through here, so :func:`leaked_segments` (and the CI
-    ``/dev/shm`` scan) covers all of them with one prefix.
+    goes through here, so :func:`leaked_segments` covers all of them
+    with one prefix.
     """
     return f"{PLANE_SEGMENT_PREFIX}{tag}{os.getpid():x}-{secrets.token_hex(4)}"
 
@@ -362,7 +362,7 @@ def leaked_segments() -> list[str]:
     """Plane segments still registered with the OS (should be empty).
 
     Scans ``/dev/shm`` for :data:`PLANE_SEGMENT_PREFIX` names — the
-    release-contract check tests and CI run after every pool teardown.
+    release-contract check the tests run after every pool teardown.
     Returns ``[]`` on platforms without a scannable ``/dev/shm``.
     """
     root = "/dev/shm"

@@ -541,8 +541,8 @@ def scene_to_doc(scene: Scene) -> dict:
     collide on name get a ``#2``-style suffix, so the document is
     unambiguous whatever the builders named things.  The layout is a
     pure function of the scene, which is what makes
-    ``save -> load -> save`` byte-stable (the round-trip test and the CI
-    scenes-smoke job both rely on that).
+    ``save -> load -> save`` byte-stable (the round-trip tests rely on
+    that).
     """
     materials: dict[str, dict] = {}
     key_of: dict[Material, str] = {}

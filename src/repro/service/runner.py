@@ -1,7 +1,7 @@
 """Run a :class:`~repro.service.RenderService` on a background thread.
 
 The service is asyncio-native; synchronous callers (tests, benchmarks,
-notebooks, the CI smoke driver) need it running *next to* them.
+notebooks) need it running *next to* them.
 :class:`ServiceThread` owns a dedicated event loop on a daemon thread,
 starts the service there, and exposes the bound port plus a tiny
 stdlib-only HTTP client (:func:`http_request`) for driving it.

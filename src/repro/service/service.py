@@ -130,7 +130,7 @@ def canonical_answer_bytes(result) -> bytes:
 
     Exactly the bytes :func:`repro.core.answerfile.save_answer` writes
     (same encoder, same defaults), so a served response can be compared
-    byte-for-byte — ``cmp`` in CI — against a CLI answer file.
+    byte-for-byte against a CLI answer file.
     """
     return json.dumps(forest_to_dict(result.forest)).encode("utf-8")
 

@@ -1,9 +1,9 @@
 """The repo's own code passes its own lint — and a seeded violation fails.
 
-This is the CI gate in miniature: the first class is exactly what the
-workflow's lint job runs (must exit 0 with the committed empty
-baseline); the second proves the gate has teeth by planting one
-violation in a scratch tree and watching exit code 1 come back.
+This is the lint gate: the first class runs ``repro lint src tests
+benchmarks`` and holds the committed baseline empty; the second proves
+the gate has teeth by planting one violation in a scratch tree and
+watching exit code 1 come back.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class TestRepoLintsClean:
     def test_clean_without_baseline_too(self):
         # The committed baseline is empty, so --no-baseline must agree:
         # nothing in the tree leans on grandfathering.
+        doc = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
+        assert doc == {"findings": []}
         out = io.StringIO()
         rc = run(
             [str(REPO_ROOT / p) for p in ("src", "tests", "benchmarks")],

@@ -593,6 +593,23 @@ class TestEarlyStop:
         assert topped.config.n_photons == cold.config.n_photons
         assert forest_bytes(topped) == forest_bytes(cold)
 
+    @pytest.mark.parametrize("batch", [1_000, 3_000, 4_096, 5_000])
+    def test_a_streamed_early_stop_answers_the_one_shot(self, cornell, batch):
+        """A stream checks a target where :meth:`simulate` does, so its
+        last yield is the one-shot answer whatever its chunk."""
+        request = SimulateRequest(n_photons=20_000, seed=7, target_rel_error=0.9)
+        with RenderSession(cornell) as session:
+            oneshot = session.simulate(request)
+            # Yields share one growing forest: read each count as it lands.
+            counts = []
+            for last in session.simulate_stream(request, batch_size=batch):
+                counts.append(last.forest.photons_emitted)
+        assert last.config.n_photons == oneshot.config.n_photons
+        assert last.achieved_rel_error == oneshot.achieved_rel_error
+        assert forest_bytes(last) == forest_bytes(oneshot)
+        # Progress comes at the client's chunks; only the answer may not.
+        assert all(count % batch == 0 for count in counts[:-1])
+
     def test_early_stop_streams_stop_streaming(self):
         with RenderSession(build_mini_scene()) as session:
             chunks = list(

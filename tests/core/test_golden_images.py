@@ -52,7 +52,7 @@ def test_every_substream_golden_has_an_image():
 
 
 def test_cli_view_writes_the_golden_bytes(tmp_path):
-    """`repro view` at 64x48 is the file the CI smoke job hashes."""
+    """`repro view` at 64x48 writes the bytes `images.sha256` pins."""
     out = tmp_path / golden_image_name("cornell-box")
     rc = cli_main(
         [

@@ -28,7 +28,9 @@ from repro.core import (
 )
 from repro.core import vectorized
 from repro.core.vectorized import VectorEngine, substream_states
+from repro.geometry import Patch, Scene, Vec3
 from repro.paper.scalar import run_scalar, trace_photon
+from repro.scenes import cornell_box
 from tests.scenehelpers import build_mini_scene
 
 FLUOR = FluorescenceSpec.simple(
@@ -118,6 +120,20 @@ class TestSceneParity:
         result.forest.check_invariants()
         assert result.stats == scalar_stats
         assert forest_to_dict(result.forest) == scalar_forest
+
+    def test_cornell_moved_out_and_shrunk(self):
+        """The cornell box shrunk 1e-3 and moved 1e4 out: the screened
+        scan's margins grow with the origins' magnitude and shrink with
+        the patches, and every pair it drops must still be one the exact
+        test rejects, so the whole answer stays the oracle's."""
+        far = Vec3(1e4, 1e4, 1e4)
+        scene = Scene([
+            Patch(p.p0 * 1e-3 + far, p.eu * 1e-3, p.ev * 1e-3, p.material,
+                  name=p.name)
+            for p in cornell_box().patches
+        ], name="cornell-moved")
+        assert VectorEngine(scene).accel == "linear"
+        assert_parity(scene, n_photons=3000)
 
 
 class TestPropertyParity:

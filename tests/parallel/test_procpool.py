@@ -86,6 +86,19 @@ class TestWorkerInvariance:
         assert result.stats == reference.stats
         assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
 
+    @pytest.mark.parametrize("photons", [7, 3000])
+    def test_attached_workers_start_at_every_cut(self, office64, photons):
+        """Workers derive the walk's cuts from the plane's arrays: a
+        7-photon request's 4- and 3-lane shards start at the deepest
+        cuts, a 3,000-photon one's at the root, and both serve the
+        single-process bytes."""
+        config = SimulationConfig(n_photons=photons, seed=7, workers=2)
+        result = pool_run(office64, config)
+        serial = VectorEngine(office64).run(
+            SimulationConfig(n_photons=photons, seed=7)
+        )
+        assert _forest_bytes(result.forest) == _forest_bytes(serial.forest)
+
     def test_zero_photons(self, cornell):
         config = SimulationConfig(
             n_photons=0, seed=1, workers=2

@@ -6,7 +6,7 @@ Two promises, pinned separately:
   structure-of-arrays byte-for-byte, materials value-for-value, and
   ``default_camera`` — for the three built-ins and a sweep of generated
   seeds, and ``save -> load -> save`` is byte-stable (the serialisation
-  is canonical, which the CI round-trip ``cmp`` relies on).
+  is canonical, which the CLI round-trip ``cmp`` relies on).
 * Malformed inputs fail with :class:`SceneFormatError` carrying the JSON
   path, field context, and source line — never a bare
   ``KeyError``/``TypeError`` traceback.

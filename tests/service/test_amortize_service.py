@@ -14,8 +14,9 @@ import json
 
 import pytest
 
-from repro.api import SessionOptions
+from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.parallel.shmplane import leaked_segments
+from repro.scenes import get_scene
 from repro.service import ServiceConfig, ServiceThread, simulate_path
 
 from tests.service.test_service import reference_bytes
@@ -69,6 +70,7 @@ class TestServedTopUps:
         assert after["exact_hits"] == before["exact_hits"] + 1
         # The forest cache answered it: the whole budget was saved.
         assert after["photons_saved"] == before["photons_saved"] + 130
+        assert after["topups"] == before["topups"]
 
     def test_stats_shape(self, amortized):
         stats = service_stats(amortized)
@@ -250,8 +252,15 @@ class TestTargetError:
     def test_early_stopped_stream_ends_with_its_answer(
         self, amortized, tmp_path
     ):
-        """The stream's last line is what the one-shot early stop
-        answers: the exact answer for the photons traced."""
+        """The stream's last line is what a cold one-shot early stop
+        answers: the exact answer for the photons traced, at the photon
+        count ``simulate`` stops at, whatever the stream's chunk.  (The
+        service's own one-shot may answer from a cached prefix that
+        already meets the target, which a stream never reads.)"""
+        with RenderSession(get_scene("cornell-box")) as session:
+            oneshot = session.simulate(
+                SimulateRequest(n_photons=40_000, target_rel_error=0.5)
+            ).config.n_photons
         before = service_stats(amortized)["requests"]["served_stream"]
         status, _, body = amortized.request(
             "POST",
@@ -265,7 +274,7 @@ class TestTargetError:
         assert "progress" not in answer and "error" not in answer
         traced = answer["photons_emitted"]
         assert 0 < traced < 40_000
-        assert traced % 2_000 == 0
+        assert traced == oneshot
         assert last == reference_bytes("cornell-box", traced, tmp_path)
         after = service_stats(amortized)["requests"]["served_stream"]
         assert after == before + 1

@@ -169,22 +169,42 @@ class TestServeCommand:
         assert excinfo.value.code == 2
         assert "sessions_per_scene" in capsys.readouterr().err
 
-    def test_boot_serve_sigterm(self):
-        """`repro serve` boots, answers /healthz, exits 0 on SIGTERM."""
+    def test_boot_serve_sigterm(self, tmp_path):
+        """`repro serve` on two scenes and a 2-worker pool: served bytes
+        are `repro simulate`'s, one-shot and streamed; a 70 KB request
+        line and a 70 KB header are each a 400 at the socket and the
+        service still serves; SIGTERM prints `bye`, exits 0 and leaves
+        no plane segment behind, none left to the resource tracker."""
+        import os
         import re
         import signal
+        import socket
         import subprocess
         import sys
-        import urllib.request
 
+        from repro.parallel.shmplane import leaked_segments
+        from repro.service import http_request, simulate_path
+
+        scenes = ("cornell-box", "gen:office-8@0xBEEF")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--scene", "cornell-box", "--port", "0"],
+            [sys.executable, "-m", "repro", "serve", "--scene", scenes[0],
+             "--scene", scenes[1], "--workers", "2", "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            start_new_session=True,
         )
         try:
+            # The references are written while the service boots.
+            expected = {}
+            for spec in scenes:
+                path = tmp_path / f"{spec.replace(':', '_')}.json"
+                scene_args = (
+                    ["--gen", spec[4:]] if spec.startswith("gen:") else [spec]
+                )
+                assert main(["simulate", *scene_args, "--photons", "3000",
+                             "--out", str(path)], out=io.StringIO()) == 0
+                expected[spec] = path.read_bytes()
             port = None
             for line in proc.stdout:
                 match = re.search(r"listening on http://[\d.]+:(\d+)", line)
@@ -192,17 +212,57 @@ class TestServeCommand:
                     port = int(match.group(1))
                     break
             assert port, "no readiness line before stdout closed"
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=60
-            ) as response:
-                assert response.status == 200
+
+            def served(spec, stream=False):
+                status, _, body = http_request(
+                    "127.0.0.1", port, "POST", simulate_path(spec, stream),
+                    {"photons": 3000, "deadline": 300.0}, timeout=300)
+                assert status == 200, (spec, status, body[:200])
+                return body.strip().split(b"\n")[-1] if stream else body
+
+            def raw_status(payload: bytes) -> int:
+                address = ("127.0.0.1", port)
+                with socket.create_connection(address, timeout=60) as sock:
+                    sock.sendall(payload)
+                    reply = b""
+                    while b"\r\n" not in reply:
+                        chunk = sock.recv(4096)
+                        if not chunk:
+                            break
+                        reply += chunk
+                return int(reply.split(b" ", 2)[1])
+
+            assert http_request("127.0.0.1", port, "GET", "/healthz")[0] == 200
+            for spec in scenes:
+                assert served(spec) == expected[spec], spec
+                assert served(spec, stream=True) == expected[spec], spec
+            pad = b"a" * 70_000
+            assert raw_status(
+                b"GET /healthz?pad=" + pad + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+            ) == 400
+            assert raw_status(
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + pad + b"\r\n\r\n"
+            ) == 400
+            assert served(scenes[0]) == expected[scenes[0]]
             proc.send_signal(signal.SIGTERM)
-            assert "bye" in proc.stdout.read()
+            # EOF comes once every holder of the pipe has exited, the
+            # resource tracker included: it has reported any segment it
+            # had to unlink for the service by then.
+            tail = proc.stdout.read()
+            assert "bye" in tail
+            assert "resource_tracker" not in tail, tail
             assert proc.wait(timeout=120) == 0
         finally:
             if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+                # SIGTERM closes the pools; a SIGKILL of the service
+                # alone would orphan its workers.
+                proc.terminate()
+                try:
+                    proc.wait(timeout=60)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+        assert leaked_segments() == []
 
 
 class TestScenesCommand:
@@ -298,15 +358,17 @@ class TestSceneSpecs:
         assert read_ppm(ppm).shape == (24, 32, 3)
 
     def test_file_flag_matches_gen_bytes(self, tmp_path):
-        """One scene, two routes (--gen and --scene-file of its saved
-        form): identical answer bytes."""
+        """One scene, two routes (--gen on a 2-process pool and
+        --scene-file of its saved form on one process): identical
+        answer bytes."""
         scene_file = tmp_path / "s.json"
         main(["save-scene", "gen:den-6@5", "--out", str(scene_file)],
              out=io.StringIO())
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         common = ["--photons", "200", "--seed", "0xBEEF"]
         assert main(
-            ["simulate", "--gen", "den-6@5", *common, "--out", str(a)],
+            ["simulate", "--gen", "den-6@5", *common, "--workers", "2",
+             "--out", str(a)],
             out=io.StringIO(),
         ) == 0
         assert main(
@@ -394,26 +456,28 @@ class TestSimulateViewWorkflow:
             )
 
     def test_repeat_serves_warm_requests(self, tmp_path):
-        """--repeat N runs one warm session; per-request lines appear and
-        the answer file is the same as a single run's."""
-        answer = tmp_path / "a.json"
-        out = io.StringIO()
-        rc = main(
-            ["simulate", "cornell-box", "--photons", "200",
-             "--repeat", "3", "--out", str(answer)],
-            out=out,
-        )
-        assert rc == 0
-        text = out.getvalue()
-        assert "request 1/3" in text and "request 3/3" in text
-        assert "warm" in text
+        """--repeat N runs one warm session, on one process or a warm
+        pool; per-request lines appear and the answer file is the same
+        as a single-process single run's."""
         single = tmp_path / "b.json"
         main(
             ["simulate", "cornell-box", "--photons", "200",
              "--out", str(single)],
             out=io.StringIO(),
         )
-        assert answer.read_bytes() == single.read_bytes()
+        for workers in ("1", "2"):
+            answer = tmp_path / f"w{workers}.json"
+            out = io.StringIO()
+            rc = main(
+                ["simulate", "cornell-box", "--photons", "200", "--workers",
+                 workers, "--repeat", "3", "--out", str(answer)],
+                out=out,
+            )
+            assert rc == 0
+            text = out.getvalue()
+            assert "request 1/3" in text and "request 3/3" in text
+            assert "warm" in text
+            assert answer.read_bytes() == single.read_bytes(), workers
 
     def test_repeat_prints_aggregate_summary(self, tmp_path):
         """--repeat N ends with one aggregate photons/sec line covering

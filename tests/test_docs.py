@@ -6,8 +6,8 @@ each ``python -m repro`` command against the real CLI parser, (b)
 *execute* the README quickstart pipeline end-to-end — every
 simulate variant the README shows, then view — and (c) execute
 **every** ``examples/*.py`` script under a tiny photon budget, so an
-API change that breaks an example fails CI instead of the next reader.
-The CI docs job runs exactly this module.
+API change that breaks an example fails tier-1 instead of the next
+reader.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
 
 #: Photon budget substituted into documented simulate commands when the
-#: quickstart is executed (the docs advertise 20k; CI needs seconds).
+#: quickstart is executed (the docs advertise 20k; the suite needs seconds).
 TINY_PHOTONS = "200"
 
 
@@ -103,6 +103,42 @@ def md_references(path: Path) -> set[str]:
             if token.type in (tokenize.COMMENT, tokenize.STRING):
                 found.update(re.findall(r"[\w./-]*\w\.md\b", token.string))
     return found
+
+
+class TestCiWorkflow:
+    """``ci.yml`` only runs the suite and the editable install.
+
+    A check that lives only in CI never runs where the suite does, so
+    every check is a tier-1 test and a workflow step is one command.
+    """
+
+    PATH = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+    #: Most lines the workflow may have.
+    LINE_BUDGET = 44
+    #: What a step may run: the suite, an install, git, the entry point.
+    COMMANDS = ("python -m pytest ", "python -m pip ", "pip ", "git ", "repro ")
+
+    def test_line_budget(self):
+        lines = self.PATH.read_text(encoding="utf-8").count("\n")
+        assert lines <= self.LINE_BUDGET, (
+            f"ci.yml has {lines} lines, over its budget of "
+            f"{self.LINE_BUDGET}: move the check into a tier-1 test")
+
+    def test_every_step_is_one_command(self):
+        import yaml
+
+        doc = yaml.safe_load(self.PATH.read_text(encoding="utf-8"))
+        assert set(doc["jobs"]) == {"tests", "package"}
+        runs = [
+            step["run"] for job in doc["jobs"].values()
+            for step in job["steps"] if "run" in step
+        ]
+        assert "python -m pytest -x -q" in " ".join(runs)
+        for run in runs:
+            command = run.strip()
+            assert command.startswith(self.COMMANDS), command
+            assert "\n" not in command and "<<" not in command, command
+            assert not re.search(r"python3? -(\s|$)|;|&&|\|", command), command
 
 
 class TestMdReferencesResolve:
@@ -180,7 +216,7 @@ class TestReadmeQuickstartExecutes:
             if "--photons" in argv:
                 argv[argv.index("--photons") + 1] = TINY_PHOTONS
             if "--workers" in argv:
-                # CI runners are often single-core; two workers keeps the
+                # Test hosts are often single-core; two workers keeps the
                 # procpool path honest without oversubscribing.
                 argv[argv.index("--workers") + 1] = "2"
             if "--width" in argv:
@@ -266,7 +302,7 @@ class TestReadmeServeExecutes:
 
 #: Tiny-budget argv for every example script.  A new example must be
 #: registered here (the coverage test below fails otherwise), which is
-#: how "all examples execute in CI" stays true as the directory grows.
+#: how "all examples execute in tier-1" stays true as the directory grows.
 EXAMPLE_BUDGETS = {
     "quickstart.py": ["--photons", "200", "--width", "24", "--height", "18"],
     "architectural_daylight.py": ["--photons", "300"],
@@ -310,6 +346,14 @@ class TestExamplesExecute:
     @pytest.mark.parametrize("script", sorted(EXAMPLE_BUDGETS))
     def test_example_runs(self, script, tmp_path):
         self.run_example(script, EXAMPLE_BUDGETS[script], tmp_path)
+
+    def test_quickstart_tour_at_a_larger_budget(self, tmp_path):
+        self.run_example(
+            "quickstart.py",
+            ["--photons", "2000", "--width", "64", "--height", "48",
+             "--out-dir", str(tmp_path)],
+            tmp_path,
+        )
 
     def test_quickstart_compares_the_oracle_with_a_session(self, tmp_path):
         stdout = self.run_example(
