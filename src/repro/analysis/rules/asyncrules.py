@@ -10,8 +10,9 @@ just gets slow.  These rules flag blocking calls lexically inside
 service does already: wrap the call in a sync closure and run it via
 ``loop.run_in_executor`` / ``asyncio.to_thread`` (the closure is a
 nested sync ``def``, which these rules deliberately do not descend
-into).  Taking the kernel gate (``repro.api.gate``) counts as blocking:
-its holder may be seconds into a trace.
+into).  Taking the kernel gate (``repro.api.gate``) or a forest-cache
+flight (``with cache.flight(key)``, ``repro.api.amortize``) counts as
+blocking: its holder may be seconds into a trace.
 """
 
 from __future__ import annotations
@@ -89,8 +90,20 @@ class AsyncBlockingChecker(Checker):
             self._check_call(node)
         if isinstance(node, ast.With):
             for item in node.items:
-                if _is_gate(_final_name(item.context_expr)):
-                    self._emit_gate(item.context_expr)
+                expr = item.context_expr
+                if _is_gate(_final_name(expr)):
+                    self._emit_gate(expr)
+                elif isinstance(expr, ast.Call) and (
+                    _final_name(expr.func) == "flight"
+                ):
+                    self.emit(
+                        expr,
+                        "async-blocking",
+                        "a forest-cache flight is held while another "
+                        "request traces the same key; enter it on an "
+                        "executor thread (RenderSession does, inside "
+                        "simulate)",
+                    )
         for child in ast.iter_child_nodes(node):
             self._walk_async(child)
 

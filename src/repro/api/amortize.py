@@ -31,16 +31,21 @@ read-only, which is what makes handing out the shared object sound.
 
 The cache is a thread-safe bounded LRU: sessions in a pool serve on
 concurrent executor threads, and a long-lived serving process must not
-accumulate every forest it ever traced.  Amortization counters (exact
-hits, top-ups, camera-only hits, photons saved, early stops) live here
-too and surface through the service ``/stats`` endpoint.
+accumulate every forest it ever traced.  It is also the one
+single-flight point: a serve it cannot answer extends the key under
+:meth:`ForestCache.flight`, so concurrent identical requests trace
+once, whatever the worker count of the sessions serving them.
+Amortization counters (exact hits, top-ups, camera-only hits, photons
+saved, early stops) live here too and surface through the service
+``/stats`` endpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
-from typing import Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
 
 from ..core.convergence import forest_error_summary
 
@@ -97,7 +102,7 @@ class CachedTrace:
 
         The forest never changes, so neither does its convergence
         summary; remembering it is what lets a repeated early-stop
-        request be answered from a probe, without a walk of every leaf.
+        request be answered by a lookup, without a walk of every leaf.
         """
         if self._median_error is None:
             self._median_error = forest_error_summary(
@@ -122,6 +127,8 @@ class ForestCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, CachedTrace]" = OrderedDict()
+        # trace key -> [its flight lock, serves holding or awaiting it]
+        self._flights: dict = {}
         # Amortization counters (the /stats payload).
         self.exact_hits = 0
         self.topups = 0
@@ -132,16 +139,6 @@ class ForestCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def peek(self, key: tuple, n: int) -> Optional[CachedTrace]:
-        """What :meth:`lookup` would return, leaving recency as it is.
-
-        The read-only probe a session makes before it decides whether
-        the request needs the kernel gate at all; the serve's one
-        :meth:`lookup` follows it.
-        """
-        with self._lock:
-            return self._reusable(key, n)
-
     def lookup(self, key: tuple, n: int) -> Optional[CachedTrace]:
         """The reusable entry for *key*, or ``None``.
 
@@ -150,14 +147,32 @@ class ForestCache:
         ``n`` — zero tracing left).  A hit refreshes LRU recency.
         """
         with self._lock:
-            entry = self._reusable(key, n)
-            if entry is not None:
-                self._entries.move_to_end(key)
+            entry = self._entries.get(key)
+            if entry is None or entry.n > n:
+                return None
+            self._entries.move_to_end(key)
             return entry
 
-    def _reusable(self, key: tuple, n: int) -> Optional[CachedTrace]:
-        entry = self._entries.get(key)
-        return entry if entry is not None and entry.n <= n else None
+    @contextlib.contextmanager
+    def flight(self, key: tuple) -> Iterator[None]:
+        """Hold *key*'s single-flight lock: one serve extends a key at a time.
+
+        A serve the cache cannot answer holds it from its second
+        :meth:`lookup` to its :meth:`store`; a serve of the key arriving
+        meanwhile waits, then finds what the first stored.  The lock
+        lives only while some serve holds or awaits it.
+        """
+        with self._lock:
+            flight = self._flights.setdefault(key, [threading.Lock(), 0])
+            flight[1] += 1
+        try:
+            with flight[0]:
+                yield
+        finally:
+            with self._lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[key]
 
     def store(
         self, key: tuple, n: int, forest: "BinForest", stats: "TraceStats"

@@ -1,16 +1,16 @@
 """The kernel gate: one in-process kernel section at a time.
 
-A serial session's trace is thousands of small NumPy calls that each
-drop and re-take the GIL, so two of them on two serving threads convoy
-instead of overlapping — each runs at less than half speed.
-:class:`~repro.api.RenderSession` therefore holds :data:`KERNEL_GATE`
-around every in-process, CPU-bound kernel section, and sections run to
-completion one at a time.  What is gated, what never is, and why a cache
-miss looks the cache up *after* taking the gate is in
-``docs/ARCHITECTURE.md`` ("Kernel gate").
-
-Waiters are served in whatever order the platform lock wakes them; the
-gate adds no queue of its own.
+An in-process trace is thousands of small NumPy calls that each drop
+and re-take the GIL, so two of them on two serving threads convoy
+instead of overlapping — each runs at less than half speed.  Every
+in-process kernel section therefore holds :data:`KERNEL_GATE` and runs
+to completion alone: an engine's trace, a pool's shard tally, a top-up
+copy, a convergence check, a render — the same sections whatever a
+session's worker count.  The gate only serialises CPU work: it is never
+held across a wait, and it coalesces nothing (single-flight is
+:meth:`repro.api.amortize.ForestCache.flight`).  Waiters are served in
+whatever order the platform lock wakes them; ``docs/ARCHITECTURE.md``
+("Kernel gate") has the rest.
 """
 
 from __future__ import annotations

@@ -42,12 +42,14 @@ cached forest itself; a top-up copies it once before extending it.
 Treat every served ``result.forest`` as read-only — it may be shared
 with the cache and with other results.
 
-Kernel gate: in-process, CPU-bound work — a single-process serve's
-whole cache miss, a pooled serve's shard tallies, top-up copy and
-convergence checks, a render — runs holding the process-wide
+Concurrency, the same on every route: a request the cache already
+answers takes no lock.  Any other amortized serve extends its trace key
+under the cache's :meth:`~repro.api.amortize.ForestCache.flight`, so
+identical requests in flight trace once, on an engine or a pool.
+In-process kernel sections — an engine's trace, a pool's shard tally, a
+top-up copy, a convergence check, a render — each hold the process-wide
 :data:`repro.api.gate.KERNEL_GATE`, one section at a time across all
-sessions.  A request the cache already answers never takes it, and it
-is never held across a wait on pool workers or between stream chunks.
+sessions; a wait on pool workers or between stream chunks holds none.
 
 Every session traces with the vector engine on per-photon substreams;
 the per-photon reference loop is the oracle
@@ -74,7 +76,6 @@ session, across threads — or check sessions out of a
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
 import threading
@@ -104,11 +105,13 @@ def _answers(
     entry: Optional[CachedTrace], n: int, target: Optional[float]
 ) -> bool:
     """Whether *entry* is the request's answer with nothing left to trace:
-    the whole budget, or a prefix already within the convergence target."""
+    the whole budget, or the first check point, within the target."""
     if entry is None:
         return False
     return entry.n == n or (
-        target is not None and entry.median_relative_error() <= target
+        target is not None
+        and entry.n == vectorized.PHOTONS_IN_FLIGHT
+        and entry.median_relative_error() <= target
     )
 
 
@@ -219,12 +222,6 @@ class RenderSession:
         self.requests_served = 0
         self._engines: dict = {}  # fluorescence spec -> warm VectorEngine
         self._pool = None
-        # Where a serve holds the kernel gate (see _trace): around a
-        # whole cache miss in process, around each of the serve's own
-        # kernel steps on a pool, whose shard tallies take it.
-        pooled = self.options.workers > 1
-        self._miss_gate = contextlib.nullcontext() if pooled else KERNEL_GATE
-        self._step_gate = KERNEL_GATE if pooled else contextlib.nullcontext()
         self._closed = False
         # Reentrancy guard: a session serves one request at a time; the
         # check-and-set is atomic so concurrent misuse from another
@@ -334,16 +331,11 @@ class RenderSession:
         the same request under substream RNG — the session only changes
         *how* and *when* photons are traced, never a single tally.
 
-        Every request takes one path (:meth:`_serve`): its forest starts
-        from what the cache already holds — under
-        ``SessionOptions(amortize=True)``, a cached run of the same
-        trace key and at most the budget (any worker count); otherwise
-        nothing — and only the missing photon range is
-        traced, as one wave.  That is byte-identical to a cold run, per
-        the substream prefix property (see :mod:`repro.api.amortize`).
-        A hit that traces nothing (an exact repeat, an already-converged
-        early stop, a camera-only render) returns the cached forest
-        itself, shared and read-only; only a top-up pays a deep copy.
+        Every request takes one path (:meth:`_serve`): only the photons
+        the cache (``SessionOptions(amortize=True)``) does not hold yet
+        are traced, as one wave — byte-identical to a cold run (see
+        :mod:`repro.api.amortize`).  A serve that traces nothing returns
+        the cached forest itself, shared and read-only.
 
         Under ``request.target_rel_error`` the forest grows to each
         multiple of :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT` in
@@ -379,35 +371,32 @@ class RenderSession:
         nothing to trace returns ``entry.forest``/``entry.stats`` as
         they are; :meth:`_extend` copies them before extending them.
 
-        Gate rule: a request the cache already answers — an exact
-        repeat, a prefix that meets the convergence target — is told so
-        by a read-only probe and never waits at the kernel gate.  Every
-        other request enters its miss section (``_miss_gate``, see
-        :meth:`_trace`) *first* and looks the cache up inside it.  On an
-        in-process engine that section is the gate, so of two threads
-        released on one never-seen key the second finds the forest the
-        first just stored: an exact hit, with no coalescing machinery.
+        Concurrency rule, whatever the worker count: one lock-free
+        lookup, and an entry that answers the request (an exact repeat,
+        a first check point within the target) is returned holding no
+        lock and no gate.  Any other serve holds the key's flight
+        (:meth:`~repro.api.amortize.ForestCache.flight`) from a second
+        lookup to its store, so of two serves released on one never-seen
+        key the second finds the forest the first stored: an exact hit.
+        Kernel sections inside take the gate one at a time
+        (:meth:`_trace`).
         """
         n, target = config.n_photons, request.target_rel_error
         cache = self._forest_cache
         key = trace_key(config)
-        entry = None
-        if cache is not None and _answers(cache.peek(key, n), n, target):
-            # The serve's lookup proper: it refreshes recency, the probe
-            # does not.  An entry evicted or outgrown since the probe no
-            # longer answers, and the request misses after all.
-            entry = cache.lookup(key, n)
-        if _answers(entry, n, target):
+        # Under a target, no prefix past the first check point: the cache
+        # keeps no error from before it, where a cold serve may stop.
+        usable = n if target is None else min(n, vectorized.PHOTONS_IN_FLIGHT)
+        entry = cache.lookup(key, usable) if cache is not None else None
+        if cache is None or _answers(entry, n, target):
             forest, stats, done, achieved = self._extend(request, config, entry)
         else:
-            with self._miss_gate:
-                if cache is not None:
-                    entry = cache.lookup(key, n)
+            with cache.flight(key):
+                entry = cache.lookup(key, usable)
                 forest, stats, done, achieved = self._extend(
                     request, config, entry
                 )
-                if cache is not None:
-                    cache.store(key, done, forest, stats)
+                cache.store(key, done, forest, stats)
         reused = entry.n if entry is not None else 0
         if cache is not None:
             cache.record_serve(reused, done - reused, done < n)
@@ -443,8 +432,7 @@ class RenderSession:
         Returns ``(forest, stats, done, achieved)``: the photons in the
         forest, and its median relative error when the request set a
         target (else ``None``).  An entry that already answers is
-        returned as it is, shared; anything else runs inside the
-        serve's miss section.
+        returned as it is, shared; anything else is copied, then grown.
 
         Without a target the missing range is one step of
         :meth:`_grow` — one wave on the engine, one shard per worker on
@@ -461,7 +449,7 @@ class RenderSession:
             forest, stats, done = BinForest(config.policy), TraceStats(), 0
         else:
             # Un-share the cached prefix this serve is about to extend.
-            with self._step_gate:
+            with KERNEL_GATE:
                 forest = copy.deepcopy(entry.forest)
             stats, done = dataclasses.replace(entry.stats), entry.n
         step = (
@@ -482,10 +470,9 @@ class RenderSession:
         Yields ``(done, error)`` after each step — *error* the forest's
         median per-bin relative error when *target* is set, else
         ``None`` — and ends at the budget or after the first step that
-        meets the target.  :meth:`_extend` drains it inside a serve's
-        miss section; :meth:`_stream` runs one step per section and
-        yields in between.  Contiguous ascending steps keep the global
-        tally sequence canonical, so where they fall moves no byte.
+        meets the target.  :meth:`_extend` drains it; :meth:`_stream`
+        yields between its steps.  Contiguous ascending steps keep the
+        global tally sequence canonical, so where they fall moves no byte.
         Under a target, steps also end on every multiple of
         :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`, and the target
         is checked there and at the budget only: a grown prefix and a
@@ -505,7 +492,7 @@ class RenderSession:
             done = end
             error = None
             if target is not None and (done % check == 0 or done == n):
-                with self._step_gate:
+                with KERNEL_GATE:
                     error = forest_error_summary(forest).median_relative_error
             yield done, error
             if error is not None and error <= target:
@@ -517,17 +504,17 @@ class RenderSession:
         """Add photons ``start .. config.n_photons`` to *forest* on the
         warm tracer; that range's counters.
 
-        The one place engine and pool differ, with the two gates
-        ``__init__`` sets: in process the trace is this process's kernel
-        work, inside the serve's miss section (``_miss_gate`` is the
-        gate); on a pool :meth:`~repro.parallel.procpool.PhotonPool.run`
-        gates each shard's tally itself, and the serve gates only its
-        copy and convergence checks (``_step_gate``), never a wait.
+        The one place engine and pool differ.  Either way each kernel
+        section holds the gate and nothing else does: in process the
+        engine's ``run`` is one section;
+        :meth:`~repro.parallel.procpool.PhotonPool.run` gates each
+        shard's tally itself and waits on its workers ungated.
         """
         if config.workers > 1:
             return self._warm_pool(config).run(config, forest, start).stats
-        engine = self._engine_for(config.fluorescence)
-        return engine.run(config, forest, start).stats
+        with KERNEL_GATE:
+            engine = self._engine_for(config.fluorescence)
+            return engine.run(config, forest, start).stats
 
     def simulate_stream(
         self, request: SimulateRequest, batch_size: Optional[int] = None
@@ -580,19 +567,16 @@ class RenderSession:
 
         Each chunk is one step of :meth:`_grow`, the loop every
         :meth:`simulate` drains, into one growing forest, so the final
-        forest is the one-shot answer byte for byte.  A step runs in its
-        own miss section and never across a yield: a slow consumer must
-        not park every other session.  The step that meets a
-        convergence target is the last; a step that ends between chunk
-        boundaries (a target's check) yields nothing.
+        forest is the one-shot answer byte for byte.  No kernel section
+        spans a yield: a slow consumer must not park every other session.
+        The step that meets a convergence target is the last; a step that
+        ends between chunk boundaries (a target's check) yields nothing.
         """
         n, target = config.n_photons, request.target_rel_error
         forest, stats = BinForest(config.policy), TraceStats()
         steps = self._grow(config, target, forest, stats, 0, chunk)
         done, error = 0, None
-        while done < n:
-            with self._miss_gate:
-                done, error = next(steps)
+        for done, error in steps:
             if done == n or (error is not None and error <= target):
                 break
             if done % chunk == 0:

@@ -57,6 +57,10 @@ other reason — a shard or the parent's own tally raised — cancels its
 queued shards and waits out the running ones first, so no straggler
 writes into a block the next request reads.
 
+Workers exit with their parent: a worker whose parent died (a SIGKILLed
+service) is re-parented, sees it, and exits, so the parent's resource
+tracker unlinks what the parent left in ``/dev/shm``.
+
 Workers keep their heap between shards.  A shard's wave temporaries are
 megabytes, and glibc's dynamic thresholds hand the heap top back to the
 OS after each shard, so the next one faulted it in again (~1,100 minor
@@ -87,6 +91,9 @@ invariants carry the proof:
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
@@ -178,16 +185,43 @@ def _retain_worker_heap(load_libc=ctypes.CDLL) -> None:
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
+#: Seconds between a worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.2
+
+
+def _exit_with_parent() -> None:
+    """Exit this worker once the process that started it is gone.
+
+    A daemon thread polls ``os.getppid()`` and calls ``os._exit`` when
+    it changes: the worker was re-parented, so no shard will ever come
+    again, and while it lives the parent's resource tracker cannot
+    unlink the segments the dead parent left.  Not
+    ``PR_SET_PDEATHSIG``: that signal fires when the *thread* that
+    forked the worker exits, and a pool starts on whichever request
+    thread first needs it.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _init_pool_worker(handle) -> None:
     """Pool initializer: attach this worker to the scene plane once.
 
     The arrays are zero-copy views into the shared segment behind
     *handle* — nothing big was pickled, nothing is compiled here.
     First the worker's allocator is set to keep its heap between shards
-    (:func:`_retain_worker_heap`): the process is the pool's own.
+    (:func:`_retain_worker_heap`): the process is the pool's own; and it
+    starts watching its parent (:func:`_exit_with_parent`).
     """
     global _POOL_ARRAYS
     _retain_worker_heap()
+    _exit_with_parent()
     _POOL_ARRAYS = shmplane.attach(handle)
 
 

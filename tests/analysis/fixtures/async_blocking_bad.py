@@ -13,3 +13,8 @@ async def traced(gate, engine, config):
 
 async def counted(service):
     service.kernel_gate.acquire()
+
+
+async def coalesced(cache, key, engine, config):
+    with cache.flight(key):
+        return engine.run(config)

@@ -28,3 +28,13 @@ async def admitted(pool, lock):
     session = await pool.acquire(timeout=1.0)
     with lock:
         return session
+
+
+async def coalesced(loop, cache, key, engine, config):
+    def run():
+        # A flight waits out another request's trace of the key: enter
+        # it on an executor thread too.
+        with cache.flight(key):
+            return engine.run(config)
+
+    return await loop.run_in_executor(None, run)

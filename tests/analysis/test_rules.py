@@ -30,6 +30,7 @@ EXPECTED = {
         ("async-blocking", 6),
         ("async-blocking", 10),  # `with gate:` on the loop thread
         ("async-blocking", 15),  # `....kernel_gate.acquire()`
+        ("async-blocking", 19),  # `with cache.flight(key):`
     ],
     "async_future_result": [("async-future-result", 2)],
     "api_all_undefined": [("api-all-undefined", 1)],

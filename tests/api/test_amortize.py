@@ -14,6 +14,7 @@ also with several sessions hammering one trace key from threads.
 
 from __future__ import annotations
 
+import collections
 import json
 import sys
 import threading
@@ -227,6 +228,20 @@ class TestTopUpExactness:
             assert forest_bytes(small) == small_bytes
 
 
+class CountingGate:
+    """The kernel gate, counting each thread's acquisitions."""
+
+    def __init__(self) -> None:
+        self.taken = collections.Counter()
+
+    def __enter__(self) -> None:
+        KERNEL_GATE.__enter__()
+        self.taken[threading.get_ident()] += 1
+
+    def __exit__(self, *exc) -> None:
+        KERNEL_GATE.__exit__(*exc)
+
+
 def cached_entry(session, request):
     """The forest-cache entry *request* would be served from."""
     config = merge_config(request, session.options)
@@ -381,11 +396,19 @@ class TestSharingUnderConcurrency:
         monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", 64)
         held = []  # (result, bytes when served), across all threads
         images = []  # (budget, image)
-        traced = []  # photons each simulate traced (render_view's included)
+        # (photons traced, gate acquisitions) per simulate and render_view
+        served, rendered = [], []
         errors = []
-        gate_before = KERNEL_GATE.snapshot()["acquired"]
+        gate = CountingGate()
+        monkeypatch.setattr("repro.api.session.KERNEL_GATE", gate)
 
         def client(turn: int) -> None:
+            def gated(serve):
+                before = gate.taken[threading.get_ident()]
+                answer = serve()
+                took = gate.taken[threading.get_ident()] - before
+                return answer, (session.last_photons_traced, took)
+
             try:
                 with RenderSession(program, AMORTIZE) as session:
                     # Each thread walks the budgets from its own offset,
@@ -395,16 +418,16 @@ class TestSharingUnderConcurrency:
                         n = self.BUDGETS[(turn + step) % len(self.BUDGETS)]
                         request = SimulateRequest(n_photons=n)
                         if step % 3 == 2:
-                            image = session.render_view(
+                            image, counts = gated(lambda: session.render_view(
                                 request, width=8, height=6
-                            )
+                            ))
                             images.append((n, image))
-                            traced.append(session.last_photons_traced)
-                        result = session.simulate(
+                            rendered.append(counts)
+                        result, counts = gated(lambda: session.simulate(
                             self.STOP if step % 4 == 3 else request
-                        )
+                        ))
                         held.append((result, forest_bytes(result)))
-                        traced.append(session.last_photons_traced)
+                        served.append(counts)
             except Exception as exc:
                 errors.append(exc)
 
@@ -424,15 +447,14 @@ class TestSharingUnderConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(held) == 4 * 2 * len(self.BUDGETS)
-        # The kernel gate was taken once by every serve that traced and
-        # once by every render, and otherwise only by a serve that found
-        # its answer stored by whoever held the gate before it.  A serve
-        # the cache answered up front never took it.
-        gated = KERNEL_GATE.snapshot()["acquired"] - gate_before
-        worked = sum(1 for photons in traced if photons) + len(images)
-        coalesced = gated - worked
-        assert 0 <= coalesced <= traced.count(0)
+        # A serve took the kernel gate if and only if it traced — a
+        # serve the cache answered, up front or once the key's flight
+        # was free, took none — and every render took it once more.
+        assert all((traced > 0) == (took > 0) for traced, took in served)
+        assert all((traced > 0) == (took > 1) for traced, took in rendered)
+        assert all(took >= 1 for _, took in rendered)
         assert not KERNEL_GATE.locked()
+        assert program.forest_cache()._flights == {}
 
         cold = {}  # traced count -> (cold bytes, cold 8x6 image)
         with RenderSession(scene) as reference:
@@ -444,6 +466,13 @@ class TestSharingUnderConcurrency:
                     cold[n] = forest_bytes(result), image
                 return cold[n]
 
+            # Cache history never moved a target answer off the cold one.
+            stop = reference.simulate(self.STOP).config.n_photons
+            assert stop < self.STOP.n_photons
+            assert {
+                result.config.n_photons for result, _ in held
+                if result.photons_requested is not None
+            } == {stop}
             for result, served_bytes in held:
                 n = result.config.n_photons  # the traced prefix on a stop
                 # Every answer was its cold bytes when served, and still
@@ -592,6 +621,23 @@ class TestEarlyStop:
             assert session.last_photons_traced == cold.config.n_photons - 1_000
         assert topped.config.n_photons == cold.config.n_photons
         assert forest_bytes(topped) == forest_bytes(cold)
+
+    @pytest.mark.parametrize("prior", [240, 10_000])
+    def test_cache_history_never_changes_a_target_answer(self, cornell, prior):
+        """Whatever prefix the cache holds — shorter than the first check
+        point or past it — a target request answers what a cold session
+        does, the first time and once its own answer is cached."""
+        request = SimulateRequest(n_photons=40_000, target_rel_error=0.5)
+        with RenderSession(cornell) as session:
+            cold = session.simulate(request)
+        assert cold.config.n_photons == vectorized.PHOTONS_IN_FLIGHT
+        with RenderSession(SceneProgram(cornell), AMORTIZE) as session:
+            session.simulate(SimulateRequest(n_photons=prior))
+            for _ in range(2):
+                answer = session.simulate(request)
+                assert answer.config.n_photons == cold.config.n_photons
+                assert answer.achieved_rel_error == cold.achieved_rel_error
+                assert forest_bytes(answer) == forest_bytes(cold)
 
     @pytest.mark.parametrize("batch", [1_000, 3_000, 4_096, 5_000])
     def test_a_streamed_early_stop_answers_the_one_shot(self, cornell, batch):

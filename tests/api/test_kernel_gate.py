@@ -1,12 +1,14 @@
-"""The kernel gate: one in-process kernel section at a time.
+"""The kernel gate and the cache's flights: one concurrency rule on
+every route.
 
-What the gate promises beyond "a lock around the trace": a request the
-cache already answers never waits at it; a miss looks the cache up
-*after* taking it, so two threads on one never-seen key trace it once;
-it is never held across a wait on pool workers or between stream
-chunks, while a pooled run takes it around each shard's tally; and a
-kernel section that raises leaves it free.  Every answer
-stays its cold bytes throughout.
+What the two promise, whatever a session's worker count: a request the
+cache already answers takes neither; any other serve holds its trace
+key's flight from a second lookup to its store, so two threads on one
+never-seen key trace it once; the gate wraps kernel sections only — it
+is never held across a wait on pool workers or between stream chunks,
+while a pooled run takes it around each shard's tally; and a section
+that raises leaves both free.  Every answer stays its cold bytes
+throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import time
 import pytest
 
 from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
+from repro.api.amortize import trace_key
 from repro.api.gate import KERNEL_GATE, KernelGate
+from repro.api.requests import merge_config
+from repro.core import vectorized
 from repro.parallel import procpool, resultplane
 from repro.parallel.shmplane import leaked_segments, plane_available
 from tests.api.test_amortize import forest_bytes
@@ -31,6 +36,24 @@ needs_plane = pytest.mark.skipif(
 
 AMORTIZE = SessionOptions(amortize=True)
 WAIT = 30.0  # every join/wait below is bounded by this
+
+#: Both routes: an in-process engine and a two-worker pool.
+WORKERS = [1, pytest.param(2, marks=needs_plane)]
+
+
+def amortized(workers: int) -> SessionOptions:
+    return SessionOptions(workers=workers, amortize=True)
+
+
+def key_of(request: SimulateRequest) -> tuple:
+    return trace_key(merge_config(request, AMORTIZE))
+
+
+def spawn(*sessions) -> None:
+    """Start pooled sessions' workers on a key no test asks for."""
+    for session in sessions:
+        if session.options.workers > 1:
+            session.simulate(SimulateRequest(n_photons=64, seed=0xFEED))
 
 
 def cold_bytes(scene, request: SimulateRequest) -> str:
@@ -99,8 +122,26 @@ class TestCounters:
         assert gate.snapshot() == {"acquired": 3, "contended": 1}
 
 
+class HeldTraces:
+    """Wraps a session's ``_trace`` — every photon range a serve traces,
+    on an engine or a pool: each call waits for *go* first, then is
+    booked in *traced* as its photon count."""
+
+    def __init__(self, session, go: threading.Event, traced: list) -> None:
+        self.entered = threading.Event()
+        self._go, self._traced, self._real = go, traced, session._trace
+        session._trace = self
+
+    def __call__(self, config, forest, start):
+        self.entered.set()
+        assert self._go.wait(WAIT)
+        self._traced.append(config.n_photons - start)
+        return self._real(config, forest, start)
+
+
 class TestSingleFlight:
-    def test_two_threads_on_one_new_key_trace_it_once(self):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_two_threads_on_one_new_key_trace_it_once(self, workers):
         scene = build_mini_scene()
         program = SceneProgram.compile(scene)
         cache = program.forest_cache()
@@ -109,37 +150,27 @@ class TestSingleFlight:
         results = {}
 
         # Whoever traces first may not finish before the other thread
-        # has probed the cache and missed too — the in-flight duplicate
-        # a lookup made before the gate would trace a second time.
-        both_probed = threading.Event()
-        probes = []
-        real_peek = cache.peek
+        # has looked the key up and missed too — the duplicate a
+        # lookup-then-trace with no flight would trace a second time.
+        both_missed = threading.Event()
+        lookers = set()
+        real_lookup = cache.lookup
 
-        def peek(key, n):
-            probes.append(key)
-            if len(probes) == 2:
-                both_probed.set()
-            return real_peek(key, n)
+        def lookup(key, n):
+            lookers.add(threading.get_ident())
+            if len(lookers) == 2:
+                both_missed.set()
+            return real_lookup(key, n)
 
-        cache.peek = peek
-
-        traced = []  # the held-back runs: exactly the one cold trace
-
-        def after_both_probed(engine):
-            real = engine.run
-
-            def run(config, *grown):
-                assert both_probed.wait(WAIT)
-                traced.append(config.n_photons)
-                return real(config, *grown)
-
-            engine.run = run
-
-        with RenderSession(program, AMORTIZE) as one, RenderSession(
-            program, AMORTIZE
+        traced = []  # the held-back traces: exactly the one cold trace
+        options = amortized(workers)
+        with RenderSession(program, options) as one, RenderSession(
+            program, options
         ) as two:
-            after_both_probed(one._engine_for(None))
-            after_both_probed(two._engine_for(None))
+            spawn(one, two)
+            HeldTraces(one, both_missed, traced)
+            HeldTraces(two, both_missed, traced)
+            cache.lookup = lookup
             before = program.amortize_stats()
 
             def client(name, session):
@@ -156,27 +187,65 @@ class TestSingleFlight:
             assert sorted(
                 (one.last_photons_traced, two.last_photons_traced)
             ) == [0, 320]
-            traced_tests = (
-                one._engine_for(None).patch_tests
-                + two._engine_for(None).patch_tests
-            )
         assert after["exact_hits"] == before["exact_hits"] + 1
         assert after["photons_saved"] == before["photons_saved"] + 320
         assert after["topups"] == before["topups"]
-        # The second caller shares the first one's forest, and both are
-        # the cold answer; the kernel ran for one request's photons.
+        # The second caller shares the first one's forest, both are the
+        # cold answer, and no flight outlives the two serves.
         assert results["one"].forest is results["two"].forest
         assert forest_bytes(results["one"]) == cold_bytes(scene, request)
-        with RenderSession(scene) as reference:
-            reference.simulate(request)
-            assert traced_tests == reference._engine_for(None).patch_tests
+        assert cache._flights == {}
+        assert not KERNEL_GATE.locked()
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_a_smaller_budget_behind_a_larger_flight_traces_cold(
+        self, workers
+    ):
+        """A 128-photon serve that waited out a 320-photon flight on its
+        key finds an entry too large to start from, and traces cold."""
+        scene = build_mini_scene()
+        program = SceneProgram.compile(scene)
+        cache = program.forest_cache()
+        large = SimulateRequest(n_photons=320, seed=0x5A11)
+        small = SimulateRequest(n_photons=128, seed=0x5A11)
+        go, traced, results = threading.Event(), [], {}
+        options = amortized(workers)
+        with RenderSession(program, options) as one, RenderSession(
+            program, options
+        ) as two:
+            spawn(one, two)
+            held = HeldTraces(one, go, traced)
+            HeldTraces(two, go, traced)
+            first = run_thread(lambda: results.update(large=one.simulate(large)))
+            try:
+                assert held.entered.wait(WAIT)
+                second = run_thread(
+                    lambda: results.update(small=two.simulate(small))
+                )
+                deadline = time.monotonic() + WAIT
+                # The large serve holds the key's flight; the small one
+                # is counted once it waits on it.
+                while cache._flights.get(key_of(small), [None, 0])[1] < 2:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            finally:
+                go.set()
+            assert joined(first) and joined(second)
+            assert traced == [320, 128]
+            assert two.last_photons_traced == 128
+        assert forest_bytes(results["small"]) == cold_bytes(scene, small)
+        assert forest_bytes(results["large"]) == cold_bytes(scene, large)
+        assert cache._flights == {}
 
 
 class TestHitsNeverWait:
     def test_cached_answers_return_while_a_kernel_section_is_held(self):
+        """An exact repeat and a first check point within the target are
+        answered while another serve holds the gate and the answers' own
+        key is in flight: they take neither."""
         scene = build_mini_scene()
         program = SceneProgram.compile(scene)
-        warm = SimulateRequest(n_photons=256, seed=1)
+        warm = SimulateRequest(n_photons=vectorized.PHOTONS_IN_FLIGHT, seed=1)
         stop = SimulateRequest(n_photons=100_000, seed=1, target_rel_error=10.0)
         slow = SimulateRequest(n_photons=128, seed=2)
         served = {}
@@ -197,8 +266,10 @@ class TestHitsNeverWait:
                 assert blocked.entered.wait(WAIT)
                 before = KERNEL_GATE.snapshot()
                 # On a thread of its own, so a reader that did wait at
-                # the gate fails the join instead of hanging the suite.
-                assert joined(run_thread(lambda: read(reader)))
+                # the gate or the flight fails the join instead of
+                # hanging the suite.
+                with program.forest_cache().flight(key_of(warm)):
+                    assert joined(run_thread(lambda: read(reader)))
                 # Neither serve so much as tried the gate, still held.
                 assert KERNEL_GATE.snapshot() == before
                 assert KERNEL_GATE.locked()
@@ -211,12 +282,18 @@ class TestHitsNeverWait:
         assert (served["hit_traced"], served["stop_traced"]) == (0, 0)
         assert not KERNEL_GATE.locked()
 
-    def test_acquired_counts_the_serves_that_traced_or_rendered(self):
+    def test_acquired_counts_the_kernel_sections(self):
+        """One acquisition per kernel section: a wave, a top-up's copy, a
+        convergence check, a render; none for a serve the cache answers."""
+        check = vectorized.PHOTONS_IN_FLIGHT
         with RenderSession(build_mini_scene(), AMORTIZE) as session:
             base = SimulateRequest(n_photons=128, seed=3)
             more = SimulateRequest(n_photons=256, seed=3)
             stop = SimulateRequest(
                 n_photons=100_000, seed=3, target_rel_error=10.0
+            )
+            unreached = SimulateRequest(
+                n_photons=check + 64, seed=5, target_rel_error=1e-9
             )
 
             def acquired(serve) -> int:
@@ -226,12 +303,18 @@ class TestHitsNeverWait:
 
             assert acquired(lambda: session.simulate(base)) == 1  # cold
             assert acquired(lambda: session.simulate(base)) == 0  # exact hit
-            assert acquired(lambda: session.simulate(more)) == 1  # top-up
-            assert acquired(lambda: session.simulate(stop)) == 0  # converged
+            # A top-up: the copy, then the wave.
+            assert acquired(lambda: session.simulate(more)) == 2
             # Camera-only: the simulate inside is a hit, the render is not.
             assert acquired(
                 lambda: session.render_view(more, width=8, height=6)
             ) == 1
+            # Grown to the first check point: copy, wave, check.
+            assert acquired(lambda: session.simulate(stop)) == 3
+            assert session.last_photons_traced == check - 256
+            assert acquired(lambda: session.simulate(stop)) == 0  # converged
+            # One acquisition per step and one per check: two of each.
+            assert acquired(lambda: session.simulate(unreached)) == 4
             # A cold render_view traces, then renders: two sections.
             assert acquired(
                 lambda: session.render_view(
@@ -387,25 +470,36 @@ class TestPooledTally:
 
 
 class TestRaisingSections:
-    def test_raising_tracer_frees_the_gate(self):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_raising_tally_frees_the_gate_and_the_flight(
+        self, monkeypatch, workers
+    ):
+        """A tally that raises inside its kernel section — the engine's
+        or a pool shard's — leaves the gate and the key's flight free,
+        and nothing half-traced in the cache."""
         scene = build_mini_scene()
+        program = SceneProgram.compile(scene)
         request = SimulateRequest(n_photons=200, seed=21)
-        with RenderSession(scene, AMORTIZE) as session:
-            engine = session._engine_for(None)
-            real = engine.run
+        real = vectorized.tally_block
 
-            def boom(config, *grown):
-                engine.run = real
-                raise RuntimeError("tracer fell over")
+        def boom(*args):
+            monkeypatch.setattr(vectorized, "tally_block", real)
+            monkeypatch.setattr(procpool, "tally_block", real)
+            raise RuntimeError("tally fell over")
 
-            engine.run = boom
+        with RenderSession(program, amortized(workers)) as session:
+            spawn(session)
+            monkeypatch.setattr(vectorized, "tally_block", boom)
+            monkeypatch.setattr(procpool, "tally_block", boom)
             with pytest.raises(RuntimeError, match="fell over"):
                 session.simulate(request)
             assert not KERNEL_GATE.locked()
+            assert program.forest_cache()._flights == {}
             # Nothing half-traced reached the cache: the retry is cold.
             answer = session.simulate(request)
             assert session.last_photons_traced == 200
         assert forest_bytes(answer) == cold_bytes(scene, request)
+        assert leaked_segments() == []
 
     @needs_plane
     def test_enospc_inside_a_pool_wait_frees_the_gate(self, enospc_once):

@@ -1,12 +1,15 @@
 """Pool workers under fault: a worker killed mid-request, a request
-interrupted in the parent, and a parent tally that raises.
+interrupted in the parent, a parent tally that raises, and a parent
+killed outright.
 
 A ``multiprocessing.Pool`` replaces a dead worker but never delivers the
 dead task's result, so a request used to wait forever.  The pool now
 fails the request promptly, tears itself down (result blocks included)
 and starts afresh on the next request, whose bytes must not notice.  A
 request that fails any other way drains its own shards first, so none
-of them writes into a result block the next request reads.
+of them writes into a result block the next request reads.  A parent
+killed outright leaves no worker behind: each exits once it sees itself
+re-parented.
 """
 
 from __future__ import annotations
@@ -172,4 +175,90 @@ def test_a_raising_tally_leaves_the_pool_block_as_itself(monkeypatch):
         program = SceneProgram.compile(get_scene("cornell-box"))
         with PhotonPool(program, config) as pool:
             pool.run()
+    assert leaked_segments() == []
+
+
+#: A process that owns a ``workers=2`` pool, prints its workers' pids,
+#: and waits to be killed.
+_POOL_OWNER = """
+import time
+from repro.api import RenderSession, SessionOptions, SimulateRequest
+session = RenderSession("cornell-box", SessionOptions(workers=2))
+session.simulate(SimulateRequest(n_photons=64))
+print(*session._pool._pool._executor._processes, flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a process that has not exited (a zombie has)."""
+    if not os.path.isdir("/proc"):  # no procfs: a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_plane
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed pool owner leaves no worker behind, so its resource
+    tracker unlinks the planes it left in ``/dev/shm``."""
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(procpool.__file__).resolve().parents[2]
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _POOL_OWNER],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,  # the tracker's leaked-segment warning
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2
+        assert all(_running(pid) for pid in workers)
+    finally:
+        owner.kill()
+        owner.wait(timeout=30)
+        owner.stdout.close()
+    deadline = time.monotonic() + 20
+    try:
+        while any(map(_running, workers)) or leaked_segments():
+            assert time.monotonic() < deadline, (workers, leaked_segments())
+            time.sleep(0.05)
+    finally:  # a failed run must not leave its orphans to the suite
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+@needs_plane
+def test_a_pool_outlives_the_thread_that_started_it():
+    """Workers watch their parent process, not the request thread that
+    forked them: once that thread is gone they stay and serve."""
+    request = SimulateRequest(n_photons=300, seed=8)
+    with RenderSession("cornell-box", SessionOptions(workers=2)) as session:
+        starter = threading.Thread(
+            target=session.simulate, args=(SimulateRequest(n_photons=64),)
+        )
+        starter.start()
+        starter.join(30)
+        assert not starter.is_alive()
+        pool = session._pool
+        workers = list(pool._pool._executor._processes)
+        time.sleep(3 * procpool._PARENT_POLL_S)
+        assert all(map(_running, workers))
+        answer = session.simulate(request)
+        assert session._pool is pool
+        assert list(pool._pool._executor._processes) == workers
+    with RenderSession("cornell-box") as serial:
+        expected = serial.simulate(request)
+    assert canonical_answer_bytes(answer) == canonical_answer_bytes(expected)
     assert leaked_segments() == []

@@ -254,9 +254,7 @@ class TestTargetError:
     ):
         """The stream's last line is what a cold one-shot early stop
         answers: the exact answer for the photons traced, at the photon
-        count ``simulate`` stops at, whatever the stream's chunk.  (The
-        service's own one-shot may answer from a cached prefix that
-        already meets the target, which a stream never reads.)"""
+        count ``simulate`` stops at, whatever the stream's chunk."""
         with RenderSession(get_scene("cornell-box")) as session:
             oneshot = session.simulate(
                 SimulateRequest(n_photons=40_000, target_rel_error=0.5)
