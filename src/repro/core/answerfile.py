@@ -12,8 +12,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .binning import BinNode
+from .binning import NUM_AXES, BinNode
 from .bintree import BinForest, BinTree, SplitPolicy
+from .photon import NUM_BANDS
 
 __all__ = ["save_answer", "load_answer", "forest_to_dict", "forest_from_dict"]
 
@@ -36,6 +37,36 @@ def _node_to_obj(node: BinNode) -> Any:
     }
 
 
+def _int(value: Any, what: str) -> int:
+    """*value* when it is an int (not a bool); else the file is malformed."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values: Any, size: int, what: str) -> list[int]:
+    """*values* when they are a list of *size* ints; else malformed."""
+    if not isinstance(values, list) or len(values) != size:
+        raise ValueError(f"{what} must be a list of {size} integers, got {values!r}")
+    return [_int(v, what) for v in values]
+
+
+def _bounds(values: Any, what: str) -> tuple[float, float, float, float]:
+    """A region corner: four real numbers."""
+    if not isinstance(values, list) or len(values) != NUM_AXES or any(
+        type(v) not in (int, float) for v in values
+    ):
+        raise ValueError(f"{what} must be a list of {NUM_AXES} numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def _object(value: Any, what: str) -> dict:
+    """*value* when it is a JSON object; else malformed."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _node_from_obj(
     obj: Any,
     lo: tuple[float, float, float, float],
@@ -43,23 +74,26 @@ def _node_from_obj(
     depth: int,
     path: tuple[tuple[int, int], ...],
 ) -> BinNode:
+    obj = _object(obj, "a bin node")
     node = BinNode(lo, hi, depth, path)
-    node.counts = [int(v) for v in obj["c"]]
-    node.total = int(obj["n"])
+    node.counts = _ints(obj.get("c"), NUM_BANDS, "band counts")
+    node.total = _int(obj.get("n"), "a node total")
     if "x" in obj:
-        axis = int(obj["x"])
+        axis = _int(obj["x"], "a split axis")
+        if not 0 <= axis < NUM_AXES:
+            raise ValueError(f"split axis out of range: {axis}")
         mid = 0.5 * (lo[axis] + hi[axis])
         lo_hi = tuple(mid if i == axis else hi[i] for i in range(4))
         hi_lo = tuple(mid if i == axis else lo[i] for i in range(4))
         node.split_axis = axis
         node.low_child = _node_from_obj(
-            obj["lo"], lo, lo_hi, depth + 1, path + ((axis, 0),)
+            obj.get("lo"), lo, lo_hi, depth + 1, path + ((axis, 0),)
         )
         node.high_child = _node_from_obj(
-            obj["hi"], hi_lo, hi, depth + 1, path + ((axis, 1),)
+            obj.get("hi"), hi_lo, hi, depth + 1, path + ((axis, 1),)
         )
     else:
-        node.low_counts = [int(v) for v in obj["l"]]
+        node.low_counts = _ints(obj.get("l"), NUM_AXES, "low counts")
     return node
 
 
@@ -97,33 +131,48 @@ def forest_to_dict(forest: BinForest) -> dict:
     }
 
 
-def forest_from_dict(data: dict) -> BinForest:
+def forest_from_dict(data: Any) -> BinForest:
     """Reconstruct a forest from :func:`forest_to_dict` output.
 
     Raises:
-        ValueError: on unknown format versions or malformed documents.
+        ValueError: on unknown format versions or malformed documents —
+            a missing field, a value of the wrong type or length, an
+            out-of-range split axis, or a policy :class:`SplitPolicy`
+            refuses.
     """
-    if data.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported answer-file format: {data.get('format')!r}")
-    pol = data["policy"]
-    policy = SplitPolicy(
-        threshold=pol["threshold"],
-        min_count=pol["min_count"],
-        max_depth=pol["max_depth"],
-        max_leaves=pol["max_leaves"],
-    )
+    data = _object(data, "an answer file")
+    version = data.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported answer-file format: {version!r}")
+    pol = _object(data.get("policy"), "policy")
+    try:
+        policy = SplitPolicy(
+            threshold=pol["threshold"],
+            min_count=pol["min_count"],
+            max_depth=pol["max_depth"],
+            max_leaves=pol["max_leaves"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed policy: {exc}") from None
     forest = BinForest(policy)
-    forest.photons_emitted = int(data["photons_emitted"])
-    forest.band_emitted = [int(v) for v in data["band_emitted"]]
-    forest.total_tallies = int(data["total_tallies"])
-    forest.band_tallies = [int(v) for v in data["band_tallies"]]
-    for key_str, entry in data["trees"].items():
-        key = int(key_str)
-        root_lo = tuple(float(v) for v in entry["lo"])
-        root_hi = tuple(float(v) for v in entry["hi"])
+    forest.photons_emitted = _int(data.get("photons_emitted"), "photons_emitted")
+    forest.band_emitted = _ints(data.get("band_emitted"), NUM_BANDS, "band_emitted")
+    forest.total_tallies = _int(data.get("total_tallies"), "total_tallies")
+    forest.band_tallies = _ints(data.get("band_tallies"), NUM_BANDS, "band_tallies")
+    for key_str, entry in _object(data.get("trees"), "trees").items():
+        try:
+            key = int(key_str)
+        except (TypeError, ValueError):
+            raise ValueError(f"tree key must be an integer, got {key_str!r}") from None
+        entry = _object(entry, f"tree {key_str}")
+        root_lo = _bounds(entry.get("lo"), f"tree {key_str} lo")
+        root_hi = _bounds(entry.get("hi"), f"tree {key_str} hi")
         tree = BinTree(key, policy, root_lo, root_hi)
-        tree.root = _node_from_obj(entry["root"], root_lo, root_hi, 0, ())
-        tree.node_count, tree.leaf_count = _count_nodes(tree.root)
+        try:
+            tree.root = _node_from_obj(entry.get("root"), root_lo, root_hi, 0, ())
+            tree.node_count, tree.leaf_count = _count_nodes(tree.root)
+        except RecursionError:
+            raise ValueError(f"tree {key_str} nests too deeply") from None
         tree.splits = (tree.node_count - 1) // 2
         forest.trees[key] = tree
     return forest
@@ -135,5 +184,16 @@ def save_answer(forest: BinForest, path: str | Path) -> None:
 
 
 def load_answer(path: str | Path) -> BinForest:
-    """Read a forest previously written by :func:`save_answer`."""
-    return forest_from_dict(json.loads(Path(path).read_text()))
+    """Read a forest previously written by :func:`save_answer`.
+
+    Raises:
+        ValueError: when the file is not an answer file — not JSON, JSON
+            nested past the parser's recursion limit, or a document
+            :func:`forest_from_dict` refuses.
+    """
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
+    return forest_from_dict(data)

@@ -180,15 +180,17 @@ class BinNode:
         if not self.is_leaf:
             raise ValueError("node already split")
         mid = self.mid(axis)
-        lo_hi = tuple(
-            mid if i == axis else self.hi[i] for i in range(NUM_AXES)
+        depth = self.depth + 1
+        low = BinNode(
+            self.lo, self.hi[:axis] + (mid,) + self.hi[axis + 1:], depth,
+            self.path + ((axis, 0),),
         )
-        hi_lo = tuple(
-            mid if i == axis else self.lo[i] for i in range(NUM_AXES)
+        high = BinNode(
+            self.lo[:axis] + (mid,) + self.lo[axis + 1:], self.hi, depth,
+            self.path + ((axis, 1),),
         )
-        low = BinNode(self.lo, lo_hi, self.depth + 1, self.path + ((axis, 0),))
-        high = BinNode(hi_lo, self.hi, self.depth + 1, self.path + ((axis, 1),))
 
+        counts = self.counts
         low_total = self.low_counts[axis]
         high_total = self.total - low_total
         low.total = low_total
@@ -197,35 +199,32 @@ class BinNode:
         # Largest-remainder apportionment of band counts into the low child.
         if self.total > 0:
             fraction = low_total / self.total
-            floors = []
-            remainders = []
-            for band in range(NUM_BANDS):
-                ideal = self.counts[band] * fraction
-                f = int(ideal)
-                floors.append(f)
-                remainders.append((ideal - f, band))
+            ideals = [count * fraction for count in counts]
+            floors = [int(ideal) for ideal in ideals]
             missing = low_total - sum(floors)
-            remainders.sort(reverse=True)
-            for _, band in remainders[: max(missing, 0)]:
-                floors[band] += 1
-            for band in range(NUM_BANDS):
-                floors[band] = min(floors[band], self.counts[band])
+            if missing > 0:
+                remainders = sorted(
+                    ((ideal - f, band)
+                     for band, (ideal, f) in enumerate(zip(ideals, floors))),
+                    reverse=True,
+                )
+                for _, band in remainders[:missing]:
+                    floors[band] += 1
+            floors = [min(f, count) for f, count in zip(floors, counts)]
             # Fix any shortfall produced by the clamping above.
             deficit = low_total - sum(floors)
             band = 0
             while deficit > 0 and band < NUM_BANDS:
-                room = self.counts[band] - floors[band]
-                take = min(room, deficit)
+                take = min(counts[band] - floors[band], deficit)
                 floors[band] += take
                 deficit -= take
                 band += 1
             low.counts = floors
-            high.counts = [self.counts[b] - floors[b] for b in range(NUM_BANDS)]
+            high.counts = [count - f for count, f in zip(counts, floors)]
 
         # Daughters restart speculative tallies at the uniform prior.
-        for child in (low, high):
-            for a in range(NUM_AXES):
-                child.low_counts[a] = child.total // 2
+        low.low_counts = [low_total // 2] * NUM_AXES
+        high.low_counts = [high_total // 2] * NUM_AXES
 
         self.split_axis = axis
         self.low_child = low

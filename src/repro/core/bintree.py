@@ -17,13 +17,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ..montecarlo.stats import DEFAULT_MIN_COUNT, DEFAULT_SPLIT_THRESHOLD
+from ..montecarlo.stats import (
+    DEFAULT_MIN_COUNT,
+    DEFAULT_SPLIT_THRESHOLD,
+    split_statistics,
+)
 from .binning import NUM_AXES, TWO_PI, BinCoords, BinNode
 from .photon import NUM_BANDS
 
@@ -38,6 +42,13 @@ __all__ = [
 #: memory-growth reproduction: 8 region floats + 3 band counts + total +
 #: 4 speculative counts + axis/child pointers ~= 8*8 + 8*4 + 3*8 = 120.
 NODE_BYTES = 120
+
+
+def _require(value: object, name: str, kind, what: str) -> None:
+    """*value* must be a *kind*: a bool (an int to Python) or ``2.5`` for
+    a count is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,11 @@ class SplitPolicy:
     max_leaves: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require(self.threshold, "threshold", (int, float), "a real number")
+        _require(self.min_count, "min_count", int, "an int")
+        _require(self.max_depth, "max_depth", int, "an int")
+        if self.max_leaves is not None:
+            _require(self.max_leaves, "max_leaves", int, "an int")
         # not (x > 0) also rejects NaN; an infinite threshold never splits
         # and serialises as a non-JSON token.
         if not (self.threshold > 0 and math.isfinite(self.threshold)):
@@ -308,33 +324,36 @@ def _descend(nodes: list, owners: list, rows: np.ndarray, sizes: np.ndarray,
             out_rows.append(rows)
             out_sizes.append(sizes)
             break
-        seg, _ = _segment_ids(sizes)
-        is_inner = np.zeros(len(nodes), dtype=bool)
-        is_inner[inner] = True
-        at_inner = is_inner[seg]
         if len(inner) < len(nodes):
+            is_inner = np.zeros(len(nodes), dtype=bool)
+            is_inner[inner] = True
+            at_inner = is_inner.repeat(sizes)
             at_leaf = (~is_inner).nonzero()[0].tolist()
             out_nodes += [nodes[k] for k in at_leaf]
             out_owners += [owners[k] for k in at_leaf]
             out_rows.append(rows[~at_inner])
             out_sizes.append(sizes[at_leaf])
-        parents = [nodes[k] for k in inner]
-        parent_owners = [owners[k] for k in inner]
-        inner_sizes = sizes[inner]
-        rows = rows[at_inner]
-        local, _ = _segment_ids(inner_sizes)
+            nodes = [nodes[k] for k in inner]
+            owners = [owners[k] for k in inner]
+            sizes = sizes[inner]
+            rows = rows[at_inner]
+        parents, parent_owners = nodes, owners
+        local, _ = _segment_ids(sizes)
         axes = np.array([node.split_axis for node in parents])
         mids = np.array([node.mid(node.split_axis) for node in parents])
         added = np.bincount(
             local * NUM_BANDS + band[rows], minlength=len(parents) * NUM_BANDS
         ).reshape(len(parents), NUM_BANDS).tolist()
-        for node, m, counts in zip(parents, inner_sizes.tolist(), added):
+        for node, m, counts in zip(parents, sizes.tolist(), added):
             node.total += m
             node.counts = [a + b for a, b in zip(node.counts, counts)]
         # Side 0 is the low child, side 1 the high one; ``>=`` is the
         # ``not <`` of child_for on range-checked (NaN-free) values.
         side = 2 * local + (coords[axes[local], rows] >= mids[local])
         child_sizes = np.bincount(side, minlength=2 * len(parents))
+        # The narrowest dtype that holds every side: a stable sort of
+        # 16-bit keys is a radix sort.
+        side = side.astype(np.min_scalar_type(2 * len(parents)))
         rows = rows[np.argsort(side, kind="stable")]
         keep = child_sizes.nonzero()[0].tolist()
         nodes = [
@@ -350,6 +369,27 @@ def _descend(nodes: list, owners: list, rows: np.ndarray, sizes: np.ndarray,
     )
 
 
+def _top_counts(flags: np.ndarray, starts: np.ndarray, low0: np.ndarray,
+                total: np.ndarray) -> np.ndarray:
+    """Each row's largest daughter count over the four axes.
+
+    *flags* (``[NUM_AXES, rows]``, "below mid") hold back-to-back groups
+    that begin at the ascending rows *starts*, group *g* starting from
+    the speculative low counts ``low0[:, g]``; *total* is each row's
+    leaf total after it.  The running low counts are one ``cumsum``
+    whose group heads carry what their group brought in, and
+    ``top = max(max_a low, total - min_a low)``.
+    """
+    low = flags.astype(np.int64)
+    carry = low0.copy()
+    carry[:, 1:] -= low0[:, :-1] + np.add.reduceat(low, starts, axis=1)[:, :-1]
+    # Every group's head on every axis, as flat indices into low.
+    heads = np.arange(0, low.size, low.shape[1])[:, None] + starts
+    low.reshape(-1)[heads.reshape(-1)] += carry.reshape(-1)
+    np.cumsum(low, axis=1, out=low)
+    return np.maximum(low.max(axis=0), total - low.min(axis=0))
+
+
 def _fill(leaves: list, owners: list, trees: list, rows: np.ndarray,
           sizes: np.ndarray, coords: np.ndarray, band: np.ndarray,
           policy: SplitPolicy) -> list:
@@ -359,10 +399,17 @@ def _fill(leaves: list, owners: list, trees: list, rows: np.ndarray,
     in ``leaves[k]`` of ``trees[owners[k]]``.  A leaf whose total stays under
     ``min_count`` through its whole group, or whose depth or tree leaf
     count forbids a split, cannot trigger: it takes every row in one
-    add.  The other groups share one segmented prefix scan over their
-    speculative low counts.  Splits are not carried out here: each
-    trigger comes back as ``(owner, (row, leaf, axis, rows after it))``
-    for :meth:`BinForest.tally_groups` to accept in replay order.
+    add.  The round's one segmented prefix scan covers every row (the
+    rows of such leaves are masked out) and scores one split statistic
+    per row, on the row's largest daughter count over the four axes
+    (:func:`_top_counts`): at a fixed total the statistic strictly
+    increases with that count
+    (:func:`~repro.montecarlo.stats.split_statistics`), so it is the
+    largest of the four per-axis statistics, and the first axis holding
+    that count is :meth:`BinNode.best_split_axis`'s first maximum.
+    Splits are not carried out here: each trigger comes back as
+    ``(owner, (row, leaf, axis, rows after it))`` for
+    :meth:`BinForest.tally_groups` to accept in replay order.
     """
     count = len(leaves)
     seg, first = _segment_ids(sizes)
@@ -372,74 +419,60 @@ def _fill(leaves: list, owners: list, trees: list, rows: np.ndarray,
         _columns(leaves, "lo", np.float64, NUM_AXES)
         + _columns(leaves, "hi", np.float64, NUM_AXES)
     )
-    below = coords.take(rows, axis=1) < mids.repeat(sizes, axis=1)
-    total0 = np.array([leaf.total for leaf in leaves])
+    below = np.empty((NUM_AXES, rows.size), dtype=bool)
+    for axis in range(NUM_AXES):
+        np.less(coords[axis].take(rows), mids[axis].take(seg), out=below[axis])
+    total0 = np.fromiter(map(attrgetter("total"), leaves), np.int64, count)
     low0 = _columns(leaves, "low_counts", np.int64, NUM_AXES)
     stop = sizes.copy()
-    scan = [
+    scan = np.zeros(count, dtype=bool)
+    scan[[
         k for k in (total0 + sizes >= policy.min_count).nonzero()[0].tolist()
         if trees[owners[k]]._may_split(leaves[k])
-    ]
-    triggers = []
-    if scan:
-        scan_sizes = sizes[scan]
-        if len(scan) == count:
-            ix = np.arange(rows.size)
-            flags = below
-        else:
-            scanned = np.zeros(count, dtype=bool)
-            scanned[scan] = True
-            ix = scanned.repeat(sizes).nonzero()[0]
-            flags = below.take(ix, axis=1)
-        # low[a, j]: axis a's speculative low count after scanned row j.
-        low = flags.cumsum(axis=1)
-        ends = scan_sizes.cumsum()
-        before = np.zeros((NUM_AXES, len(scan)), dtype=low.dtype)
-        before[:, 1:] = low[:, ends[:-1] - 1]
-        low += (low0[:, scan] - before).repeat(scan_sizes, axis=1)
-        # montecarlo.stats.split_statistic for every prefix at once, in
-        # its expression order.  All rows on one side gives q == 0 and a
-        # positive numerator, so IEEE division yields the inf the scalar
-        # returns; totals below 2 are below min_count.
-        total = total0[scan].repeat(scan_sizes) + local[ix] + 1
-        big = np.maximum(low, total - low)
-        p = big / total
-        q = 1.0 - p
-        with np.errstate(divide="ignore"):
-            stat = (big - total / 2.0) / np.sqrt(total * p * q)
-        peak = stat[0]
-        for axis_stat in stat[1:]:  # row by row: far faster than max(axis=0)
-            peak = np.maximum(peak, axis_stat)
-        hit = ((total >= policy.min_count) & (peak > policy.threshold)).nonzero()[0]
+    ]] = True
+    hit_seg = np.empty(0, dtype=np.intp)
+    if scan.any():
+        total = total0[seg] + local + 1
+        # A total of 1 scores inf here (split_statistic's 0.0), but every
+        # total below min_count is masked out.
+        hit = (
+            scan[seg] & (total >= policy.min_count)
+            & (split_statistics(_top_counts(below, first, low0, total), total)
+               > policy.threshold)
+        ).nonzero()[0]
         if hit.size:
             # Each group's first triggering row only.
-            hit_seg = seg[ix[hit]]
+            hit_seg = seg[hit]
             first_hit = np.concatenate(([True], hit_seg[1:] != hit_seg[:-1]))
             hit, hit_seg = hit[first_hit], hit_seg[first_hit]
-            at = ix[hit]
-            stop[hit_seg] = local[at] + 1
-            # argmax takes the first maximum, as best_split_axis does.
-            axes = stat[:, hit].argmax(axis=0).tolist()
-            group_ends = (first + sizes)[hit_seg].tolist()
-            for k, a, axis, end in zip(
-                hit_seg.tolist(), at.tolist(), axes, group_ends
-            ):
-                triggers.append(
-                    (owners[k], (int(rows[a]), leaves[k], axis, rows[a + 1:end]))
-                )
+            stop[hit_seg] = local[hit] + 1
     kept = local < stop[seg]
-    added_low = np.add.reduceat(below & kept, first, axis=1, dtype=np.int64)
+    low = low0 + np.add.reduceat(below & kept, first, axis=1, dtype=np.int64)
+    total = total0 + stop
     bands = np.bincount(
         seg[kept] * NUM_BANDS + band[rows[kept]], minlength=count * NUM_BANDS
     )
     counts = _columns(leaves, "counts", np.int64, NUM_BANDS).T + bands.reshape(
         count, NUM_BANDS
     )
-    for leaf, total, band_counts, low_counts in zip(
-        leaves, (total0 + stop).tolist(), counts.tolist(),
-        (low0 + added_low).T.tolist(),
+    triggers = []
+    if hit_seg.size:
+        # The trigger row's counts are the leaf's counts now; argmax takes
+        # the first axis with the largest daughter, as best_split_axis does.
+        at = low[:, hit_seg]
+        axes = np.maximum(at, total[hit_seg] - at).argmax(axis=0).tolist()
+        ends = (first + stop)[hit_seg]
+        group_ends = (first + sizes)[hit_seg].tolist()
+        for k, end, axis, group_end in zip(
+            hit_seg.tolist(), ends.tolist(), axes, group_ends
+        ):
+            triggers.append((owners[k], (
+                int(rows[end - 1]), leaves[k], axis, rows[end:group_end]
+            )))
+    for leaf, leaf_total, band_counts, low_counts in zip(
+        leaves, total.tolist(), counts.tolist(), low.T.tolist(),
     ):
-        leaf.total = total
+        leaf.total = leaf_total
         leaf.counts = band_counts
         leaf.low_counts = low_counts
     return triggers
@@ -494,8 +527,8 @@ class BinForest:
         """Tally a block into many trees in one pass; same forest as :meth:`tally`.
 
         Args:
-            keys: Tree key of each row group; a missing tree is created
-                in list order.
+            keys: Distinct tree key of each row group; missing trees
+                are created in list order.
             starts: ``[len(keys) + 1]`` bounds: rows ``starts[g] ..
                 starts[g + 1]`` belong to tree ``keys[g]``, in replay order.
             coords: ``[NUM_AXES, n]`` float64 — ``s, t, theta, r^2`` per
@@ -509,31 +542,35 @@ class BinForest:
         interior node takes a group in one add and partitions it on its
         split plane), then fills every reached leaf (:func:`_fill`): a
         leaf that cannot split in this block takes all its rows in one
-        add; the others share one segmented prefix scan that finds the
-        first row after which each must split.  Why that equals the
-        one-at-a-time replay:
+        add; the others share one segmented prefix scan, one split
+        statistic per row, that finds the first row after which each
+        must split.  Why that equals the one-at-a-time replay:
 
         * A leaf's tallies and its split decision read nothing but that
           leaf's own counts, so rows of different leaves — and of
           different trees — commute, except through
           ``SplitPolicy.max_leaves``, which reads the tree-wide leaf
           count.
-        * So splits, and only splits, are carried out in replay order: a
-          leaf that triggers stops filling at the trigger and parks
-          ``(trigger row, leaf, axis, rows after it)`` on its tree's
-          heap, and each round pops the earliest trigger of every tree.
-          Daughters only ever trigger on later rows, so the pop order is
-          each tree's replay order and the ``max_leaves`` check sees the
-          leaf count the row-by-row replay would have seen.  A popped
-          trigger's remaining rows are the next round's groups, routed
-          from the leaf it split (or, when ``max_leaves`` now refuses the
-          split, back into that same leaf).
+        * So splits, and only splits, wait for their turn: a leaf that
+          triggers stops filling at the trigger and parks ``(trigger
+          row, leaf, axis, rows after it)`` on its tree's heap.  Without
+          a leaf budget every parked split is carried out at the end of
+          its round.  Under one, each round pops only the earliest
+          trigger of every tree: daughters only ever trigger on later
+          rows, so the pop order is each tree's replay order and the
+          ``max_leaves`` check sees the leaf count the row-by-row replay
+          would have seen.  An accepted trigger's remaining rows are the
+          next round's groups, routed from the leaf it split (or, when
+          ``max_leaves`` now refuses the split, back into that same
+          leaf).
 
         The policy read is the forest's, which every tree it creates
         shares.
         """
-        trees = [self.tree(key) for key in keys]
         policy = self.policy
+        new = [key for key in keys if key not in self.trees]
+        self.trees.update(zip(new, map(BinTree, new, repeat(policy))))
+        trees = [self.trees[key] for key in keys]
         nodes = [tree.root for tree in trees]
         owners = list(range(len(trees)))
         sizes = np.diff(starts)
@@ -551,16 +588,19 @@ class BinForest:
             nodes, owners, parts = [], [], []
             for owner in list(pending):
                 heap = pending[owner]
-                _, leaf, axis, rest = heapq.heappop(heap)
+                tree = trees[owner]
+                # Without a leaf budget every parked trigger is accepted
+                # now; under one, only each tree's earliest.
+                for _ in range(len(heap) if policy.max_leaves is None else 1):
+                    _, leaf, axis, rest = heapq.heappop(heap)
+                    if tree._may_split(leaf):
+                        tree._split(leaf, axis)
+                    if rest.size:
+                        nodes.append(leaf)
+                        owners.append(owner)
+                        parts.append(rest)
                 if not heap:
                     del pending[owner]
-                tree = trees[owner]
-                if tree._may_split(leaf):
-                    tree._split(leaf, axis)
-                if rest.size:
-                    nodes.append(leaf)
-                    owners.append(owner)
-                    parts.append(rest)
             if nodes:
                 sizes = np.array([part.size for part in parts])
                 rows = np.concatenate(parts)

@@ -616,6 +616,23 @@ _COORD_BOUNDS = (
 )
 
 
+def _in_range(coords: np.ndarray, band: np.ndarray) -> bool:
+    """Whether every row of a block is in range, read off its extremes.
+
+    NaN makes its column's min and max NaN, which fails every test.
+    """
+    low, high = coords.min(axis=1).tolist(), coords.max(axis=1).tolist()
+    return (
+        min(low) >= 0.0
+        and all(
+            h <= hi if closed else h < hi
+            for h, (_, hi, closed) in zip(high, _COORD_BOUNDS)
+        )
+        and 0 <= band.min()
+        and band.max() < NUM_BANDS
+    )
+
+
 def _check_events(coords: np.ndarray, band: np.ndarray) -> None:
     """Range-check a whole block; raise for its first offending row.
 
@@ -640,6 +657,44 @@ def _check_events(coords: np.ndarray, band: np.ndarray) -> None:
     raise ValueError(f"band out of range: {int(band[row])}")
 
 
+def _tree_groups(events: EventBatch) -> tuple:
+    """``(keys, starts, coords, band)`` for :meth:`BinForest.tally_groups`.
+
+    The block is laid out one group per tree: groups in first-tally
+    order, each group's rows in (photon, bounce) order.  It is
+    range-checked before it is returned.
+    """
+    n = len(events)
+    gidx, seq = np.asarray(events.gidx), np.asarray(events.seq)
+    patch = np.asarray(events.patch)
+    order = np.lexsort((seq, gidx, patch))
+    patch = patch[order]
+    starts = np.flatnonzero(np.concatenate(([True], patch[1:] != patch[:-1])))
+    sizes = np.diff(np.append(starts, n))
+    # Each group's first row is its tree's earliest event; ordering the
+    # groups by those rows (ties by block position, as a stable sort
+    # would) is first-tally order, the order trees must be created in.
+    heads = order[starts]
+    created = np.lexsort((heads, seq[heads], gidx[heads]))
+    # Lay the groups out in that order: whole groups move, rows within
+    # a group keep their (photon, bounce) order.
+    sizes = sizes[created]
+    begin = np.cumsum(sizes) - sizes
+    order = order[np.arange(n) + np.repeat(starts[created] - begin, sizes)]
+    columns = (events.s, events.t, events.theta, events.r2)
+    coords = np.empty((len(columns), n))
+    for row, column in zip(coords, columns):
+        row[:] = np.asarray(column)[order]
+    band = np.asarray(events.band)
+    if not _in_range(coords, band):
+        # The error names the first offending row in block order.
+        _check_events(np.array(columns, dtype=np.float64), band)
+    return (
+        patch[starts[created]].tolist(), np.append(begin, n), coords,
+        band[order],
+    )
+
+
 def apply_events(forest: BinForest, events: EventBatch) -> None:
     """Replay *events* into *forest* in canonical (photon, bounce) order.
 
@@ -657,35 +712,8 @@ def apply_events(forest: BinForest, events: EventBatch) -> None:
             range, before any node is touched — a bad block leaves
             *forest* exactly as it was.
     """
-    n = len(events)
-    if n == 0:
-        return
-    coords = np.array(
-        [events.s, events.t, events.theta, events.r2], dtype=np.float64
-    )
-    band = np.asarray(events.band)
-    _check_events(coords, band)
-
-    gidx, seq = np.asarray(events.gidx), np.asarray(events.seq)
-    patch = np.asarray(events.patch)
-    order = np.lexsort((seq, gidx, patch))
-    patch = patch[order]
-    starts = np.flatnonzero(np.concatenate(([True], patch[1:] != patch[:-1])))
-    sizes = np.diff(np.append(starts, n))
-    # Each group's first row is its tree's earliest event; ordering the
-    # groups by those rows (ties by block position, as a stable sort
-    # would) is first-tally order, the order trees must be created in.
-    heads = order[starts]
-    created = np.lexsort((heads, seq[heads], gidx[heads]))
-    # Lay the groups out in that order: whole groups move, rows within
-    # a group keep their (photon, bounce) order.
-    sizes = sizes[created]
-    begin = np.cumsum(sizes) - sizes
-    order = order[np.arange(n) + np.repeat(starts[created] - begin, sizes)]
-    forest.tally_groups(
-        patch[starts[created]].tolist(), np.append(begin, n),
-        coords.take(order, axis=1), band[order],
-    )
+    if len(events):
+        forest.tally_groups(*_tree_groups(events))
 
 
 def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "split_statistic",
+    "split_statistics",
     "DEFAULT_SPLIT_THRESHOLD",
     "DEFAULT_MIN_COUNT",
 ]
@@ -55,3 +58,30 @@ def split_statistic(left: int, right: int) -> float:
         return math.inf
     sigma = math.sqrt(n * p * q)
     return (big - n / 2.0) / sigma
+
+
+def split_statistics(big: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """:func:`split_statistic` of many bins from their larger daughter counts.
+
+    *big* and *total* are integer arrays with ``total / 2 <= big <= total``
+    and ``total >= 2``; each element is computed in
+    :func:`split_statistic`'s expression order, so it is that function's
+    float, bit for bit.  A one-sided bin (``q == 0``) divides a positive
+    numerator by zero, which IEEE division makes the ``inf`` the scalar
+    returns.
+
+    At a fixed total the statistic strictly increases with the larger
+    count, so the most significant of several axes is the one with the
+    largest daughter count: the bin forest's one-pass tally scores one
+    statistic per row on that count alone.
+    """
+    p = big / total
+    sigma = total * p
+    q = np.subtract(1.0, p, out=p)
+    sigma *= q
+    np.sqrt(sigma, out=sigma)
+    stat = total / 2.0
+    np.subtract(big, stat, out=stat)
+    with np.errstate(divide="ignore"):
+        stat /= sigma
+    return stat

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import (
+    BinForest,
     RadianceField,
     SimulationConfig,
     SplitPolicy,
@@ -84,3 +85,98 @@ class TestFormatGuards:
         doc = forest_to_dict(result.forest)
         restored = forest_from_dict(doc)
         assert restored.policy == result.forest.policy
+
+
+def _malformed(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+def _first_tree(doc: dict) -> dict:
+    return next(iter(doc["trees"].values()))
+
+
+def _first_split(doc: dict) -> dict:
+    """The root of the first tree that has split."""
+    return next(
+        entry["root"] for entry in doc["trees"].values() if "x" in entry["root"]
+    )
+
+
+class TestMalformedDocuments:
+    """Every malformed shape is a ``ValueError`` naming what is wrong — the
+    error ``repro view`` turns into a usage error — never a ``KeyError``
+    or ``TypeError`` from deep inside the loader, and never a silently
+    converted value."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.pop("policy"), "policy"),
+        (lambda d: d["policy"].pop("max_depth"), "max_depth"),
+        (lambda d: d["policy"].update(min_count="16"), "min_count"),
+        (lambda d: d["policy"].update(min_count=2.5), "min_count"),
+        (lambda d: d["policy"].update(max_leaves=1.5), "max_leaves"),
+        (lambda d: d["policy"].update(threshold=True), "threshold"),
+        (lambda d: d.update(policy=[3.0, 16]), "policy"),
+        (lambda d: d.update(format=True), "format"),
+        (lambda d: d.update(photons_emitted="1500"), "photons_emitted"),
+        (lambda d: d.update(band_tallies=[1, 2]), "band_tallies"),
+        (lambda d: d.update(trees=[]), "trees"),
+        (lambda d: d["trees"].update({"0": "root"}), "tree 0"),
+        (lambda d: d["trees"].update({"x7": _first_tree(d)}), "tree key"),
+        (lambda d: _first_tree(d).update(lo=[0.0, 0.0]), "lo"),
+        (lambda d: _first_tree(d).update(hi=[1, 1, "6.28", 1]), "hi"),
+        (lambda d: _first_tree(d).pop("root"), "bin node"),
+        (lambda d: _first_tree(d)["root"].update(c=[1, 2]), "band counts"),
+        (lambda d: _first_tree(d)["root"].update(n=12.0), "node total"),
+        (lambda d: _first_split(d).update(x=-1), "split axis"),
+        (lambda d: _first_split(d).update(x=4), "split axis"),
+        (lambda d: _first_split(d).update(lo=7), "bin node"),
+    ], ids=[
+        "no-policy", "no-max-depth", "min-count-string", "min-count-float",
+        "max-leaves-float", "threshold-bool", "policy-list", "format-bool",
+        "photons-string", "band-tallies-short", "trees-list", "tree-string",
+        "tree-key", "lo-short", "hi-string", "no-root", "counts-short",
+        "total-float", "axis-negative", "axis-4", "child-int",
+    ])
+    def test_is_a_value_error(self, result, edit, named):
+        doc = _malformed(forest_to_dict(result.forest), edit)
+        with pytest.raises(ValueError, match=named):
+            forest_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "answer", None], ids=["list", "str", "null"])
+    def test_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ValueError, match="answer file"):
+            forest_from_dict(doc)
+
+    def test_json_nested_past_the_parser_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_answer(path)
+
+    def test_a_tree_nested_past_the_recursion_limit(self):
+        forest = BinForest(SplitPolicy())
+        doc = _malformed(forest_to_dict(forest), lambda d: None)
+        node = {"c": [0, 0, 0], "n": 0, "l": [0, 0, 0, 0]}
+        for _ in range(5_000):
+            node = {"x": 0, "c": [0, 0, 0], "n": 0, "lo": node, "hi": node}
+        doc["trees"]["0"] = {"lo": [0, 0, 0, 0], "hi": [1, 1, 6, 1], "root": node}
+        with pytest.raises(ValueError, match="nests too deeply"):
+            forest_from_dict(doc)
+
+
+class TestPolicyTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("min_count", 2.5), ("min_count", True), ("min_count", "16"),
+        ("max_depth", 3.0), ("max_depth", False), ("max_leaves", 1.5),
+        ("max_leaves", True), ("threshold", True), ("threshold", "3"),
+    ])
+    def test_wrong_types_are_refused_not_converted(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SplitPolicy(**{field: value})
+
+    def test_ints_and_reals_are_accepted(self):
+        policy = SplitPolicy(threshold=3, min_count=2, max_depth=0, max_leaves=1)
+        assert policy.threshold == 3
+        assert SplitPolicy(threshold=2.5).threshold == 2.5

@@ -16,6 +16,7 @@ edges.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,15 @@ from hypothesis import strategies as st
 from repro.core.binning import TWO_PI, BinCoords, BinNode
 from repro.core.bintree import BinForest, BinTree, SplitPolicy
 from repro.core.photon import NUM_BANDS
-from repro.core.vectorized import EventBatch, VectorEngine, apply_events, tally_block
+from repro.core.simulator import SimulationConfig
+from repro.core.vectorized import (
+    EVENT_FIELDS,
+    PHOTONS_IN_FLIGHT,
+    EventBatch,
+    VectorEngine,
+    apply_events,
+    tally_block,
+)
 
 
 def scalar_replay(forest: BinForest, events: EventBatch) -> None:
@@ -286,6 +295,39 @@ class TestExactnessEdges:
         assert not low.is_leaf and high.is_leaf
         assert high.total == 7 and low.total == 4
 
+    # Eight rows into one ``min_count=8`` leaf, three after them: ``s``
+    # and ``r2`` split 4/4 unless a case says otherwise, ``t`` puts 6 of
+    # the 8 below its mid, ``theta`` 6 of the 8 above it (4.0 > pi).
+    _S = [0.1, 0.9] * 4 + [0.2, 0.7, 0.3]
+    _T = [0.1, 0.1, 0.1, 0.9, 0.1, 0.1, 0.9, 0.1, 0.1, 0.6, 0.3]
+    _THETA = [4.0, 4.0, 1.0, 4.0, 4.0, 1.0, 4.0, 4.0, 1.0, 5.0, 2.0]
+    _R2 = [0.1, 0.1, 0.9, 0.9, 0.1, 0.9, 0.1, 0.9, 0.4, 0.8, 0.2]
+
+    def _split_axis(self, theta, r2) -> int:
+        """The axis the eighth row splits on, checked against the oracle."""
+        policy = SplitPolicy(threshold=1.0, min_count=8)
+        events = make_events(
+            [4] * 11, self._S, self._T, theta, r2, [k % NUM_BANDS for k in range(11)],
+        )
+        root = assert_grouped_equals_scalar(policy, events).trees[4].root
+        assert root.total == 11 and not root.is_leaf
+        assert root.low_child.total + root.high_child.total == 11
+        return root.split_axis
+
+    def test_a_tie_on_the_larger_count_splits_the_lower_axis(self):
+        """At the trigger row ``t`` has 6 rows below its mid and ``theta``
+        6 above: the largest daughter count ties, and ``t`` (axis 1)
+        splits, as ``best_split_axis``'s first maximum does."""
+        assert self._split_axis(self._THETA, self._R2) == 1
+
+    def test_a_later_axis_with_a_larger_count_splits(self):
+        """``r2`` puts 7 of the 8 rows below its mid: its count beats
+        ``t``'s 6, so axis 3 splits although axis 1 also passes the
+        threshold on its own."""
+        theta = [1.0, 4.0] * 4 + self._THETA[8:]
+        r2 = [0.1] * 7 + [0.9] + self._R2[8:]
+        assert self._split_axis(theta, r2) == 3
+
 
 SCENE_FIXTURES = ("cornell", "lab_small", "office64")
 MIN_COUNT = SplitPolicy().min_count
@@ -337,6 +379,30 @@ class TestTracedEvents:
         assert all(isinstance(c, int) for c in counts)
         assert forest.total_tallies == len(events)
         forest.check_invariants()
+
+
+class TestTransientMemory:
+    def test_a_block_tally_peaks_under_three_times_its_events(self, cornell):
+        """The scan keeps one ``[NUM_AXES, rows]`` integer array and
+        per-row vectors, never per-axis float arrays: one engine block of
+        cornell events (about 7,700 rows) peaks under 3x the block's own
+        bytes."""
+        seed = SimulationConfig(n_photons=1).seed
+        block, _ = VectorEngine(cornell).trace_range(seed, 0, PHOTONS_IN_FLIGHT)
+        events_bytes = sum(getattr(block, name).nbytes for name, _ in EVENT_FIELDS)
+        forest = BinForest(SplitPolicy())
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tally_block(forest, block, PHOTONS_IN_FLIGHT)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert forest.total_tallies == len(block) > 7_000
+        assert peak <= 3 * events_bytes, (peak, events_bytes)
 
 
 def _filled_forest(cornell) -> tuple[BinForest, EventBatch]:

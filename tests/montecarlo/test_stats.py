@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.montecarlo.stats import split_statistic
+from repro.montecarlo.stats import split_statistic, split_statistics
 from repro.paper.histogram import should_split
 
 counts = st.integers(min_value=0, max_value=100_000)
@@ -43,6 +44,53 @@ class TestSplitStatistic:
             stat = split_statistic(big, total - big)
             assert stat >= prev - 1e-12
             prev = stat
+
+
+def _majorities(totals) -> tuple[np.ndarray, np.ndarray]:
+    """Every (larger count, total) pair with ``total / 2 <= big <= total``."""
+    big = [np.arange((n + 1) // 2, n + 1) for n in totals]
+    total = [np.full(b.size, n) for n, b in zip(totals, big)]
+    return np.concatenate(big), np.concatenate(total)
+
+
+class TestOneStatisticPerRow:
+    """At a fixed total the split statistic strictly increases with the
+    larger daughter count.  That is what lets the one-pass tally score one
+    statistic per row, on its largest count over the four axes: the peak
+    over the axes, the trigger row and the first-max axis stay the same.
+    The chain the tally runs equals ``split_statistic`` element for
+    element, so what holds for one holds for the other."""
+
+    def test_strictly_increasing_for_every_total_to_4096(self):
+        for first in range(2, 4097, 512):
+            totals = range(first, min(first + 512, 4097))
+            big, total = _majorities(totals)
+            stats = split_statistics(big, total)
+            rising = np.diff(stats) > 0
+            # Pairs that straddle two totals are not compared.
+            heads = np.cumsum([(n + 2) // 2 for n in totals])[:-1] - 1
+            rising[heads] = True
+            assert rising.all(), (big[:-1][~rising], total[:-1][~rising])
+
+    def test_chain_equals_the_scalar_for_every_total_to_4096(self):
+        for first in range(2, 4097, 512):
+            big, total = _majorities(range(first, min(first + 512, 4097)))
+            scalar = list(map(split_statistic, big.tolist(), (total - big).tolist()))
+            assert split_statistics(big, total).tolist() == scalar
+
+    @given(st.data())
+    def test_adjacent_counts_up_to_2_to_the_40(self, data):
+        total = data.draw(st.integers(min_value=2, max_value=2**40))
+        big = data.draw(st.integers(min_value=(total + 1) // 2, max_value=total - 1))
+        lower = split_statistic(big, total - big)
+        upper = split_statistic(big + 1, total - big - 1)
+        assert lower < upper
+        chain = split_statistics(np.array([big, big + 1]), np.array([total, total]))
+        assert chain.tolist() == [lower, upper]
+
+    def test_one_sided_and_even_bins(self):
+        chain = split_statistics(np.array([5, 4, 3]), np.array([5, 8, 6]))
+        assert chain.tolist() == [math.inf, 0.0, 0.0]
 
 
 class TestShouldSplit:

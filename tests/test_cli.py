@@ -1,6 +1,7 @@
 """CLI: the simulate/view/trace workflow end to end."""
 
 import io
+import json
 
 import pytest
 
@@ -624,6 +625,22 @@ class TestInputUsageErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and named in err
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_malformed_answer_file_exits_2(self, capsys, tmp_path, answer):
+        """A policy field of the wrong type is a usage error naming it,
+        not a traceback."""
+        doc = json.loads(answer.read_text())
+        doc["policy"]["min_count"] = "16"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["view", "cornell-box", str(bad), "--out", str(tmp_path / "x.ppm")],
+                 out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "min_count" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "x.ppm").exists()
 
 
