@@ -32,8 +32,13 @@ pool owns its own.  The pool serves every fluorescence spec: the spec
 travels with each shard, so no request respawns the workers.
 
 One path from request to forest: a cold request, a top-up, an early
-stop and a stream chunk all add photons ``[a, b)`` to a forest, through
-one chunk loop (``_grow``) into the warm engine's or pool's ``run``.
+stop and a stream all add photons ``[a, b)`` to a forest through one
+chunk loop (``_grow``).  It traces the range in segments — the whole
+range, or under a target the range to each convergence check point —
+and each segment is one wave on the warm engine (``run``, or ``grow``
+when a stream reports at chunk boundaries inside it) or one shard set
+per chunk on the pool (``PhotonPool.run``).  A stream's chunks are
+report points of its wave, not traces of their own.
 
 Amortization (``SessionOptions(amortize=True)``): requests go through
 the program's :class:`~repro.api.amortize.ForestCache`, the only
@@ -434,10 +439,11 @@ class RenderSession:
         target (else ``None``).  An entry that already answers is
         returned as it is, shared; anything else is copied, then grown.
 
-        Without a target the missing range is one step of
-        :meth:`_grow` — one wave on the engine, one shard per worker on
-        the pool — for a cold request and a top-up alike.  Under a
-        target it goes step by step, checked after each.
+        The missing range goes through :meth:`_grow` with no report
+        point inside a segment: without a target it is one segment — one
+        wave on the engine, one shard per worker on the pool — for a
+        cold request and a top-up alike; under a target one segment per
+        check point, checked after each.
         """
         target = request.target_rel_error
         if _answers(entry, config.n_photons, target):
@@ -452,12 +458,11 @@ class RenderSession:
             with KERNEL_GATE:
                 forest = copy.deepcopy(entry.forest)
             stats, done = dataclasses.replace(entry.stats), entry.n
-        step = (
-            vectorized.PHOTONS_IN_FLIGHT if target is not None
-            else config.n_photons
-        )
         achieved = None
-        for done, achieved in self._grow(config, target, forest, stats, done, step):
+        steps = self._grow(
+            config, target, forest, stats, done, config.n_photons
+        )
+        for done, achieved in steps:
             pass
         return forest, stats, done, achieved
 
@@ -465,56 +470,80 @@ class RenderSession:
         self, config, target, forest, stats, done: int, step: int
     ) -> Iterator[tuple]:
         """The one chunk loop: extend *forest* from photon *done* towards
-        ``config.n_photons``, to each multiple of *step* in turn.
+        ``config.n_photons``, reporting at each multiple of *step*.
 
-        Yields ``(done, error)`` after each step — *error* the forest's
-        median per-bin relative error when *target* is set, else
-        ``None`` — and ends at the budget or after the first step that
-        meets the target.  :meth:`_extend` drains it; :meth:`_stream`
-        yields between its steps.  Contiguous ascending steps keep the
-        global tally sequence canonical, so where they fall moves no byte.
-        Under a target, steps also end on every multiple of
-        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`, and the target
-        is checked there and at the budget only: a grown prefix and a
-        stream of any chunk check it at the photon counts a cold
-        :meth:`simulate` does.
+        The range goes in segments: the whole of it, or under a *target*
+        up to each multiple of :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`
+        in turn, where the target is checked (and at the budget), so a
+        grown prefix and a stream of any chunk check it at the photon
+        counts a cold :meth:`simulate` does.  Each segment is one trace
+        (:meth:`_trace`), one wave on the engine, and its report points
+        are its multiples of *step* and its end.  Yields ``(done, error)``
+        at each report point, once the forest holds exactly photons
+        ``0 .. done`` — *error* the forest's median per-bin relative
+        error at a segment's end under a target, else ``None`` — and ends
+        at the budget or after the segment that meets the target.
+        :meth:`_extend` drains it, one report point per segment;
+        :meth:`_stream` yields between its report points.  Contiguous
+        ascending tallies keep the global tally sequence canonical, so
+        where segments and report points fall moves no byte.
         """
         n, check = config.n_photons, vectorized.PHOTONS_IN_FLIGHT
         while done < n:
-            end = min((done // step + 1) * step, n)
-            if target is not None:
-                end = min(end, (done // check + 1) * check)
-            stats.merge(
-                self._trace(
-                    dataclasses.replace(config, n_photons=end), forest, done
-                )
-            )
-            done = end
-            error = None
-            if target is not None and (done % check == 0 or done == n):
-                with KERNEL_GATE:
-                    error = forest_error_summary(forest).median_relative_error
-            yield done, error
+            end = n if target is None else min((done // check + 1) * check, n)
+            segment = dataclasses.replace(config, n_photons=end)
+            for done in self._trace(segment, forest, done, stats, step):
+                error = None
+                if target is not None and done == end:
+                    with KERNEL_GATE:
+                        summary = forest_error_summary(forest)
+                    error = summary.median_relative_error
+                yield done, error
             if error is not None and error <= target:
                 return
 
     def _trace(
-        self, config: SimulationConfig, forest: BinForest, start: int
-    ) -> TraceStats:
+        self, config: SimulationConfig, forest: BinForest, start: int,
+        stats: TraceStats, step: int,
+    ) -> Iterator[int]:
         """Add photons ``start .. config.n_photons`` to *forest* on the
-        warm tracer; that range's counters.
+        warm tracer, counted into *stats*; yields each multiple of *step*
+        inside the range, and its end, once the forest holds exactly the
+        photons below it.
 
         The one place engine and pool differ.  Either way each kernel
-        section holds the gate and nothing else does: in process the
-        engine's ``run`` is one section;
-        :meth:`~repro.parallel.procpool.PhotonPool.run` gates each
-        shard's tally itself and waits on its workers ungated.
+        section holds the gate, nothing else does, and none spans a
+        yield.  In process the range is one wave: the engine's ``run``
+        when only the end reports, else its
+        :meth:`~repro.core.vectorized.VectorEngine.grow`, one section per
+        ``next()``.  The pool traces the range up to each report point as
+        its own shard set; :meth:`~repro.parallel.procpool.PhotonPool.run`
+        gates each shard's tally itself and waits on its workers ungated.
         """
+        end = config.n_photons
         if config.workers > 1:
-            return self._warm_pool(config).run(config, forest, start).stats
-        with KERNEL_GATE:
-            engine = self._engine_for(config.fluorescence)
-            return engine.run(config, forest, start).stats
+            pool = self._warm_pool(config)
+            while start < end:
+                stop = min((start // step + 1) * step, end)
+                chunk = dataclasses.replace(config, n_photons=stop)
+                stats.merge(pool.run(chunk, forest, start).stats)
+                start = stop
+                yield stop
+            return
+        if (start // step + 1) * step >= end:
+            with KERNEL_GATE:
+                engine = self._engine_for(config.fluorescence)
+                stats.merge(engine.run(config, forest, start).stats)
+            yield end
+            return
+        wave, stop = None, start
+        while stop < end:
+            with KERNEL_GATE:
+                if wave is None:
+                    engine = self._engine_for(config.fluorescence)
+                    wave = engine.grow(config, forest, stats, start, step)
+                stop = next(wave)
+            yield stop
 
     def simulate_stream(
         self, request: SimulateRequest, batch_size: Optional[int] = None
@@ -525,12 +554,16 @@ class RenderSession:
         :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`); each yield is
         the cumulative result so far — the same forest object growing
         across yields, exactly like
-        :func:`~repro.paper.scalar.run_scalar_batches`.  Because tally
-        replay is canonical in (photon, bounce) order regardless of
-        chunk boundaries, the **final** yield of a request without a
-        target is byte-identical to :meth:`simulate` of the same
-        request, on every worker count and chunk size (pinned by the
-        stream-parity suite).
+        :func:`~repro.paper.scalar.run_scalar_batches`.  A chunk is a
+        report point, not a trace: in process the budget is traced as
+        one wave, the one :meth:`simulate` traces, and each chunk
+        boundary reports its forest once that holds exactly the photons
+        below the boundary.  Because tally replay is canonical in
+        (photon, bounce) order, every yield's forest is the forest of a
+        cold :meth:`simulate` of its prefix, and the **final** yield of a
+        request without a target is byte-identical to :meth:`simulate`
+        of the same request, on every worker count and chunk size
+        (pinned by the stream-parity suite).
 
         Validation happens at the call, not at first iteration, and the
         request counts as served when the stream starts (a consumer may
@@ -538,15 +571,18 @@ class RenderSession:
         ``request.target_rel_error`` is set the session does that
         convergence check itself, at the photon counts :meth:`simulate`
         checks (each multiple of
-        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`), and ends at the
-        first one whose forest meets the target: its last yield is what
-        a cold :meth:`simulate` answers, on every chunk size.  Progress still comes at
-        the chunk boundaries.  The final yield is the answer, and it
-        carries what :meth:`simulate` returns: the photons traced as
-        ``config.n_photons``, ``photons_requested`` and
-        ``achieved_rel_error`` under a target.  Every earlier yield
-        carries the whole budget as ``config.n_photons``, more than its
-        forest holds.
+        :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`, where the wave
+        ends as :meth:`simulate`'s does), and ends at the first one whose
+        forest meets the target: its last yield is what a cold
+        :meth:`simulate` answers, on every chunk size.  The final yield
+        is the answer, and it carries what :meth:`simulate` returns: the
+        photons traced as ``config.n_photons``, their ``stats``,
+        ``photons_requested`` and ``achieved_rel_error`` under a target.
+        Every earlier yield carries the whole budget as
+        ``config.n_photons``, more than its forest holds, and ``stats``
+        counting what the wave has traced so far: on the engine that
+        includes photons in flight past the chunk boundary, on a pool
+        exactly the photons below it.
         """
         self._check_open()
         chunk = batch_size
@@ -565,12 +601,15 @@ class RenderSession:
     ) -> Iterator[SimulationResult]:
         """The one stream body: cumulative results, one per *chunk*.
 
-        Each chunk is one step of :meth:`_grow`, the loop every
-        :meth:`simulate` drains, into one growing forest, so the final
-        forest is the one-shot answer byte for byte.  No kernel section
-        spans a yield: a slow consumer must not park every other session.
-        The step that meets a convergence target is the last; a step that
-        ends between chunk boundaries (a target's check) yields nothing.
+        The stream drains :meth:`_grow`, the loop every :meth:`simulate`
+        drains, with each multiple of *chunk* a report point of its one
+        wave per segment, into one growing forest, so the final forest is
+        the one-shot answer byte for byte.  No kernel section spans a
+        yield: a slow consumer must not park every other session, and a
+        stream closed mid-wave leaves nothing behind but its own forest.
+        The segment that meets a convergence target is the last; a
+        segment end between chunk boundaries (a target's check) yields
+        nothing.
         """
         n, target = config.n_photons, request.target_rel_error
         forest, stats = BinForest(config.policy), TraceStats()

@@ -1565,7 +1565,6 @@ class VectorEngine:
         from its own substream, so no event depends on which photons
         share a step.
         """
-        stats.photons += count
         end = start + count
         fresh = start
         lanes = Lanes.empty()
@@ -1574,6 +1573,7 @@ class VectorEngine:
             if room and fresh < end:
                 joined, events = self.emit(seed, fresh, min(room, end - fresh))
                 fresh += joined.size
+                stats.photons += joined.size
                 lanes = lanes.extend(joined)
                 yield events, int(lanes.gidx[0])
             lanes, events = self.step(lanes, stats)
@@ -1669,6 +1669,51 @@ class VectorEngine:
 
     # -- driver ---------------------------------------------------------------
 
+    def grow(
+        self, config, forest: BinForest, stats: "TraceStats", start: int,
+        step: int,
+    ) -> Iterator[int]:
+        """Add photons ``start .. config.n_photons`` to *forest*, which
+        holds photons ``0 .. start``, as one wave, reporting at each
+        multiple of *step* inside the range and at its end.
+
+        The range is one wave (:meth:`_wave`), counted into *stats*.  Its
+        events are tallied by completed prefix: once every photon below
+        some index has finished, its events go through
+        :func:`tally_block`, in blocks of at most ``batch_size`` photons
+        cut from the last report point on and at every report point; only
+        the events of photons above the prefix wait.  Yields each report
+        point once the forest holds exactly photons ``0 .. point``: the
+        per-photon replay's forest, since each block is a contiguous
+        photon range.  *stats* then counts every photon the wave has
+        emitted so far, some of them past the point, and at the end
+        exactly the range's.  Each point is worked out as it is reached,
+        so a small *step* over a large range costs no memory up front.
+        """
+        start, count = checked_range(start, config.n_photons - start)
+        end = start + count
+        wave = self._wave(config.seed, start, count, stats)
+        held: list[EventBatch] = []
+        tallied = done = start
+        while True:
+            stop = min((tallied // step + 1) * step, end)
+            while tallied < stop:
+                cut = min(tallied + self.batch_size, stop)
+                while done < cut:
+                    events, done = next(wave)
+                    held.append(events)
+                rest = held[0] if len(held) == 1 else EventBatch.concat(held)
+                # Only the block and the rest live through the tally.
+                held.clear()
+                inside = rest.gidx < cut
+                block, rest = rest.take(inside), rest.take(~inside)
+                held.append(rest)
+                tally_block(forest, block, cut - tallied)
+                tallied = cut
+            yield stop
+            if stop == end:
+                return
+
     def run(
         self, config, forest: Optional[BinForest] = None, start: int = 0
     ) -> "SimulationResult":
@@ -1677,37 +1722,19 @@ class VectorEngine:
         scalar oracle's :func:`~repro.paper.scalar.run_scalar` result).
         ``result.stats`` counts only this call's photons.
 
-        The range is one wave (:meth:`_wave`).  Its events are tallied
-        by completed prefix: once every photon below some index has
-        finished and that prefix reaches ``batch_size`` photons past the
-        last tally, its events go through :func:`tally_block`, a block
-        of ``batch_size`` photons at a time, and the rest at the end.
-        Each block is a contiguous photon range, so the forest is the
-        per-photon replay's; a block is never wider than ``batch_size``
-        photons, and only the events of photons above the prefix wait.
+        The drain of :meth:`grow` reporting at the range's end only: one
+        wave, tallied in blocks of ``batch_size`` photons from *start* as
+        its completed prefix reaches them, and the rest at the end.
         """
         from .simulator import SimulationResult, TraceStats
 
         if forest is None:
             forest = BinForest(config.policy)
-        start, count = checked_range(start, config.n_photons - start)
         stats = TraceStats()
-        end, width = start + count, self.batch_size
-        held: list[EventBatch] = []
-        tallied = start
-        for events, done in self._wave(config.seed, start, count, stats):
-            held.append(events)
-            if done - tallied < width and done < end:
-                continue
-            rest = EventBatch.concat(held)
-            held.clear()
-            while done - tallied >= width or tallied < done == end:
-                stop = min(tallied + width, done)
-                inside = rest.gidx < stop
-                block, rest = rest.take(inside), rest.take(~inside)
-                tally_block(forest, block, stop - tallied)
-                tallied = stop
-            held.append(rest)
+        # No multiple of the budget lies inside the range: one report.
+        step = max(config.n_photons, 1)
+        for _ in self.grow(config, forest, stats, start, step):
+            pass
         # An attached-plane engine has no scene object; the handle does
         # not carry the name, only the arrays.
         name = self.scene.name if self.scene is not None else "<attached-plane>"

@@ -132,11 +132,11 @@ class HeldTraces:
         self._go, self._traced, self._real = go, traced, session._trace
         session._trace = self
 
-    def __call__(self, config, forest, start):
+    def __call__(self, config, forest, start, *rest):
         self.entered.set()
         assert self._go.wait(WAIT)
         self._traced.append(config.n_photons - start)
-        return self._real(config, forest, start)
+        return self._real(config, forest, start, *rest)
 
 
 class TestSingleFlight:

@@ -12,13 +12,17 @@ one-shot ``simulate`` of the same request — the canonical
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api.gate import KERNEL_GATE
 from repro.core import forest_to_dict, vectorized
+from repro.core.convergence import forest_error_summary
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
+from tests.core.test_wave import spy_widths
 
 
 def forest_bytes(result) -> str:
@@ -107,3 +111,114 @@ class TestStreamShape:
             *_, last = session.simulate_stream(REQUEST, batch_size=100)
             assert session.requests_served == 1
         assert last.forest.photons_emitted == REQUEST.n_photons
+
+
+class TestStreamIsOneWave:
+    """In process a stream traces its budget as the one-shot request's
+    wave: chunk boundaries only report the forest, so the stream pays one
+    bounce tail, not one per chunk.  Restarting the trace at every chunk,
+    these streams made 27, 124 and 44 ``closest_hit`` calls against the
+    one-shot's 11, 19 and 19."""
+
+    @pytest.mark.parametrize(
+        "n, chunk", [(750, 250), (10_000, 1_000), (10_000, None)]
+    )
+    def test_stream_makes_the_one_shot_closest_hit_calls(
+        self, cornell, n, chunk
+    ):
+        request = SimulateRequest(n_photons=n)
+        with RenderSession(cornell, SessionOptions(workers=1)) as session:
+            widths = spy_widths(session._engine_for(None))
+            one_shot = forest_bytes(session.simulate(request))
+            one_shot_calls = len(widths)
+            widths.clear()
+            *_, last = session.simulate_stream(request, chunk)
+        assert len(widths) == one_shot_calls, widths
+        assert forest_bytes(last) == one_shot
+
+
+#: (wave width, ``None`` for :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`;
+#: chunk; budget): chunks that divide the width, that do not, and that
+#: exceed it.
+REPORT_POINTS = [
+    pytest.param(None, 333, 9_000, id="333-of-4096"),
+    pytest.param(None, 4_096, 9_000, id="4096-of-4096"),
+    pytest.param(None, 5_000, 9_000, id="5000-of-4096"),
+    pytest.param(64, 7, 300, id="7-of-64"),
+    pytest.param(64, 32, 300, id="32-of-64"),
+]
+
+
+class TestReportPoints:
+    """Every yield of a stream is an exact prefix: its forest is a cold
+    :meth:`~repro.api.RenderSession.simulate` of the photons it holds,
+    and a target stream stops at the check point ``simulate`` stops at."""
+
+    @pytest.mark.parametrize("targeted", [False, True], ids=["plain", "target"])
+    @pytest.mark.parametrize("width, chunk, n", REPORT_POINTS)
+    def test_every_yield_is_a_cold_prefix(
+        self, monkeypatch, cornell, width, chunk, n, targeted
+    ):
+        if width is not None:
+            monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", width)
+        check = vectorized.PHOTONS_IN_FLIGHT
+        with RenderSession(cornell) as cold:
+
+            def prefix(photons):
+                return cold.simulate(SimulateRequest(n_photons=photons)).forest
+
+            target = None
+            if targeted:
+                # Between the first two check points' errors: a cold
+                # request stops at the second one.
+                first, second = (
+                    forest_error_summary(prefix(k * check)).median_relative_error
+                    for k in (1, 2)
+                )
+                assert second < first
+                target = (first + second) / 2
+            request = SimulateRequest(n_photons=n, target_rel_error=target)
+            one_shot = cold.simulate(request)
+            assert one_shot.config.n_photons == (2 * check if targeted else n)
+
+            seen = []
+            with RenderSession(cornell) as session:
+                for result in session.simulate_stream(request, chunk):
+                    assert not KERNEL_GATE.locked()
+                    forest = result.forest
+                    seen.append((
+                        forest.photons_emitted, forest.leaf_count,
+                        forest.total_tallies, forest_bytes(result), result,
+                    ))
+            *progress, (_, _, _, final_bytes, last) = seen
+            for photons, leaves, tallies, got, _ in progress:
+                assert photons % chunk == 0
+                want = prefix(photons)
+                assert (leaves, tallies) == (want.leaf_count, want.total_tallies)
+                assert got == json.dumps(forest_to_dict(want), sort_keys=True)
+        assert [p[0] for p in progress] == list(
+            range(chunk, one_shot.config.n_photons, chunk)
+        )
+        assert final_bytes == forest_bytes(one_shot)
+        assert last.stats == one_shot.stats
+        assert last.config == one_shot.config
+        assert last.achieved_rel_error == one_shot.achieved_rel_error
+
+    def test_report_points_take_no_memory_up_front(self, cornell):
+        """Each report point is worked out as the wave reaches it: a budget
+        of two million photons in one-photon chunks yields its first chunk
+        in the memory of a small one (a list of its report points would
+        hold two million ints, about 100 MB under tracemalloc)."""
+        request = SimulateRequest(n_photons=2_000_000)
+        with RenderSession(cornell, SessionOptions(workers=1)) as session:
+            session._engine_for(None)
+            stream = session.simulate_stream(request, batch_size=1)
+            tracemalloc.start()
+            try:
+                first = next(stream)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                stream.close()
+        assert first.forest.photons_emitted == 1
+        assert peak < 16 * 2**20, peak

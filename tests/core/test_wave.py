@@ -7,7 +7,8 @@ next photons (``emit``), so a range pays one narrowing tail of bounces.
 ``run()`` tallies completed prefixes: every photon below the lowest one
 still in flight, in blocks of ``batch_size`` photons as the prefix
 reaches them, plus the rest at the end, into a fresh forest or one it
-extends from photon ``start``.  These tests pin that structure;
+extends from photon ``start``.  It drains ``grow``, which also cuts the
+blocks at each multiple of its step and yields there.  These tests pin that structure;
 the parity and golden suites pin the bytes.
 """
 
@@ -19,6 +20,7 @@ import pytest
 from repro.api import RenderSession, SimulateRequest
 from repro.core import SimulationConfig, forest_to_dict, save_answer
 from repro.core import vectorized
+from repro.core.bintree import BinForest
 from repro.core.simulator import TraceStats
 from repro.core.vectorized import EventBatch, Lanes, VectorEngine
 
@@ -106,6 +108,34 @@ def check_prefix_tallies(monkeypatch, cornell, batch_size, start):
     assert result.forest.photons_emitted == n
 
 
+@pytest.mark.parametrize("start", [0, 50])
+def test_grow_reports_exact_prefixes_from_one_wave(cornell, start):
+    """``grow`` yields each multiple of its step inside the range, and the
+    range's end, once the forest holds exactly the photons below it (a
+    cold ``run``'s forest for that budget), and traces the one wave
+    ``run`` traces: its report points move no step."""
+    config = SimulationConfig(n_photons=500, seed=13)
+    engine = VectorEngine(cornell, batch_size=64)
+    head = SimulationConfig(n_photons=start, seed=13)
+    before, forest = engine.run(head).forest, engine.run(head).forest
+    widths = spy_widths(engine)
+    ran = engine.run(config, before, start)
+    one_wave = list(widths)
+    widths.clear()
+    stats = TraceStats()
+    yielded = []
+    for stop in engine.grow(config, forest, stats, start, 111):
+        yielded.append(stop)
+        cold = VectorEngine(cornell).run(
+            SimulationConfig(n_photons=stop, seed=13)
+        )
+        assert forest_to_dict(forest) == forest_to_dict(cold.forest)
+        assert stats.photons >= stop - start
+    assert yielded == [111, 222, 333, 444, 500]
+    assert widths == one_wave
+    assert stats == ran.stats
+
+
 def test_one_wave_wider_than_the_budget_serves_the_same_bytes(
     cornell, tmp_path
 ):
@@ -137,8 +167,6 @@ def test_wave_equals_one_photon_at_a_time(cornell):
 
 def test_run_and_trace_range_agree(cornell):
     """``run()`` tallies the events ``trace_range`` returns."""
-    from repro.core.bintree import BinForest
-
     config = SimulationConfig(n_photons=900, seed=21)
     engine = VectorEngine(cornell, batch_size=100)
     ran = engine.run(config)

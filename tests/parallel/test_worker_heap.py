@@ -22,8 +22,9 @@ from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.service.service import canonical_answer_bytes
 
 #: Faults a warm shard may take: a 1,500-photon lab shard whose worker
-#: trims its heap takes ~1,100, one that keeps it a few dozen.
-WARM_SHARD_FAULTS = 100
+#: trims its heap takes ~1,100, one that keeps it a few dozen, and up to
+#: ~100 on a loaded host.  The bound sits between the two modes.
+WARM_SHARD_FAULTS = 300
 
 
 @pytest.mark.skipif(

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.api import RenderSession, SessionOptions, SimulateRequest
+from repro.api.gate import KERNEL_GATE
 from repro.core import forest_to_dict
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.service import ServiceConfig, ServiceThread, simulate_path
@@ -33,12 +34,37 @@ class TestSessionLevel:
         with RenderSession(mini_scene) as session:
             stream = session.simulate_stream(REQUEST, 64)
             next(stream)
+            assert not KERNEL_GATE.locked()
             next(stream)
+            assert not KERNEL_GATE.locked()
             stream.close()
             # The session serves again, and determinism holds: the
             # abandoned stream perturbed nothing.
             full = session.simulate(REQUEST)
             assert full.forest.photons_emitted == 600
+
+    def test_closing_a_stream_mid_wave_frees_the_session(self, cornell):
+        """In process a stream is one wave, suspended at each report
+        point with lanes still in flight and no kernel section held.
+        Closed there, it leaves the session free, and the session's next
+        request answers the cold bytes."""
+        request = SimulateRequest(n_photons=3_000, seed=0xD15C)
+        with RenderSession(cornell) as session:
+            stream = session.simulate_stream(request, 500)
+            for _ in range(2):
+                partial = next(stream)
+                assert not KERNEL_GATE.locked()
+            # The wave has emitted photons past the report point.
+            assert partial.forest.photons_emitted == 1_000
+            assert partial.stats.photons > 1_000
+            stream.close()
+            assert not KERNEL_GATE.locked()
+            again = session.simulate(request)
+        with RenderSession(cornell) as fresh:
+            cold = fresh.simulate(request)
+        assert json.dumps(forest_to_dict(again.forest)) == (
+            json.dumps(forest_to_dict(cold.forest))
+        )
 
     @needs_plane
     def test_multiprocess_stream_cancel_keeps_shm_clean(self, mini_scene):
