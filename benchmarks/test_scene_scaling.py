@@ -9,40 +9,30 @@ is ~11k).  This bench records, for a 1x/10x/50x ladder of office floors:
 * **slab tests and patch tests per photon** — the octree's promise is
   that work grows sub-linearly in patch count; the ladder makes that
   visible,
-* **adaptive result-block sizing** — generated scenes carry an
-  ``events_per_photon`` hint, so result blocks are sized from the
-  scene's measured physics (hint x :data:`ADAPTIVE_EVENTS_HEADROOM`)
-  instead of the blanket 8x worst case.
+* **events per photon** against the result block's bound, the bounce
+  cap (:func:`repro.parallel.resultplane.block_capacity`).
 
-Asserted *shape*, never absolute seconds: the adaptive capacity covers
-every trace in the corpus (no overflow) while staying below the blanket
-allocation; a forced overflow still degrades loudly
-(:class:`ResultPlaneWarning`) to byte-identical answers; and the 50x
-scene — the acceptance scene for scene ingestion — runs end-to-end
-through :class:`RenderSession` with both planes on and leaves
-``/dev/shm`` clean.
+Asserted *shape*, never absolute seconds: every ladder trace fits its
+block; a 2-process pool sizes its blocks to the bound and answers the
+single-process bytes; and the 50x scene — the acceptance scene for
+scene ingestion — runs end-to-end through :class:`RenderSession` with
+both planes on and leaves ``/dev/shm`` clean.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 
+import numpy as np
 import pytest
 
 from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core.vectorized import VectorEngine
 from repro.paper.perf import format_table
-from repro.parallel import resultplane
 from repro.parallel.procpool import PhotonPool, _shard_starts
-from repro.parallel.resultplane import (
-    ADAPTIVE_EVENTS_HEADROOM,
-    EVENTS_PER_PHOTON_HEADROOM,
-    ResultPlaneWarning,
-    block_capacity,
-)
+from repro.parallel.resultplane import block_capacity
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes.generator import generate_scene
 
@@ -71,11 +61,9 @@ def scaling_runs():
     out = {}
     for label, spec in SCALES.items():
         scene = generate_scene(spec)
-        hint = scene.events_per_photon_hint
         row = {
             "spec": spec,
             "patches": scene.defining_polygon_count,
-            "events_per_photon_hint": hint,
         }
         engine = VectorEngine(scene)
         assert engine.accel == "flat"
@@ -88,8 +76,7 @@ def scaling_runs():
             "patch_tests_per_photon": engine.patch_tests / PHOTONS,
         }}
         row["events"] = len(events)
-        row["adaptive_capacity"] = block_capacity(PHOTONS, hint)
-        row["blanket_capacity"] = block_capacity(PHOTONS)
+        row["max_photon_events"] = int(np.bincount(events.gidx).max())
         out[label] = row
     return out
 
@@ -105,12 +92,13 @@ def test_scaling_table(scaling_runs):
             f"{flat['photons_per_s']:,.0f}",
             f"{flat['slab_tests_per_photon']:,.0f}",
             f"{flat['patch_tests_per_photon']:,.0f}",
+            f"{r['events'] / PHOTONS:.2f}",
         ])
     print()
     print(f"Generated office floors, {PHOTONS} photons, vector engine:")
     print(format_table(
         ["scale", "spec", "patches", "flat ph/s",
-         "slab tests/ph", "patch tests/ph"],
+         "slab tests/ph", "patch tests/ph", "events/ph"],
         rows,
     ))
 
@@ -127,29 +115,12 @@ def test_octree_work_grows_sublinearly(scaling_runs):
     assert big / small < ratio / 2
 
 
-def test_adaptive_capacity_covers_the_corpus(scaling_runs):
-    """The acceptance property of hint-driven sizing: on every ladder
-    scene the adaptive block holds the full trace (no overflow), while
-    allocating less than the blanket 8x worst case would."""
+def test_every_trace_fits_its_block(scaling_runs):
+    """The bound on every ladder scene: a shard of *PHOTONS* photons
+    fits ``block_capacity(PHOTONS)``, and no photon outruns its share."""
     for label, r in scaling_runs.items():
-        assert r["adaptive_capacity"] >= r["events"], label
-        assert r["adaptive_capacity"] < r["blanket_capacity"], label
-        # The saving is the headroom ratio, not a rounding accident.
-        expected = max(
-            math.ceil(
-                PHOTONS * r["events_per_photon_hint"] * ADAPTIVE_EVENTS_HEADROOM
-            ),
-            resultplane.MIN_BLOCK_EVENTS,
-        )
-        assert r["adaptive_capacity"] == expected
-
-
-def test_hintless_scenes_keep_blanket_sizing():
-    """Built-ins carry no hint; they must still get the 8x envelope."""
-    assert block_capacity(PHOTONS) == max(
-        math.ceil(PHOTONS * EVENTS_PER_PHOTON_HEADROOM),
-        resultplane.MIN_BLOCK_EVENTS,
-    )
+        assert r["events"] <= block_capacity(PHOTONS), label
+        assert r["max_photon_events"] <= block_capacity(1), label
 
 
 @needs_plane
@@ -165,10 +136,10 @@ class TestPooledScaling:
         with RenderSession(gen_scene, SessionOptions()) as session:
             return session.simulate(SimulateRequest(n_photons=PHOTONS, seed=SEED))
 
-    def test_pool_sizes_blocks_from_the_hint(self, gen_scene, reference):
+    def test_pool_sizes_blocks_to_the_bound(self, gen_scene, reference):
         """A real 2-process pool on a generated scene allocates blocks
-        at the adaptive capacity, not the blanket one — and agrees with
-        the single-process answer byte-for-byte."""
+        at the bound for its largest shard — and agrees with the
+        single-process answer byte-for-byte."""
         config = SimulationConfig(
             n_photons=PHOTONS, seed=SEED,
             workers=WORKERS,
@@ -176,32 +147,8 @@ class TestPooledScaling:
         with PhotonPool(SceneProgram.compile(gen_scene), config) as pool:
             result = pool.run()
             shard = max(share for _, share in _shard_starts(PHOTONS, WORKERS))
-            expected = block_capacity(
-                shard, gen_scene.events_per_photon_hint
-            )
-            assert pool.result_blocks.capacity == expected
-            assert expected < block_capacity(shard)
-        assert json.dumps(forest_to_dict(result.forest)) == json.dumps(
-            forest_to_dict(reference.forest)
-        )
-        assert leaked_segments() == []
-
-    def test_forced_overflow_is_loud_and_byte_identical(
-        self, gen_scene, reference, monkeypatch
-    ):
-        """Undersized adaptive blocks (headroom patched parent-side to
-        ~zero) must warn loudly and fall back to the pickle payload with
-        identical bytes — never truncate silently."""
-        monkeypatch.setattr(resultplane, "ADAPTIVE_EVENTS_HEADROOM", 1e-6)
-        monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
-        config = SimulationConfig(
-            n_photons=PHOTONS, seed=SEED,
-            workers=WORKERS,
-        )
-        with PhotonPool(SceneProgram.compile(gen_scene), config) as pool:
-            with pytest.warns(ResultPlaneWarning, match="overflow"):
-                result = pool.run()
-            assert all(r.overflow for r in pool.last_shard_results)
+            assert pool.result_blocks.capacity == block_capacity(shard)
+            assert all(r.slot >= 0 for r in pool.last_shard_results)
         assert json.dumps(forest_to_dict(result.forest)) == json.dumps(
             forest_to_dict(reference.forest)
         )
@@ -212,7 +159,7 @@ class TestPooledScaling:
 def test_fifty_x_scene_end_to_end_session(scaling_runs):
     """The acceptance run: the >=10k-patch generated scene through a
     multi-process RenderSession (scene plane in, result blocks out),
-    adaptive block sizing, and zero leaked segments afterwards."""
+    blocks sized to the bound, and zero leaked segments afterwards."""
     from repro.api import RenderSession, SessionOptions, SimulateRequest
 
     scene = generate_scene(SCALES["50x"])
@@ -222,9 +169,7 @@ def test_fifty_x_scene_end_to_end_session(scaling_runs):
         result = session.simulate(SimulateRequest(n_photons=PHOTONS, seed=SEED))
         blocks = session._pool.result_blocks
         shard = max(share for _, share in _shard_starts(PHOTONS, WORKERS))
-        assert blocks.capacity == block_capacity(
-            shard, scene.events_per_photon_hint
-        )
+        assert blocks.capacity == block_capacity(shard)
         image = session.render(result, width=48, height=32)
     assert result.stats.photons == PHOTONS
     assert image.shape == (32, 48, 3)

@@ -491,8 +491,7 @@ class EventBatch:
 
         Emission rows carry int64/float64 columns already; the cast is a
         no-op there and a normalization everywhere else, so a result
-        block and an overflowed shard's inline payload carry identical
-        bytes.
+        block holds the same bytes whichever pass made its rows.
         """
         return {
             name: np.ascontiguousarray(getattr(self, name), dtype=np.dtype(dt))

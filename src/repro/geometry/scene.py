@@ -91,14 +91,6 @@ class Scene:
             omitted, :attr:`default_camera` derives a framing camera
             from the scene bounds, so a newly registered scene renders
             something sensible instead of a hardcoded fallback view.
-        events_per_photon_hint: Optional expected tally events per
-            emitted photon for this scene (measured or estimated; the
-            scene loader and the procedural generator persist it).  The
-            result plane sizes its per-shard blocks from this instead of
-            the global worst-case headroom factor when present — see
-            :func:`repro.parallel.resultplane.block_capacity`.  Purely a
-            capacity hint: it can never change an answer (overflow falls
-            back to the pickle transport with identical bytes).
     """
 
     def __init__(
@@ -110,7 +102,6 @@ class Scene:
         leaf_capacity: int = 8,
         max_depth: int = 10,
         default_camera: Optional[dict] = None,
-        events_per_photon_hint: Optional[float] = None,
     ) -> None:
         if not patches:
             raise ValueError("a scene needs at least one patch")
@@ -118,12 +109,6 @@ class Scene:
         self.name = name
         self.leaf_capacity = leaf_capacity
         self.max_depth = max_depth
-        if events_per_photon_hint is not None and not events_per_photon_hint > 0:
-            raise ValueError(
-                f"events_per_photon_hint must be positive, got "
-                f"{events_per_photon_hint}"
-            )
-        self.events_per_photon_hint = events_per_photon_hint
         if default_camera is not None:
             missing = {"position", "look_at"} - set(default_camera)
             if missing:

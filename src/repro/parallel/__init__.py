@@ -8,7 +8,6 @@ from .procpool import PhotonPool
 from .resultplane import (
     ResultBlockHandle,
     ResultPlane,
-    ResultPlaneWarning,
     ShardResult,
 )
 from .shmplane import PlaneHandle, ScenePlane, plane_available
@@ -18,7 +17,6 @@ __all__ = [
     "PlaneHandle",
     "ResultBlockHandle",
     "ResultPlane",
-    "ResultPlaneWarning",
     "ScenePlane",
     "ShardResult",
     "plane_available",

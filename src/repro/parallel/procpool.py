@@ -43,10 +43,10 @@ There is no second transport.  A segment that cannot be created
 caller with no segment of the failed step left behind — a failed
 publish forks nothing, a failed regrow has already unlinked the old
 blocks — and the pool stays serviceable: the next trace allocates
-afresh.  The one per-shard exception is block **overflow** — capacity
-is an estimate, so a shard that outruns it ships its columns inline,
-loudly (:class:`repro.parallel.resultplane.ResultPlaneWarning`), and
-the parent tallies that payload instead of a view.
+afresh.  A shard cannot outrun its block: each is sized to the bounce
+cap (:func:`repro.parallel.resultplane.block_capacity`), which costs
+address space only, since a segment's unwritten pages are never
+allocated.
 
 Workers are a ``ProcessPoolExecutor`` (:class:`_WorkerPool`).  A
 worker that dies mid-request fails the request with
@@ -242,8 +242,8 @@ def _trace_shard_pooled(
     for *fluorescence*.
 
     The canonical events land in result block *slot* and only the
-    descriptor returns (or, on overflow, the inline payload), with the
-    minor page faults the trace and the pack took.
+    descriptor returns, with the minor page faults the trace and the
+    pack took.
     """
     before = _minor_faults()
     events, stats = _pool_engine(fluorescence).trace_range(seed, start, count)
@@ -267,9 +267,9 @@ def _tally_shard(
 ) -> None:
     """Replay one landed shard into *forest* and book its counters.
 
-    Reads the shard's block in place (or its inline payload) and runs
-    the tally under the kernel gate: it is CPU work in this process,
-    unlike the wait that delivered *result*.
+    Reads the shard's block in place and runs the tally under the
+    kernel gate: it is CPU work in this process, unlike the wait that
+    delivered *result*.
     """
     events = shard_events(result, plane)
     with KERNEL_GATE:
@@ -377,12 +377,11 @@ class PhotonPool:
         #: trace and recycled across warm requests (None until then).
         self.result_blocks: Optional[ResultPlane] = None
         #: The previous trace call's :class:`ShardResult` descriptors in
-        #: shard order, with overflow payloads stripped once read.  Each
-        #: carries ``faults``, the minor page faults its worker took over
-        #: the shard's trace and pack — a few dozen on a warm glibc worker.
-        #: ``last_result_wire_bytes`` records what the full results —
-        #: payloads included — cost to cross the process boundary; the
-        #: benchmark reads both.
+        #: shard order.  Each carries ``faults``, the minor page faults
+        #: its worker took over the shard's trace and pack — a few dozen
+        #: on a warm glibc worker.  ``last_result_wire_bytes`` records
+        #: what they cost to cross the process boundary; the benchmark
+        #: reads both.
         self.last_shard_results: list[ShardResult] = []
         self.last_result_wire_bytes = 0
         #: Warm traces that recycled the existing result blocks instead
@@ -470,14 +469,7 @@ class PhotonPool:
         ``None`` and no segment behind, so the next trace simply
         allocates afresh.
         """
-        # Scenes that know their events-per-photon (loader metadata or
-        # generator estimate) get blocks sized for *this* scene; scenes
-        # without a hint keep the blanket worst-case factor.  getattr:
-        # scenes unpickled from pre-hint answer pipelines lack the attr.
-        capacity = block_capacity(
-            max_share,
-            getattr(self.program.scene, "events_per_photon_hint", None),
-        )
+        capacity = block_capacity(max_share)
         blocks = self.config.workers
         if self.result_blocks is not None:
             if self.result_blocks.fits(blocks, capacity):
@@ -532,11 +524,6 @@ class PhotonPool:
             self._pool.starmap(_trace_shard_pooled, jobs)
         ) as landed:
             yield record(landed)
-        # Every event has been read; drop overflow payloads so they
-        # cannot pin O(events) arrays in the parent until the next
-        # trace.
-        for r in results:
-            r.payload = None
 
     def trace_range(
         self, seed: int, start: int, count: int, fluorescence=None

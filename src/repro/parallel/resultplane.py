@@ -9,9 +9,8 @@ parent would scale return bytes with the **photon budget**; result
 blocks scale them with the worker count instead:
 
 * The parent preallocates one segment holding **per-shard result
-  blocks** (:class:`ResultPlane`), sized from the photon budget times a
-  measured events-per-photon headroom factor
-  (:data:`EVENTS_PER_PHOTON_HEADROOM`).
+  blocks** (:class:`ResultPlane`), each sized to the most events its
+  shard can make (:func:`block_capacity`), so a shard always fits.
 * Each trace job writes its canonically sorted events straight into its
   block (:func:`pack_shard` — the columns of
   :data:`repro.core.vectorized.EVENT_FIELDS` via
@@ -32,19 +31,22 @@ its slot exclusively, the parent reads a slot only after its job has
 returned, and a call that leaves early waits out its jobs first, so
 none of them writes into a slot the next call reads.
 
-Overflow and failure contract
+Capacity and failure contract
 -----------------------------
-Block capacity is an estimate, and correctness never depends on it.
-When a shard's events exceed its block (a pathological mirror scene
-outrunning the headroom factor) the worker ships that shard's columns
-inline in its :class:`ShardResult` instead and flags ``overflow``; the
-parent raises a loud :class:`ResultPlaneWarning` while returning the
-exact same bytes.  A block segment that cannot be *created* is
-different: :class:`ResultPlane` lets the ``OSError`` (full ``/dev/shm``)
-or ``RuntimeError`` (no ``shared_memory``) propagate — there is no
-second transport to degrade to.  The pool's regrow unlinks the old
-segment first, so the failure leaves nothing behind and the next
-request allocates afresh.
+A photon makes one emission event and at most
+:data:`~repro.core.simulator.MAX_BOUNCES` reflection events:
+:meth:`~repro.core.vectorized.VectorEngine.step` retires a lane at the
+bounce cap before its hit test, fluorescence rescues included.  A
+block of ``photons * (MAX_BOUNCES + 1)`` events therefore holds any
+shard of that many photons, whatever the scene, and there is one
+transport.  The bound costs address space, not memory: a ``/dev/shm``
+segment is sparse, and only the pages a worker writes are allocated
+(pinned by ``tests/parallel/test_resultplane.py::TestSparseSegment``).
+A block segment that cannot be *created* is the one failure:
+:class:`ResultPlane` lets the ``OSError`` (full ``/dev/shm``) or
+``RuntimeError`` (no ``shared_memory``) propagate.  The pool's regrow
+unlinks the old segment first, so the failure leaves nothing behind and
+the next request allocates afresh.
 
 Lifecycle contract
 ------------------
@@ -62,24 +64,19 @@ too, after a real ``repro serve``'s SIGTERM as well
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.simulator import TraceStats
+from ..core.simulator import MAX_BOUNCES, TraceStats
 from ..core.vectorized import EVENT_FIELDS, EventBatch
 from .shmplane import SegmentOwner, allocate_segment, attach_segment
 
 __all__ = [
-    "ADAPTIVE_EVENTS_HEADROOM",
-    "EVENTS_PER_PHOTON_HEADROOM",
-    "MIN_BLOCK_EVENTS",
     "ResultBlockHandle",
     "ResultPlane",
-    "ResultPlaneWarning",
     "ShardResult",
     "block_capacity",
     "detach_worker_blocks",
@@ -89,61 +86,11 @@ __all__ = [
     "wire_bytes",
 ]
 
-#: Block capacity per shard photon.  Measured on the three test scenes
-#: (50k-photon runs): 1.9 events/photon on the Cornell box, 1.6 on the
-#: harpsichord room, 2.3 on the computer lab, with no single photon
-#: above 16.  8x covers ~3.5x over the worst measured mean; a scene that
-#: still overflows (deep mirror boxes) takes the loud inline-payload
-#: path and remains byte-correct.
-EVENTS_PER_PHOTON_HEADROOM = 8.0
 
-#: Floor on block capacity so tiny streaming chunks don't allocate
-#: degenerate segments (and so per-block rounding never dominates).
-MIN_BLOCK_EVENTS = 1024
-
-
-class ResultPlaneWarning(UserWarning):
-    """A result-plane degradation the run survived (block overflow).
-
-    Loud by contract: answers stay byte-identical, but the request paid
-    O(events) pickle bytes the plane existed to avoid — worth surfacing
-    rather than silently eating.
-    """
-
-
-#: Safety multiplier over a scene's *known* events-per-photon (the
-#: ``Scene.events_per_photon_hint`` persisted by the scene loader and
-#: stamped by the procedural generator).  The hint is a mean; individual
-#: shards fluctuate around it, so 2x covers shard-level variance while
-#: still sizing blocks from the scene instead of the global worst case —
-#: on the generated corpus (hint ~2.5-3) that is roughly a 30% smaller
-#: segment than the blanket 8x, and the gap widens on darker scenes.
-ADAPTIVE_EVENTS_HEADROOM = 2.0
-
-
-def block_capacity(
-    photons_per_shard: int, events_per_photon: Optional[float] = None
-) -> int:
-    """Events a shard's block holds for a *photons_per_shard* budget.
-
-    With *events_per_photon* (a scene's measured or estimated mean tally
-    events per emitted photon), capacity is
-    ``photons * events_per_photon * ADAPTIVE_EVENTS_HEADROOM``; without
-    it, the blanket :data:`EVENTS_PER_PHOTON_HEADROOM` worst case.
-    Module globals are read at call time so tests can monkeypatch the
-    factors to force the overflow path.
-    """
-    if events_per_photon is not None:
-        if not events_per_photon > 0:
-            raise ValueError(
-                f"events_per_photon must be positive, got {events_per_photon}"
-            )
-        need = math.ceil(
-            photons_per_shard * events_per_photon * ADAPTIVE_EVENTS_HEADROOM
-        )
-    else:
-        need = math.ceil(photons_per_shard * EVENTS_PER_PHOTON_HEADROOM)
-    return max(need, MIN_BLOCK_EVENTS)
+def block_capacity(photons_per_shard: int) -> int:
+    """Events a shard's block holds for a *photons_per_shard* budget:
+    one emission and at most ``MAX_BOUNCES`` reflections per photon."""
+    return photons_per_shard * (MAX_BOUNCES + 1)
 
 
 @dataclass(frozen=True)
@@ -265,21 +212,26 @@ class ResultPlane(SegmentOwner):
 class ShardResult:
     """What one trace job sends back: a descriptor, not the events.
 
-    ``slot >= 0`` means the events sit in result block *slot* (this
-    object is then a few hundred pickled bytes).  ``slot == -1`` is the
-    inline path: *payload* carries the raw column arrays of
-    :data:`~repro.core.vectorized.EVENT_FIELDS`, because the shard
-    overflowed its block (*overflow* set — the parent warns loudly).
-    *faults* is the minor page faults the worker took tracing and
-    packing the shard (0 where nothing measured them).
+    The shard's *count* events sit in result block *slot*, so this
+    object pickles in a few hundred bytes.  *faults* is the minor page
+    faults the worker took tracing and packing the shard (0 where
+    nothing measured them).
     """
 
     slot: int
     count: int
     stats: TraceStats
-    payload: Optional[tuple] = None
-    overflow: bool = field(default=False)
     faults: int = 0
+
+    @property
+    def overflow(self) -> bool:
+        """Always ``False``: a shard always fits its block.
+
+        Stays only for the benchmark's ``resultplane.overflows`` row,
+        which reads it, until the benchmark change of ROADMAP item 3
+        removes that row.
+        """
+        return False
 
 
 #: This worker's attachment to the (single) live result segment:
@@ -318,57 +270,28 @@ def pack_shard(
     handle: ResultBlockHandle,
     slot: int,
 ) -> ShardResult:
-    """Ship one shard's events: into result block *slot*, or inline.
+    """Copy one shard's events into result block *slot*; its descriptor.
 
-    The single worker-side exit point of the trace phase.  With room in
-    the block, the columns are copied into shared memory and only the
-    descriptor returns; on overflow, the columns ride the result object
-    itself.
+    The single worker-side exit point of the trace phase.  The block
+    was sized by :func:`block_capacity`, so the events always fit.
     """
     n = len(events)
     fields = events.export_fields()
-    if n <= handle.capacity:
-        block = _attach_blocks(handle)[slot]
-        for name, _ in EVENT_FIELDS:
-            block[name][:n] = fields[name]
-        return ShardResult(slot=slot, count=n, stats=stats)
-    return ShardResult(
-        slot=-1,
-        count=n,
-        stats=stats,
-        payload=tuple(fields[name] for name, _ in EVENT_FIELDS),
-        overflow=True,
-    )
+    block = _attach_blocks(handle)[slot]
+    for name, _ in EVENT_FIELDS:
+        block[name][:n] = fields[name]
+    return ShardResult(slot=slot, count=n, stats=stats)
 
 
-def shard_events(
-    result: ShardResult, plane: Optional[ResultPlane]
-) -> EventBatch:
-    """One shard's canonical events: a view of its block, or its payload.
-
-    A block shard is a zero-copy view, valid until the slot is recycled
-    by the next trace call.  An overflowed shard raises a
-    :class:`ResultPlaneWarning` here (the parent process, where warnings
-    actually reach the caller).
-    """
-    if result.slot >= 0:
-        if plane is None:
-            raise RuntimeError(
-                "shard descriptor references a result block but the "
-                "parent holds no result plane"
-            )
-        return plane.view(result.slot, result.count)
-    if result.overflow:
-        warnings.warn(
-            f"result block overflow: a shard produced {result.count} "
-            f"events, above the preallocated capacity "
-            f"(EVENTS_PER_PHOTON_HEADROOM={EVENTS_PER_PHOTON_HEADROOM}); "
-            "the shard fell back to pickling — answer unchanged, "
-            "transport win lost",
-            ResultPlaneWarning,
-            stacklevel=3,
+def shard_events(result: ShardResult, plane: Optional[ResultPlane]) -> EventBatch:
+    """One shard's canonical events: a zero-copy view of its block,
+    valid until the slot is recycled by the next trace call."""
+    if plane is None:
+        raise RuntimeError(
+            "shard descriptor references a result block but the "
+            "parent holds no result plane"
         )
-    return EventBatch(*result.payload)
+    return plane.view(result.slot, result.count)
 
 
 def gather_shards(
@@ -389,22 +312,11 @@ def gather_shards(
 
 
 def wire_bytes(results: Sequence[ShardResult]) -> int:
-    """Bytes these results crossed the process boundary with.
+    """Bytes these descriptors crossed the process boundary with.
 
-    Diagnostics for the benchmark's wire-bytes row: descriptors are
-    measured exactly (their pickle is tiny); payload shards count as the
-    descriptor plus the raw column bytes — the dominant term — rather
-    than re-pickling megabytes of arrays just to size them.  Cheap
-    enough that :class:`~repro.parallel.procpool.PhotonPool` records it
-    for every shard that lands.
+    Diagnostics for the benchmark's wire-bytes row, measured exactly:
+    a descriptor's pickle is tiny, so
+    :class:`~repro.parallel.procpool.PhotonPool` records it for every
+    shard that lands.
     """
-    import pickle
-
-    total = 0
-    for r in results:
-        if r.payload is None:
-            total += len(pickle.dumps(r))
-        else:
-            total += len(pickle.dumps(replace(r, payload=None)))
-            total += sum(a.nbytes for a in r.payload)
-    return total
+    return sum(len(pickle.dumps(r)) for r in results)

@@ -23,17 +23,12 @@ Spec grammar (accepted by :func:`generate_scene`,
 ``repro.scenes.get_scene("gen:...")``, and ``repro simulate --gen``)::
 
     <kind>-<units>[@seed]     e.g.  office-64, den-48, office-238@0x7e57
-
-Every generated scene carries ``events_per_photon_hint`` (an analytic
-estimate from area-weighted reflectivity), which the shared-memory
-result plane uses to size its blocks — see
-:func:`repro.parallel.resultplane.block_capacity`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..geometry import Scene, Vec3, axis_rect, box, room, table
 from ..geometry.material import emitter, glossy, matte
@@ -43,7 +38,6 @@ from ..rng.lcg import Lcg48
 __all__ = [
     "GEN_DEFAULT_SEED",
     "GENERATOR_VERSION",
-    "estimate_events_per_photon",
     "furniture_den",
     "generate_scene",
     "generator_kinds",
@@ -59,30 +53,6 @@ GEN_DEFAULT_SEED = 0x0FF1CE
 #: A bump invalidates the committed gen-scene goldens by construction —
 #: regenerate them (tests/data/regenerate.py) in the same change.
 GENERATOR_VERSION = 1
-
-#: Cap on mean reflectivity in the analytic events estimate: keeps the
-#: geometric series finite for implausibly bright material sets.
-_MAX_MEAN_REFLECTIVITY = 0.90
-
-
-def estimate_events_per_photon(patches: Sequence[Patch]) -> float:
-    """Analytic tally-events-per-photon estimate for a closed scene.
-
-    Every photon records one emission event plus one event per surface
-    hit; in a closed scene each hit continues with probability ~rho
-    (the area-weighted mean reflectivity), so expected events are
-    ``1 + 1/(1 - rho)``.  Rounded to 4 decimals so the value survives a
-    JSON round-trip bit-exactly and reads cleanly in scene files.  For
-    scenes this model misjudges (mirror boxes, large open escapes),
-    measure instead: :func:`repro.scenes.loader.measure_events_per_photon`.
-    """
-    total_area = 0.0
-    weighted = 0.0
-    for patch in patches:
-        total_area += patch.area
-        weighted += patch.area * patch.material.mean_reflectivity()
-    rho = min(weighted / max(total_area, 1e-12), _MAX_MEAN_REFLECTIVITY)
-    return round(1.0 + 1.0 / (1.0 - rho), 4)
 
 
 def _light_grid(
@@ -180,7 +150,6 @@ def office_floor(units: int = 64, *, seed: int = GEN_DEFAULT_SEED) -> Scene:
         patches,
         name=f"gen-office-{units}@{seed:#x}",
         max_depth=12,
-        events_per_photon_hint=estimate_events_per_photon(patches),
     )
 
 
@@ -274,7 +243,6 @@ def furniture_den(units: int = 48, *, seed: int = GEN_DEFAULT_SEED) -> Scene:
         patches,
         name=f"gen-den-{units}@{seed:#x}",
         max_depth=12,
-        events_per_photon_hint=estimate_events_per_photon(patches),
     )
 
 

@@ -17,7 +17,7 @@ Schema (``format: "photon-scene"``, ``version: 1``)::
       "format": "photon-scene",
       "version": 1,
       "name": "my-scene",
-      "metadata": {"events_per_photon": 1.9},          // optional
+      "metadata": {"generator": {...}},                // optional, open
       "octree": {"leaf_capacity": 8, "max_depth": 10}, // optional
       "camera": {"position": [x,y,z], "look_at": [x,y,z],
                  "vertical_fov_degrees": 55.0},        // optional
@@ -42,19 +42,17 @@ offending value (``patches[3].eu``), the source name, and the **line**
 in the input text (located lazily by a tiny position scanner, so the
 happy path never pays for it).  Unknown keys are rejected everywhere
 except ``metadata``, which is an open namespace; unknown *values* of
-known keys fail with the constraint spelled out.  Every number must be
-finite (JSON ``NaN``/``Infinity``/``1e400`` and OBJ/MTL ``nan``/``inf``
+known keys fail with the constraint spelled out.  Every number outside
+``metadata`` must be finite (JSON ``NaN``/``Infinity``/``1e400`` and OBJ/MTL ``nan``/``inf``
 are rejected), and so must every patch's corners and the area and plane
 constants derived from its edges.  ``version`` gates the
 schema: readers refuse documents newer than they understand instead of
 misreading them.
 
-``metadata.events_per_photon`` persists the scene's measured (or
-estimated) tally events per emitted photon; the loader restores it as
-``Scene.events_per_photon_hint``, which the shared-memory result plane
-uses to size per-shard blocks adaptively instead of applying the global
-worst-case headroom factor (see
-:func:`repro.parallel.resultplane.block_capacity`).
+``metadata`` is read for ``generator`` provenance only (restored as
+``Scene.generator_metadata`` and written back); every other key, such
+as the ``events_per_photon`` older files carry, is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ __all__ = [
     "load_scene",
     "load_scene_file",
     "load_obj",
-    "measure_events_per_photon",
     "parse_obj",
     "parse_scene",
     "save_scene",
@@ -387,18 +384,9 @@ def scene_from_doc(
                 )
             camera["vertical_fov_degrees"] = fov
 
-    hint = None
     metadata = {}
     if "metadata" in root:
         metadata = v.obj(root["metadata"], "metadata")
-        if metadata.get("events_per_photon") is not None:
-            hint = v.number(
-                metadata["events_per_photon"], "metadata.events_per_photon"
-            )
-            if hint <= 0:
-                raise v.fail(
-                    "metadata.events_per_photon", f"must be positive, got {hint}"
-                )
 
     materials_raw = v.obj(v.require(root, "materials", ""), "materials")
     if not materials_raw:
@@ -468,7 +456,6 @@ def scene_from_doc(
             leaf_capacity=octree["leaf_capacity"],
             max_depth=octree["max_depth"],
             default_camera=camera,
-            events_per_photon_hint=hint,
         )
     except ValueError as exc:
         raise v.fail("patches", str(exc)) from None
@@ -581,14 +568,9 @@ def scene_to_doc(scene: Scene) -> dict:
         "version": SCENE_SCHEMA_VERSION,
         "name": scene.name,
     }
-    metadata: dict = {}
-    if scene.events_per_photon_hint is not None:
-        metadata["events_per_photon"] = scene.events_per_photon_hint
     generator = getattr(scene, "generator_metadata", None)
     if generator:
-        metadata["generator"] = dict(generator)
-    if metadata:
-        doc["metadata"] = metadata
+        doc["metadata"] = {"generator": dict(generator)}
     octree = {
         "leaf_capacity": scene.leaf_capacity,
         "max_depth": scene.max_depth,
@@ -851,26 +833,3 @@ def load_obj(path: Union[str, Path]) -> Scene:
         name=path.stem,
         mtl_loader=lambda lib: (path.parent / lib).read_text(encoding="utf-8"),
     )
-
-
-# -- calibration -------------------------------------------------------------
-
-
-def measure_events_per_photon(
-    scene: Scene, photons: int = 400, seed: int = 0xCA11B
-) -> float:
-    """Measure the scene's mean tally events per emitted photon.
-
-    Runs a small fixed vector-engine pilot and divides events by
-    photons.  Use it to stamp ``metadata.events_per_photon`` on scenes
-    whose reflectance structure the analytic estimate
-    (:func:`repro.scenes.generator.estimate_events_per_photon`)
-    misjudges — deep mirror boxes, heavily open scenes.
-    """
-    if photons < 1:
-        raise ValueError("photons must be positive")
-    from ..core.vectorized import VectorEngine
-
-    engine = VectorEngine(scene)
-    events, _ = engine.trace_range(seed, 0, photons)
-    return len(events) / photons

@@ -20,9 +20,8 @@ from repro.core import vectorized
 from repro.core.bintree import BinForest
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
 from repro.paper.distributed import merge_rank_forests
-from repro.parallel import procpool, resultplane
+from repro.parallel import procpool
 from repro.parallel.procpool import PhotonPool
-from repro.parallel.resultplane import ResultPlaneWarning
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 
@@ -227,37 +226,21 @@ class TestLandingOrder:
 
             monkeypatch.setattr(executor, "submit", submit)
             result = pool.run()
-            overflows = [r.overflow for r in pool.last_shard_results]
+            slots = [r.slot for r in pool.last_shard_results]
         assert landed == list(reversed(range(workers)))
         assert leaked_segments() == []
-        return scene, result, overflows
+        return scene, result, slots
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("scene_name", ["cornell-box", "computer-lab"])
     def test_reverse_landing_gives_serial_bytes(
         self, scene_name, workers, monkeypatch
     ):
-        scene, result, overflows = self._reversed_run(
+        scene, result, slots = self._reversed_run(
             scene_name, workers, monkeypatch
         )
-        assert overflows == [False] * workers
+        assert slots == list(range(workers))
         assert result.forest.photons_emitted == self.PHOTONS
-        assert _forest_bytes(result.forest) == _serial_bytes(
-            scene, self.PHOTONS, self.SEED
-        )
-
-    @pytest.mark.parametrize("scene_name", ["cornell-box", "computer-lab"])
-    def test_overflow_with_reverse_landing_is_loud_and_exact(
-        self, scene_name, monkeypatch
-    ):
-        monkeypatch.setattr(resultplane, "EVENTS_PER_PHOTON_HEADROOM", 0.001)
-        monkeypatch.setattr(resultplane, "ADAPTIVE_EVENTS_HEADROOM", 0.001)
-        monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
-        with pytest.warns(ResultPlaneWarning, match="overflow"):
-            scene, result, overflows = self._reversed_run(
-                scene_name, 3, monkeypatch
-            )
-        assert overflows == [True] * 3
         assert _forest_bytes(result.forest) == _serial_bytes(
             scene, self.PHOTONS, self.SEED
         )

@@ -1,6 +1,6 @@
-"""Shared-memory result plane: descriptors, recycling, overflow, leaks.
+"""Shared-memory result plane: descriptors, capacity, recycling, leaks.
 
-The return transport's contract mirrors the scene plane's, with two
+The return transport's contract mirrors the scene plane's, with three
 extra moving parts the tests pin separately:
 
 * **Fidelity** — a block round-trips an :class:`EventBatch`
@@ -10,9 +10,11 @@ extra moving parts the tests pin separately:
   combination — the blocks are the pool's only result transport).
 * **Descriptors** — what crosses the boundary is O(workers) small
   :class:`ShardResult` objects, never O(events) pickles.
+* **Capacity** — a block holds the bounce cap, so even a closed box of
+  perfect mirrors, where most photons reach the cap, fits; and the
+  bound costs no memory, because only a segment's written pages exist.
 * **Lifecycle** — blocks recycle verbatim across warm requests, regrow
-  when the budget grows (old segment unlinked first), survive overflow
-  by shipping the shard inline, loudly, with identical bytes, and never
+  when the budget grows (old segment unlinked first), and never
   outlive the pool — including after a worker exception mid-result.
   A block segment that cannot be created propagates with nothing
   leaked, and the next request allocates afresh.
@@ -22,23 +24,26 @@ from __future__ import annotations
 
 import errno
 import json
+import math
+import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.api import SceneProgram
 from repro.core import (
     EVENT_FIELDS,
+    MAX_BOUNCES,
     SimulationConfig,
     forest_to_dict,
 )
 from repro.core.vectorized import EventBatch, VectorEngine
+from repro.geometry import Scene, Vec3, axis_rect, box, emitter, mirror
 from repro.parallel import resultplane
 from repro.parallel.procpool import PhotonPool
 from repro.parallel.resultplane import (
-    MIN_BLOCK_EVENTS,
     ResultPlane,
-    ResultPlaneWarning,
     ShardResult,
     block_capacity,
     gather_shards,
@@ -77,7 +82,7 @@ class TestBlockRoundTrip:
         events, stats = _trace_events(cornell)
         with ResultPlane(blocks=2, capacity=len(events) + 7) as plane:
             result = pack_shard(events, stats, plane.handle, slot=1)
-            assert result.slot == 1 and result.payload is None
+            assert result.slot == 1 and result.count == len(events)
             _batches_equal(plane.view(1, result.count), events)
 
     def test_parent_views_are_zero_copy(self, cornell):
@@ -92,7 +97,7 @@ class TestBlockRoundTrip:
         empty = EventBatch.empty()
         from repro.core.simulator import TraceStats
 
-        with ResultPlane(blocks=1, capacity=MIN_BLOCK_EVENTS) as plane:
+        with ResultPlane(blocks=1, capacity=block_capacity(1)) as plane:
             result = pack_shard(empty, TraceStats(), plane.handle, slot=0)
             assert result.slot == 0 and result.count == 0
             merged, _ = gather_shards([result], plane)
@@ -114,28 +119,17 @@ class TestBlockRoundTrip:
 
 class TestDescriptors:
     def test_descriptor_is_small_regardless_of_events(self, cornell):
-        events, stats = _trace_events(cornell)
-        with ResultPlane(blocks=1, capacity=len(events)) as plane:
-            result = pack_shard(events, stats, plane.handle, 0)
-            descriptor_bytes = len(pickle.dumps(result))
-        # A block too small for the shard: the columns ride inline.
-        with ResultPlane(blocks=1, capacity=len(events) - 1) as small:
-            payload = pack_shard(events, stats, small.handle, 0)
-            payload_bytes = len(pickle.dumps(payload))
-        assert payload.overflow
-        assert descriptor_bytes < 1024
-        # The pickle path pays the full eight columns x 8 bytes.
-        assert payload_bytes > len(events) * 8 * 8
-        assert wire_bytes([result]) == descriptor_bytes
-
-    def test_overflow_falls_back_with_flag(self, cornell):
-        events, stats = _trace_events(cornell)
-        with ResultPlane(blocks=1, capacity=len(events) - 1) as plane:
-            result = pack_shard(events, stats, plane.handle, 0)
-            assert result.slot == -1 and result.overflow
-            with pytest.warns(ResultPlaneWarning, match="overflow"):
-                merged, _ = gather_shards([result], plane)
-            _batches_equal(merged, events)
+        few, few_stats = _trace_events(cornell, count=30)
+        many, many_stats = _trace_events(cornell, count=3000)
+        with ResultPlane(blocks=2, capacity=block_capacity(3000)) as plane:
+            results = [
+                pack_shard(few, few_stats, plane.handle, 0),
+                pack_shard(many, many_stats, plane.handle, 1),
+            ]
+            small, big = (len(pickle.dumps(r)) for r in results)
+        assert small < 1024 and big < 1024
+        assert big - small < 32  # a few wider integers, not the events
+        assert wire_bytes(results) == small + big
 
     def test_gather_without_plane_rejects_block_descriptors(self):
         from repro.core.simulator import TraceStats
@@ -146,18 +140,99 @@ class TestDescriptors:
 
 
 class TestCapacity:
-    def test_capacity_has_floor(self):
-        assert block_capacity(1) == MIN_BLOCK_EVENTS
-        assert block_capacity(100_000) > MIN_BLOCK_EVENTS
+    def test_capacity_is_the_bounce_cap(self):
+        assert block_capacity(1) == MAX_BOUNCES + 1
+        assert block_capacity(100_000) == 100_000 * (MAX_BOUNCES + 1)
+
+
+def _mirror_box() -> Scene:
+    """A closed unit box of perfect mirrors lit by a tiny lamp.
+
+    Every surface but the lamp reflects every photon, so most photons
+    bounce until the cap retires them.
+    """
+    walls = box(Vec3(0, 0, 0), Vec3(1, 1, 1), mirror("glass", 1.0),
+                inward=True)
+    lamp = axis_rect("y", 0.99, (0.49, 0.51), (0.49, 0.51),
+                     emitter("lamp", 1.0, 1.0, 1.0), name="lamp")
+    return Scene(walls + [lamp], name="mirror-box")
+
+
+class TestWorstCase:
+    """Photons that reach the bounce cap make the most events there are."""
+
+    PHOTONS = 200
+    SEED = 0xB0A7
+
+    @pytest.fixture(scope="class")
+    def mirror_box(self):
+        return _mirror_box()
+
+    def test_a_photon_makes_at_most_the_cap_plus_one_events(self, mirror_box):
+        events, stats = VectorEngine(mirror_box).trace_range(
+            self.SEED, 0, self.PHOTONS
+        )
+        assert np.bincount(events.gidx).max() == MAX_BOUNCES + 1
+        assert stats.bounce_limit_hits > self.PHOTONS // 2
+        assert len(events) <= block_capacity(self.PHOTONS)
+
+    def test_pool_fits_the_worst_case_with_serial_bytes(self, mirror_box):
+        config = SimulationConfig(
+            n_photons=self.PHOTONS, seed=self.SEED, workers=2
+        )
+        expected = VectorEngine(mirror_box).run(
+            SimulationConfig(n_photons=self.PHOTONS, seed=self.SEED)
+        )
+        with PhotonPool(SceneProgram.compile(mirror_box), config) as pool:
+            result = pool.run()
+            results = pool.last_shard_results
+            assert len(results) == 2
+            assert all(r.slot >= 0 for r in results)
+            assert sum(r.count for r in results) > self.PHOTONS * MAX_BOUNCES // 2
+        assert result.stats == expected.stats
+        assert _forest_bytes(result.forest) == _forest_bytes(expected.forest)
+
+
+def _allocated_bytes(plane: ResultPlane) -> int:
+    """Bytes ``/dev/shm`` has allocated to *plane*'s segment."""
+    return os.stat("/dev/shm/" + plane.name).st_blocks * 512
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm here")
+class TestSparseSegment:
+    """The bound costs address space only: a segment's pages exist once
+    written.  A segment that is pre-touched or fallocated fails here."""
+
+    def test_warm_request_allocates_only_written_pages(self, cornell):
+        config = SimulationConfig(n_photons=3000, seed=0xC0FFEE, workers=2)
+        page = os.sysconf("SC_PAGE_SIZE")
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
+            pool.run()
+            pool.run()
+            plane = pool.result_blocks
+            allocated = _allocated_bytes(plane)
+            written = sum(
+                (math.ceil(r.count * 8 / page) + 1) * page
+                for r in pool.last_shard_results
+                for _ in EVENT_FIELDS
+            )
+            assert pool.result_block_reuses == 1
+            assert 0 < allocated <= written
+            assert allocated * 10 < plane.nbytes
+
+    def test_huge_plane_allocates_nothing(self):
+        plane = ResultPlane(2, block_capacity(500_000))
+        try:
+            assert plane.nbytes > 10 * 2**30
+            assert _allocated_bytes(plane) == 0
+        finally:
+            plane.close()
+            plane.unlink()
+        assert not os.path.exists("/dev/shm/" + plane.name)
 
 
 class TestPooledRuns:
     """Real 2-process pools: events through blocks, same bytes, no leaks."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, cornell):
-        config = SimulationConfig(n_photons=600, seed=0xC0FFEE)
-        return VectorEngine(cornell).run(config)
 
     @pytest.mark.parametrize("scene_name", ["cornell", "lab_small"])
     def test_pool_returns_events_through_blocks(self, request, scene_name):
@@ -201,10 +276,7 @@ class TestPooledRuns:
         with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             pool.run()
             small = pool.result_blocks
-            grown_photons = MIN_BLOCK_EVENTS * 2  # per-shard need > floor
-            bigger = SimulationConfig(
-                n_photons=grown_photons * 2, seed=1, workers=2,
-            )
+            bigger = SimulationConfig(n_photons=4096, seed=1, workers=2)
             pool.run(bigger)
             assert pool.result_blocks is not small
             assert small.name not in leaked_segments()  # old segment gone
@@ -220,9 +292,7 @@ class TestPooledRuns:
         small = SimulationConfig(
             n_photons=200, seed=0xC0FFEE, workers=2
         )
-        bigger = SimulationConfig(
-            n_photons=MIN_BLOCK_EVENTS * 4, seed=1, workers=2
-        )
+        bigger = SimulationConfig(n_photons=4096, seed=1, workers=2)
         expected = VectorEngine(cornell).run(
             SimulationConfig(
                 n_photons=bigger.n_photons, seed=1
@@ -256,28 +326,6 @@ class TestPooledRuns:
                 assert pool.result_blocks is not None
                 assert pool.result_blocks.name in leaked_segments()
                 pool._pool.apply(_boom)
-        assert leaked_segments() == []
-
-    def test_overflow_in_real_pool_is_loud_and_correct(
-        self, cornell, reference, monkeypatch
-    ):
-        """Blocks too small for the trace: loud warning, identical bytes.
-
-        The headroom factor is patched parent-side only (workers size
-        nothing), so every shard overflows its block and ships the
-        pickle payload instead.
-        """
-        monkeypatch.setattr(resultplane, "EVENTS_PER_PHOTON_HEADROOM", 0.001)
-        monkeypatch.setattr(resultplane, "MIN_BLOCK_EVENTS", 1)
-        config = SimulationConfig(
-            n_photons=600, seed=0xC0FFEE,
-            workers=2,
-        )
-        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
-            with pytest.warns(ResultPlaneWarning, match="overflow"):
-                result = pool.run()
-            assert all(r.overflow for r in pool.last_shard_results)
-        assert _forest_bytes(result.forest) == _forest_bytes(reference.forest)
         assert leaked_segments() == []
 
 

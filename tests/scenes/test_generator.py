@@ -1,4 +1,4 @@
-"""Procedural generator contracts: determinism, parameterization, hints.
+"""Procedural generator contracts: determinism and parameterization.
 
 The generator's one non-negotiable promise is bit-reproducibility:
 ``generate_scene(spec)`` is a pure function of the spec.  These tests
@@ -16,7 +16,6 @@ import pytest
 from repro.scenes.generator import (
     GEN_DEFAULT_SEED,
     GENERATOR_VERSION,
-    estimate_events_per_photon,
     furniture_den,
     generate_scene,
     generator_kinds,
@@ -107,27 +106,3 @@ class TestSpecGrammar:
     def test_malformed_specs_explain_grammar(self, bad):
         with pytest.raises(ValueError, match="<kind>-<units>"):
             parse_gen_spec(bad)
-
-
-class TestEventsHint:
-    def test_hint_is_stamped_and_positive(self):
-        for spec in ("office-8", "den-8"):
-            scene = generate_scene(spec)
-            assert scene.events_per_photon_hint is not None
-            assert scene.events_per_photon_hint > 1.0
-
-    def test_hint_matches_analytic_estimate(self):
-        scene = office_floor(8)
-        assert scene.events_per_photon_hint == (
-            estimate_events_per_photon(scene.patches)
-        )
-
-    def test_hint_conservatively_covers_measured_rate(self):
-        """The analytic estimate must sit at or above the measured mean —
-        that ordering is what makes the adaptive result-plane capacity
-        (hint x headroom) safe on the corpus."""
-        from repro.scenes.loader import measure_events_per_photon
-
-        scene = office_floor(8)
-        measured = measure_events_per_photon(scene, photons=600)
-        assert measured <= scene.events_per_photon_hint

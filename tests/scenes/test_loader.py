@@ -36,6 +36,7 @@ from repro.scenes.loader import (
     load_scene,
     parse_obj,
     parse_scene,
+    scene_to_doc,
     scene_to_json,
 )
 
@@ -72,7 +73,6 @@ def assert_scene_equal(original, reloaded) -> None:
     ]
     assert scene_octree(reloaded).leaf_capacity == scene_octree(original).leaf_capacity
     assert scene_octree(reloaded).max_depth == scene_octree(original).max_depth
-    assert reloaded.events_per_photon_hint == original.events_per_photon_hint
 
 
 class TestRoundTrip:
@@ -92,6 +92,9 @@ class TestRoundTrip:
         reloaded = load_scene(path)
         assert_scene_equal(original, reloaded)
         assert reloaded.generator_metadata == original.generator_metadata
+        assert scene_to_doc(original)["metadata"] == {
+            "generator": original.generator_metadata
+        }
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
         scene = generate_scene("office-5@11")
@@ -268,10 +271,18 @@ class TestNonFiniteGeometry:
         doc["materials"]["m"][key] = value
         expect_error(json.dumps(doc), path=path, message="finite")
 
-    def test_non_finite_metadata_hint(self):
-        doc = minimal_doc(metadata={"events_per_photon": float("nan")})
-        expect_error(json.dumps(doc), path="metadata.events_per_photon",
-                     message="finite")
+    @pytest.mark.parametrize("value", [1.9, float("nan"), -1, "many"])
+    def test_metadata_events_per_photon_is_ignored(self, value):
+        """``metadata`` is an open namespace: the ``events_per_photon``
+        older files carry loads, whatever its value, and is dropped."""
+        legacy = parse_scene(json.dumps(minimal_doc(
+            metadata={"events_per_photon": value, "generator": {"kind": "x"}}
+        )))
+        plain = parse_scene(json.dumps(minimal_doc()))
+        assert legacy.generator_metadata == {"kind": "x"}
+        assert scene_to_doc(legacy) == {
+            **scene_to_doc(plain), "metadata": {"generator": {"kind": "x"}}
+        }
 
     @pytest.mark.parametrize("origin, eu, ev", [
         ([1e308, 0, 0], [1e308, 0, 0], [0, 0, 1]),      # origin + eu overflows

@@ -72,7 +72,7 @@ class TestArchitectureDoc:
     PATH = REPO_ROOT / "docs" / "ARCHITECTURE.md"
     #: Most lines the document may have; a change that adds a paragraph
     #: tightens another.
-    LINE_BUDGET = 939
+    LINE_BUDGET = 935
 
     def test_line_budget(self):
         lines = self.PATH.read_text(encoding="utf-8").count("\n")
