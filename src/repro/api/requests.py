@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from ..core.bintree import SplitPolicy
-from ..core.simulator import SimulationConfig
+from ..core.simulator import SimulationConfig, check_photons
 from ..rng import MODULUS
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -90,8 +90,9 @@ class SimulateRequest:
         TypeError: when ``n_photons`` or ``seed`` is not an ``int``
             (bools included).
         ValueError: when ``seed`` lies outside ``[0, 2**48)``
-            (:func:`check_seed`), or ``target_rel_error`` is not a
-            positive finite number.
+            (:func:`check_seed`), ``n_photons`` outside
+            ``[0, MAX_PHOTONS]`` (:func:`~repro.core.simulator.check_photons`),
+            or ``target_rel_error`` is not a positive finite number.
     """
 
     n_photons: int
@@ -104,8 +105,7 @@ class SimulateRequest:
         _require_int(self.n_photons, "n_photons")
         _require_int(self.seed, "seed")
         check_seed(self.seed)
-        if self.n_photons < 0:
-            raise ValueError("n_photons must be non-negative")
+        check_photons(self.n_photons)
         # not (x > 0) also rejects NaN; an infinite target is met by the
         # first batch, so it would stop every request at once.
         if self.target_rel_error is not None and not (

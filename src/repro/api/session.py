@@ -27,18 +27,21 @@ serves every cumulative batch from the plane without per-batch event
 pickling.  Multi-process sessions share one published scene plane per
 program across all the serving process's concurrent sessions (the
 :class:`~repro.api.SceneProgram` refcounts it, one reference per live
-pool); result blocks are budget-sized and per-pool, so each session's
-pool owns its own.  The pool serves every fluorescence spec: the spec
+pool); result blocks are sized to a shard set and per-pool, so each
+session's pool owns its own.  The pool serves every fluorescence spec: the spec
 travels with each shard, so no request respawns the workers.
 
 One path from request to forest: a cold request, a top-up, an early
 stop and a stream all add photons ``[a, b)`` to a forest through one
 chunk loop (``_grow``).  It traces the range in segments — the whole
 range, or under a target the range to each convergence check point —
-and each segment is one wave on the warm engine (``run``, or ``grow``
-when a stream reports at chunk boundaries inside it) or one shard set
-per chunk on the pool (``PhotonPool.run``).  A stream's chunks are
-report points of its wave, not traces of their own.
+and each segment is one trace on the warm tracer: one wave on the
+engine; on the pool one shard set, or for a long stream consecutive
+sets of at least a wave per worker, each ending at a report point.
+Both report prefixes alike, with ``run`` when only the segment's end
+reports and ``grow`` when a stream reports at chunk boundaries inside
+it.  A stream's chunks are report points of its trace, not traces of
+their own.
 
 Amortization (``SessionOptions(amortize=True)``): requests go through
 the program's :class:`~repro.api.amortize.ForestCache`, the only
@@ -477,7 +480,8 @@ class RenderSession:
         in turn, where the target is checked (and at the budget), so a
         grown prefix and a stream of any chunk check it at the photon
         counts a cold :meth:`simulate` does.  Each segment is one trace
-        (:meth:`_trace`), one wave on the engine, and its report points
+        (:meth:`_trace`), one wave on the engine or one shard set on a
+        pool, and its report points
         are its multiples of *step* and its end.  Yields ``(done, error)``
         at each report point, once the forest holds exactly photons
         ``0 .. done`` — *error* the forest's median per-bin relative
@@ -511,26 +515,29 @@ class RenderSession:
         inside the range, and its end, once the forest holds exactly the
         photons below it.
 
-        The one place engine and pool differ.  Either way each kernel
-        section holds the gate, nothing else does, and none spans a
-        yield.  In process the range is one wave: the engine's ``run``
-        when only the end reports, else its
-        :meth:`~repro.core.vectorized.VectorEngine.grow`, one section per
-        ``next()``.  The pool traces the range up to each report point as
-        its own shard set; :meth:`~repro.parallel.procpool.PhotonPool.run`
-        gates each shard's tally itself and waits on its workers ungated.
+        Engine and pool differ only in who takes the gate; each kernel
+        section holds it, nothing else does, and none spans a yield.
+        Either tracer traces the range as one trace — one wave in
+        process, shard sets on a pool (one unless a long stream's report
+        points cut it, see
+        :meth:`~repro.parallel.procpool.PhotonPool.grow`) — with its
+        ``run`` when only the end reports, else its ``grow``
+        (:meth:`~repro.core.vectorized.VectorEngine.grow`,
+        :meth:`~repro.parallel.procpool.PhotonPool.grow`).  The engine
+        is gated here, one section per ``next()``; the pool gates each
+        block's tally itself and waits on its workers ungated.
         """
         end = config.n_photons
+        one_report = vectorized.next_report(start, step, end) == end
         if config.workers > 1:
             pool = self._warm_pool(config)
-            while start < end:
-                stop = min((start // step + 1) * step, end)
-                chunk = dataclasses.replace(config, n_photons=stop)
-                stats.merge(pool.run(chunk, forest, start).stats)
-                start = stop
-                yield stop
+            if one_report:
+                stats.merge(pool.run(config, forest, start).stats)
+                yield end
+            else:
+                yield from pool.grow(config, forest, stats, start, step)
             return
-        if (start // step + 1) * step >= end:
+        if one_report:
             with KERNEL_GATE:
                 engine = self._engine_for(config.fluorescence)
                 stats.merge(engine.run(config, forest, start).stats)
@@ -555,10 +562,12 @@ class RenderSession:
         the cumulative result so far — the same forest object growing
         across yields, exactly like
         :func:`~repro.paper.scalar.run_scalar_batches`.  A chunk is a
-        report point, not a trace: in process the budget is traced as
-        one wave, the one :meth:`simulate` traces, and each chunk
-        boundary reports its forest once that holds exactly the photons
-        below the boundary.  Because tally replay is canonical in
+        report point, not a trace: the budget is traced as the one wave
+        or shard set :meth:`simulate` traces (on a pool, a long stream
+        as sets of at least a wave per worker, so a deadline or a close
+        waits at most one set), and each chunk boundary
+        reports its forest once that holds exactly the photons below
+        the boundary.  Because tally replay is canonical in
         (photon, bounce) order, every yield's forest is the forest of a
         cold :meth:`simulate` of its prefix, and the **final** yield of a
         request without a target is byte-identical to :meth:`simulate`
@@ -580,9 +589,9 @@ class RenderSession:
         ``photons_requested`` and ``achieved_rel_error`` under a target.
         Every earlier yield carries the whole budget as
         ``config.n_photons``, more than its forest holds, and ``stats``
-        counting what the wave has traced so far: on the engine that
-        includes photons in flight past the chunk boundary, on a pool
-        exactly the photons below it.
+        counting what the tracer has traced so far: the wave's emitted
+        photons in process, every landed shard's on a pool, on either
+        some photons past the chunk boundary.
         """
         self._check_open()
         chunk = batch_size
@@ -603,10 +612,11 @@ class RenderSession:
 
         The stream drains :meth:`_grow`, the loop every :meth:`simulate`
         drains, with each multiple of *chunk* a report point of its one
-        wave per segment, into one growing forest, so the final forest is
+        trace per segment, into one growing forest, so the final forest is
         the one-shot answer byte for byte.  No kernel section spans a
         yield: a slow consumer must not park every other session, and a
-        stream closed mid-wave leaves nothing behind but its own forest.
+        stream closed mid-trace leaves nothing behind but its own forest
+        (a pool's unfinished shards are cancelled or waited out).
         The segment that meets a convergence target is the last; a
         segment end between chunk boundaries (a target's check) yields
         nothing.

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .bintree import BinForest, SplitPolicy
+from .vectorized import MAX_PHOTONS
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard for typing only
     from .fluorescence import FluorescenceSpec
@@ -33,12 +34,32 @@ __all__ = [
 MAX_BOUNCES = 200
 
 
+def check_photons(n_photons: int) -> int:
+    """*n_photons* itself, when it lies in ``[0, MAX_PHOTONS]``; else
+    ``ValueError``.
+
+    Photon *i* and photon ``i + MAX_PHOTONS`` share a substream
+    (:data:`repro.core.vectorized.MAX_PHOTONS`), so a larger budget
+    would silently repeat samples.
+    """
+    if n_photons < 0:
+        raise ValueError("n_photons must be non-negative")
+    if n_photons > MAX_PHOTONS:
+        raise ValueError(
+            f"n_photons must be at most {MAX_PHOTONS} (2**28), the "
+            f"photons with distinct substreams, got {n_photons}"
+        )
+    return n_photons
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run parameters for a Photon simulation.
 
     Attributes:
-        n_photons: Photons to emit.
+        n_photons: Photons to emit, at most
+            :data:`~repro.core.vectorized.MAX_PHOTONS` (``ValueError``
+            past it, :func:`check_photons`).
         seed: Base RNG seed; parallel runs derive per-rank substreams.
         policy: Bin-splitting policy (3-sigma by default).
         fluorescence: Optional Stokes-shift conversion spec (the
@@ -60,8 +81,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_photons < 0:
-            raise ValueError("n_photons must be non-negative")
+        check_photons(self.n_photons)
         if self.workers < 1:
             raise ValueError("workers must be positive")
 

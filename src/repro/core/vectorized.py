@@ -46,7 +46,8 @@ possible:
 * **Per-photon counter-based RNG substreams.**  Photon *i* owns the
   substream starting ``(i + 1) * 2**20`` steps into the base sequence
   (:func:`photon_substream` — the same convention
-  :mod:`repro.paper.geomdist` uses for its wire photons).  Lanes never
+  :mod:`repro.paper.geomdist` uses for its wire photons), so a request
+  holds at most :data:`MAX_PHOTONS` (2**28) distinct ones.  Lanes never
   share a stream, so lane-synchronous masked execution consumes each
   photon's draws in exactly the scalar order.  The LCG itself vectorises
   on ``uint64`` (the product wraps mod 2**64, a multiple of the 2**48
@@ -97,10 +98,11 @@ from .photon import NUM_BANDS
 
 if TYPE_CHECKING:  # pragma: no cover — import-cycle guard
     from .fluorescence import FluorescenceSpec
-    from .simulator import TraceStats
+    from .simulator import SimulationResult, TraceStats
 
 __all__ = [
     "SUBSTREAM_SPACING_BITS",
+    "MAX_PHOTONS",
     "photon_substream",
     "substream_states",
     "SceneArrays",
@@ -111,6 +113,8 @@ __all__ = [
     "VectorEngine",
     "apply_events",
     "tally_block",
+    "next_report",
+    "grow_to_end",
     "ACCEL_MODES",
     "PRUNE_PATCH_THRESHOLD",
     "DENSE_TILE",
@@ -121,6 +125,12 @@ __all__ = [
 #: the base sequence; no physical path consumes anywhere near 2**20 draws
 #: (the bounce cap alone limits it to a few thousand).
 SUBSTREAM_SPACING_BITS = 20
+
+#: The most photons one request can trace without repeating a sample:
+#: photon *i*'s substream starts ``(i + 1) << SUBSTREAM_SPACING_BITS``
+#: draws into a sequence of period :data:`~repro.rng.MODULUS`, so photons
+#: *i* and ``i + MAX_PHOTONS`` draw the same numbers.  2**28.
+MAX_PHOTONS = MODULUS >> SUBSTREAM_SPACING_BITS
 
 #: Intersection acceleration modes accepted by :class:`VectorEngine`
 #: (``"auto"`` resolves at construction, see the module docstring).
@@ -264,6 +274,37 @@ def checked_range(start: int, count: int) -> tuple[int, int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return start, count
+
+
+def next_report(done: int, step: int, end: int) -> int:
+    """The first report point past photon count *done* in a range ending
+    at *end*: the next multiple of *step*, or *end* if that comes first.
+
+    The one report-point rule: both tracers' ``grow`` and the session's
+    choice between ``run`` and ``grow`` apply it.
+    """
+    return min((done // step + 1) * step, end)
+
+
+def grow_to_end(
+    tracer, config, forest: Optional[BinForest], start: int, scene_name: str
+) -> "SimulationResult":
+    """A tracer's ``run``: drain its ``grow`` over photons ``start ..
+    config.n_photons`` with only the range's end reporting.
+
+    *forest* holds photons ``0 .. start`` (``None``: a fresh one);
+    ``result.stats`` counts only this call's photons.
+    """
+    from .simulator import SimulationResult, TraceStats
+
+    if forest is None:
+        forest = BinForest(config.policy)
+    stats = TraceStats()
+    # No multiple of the budget lies inside the range: one report.
+    step = max(config.n_photons, 1)
+    for _ in tracer.grow(config, forest, stats, start, step):
+        pass
+    return SimulationResult(forest, stats, config, scene_name)
 
 
 def _atan2_theta(ly: np.ndarray, lx: np.ndarray) -> np.ndarray:
@@ -513,8 +554,9 @@ class EventBatch:
         order = np.lexsort((self.seq, self.gidx))
         return self.take(order)
 
-    def take(self, idx: np.ndarray) -> "EventBatch":
-        """Row subset/reorder by integer index array."""
+    def take(self, idx) -> "EventBatch":
+        """Row subset/reorder by integer index array; a ``slice`` takes
+        zero-copy views."""
         return EventBatch(*(
             getattr(self, name)[idx]
             for name in ("gidx", "seq", "patch", "s", "t", "theta", "r2", "band")
@@ -1695,7 +1737,7 @@ class VectorEngine:
         held: list[EventBatch] = []
         tallied = done = start
         while True:
-            stop = min((tallied // step + 1) * step, end)
+            stop = next_report(tallied, step, end)
             while tallied < stop:
                 cut = min(tallied + self.batch_size, stop)
                 while done < cut:
@@ -1721,20 +1763,12 @@ class VectorEngine:
         scalar oracle's :func:`~repro.paper.scalar.run_scalar` result).
         ``result.stats`` counts only this call's photons.
 
-        The drain of :meth:`grow` reporting at the range's end only: one
-        wave, tallied in blocks of ``batch_size`` photons from *start* as
-        its completed prefix reaches them, and the rest at the end.
+        The drain of :meth:`grow` reporting at the range's end only
+        (:func:`grow_to_end`): one wave, tallied in blocks of
+        ``batch_size`` photons from *start* as its completed prefix
+        reaches them, and the rest at the end.
         """
-        from .simulator import SimulationResult, TraceStats
-
-        if forest is None:
-            forest = BinForest(config.policy)
-        stats = TraceStats()
-        # No multiple of the budget lies inside the range: one report.
-        step = max(config.n_photons, 1)
-        for _ in self.grow(config, forest, stats, start, step):
-            pass
         # An attached-plane engine has no scene object; the handle does
         # not carry the name, only the arrays.
         name = self.scene.name if self.scene is not None else "<attached-plane>"
-        return SimulationResult(forest, stats, config, name)
+        return grow_to_end(self, config, forest, start, name)

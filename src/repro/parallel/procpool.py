@@ -20,6 +20,13 @@ workers, and the parent builds the answer from the shards as they land:
   still tracing.  The tally is in-process CPU work and runs under
   :data:`repro.api.gate.KERNEL_GATE`; the waits on the workers do not.
 
+* **Prefixes as the engine reports them** — :meth:`PhotonPool.grow`
+  yields each report point (a stream's chunk boundaries) once the forest
+  holds exactly the photons below it, from one shard set, or for a long
+  stream from consecutive sets of at least a wave per worker, so a
+  caller can stop it within one set; :meth:`PhotonPool.run` is its
+  drain, always one set.
+
 One transport each way
 ----------------------
 :class:`PhotonPool` owns a persistent pool whose initializer attaches
@@ -99,15 +106,20 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
 from typing import Iterator, Optional
 
+import numpy as np
+
 from ..api.gate import KERNEL_GATE
 from ..api.program import SceneProgram
 from ..core.bintree import BinForest
 from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
+from ..core import vectorized
 from ..core.vectorized import (
     EventBatch,
     SceneArrays,
     VectorEngine,
     checked_range,
+    grow_to_end,
+    next_report,
     tally_block,
 )
 from . import resultplane, shmplane
@@ -259,24 +271,6 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _tally_shard(
-    forest: BinForest,
-    stats: TraceStats,
-    result: ShardResult,
-    plane: Optional[ResultPlane],
-) -> None:
-    """Replay one landed shard into *forest* and book its counters.
-
-    Reads the shard's block in place and runs the tally under the
-    kernel gate: it is CPU work in this process, unlike the wait that
-    delivered *result*.
-    """
-    events = shard_events(result, plane)
-    with KERNEL_GATE:
-        tally_block(forest, events, result.stats.photons)
-    stats.merge(result.stats)
-
-
 class _WorkerPool:
     """The worker processes behind :class:`PhotonPool`.
 
@@ -411,6 +405,59 @@ class PhotonPool:
             raise
         return self
 
+    def grow(
+        self, config: SimulationConfig, forest: BinForest, stats: TraceStats,
+        start: int, step: int,
+    ) -> Iterator[int]:
+        """Add photons ``start .. config.n_photons`` to *forest*, which
+        holds photons ``0 .. start``, with the contract of
+        :meth:`repro.core.vectorized.VectorEngine.grow`.
+
+        The range is traced in shard sets, one shard per worker.  A set
+        ends at the first report point at least one wave per worker
+        (``workers * PHOTONS_IN_FLIGHT`` photons) past its start, or at
+        the range's end when less than that would be left: a one-shot or
+        a short stream is one set, and a long stream reaches a report
+        point — where a caller can stop it — every few waves, with result
+        blocks sized to a set, not to the budget.  Each shard is tallied
+        as it lands, in shard order, under the kernel gate; a report
+        point inside a shard cuts it into blocks, zero-copy slices of its
+        canonically sorted events.  The waits on the workers and the
+        yields hold no gate.  *stats* counts every landed shard.  Closing
+        the generator early drains the running set's shards
+        (:meth:`_WorkerPool.starmap`).
+        """
+        start, count = checked_range(start, config.n_photons - start)
+        end = start + count
+        if not count:
+            yield end
+            return
+        least = self.config.workers * vectorized.PHOTONS_IN_FLIGHT
+        tallied = start
+        while tallied < end:
+            set_end = next_report(tallied + least - 1, step, end)
+            if end - set_end < least:
+                set_end = end
+            with self._shards(
+                config.fluorescence, config.seed, tallied, set_end - tallied
+            ) as landed:
+                for result in landed:
+                    stats.merge(result.stats)
+                    events = shard_events(result, self.result_blocks)
+                    shard_end = tallied + result.stats.photons
+                    while tallied < shard_end:
+                        stop = next_report(tallied, step, end)
+                        cut = min(stop, shard_end)
+                        lo, hi = np.searchsorted(events.gidx, (tallied, cut))
+                        with KERNEL_GATE:
+                            tally_block(
+                                forest, events.take(slice(lo, hi)),
+                                cut - tallied,
+                            )
+                        tallied = cut
+                        if cut == stop:
+                            yield stop
+
     def run(
         self,
         config: Optional[SimulationConfig] = None,
@@ -428,21 +475,12 @@ class PhotonPool:
         — the pool has exactly that many workers.  (Answers do not
         depend on it; that is the determinism contract.)
 
-        The parent tallies each shard as it lands, in shard order, under
-        the kernel gate; the waits on the workers run outside it.
+        The drain of :meth:`grow` reporting at the range's end only
+        (:func:`~repro.core.vectorized.grow_to_end`): one shard set, each
+        shard tallied whole as it lands.
         """
         config = config if config is not None else self.config
-        if forest is None:
-            forest = BinForest(config.policy)
-        start, count = checked_range(start, config.n_photons - start)
-        stats = TraceStats()
-        if count:
-            with self._shards(
-                config.fluorescence, config.seed, start, count
-            ) as landed:
-                for result in landed:
-                    _tally_shard(forest, stats, result, self.result_blocks)
-        return SimulationResult(forest, stats, config, self.program.scene.name)
+        return grow_to_end(self, config, forest, start, self.program.scene.name)
 
     @contextmanager
     def _closing_if_broken(self):
@@ -488,7 +526,7 @@ class PhotonPool:
 
         Yields an iterator over the shards' :class:`ShardResult`
         descriptors in shard order, each as soon as its shard lands —
-        the one trace path behind :meth:`run` (tally each shard as it
+        the one trace path behind :meth:`grow` (tally each shard as it
         lands) and :meth:`trace_range` (concatenate them).  A descriptor
         is read with :func:`repro.parallel.resultplane.shard_events`
         against ``self.result_blocks`` while the block is still open.
@@ -533,7 +571,7 @@ class PhotonPool:
         canonical events plus counters.
 
         The pool's events API, which serving does not use (a forest
-        grows through :meth:`run`, tallying each shard as it lands):
+        grows through :meth:`grow`, tallying each shard as it lands):
         the shards are concatenated
         (:func:`repro.parallel.resultplane.gather_shards`), canonical
         because they are contiguous and ascending, so tallying the block

@@ -444,7 +444,7 @@ class RenderService:
             pass  # client went away; per-route cleanup already ran
         except asyncio.CancelledError:
             raise
-        except Exception as exc:  # pragma: no cover — last-resort guard
+        except Exception as exc:  # last resort: a full /dev/shm, say
             print(f"repro-serve: handler error: {exc!r}", file=sys.stderr)
             try:
                 writer.write(

@@ -283,6 +283,18 @@ class TestRequestOptionsSplit:
         assert SimulateRequest(n_photons=10, seed=0).seed == 0
         assert SimulateRequest(n_photons=10, seed=2**48 - 1).seed == 2**48 - 1
 
+    @pytest.mark.parametrize("make", [
+        lambda n: SimulateRequest(n_photons=n),
+        lambda n: SimulationConfig(n_photons=n),
+    ], ids=["request", "config"])
+    def test_photons_past_the_substream_period_are_refused(self, make):
+        """Photon *i* + 2**28 would reuse photon *i*'s substream, so a
+        bigger budget would silently repeat samples."""
+        for n in (2**28 + 1, 10**10):
+            with pytest.raises(ValueError, match=r"at most 268435456 \(2\*\*28\)"):
+                make(n)
+        assert make(2**28).n_photons == 2**28
+
     @pytest.mark.parametrize("make, field", [
         (lambda v: SimulateRequest(n_photons=300, seed=v), "seed"),
         (lambda v: SimulateRequest(n_photons=v), "n_photons"),

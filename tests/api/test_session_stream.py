@@ -11,6 +11,7 @@ one-shot ``simulate`` of the same request — the canonical
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -23,6 +24,12 @@ from repro.core.convergence import forest_error_summary
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
 from tests.core.test_wave import spy_widths
+from tests.parallel.test_procpool import spy_shard_jobs
+
+
+needs_plane = pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
 
 
 def forest_bytes(result) -> str:
@@ -65,9 +72,7 @@ class TestStreamParity:
             *_, last = session.simulate_stream(REQUEST, batch_size=chunk)
         assert forest_bytes(last) == forest_bytes(one_shot)
 
-    @pytest.mark.skipif(
-        not plane_available(), reason="no multiprocessing.shared_memory here"
-    )
+    @needs_plane
     def test_stream_on_warm_pool(self, mini_scene):
         """Multi-process streaming matches the pool's one-shot answer."""
         options = SessionOptions(workers=2)
@@ -137,6 +142,31 @@ class TestStreamIsOneWave:
         assert forest_bytes(last) == one_shot
 
 
+@needs_plane
+class TestPooledStreamIsOneShardSet:
+    """On a pool a stream traces its budget as the one-shot request's
+    shard set, one shard per worker: chunk boundaries only report the
+    forest, so the stream pays one tail per worker, not one per chunk.
+    Tracing a shard set per chunk, these streams submitted 6, 20 and 6
+    shard jobs against the one-shot's 2."""
+
+    @pytest.mark.parametrize(
+        "n, chunk", [(750, 250), (10_000, 1_000), (10_000, None)]
+    )
+    def test_stream_submits_the_one_shot_shard_jobs(self, cornell, n, chunk):
+        request = SimulateRequest(n_photons=n)
+        with RenderSession(cornell, SessionOptions(workers=2)) as session:
+            session.simulate(SimulateRequest(n_photons=1))  # start the pool
+            jobs = spy_shard_jobs(session._pool)
+            one_shot = forest_bytes(session.simulate(request))
+            one_shot_jobs = len(jobs)
+            jobs.clear()
+            *_, last = session.simulate_stream(request, chunk)
+        assert one_shot_jobs == 2
+        assert len(jobs) == one_shot_jobs, jobs
+        assert forest_bytes(last) == one_shot
+
+
 #: (wave width, ``None`` for :data:`~repro.core.vectorized.PHOTONS_IN_FLIGHT`;
 #: chunk; budget): chunks that divide the width, that do not, and that
 #: exceed it.
@@ -149,10 +179,16 @@ REPORT_POINTS = [
 ]
 
 
+#: Worker counts a stream is checked on: the engine, and a pool where
+#: shared memory exists.
+STREAM_WORKERS = (1, 2) if plane_available() else (1,)
+
+
 class TestReportPoints:
     """Every yield of a stream is an exact prefix: its forest is a cold
     :meth:`~repro.api.RenderSession.simulate` of the photons it holds,
-    and a target stream stops at the check point ``simulate`` stops at."""
+    and a target stream stops at the check point ``simulate`` stops at,
+    on the engine and on a pool alike."""
 
     @pytest.mark.parametrize("targeted", [False, True], ids=["plain", "target"])
     @pytest.mark.parametrize("width, chunk, n", REPORT_POINTS)
@@ -163,9 +199,14 @@ class TestReportPoints:
             monkeypatch.setattr(vectorized, "PHOTONS_IN_FLIGHT", width)
         check = vectorized.PHOTONS_IN_FLIGHT
         with RenderSession(cornell) as cold:
+            prefixes = {}
 
             def prefix(photons):
-                return cold.simulate(SimulateRequest(n_photons=photons)).forest
+                if photons not in prefixes:
+                    prefixes[photons] = cold.simulate(
+                        SimulateRequest(n_photons=photons)
+                    ).forest
+                return prefixes[photons]
 
             target = None
             if targeted:
@@ -181,28 +222,34 @@ class TestReportPoints:
             one_shot = cold.simulate(request)
             assert one_shot.config.n_photons == (2 * check if targeted else n)
 
-            seen = []
-            with RenderSession(cornell) as session:
-                for result in session.simulate_stream(request, chunk):
-                    assert not KERNEL_GATE.locked()
-                    forest = result.forest
-                    seen.append((
-                        forest.photons_emitted, forest.leaf_count,
-                        forest.total_tallies, forest_bytes(result), result,
-                    ))
-            *progress, (_, _, _, final_bytes, last) = seen
-            for photons, leaves, tallies, got, _ in progress:
-                assert photons % chunk == 0
-                want = prefix(photons)
-                assert (leaves, tallies) == (want.leaf_count, want.total_tallies)
-                assert got == json.dumps(forest_to_dict(want), sort_keys=True)
-        assert [p[0] for p in progress] == list(
-            range(chunk, one_shot.config.n_photons, chunk)
-        )
-        assert final_bytes == forest_bytes(one_shot)
-        assert last.stats == one_shot.stats
-        assert last.config == one_shot.config
-        assert last.achieved_rel_error == one_shot.achieved_rel_error
+            for workers in STREAM_WORKERS:
+                seen = []
+                options = SessionOptions(workers=workers)
+                with RenderSession(cornell, options) as session:
+                    for result in session.simulate_stream(request, chunk):
+                        assert not KERNEL_GATE.locked()
+                        forest = result.forest
+                        seen.append((
+                            forest.photons_emitted, forest.leaf_count,
+                            forest.total_tallies, forest_bytes(result), result,
+                        ))
+                *progress, (_, _, _, final_bytes, last) = seen
+                for photons, leaves, tallies, got, _ in progress:
+                    assert photons % chunk == 0
+                    want = prefix(photons)
+                    assert (leaves, tallies) == (
+                        want.leaf_count, want.total_tallies
+                    )
+                    assert got == json.dumps(forest_to_dict(want), sort_keys=True)
+                assert [p[0] for p in progress] == list(
+                    range(chunk, one_shot.config.n_photons, chunk)
+                )
+                assert final_bytes == forest_bytes(one_shot)
+                assert last.stats == one_shot.stats
+                assert last.config == dataclasses.replace(
+                    one_shot.config, workers=workers
+                )
+                assert last.achieved_rel_error == one_shot.achieved_rel_error
 
     def test_report_points_take_no_memory_up_front(self, cornell):
         """Each report point is worked out as the wave reaches it: a budget

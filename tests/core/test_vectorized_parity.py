@@ -27,7 +27,11 @@ from repro.core import (
     photon_substream,
 )
 from repro.core import vectorized
-from repro.core.vectorized import VectorEngine, substream_states
+from repro.core.vectorized import (
+    MAX_PHOTONS,
+    VectorEngine,
+    substream_states,
+)
 from repro.geometry import Patch, Scene, Vec3
 from repro.paper.scalar import run_scalar, trace_photon
 from repro.scenes import cornell_box
@@ -180,6 +184,18 @@ class TestSubstreams:
 
     def test_empty_range(self):
         assert substream_states(1, 0, 0).size == 0
+
+    def test_substreams_repeat_after_max_photons(self):
+        """Photon *i* + ``MAX_PHOTONS`` starts where photon *i* does, one
+        2**48 period later, so no request holds more photons."""
+        assert MAX_PHOTONS == 2**28
+        for seed in (0, 0xC0FFEE):
+            assert substream_states(seed, 5 + MAX_PHOTONS, 1).tolist() == (
+                substream_states(seed, 5, 1).tolist()
+            )
+            assert substream_states(seed, 4 + MAX_PHOTONS, 1).tolist() != (
+                substream_states(seed, 5, 1).tolist()
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -18,10 +18,12 @@ from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core import vectorized
 from repro.core.bintree import BinForest
+from repro.core.simulator import TraceStats
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
 from repro.paper.distributed import merge_rank_forests
 from repro.parallel import procpool
 from repro.parallel.procpool import PhotonPool
+from repro.parallel.resultplane import block_capacity
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 
@@ -38,6 +40,19 @@ def pool_run(scene, config: SimulationConfig):
     """*config* traced on a fresh :class:`PhotonPool` over *scene*."""
     with PhotonPool(SceneProgram.compile(scene), config) as pool:
         return pool.run()
+
+
+def spy_shard_jobs(pool: PhotonPool) -> list:
+    """The shard jobs *pool* submits from now on, in submission order."""
+    jobs = []
+    starmap = pool._pool.starmap
+
+    def spy(fn, shard_jobs):
+        jobs.extend(shard_jobs)
+        return starmap(fn, shard_jobs)
+
+    pool._pool.starmap = spy
+    return jobs
 
 
 def _in_flight() -> int:
@@ -97,6 +112,68 @@ class TestWorkerInvariance:
             SimulationConfig(n_photons=photons, seed=7)
         )
         assert _forest_bytes(result.forest) == _forest_bytes(serial.forest)
+
+    @pytest.mark.parametrize("start", [0, 50])
+    def test_grow_reports_exact_prefixes_from_one_shard_set(
+        self, cornell, start
+    ):
+        """``grow`` yields each multiple of its step inside the range, and
+        the range's end, once the forest holds exactly the photons below
+        it (a cold ``run``'s forest for that budget), from the one shard
+        set ``run`` submits: its report points cut no shard job."""
+        config = SimulationConfig(n_photons=500, seed=13, workers=2)
+        head = SimulationConfig(n_photons=start, seed=13)
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
+            ran = pool.run(config, pool.run(head).forest, start)
+            forest = pool.run(head).forest
+            jobs = spy_shard_jobs(pool)
+            stats = TraceStats()
+            yielded = []
+            for stop in pool.grow(config, forest, stats, start, 111):
+                yielded.append(stop)
+                cold = VectorEngine(cornell).run(
+                    SimulationConfig(n_photons=stop, seed=13)
+                )
+                assert _forest_bytes(forest) == _forest_bytes(cold.forest)
+                assert stats.photons >= stop - start
+        assert yielded == [111, 222, 333, 444, 500]
+        assert len(jobs) == 2
+        assert stats == ran.stats
+
+    def test_long_grow_runs_shard_sets_of_a_wave_per_worker(self, cornell):
+        """A long range with report points inside runs as consecutive
+        shard sets, each ending at the first report point at least one
+        wave per worker (2 × 4,096 photons) on, the last taking what
+        would leave less: a caller can stop it after one set, and the
+        result blocks hold a set's shard, not half the budget.  ``run``
+        over the same range is still one set."""
+        config = SimulationConfig(n_photons=40_000, seed=13, workers=2)
+        with PhotonPool(SceneProgram.compile(cornell), config) as pool:
+            jobs = spy_shard_jobs(pool)
+            forest, stats = BinForest(config.policy), TraceStats()
+            steps = pool.grow(config, forest, stats, 0, 4_096)
+            assert next(steps) == 4_096
+            assert len(jobs) == 2
+            assert pool.result_blocks.handle.capacity == (
+                block_capacity(4_096)
+            )
+            assert list(steps)[-1] == 40_000
+            assert pool.result_blocks.handle.capacity == (
+                block_capacity(7_712)
+            )
+            assert [(job[2], job[3]) for job in jobs] == [
+                (0, 4_096), (4_096, 4_096),
+                (8_192, 4_096), (12_288, 4_096),
+                (16_384, 4_096), (20_480, 4_096),
+                (24_576, 7_712), (32_288, 7_712),
+            ]
+            jobs.clear()
+            ran = pool.run(config)
+        assert [(job[2], job[3]) for job in jobs] == [
+            (0, 20_000), (20_000, 20_000)
+        ]
+        assert _forest_bytes(forest) == _forest_bytes(ran.forest)
+        assert stats == ran.stats
 
     def test_zero_photons(self, cornell):
         config = SimulationConfig(

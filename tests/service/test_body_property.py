@@ -70,11 +70,14 @@ def _point_field():
 
 #: Field -> (valid draw, refused draw).
 SIMULATE_FIELDS = {
-    # A budget's upper bound is a service concern (deadline), not a
-    # validation rule, so big valid budgets are simply not drawn.
+    # A budget past MAX_PHOTONS (2**28) would repeat substreams, so it
+    # is refused; big valid budgets cost only time and are not drawn.
     "photons": (
         st.integers(0, 300),
-        st.one_of(st.integers(max_value=-1), ANY_FLOAT, NOT_A_NUMBER),
+        st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=2**28 + 1),
+            ANY_FLOAT, NOT_A_NUMBER,
+        ),
     ),
     "seed": _int_field(st.integers(0, 2**48 - 1), 0, 2**48 - 1),
     "sigma": (st.floats(0.5, 6.0), REFUSED_NUMBER),

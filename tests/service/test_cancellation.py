@@ -19,6 +19,7 @@ import pytest
 from repro.api import RenderSession, SessionOptions, SimulateRequest
 from repro.api.gate import KERNEL_GATE
 from repro.core import forest_to_dict
+from repro.parallel import procpool
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.service import ServiceConfig, ServiceThread, simulate_path
 
@@ -27,6 +28,16 @@ needs_plane = pytest.mark.skipif(
 )
 
 REQUEST = SimulateRequest(n_photons=600, seed=0xD15C)
+
+#: How long a held-back shard waits before it traces: far longer than
+#: its sibling takes to land.
+LATE_SHARD_S = 0.5
+
+
+def _late_shard(delay: float, *job):
+    """A pooled shard job that starts tracing *delay* seconds late."""
+    time.sleep(delay)
+    return procpool._trace_shard_pooled(*job)
 
 
 class TestSessionLevel:
@@ -65,6 +76,46 @@ class TestSessionLevel:
         assert json.dumps(forest_to_dict(again.forest)) == (
             json.dumps(forest_to_dict(cold.forest))
         )
+
+    @needs_plane
+    def test_closing_a_pooled_stream_mid_shard_set(self, cornell, monkeypatch):
+        """A pooled stream is one shard set: its first yield comes once
+        shard 0 has landed, here with shard 1 held back and still
+        running.  Closed there, the stream waits that shard out, so no
+        job outlives it, the gate is free, the session's next request
+        answers a fresh session's bytes, and nothing stays in
+        ``/dev/shm``."""
+        request = SimulateRequest(n_photons=3_000, seed=0xD15C)
+        options = SessionOptions(workers=2)
+        with RenderSession(cornell, options) as session:
+            session.simulate(SimulateRequest(n_photons=1))  # start the pool
+            executor = session._pool._pool._executor
+            real_submit = executor.submit
+            futures = []
+
+            def submit(fn, *args):
+                if fn is procpool._trace_shard_pooled and args[-1] == 1:
+                    fn, args = _late_shard, (LATE_SHARD_S, *args)
+                futures.append(real_submit(fn, *args))
+                return futures[-1]
+
+            monkeypatch.setattr(executor, "submit", submit)
+            stream = session.simulate_stream(request, 500)
+            partial = next(stream)
+            assert partial.forest.photons_emitted == 500
+            assert partial.stats.photons == 1_500  # shard 0 has landed
+            assert [f.done() for f in futures] == [True, False]
+            stream.close()
+            assert all(f.done() for f in futures)
+            assert not KERNEL_GATE.locked()
+            monkeypatch.setattr(executor, "submit", real_submit)
+            again = session.simulate(request)
+        with RenderSession(cornell, options) as fresh_session:
+            fresh = fresh_session.simulate(request)
+        assert json.dumps(forest_to_dict(again.forest)) == (
+            json.dumps(forest_to_dict(fresh.forest))
+        )
+        assert leaked_segments() == []
 
     @needs_plane
     def test_multiprocess_stream_cancel_keeps_shm_clean(self, mini_scene):

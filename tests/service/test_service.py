@@ -24,6 +24,7 @@ import pytest
 from repro.api import RenderSession, SceneProgram, SessionOptions, SimulateRequest
 from repro.api.gate import KERNEL_GATE
 from repro.core import save_answer
+from repro.parallel import resultplane
 from repro.parallel.shmplane import leaked_segments, plane_available
 from repro.scenes import get_scene
 from repro.service import (
@@ -221,6 +222,45 @@ class TestAdmission:
         assert last["error"]["code"] == "deadline-exceeded"
         assert "truncated" in last["error"]["message"]
 
+    @pytest.mark.skipif(
+        not plane_available(), reason="no multiprocessing.shared_memory here"
+    )
+    def test_pooled_stream_deadline_truncates_within_a_shard_set(
+        self, tmp_path
+    ):
+        """A pooled stream reaches a report point every shard set of a
+        wave per worker, so a deadline cuts a 2M-photon ``workers=2``
+        stream within about one set past it (tracing the budget's one
+        shard set first would take seconds), and the session it held
+        serves the next request's CLI bytes at once."""
+        config = ServiceConfig(
+            scenes=("cornell-box",), port=0, sessions_per_scene=1,
+            options=SessionOptions(workers=2),
+        )
+        with ServiceThread(config) as service:
+            service.request(
+                "POST", simulate_path("cornell-box"), {"photons": 10}
+            )
+            began = time.perf_counter()
+            status, _, body = service.request(
+                "POST",
+                simulate_path("cornell-box", stream=True),
+                {"photons": 2_000_000, "deadline": 0.3},
+                timeout=120,
+            )
+            took = time.perf_counter() - began
+            assert status == 200
+            last = json.loads(body.strip().split(b"\n")[-1])
+            assert last["error"]["code"] == "deadline-exceeded"
+            assert took < 1.5  # ~0.31 s here; one shard set: ~3.2 s
+            status, _, body = service.request(
+                "POST", simulate_path("cornell-box"), {"photons": 300},
+                timeout=10,
+            )
+            assert status == 200
+            assert body == reference_bytes("cornell-box", 300, tmp_path)
+        assert leaked_segments() == []
+
     @pytest.mark.parametrize("route", ["stream", "oneshot", "render"])
     def test_deadline_spent_in_the_queue_is_504_before_headers(
         self, service, monkeypatch, route
@@ -348,6 +388,73 @@ class TestEvictionInFlight:
         assert leaked_segments() == []
 
 
+@pytest.mark.skipif(
+    not plane_available(), reason="no multiprocessing.shared_memory here"
+)
+class TestShmExhaustion:
+    """``/dev/shm`` full when a pooled request's result blocks are made:
+    a one-shot answers a JSON 500 and a stream ends with an in-band error
+    line and a clean chunked terminator.  Neither leaves a result segment
+    behind, and the next request serves the CLI's bytes."""
+
+    def test_enospc_fails_one_request_and_the_next_serves(
+        self, tmp_path, enospc_once
+    ):
+        spec = "cornell-box"
+        config = ServiceConfig(
+            scenes=(spec,), port=0, sessions_per_scene=1,
+            options=SessionOptions(workers=2),
+        )
+        baseline = set(leaked_segments())
+
+        def live_segments() -> int:
+            return len(set(leaked_segments()) - baseline)
+
+        with ServiceThread(config) as service:
+            refused = enospc_once(resultplane)
+            status, headers, body = service.request(
+                "POST", simulate_path(spec), {"photons": 300}
+            )
+            assert status == 500
+            assert headers["content-type"] == "application/json"
+            assert json.loads(body)["error"]["code"] == "internal-error"
+            assert not KERNEL_GATE.locked()
+            assert live_segments() == 1  # the scene plane, no result block
+
+            status, _, body = service.request(
+                "POST", simulate_path(spec), {"photons": 300}
+            )
+            assert status == 200
+            assert body == reference_bytes(spec, 300, tmp_path)
+            assert not KERNEL_GATE.locked()
+            assert live_segments() == 2
+
+            # A bigger budget regrows the blocks: that allocation fails.
+            refused_regrow = enospc_once(resultplane)
+            streamed = {"photons": 2_000, "batch": 500}
+            status, headers, body = service.request(
+                "POST", simulate_path(spec, stream=True), streamed
+            )
+            assert status == 200
+            assert headers["content-type"] == "application/x-ndjson"
+            [line] = body.strip().split(b"\n")
+            assert json.loads(line)["error"]["code"] == "internal-error"
+            assert not KERNEL_GATE.locked()
+            assert live_segments() == 1
+
+            status, _, body = service.request(
+                "POST", simulate_path(spec, stream=True), streamed
+            )
+            assert status == 200
+            lines = body.strip().split(b"\n")
+            assert len(lines) == 4
+            assert lines[-1] == reference_bytes(spec, 2_000, tmp_path)
+            assert not KERNEL_GATE.locked()
+            assert live_segments() == 2
+        assert (len(refused), len(refused_regrow)) == (1, 1)
+        assert set(leaked_segments()) == baseline
+
+
 class TestRouting:
     def test_unserved_scene_404(self, service):
         status, _, body = service.request(
@@ -392,6 +499,24 @@ class TestRouting:
         )
         assert status == 400
         assert "seed must lie in [0, 2**48)" in json.loads(body)["error"]["message"]
+
+    def test_photons_past_the_substream_period_400(self, service):
+        """Refused before a session is taken: ``pool.acquired`` holds."""
+
+        def acquired() -> int:
+            _, _, body = service.request("GET", "/stats")
+            return json.loads(body)["scenes"]["cornell-box"]["pool"]["acquired"]
+
+        # Admit the scene so its pool counters exist.
+        service.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        before = acquired()
+        status, _, body = service.request(
+            "POST", simulate_path("cornell-box"), {"photons": 10**10}
+        )
+        assert status == 400
+        message = json.loads(body)["error"]["message"]
+        assert "n_photons must be at most 268435456" in message
+        assert acquired() == before
 
     def test_non_object_body_400(self, service):
         status, _, _ = service.request(

@@ -44,6 +44,15 @@ class TestParser:
         assert "seed must lie in [0, 2**48)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_photons_past_the_substream_period_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "a.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "cornell-box", "--photons", str(2**28 + 1),
+                  "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "n_photons must be at most 268435456" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         # The engine picks the intersection accelerator.
         (["simulate", "cornell-box", "--accel", "flat"], "--accel"),
