@@ -51,7 +51,7 @@ from ..core.convergence import forest_error_summary
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..core.bintree import BinForest
-    from ..core.simulator import SimulationConfig, TraceStats
+    from ..core.simulator import SimulationConfig
 
 __all__ = [
     "DEFAULT_FOREST_CACHE_ENTRIES",
@@ -82,19 +82,19 @@ def trace_key(config: "SimulationConfig") -> tuple:
 class CachedTrace:
     """An immutable-by-convention cached trace: the ``n``-photon forest.
 
-    The forest and stats objects are shared with every
-    :class:`SimulationResult` served from this entry — the cold serve
-    that stored it and each later hit that traced nothing; consumers
-    must deep-copy before extending them (the top-up path does), never
-    mutate them in place.
+    The forest, trace counts included
+    (:attr:`~repro.core.bintree.BinForest.trace_stats`), is shared with
+    every :class:`SimulationResult` served from this entry — the cold
+    serve that stored it and each later hit that traced nothing;
+    consumers must deep-copy before extending it (the top-up path does),
+    never mutate it in place.
     """
 
-    __slots__ = ("n", "forest", "stats", "_median_error")
+    __slots__ = ("n", "forest", "_median_error")
 
-    def __init__(self, n: int, forest: "BinForest", stats: "TraceStats") -> None:
+    def __init__(self, n: int, forest: "BinForest") -> None:
         self.n = n
         self.forest = forest
-        self.stats = stats
         self._median_error: Optional[float] = None
 
     def median_relative_error(self) -> float:
@@ -174,9 +174,7 @@ class ForestCache:
                 if not flight[1]:
                     del self._flights[key]
 
-    def store(
-        self, key: tuple, n: int, forest: "BinForest", stats: "TraceStats"
-    ) -> None:
+    def store(self, key: tuple, n: int, forest: "BinForest") -> None:
         """Record the *n*-photon forest for *key* if it grows the entry.
 
         Only monotonically growing budgets are kept (a smaller forest
@@ -189,7 +187,7 @@ class ForestCache:
             current = self._entries.get(key)
             if current is not None and current.n >= n:
                 return
-            self._entries[key] = CachedTrace(n, forest, stats)
+            self._entries[key] = CachedTrace(n, forest)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

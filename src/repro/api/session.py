@@ -41,7 +41,11 @@ sets of at least a wave per worker, each ending at a report point.
 Both report prefixes alike, with ``run`` when only the segment's end
 reports and ``grow`` when a stream reports at chunk boundaries inside
 it.  A stream's chunks are report points of its trace, not traces of
-their own.
+their own.  Trace counts ride in the forest: each tallied block books
+its own (:func:`~repro.core.vectorized.tally_block`), so a result — a
+stream's every yield, a cache hit and a top-up included — copies its
+``stats`` off its forest, and they count exactly the photons the forest
+holds.  No method passes counts to another.
 
 Amortization (``SessionOptions(amortize=True)``): requests go through
 the program's :class:`~repro.api.amortize.ForestCache`, the only
@@ -94,7 +98,7 @@ import numpy as np
 from ..core import vectorized
 from ..core.bintree import BinForest
 from ..core.convergence import forest_error_summary
-from ..core.simulator import SimulationConfig, SimulationResult, TraceStats
+from ..core.simulator import SimulationConfig, SimulationResult
 from ..geometry.scene import Scene
 from .amortize import CachedTrace, trace_key
 from .gate import KERNEL_GATE
@@ -376,8 +380,8 @@ class RenderSession:
         traced either half.
 
         Sharing rule: a cached forest is never mutated.  A serve with
-        nothing to trace returns ``entry.forest``/``entry.stats`` as
-        they are; :meth:`_extend` copies them before extending them.
+        nothing to trace returns ``entry.forest`` as it is;
+        :meth:`_extend` copies it before extending it.
 
         Concurrency rule, whatever the worker count: one lock-free
         lookup, and an entry that answers the request (an exact repeat,
@@ -397,32 +401,29 @@ class RenderSession:
         usable = n if target is None else min(n, vectorized.PHOTONS_IN_FLIGHT)
         entry = cache.lookup(key, usable) if cache is not None else None
         if cache is None or _answers(entry, n, target):
-            forest, stats, done, achieved = self._extend(request, config, entry)
+            forest, done, achieved = self._extend(request, config, entry)
         else:
             with cache.flight(key):
                 entry = cache.lookup(key, usable)
-                forest, stats, done, achieved = self._extend(
-                    request, config, entry
-                )
-                cache.store(key, done, forest, stats)
+                forest, done, achieved = self._extend(request, config, entry)
+                cache.store(key, done, forest)
         reused = entry.n if entry is not None else 0
         if cache is not None:
             cache.record_serve(reused, done - reused, done < n)
         self.last_photons_traced = done - reused
-        return self._answer(config, target, forest, stats, done, achieved)
+        return self._answer(config, target, forest, done, achieved)
 
-    def _answer(
-        self, config, target, forest, stats, done, achieved
-    ) -> SimulationResult:
+    def _answer(self, config, target, forest, done, achieved) -> SimulationResult:
         """The result for *forest*, which holds photons ``0 .. done``:
-        the exact answer for the photons traced, with the budget and the
-        error reached when the request set a *target*."""
+        the exact answer for the photons traced, with their counts copied
+        off the forest, and the budget and the error reached when the
+        request set a *target*."""
         if target is not None and achieved is None:
             # An empty budget takes no step; measure the empty forest.
             achieved = forest_error_summary(forest).median_relative_error
         return SimulationResult(
             forest,
-            stats,
+            dataclasses.replace(forest.trace_stats),
             dataclasses.replace(config, n_photons=done),
             self.scene.name,
             photons_requested=config.n_photons if target is not None else None,
@@ -437,10 +438,11 @@ class RenderSession:
     ) -> tuple:
         """Grow *entry*'s prefix (or an empty forest) towards the budget.
 
-        Returns ``(forest, stats, done, achieved)``: the photons in the
-        forest, and its median relative error when the request set a
+        Returns ``(forest, done, achieved)``: the forest, the photons it
+        holds, and its median relative error when the request set a
         target (else ``None``).  An entry that already answers is
-        returned as it is, shared; anything else is copied, then grown.
+        returned as it is, shared; anything else is copied, trace counts
+        and all, then grown.
 
         The missing range goes through :meth:`_grow` with no report
         point inside a segment: without a target it is one segment — one
@@ -453,24 +455,23 @@ class RenderSession:
             achieved = (
                 entry.median_relative_error() if target is not None else None
             )
-            return entry.forest, entry.stats, entry.n, achieved
+            return entry.forest, entry.n, achieved
         if entry is None:
-            forest, stats, done = BinForest(config.policy), TraceStats(), 0
+            forest, done = BinForest(config.policy), 0
         else:
             # Un-share the cached prefix this serve is about to extend.
             with KERNEL_GATE:
                 forest = copy.deepcopy(entry.forest)
-            stats, done = dataclasses.replace(entry.stats), entry.n
+            done = entry.n
         achieved = None
-        steps = self._grow(
-            config, target, forest, stats, done, config.n_photons
-        )
-        for done, achieved in steps:
+        for done, achieved in self._grow(
+            config, target, forest, done, config.n_photons
+        ):
             pass
-        return forest, stats, done, achieved
+        return forest, done, achieved
 
     def _grow(
-        self, config, target, forest, stats, done: int, step: int
+        self, config, target, forest, done: int, step: int
     ) -> Iterator[tuple]:
         """The one chunk loop: extend *forest* from photon *done* towards
         ``config.n_photons``, reporting at each multiple of *step*.
@@ -484,19 +485,23 @@ class RenderSession:
         pool, and its report points
         are its multiples of *step* and its end.  Yields ``(done, error)``
         at each report point, once the forest holds exactly photons
-        ``0 .. done`` — *error* the forest's median per-bin relative
-        error at a segment's end under a target, else ``None`` — and ends
-        at the budget or after the segment that meets the target.
+        ``0 .. done`` and their trace counts — *error* the forest's
+        median per-bin relative error at a segment's end under a target,
+        else ``None`` — and ends at the budget or after the segment that
+        meets the target.
         :meth:`_extend` drains it, one report point per segment;
         :meth:`_stream` yields between its report points.  Contiguous
         ascending tallies keep the global tally sequence canonical, so
-        where segments and report points fall moves no byte.
+        where segments and report points fall moves no byte, and no
+        count.  The segments stay: a check point ends the wave, because a
+        wave refilled past it would hold the photons below it back until
+        photons far past it had been emitted.
         """
         n, check = config.n_photons, vectorized.PHOTONS_IN_FLIGHT
         while done < n:
             end = n if target is None else min((done // check + 1) * check, n)
             segment = dataclasses.replace(config, n_photons=end)
-            for done in self._trace(segment, forest, done, stats, step):
+            for done in self._trace(segment, forest, done, step):
                 error = None
                 if target is not None and done == end:
                     with KERNEL_GATE:
@@ -508,12 +513,12 @@ class RenderSession:
 
     def _trace(
         self, config: SimulationConfig, forest: BinForest, start: int,
-        stats: TraceStats, step: int,
+        step: int,
     ) -> Iterator[int]:
         """Add photons ``start .. config.n_photons`` to *forest* on the
-        warm tracer, counted into *stats*; yields each multiple of *step*
-        inside the range, and its end, once the forest holds exactly the
-        photons below it.
+        warm tracer; yields each multiple of *step* inside the range, and
+        its end, once the forest holds exactly the photons below it and
+        their trace counts.
 
         Engine and pool differ only in who takes the gate; each kernel
         section holds it, nothing else does, and none spans a yield.
@@ -532,15 +537,14 @@ class RenderSession:
         if config.workers > 1:
             pool = self._warm_pool(config)
             if one_report:
-                stats.merge(pool.run(config, forest, start).stats)
+                pool.run(config, forest, start)
                 yield end
             else:
-                yield from pool.grow(config, forest, stats, start, step)
+                yield from pool.grow(config, forest, start, step)
             return
         if one_report:
             with KERNEL_GATE:
-                engine = self._engine_for(config.fluorescence)
-                stats.merge(engine.run(config, forest, start).stats)
+                self._engine_for(config.fluorescence).run(config, forest, start)
             yield end
             return
         wave, stop = None, start
@@ -548,7 +552,7 @@ class RenderSession:
             with KERNEL_GATE:
                 if wave is None:
                     engine = self._engine_for(config.fluorescence)
-                    wave = engine.grow(config, forest, stats, start, step)
+                    wave = engine.grow(config, forest, start, step)
                 stop = next(wave)
             yield stop
 
@@ -588,10 +592,9 @@ class RenderSession:
         photons traced as ``config.n_photons``, their ``stats``,
         ``photons_requested`` and ``achieved_rel_error`` under a target.
         Every earlier yield carries the whole budget as
-        ``config.n_photons``, more than its forest holds, and ``stats``
-        counting what the tracer has traced so far: the wave's emitted
-        photons in process, every landed shard's on a pool, on either
-        some photons past the chunk boundary.
+        ``config.n_photons``, more than its forest holds, and the
+        ``stats`` of exactly the photons its forest holds: a cold
+        :meth:`simulate` of its prefix's counts.
         """
         self._check_open()
         chunk = batch_size
@@ -619,20 +622,23 @@ class RenderSession:
         (a pool's unfinished shards are cancelled or waited out).
         The segment that meets a convergence target is the last; a
         segment end between chunk boundaries (a target's check) yields
-        nothing.
+        nothing.  Each yield copies its counts off the forest, so
+        they stay its prefix's as the forest grows on.
         """
         n, target = config.n_photons, request.target_rel_error
-        forest, stats = BinForest(config.policy), TraceStats()
-        steps = self._grow(config, target, forest, stats, 0, chunk)
+        forest = BinForest(config.policy)
         done, error = 0, None
-        for done, error in steps:
+        for done, error in self._grow(config, target, forest, 0, chunk):
             if done == n or (error is not None and error <= target):
                 break
             if done % chunk == 0:
-                yield SimulationResult(forest, stats, config, self.scene.name)
+                yield SimulationResult(
+                    forest, dataclasses.replace(forest.trace_stats), config,
+                    self.scene.name,
+                )
         if done < n and self._forest_cache is not None:
             self._forest_cache.record_serve(0, 0, True)
-        yield self._answer(config, target, forest, stats, done, error)
+        yield self._answer(config, target, forest, done, error)
 
     def render_view(
         self,

@@ -10,13 +10,15 @@ axis selection in :mod:`repro.core.binning`.  A forest takes events one
 at a time (:meth:`BinForest.tally`, the scalar engine and the oracle) or
 a whole block at once, across all its trees (:meth:`BinForest.tally_groups`,
 every batched replay); the two build the same forest, node for node.
+A forest also carries the :class:`TraceStats` of the photons tallied
+into it, booked per block by :func:`repro.core.vectorized.tally_block`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterator, Optional
@@ -32,6 +34,7 @@ from .binning import NUM_AXES, TWO_PI, BinCoords, BinNode
 from .photon import NUM_BANDS
 
 __all__ = [
+    "TraceStats",
     "SplitPolicy",
     "BinTree",
     "BinForest",
@@ -478,6 +481,40 @@ def _fill(leaves: list, owners: list, trees: list, rows: np.ndarray,
     return triggers
 
 
+@dataclass
+class TraceStats:
+    """What a set of photons did: how many were emitted, reflected,
+    absorbed, escaped the scene or stopped at the bounce cap.
+
+    A served result's counts describe exactly the photons its forest
+    holds (:attr:`BinForest.trace_stats`), so any prefix of a trace has
+    its own.  Every photon ends in one of three ways, so ``escapes +
+    absorptions + bounce_limit_hits == photons``.
+    """
+
+    photons: int = 0
+    reflections: int = 0
+    absorptions: int = 0
+    escapes: int = 0  # photons that left the scene without hitting anything
+    bounce_limit_hits: int = 0
+
+    def merge(self, other: "TraceStats") -> None:
+        """Accumulate another counter set into this one."""
+        self.photons += other.photons
+        self.reflections += other.reflections
+        self.absorptions += other.absorptions
+        self.escapes += other.escapes
+        self.bounce_limit_hits += other.bounce_limit_hits
+
+    def since(self, before: "TraceStats") -> "TraceStats":
+        """The counts added since *before*, an earlier copy of these."""
+        return TraceStats(*(a - b for a, b in zip(astuple(self), astuple(before))))
+
+    @property
+    def mean_bounces(self) -> float:
+        return self.reflections / self.photons if self.photons else 0.0
+
+
 class BinForest:
     """All bin trees of a scene plus global tally bookkeeping.
 
@@ -496,6 +533,10 @@ class BinForest:
         #: set by the simulator and required for radiance normalisation.
         self.photons_emitted = 0
         self.band_emitted = [0] * NUM_BANDS
+        #: What the photons tallied in did, booked per block by
+        #: :func:`repro.core.vectorized.tally_block`.  Not in an answer
+        #: file, so a loaded forest (or a paper-tier one) carries none.
+        self.trace_stats = TraceStats()
 
     def tree(
         self,
@@ -676,5 +717,6 @@ class BinForest:
         clone.band_tallies = self.band_tallies.copy()
         clone.photons_emitted = self.photons_emitted
         clone.band_emitted = self.band_emitted.copy()
+        clone.trace_stats = replace(self.trace_stats)
         return clone
 

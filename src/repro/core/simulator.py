@@ -1,7 +1,8 @@
 """The run record every engine shares: config, counters and result.
 
 :class:`SimulationConfig` is what a traced answer was made from,
-:class:`TraceStats` counts what the photons did, and
+:class:`TraceStats` (defined beside the forest that carries it, in
+:mod:`repro.core.bintree`) counts what the photons did, and
 :class:`SimulationResult` carries the answer forest with both.  Serving
 builds the config with :func:`repro.api.merge_config` and traces it
 with the vector engine (:mod:`repro.core.vectorized`) on per-photon
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .bintree import BinForest, SplitPolicy
+from .bintree import BinForest, SplitPolicy, TraceStats
 from .vectorized import MAX_PHOTONS
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard for typing only
@@ -87,29 +88,6 @@ class SimulationConfig:
 
 
 @dataclass
-class TraceStats:
-    """Aggregate counters across photon traces."""
-
-    photons: int = 0
-    reflections: int = 0
-    absorptions: int = 0
-    escapes: int = 0  # photons that left the scene without hitting anything
-    bounce_limit_hits: int = 0
-
-    def merge(self, other: "TraceStats") -> None:
-        """Accumulate another counter set into this one."""
-        self.photons += other.photons
-        self.reflections += other.reflections
-        self.absorptions += other.absorptions
-        self.escapes += other.escapes
-        self.bounce_limit_hits += other.bounce_limit_hits
-
-    @property
-    def mean_bounces(self) -> float:
-        return self.reflections / self.photons if self.photons else 0.0
-
-
-@dataclass
 class SimulationResult:
     """Output of a simulation run: the answer forest plus run counters.
 
@@ -122,6 +100,11 @@ class SimulationResult:
     original budget and :attr:`achieved_rel_error` the median per-bin
     relative error the run reached (set whenever a target was given,
     early-stopped or not).
+
+    A session's result copies ``stats`` off its forest
+    (:attr:`BinForest.trace_stats`), so the counts describe exactly the
+    photons the forest holds, every stream yield's prefix included.  An
+    engine's or pool's ``run`` counts only the photons that call added.
     """
 
     forest: BinForest

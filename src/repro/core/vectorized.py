@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -93,12 +93,12 @@ from ..geometry.vec import Vec3, orthonormal_basis
 from ..rng import Lcg48
 from ..rng.lcg import INCREMENT, MODULUS, MULTIPLIER, _affine_power
 from .binning import TWO_PI
-from .bintree import BinForest, SplitPolicy
+from .bintree import BinForest, SplitPolicy, TraceStats
 from .photon import NUM_BANDS
 
 if TYPE_CHECKING:  # pragma: no cover — import-cycle guard
     from .fluorescence import FluorescenceSpec
-    from .simulator import SimulationResult, TraceStats
+    from .simulator import SimulationResult
 
 __all__ = [
     "SUBSTREAM_SPACING_BITS",
@@ -112,6 +112,7 @@ __all__ = [
     "Lanes",
     "VectorEngine",
     "apply_events",
+    "block_stats",
     "tally_block",
     "next_report",
     "grow_to_end",
@@ -229,6 +230,9 @@ _MASK64 = _U64(_MASK)
 #: Mirrors ``repro.paper.physics._GLOSS_RETRIES``.
 _GLOSS_RETRIES = 8
 
+#: No photon indices: a wave pass in which no lane escaped.
+_NO_PHOTONS = np.empty(0, dtype=np.int64)
+
 
 def photon_substream(seed: int, index: int) -> Lcg48:
     """The private scalar RNG stream of photon *index*.
@@ -293,18 +297,21 @@ def grow_to_end(
     config.n_photons`` with only the range's end reporting.
 
     *forest* holds photons ``0 .. start`` (``None``: a fresh one);
-    ``result.stats`` counts only this call's photons.
+    ``result.stats`` counts only this call's photons: what the forest
+    booked over the call.
     """
-    from .simulator import SimulationResult, TraceStats
+    from .simulator import SimulationResult
 
     if forest is None:
         forest = BinForest(config.policy)
-    stats = TraceStats()
+    before = replace(forest.trace_stats)
     # No multiple of the budget lies inside the range: one report.
     step = max(config.n_photons, 1)
-    for _ in tracer.grow(config, forest, stats, start, step):
+    for _ in tracer.grow(config, forest, start, step):
         pass
-    return SimulationResult(forest, stats, config, scene_name)
+    return SimulationResult(
+        forest, forest.trace_stats.since(before), config, scene_name
+    )
 
 
 def _atan2_theta(ly: np.ndarray, lx: np.ndarray) -> np.ndarray:
@@ -757,22 +764,50 @@ def apply_events(forest: BinForest, events: EventBatch) -> None:
         forest.tally_groups(*_tree_groups(events))
 
 
-def tally_block(forest: BinForest, block: EventBatch, photons: int) -> None:
-    """Replay one traced block, book its emissions.
+def block_stats(block: EventBatch, photons: int, escapes: int) -> TraceStats:
+    """The trace counts of *photons* whole photons whose events are
+    *block* and of which *escapes* left the scene.
+
+    Each photon makes one emission row and one row per reflection, and
+    a photon reaches the bounce cap exactly when it makes a row with
+    ``seq == MAX_BOUNCES``; a photon that neither escaped nor reached
+    the cap was absorbed.
+    """
+    from .simulator import MAX_BOUNCES
+
+    capped = int(np.count_nonzero(np.asarray(block.seq) == MAX_BOUNCES))
+    return TraceStats(
+        photons=photons,
+        reflections=len(block) - photons,
+        absorptions=photons - escapes - capped,
+        escapes=escapes,
+        bounce_limit_hits=capped,
+    )
+
+
+def tally_block(
+    forest: BinForest, block: EventBatch, photons: int, escapes: int
+) -> None:
+    """Replay one traced block of *photons* whole photons, *escapes* of
+    which escaped; book its emissions and its trace counts.
 
     The single place the per-block forest bookkeeping lives — shared by
-    :meth:`VectorEngine.run` (one block per completed prefix), the
-    pool's per-shard tally and tests — so emission accounting cannot
-    drift between them.  The replay is :func:`apply_events`, which puts
-    the block in canonical order itself: chunking a photon range into
-    blocks of any size gives the same forest, because each block is
-    replayed exactly as its rows one at a time would be.
+    :meth:`VectorEngine.grow` (one block per completed prefix), the
+    pool's per-block tally and tests — so neither emission accounting
+    nor trace counting can drift between them: a forest's
+    :attr:`~repro.core.bintree.BinForest.trace_stats` count exactly the
+    photons tallied into it (:func:`block_stats`).  The replay is
+    :func:`apply_events`, which puts the block in canonical order
+    itself: chunking a photon range into blocks of any size gives the
+    same forest, because each block is replayed exactly as its rows one
+    at a time would be.
     """
     apply_events(forest, block)
     counts = block.emission_band_counts()
     forest.photons_emitted += photons
     for b in range(NUM_BANDS):
         forest.band_emitted[b] += counts[b]
+    forest.trace_stats.merge(block_stats(block, photons, escapes))
 
 
 class VectorEngine:
@@ -1492,36 +1527,38 @@ class VectorEngine:
             em["s"], em["t"], em["theta"], em["r2"], band,
         )
 
-    def step(self, lanes: Lanes, stats: "TraceStats") -> tuple[Lanes, EventBatch]:
+    def step(self, lanes: Lanes) -> tuple[Lanes, EventBatch, np.ndarray]:
         """The wave's second pass: move every lane one bounce on.
 
         Lanes at the bounce cap retire first; the rest find their closest
         hit, and those that hit roll the roulette.  Returns the lanes
-        still in flight, in their input order, and one reflection tally
-        event for each.  Escapes, absorptions, reflections and cap hits
-        are counted into *stats*.
+        still in flight, in their input order, one reflection tally
+        event for each, and the photon indices of the lanes that escaped
+        the scene, ascending.  Nothing is counted here: a block's counts
+        are read off its events and escapes when it is tallied
+        (:func:`block_stats`).
         """
         from .simulator import MAX_BOUNCES
 
         A = self.arrays
         capped = lanes.bounces >= MAX_BOUNCES
         if capped.any():
-            stats.bounce_limit_hits += int(capped.sum())
             lanes = lanes.take(~capped)
         gidx, states, px, py, pz, dx, dy, dz, band, bounces = lanes.columns()
         if not gidx.size:
-            return lanes, EventBatch.empty()
+            return lanes, EventBatch.empty(), _NO_PHOTONS
 
         pi, t_hit = self.closest_hit(px, py, pz, dx, dy, dz)
         hit = pi >= 0
+        escaped = _NO_PHOTONS
         if not hit.all():
-            stats.escapes += int(hit.size - np.count_nonzero(hit))
+            escaped = gidx[~hit]
             (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit) = (
                 a[hit] for a in (gidx, states, px, py, pz, dx, dy, dz, band, bounces, pi, t_hit)
             )
         n = gidx.size
         if not n:
-            return Lanes.empty(), EventBatch.empty()
+            return Lanes.empty(), EventBatch.empty(), escaped
 
         hx, hy, hz, hs, ht, backface = self.hit_attributes(
             px, py, pz, dx, dy, dz, pi, t_hit
@@ -1578,8 +1615,6 @@ class VectorEngine:
                                      out_dx, out_dy, out_dz, reflected)
 
         ridx = np.nonzero(reflected)[0]
-        stats.reflections += ridx.size
-        stats.absorptions += n - ridx.size
         pi, bounces = pi[ridx], bounces[ridx] + 1
         dx, dy, dz = out_dx[ridx], out_dy[ridx], out_dz[ridx]
         gidx, band = gidx[ridx], new_band[ridx]
@@ -1588,11 +1623,12 @@ class VectorEngine:
             Lanes(gidx, states[ridx], hx[ridx], hy[ridx], hz[ridx],
                   dx, dy, dz, band, bounces),
             EventBatch(gidx, bounces, pi, hs[ridx], ht[ridx], theta, r2, band),
+            escaped,
         )
 
     def _wave(
-        self, seed: int, start: int, count: int, stats: "TraceStats"
-    ) -> Iterator[tuple[EventBatch, int]]:
+        self, seed: int, start: int, count: int
+    ) -> Iterator[tuple[EventBatch, np.ndarray, int]]:
         """Trace photons ``start .. start+count`` as one refilled wave.
 
         At most ``batch_size`` lanes are in flight.  Before every
@@ -1600,11 +1636,11 @@ class VectorEngine:
         :meth:`emit`-ting the range's next photons, so only the range's
         last photons trace a narrowing tail.  Lanes stay in photon order:
         a step keeps its survivors' order and fresh photons join at the
-        end.  Yields each pass's events with the photon index below which
-        every photon has finished (the lowest one in flight), so every
-        event of the photons below it has been yielded.  Each lane draws
-        from its own substream, so no event depends on which photons
-        share a step.
+        end.  Yields each pass's events and escaped photon indices with
+        the photon index below which every photon has finished (the
+        lowest one in flight), so every event and escape of the photons
+        below it has been yielded.  Each lane draws from its own
+        substream, so no event depends on which photons share a step.
         """
         end = start + count
         fresh = start
@@ -1614,28 +1650,36 @@ class VectorEngine:
             if room and fresh < end:
                 joined, events = self.emit(seed, fresh, min(room, end - fresh))
                 fresh += joined.size
-                stats.photons += joined.size
                 lanes = lanes.extend(joined)
-                yield events, int(lanes.gidx[0])
-            lanes, events = self.step(lanes, stats)
-            yield events, int(lanes.gidx[0]) if lanes.size else fresh
+                yield events, _NO_PHOTONS, int(lanes.gidx[0])
+            lanes, events, escaped = self.step(lanes)
+            yield events, escaped, int(lanes.gidx[0]) if lanes.size else fresh
 
-    def trace_range(
+    def trace_events(
         self, seed: int, start: int, count: int
-    ) -> tuple[EventBatch, "TraceStats"]:
-        """Trace photons ``start .. start+count``; their events + stats.
+    ) -> tuple[EventBatch, np.ndarray]:
+        """Trace photons ``start .. start+count``: their events and the
+        indices of those that escaped the scene, ascending.
 
         The events of one refilled wave (:meth:`_wave`), concatenated in
         the order they were traced; replays sort them canonically.  A
-        pool worker's shard job: it ships events, where :meth:`run`
+        pool worker's shard job: it ships both, where :meth:`grow`
         tallies them into a forest as the wave goes.
         """
-        from .simulator import TraceStats
-
         start, count = checked_range(start, count)
-        stats = TraceStats()
-        blocks = [events for events, _ in self._wave(seed, start, count, stats)]
-        return EventBatch.concat(blocks), stats
+        blocks, escaped = [], [_NO_PHOTONS]
+        for events, gone, _ in self._wave(seed, start, count):
+            blocks.append(events)
+            escaped.append(gone)
+        return EventBatch.concat(blocks), np.sort(np.concatenate(escaped))
+
+    def trace_range(
+        self, seed: int, start: int, count: int
+    ) -> tuple[EventBatch, TraceStats]:
+        """Trace photons ``start .. start+count``; their events and
+        counts (:meth:`trace_events`, :func:`block_stats`)."""
+        events, escaped = self.trace_events(seed, start, count)
+        return events, block_stats(events, count, escaped.size)
 
     def _diffuse_emit(self, states, rows, pi, backface, snx, sny, snz,
                       out_dx, out_dy, out_dz) -> None:
@@ -1711,45 +1755,49 @@ class VectorEngine:
     # -- driver ---------------------------------------------------------------
 
     def grow(
-        self, config, forest: BinForest, stats: "TraceStats", start: int,
-        step: int,
+        self, config, forest: BinForest, start: int, step: int
     ) -> Iterator[int]:
         """Add photons ``start .. config.n_photons`` to *forest*, which
         holds photons ``0 .. start``, as one wave, reporting at each
         multiple of *step* inside the range and at its end.
 
-        The range is one wave (:meth:`_wave`), counted into *stats*.  Its
-        events are tallied by completed prefix: once every photon below
-        some index has finished, its events go through
-        :func:`tally_block`, in blocks of at most ``batch_size`` photons
-        cut from the last report point on and at every report point; only
-        the events of photons above the prefix wait.  Yields each report
-        point once the forest holds exactly photons ``0 .. point``: the
+        The range is one wave (:meth:`_wave`).  Its events and escapes
+        are tallied by completed prefix: once every photon below some
+        index has finished, they go through :func:`tally_block`, in
+        blocks of at most ``batch_size`` photons cut from the last report
+        point on and at every report point; only those of photons above
+        the prefix wait.  Yields each report point once the forest holds
+        exactly photons ``0 .. point``, their trace counts included: the
         per-photon replay's forest, since each block is a contiguous
-        photon range.  *stats* then counts every photon the wave has
-        emitted so far, some of them past the point, and at the end
-        exactly the range's.  Each point is worked out as it is reached,
-        so a small *step* over a large range costs no memory up front.
+        photon range.  Each point is worked out as it is reached, so a
+        small *step* over a large range costs no memory up front.
         """
         start, count = checked_range(start, config.n_photons - start)
         end = start + count
-        wave = self._wave(config.seed, start, count, stats)
+        wave = self._wave(config.seed, start, count)
         held: list[EventBatch] = []
+        fled: list[np.ndarray] = []  # escaped photons not yet tallied
         tallied = done = start
         while True:
             stop = next_report(tallied, step, end)
             while tallied < stop:
                 cut = min(tallied + self.batch_size, stop)
                 while done < cut:
-                    events, done = next(wave)
+                    events, escaped, done = next(wave)
                     held.append(events)
+                    fled.append(escaped)
                 rest = held[0] if len(held) == 1 else EventBatch.concat(held)
                 # Only the block and the rest live through the tally.
                 held.clear()
                 inside = rest.gidx < cut
                 block, rest = rest.take(inside), rest.take(~inside)
                 held.append(rest)
-                tally_block(forest, block, cut - tallied)
+                escaped = np.concatenate(fled)
+                gone = escaped < cut
+                fled = [escaped[~gone]]
+                tally_block(
+                    forest, block, cut - tallied, int(np.count_nonzero(gone))
+                )
                 tallied = cut
             yield stop
             if stop == end:

@@ -17,8 +17,11 @@ workers, and the parent builds the answer from the shards as they land:
   replays each one into the forest
   (:func:`repro.core.vectorized.tally_block`) straight from a zero-copy
   view of its block, so shard *k* is tallied while later shards are
-  still tracing.  The tally is in-process CPU work and runs under
-  :data:`repro.api.gate.KERNEL_GATE`; the waits on the workers do not.
+  still tracing.  Each tallied block books its own trace counts, read
+  off its rows and its escaped photons' column, so the forest's counts
+  are always those of the photons it holds.  The tally is in-process
+  CPU work and runs under :data:`repro.api.gate.KERNEL_GATE`; the waits
+  on the workers do not.
 
 * **Prefixes as the engine reports them** — :meth:`PhotonPool.grow`
   yields each report point (a stream's chunk boundaries) once the forest
@@ -253,13 +256,15 @@ def _trace_shard_pooled(
     """Pool target for persistent workers: trace on the worker's engine
     for *fluorescence*.
 
-    The canonical events land in result block *slot* and only the
-    descriptor returns, with the minor page faults the trace and the
-    pack took.
+    The canonical events and the escaped photons' indices land in
+    result block *slot* and only the descriptor returns, with the minor
+    page faults the trace and the pack took.
     """
     before = _minor_faults()
-    events, stats = _pool_engine(fluorescence).trace_range(seed, start, count)
-    result = pack_shard(events.sorted_canonical(), stats, result_handle, slot)
+    events, escaped = _pool_engine(fluorescence).trace_events(seed, start, count)
+    result = pack_shard(
+        events.sorted_canonical(), escaped, count, result_handle, slot
+    )
     result.faults = _minor_faults() - before
     return result
 
@@ -406,8 +411,8 @@ class PhotonPool:
         return self
 
     def grow(
-        self, config: SimulationConfig, forest: BinForest, stats: TraceStats,
-        start: int, step: int,
+        self, config: SimulationConfig, forest: BinForest, start: int,
+        step: int,
     ) -> Iterator[int]:
         """Add photons ``start .. config.n_photons`` to *forest*, which
         holds photons ``0 .. start``, with the contract of
@@ -422,10 +427,11 @@ class PhotonPool:
         blocks sized to a set, not to the budget.  Each shard is tallied
         as it lands, in shard order, under the kernel gate; a report
         point inside a shard cuts it into blocks, zero-copy slices of its
-        canonically sorted events.  The waits on the workers and the
-        yields hold no gate.  *stats* counts every landed shard.  Closing
-        the generator early drains the running set's shards
-        (:meth:`_WorkerPool.starmap`).
+        canonically sorted events and of its ascending escaped photons.
+        Each block books its own trace counts, so at every report point
+        the forest's counts are its photons'.  The waits on the workers
+        and the yields hold no gate.  Closing the generator early drains
+        the running set's shards (:meth:`_WorkerPool.starmap`).
         """
         start, count = checked_range(start, config.n_photons - start)
         end = start + count
@@ -442,17 +448,20 @@ class PhotonPool:
                 config.fluorescence, config.seed, tallied, set_end - tallied
             ) as landed:
                 for result in landed:
-                    stats.merge(result.stats)
                     events = shard_events(result, self.result_blocks)
-                    shard_end = tallied + result.stats.photons
+                    escaped = self.result_blocks.escaped(
+                        result.slot, result.escapes
+                    )
+                    shard_end = tallied + result.photons
                     while tallied < shard_end:
                         stop = next_report(tallied, step, end)
                         cut = min(stop, shard_end)
                         lo, hi = np.searchsorted(events.gidx, (tallied, cut))
+                        gone = np.searchsorted(escaped, (tallied, cut))
                         with KERNEL_GATE:
                             tally_block(
                                 forest, events.take(slice(lo, hi)),
-                                cut - tallied,
+                                cut - tallied, int(gone[1] - gone[0]),
                             )
                         tallied = cut
                         if cut == stop:

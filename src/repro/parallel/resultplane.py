@@ -14,15 +14,18 @@ blocks scale them with the worker count instead:
 * Each trace job writes its canonically sorted events straight into its
   block (:func:`pack_shard` — the columns of
   :data:`repro.core.vectorized.EVENT_FIELDS` via
-  :meth:`EventBatch.export_fields`) and returns a tiny
-  :class:`ShardResult` descriptor: ``(slot, count, stats)``, a few
-  hundred bytes regardless of budget.
+  :meth:`EventBatch.export_fields`), and the indices of its escaped
+  photons into one more column, and returns a tiny :class:`ShardResult`
+  descriptor: ``(slot, count, photons, escapes)``, a few hundred bytes
+  regardless of budget.
 * The parent reads each shard through a **zero-copy view** over the
-  same bytes (:func:`shard_events` / :meth:`ResultPlane.view`) and
-  tallies it in place as it lands — a whole budget, a top-up and a
-  stream chunk alike; only a caller that wants the events themselves
-  concatenates the shards (:func:`gather_shards`).  The whole request
-  crosses the process boundary in O(workers) descriptors.
+  same bytes (:func:`shard_events` / :meth:`ResultPlane.view`,
+  :meth:`ResultPlane.escaped`) and tallies it in place as it lands — a
+  whole budget, a top-up and a stream chunk alike, the trace counts of
+  each tallied block read off its rows and escapes; only a caller that
+  wants the events themselves concatenates the shards
+  (:func:`gather_shards`).  The whole request crosses the process
+  boundary in O(workers) descriptors.
 
 Blocks are keyed by **job slot**, not worker identity: the executor
 may hand two shards to one process, and slot-addressed blocks make that
@@ -71,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.simulator import MAX_BOUNCES, TraceStats
-from ..core.vectorized import EVENT_FIELDS, EventBatch
+from ..core.vectorized import EVENT_FIELDS, EventBatch, block_stats
 from .shmplane import SegmentOwner, allocate_segment, attach_segment
 
 __all__ = [
@@ -93,14 +96,21 @@ def block_capacity(photons_per_shard: int) -> int:
     return photons_per_shard * (MAX_BOUNCES + 1)
 
 
+#: A block's columns: the events', then the shard's escaped photon
+#: indices, ascending.  Every column holds ``capacity`` rows; a shard
+#: has no more escapes than events, so the last always fits too.
+_BLOCK_FIELDS = EVENT_FIELDS + (("escaped", "<i8"),)
+
+
 @dataclass(frozen=True)
 class ResultBlockHandle:
     """Everything a worker needs to write a result block.
 
     Pickles in a few hundred bytes regardless of budget: the payload
     lives in the named segment.  ``column_offsets`` places each
-    :data:`~repro.core.vectorized.EVENT_FIELDS` column *within* a block;
-    block *i* starts at ``i * block_stride``.
+    :data:`~repro.core.vectorized.EVENT_FIELDS` column, then the escaped
+    photons' column, *within* a block; block *i* starts at ``i *
+    block_stride``.
 
     Attributes:
         segment: Shared-memory segment name.
@@ -123,7 +133,7 @@ def _block_layout(capacity: int) -> tuple[tuple[tuple[str, str, int], ...], int]
 
     offsets = []
     off = 0
-    for name, dt in EVENT_FIELDS:
+    for name, dt in _BLOCK_FIELDS:
         off = _aligned(off)
         offsets.append((name, dt, off))
         off += capacity * np.dtype(dt).itemsize
@@ -201,6 +211,11 @@ class ResultPlane(SegmentOwner):
             {name: cols[name][:count] for name, _ in EVENT_FIELDS}
         )
 
+    def escaped(self, slot: int, count: int) -> np.ndarray:
+        """Zero-copy view of block *slot*'s first *count* escaped photon
+        indices, valid as long as :meth:`view`'s."""
+        return self._views[slot]["escaped"][:count]
+
     def close(self) -> None:
         # Views into the buffer must die before SharedMemory.close() —
         # an exported pointer makes close() raise BufferError.
@@ -212,15 +227,17 @@ class ResultPlane(SegmentOwner):
 class ShardResult:
     """What one trace job sends back: a descriptor, not the events.
 
-    The shard's *count* events sit in result block *slot*, so this
-    object pickles in a few hundred bytes.  *faults* is the minor page
-    faults the worker took tracing and packing the shard (0 where
-    nothing measured them).
+    The shard's *count* events and the indices of its *escapes* escaped
+    photons sit in result block *slot*, so this object pickles in a few
+    hundred bytes.  *photons* is the shard's photon count.  *faults* is
+    the minor page faults the worker took tracing and packing the shard
+    (0 where nothing measured them).
     """
 
     slot: int
     count: int
-    stats: TraceStats
+    photons: int
+    escapes: int
     faults: int = 0
 
     @property
@@ -228,8 +245,7 @@ class ShardResult:
         """Always ``False``: a shard always fits its block.
 
         Stays only for the benchmark's ``resultplane.overflows`` row,
-        which reads it, until the benchmark change of ROADMAP item 3
-        removes that row.
+        which reads it, until the benchmark change that drops that row.
         """
         return False
 
@@ -266,11 +282,14 @@ def detach_worker_blocks() -> None:
 
 def pack_shard(
     events: EventBatch,
-    stats: TraceStats,
+    escaped: np.ndarray,
+    photons: int,
     handle: ResultBlockHandle,
     slot: int,
 ) -> ShardResult:
-    """Copy one shard's events into result block *slot*; its descriptor.
+    """Copy one shard of *photons* photons — its events and its escaped
+    photons' indices, ascending — into result block *slot*; its
+    descriptor.
 
     The single worker-side exit point of the trace phase.  The block
     was sized by :func:`block_capacity`, so the events always fit.
@@ -280,7 +299,10 @@ def pack_shard(
     block = _attach_blocks(handle)[slot]
     for name, _ in EVENT_FIELDS:
         block[name][:n] = fields[name]
-    return ShardResult(slot=slot, count=n, stats=stats)
+    block["escaped"][:escaped.size] = escaped
+    return ShardResult(
+        slot=slot, count=n, photons=photons, escapes=int(escaped.size)
+    )
 
 
 def shard_events(result: ShardResult, plane: Optional[ResultPlane]) -> EventBatch:
@@ -303,12 +325,12 @@ def gather_shards(
     the concat, which also frees the blocks for recycling by the next
     request.  Shards cover contiguous ascending photon ranges and each
     arrives canonically sorted, so the concatenation is globally
-    canonical.
+    canonical.  The counts are read off the batch
+    (:func:`~repro.core.vectorized.block_stats`).
     """
-    stats = TraceStats()
-    for r in results:
-        stats.merge(r.stats)
-    return EventBatch.concat([shard_events(r, plane) for r in results]), stats
+    events = EventBatch.concat([shard_events(r, plane) for r in results])
+    photons = sum(r.photons for r in results)
+    return events, block_stats(events, photons, sum(r.escapes for r in results))
 
 
 def wire_bytes(results: Sequence[ShardResult]) -> int:

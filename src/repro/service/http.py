@@ -5,7 +5,8 @@ repo's no-new-hard-deps rule), so this module implements the small HTTP
 subset the service needs over ``asyncio`` streams:
 
 * :func:`read_request` — parse one request (request line, headers, and a
-  ``Content-Length`` body capped at the caller's byte budget).
+  ``Content-Length`` body capped at the caller's byte budget; a request
+  framed any other way is refused, so no body is ever misread).
 * :func:`response_bytes` — serialize a full non-streaming response.
 * :func:`start_chunked` / :func:`write_chunk` / :func:`end_chunked` —
   ``Transfer-Encoding: chunked`` framing for progressive streaming
@@ -97,8 +98,11 @@ async def read_request(
     """Parse one request from *reader*; ``None`` on a closed connection.
 
     Raises:
-        BadRequest: on an unparsable request line or header block, or a
-            line longer than the reader's limit.
+        BadRequest: on an unparsable request line or header block, a
+            line longer than the reader's limit, a ``Transfer-Encoding``
+            header (a body is framed by ``Content-Length`` only: read
+            any other way, a chunked body would be served as no body),
+            or a ``Content-Length`` that is not plain ASCII digits.
         PayloadTooLarge: when ``Content-Length`` exceeds *max_body*.
     """
     try:
@@ -126,12 +130,17 @@ async def read_request(
             raise BadRequest(f"malformed header line: {raw!r}")
         headers[name.strip().lower()] = value.strip()
 
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise BadRequest("Content-Length is not an integer") from None
-    if length < 0:
-        raise BadRequest("Content-Length is negative")
+    if "transfer-encoding" in headers:
+        raise BadRequest(
+            "Transfer-Encoding is not supported; send a Content-Length body"
+        )
+    raw_length = headers.get("content-length", "0")
+    # int() would also take "+10", "1_0" and non-ASCII digits.
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise BadRequest(
+            f"Content-Length is not a non-negative integer: {raw_length!r}"
+        )
+    length = int(raw_length)
     if length > max_body:
         raise PayloadTooLarge(
             f"request body of {length} bytes exceeds the {max_body}-byte cap"

@@ -432,6 +432,8 @@ class RenderService:
                     reader, self.config.max_body_bytes
                 )
             except ServiceError as exc:
+                if isinstance(exc, BadRequest):
+                    self.bad_requests += 1
                 writer.write(
                     http.json_response(exc.status, exc.to_payload())
                 )

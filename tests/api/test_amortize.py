@@ -41,6 +41,7 @@ from repro.core.bintree import SplitPolicy
 from repro.core.vectorized import VectorEngine
 from repro.parallel.shmplane import plane_available
 from repro.scenes import get_scene
+from tests.api.test_session_stream import assert_counts_describe_the_forest
 from tests.core.test_wave import spy_widths
 from tests.scenehelpers import build_mini_scene
 
@@ -86,7 +87,7 @@ class TestTraceKey:
 class TestForestCacheMechanics:
     def test_lookup_only_returns_reusable_prefixes(self):
         cache = ForestCache()
-        cache.store(("k",), 200, "forest", "stats")
+        cache.store(("k",), 200, "forest")
         assert cache.lookup(("k",), 500).n == 200  # smaller seeds larger
         assert cache.lookup(("k",), 200).n == 200  # equal: exact hit
         assert cache.lookup(("k",), 100) is None  # cannot truncate
@@ -94,19 +95,19 @@ class TestForestCacheMechanics:
 
     def test_store_keeps_only_growth(self):
         cache = ForestCache()
-        cache.store(("k",), 200, "big", "s1")
-        cache.store(("k",), 100, "small", "s2")  # ignored: shrinks
-        cache.store(("k",), 0, "none", "s3")  # ignored: empty
+        cache.store(("k",), 200, "big")
+        cache.store(("k",), 100, "small")  # ignored: shrinks
+        cache.store(("k",), 0, "none")  # ignored: empty
         assert cache.lookup(("k",), 200).forest == "big"
-        cache.store(("k",), 300, "bigger", "s4")
+        cache.store(("k",), 300, "bigger")
         assert cache.lookup(("k",), 300).forest == "bigger"
 
     def test_bounded_lru_eviction(self):
         cache = ForestCache(max_entries=2)
-        cache.store(("a",), 1, "fa", "s")
-        cache.store(("b",), 1, "fb", "s")
+        cache.store(("a",), 1, "fa")
+        cache.store(("b",), 1, "fb")
         assert cache.lookup(("a",), 9) is not None  # refresh a
-        cache.store(("c",), 1, "fc", "s")  # b is LRU now
+        cache.store(("c",), 1, "fc")  # b is LRU now
         assert cache.lookup(("b",), 9) is None
         assert cache.lookup(("a",), 9) is not None
         assert cache.lookup(("c",), 9) is not None
@@ -125,8 +126,8 @@ class TestForestCacheMechanics:
         assert snap["camera_only_hits"] == 1
 
     def test_entry_is_shared_not_copied(self):
-        trace = CachedTrace(5, "forest", "stats")
-        assert (trace.n, trace.forest, trace.stats) == (5, "forest", "stats")
+        trace = CachedTrace(5, "forest")
+        assert (trace.n, trace.forest) == (5, "forest")
 
 
 #: A fresh scene (so a fresh program and cache) for each accelerator the
@@ -284,7 +285,7 @@ class TestSharedHits:
             again = session.simulate(SimulateRequest(n_photons=200))
             assert again.forest is first.forest
             assert again.forest is cached_entry(session, request).forest
-            assert again.stats is first.stats
+            assert again.stats == first.stats
             assert engine.patch_tests == tested
             assert session.requests_served == 2
         assert deepcopies == []
@@ -534,7 +535,7 @@ class TestColdServeIsOneWave:
                 assert 0 < len(widths) <= 20, widths
             else:
                 landed = session._pool.last_shard_results
-                assert [r.stats.photons for r in landed] == shards
+                assert [r.photons for r in landed] == shards
         assert forest_bytes(result) == expected
         entry = program.forest_cache().lookup(trace_key(result.config), 10_000)
         assert entry is not None and entry.n == 10_000
@@ -557,6 +558,42 @@ class TestColdServeIsOneWave:
         # and the last of three chunks landed as [404, 404] shards.
         self.check_one_wave(cornell, workers, 1_000, [4_500, 4_500])
         assert gathers == []
+
+
+class TestCountsFollowTheForest:
+    """A result's trace counts are read off its forest, so a cold serve,
+    an exact hit, a top-up and an early stop each count exactly the
+    photons they answer with, as a fresh non-amortized session does."""
+
+    #: ``(request, photons traced)`` in serving order on one program:
+    #: cold, exact hit, top-up, an early stop the cache answers, an
+    #: early stop topped up from the cache, and a top-up of that.
+    ROUTES = [
+        (SimulateRequest(n_photons=3_000, seed=5), 3_000),
+        (SimulateRequest(n_photons=3_000, seed=5), 0),
+        (SimulateRequest(n_photons=4_096, seed=5), 1_096),
+        (SimulateRequest(n_photons=50_000, seed=5, target_rel_error=0.2), 0),
+        (SimulateRequest(n_photons=50_000, seed=5, target_rel_error=0.125),
+         4_096),
+        (SimulateRequest(n_photons=10_000, seed=5), 1_808),
+    ]
+
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_plane),
+    ])
+    def test_every_route_counts_its_photons(self, cornell, workers):
+        options = SessionOptions(workers=workers, amortize=True)
+        with RenderSession(cornell, SessionOptions(workers=workers)) as plain, \
+                RenderSession(SceneProgram(cornell), options) as session:
+            traced = []
+            for request, _ in self.ROUTES:
+                result = session.simulate(request)
+                traced.append(session.last_photons_traced)
+                assert_counts_describe_the_forest(result)
+                fresh = plain.simulate(request)
+                assert result.config.n_photons == fresh.config.n_photons
+                assert result.stats == fresh.stats
+        assert traced == [photons for _, photons in self.ROUTES]
 
 
 class TestEarlyStop:

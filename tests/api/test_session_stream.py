@@ -36,6 +36,19 @@ def forest_bytes(result) -> str:
     return json.dumps(forest_to_dict(result.forest), sort_keys=True)
 
 
+def assert_counts_describe_the_forest(result) -> None:
+    """*result*'s trace counts are those of the photons its forest holds:
+    one emission tally per photon, one tally per reflection, and every
+    photon ending in exactly one way."""
+    stats, forest = result.stats, result.forest
+    assert stats.photons == forest.photons_emitted
+    assert stats.photons + stats.reflections == forest.total_tallies
+    assert (
+        stats.escapes + stats.absorptions + stats.bounce_limit_hits
+        == stats.photons
+    )
+
+
 REQUEST = SimulateRequest(n_photons=230, seed=0xC0FFEE)
 
 #: Every surface the stream serves single-process: (wave width, ``None``
@@ -185,10 +198,10 @@ STREAM_WORKERS = (1, 2) if plane_available() else (1,)
 
 
 class TestReportPoints:
-    """Every yield of a stream is an exact prefix: its forest is a cold
-    :meth:`~repro.api.RenderSession.simulate` of the photons it holds,
-    and a target stream stops at the check point ``simulate`` stops at,
-    on the engine and on a pool alike."""
+    """Every yield of a stream is an exact prefix: its forest and its
+    trace counts are a cold :meth:`~repro.api.RenderSession.simulate` of
+    the photons it holds, and a target stream stops at the check point
+    ``simulate`` stops at, on the engine and on a pool alike."""
 
     @pytest.mark.parametrize("targeted", [False, True], ids=["plain", "target"])
     @pytest.mark.parametrize("width, chunk, n", REPORT_POINTS)
@@ -205,7 +218,7 @@ class TestReportPoints:
                 if photons not in prefixes:
                     prefixes[photons] = cold.simulate(
                         SimulateRequest(n_photons=photons)
-                    ).forest
+                    )
                 return prefixes[photons]
 
             target = None
@@ -213,7 +226,9 @@ class TestReportPoints:
                 # Between the first two check points' errors: a cold
                 # request stops at the second one.
                 first, second = (
-                    forest_error_summary(prefix(k * check)).median_relative_error
+                    forest_error_summary(
+                        prefix(k * check).forest
+                    ).median_relative_error
                     for k in (1, 2)
                 )
                 assert second < first
@@ -228,19 +243,22 @@ class TestReportPoints:
                 with RenderSession(cornell, options) as session:
                     for result in session.simulate_stream(request, chunk):
                         assert not KERNEL_GATE.locked()
+                        assert_counts_describe_the_forest(result)
                         forest = result.forest
                         seen.append((
                             forest.photons_emitted, forest.leaf_count,
                             forest.total_tallies, forest_bytes(result), result,
                         ))
                 *progress, (_, _, _, final_bytes, last) = seen
-                for photons, leaves, tallies, got, _ in progress:
+                for photons, leaves, tallies, got, result in progress:
                     assert photons % chunk == 0
                     want = prefix(photons)
                     assert (leaves, tallies) == (
-                        want.leaf_count, want.total_tallies
+                        want.forest.leaf_count, want.forest.total_tallies
                     )
-                    assert got == json.dumps(forest_to_dict(want), sort_keys=True)
+                    assert got == forest_bytes(want)
+                    # Read after the stream: a yield keeps its own counts.
+                    assert result.stats == want.stats
                 assert [p[0] for p in progress] == list(
                     range(chunk, one_shot.config.n_photons, chunk)
                 )

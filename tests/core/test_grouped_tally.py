@@ -371,13 +371,14 @@ class TestTracedEvents:
             )
 
     def test_tally_block_books_emissions_once(self, cornell):
-        events, _ = VectorEngine(cornell).trace_range(3, 0, 300)
+        events, stats = VectorEngine(cornell).trace_range(3, 0, 300)
         forest = BinForest(SplitPolicy())
-        tally_block(forest, events, 300)
+        tally_block(forest, events, 300, stats.escapes)
         counts = forest.band_emitted
         assert forest.photons_emitted == 300 == sum(counts)
         assert all(isinstance(c, int) for c in counts)
         assert forest.total_tallies == len(events)
+        assert forest.trace_stats == stats
         forest.check_invariants()
 
 
@@ -388,7 +389,9 @@ class TestTransientMemory:
         cornell events (about 7,700 rows) peaks under 3x the block's own
         bytes."""
         seed = SimulationConfig(n_photons=1).seed
-        block, _ = VectorEngine(cornell).trace_range(seed, 0, PHOTONS_IN_FLIGHT)
+        block, stats = VectorEngine(cornell).trace_range(
+            seed, 0, PHOTONS_IN_FLIGHT
+        )
         events_bytes = sum(getattr(block, name).nbytes for name, _ in EVENT_FIELDS)
         forest = BinForest(SplitPolicy())
         tracing = tracemalloc.is_tracing()
@@ -396,7 +399,7 @@ class TestTransientMemory:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            tally_block(forest, block, PHOTONS_IN_FLIGHT)
+            tally_block(forest, block, PHOTONS_IN_FLIGHT, stats.escapes)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -444,7 +447,7 @@ class TestValidation:
             apply_events(forest, bad)
         assert snapshot(forest) == before
         with pytest.raises(ValueError, match=message):
-            tally_block(forest, bad, 400)
+            tally_block(forest, bad, 400, 0)
         assert snapshot(forest) == before
         with pytest.raises(ValueError, match=message):  # the oracle's error
             scalar_replay(BinForest(), bad)

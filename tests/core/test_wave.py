@@ -83,9 +83,9 @@ def check_prefix_tallies(monkeypatch, cornell, batch_size, start):
     blocks = []
     real = vectorized.tally_block
 
-    def tally_block(forest, block, photons):
+    def tally_block(forest, block, photons, escapes):
         blocks.append((block.gidx.copy(), block.seq.copy(), photons))
-        real(forest, block, photons)
+        real(forest, block, photons, escapes)
 
     monkeypatch.setattr(vectorized, "tally_block", tally_block)
     result = engine.run(config, prefix, start)
@@ -122,18 +122,18 @@ def test_grow_reports_exact_prefixes_from_one_wave(cornell, start):
     ran = engine.run(config, before, start)
     one_wave = list(widths)
     widths.clear()
-    stats = TraceStats()
     yielded = []
-    for stop in engine.grow(config, forest, stats, start, 111):
+    for stop in engine.grow(config, forest, start, 111):
         yielded.append(stop)
         cold = VectorEngine(cornell).run(
             SimulationConfig(n_photons=stop, seed=13)
         )
         assert forest_to_dict(forest) == forest_to_dict(cold.forest)
-        assert stats.photons >= stop - start
+        assert forest.trace_stats == cold.stats
     assert yielded == [111, 222, 333, 444, 500]
     assert widths == one_wave
-    assert stats == ran.stats
+    assert forest.trace_stats == before.trace_stats
+    assert ran.stats.photons == 500 - start
 
 
 def test_one_wave_wider_than_the_budget_serves_the_same_bytes(
@@ -172,9 +172,9 @@ def test_run_and_trace_range_agree(cornell):
     ran = engine.run(config)
     events, stats = engine.trace_range(21, 0, 900)
     forest = BinForest(config.policy)
-    vectorized.tally_block(forest, events, 900)
+    vectorized.tally_block(forest, events, 900, stats.escapes)
     assert forest_to_dict(ran.forest) == forest_to_dict(forest)
-    assert ran.stats == stats
+    assert ran.stats == stats == forest.trace_stats
 
 
 def test_emit_then_step_until_empty(cornell):
@@ -184,17 +184,18 @@ def test_emit_then_step_until_empty(cornell):
     lanes, first = engine.emit(3, 10, 50)
     assert isinstance(lanes, Lanes) and lanes.size == 50
     assert first.seq.tolist() == [0] * 50
-    stats = TraceStats(photons=50)
-    events = [first]
+    events, escapes = [first], 0
     while lanes.size:
         assert np.all(np.diff(lanes.gidx) > 0)
-        lanes, stepped = engine.step(lanes, stats)
+        lanes, stepped, escaped = engine.step(lanes)
+        assert np.all(np.diff(escaped) > 0)
         events.append(stepped)
+        escapes += escaped.size
     want, want_stats = engine.trace_range(3, 10, 50)
     got = EventBatch.concat(events).sorted_canonical()
     assert got.gidx.tolist() == want.sorted_canonical().gidx.tolist()
     assert got.theta.tolist() == want.sorted_canonical().theta.tolist()
-    assert stats == want_stats
+    assert vectorized.block_stats(got, 50, escapes) == want_stats
 
 
 class TestTraceRangeArguments:

@@ -18,7 +18,6 @@ from repro.api import SceneProgram
 from repro.core import SimulationConfig, forest_to_dict
 from repro.core import vectorized
 from repro.core.bintree import BinForest
-from repro.core.simulator import TraceStats
 from repro.core.vectorized import EventBatch, VectorEngine, apply_events
 from repro.paper.distributed import merge_rank_forests
 from repro.parallel import procpool
@@ -127,18 +126,18 @@ class TestWorkerInvariance:
             ran = pool.run(config, pool.run(head).forest, start)
             forest = pool.run(head).forest
             jobs = spy_shard_jobs(pool)
-            stats = TraceStats()
             yielded = []
-            for stop in pool.grow(config, forest, stats, start, 111):
+            for stop in pool.grow(config, forest, start, 111):
                 yielded.append(stop)
                 cold = VectorEngine(cornell).run(
                     SimulationConfig(n_photons=stop, seed=13)
                 )
                 assert _forest_bytes(forest) == _forest_bytes(cold.forest)
-                assert stats.photons >= stop - start
+                assert forest.trace_stats == cold.stats
         assert yielded == [111, 222, 333, 444, 500]
         assert len(jobs) == 2
-        assert stats == ran.stats
+        assert forest.trace_stats == ran.forest.trace_stats
+        assert ran.stats.photons == 500 - start
 
     def test_long_grow_runs_shard_sets_of_a_wave_per_worker(self, cornell):
         """A long range with report points inside runs as consecutive
@@ -150,8 +149,8 @@ class TestWorkerInvariance:
         config = SimulationConfig(n_photons=40_000, seed=13, workers=2)
         with PhotonPool(SceneProgram.compile(cornell), config) as pool:
             jobs = spy_shard_jobs(pool)
-            forest, stats = BinForest(config.policy), TraceStats()
-            steps = pool.grow(config, forest, stats, 0, 4_096)
+            forest = BinForest(config.policy)
+            steps = pool.grow(config, forest, 0, 4_096)
             assert next(steps) == 4_096
             assert len(jobs) == 2
             assert pool.result_blocks.handle.capacity == (
@@ -173,7 +172,7 @@ class TestWorkerInvariance:
             (0, 20_000), (20_000, 20_000)
         ]
         assert _forest_bytes(forest) == _forest_bytes(ran.forest)
-        assert stats == ran.stats
+        assert forest.trace_stats == ran.stats
 
     def test_zero_photons(self, cornell):
         config = SimulationConfig(

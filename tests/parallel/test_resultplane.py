@@ -67,9 +67,9 @@ def _forest_bytes(forest) -> str:
 
 
 def _trace_events(scene, count=300, seed=0xC0FFEE, start=0):
-    engine = VectorEngine(scene)
-    events, stats = engine.trace_range(seed, start, count)
-    return events.sorted_canonical(), stats
+    """A shard's canonical events and its escaped photons' indices."""
+    events, escaped = VectorEngine(scene).trace_events(seed, start, count)
+    return events.sorted_canonical(), escaped
 
 
 def _batches_equal(a: EventBatch, b: EventBatch) -> None:
@@ -79,52 +79,54 @@ def _batches_equal(a: EventBatch, b: EventBatch) -> None:
 
 class TestBlockRoundTrip:
     def test_write_then_view_is_bit_identical(self, cornell):
-        events, stats = _trace_events(cornell)
+        events, escaped = _trace_events(cornell)
+        assert escaped.size
         with ResultPlane(blocks=2, capacity=len(events) + 7) as plane:
-            result = pack_shard(events, stats, plane.handle, slot=1)
+            result = pack_shard(events, escaped, 300, plane.handle, slot=1)
             assert result.slot == 1 and result.count == len(events)
+            assert (result.photons, result.escapes) == (300, escaped.size)
             _batches_equal(plane.view(1, result.count), events)
+            assert plane.escaped(1, result.escapes).tolist() == escaped.tolist()
 
     def test_parent_views_are_zero_copy(self, cornell):
-        events, stats = _trace_events(cornell)
+        events, escaped = _trace_events(cornell)
         with ResultPlane(blocks=1, capacity=len(events)) as plane:
-            pack_shard(events, stats, plane.handle, slot=0)
+            pack_shard(events, escaped, 300, plane.handle, slot=0)
             view = plane.view(0, len(events))
             assert not view.gidx.flags.owndata
             assert not view.theta.flags.owndata
 
     def test_zero_event_shard_round_trips(self):
         empty = EventBatch.empty()
-        from repro.core.simulator import TraceStats
-
         with ResultPlane(blocks=1, capacity=block_capacity(1)) as plane:
-            result = pack_shard(empty, TraceStats(), plane.handle, slot=0)
+            result = pack_shard(empty, empty.gidx, 0, plane.handle, slot=0)
             assert result.slot == 0 and result.count == 0
             merged, _ = gather_shards([result], plane)
             assert len(merged) == 0
 
     def test_gather_preserves_job_order(self, cornell):
-        part_a, st_a = _trace_events(cornell, count=60, start=0)
-        part_b, st_b = _trace_events(cornell, count=60, start=60)
+        part_a, esc_a = _trace_events(cornell, count=60, start=0)
+        part_b, esc_b = _trace_events(cornell, count=60, start=60)
         cap = max(len(part_a), len(part_b))
         with ResultPlane(blocks=2, capacity=cap) as plane:
             results = [
-                pack_shard(part_a, st_a, plane.handle, 0),
-                pack_shard(part_b, st_b, plane.handle, 1),
+                pack_shard(part_a, esc_a, 60, plane.handle, 0),
+                pack_shard(part_b, esc_b, 60, plane.handle, 1),
             ]
             merged, stats = gather_shards(results, plane)
             _batches_equal(merged, EventBatch.concat([part_a, part_b]))
-            assert stats.photons == st_a.photons + st_b.photons
+            _, whole = VectorEngine(cornell).trace_range(0xC0FFEE, 0, 120)
+            assert stats == whole
 
 
 class TestDescriptors:
     def test_descriptor_is_small_regardless_of_events(self, cornell):
-        few, few_stats = _trace_events(cornell, count=30)
-        many, many_stats = _trace_events(cornell, count=3000)
+        few, few_escaped = _trace_events(cornell, count=30)
+        many, many_escaped = _trace_events(cornell, count=3000)
         with ResultPlane(blocks=2, capacity=block_capacity(3000)) as plane:
             results = [
-                pack_shard(few, few_stats, plane.handle, 0),
-                pack_shard(many, many_stats, plane.handle, 1),
+                pack_shard(few, few_escaped, 30, plane.handle, 0),
+                pack_shard(many, many_escaped, 3000, plane.handle, 1),
             ]
             small, big = (len(pickle.dumps(r)) for r in results)
         assert small < 1024 and big < 1024
@@ -132,9 +134,7 @@ class TestDescriptors:
         assert wire_bytes(results) == small + big
 
     def test_gather_without_plane_rejects_block_descriptors(self):
-        from repro.core.simulator import TraceStats
-
-        orphan = ShardResult(slot=0, count=5, stats=TraceStats())
+        orphan = ShardResult(slot=0, count=5, photons=5, escapes=0)
         with pytest.raises(RuntimeError, match="no result plane"):
             gather_shards([orphan], None)
 

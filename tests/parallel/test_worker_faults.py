@@ -142,7 +142,7 @@ def test_a_raising_tally_drains_the_shards_it_submitted(monkeypatch):
             submitted.append(real_submit(fn, *args))
             return submitted[-1]
 
-        def boom(forest, block, photons):
+        def boom(forest, block, photons, escapes):
             raise RuntimeError("tally fell over")
 
         monkeypatch.setattr(executor, "submit", submit)
@@ -166,7 +166,7 @@ def test_a_raising_tally_leaves_the_pool_block_as_itself(monkeypatch):
     """A tally error leaves ``with PhotonPool`` unchanged, through
     ``close(terminate=True)``, with no segment left behind."""
 
-    def boom(forest, block, photons):
+    def boom(forest, block, photons, escapes):
         raise RuntimeError("tally fell over")
 
     monkeypatch.setattr(procpool, "tally_block", boom)

@@ -90,8 +90,22 @@ class TestReadRequest:
             parse(raw)
 
     def test_bad_content_length(self):
-        with pytest.raises(BadRequest, match="Content-Length"):
-            parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
+        # int() takes "+10" and "1_0"; a length is plain ASCII digits.
+        for value in (b"nope", b"+10", b"1_0", b"-5", b"\xb2"):
+            with pytest.raises(BadRequest, match="Content-Length"):
+                parse(
+                    b"POST / HTTP/1.1\r\nContent-Length: " + value
+                    + b"\r\n\r\n" + b"x" * 10
+                )
+
+    def test_transfer_encoding_is_refused(self):
+        """A chunked body would otherwise be read as no body."""
+        raw = (
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        with pytest.raises(BadRequest, match="Transfer-Encoding"):
+            parse(raw)
 
 
 class TestJsonBody:

@@ -15,6 +15,7 @@ import dataclasses
 import gc
 import json
 import math
+import socket
 import threading
 import time
 import weakref
@@ -517,6 +518,40 @@ class TestRouting:
         message = json.loads(body)["error"]["message"]
         assert "n_photons must be at most 268435456" in message
         assert acquired() == before
+
+    def test_chunked_body_400(self, service):
+        """A body framed by ``Transfer-Encoding`` is refused rather than
+        read as no body (which served the default budget): a 400 that
+        checks out no session and counts in ``bad_requests``."""
+
+        def counters() -> tuple[int, int]:
+            _, _, body = service.request("GET", "/stats")
+            stats = json.loads(body)
+            return (
+                stats["scenes"]["cornell-box"]["pool"]["acquired"],
+                stats["requests"]["bad_requests"],
+            )
+
+        # Admit the scene so its pool counters exist.
+        service.request("POST", simulate_path("cornell-box"), {"photons": 10})
+        acquired, bad = counters()
+        body = b'{"photons": 10, "seed": 7}'
+        raw = (
+            f"POST {simulate_path('cornell-box')} HTTP/1.1\r\n"
+            "Host: localhost\r\nTransfer-Encoding: chunked\r\n\r\n"
+            f"{len(body):x}\r\n"
+        ).encode("latin-1") + body + b"\r\n0\r\n\r\n"
+        with socket.create_connection(
+            (service.host, service.port), timeout=60
+        ) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert "Transfer-Encoding" in json.loads(payload)["error"]["message"]
+        assert counters() == (acquired, bad + 1)
 
     def test_non_object_body_400(self, service):
         status, _, _ = service.request(

@@ -94,15 +94,21 @@ class TestArchitectureDoc:
         assert missing == [], f"the module map names missing modules: {missing}"
 
 
-def md_references(path: Path) -> set[str]:
-    """Every ``*.md`` file name in *path*'s comments and strings
+def comment_matches(path: Path, pattern: str) -> list[str]:
+    """Every match of *pattern* in *path*'s comments and strings
     (docstrings included)."""
-    found = set()
+    found = []
     with path.open("rb") as handle:
         for token in tokenize.tokenize(handle.readline):
             if token.type in (tokenize.COMMENT, tokenize.STRING):
-                found.update(re.findall(r"[\w./-]*\w\.md\b", token.string))
+                found.extend(re.findall(pattern, token.string))
     return found
+
+
+def md_references(path: Path) -> set[str]:
+    """Every ``*.md`` file name in *path*'s comments and strings
+    (docstrings included)."""
+    return set(comment_matches(path, r"[\w./-]*\w\.md\b"))
 
 
 class TestCiWorkflow:
@@ -157,6 +163,22 @@ class TestMdReferencesResolve:
             if not any((root / name).is_file() for root in self.ROOTS)
         )
         assert dangling == []
+
+
+class TestSourceCitesNoRoadmapItem:
+    """No docstring or comment under ``src/`` cites a ROADMAP item by
+    number: items are renumbered whenever the roadmap is re-anchored, so
+    such a citation goes stale.  Name the change instead."""
+
+    CITATION = r"(?i)ROADMAP(?:\.md)?(?:'s)?[\s`*(,:-]*(?:items?[\s#]*)?\d+"
+
+    def test_no_item_numbers(self):
+        citations = sorted(
+            f"{path.relative_to(REPO_ROOT)}: {match}"
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            for match in comment_matches(path, self.CITATION)
+        )
+        assert citations == []
 
 
 class TestCommandsParse:
